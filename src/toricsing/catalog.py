@@ -59,9 +59,11 @@ FAMILIES = {
 def builtin(spec: ModelSpec) -> ToricModel:
     """Construct the builtin model a spec names."""
     fam, params = spec.family, spec.params
+    if fam not in FAMILIES:
+        raise ModelFormatError(f"unknown model family {fam!r}")
+    _check_params(fam, params)
     if fam == "projective":
-        (n,) = params
-        return projective(n)
+        return projective(*params)
     if fam == "weighted":
         return weighted(*params)
     if fam == "multiprojective":
@@ -69,13 +71,30 @@ def builtin(spec: ModelSpec) -> ToricModel:
     if fam == "scroll":
         return scroll(*params)
     if fam == "blowup_point":
-        (n,) = params
-        return blowup_point(n)
+        return blowup_point(*params)
     if fam == "blowup_two_points_p3":
         return blowup_two_points_p3()
-    if fam == "blowup_line_p3":
-        return blowup_line_p3()
-    raise ModelFormatError(f"unknown model family {fam!r}")
+    return blowup_line_p3()
+
+
+def _check_params(fam: str, params: tuple) -> None:
+    """Hold the parameters to the family's syntax in FAMILIES: none without
+    a colon, a nonempty list where it ends in `...`, otherwise one per name."""
+    syntax = FAMILIES[fam]
+    _, colon, names = syntax.partition(":")
+    if not colon:
+        ok = not params
+    elif "..." in names:
+        ok = bool(params)
+    else:
+        ok = len(params) == names.count(",") + 1
+    if not ok:
+        raise ModelFormatError(
+            f"{fam} is written {syntax}; got {len(params)} parameter(s)")
+    for p in params:
+        if not isinstance(p, int):
+            raise ModelFormatError(
+                f"{fam} is written {syntax}; parameter {p!r} is not an integer")
 
 
 def from_spec_string(text: str) -> ToricModel:
@@ -85,7 +104,12 @@ def from_spec_string(text: str) -> ToricModel:
     if fam not in FAMILIES:
         raise ModelFormatError(
             f"unknown model family {fam!r}; known: {', '.join(sorted(FAMILIES))}")
-    params = tuple(int(p) for p in tail.split(",")) if tail.strip() else ()
+    try:
+        params = tuple(int(p) for p in tail.split(",")) if tail.strip() else ()
+    except ValueError:
+        raise ModelFormatError(
+            f"{fam} is written {FAMILIES[fam]}; parameters {tail.strip()!r} "
+            "are not integers") from None
     return builtin(ModelSpec(fam, params))
 
 

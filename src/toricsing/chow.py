@@ -10,17 +10,23 @@ where the tensor alone determines the answer, so the ring is kept free.
 `ChowElement` values are polynomials in the Picard generators whose
 coefficients may themselves be polynomials in formal degree symbols.  The
 grading that matters is total degree in the generators only.
+
+Both types are frozen, so each model safely caches its total Chern class
+prod (1 + D_i) on first use.  One symmetric-function kernel
+(`elementary_series`, `complete_series`) serves the Chern, Wronski, and
+scalar weight and multidegree sums alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from functools import cached_property, partial
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import UnsupportedModelError
-from .exactalg import MultiPoly, ScalarLike, aligned, as_poly
+from .exactalg import MultiPoly, ScalarLike, aligned, as_poly, poly_sum
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
 ScalarExpr = MultiPoly
@@ -29,7 +35,7 @@ ScalarExpr = MultiPoly
 ClassExpr = tuple  # length = model rank
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToricModel:
     """Intersection data of a compact toric orbifold.
 
@@ -38,7 +44,8 @@ class ToricModel:
     keys integrate to zero).  chern_override supplies Chern classes directly
     for models whose divisor lists are not recorded.  radial, when present,
     is the r x (n+r) integer matrix of diagonal radial vector field
-    coefficients.  Values are immutable by convention after construction.
+    coefficients.  The model is frozen, the tensor and the overrides are
+    read-only mappings, and each instance caches its Chern series on first use.
     """
 
     name: str
@@ -46,20 +53,23 @@ class ToricModel:
     rank: int
     gens: tuple[str, ...]
     divisor_classes: tuple[tuple[int, ...], ...] | None
-    tensor: dict[tuple[int, ...], Fraction]
-    chern_override: dict[int, "ChowElement"] | None = None
+    tensor: Mapping[tuple[int, ...], Fraction]
+    chern_override: Mapping[int, "ChowElement"] | None = None
     smooth: bool = True
     radial: tuple[tuple[int, ...], ...] | None = None
     coord_names: tuple[str, ...] = field(default=(), compare=False)
 
+    __hash__ = None  # the tensor mapping is not hashable
+
     def __post_init__(self):
+        store = partial(object.__setattr__, self)
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
-        self.gens = tuple(self.gens)
+        store("gens", tuple(self.gens))
         if len(self.gens) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {self.gens!r}")
         if self.divisor_classes is not None:
-            self.divisor_classes = tuple(tuple(v) for v in self.divisor_classes)
+            store("divisor_classes", tuple(tuple(v) for v in self.divisor_classes))
             if len(self.divisor_classes) != self.dim + self.rank:
                 raise ValueError(
                     f"expected {self.dim + self.rank} divisor classes, "
@@ -67,14 +77,16 @@ class ToricModel:
             for v in self.divisor_classes:
                 if len(v) != self.rank:
                     raise ValueError(f"divisor class {v!r} has wrong rank")
-        self.tensor = {tuple(k): Fraction(v) for k, v in self.tensor.items()
-                       if Fraction(v)}
+        store("tensor", MappingProxyType(
+            {tuple(k): Fraction(v) for k, v in self.tensor.items() if Fraction(v)}))
         for key in self.tensor:
             if len(key) != self.rank or any(e < 0 for e in key):
                 raise ValueError(f"bad tensor key {key!r}")
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
+        if self.chern_override is not None:
+            store("chern_override", MappingProxyType(dict(self.chern_override)))
         if self.divisor_classes is None:
             override = self.chern_override or {}
             missing = [j for j in range(1, self.dim + 1) if j not in override]
@@ -83,30 +95,36 @@ class ToricModel:
                     "model needs divisor classes or Chern classes for every "
                     f"degree 1..{self.dim}; missing {missing}")
         if self.radial is not None:
-            self.radial = tuple(tuple(row) for row in self.radial)
+            store("radial", tuple(tuple(row) for row in self.radial))
             if len(self.radial) != self.rank or any(
                     len(row) != self.dim + self.rank for row in self.radial):
                 raise ValueError("radial data must be an r x (n+r) matrix")
         if not self.coord_names:
-            self.coord_names = tuple(f"z{i}" for i in range(self.dim + self.rank))
+            store("coord_names", tuple(f"z{i}" for i in range(self.dim + self.rank)))
         elif len(self.coord_names) != self.dim + self.rank:
             raise ValueError("coordinate table must have n+r names")
 
+    @cached_property
+    def _divisor_esym(self) -> tuple[ChowElement, ...]:
+        """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
+        classes = [class_element(self, v) for v in self.divisor_classes]
+        return tuple(elementary_series(classes, self.dim))
 
-@dataclass
+
+@dataclass(frozen=True)
 class ChowElement:
     """Polynomial in Picard generators with scalar-expression coefficients.
 
     The generator symbols form a prefix of the underlying variable table;
     any further variables are formal degree symbols and take no part in the
-    grading.
+    grading.  Elements are frozen, so they may be shared between callers.
     """
 
     gens: tuple[str, ...]
     poly: MultiPoly
 
     def __post_init__(self):
-        self.gens = tuple(self.gens)
+        object.__setattr__(self, "gens", tuple(self.gens))
         if self.poly.vars[:len(self.gens)] != self.gens:
             raise ValueError(
                 f"generators {self.gens!r} must prefix the table {self.poly.vars!r}")
@@ -161,10 +179,14 @@ class ChowElement:
     def __pow__(self, exponent: int) -> ChowElement:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("power must be a natural number")
-        result = unit_element(self.gens, self.poly.vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        result, base = None, self
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return unit_element(self.gens, self.poly.vars) if result is None else result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChowElement):
@@ -218,17 +240,8 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
     total = ChowElement(model.gens, MultiPoly.zero(model.gens))
     for k, entry in enumerate(vec):
-        total = total + generator_element(model, k) * _lift_scalar(model, entry)
+        total = total + generator_element(model, k) * entry
     return total
-
-
-def _lift_scalar(model: ToricModel, value: ScalarLike) -> ChowElement:
-    if isinstance(value, MultiPoly):
-        extra = tuple(v for v in value.vars if v not in model.gens)
-        if any(v in model.gens for v in value.used_vars()):
-            raise ValueError("degree symbols may not collide with generators")
-        return ChowElement(model.gens, value.extended(model.gens + extra))
-    return ChowElement(model.gens, MultiPoly.const(value, model.gens))
 
 
 def class_of_divisor_coeffs(model: ToricModel,
@@ -243,12 +256,8 @@ def class_of_divisor_coeffs(model: ToricModel,
             f"expected {model.dim + model.rank} divisor coefficients")
     out = []
     for k in range(model.rank):
-        entries = [as_poly(c) * Fraction(v[k])
-                   for c, v in zip(coeffs, model.divisor_classes)]
-        total = entries[0]
-        for e in entries[1:]:
-            total, e = aligned(total, e)
-            total = total + e
+        total = poly_sum(as_poly(c) * Fraction(v[k])
+                         for c, v in zip(coeffs, model.divisor_classes))
         out.append(total if not total.is_constant() else total.constant_value())
     return tuple(out)
 
@@ -264,24 +273,16 @@ def divisor_class_element(model: ToricModel, i: int) -> ChowElement:
 def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     """The j-th elementary symmetric polynomial in the divisor classes.
 
-    Computed directly as the sum over j-subsets; the product generating
-    identity is kept for the test suite as an independent route.
+    The whole series e_0..e_n is computed once per model, on first use, as
+    the truncated product of (1 + D_i t); later calls return the same
+    element.
     """
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     if model.divisor_classes is None:
         raise UnsupportedModelError(
             f"model {model.name} records no divisor classes")
-    if j == 0:
-        return unit_element(model.gens)
-    classes = [class_element(model, v) for v in model.divisor_classes]
-    total = ChowElement(model.gens, MultiPoly.zero(model.gens))
-    for subset in combinations(classes, j):
-        prod = unit_element(model.gens)
-        for c in subset:
-            prod = prod * c
-        total = total + prod
-    return total
+    return model._divisor_esym[j]
 
 
 def chern_class(model: ToricModel, j: int) -> ChowElement:
@@ -310,33 +311,41 @@ def wronski_classes(classes: Sequence, j: int):
     scalar expressions gives a scalar expression.  The empty list follows
     the zero-variable convention: 1 at j = 0 and 0 beyond.
     """
-    if j < 0:
+    return complete_series(classes, j)[j]
+
+
+def elementary_series(items: Sequence, k: int) -> list:
+    """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions.
+
+    These are the coefficients of the product of (1 + x t) over the items,
+    truncated at t^k; e_j is 0 for j beyond the length of the list.  Scalars
+    are moved onto one merged variable table first.
+    """
+    if k < 0:
         raise ValueError("degree must be nonnegative")
-    if classes and isinstance(classes[0], ChowElement):
-        gens = classes[0].gens
-        if j == 0:
-            return unit_element(gens)
-        total = ChowElement(gens, MultiPoly.zero(gens))
-        for multiset in combinations_with_replacement(classes, j):
-            prod = unit_element(gens)
-            for c in multiset:
-                prod = prod * c
-            total = total + prod
-        return total
-    values = [as_poly(v) for v in classes]
-    if j == 0:
-        return MultiPoly.const(1)
-    if not values:
-        return MultiPoly.zero()
-    total = MultiPoly.zero(values[0].vars)
-    for multiset in combinations_with_replacement(values, j):
-        prod = MultiPoly.const(1)
-        for v in multiset:
-            prod, v = aligned(prod, v)
-            prod = prod * v
-        total, prod = aligned(total, prod)
-        total = total + prod
-    return total
+    if items and isinstance(items[0], ChowElement):
+        xs, one = items, unit_element(items[0].gens)
+    else:
+        xs = aligned(*(as_poly(v) for v in items))
+        one = MultiPoly.const(1, xs[0].vars if xs else ())
+    e = [one] + [one * 0] * k
+    for i, x in enumerate(xs):
+        for j in range(min(i + 1, k), 0, -1):
+            e[j] = e[j] + e[j - 1] * x
+    return e
+
+
+def complete_series(items: Sequence, k: int) -> list:
+    """h_0..h_k of the same inputs, from sum_j (-1)^j e_j h_{m-j} = 0 (m >= 1)."""
+    e = elementary_series(items, k)
+    h = [e[0]]
+    for m in range(1, k + 1):
+        total = e[1] * h[m - 1]
+        for j in range(2, min(m, len(items)) + 1):
+            term = e[j] * h[m - j]
+            total = total - term if j % 2 == 0 else total + term
+        h.append(total)
+    return h
 
 
 def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:

@@ -18,6 +18,7 @@ Arithmetic requires both operands to live on the same variable table;
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AlignmentError
@@ -59,6 +60,17 @@ class MultiPoly:
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms",
                            {e: c for e, c in clean.items() if c})
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...],
+                 terms: dict[Exponent, Fraction]) -> MultiPoly:
+        """Wrap the result of this module's own arithmetic: the table and the
+        exponents are known to be valid and the coefficients are Fractions,
+        so only zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", variables)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MultiPoly values are immutable")
@@ -155,13 +167,14 @@ class MultiPoly:
         self._check_table(other)
         terms = dict(self.terms)
         for exp, coeff in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return MultiPoly(self.vars, terms)
+            prev = terms.get(exp)
+            terms[exp] = coeff if prev is None else prev + coeff
+        return MultiPoly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: ScalarLike) -> MultiPoly:
         other = self._coerce(other)
@@ -183,9 +196,10 @@ class MultiPoly:
         terms: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb
-        return MultiPoly(self.vars, terms)
+                exp = tuple(map(add, ea, eb))
+                prev = terms.get(exp)
+                terms[exp] = ca * cb if prev is None else prev + ca * cb
+        return MultiPoly._trusted(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -317,6 +331,8 @@ def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:
     The merge keeps the first operand's order and appends unseen variables
     in the order the later operands declare them.
     """
+    if all(p.vars == polys[0].vars for p in polys[1:]):
+        return polys
     merged: list[str] = []
     for p in polys:
         for v in p.vars:

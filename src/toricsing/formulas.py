@@ -196,21 +196,8 @@ def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     return w
 
 
-def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> ScalarLike:
-    if j == 0:
-        return Fraction(1)
-    if j > len(values):
-        return Fraction(0)
-    from itertools import combinations
-    total = MultiPoly.zero()
-    for subset in combinations([as_poly(v) for v in values], j):
-        prod = MultiPoly.const(1)
-        for v in subset:
-            prod, v = aligned(prod, v)
-            prod = prod * v
-        total, prod = aligned(total, prod)
-        total = total + prod
-    return total
+def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> ScalarExpr:
+    return chow.elementary_series(values, j)[j]
 
 
 def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
@@ -328,12 +315,12 @@ def ci_sing_count(model: ToricModel, classes, degree,
     dual = chow.unit_element(model.gens)
     for a in a_elems:
         dual = dual * a
+    ws = [chow.wronski_classes(a_elems, j) for j in range(n - m + 1)]
     terms = []
     for i in range(n - m + 1):
         inner = ChowElement(model.gens, MultiPoly.zero(model.gens))
         for j in range(i + 1):
-            inner = inner + ((-1) ** j * chow.wronski_classes(a_elems, j)
-                             * chow.chern_class(model, i - j))
+            inner = inner + (-1) ** j * ws[j] * chow.chern_class(model, i - j)
         terms.append(_signed(i, kind) * chow.integrate(
             model, inner * d ** (n - m - i) * dual))
     return poly_sum(terms)

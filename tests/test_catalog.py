@@ -1,5 +1,6 @@
 """Builtin models, the model file format, and parser round trips."""
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -106,6 +107,36 @@ def test_builtin_dispatch():
     assert from_spec_string("blowup_point:2") == catalog.blowup_point(2)
     with pytest.raises(ModelFormatError):
         from_spec_string("klein_bottle:7")
+    with pytest.raises(ModelFormatError, match="unknown model family"):
+        builtin(ModelSpec("klein_bottle", (7,)))
+
+
+@pytest.mark.parametrize("text, syntax", [
+    ("projective", "projective:n"),
+    ("projective:", "projective:n"),
+    ("projective:abc", "projective:n"),
+    ("projective:1,2", "projective:n"),
+    ("blowup_point:", "blowup_point:n"),
+    ("blowup_line_p3:2", "blowup_line_p3"),
+    ("weighted", "weighted:w0,...,wn"),
+    ("weighted:1,x", "weighted:w0,...,wn"),
+    ("scroll:1,,2", "scroll:a1,...,an"),
+])
+def test_malformed_spec_names_the_family_syntax(text, syntax):
+    with pytest.raises(ModelFormatError, match=re.escape(syntax)):
+        from_spec_string(text)
+
+
+@pytest.mark.parametrize("spec, syntax", [
+    (ModelSpec("projective"), "projective:n"),
+    (ModelSpec("projective", (2, 3)), "projective:n"),
+    (ModelSpec("projective", ("3",)), "projective:n"),
+    (ModelSpec("scroll"), "scroll:a1,...,an"),
+    (ModelSpec("blowup_two_points_p3", (1,)), "blowup_two_points_p3"),
+])
+def test_builtin_checks_arity_and_integer_parameters(spec, syntax):
+    with pytest.raises(ModelFormatError, match=re.escape(syntax)):
+        builtin(spec)
 
 
 def test_round_trip_all_builtins():

@@ -1,7 +1,9 @@
 """Chern classes, symmetric constructors, and the integration functional."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -27,6 +29,39 @@ def dmul(p, q):
 
 def dintegrate(p, tensor):
     return sum(Fraction(v) * tensor.get(k, Fraction(0)) for k, v in p.items())
+
+
+# -- the symmetric functions by their definitions, sharing nothing with the
+#    product-series kernel ----------------------------------------------------
+
+def subset_sum(elems, j, one):
+    """e_j as the sum over j-subsets of the product of their members."""
+    total = one * 0
+    for subset in combinations(elems, j):
+        prod = one
+        for x in subset:
+            prod = prod * x
+        total = total + prod
+    return total
+
+
+def multiset_sum(elems, j, one):
+    """h_j as the sum over j-multisets of the product of their members."""
+    total = one * 0
+    for multiset in combinations_with_replacement(elems, j):
+        prod = one
+        for x in multiset:
+            prod = prod * x
+        total = total + prod
+    return total
+
+
+GENERATING_MODELS = [
+    catalog.projective(2), catalog.projective(4), catalog.weighted(1, 1, 2),
+    catalog.multiprojective(1, 1), catalog.multiprojective(2, 1),
+    catalog.scroll(1, 1), catalog.scroll(2, 3, 1), catalog.blowup_point(2),
+    catalog.blowup_point(3),
+]
 
 
 def test_class_of_divisor_coeffs_blowup():
@@ -181,11 +216,7 @@ def test_integrate_linearity():
 
 def test_chern_generating_identity():
     # product of (1 + h_i t) must reproduce the elementary symmetric classes
-    for m in [catalog.projective(2), catalog.projective(4),
-              catalog.weighted(1, 1, 2), catalog.multiprojective(1, 1),
-              catalog.multiprojective(2, 1), catalog.scroll(1, 1),
-              catalog.scroll(2, 3, 1), catalog.blowup_point(2),
-              catalog.blowup_point(3)]:
+    for m in GENERATING_MODELS:
         series = [chow.unit_element(m.gens)]  # coefficient list in powers of t
         for vec in m.divisor_classes:
             h = class_element(m, vec)
@@ -197,6 +228,66 @@ def test_chern_generating_identity():
             series = new
         for j in range(m.dim + 1):
             assert series[j] == elementary_symmetric_classes(m, j)
+
+
+def test_chern_class_matches_the_subset_sum():
+    for m in GENERATING_MODELS:
+        classes = [class_element(m, v) for v in m.divisor_classes]
+        for j in range(m.dim + 1):
+            assert chern_class(m, j) == subset_sum(classes, j, chow.unit_element(m.gens))
+
+
+def test_wronski_matches_the_multiset_sum():
+    rng = random.Random(5)
+    k = MultiPoly.variable("k", ("k",))
+    m = catalog.multiprojective(1, 1)
+    for _ in range(40):
+        count = rng.randint(0, 4)
+        scalars = [rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3),
+                               k + rng.randint(-2, 2)))
+                   for _ in range(count)]
+        classes = [class_element(m, (rng.randint(-3, 3), rng.randint(-3, 3)))
+                   for _ in range(count)]
+        for j in range(6):
+            assert wronski_classes(scalars, j) == multiset_sum(
+                scalars, j, MultiPoly.const(1, ("k",)))
+            if classes:
+                assert wronski_classes(classes, j) == multiset_sum(
+                    classes, j, chow.unit_element(m.gens))
+
+
+def test_power_is_the_repeated_product():
+    m = catalog.scroll(1, 2)
+    d1 = MultiPoly.variable("d1", ("d1",))
+    for e in (class_element(m, (2, -1)), class_element(m, (d1, 3)),
+              3 + chow.generator_element(m, 1)):
+        product = chow.unit_element(m.gens)
+        for k in range(10):
+            assert e ** k == product
+            product = product * e
+
+
+def test_models_and_elements_are_frozen():
+    m = catalog.projective(2)
+    elem = chern_class(m, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.dim = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        elem.poly = MultiPoly.zero(m.gens)
+    with pytest.raises(TypeError):
+        m.tensor[(2,)] = Fraction(2)
+    overrides = catalog.blowup_line_p3().chern_override
+    with pytest.raises(TypeError):
+        overrides[1] = elem
+
+
+def test_chern_series_is_computed_once_per_model():
+    for m in GENERATING_MODELS:
+        for j in range(1, m.dim + 1):
+            assert chern_class(m, j) is chern_class(m, j)
+            assert chern_class(m, j) is elementary_symmetric_classes(m, j)
+    # a fresh instance of an equal model builds its own series
+    assert chern_class(catalog.projective(3), 2) is not chern_class(catalog.projective(3), 2)
 
 
 def test_e_w_duality():

@@ -144,6 +144,13 @@ def test_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_malformed_model_spec_is_a_domain_error(capsys):
+    status, out, err = _run(capsys, "count", "foliation", "--model",
+                            "projective", "--degree", "1")
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "projective:n" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["count", "foliation", "--model", "projective:2",

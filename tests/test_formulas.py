@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricsing import catalog, chow
 from toricsing.errors import (
@@ -351,6 +352,34 @@ def test_alpha_chi_matches_ci_euler():
 def test_ci_matches_restricted_on_p3():
     m = catalog.projective(3)
     assert ci_sing_count(m, [(2,)], (1,)) == 10
+
+
+@st.composite
+def projective_ci_cases(draw):
+    n = draw(st.integers(min_value=3, max_value=6))
+    m = draw(st.integers(min_value=2, max_value=n - 1))
+    classes = draw(st.lists(st.integers(min_value=1, max_value=5),
+                            min_size=m, max_size=m))
+    degree = draw(st.one_of(st.integers(min_value=-3, max_value=8),
+                            st.just("symbolic")))
+    kind = draw(st.sampled_from(("foliation", "distribution")))
+    return n, classes, degree, kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(projective_ci_cases())
+def test_ci_tensor_route_matches_the_weighted_scalar_route(case):
+    # m >= 2 classes: the tensor route on P^n against the scalar route on
+    # P(1,...,1); the symbolic degree is d1 on both sides
+    n, classes, degree, kind = case
+    tensor = ci_sing_count(catalog.projective(n), [(a,) for a in classes],
+                           degree, kind=kind)
+    scalar_degree = MultiPoly.variable("d1", ("d1",)) if degree == "symbolic" else degree
+    assert tensor == wci_sing_count((1,) * (n + 1), classes, scalar_degree, kind=kind)
+
+
+def test_foliation_count_on_p200():
+    assert foliation_sing_count(catalog.projective(200), 1) == 2 ** 201 - 1
 
 
 def test_ci_diagonal_curve_count():
