@@ -22,8 +22,13 @@ class ModelFormatError(ToricError):
 
 
 class NonIsolatedZeroError(ToricError):
-    """The local multiplicity computation failed to stabilize, which signals
-    a positive-dimensional zero locus at the origin (or a cap set too low)."""
+    """The local multiplicity computation did not reach its plateau.
+
+    The message starts with "proved not isolated" when the truncated
+    dimension exceeded the Bezout bound, so the zero locus at the origin is
+    positive-dimensional, and with "cap below the plateau" when the degree
+    cap stopped the computation before that was decided.
+    """
 
 
 class ToricWarning(UserWarning):

@@ -36,6 +36,13 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
+def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
+    variables = tuple(variables)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names in {variables!r}")
+    return variables
+
+
 class MultiPoly:
     """A sparse multivariate polynomial with exact rational coefficients."""
 
@@ -43,9 +50,7 @@ class MultiPoly:
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponent, int | Fraction] | None = None):
-        variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables!r}")
+        variables = _variable_table(variables)
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
@@ -80,19 +85,19 @@ class MultiPoly:
     @classmethod
     def const(cls, value: int | Fraction,
               variables: Sequence[str] = ()) -> MultiPoly:
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        variables = _variable_table(variables)
+        return cls._trusted(variables, {(0,) * len(variables): Fraction(value)})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> MultiPoly:
-        variables = tuple(variables)
+        variables = _variable_table(variables)
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(variables, {tuple(exp): Fraction(1)})
+        return cls._trusted(variables, {tuple(exp): Fraction(1)})
 
     @classmethod
     def zero(cls, variables: Sequence[str] = ()) -> MultiPoly:
-        return cls(variables, {})
+        return cls._trusted(_variable_table(variables), {})
 
     # -- inspection --------------------------------------------------------
 

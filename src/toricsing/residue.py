@@ -7,12 +7,20 @@ index through the dimension sidesteps the residue symbol's orientation
 bookkeeping: the dimension is invariant under reordering the components
 and under linear changes of coordinates.
 
-The dimension is computed by truncation: c(D) counts monomials of degree
-below D modulo everything the components generate below that degree.
-Truncating by powers of the maximal ideal localizes at the origin
-automatically, so inputs may vanish elsewhere in the chart too.  c(D) is
-nondecreasing and the first plateau value is the multiplicity; failure to
-stabilize by the cap signals a positive-dimensional zero locus.
+The dimension is computed by truncation: c(D) = dim R/(I + m^D) counts
+monomials of degree below D modulo what the components generate below D.
+Truncating by powers of the maximal ideal localizes at the origin, so inputs
+may vanish elsewhere in the chart too.  c(D) rises strictly until its first
+plateau, and the plateau value is the multiplicity.  Each c(D) is one exact
+rank of sparse Macaulay rows (monomial shifts of the components), found by
+an integer echelon keyed by leading column.
+
+An isolated zero has multiplicity at most the product of the component
+degrees (refined Bezout inequality, Fulton, Intersection Theory, 12.3), and
+c(D) <= multiplicity.  So c(D) above that product proves the zero is not
+isolated, and as c(D) >= D before the plateau, every germ is decided by
+depth product + 1.  The degree cap only bounds the work and does not decide
+correctness: a germ it stops is reported as undecided, never answered.
 
 Dividing by the order of the local isotropy group gives the orbifold index
 at a quotient-chart point; the group order is caller-supplied data.
@@ -22,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import NonIsolatedZeroError
 from .exactalg import MultiPoly
@@ -72,6 +80,7 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
     """Exact local multiplicity at the origin, with the orbifold index."""
     components = query.components
     nvars = len(components[0].vars)
+    bound = prod(comp.total_degree() for comp in components)
     previous: int | None = None
     for depth in range(1, query.degree_cap + 1):
         dim = _truncated_quotient_dim(components, nvars, depth)
@@ -87,10 +96,15 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
                     orbifold_index=orbifold_index(dim, query.group_order),
                     stabilized_at=depth - 1,
                 )
+        if dim > bound:
+            raise NonIsolatedZeroError(
+                f"proved not isolated: c({depth}) = {dim} exceeds the Bezout "
+                f"bound {bound} on the multiplicity of an isolated zero")
         previous = dim
     raise NonIsolatedZeroError(
-        f"no stabilization by degree {query.degree_cap}: the common zero at "
-        "the origin is not isolated, or the cap is too small")
+        f"cap below the plateau: no stabilization by degree {query.degree_cap}; "
+        f"the zero at the origin may still be isolated, and a cap of "
+        f"{bound + 1} decides it")
 
 
 def orbifold_index(multiplicity: int, group_order: int) -> Fraction:
@@ -113,19 +127,16 @@ def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
 def _truncated_quotient_dim(components, nvars: int, depth: int) -> int:
     basis = _monomials_below(nvars, depth)
     position = {mono: i for i, mono in enumerate(basis)}
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for comp in components:
         min_deg = min((sum(e) for e in comp.terms), default=depth)
         for shift in _monomials_below(nvars, max(depth - min_deg, 0)):
-            row = [Fraction(0)] * len(basis)
-            nonzero = False
+            row = {}
             for exp, coeff in comp.terms.items():
-                key = tuple(a + b for a, b in zip(exp, shift))
-                idx = position.get(key)
+                idx = position.get(tuple(a + b for a, b in zip(exp, shift)))
                 if idx is not None:
                     row[idx] = coeff
-                    nonzero = True
-            if nonzero:
+            if row:
                 rows.append(row)
     return len(basis) - _exact_rank(rows)
 
@@ -146,44 +157,31 @@ def _monomials_below(nvars: int, depth: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Matrix rank over the rationals by fraction-free (Bareiss) elimination.
+def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank over the rationals of sparse rows {column: coefficient}.
 
-    Rows are scaled to integers first; the Bareiss pivot division is then
-    exact in the integers, which keeps intermediate entries from exploding
-    into large fractions.
+    Rows are scaled to integers.  While a row's leading column has a pivot
+    p, the row becomes p[lead]*row - row[lead]*p; a row with a new leading
+    column is divided by its content and kept as that column's pivot.
     """
-    matrix: list[list[int]] = []
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        scale = lcm(*(c.denominator for c in row)) if row else 1
-        scaled = [int(c * scale) for c in row]
-        if any(scaled):
-            matrix.append(scaled)
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rank = 0
-    prev_pivot = 1
-    row_idx = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(row_idx, len(matrix)):
-            if matrix[r][col]:
-                pivot_row = r
+        scale = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (scale // x.denominator)
+               for c, x in row.items() if x}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: x // g for c, x in row.items()}
                 break
-        if pivot_row is None:
-            continue
-        matrix[row_idx], matrix[pivot_row] = matrix[pivot_row], matrix[row_idx]
-        pivot = matrix[row_idx][col]
-        for r in range(row_idx + 1, len(matrix)):
-            factor = matrix[r][col]
-            row_r = matrix[r]
-            row_p = matrix[row_idx]
-            for c in range(col, ncols):
-                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev_pivot
-        prev_pivot = pivot
-        row_idx += 1
-        rank += 1
-        if row_idx == len(matrix):
-            break
-    return rank
+            a, b = pivot[lead], row[lead]
+            row = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                value = row.get(c, 0) - b * x
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+    return len(pivots)

@@ -39,6 +39,29 @@ def test_residue_example(capsys):
     assert "multiplicity = 4" in lines
 
 
+def test_residue_example_bytes(capsys):
+    args = ("residue", "--vars", "z1,z2", "--components", "3*z1^2,3*z2^2",
+            "--group", "3")
+    _, out, _ = _run(capsys, *args)
+    assert out == ("result = 4/3\ngroup_order = 3\nmultiplicity = 4\n"
+                   "stabilized_at = 3\n")
+    _, out, _ = _run(capsys, *args, "--json")
+    assert out == (
+        '{\n  "details": {\n    "group_order": 3,\n    "multiplicity": 4,\n'
+        '    "stabilized_at": 3\n  },\n  "inputs": {\n    "cap": 64,\n'
+        '    "command": "residue",\n    "components": "3*z1^2,3*z2^2",\n'
+        '    "group": 3,\n    "vars": "z1,z2"\n  },\n  "operation": "residue",\n'
+        '  "result": "4/3"\n}\n')
+
+
+def test_residue_non_isolated_at_the_default_cap(capsys):
+    status, out, err = _run(capsys, "residue", "--vars", "u,v",
+                            "--components", "u*v,u^2*v")
+    assert status == 1
+    assert out == ""
+    assert "isolated" in err
+
+
 def test_output_is_byte_identical(capsys):
     args = ("count", "foliation", "--model", "blowup_line_p3", "--symbolic")
     _, first, _ = _run(capsys, *args)

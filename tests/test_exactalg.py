@@ -145,3 +145,29 @@ def test_immutability():
     p = MultiPoly(("x",), {(1,): 1})
     with pytest.raises(AttributeError):
         p.vars = ("y",)
+
+
+@pytest.mark.parametrize("build", [
+    lambda t: MultiPoly.const(1, t),
+    lambda t: MultiPoly.variable("a", t),
+    lambda t: MultiPoly.zero(t),
+])
+def test_builtin_constructors_reject_duplicate_names(build):
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        build(("a", "b", "a"))
+
+
+def test_variable_rejects_an_unknown_name():
+    with pytest.raises(ValueError):
+        MultiPoly.variable("z", ("a", "b"))
+
+
+def test_const_coerces_with_fraction():
+    c = MultiPoly.const(2, ["a", "b"])
+    assert c.vars == ("a", "b")
+    assert type(c.terms[(0, 0)]) is Fraction
+    assert c == MultiPoly(("a", "b"), {(0, 0): 2})
+    assert MultiPoly.const("3/4").constant_value() == Fraction(3, 4)
+    assert MultiPoly.const(0, ("a",)).is_zero
+    with pytest.raises(TypeError):
+        MultiPoly.const(None, ("a",))

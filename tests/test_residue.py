@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricsing import catalog, formulas
 from toricsing.catalog import parse_polynomial
@@ -187,7 +190,8 @@ def test_exact_rank_matches_rational_elimination():
             for r in rows:
                 r[dead] = 0
         frac_rows = [[Fraction(x, rng.randint(1, 3)) for x in r] for r in rows]
-        assert _exact_rank(frac_rows) == rational_rank(frac_rows)
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in frac_rows]
+        assert _exact_rank(sparse) == rational_rank(frac_rows)
 
 
 def test_stabilization_is_monotone():
@@ -196,3 +200,73 @@ def test_stabilization_is_monotone():
     assert report.stabilized_at == 7
     with pytest.raises(NonIsolatedZeroError):
         local_multiplicity(_query(["z1^4", "z2^4"], ("z1", "z2"), cap=6))
+
+
+def test_error_names_the_reason_it_stopped():
+    with pytest.raises(NonIsolatedZeroError,
+                       match=r"proved not isolated: c\(2\) = 2 exceeds the Bezout bound 1"):
+        local_multiplicity(_query(["z1", "z1"], ("z1", "z2")))
+    with pytest.raises(NonIsolatedZeroError,
+                       match="cap below the plateau: no stabilization by degree 6.*isolated"):
+        local_multiplicity(_query(["z1^4", "z2^4"], ("z1", "z2"), cap=6))
+
+
+def test_three_variable_fourth_powers():
+    report = local_multiplicity(
+        _query(["u^4", "v^4", "w^4"], ("u", "v", "w")))
+    assert (report.multiplicity, report.stabilized_at) == (64, 10)
+
+
+def _integer_poly(table, coefficients, min_degree, max_degree):
+    exps = [e for e in product(range(max_degree + 1), repeat=len(table))
+            if min_degree <= sum(e) <= max_degree]
+    return MultiPoly(table, dict(zip(exps, coefficients)))
+
+
+@st.composite
+def diagonal_changes(draw):
+    # the diagonal germ (z_i^a_i) and a random invertible linear change of it
+    n = draw(st.sampled_from((2, 3)))
+    table = ("z1", "z2", "z3")[:n]
+    exps = draw(st.lists(st.integers(1, 6 if n == 2 else 3), min_size=n, max_size=n))
+    m = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    det = (m[0][0] * m[1][1] - m[0][1] * m[1][0] if n == 2 else
+           sum(m[0][j] * (m[1][(j + 1) % 3] * m[2][(j + 2) % 3]
+                          - m[1][(j + 2) % 3] * m[2][(j + 1) % 3]) for j in range(3)))
+    assume(det != 0)
+    diagonal = tuple(MultiPoly.variable(v, table) ** e for v, e in zip(table, exps))
+    images = {v: MultiPoly(table, {tuple(int(j == i) for j in range(n)): m[k][i]
+                                   for i in range(n)})
+              for k, v in enumerate(table)}
+    return diagonal, tuple(p.substitute(images) for p in diagonal), prod(exps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(diagonal_changes())
+def test_linear_change_keeps_multiplicity_and_plateau(case):
+    # m^D is invariant under GL_n, so every c(D) is, and so is the plateau
+    diagonal, changed, staircase = case
+    expected = local_multiplicity(IndexQuery(diagonal))
+    report = local_multiplicity(IndexQuery(changed))
+    assert report.multiplicity == expected.multiplicity == staircase
+    assert report.stabilized_at == expected.stabilized_at
+
+
+@st.composite
+def common_factor_germs(draw):
+    # f_i = g * h_i vanishes on the hypersurface g = 0 through the origin
+    n = draw(st.sampled_from((2, 3)))
+    table = ("z1", "z2", "z3")[:n]
+    coefficient_lists = st.lists(st.integers(-3, 3), min_size=10, max_size=10)
+    g = _integer_poly(table, draw(coefficient_lists), 1, 2)
+    assume(not g.is_zero)
+    hs = [_integer_poly(table, draw(coefficient_lists), 0, 1) for _ in table]
+    return tuple(g * h for h in hs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(common_factor_germs())
+def test_common_factor_is_proved_not_isolated(components):
+    with pytest.raises(NonIsolatedZeroError, match="proved not isolated"):
+        local_multiplicity(IndexQuery(components))
