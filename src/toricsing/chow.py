@@ -238,10 +238,28 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     """Promote a Picard vector with scalar-expression entries to degree 1."""
     if len(vec) != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
-    total = ChowElement(model.gens, MultiPoly.zero(model.gens))
-    for k, entry in enumerate(vec):
-        total = total + generator_element(model, k) * entry
-    return total
+    gens = model.gens
+    entries = []
+    for entry in vec:
+        if not isinstance(entry, (int, Fraction, MultiPoly)):
+            raise TypeError(f"Picard vector entry {entry!r} is not a scalar expression")
+        entry = as_poly(entry)
+        if any(v in gens for v in entry.used_vars()):
+            raise ValueError("degree symbols may not collide with generators")
+        entries.append(entry)
+    # generators first, then the degree symbols in order of first appearance
+    table = gens + tuple(dict.fromkeys(
+        v for entry in entries for v in entry.vars if v not in gens))
+    terms = {}
+    for k, entry in enumerate(entries):
+        pos = [table.index(v) for v in entry.vars]
+        for exp, coeff in entry.terms.items():
+            key = [0] * len(table)
+            key[k] = 1
+            for p, e in zip(pos, exp):
+                key[p] += e
+            terms[tuple(key)] = coeff
+    return ChowElement(gens, MultiPoly._trusted(table, terms))
 
 
 def class_of_divisor_coeffs(model: ToricModel,

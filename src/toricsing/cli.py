@@ -282,7 +282,13 @@ def _handle_poincare(args):
 
 
 def _handle_search(args):
-    scroll_a = _ints(args.scroll_a) if args.scroll_a else None
+    scroll_a = None
+    if args.scroll_a:
+        try:
+            scroll_a = _ints(args.scroll_a)
+        except ValueError:
+            raise ToricError(f"--scroll-a takes comma-separated integers, "
+                             f"got {args.scroll_a!r}") from None
     solutions = formulas.regular_search(args.family, args.bound, scroll_a=scroll_a)
     details = {
         "solutions": [

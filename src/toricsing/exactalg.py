@@ -13,11 +13,16 @@ between threads.
 
 Arithmetic requires both operands to live on the same variable table;
 `aligned()` merges tables when callers hold values from different contexts.
+
+`integer_roots` finds the integer roots of a univariate integer polynomial
+in a range by exact sign bisection; the searches solve their count
+polynomials with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -69,9 +74,10 @@ class MultiPoly:
     @classmethod
     def _trusted(cls, variables: tuple[str, ...],
                  terms: dict[Exponent, Fraction]) -> MultiPoly:
-        """Wrap the result of this module's own arithmetic: the table and the
-        exponents are known to be valid and the coefficients are Fractions,
-        so only zero coefficients are dropped."""
+        """Wrap the result of this package's own arithmetic (here and in
+        `chow.class_element`): the table and the exponents are known to be
+        valid and the coefficients are Fractions, so only zero coefficients
+        are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vars", variables)
         object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
@@ -364,3 +370,102 @@ def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
     for p in polys[1:]:
         total = total + p
     return total
+
+
+# ---------------------------------------------------------------------------
+# integer roots of univariate integer polynomials
+
+
+def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
+    """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
+
+    Linear and quadratic polynomials are solved in closed form (`divmod`,
+    and the discriminant with `isqrt`).  Higher degrees split the range
+    where the polynomial stops being monotone and bisect each piece on
+    exact integer signs.  The zero polynomial vanishes on the whole range.
+    """
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    if lo > hi:
+        return []
+    if not c:
+        return list(range(lo, hi + 1))
+    if len(c) == 1:
+        return []
+    if len(c) == 2:
+        q, r = divmod(-c[0], c[1])
+        return [q] if r == 0 and lo <= q <= hi else []
+    if len(c) == 3:
+        disc = c[1] * c[1] - 4 * c[2] * c[0]
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return []
+        roots = set()
+        for num in (-c[1] - s, -c[1] + s):
+            q, r = divmod(num, 2 * c[2])
+            if r == 0 and lo <= q <= hi:
+                roots.add(q)
+        return sorted(roots)
+    cuts = _monotone_cuts(c, lo, hi)
+    roots = {x for x in cuts if _horner(c, x) == 0}
+    for a, b in zip(cuts, cuts[1:]):
+        m = _crossing(c, a, b)
+        if m is not None and _horner(c, m) == 0:
+            roots.add(m)
+    return sorted(roots)
+
+
+def _horner(c: Sequence[int], x: int) -> int:
+    acc = 0
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return acc
+
+
+def _crossing(c: Sequence[int], a: int, b: int) -> int | None:
+    """For a polynomial monotone on [a, b]: an m in [a, b] where it vanishes,
+    or with a sign change between m and m + 1; None when it keeps one
+    strict sign."""
+    fa, fb = _horner(c, a), _horner(c, b)
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    if (fa > 0) == (fb > 0):
+        return None
+    while b - a > 1:
+        mid = (a + b) // 2
+        fm = _horner(c, mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a = mid
+        else:
+            b = mid
+    return a
+
+
+def _monotone_cuts(c: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Sorted integers of [lo, hi], both ends included, such that c, of
+    degree two or more, is strictly monotone between any two consecutive
+    cuts at distance two or more.
+
+    The cuts are those of the derivative, plus the integer neighbours of
+    each sign change of the derivative, located by `_crossing` on the
+    derivative's own monotone pieces (by floor division when the derivative
+    is linear).  Keeping the derivative's cuts lets a piece of length one,
+    on which the derivative need not be monotone, hide nothing: it has no
+    integer strictly inside.
+    """
+    dc = [i * x for i, x in enumerate(c)][1:]
+    if len(dc) == 2:
+        m = -dc[0] // dc[1]  # the floor of the derivative's root
+        return sorted({lo, hi} | {x for x in (m, m + 1) if lo <= x <= hi})
+    inner = _monotone_cuts(dc, lo, hi)
+    cuts = set(inner)
+    for a, b in zip(inner, inner[1:]):
+        m = _crossing(dc, a, b)
+        if m is not None:
+            cuts.update(x for x in (m, m + 1) if x <= hi)
+    return sorted(cuts)

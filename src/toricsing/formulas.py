@@ -19,13 +19,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 from typing import Sequence
 
 from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
-from .exactalg import MultiPoly, ScalarLike, aligned, as_poly, poly_sum
+from .exactalg import (
+    MultiPoly, ScalarLike, aligned, as_poly, integer_roots, poly_sum,
+)
 
 KINDS = ("foliation", "distribution")
 
@@ -200,6 +203,19 @@ def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> Scalar
     return chow.elementary_series(values, j)[j]
 
 
+def _wci_inner_sums(weights: Sequence[ScalarLike], classes: Sequence[ScalarLike],
+                    top: int) -> list[ScalarExpr]:
+    """sum_j (-1)^j e_{i-j}(weights) h_j(classes) for i = 0..top: the degree-i
+    part of the Chern class of a weighted complete intersection, before the
+    orbifold degree factor.  Weights and classes may be numbers or symbols."""
+    e = [elementary_symmetric_scalars(weights, i) for i in range(top + 1)]
+    h = chow.complete_series(classes, top)
+    both = aligned(*e, *h)
+    e, h = both[:top + 1], both[top + 1:]
+    return [poly_sum((-1) ** j * e[i - j] * h[j] for j in range(i + 1))
+            for i in range(top + 1)]
+
+
 def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
                          degree: ScalarLike,
                          kind: str = "foliation") -> list[ScalarExpr]:
@@ -218,11 +234,7 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     factor = Fraction(catalog._prod(a), catalog._prod(w))
     d = as_poly(degree)
     parts = []
-    for i in range(n - m + 1):
-        inner = poly_sum(
-            (-1) ** j * as_poly(elementary_symmetric_scalars(w, i - j))
-            * as_poly(chow.wronski_classes(a, j))
-            for j in range(i + 1))
+    for i, inner in enumerate(_wci_inner_sums(w, a, n - m)):
         inner, dp = aligned(inner, d ** (n - m - i))
         parts.append(_signed(i, kind) * factor * inner * dp)
     return parts
@@ -280,10 +292,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     m = len(a)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    alpha = poly_sum(
-        (-1) ** j * as_poly(elementary_symmetric_scalars(w, n - m - j))
-        * as_poly(chow.wronski_classes(a, j))
-        for j in range(n - m + 1)).constant_value()
+    alpha = _wci_inner_sums(w, a, n - m)[n - m].constant_value()
     chi = Fraction(catalog._prod(a), catalog._prod(w)) * alpha
     return AlphaInvariant(alpha=alpha, chi=chi)
 
@@ -479,52 +488,75 @@ class SearchSolution:
     annotation: str = "accepted"
 
 
+# number of weight-one coordinates in each p-family's ambient P(1,..,1,k)
+_P_FAMILIES = {"p111k": 3, "p1111k": 4}
+
+
+@cache
+def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
+    """Coefficients in d, lowest power first, of the distribution count on a
+    degree-a hypersurface of P(1,..,1,k) times k/a, as polynomials in k and
+    a: the coefficient of d^(n-1-i) is (-1)^i times the i-th inner sum of
+    `wci_sing_count_parts` with the weight k and the degree a left symbolic."""
+    n = _P_FAMILIES[family]
+    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
+    inner = _wci_inner_sums((1,) * n + (k,), (a,), n - 1)
+    return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
+
+
 def regular_search(family: str, bound: int,
                    scroll_a: Sequence[int] | None = None) -> list[SearchSolution]:
-    """Enumerate degree data on which the counting polynomial vanishes.
+    """Degree data within the bound on which the counting polynomial vanishes.
 
-    `p111k` and `p1111k` range over hypersurface degree a, distribution
-    degree d >= 1, and weight k with k dividing a (the divisibility every
-    smooth weighted hypersurface satisfies); `scroll` ranges over
-    (d1, d2) in [-B, B]^2 on the scroll with the given twists.  Cohomology
-    exclusions are annotations, never silent deletions.
+    Each family builds its count polynomial once and solves it for exact
+    integer roots (`integer_roots`) instead of evaluating it on a grid, so
+    bounds in the thousands are cheap.  `p111k` and `p1111k` range over
+    weight k and hypersurface degree a with k dividing a (the divisibility
+    every smooth weighted hypersurface satisfies), and find the distribution
+    degrees d in [1, B] for each pair; `scroll` finds, for each d1 in
+    [-B, B], the d2 in [-B, B] on the scroll with the given twists.  Results
+    are sorted by parameters.  Cohomology exclusions are annotations, never
+    silent deletions.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     solutions: list[SearchSolution] = []
-    if family == "p111k":
-        for k in range(2, bound + 1):
+    if family in _P_FAMILIES:
+        if scroll_a is not None:
+            raise ValueError("twists apply to the scroll family only")
+        # the compiled coefficients have integer coefficients in (k, a)
+        coeffs = [[(e, int(c)) for e, c in poly.terms.items()]
+                  for poly in _p_family_coefficients(family)]
+        for k in range(2 if family == "p111k" else 1, bound + 1):
             for a in range(k, bound + 1, k):
-                for d in range(1, bound + 1):
-                    value = (d * d - (3 + k - a) * d
-                             + (3 + 3 * k) - (3 + k) * a + a * a)
-                    if value == 0:
-                        solutions.append(SearchSolution(family, (a, d, k)))
-    elif family == "p1111k":
-        for k in range(1, bound + 1):
-            for a in range(k, bound + 1, k):
-                for d in range(1, bound + 1):
-                    value = (d ** 3 - (4 + k - a) * d ** 2
-                             + (6 + 4 * k - (4 + k) * a + a * a) * d
-                             - (4 + 6 * k - (6 + 4 * k) * a
-                                + (4 + k) * a * a - a ** 3))
-                    if value == 0:
-                        note = "accepted"
-                        if (a, d, k) == (2, 1, 1):
-                            # ruled out by a cohomological vanishing the tool
-                            # flags but does not prove
-                            note = "excluded-by-cohomology"
-                        solutions.append(SearchSolution(family, (a, d, k), note))
+                values = [sum(c * k ** ek * a ** ea for (ek, ea), c in terms)
+                          for terms in coeffs]
+                for d in integer_roots(values, 1, bound):
+                    note = "accepted"
+                    if family == "p1111k" and (a, d, k) == (2, 1, 1):
+                        # ruled out by a cohomological vanishing the tool
+                        # flags but does not prove
+                        note = "excluded-by-cohomology"
+                    solutions.append(SearchSolution(family, (a, d, k), note))
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
         model = catalog.scroll(*scroll_a)
+        count = foliation_sing_count(model, "symbolic")
+        # rows[j] holds the d1-polynomial coefficient of d2^j, as {power: c}
+        i1, i2 = count.vars.index("d1"), count.vars.index("d2")
+        rows: list[dict[int, Fraction]] = [
+            {} for _ in range(1 + max((e[i2] for e in count.terms), default=0))]
+        for exp, c in count.terms.items():
+            rows[exp[i2]][exp[i1]] = c
         for d1 in range(-bound, bound + 1):
-            for d2 in range(-bound, bound + 1):
-                count = foliation_sing_count(model, (d1, d2))
-                if count == 0:
-                    solutions.append(SearchSolution(family, (d1, d2)))
+            values = [sum(c * d1 ** e for e, c in row.items()) for row in rows]
+            scale = lcm(*(Fraction(v).denominator for v in values))
+            for d2 in integer_roots([int(v * scale) for v in values],
+                                    -bound, bound):
+                solutions.append(SearchSolution(family, (d1, d2)))
     else:
         raise ValueError(f"unknown search family {family!r}")
     solutions.sort(key=lambda s: s.params)
     return solutions
+

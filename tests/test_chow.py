@@ -344,6 +344,40 @@ def test_class_element_promotion_is_linear():
     assert lhs == rhs
 
 
+def _summed_class(m, vec):
+    """Sum of generator times entry: the definition of the degree-1 class."""
+    total = ChowElement(m.gens, MultiPoly.zero(m.gens))
+    for k, entry in enumerate(vec):
+        total = total + chow.generator_element(m, k) * entry
+    return total
+
+
+def test_class_element_equals_the_generator_sum():
+    m = catalog.blowup_point(2)
+    d1, d2 = (MultiPoly.variable(v, ("d1", "d2")) for v in ("d1", "d2"))
+    x = MultiPoly.variable("x", ("x",))
+    xd1_plus_1 = MultiPoly(("x", "d1"), {(1, 1): 1, (0, 0): 1})
+    unused_gen = MultiPoly(("H", "t"), {(0, 1): 2, (0, 0): -1})  # 2*t - 1
+    for vec in [(2, -1), (0, 0), (Fraction(1, 2), 3), (d1, d2), (d2, d1),
+                (d1 ** 2 - 3, Fraction(-2, 3)), (x, xd1_plus_1), (0, d2),
+                (unused_gen, x)]:
+        direct = class_element(m, vec)
+        summed = _summed_class(m, vec)
+        assert direct == summed
+        assert direct.poly.vars == summed.poly.vars
+        assert direct.is_pure_degree() in (1, None)
+
+
+def test_class_element_rejects_generator_symbols_and_non_scalars():
+    m = catalog.blowup_point(2)
+    with pytest.raises(ValueError, match="collide"):
+        class_element(m, (MultiPoly.variable("E", ("E",)), 1))
+    with pytest.raises(ValueError, match="length"):
+        class_element(m, (1,))
+    with pytest.raises(TypeError):
+        class_element(m, (1.5, 1))
+
+
 def test_chern_consistency_check():
     good = catalog.parse_model(
         "name mixed\ndim 2\nrank 1\ngens H\nsmooth true\n"

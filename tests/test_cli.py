@@ -106,6 +106,20 @@ def test_search_json(capsys):
         {"params": [-2, 0], "annotation": "accepted"}]
 
 
+def test_search_rejects_malformed_twists(capsys):
+    status, out, err = _run(capsys, "search", "--family", "scroll",
+                            "--bound", "3", "--scroll-a", "1,x")
+    assert status == 1 and out == ""
+    assert "--scroll-a" in err and "1,x" in err and "int()" not in err
+
+
+def test_search_rejects_twists_for_p_families(capsys):
+    status, out, err = _run(capsys, "search", "--family", "p1111k",
+                            "--bound", "3", "--scroll-a", "1,1,1")
+    assert status == 1 and out == ""
+    assert "scroll family only" in err
+
+
 def test_catalog_list_and_show(capsys):
     status, out, _ = _run(capsys, "catalog", "list")
     assert status == 0 and "blowup_point" in out

@@ -8,11 +8,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricsing import catalog, chow
+from toricsing import catalog, chow, formulas
 from toricsing.errors import (
     NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
 )
-from toricsing.exactalg import MultiPoly, aligned
+from toricsing.exactalg import MultiPoly, aligned, poly_sum
 from toricsing.formulas import (
     alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
     complement_euler, complement_sing_count, foliation_sing_count,
@@ -554,6 +554,83 @@ def test_search_results_are_sorted():
 def test_search_unknown_family():
     with pytest.raises(ValueError):
         regular_search("hirzebruch", 5)
+
+
+def _hand_typed(family, k, a, d):
+    """The search polynomials as written out by hand: count * k / a."""
+    if family == "p111k":
+        return (d * d - (3 + k - a) * d
+                + (3 + 3 * k) - (3 + k) * a + a * a)
+    return (d ** 3 - (4 + k - a) * d ** 2
+            + (6 + 4 * k - (4 + k) * a + a * a) * d
+            - (4 + 6 * k - (6 + 4 * k) * a + (4 + k) * a * a - a ** 3))
+
+
+def _p_family_scan(family, bound):
+    out = []
+    for k in range(2 if family == "p111k" else 1, bound + 1):
+        for a in range(k, bound + 1, k):
+            for d in range(1, bound + 1):
+                if _hand_typed(family, k, a, d) == 0:
+                    note = ("excluded-by-cohomology"
+                            if (family, a, d, k) == ("p1111k", 2, 1, 1)
+                            else "accepted")
+                    out.append((family, (a, d, k), note))
+    return sorted(out, key=lambda t: t[1])
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_search_matches_the_hand_typed_scan(family):
+    for bound in (1, 2, 3, 7, 19, 40):
+        sols = regular_search(family, bound)
+        assert [(s.family, s.params, s.annotation) for s in sols] \
+            == _p_family_scan(family, bound)
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
+    table = ("k", "a", "d")
+    k, a, d = (MultiPoly.variable(v, table) for v in table)
+    compiled = formulas._p_family_coefficients(family)
+    rebuilt = poly_sum(c.extended(table) * d ** p for p, c in enumerate(compiled))
+    assert rebuilt == _hand_typed(family, k, a, d)
+    assert formulas._p_family_coefficients(family) is compiled
+
+
+def _scroll_grid(a, bound):
+    model = catalog.scroll(*a)
+    return [(d1, d2) for d1 in range(-bound, bound + 1)
+            for d2 in range(-bound, bound + 1)
+            if foliation_sing_count(model, (d1, d2)) == 0]
+
+
+@pytest.mark.parametrize("a, bound", [
+    # the count on the one-twist scroll F(0) is d1 + 2: the whole d1 = -2
+    # slice solves, and n <= 2 is outside `scroll_closed_form`
+    ((0,), 4), ((1,), 4), ((-2,), 3), ((3,), 5),
+    ((0, 0), 4), ((1, 1), 4), ((2, -1), 3), ((-2, 3), 3),
+    ((1, 1, 1), 4), ((2, 1, 3), 3), ((0, 0, 0), 3), ((-2, 3, -1), 3),
+    ((1, 1, 1, 1), 2), ((1, 2, 1, 4), 3), ((-1, 0, 2, 3), 2),
+])
+def test_scroll_search_matches_the_grid(a, bound):
+    sols = regular_search("scroll", bound, scroll_a=a)
+    assert all(s.family == "scroll" and s.annotation == "accepted" for s in sols)
+    assert [s.params for s in sols] == _scroll_grid(a, bound)
+
+
+def test_searches_at_large_bounds():
+    sols = regular_search("p1111k", 1000)
+    assert {(s.params, s.annotation) for s in sols} \
+        == {((k, 2, k), "accepted") for k in range(1, 1001)} \
+        | {((2, 1, 1), "excluded-by-cohomology")}
+    assert [s.params for s in regular_search("scroll", 1000, scroll_a=(1, 1, 1))] \
+        == [(-2, 0)]
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_search_rejects_twists(family):
+    with pytest.raises(ValueError, match="scroll family only"):
+        regular_search(family, 5, scroll_a=(1, 1, 1))
 
 
 def test_search_polynomials_match_the_distribution_counts():
