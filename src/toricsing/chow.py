@@ -143,10 +143,8 @@ class ChowElement:
             return ChowElement(self.gens, MultiPoly.const(value, self.poly.vars))
         if isinstance(value, MultiPoly):
             # scalar expression: degree symbols only, no generator collisions
-            if any(v in self.gens for v in value.used_vars()):
-                raise ValueError("degree symbols may not collide with generators")
-            extra = tuple(v for v in value.vars if v not in self.gens)
-            return ChowElement(self.gens, value.extended(self.gens + extra))
+            return ChowElement(self.gens,
+                               value.extended(_table_beside(self.gens, [value])))
         return None
 
     def __add__(self, other) -> ChowElement:
@@ -225,6 +223,16 @@ class ChowElement:
         return f"ChowElement({self.poly.canonical_string()!r})"
 
 
+def _table_beside(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> tuple[str, ...]:
+    """The variable table of Chow elements with these scalar coefficients:
+    the generators first, then the degree symbols in order of first
+    appearance.  A degree symbol may not collide with a generator."""
+    if any(v in gens for p in scalars for v in p.used_vars()):
+        raise ValueError("degree symbols may not collide with generators")
+    return gens + tuple(dict.fromkeys(
+        v for p in scalars for v in p.vars if v not in gens))
+
+
 def unit_element(gens: Sequence[str], table: Sequence[str] | None = None) -> ChowElement:
     gens = tuple(gens)
     return ChowElement(gens, MultiPoly.const(1, tuple(table) if table else gens))
@@ -243,13 +251,8 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     for entry in vec:
         if not isinstance(entry, (int, Fraction, MultiPoly)):
             raise TypeError(f"Picard vector entry {entry!r} is not a scalar expression")
-        entry = as_poly(entry)
-        if any(v in gens for v in entry.used_vars()):
-            raise ValueError("degree symbols may not collide with generators")
-        entries.append(entry)
-    # generators first, then the degree symbols in order of first appearance
-    table = gens + tuple(dict.fromkeys(
-        v for entry in entries for v in entry.vars if v not in gens))
+        entries.append(as_poly(entry))
+    table = _table_beside(gens, entries)
     terms = {}
     for k, entry in enumerate(entries):
         pos = [table.index(v) for v in entry.vars]

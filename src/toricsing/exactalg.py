@@ -379,10 +379,11 @@ def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
 def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
 
-    Linear and quadratic polynomials are solved in closed form (`divmod`,
-    and the discriminant with `isqrt`).  Higher degrees split the range
-    where the polynomial stops being monotone and bisect each piece on
-    exact integer signs.  The zero polynomial vanishes on the whole range.
+    Quadratics, one per (k, a) in the p111k search, are solved by the
+    discriminant and `isqrt`, a few times faster than splitting and
+    bisecting them.  Every other degree splits the range where the
+    polynomial stops being monotone and bisects each piece on exact integer
+    signs.  The zero polynomial vanishes on the whole range.
     """
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -391,22 +392,13 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
         return []
     if not c:
         return list(range(lo, hi + 1))
-    if len(c) == 1:
-        return []
-    if len(c) == 2:
-        q, r = divmod(-c[0], c[1])
-        return [q] if r == 0 and lo <= q <= hi else []
     if len(c) == 3:
         disc = c[1] * c[1] - 4 * c[2] * c[0]
         s = isqrt(disc) if disc >= 0 else -1
         if s * s != disc:
             return []
-        roots = set()
-        for num in (-c[1] - s, -c[1] + s):
-            q, r = divmod(num, 2 * c[2])
-            if r == 0 and lo <= q <= hi:
-                roots.add(q)
-        return sorted(roots)
+        quotients = (divmod(-c[1] + e, 2 * c[2]) for e in (-s, s))
+        return sorted({q for q, r in quotients if r == 0 and lo <= q <= hi})
     cuts = _monotone_cuts(c, lo, hi)
     roots = {x for x in cuts if _horner(c, x) == 0}
     for a, b in zip(cuts, cuts[1:]):
@@ -447,21 +439,20 @@ def _crossing(c: Sequence[int], a: int, b: int) -> int | None:
 
 
 def _monotone_cuts(c: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Sorted integers of [lo, hi], both ends included, such that c, of
-    degree two or more, is strictly monotone between any two consecutive
-    cuts at distance two or more.
+    """Sorted integers of [lo, hi], both ends included, such that the
+    nonzero polynomial c is strictly monotone or constant between any two
+    consecutive cuts at distance two or more.
 
-    The cuts are those of the derivative, plus the integer neighbours of
-    each sign change of the derivative, located by `_crossing` on the
-    derivative's own monotone pieces (by floor division when the derivative
-    is linear).  Keeping the derivative's cuts lets a piece of length one,
-    on which the derivative need not be monotone, hide nothing: it has no
-    integer strictly inside.
+    A polynomial of degree at most one needs only the ends.  Otherwise the
+    cuts are those of the derivative, plus the integer neighbours of each
+    sign change of the derivative, located by `_crossing` on the
+    derivative's own monotone pieces.  Keeping the derivative's cuts lets a
+    piece of length one, on which the derivative need not be monotone, hide
+    nothing: it has no integer strictly inside.
     """
+    if len(c) <= 2:
+        return [lo, hi]
     dc = [i * x for i, x in enumerate(c)][1:]
-    if len(dc) == 2:
-        m = -dc[0] // dc[1]  # the floor of the derivative's root
-        return sorted({lo, hi} | {x for x in (m, m + 1) if lo <= x <= hi})
     inner = _monotone_cuts(dc, lo, hi)
     cuts = set(inner)
     for a, b in zip(inner, inner[1:]):

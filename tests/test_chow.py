@@ -372,6 +372,8 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
     m = catalog.blowup_point(2)
     with pytest.raises(ValueError, match="collide"):
         class_element(m, (MultiPoly.variable("E", ("E",)), 1))
+    with pytest.raises(ValueError, match="collide"):
+        chow.generator_element(m, 0) * MultiPoly.variable("E", ("E",))
     with pytest.raises(ValueError, match="length"):
         class_element(m, (1,))
     with pytest.raises(TypeError):
