@@ -26,7 +26,9 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import UnsupportedModelError
-from .exactalg import MultiPoly, ScalarLike, aligned, as_poly, poly_sum
+from .exactalg import (
+    MultiPoly, ScalarLike, aligned, as_poly, monomials_of_degree, poly_sum,
+)
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
 ScalarExpr = MultiPoly
@@ -85,8 +87,9 @@ class ToricModel:
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
-        if self.chern_override is not None:
-            store("chern_override", MappingProxyType(dict(self.chern_override)))
+        # an empty mapping writes no chern lines, so it reads back as None
+        store("chern_override", MappingProxyType(dict(self.chern_override))
+              if self.chern_override else None)
         if self.divisor_classes is None:
             override = self.chern_override or {}
             missing = [j for j in range(1, self.dim + 1) if j not in override]
@@ -403,7 +406,7 @@ def check_chern_consistency(model: ToricModel) -> None:
         if not 1 <= j <= model.dim:
             raise ValueError(f"Chern override degree {j} out of range")
         derived = elementary_symmetric_classes(model, j)
-        for mono in _monomials_of_degree(model.rank, model.dim - j):
+        for mono in monomials_of_degree(model.rank, model.dim - j):
             probe = unit_element(model.gens)
             for k, e in enumerate(mono):
                 probe = probe * generator_element(model, k) ** e
@@ -413,11 +416,3 @@ def check_chern_consistency(model: ToricModel) -> None:
                 raise ValueError(
                     f"Chern routes disagree in degree {j} against monomial {mono}")
 
-
-def _monomials_of_degree(rank: int, degree: int):
-    if rank == 1:
-        yield (degree,)
-        return
-    for head in range(degree + 1):
-        for tail in _monomials_of_degree(rank - 1, degree - head):
-            yield (head,) + tail

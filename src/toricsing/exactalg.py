@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 from operator import add
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlignmentError
 
@@ -39,6 +39,16 @@ ScalarLike = Union[int, Fraction, "MultiPoly"]
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing graded-lexicographic order (higher sorts later)."""
     return (sum(exponent), exponent)
+
+
+def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
+    """Every exponent tuple of `nvars` entries with total degree `degree`."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for head in range(degree + 1):
+        for tail in monomials_of_degree(nvars - 1, degree - head):
+            yield (head,) + tail
 
 
 def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
@@ -291,12 +301,17 @@ class MultiPoly:
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
+        point = [Fraction(values[name]) for name in self.vars]
+        powers: dict[tuple[int, int], Fraction] = {}
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
-            for name, e in zip(self.vars, exp):
+            for i, e in enumerate(exp):
                 if e:
-                    term *= Fraction(values[name]) ** e
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = point[i] ** e
+                    term *= power
             total += term
         return total
 

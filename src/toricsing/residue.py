@@ -11,9 +11,15 @@ The dimension is computed by truncation: c(D) = dim R/(I + m^D) counts
 monomials of degree below D modulo what the components generate below D.
 Truncating by powers of the maximal ideal localizes at the origin, so inputs
 may vanish elsewhere in the chart too.  c(D) rises strictly until its first
-plateau, and the plateau value is the multiplicity.  Each c(D) is one exact
-rank of sparse Macaulay rows (monomial shifts of the components), found by
-an integer echelon keyed by leading column.
+plateau, and the plateau value is the multiplicity.
+
+One integer echelon, keyed by lowest column, serves every depth.  Columns
+number monomials in graded order, so those of degree below D are a prefix.
+At depth D the Macaulay rows s*f_i with deg s = D - 1 - mindeg f_i enter
+once, untruncated: they lead in degree D - 1, and rows entering later lead
+in degree D or above.  A stored pivot never changes, so the rank of the
+depth-D truncation is the number of pivots below degree D, and c(D) is
+C(D - 1 + n, n) minus that number.
 
 An isolated zero has multiplicity at most the product of the component
 degrees (refined Bezout inequality, Fulton, Intersection Theory, 12.3), and
@@ -28,12 +34,15 @@ at a quotient-chart point; the group order is caller-supplied data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import count
+from math import comb, gcd, lcm, prod
+from operator import add
 
 from .errors import NonIsolatedZeroError
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, monomials_of_degree
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -81,9 +90,14 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
     components = query.components
     nvars = len(components[0].vars)
     bound = prod(comp.total_degree() for comp in components)
+    pivots: dict[int, dict[int, int]] = {}
+    new_rows = _macaulay_rows(components, nvars)
     previous: int | None = None
     for depth in range(1, query.degree_cap + 1):
-        dim = _truncated_quotient_dim(components, nvars, depth)
+        for row in next(new_rows):
+            _insert(pivots, row)
+        below = comb(depth - 1 + nvars, nvars)
+        dim = below - sum(1 for lead in pivots if lead < below)
         if previous is not None:
             if dim < previous:
                 raise AssertionError(
@@ -124,64 +138,65 @@ def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
     return total
 
 
-def _truncated_quotient_dim(components, nvars: int, depth: int) -> int:
-    basis = _monomials_below(nvars, depth)
-    position = {mono: i for i, mono in enumerate(basis)}
-    rows: list[dict[int, Fraction]] = []
-    for comp in components:
-        min_deg = min((sum(e) for e in comp.terms), default=depth)
-        for shift in _monomials_below(nvars, max(depth - min_deg, 0)):
-            row = {}
-            for exp, coeff in comp.terms.items():
-                idx = position.get(tuple(a + b for a, b in zip(exp, shift)))
-                if idx is not None:
-                    row[idx] = coeff
-            if row:
-                rows.append(row)
-    return len(basis) - _exact_rank(rows)
+def _macaulay_rows(components, nvars: int):
+    """Yield, for depth D = 1, 2, ..., the integer rows s*f_i entering at D.
+
+    Each component is scaled to integers once; zero components give no rows.
+    The C(d - 1 + n, n) monomials of degree below d take the lowest columns,
+    and those of degree d follow in order of first use.
+    """
+    scaled = []
+    for terms in [comp.terms for comp in components if not comp.is_zero]:
+        scale = lcm(*(c.denominator for c in terms.values()))
+        scaled.append((min(map(sum, terms)),
+                       [(e, c.numerator * (scale // c.denominator))
+                        for e, c in terms.items()]))
+    columns: dict[tuple[int, ...], int] = {}
+    used: Counter[int] = Counter()
+
+    def column(exp):
+        idx = columns.get(exp)
+        if idx is None:
+            degree = sum(exp)
+            idx = columns[exp] = comb(degree - 1 + nvars, nvars) + used[degree]
+            used[degree] += 1
+        return idx
+
+    for depth in count(1):
+        yield [{column(tuple(map(add, exp, shift))): c for exp, c in terms}
+               for low, terms in scaled if depth > low
+               for shift in monomials_of_degree(nvars, depth - 1 - low)]
 
 
-def _monomials_below(nvars: int, depth: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree < depth."""
-    out: list[tuple[int, ...]] = []
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
+    """Reduce an integer row {column: value} into the echelon.
 
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
+    While the row's lowest column has a pivot p, the row becomes
+    p[lead]*row - row[lead]*p; a row with a new leading column is divided by
+    its content and kept as that column's pivot, which never changes again.
+    """
+    while row:
+        lead = min(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            g = gcd(*row.values())
+            pivots[lead] = {c: x // g for c, x in row.items()}
             return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    if depth > 0:
-        rec([], nvars, depth - 1)
-    return out
+        a, b = pivot[lead], row[lead]
+        row = {c: a * x for c, x in row.items()}
+        for c, x in pivot.items():
+            value = row.get(c, 0) - b * x
+            if value:
+                row[c] = value
+            else:
+                del row[c]
 
 
 def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over the rationals of sparse rows {column: coefficient}.
-
-    Rows are scaled to integers.  While a row's leading column has a pivot
-    p, the row becomes p[lead]*row - row[lead]*p; a row with a new leading
-    column is divided by its content and kept as that column's pivot.
-    """
+    """Rank over the rationals of sparse rows {column: coefficient}."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         scale = lcm(*(x.denominator for x in row.values()))
-        row = {c: x.numerator * (scale // x.denominator)
-               for c, x in row.items() if x}
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                g = gcd(*row.values())
-                pivots[lead] = {c: x // g for c, x in row.items()}
-                break
-            a, b = pivot[lead], row[lead]
-            row = {c: a * x for c, x in row.items()}
-            for c, x in pivot.items():
-                value = row.get(c, 0) - b * x
-                if value:
-                    row[c] = value
-                else:
-                    del row[c]
+        _insert(pivots, {c: x.numerator * (scale // x.denominator)
+                         for c, x in row.items() if x})
     return len(pivots)

@@ -3,8 +3,10 @@
 import re
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toricsing import catalog, chow
 from toricsing.catalog import (
@@ -12,6 +14,7 @@ from toricsing.catalog import (
     serialize_model,
 )
 from toricsing.errors import ModelFormatError, NotWellFormedWarning
+from toricsing.exactalg import MultiPoly
 
 
 ALL_BUILTINS = [
@@ -147,6 +150,64 @@ def test_round_trip_all_builtins():
 def test_round_trip_is_deterministic():
     m = catalog.blowup_line_p3()
     assert serialize_model(parse_model(serialize_model(m))) == serialize_model(m)
+
+
+def test_empty_chern_override_round_trips():
+    m = catalog.projective(2)
+    bare = chow.ToricModel(m.name, m.dim, m.rank, m.gens, m.divisor_classes,
+                           m.tensor, chern_override={}, radial=m.radial)
+    assert bare.chern_override is None
+    assert bare == m == parse_model(serialize_model(bare))
+
+
+GEN_POOL = ("H", "F", "E", "G1", "G2", "x_1")
+RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@st.composite
+def toric_models(draw):
+    dim, rank = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gens = tuple(draw(st.lists(st.sampled_from(GEN_POOL), min_size=rank,
+                               max_size=rank, unique=True)))
+    keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
+    tensor = draw(st.dictionaries(st.sampled_from(keys), RATIONALS))
+    ints = st.integers(-3, 3)
+    radial = draw(st.none() | st.tuples(
+        *[st.tuples(*[ints] * (dim + rank))] * rank))
+    name = draw(st.text("abXY09(),:+- ", min_size=1, max_size=12))
+    assume(name == name.strip())
+    fields = dict(name=name, dim=dim, rank=rank, gens=gens, tensor=tensor,
+                  smooth=draw(st.booleans()), radial=radial)
+    if draw(st.booleans()):
+        # integer divisor classes, optionally with overrides derived from them
+        classes = draw(st.tuples(*[st.tuples(*[ints] * rank)] * (dim + rank)))
+        try:
+            model = chow.ToricModel(divisor_classes=classes, **fields)
+        except ValueError:
+            assume(False)
+        degrees = draw(st.sets(st.integers(1, dim)))
+        override = {j: chow.elementary_symmetric_classes(model, j) for j in degrees}
+        return chow.ToricModel(divisor_classes=classes, chern_override=override,
+                               **fields)
+    # Chern overrides alone, one per degree, with rational coefficients
+    exponents = st.tuples(*[st.integers(0, 3)] * rank)
+    override = {j: chow.ChowElement(gens, MultiPoly(gens, draw(
+        st.dictionaries(exponents, RATIONALS, max_size=4))))
+        for j in range(1, dim + 1)}
+    try:
+        return chow.ToricModel(divisor_classes=None, chern_override=override,
+                               **fields)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(toric_models())
+def test_model_file_round_trip(model):
+    text = serialize_model(model)
+    parsed = parse_model(text)
+    assert parsed == model
+    assert serialize_model(parsed) == text
 
 
 def test_parse_rational_tensor_entry():

@@ -119,6 +119,17 @@ def test_substitute_and_evaluate():
     u = MultiPoly(("u", "v"), {(1, 0): 1, (0, 1): 1})
     q = p.substitute({"x": u})
     assert q.evaluate({"y": 1, "u": 1, "v": 1}) == p.evaluate({"x": 2, "y": 1})
+    with pytest.raises(ValueError, match=r"unassigned variables: \['y'\]"):
+        p.evaluate({"x": 2})
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(), st.data())
+def test_evaluate_matches_substitution(p, data):
+    # evaluate reuses each value's powers across terms; substitute expands
+    scalars = st.one_of(st.integers(-6, 6), coeffs())
+    point = {v: data.draw(scalars) for v in p.vars}
+    assert p.evaluate(point) == p.substitute(point).constant_value()
 
 
 def test_derivative():

@@ -270,3 +270,89 @@ def common_factor_germs(draw):
 def test_common_factor_is_proved_not_isolated(components):
     with pytest.raises(NonIsolatedZeroError, match="proved not isolated"):
         local_multiplicity(IndexQuery(components))
+
+
+def test_twelfth_powers():
+    report = local_multiplicity(_query(["u^12", "v^12"], ("u", "v")))
+    assert (report.multiplicity, report.stabilized_at) == (144, 23)
+
+
+def _dense_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        for r in rows:
+            if r[col]:
+                f = r[col] / pivot[col]
+                r[:] = [x - f * y for x, y in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def _per_depth_route(components, cap):
+    """Multiplicity and plateau, or the error text, by the per-depth route:
+    at each depth a fresh basis of the monomials below it, the Macaulay rows
+    truncated to that basis, and a dense rational rank."""
+    n = len(components[0].vars)
+    bound = prod(comp.total_degree() for comp in components)
+    previous = None
+    for depth in range(1, cap + 1):
+        basis = [e for e in product(range(depth), repeat=n) if sum(e) < depth]
+        position = {mono: i for i, mono in enumerate(basis)}
+        rows = []
+        for comp in components:
+            for shift in basis:
+                row = [Fraction(0)] * len(basis)
+                for exp, coeff in comp.terms.items():
+                    i = position.get(tuple(a + b for a, b in zip(exp, shift)))
+                    if i is not None:
+                        row[i] = coeff
+                rows.append(row)
+        dim = len(basis) - _dense_rank(rows)
+        if dim == previous:
+            return dim, depth - 1
+        if dim > bound:
+            return (f"proved not isolated: c({depth}) = {dim} exceeds the Bezout "
+                    f"bound {bound} on the multiplicity of an isolated zero")
+        previous = dim
+    return (f"cap below the plateau: no stabilization by degree {cap}; the zero "
+            f"at the origin may still be isolated, and a cap of {bound + 1} "
+            f"decides it")
+
+
+# largest cap per variable count that keeps the dense route fast
+DENSE_CAPS = {1: 12, 2: 8, 3: 5, 4: 4}
+
+
+@st.composite
+def mixed_degree_germs(draw):
+    # component i is c*z_i^a plus a few terms of other degrees, or zero
+    n = draw(st.integers(1, 4))
+    table = ("z1", "z2", "z3", "z4")[:n]
+    rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 1 <= sum(e) <= 4)
+    comps = []
+    for i in range(n):
+        terms = draw(st.dictionaries(exponents, rationals, max_size=3))
+        if draw(st.integers(0, 5)):
+            lead = tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n))
+            terms[lead] = terms.get(lead, 0) + draw(rationals.filter(bool))
+        comps.append(MultiPoly(table, terms))
+    return tuple(comps), draw(st.integers(2, DENSE_CAPS[n]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_degree_germs())
+def test_single_echelon_matches_per_depth_route(case):
+    components, cap = case
+    expected = _per_depth_route(components, cap)
+    try:
+        report = local_multiplicity(IndexQuery(components, degree_cap=cap))
+    except NonIsolatedZeroError as exc:
+        assert str(exc) == expected
+    else:
+        assert (report.multiplicity, report.stabilized_at) == expected
