@@ -302,16 +302,12 @@ class MultiPoly:
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
         point = [Fraction(values[name]) for name in self.vars]
-        powers: dict[tuple[int, int], Fraction] = {}
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
-            for i, e in enumerate(exp):
+            for x, e in zip(point, exp):
                 if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = point[i] ** e
-                    term *= power
+                    term *= x ** e
             total += term
         return total
 

@@ -126,7 +126,7 @@ def test_substitute_and_evaluate():
 @settings(max_examples=200, deadline=None)
 @given(polys(), st.data())
 def test_evaluate_matches_substitution(p, data):
-    # evaluate reuses each value's powers across terms; substitute expands
+    # evaluate converts each value once; substitute expands the polynomial
     scalars = st.one_of(st.integers(-6, 6), coeffs())
     point = {v: data.draw(scalars) for v in p.vars}
     assert p.evaluate(point) == p.substitute(point).constant_value()
