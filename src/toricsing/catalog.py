@@ -387,7 +387,16 @@ def parse_polynomial(text: str, variables: Sequence[str],
 
 
 def serialize_model(model: ToricModel) -> str:
-    """Render a model in the line format `parse_model` reads back."""
+    """Render a model in the line format `parse_model` reads back.
+
+    A name that line format cannot carry raises ModelFormatError: an empty
+    one, one with `#` or a line break, or one with edge whitespace.
+    """
+    name = model.name
+    if "#" in name or name.splitlines() != [name] or name != name.strip():
+        raise ModelFormatError(
+            f"model name {name!r} cannot be written: a name must be nonempty, "
+            "without '#', line breaks, or leading or trailing whitespace")
     lines = [
         f"name {model.name}",
         f"dim {model.dim}",

@@ -12,9 +12,11 @@ coefficients may themselves be polynomials in formal degree symbols.  The
 grading that matters is total degree in the generators only.
 
 Both types are frozen, so each model safely caches its total Chern class
-prod (1 + D_i) on first use.  One symmetric-function kernel
-(`elementary_series`, `complete_series`) serves the Chern, Wronski, and
-scalar weight and multidegree sums alike.
+prod (1 + D_i) and the support of its tensor on first use.  Counts enter
+through `integrate_count`: it keeps only the support after every product,
+sums c_j d^(n-j) by Horner's rule and integrates once.  `chern_class` and
+the one symmetric-function kernel (`elementary_series`, `complete_series`,
+looping on bare term tables) still return complete elements.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
-    MultiPoly, ScalarLike, aligned, as_poly, monomials_of_degree, poly_sum,
+    MultiPoly, ScalarLike, add_terms, aligned, as_poly, monomials_of_degree,
+    mul_terms, poly_sum,
 )
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
@@ -110,8 +114,18 @@ class ToricModel:
     @cached_property
     def _divisor_esym(self) -> tuple[ChowElement, ...]:
         """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
-        classes = [class_element(self, v) for v in self.divisor_classes]
-        return tuple(elementary_series(classes, self.dim))
+        units = [tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank)]
+        xs = [{u: c for u, c in zip(units, v) if c} for v in self.divisor_classes]
+        return tuple(ChowElement(self.gens, _wrap(self.gens, t))
+                     for t in _esym_tables(xs, self.rank, self.dim))
+
+    @cached_property
+    def _support(self) -> frozenset[tuple[int, ...]]:
+        """Generator exponents dividing some tensor key.  The others, and so
+        every monomial above degree n, form an upward-closed set that
+        integrates to zero, so a product may drop them at any step."""
+        return frozenset(chain.from_iterable(
+            product(*(range(e + 1) for e in key)) for key in self.tensor))
 
 
 @dataclass(frozen=True)
@@ -342,21 +356,40 @@ def elementary_series(items: Sequence, k: int) -> list:
     """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions.
 
     These are the coefficients of the product of (1 + x t) over the items,
-    truncated at t^k; e_j is 0 for j beyond the length of the list.  Scalars
-    are moved onto one merged variable table first.
+    truncated at t^k; e_j is 0 for j beyond the length of the list.  The
+    loop runs on the bare term tables of the items, moved onto one merged
+    variable table first, and wraps each e_j once at the end.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if items and isinstance(items[0], ChowElement):
-        xs, one = items, unit_element(items[0].gens)
-    else:
-        xs = aligned(*(as_poly(v) for v in items))
-        one = MultiPoly.const(1, xs[0].vars if xs else ())
-    e = [one] + [one * 0] * k
+    first = items[0] if items and isinstance(items[0], ChowElement) else None
+    # Chow elements meet through _merge, which raises on a generator mismatch
+    xs = aligned(*(as_poly(x) if first is None else first._merge(first._coerce(x))[1]
+                   for x in items))
+    table = xs[0].vars if xs else ()
+    e = _esym_tables([_exact(x.terms) for x in xs], len(table), k)
+    polys = [_wrap(table, t) for t in e]
+    return polys if first is None else [ChowElement(first.gens, p) for p in polys]
+
+
+def _esym_tables(xs: Sequence[dict], nvars: int, k: int) -> list[dict]:
+    """The loop of `elementary_series` on term tables over nvars variables."""
+    e = [{(0,) * nvars: 1}] + [{}] * k
     for i, x in enumerate(xs):
         for j in range(min(i + 1, k), 0, -1):
-            e[j] = e[j] + e[j - 1] * x
+            e[j] = add_terms(e[j], mul_terms(e[j - 1], x))
     return e
+
+
+def _exact(terms: Mapping, r: int = 0, keep: frozenset | None = None) -> dict:
+    """The terms (with `keep`, those whose first r exponents lie in it), with
+    integral coefficients as ints, which the loops multiply fast."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()
+            if keep is None or e[:r] in keep}
+
+
+def _wrap(table: tuple[str, ...], terms: dict) -> MultiPoly:
+    return MultiPoly._trusted(table, {e: Fraction(c) for e, c in terms.items()})
 
 
 def complete_series(items: Sequence, k: int) -> list:
@@ -396,6 +429,39 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     return MultiPoly(dsyms, out)
 
 
+def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
+                    top: int = 0, twist: ChowElement | None = None,
+                    over: Sequence[ChowElement] = ()) -> ScalarExpr:
+    """The integral of prod(factors) * sum_{i <= top} g_i * twist^(top - i),
+    where g_i is the degree-i part of c(X) / prod_{a in over} (1 + a); with
+    no twist, of prod(factors) * g_top.  Every count in `formulas` has this
+    shape.  Each product keeps only the terms whose generator part lies in
+    the model's support, the sum over i runs by Horner's rule (acc <- acc *
+    twist + g_i), and one integral ends it.  The result's table merges the
+    factors', then over's, then the twist's.
+    """
+    elems = [*factors, *over, *([] if twist is None else [twist]),
+             *(chern_class(model, j) for j in range(top + 1))]
+    if any(e.gens != model.gens for e in elems):
+        raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
+    r, support = model.rank, model._support
+    polys = aligned(*(e.poly for e in elems))
+    tables = [_exact(p.terms, r, support) for p in polys]
+    f, o = len(factors), len(factors) + len(over)
+    series = tables[len(elems) - top - 1:]
+    for a in tables[f:o]:
+        neg = {e: -c for e, c in a.items()}
+        for j in range(1, top + 1):
+            series[j] = add_terms(series[j], mul_terms(series[j - 1], neg, r, support))
+    step = tables[o] if twist is not None else {}
+    acc = series[0]
+    for g in series[1:]:
+        acc = add_terms(mul_terms(acc, step, r, support), g)
+    for a in tables[:f]:
+        acc = mul_terms(acc, a, r, support)
+    return integrate(model, ChowElement(model.gens, _wrap(polys[0].vars, acc)))
+
+
 def check_chern_consistency(model: ToricModel) -> None:
     """For models carrying both divisor classes and Chern overrides, verify
     the two routes integrate identically against every complementary
@@ -407,12 +473,10 @@ def check_chern_consistency(model: ToricModel) -> None:
             raise ValueError(f"Chern override degree {j} out of range")
         derived = elementary_symmetric_classes(model, j)
         for mono in monomials_of_degree(model.rank, model.dim - j):
-            probe = unit_element(model.gens)
-            for k, e in enumerate(mono):
-                probe = probe * generator_element(model, k) ** e
-            lhs = integrate(model, supplied * probe)
-            rhs = integrate(model, derived * probe)
-            if lhs != rhs:
+            probe = [generator_element(model, k) for k, e in enumerate(mono)
+                     for _ in range(e)]
+            if (integrate_count(model, [supplied, *probe])
+                    != integrate_count(model, [derived, *probe])):
                 raise ValueError(
                     f"Chern routes disagree in degree {j} against monomial {mono}")
 

@@ -84,10 +84,9 @@ class MultiPoly:
     @classmethod
     def _trusted(cls, variables: tuple[str, ...],
                  terms: dict[Exponent, Fraction]) -> MultiPoly:
-        """Wrap the result of this package's own arithmetic (here and in
-        `chow.class_element`): the table and the exponents are known to be
-        valid and the coefficients are Fractions, so only zero coefficients
-        are dropped."""
+        """Wrap the result of this package's own arithmetic: the table and
+        the exponents are known to be valid and the coefficients are
+        Fractions, so only zero coefficients are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vars", variables)
         object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
@@ -165,7 +164,7 @@ class MultiPoly:
             for p, e in zip(pos, exp):
                 new[p] = e
             terms[tuple(new)] = coeff
-        return MultiPoly(variables, terms)
+        return MultiPoly._trusted(_variable_table(variables), terms)
 
     def _check_table(self, other: MultiPoly) -> None:
         if self.vars != other.vars:
@@ -186,11 +185,7 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         self._check_table(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            prev = terms.get(exp)
-            terms[exp] = coeff if prev is None else prev + coeff
-        return MultiPoly._trusted(self.vars, terms)
+        return MultiPoly._trusted(self.vars, add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -214,13 +209,7 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         self._check_table(other)
-        terms: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(map(add, ea, eb))
-                prev = terms.get(exp)
-                terms[exp] = ca * cb if prev is None else prev + ca * cb
-        return MultiPoly._trusted(self.vars, terms)
+        return MultiPoly._trusted(self.vars, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -345,6 +334,29 @@ def _term_body(coeff: Fraction, variables: tuple[str, ...], exp: Exponent) -> st
     if coeff != 1:
         factors.insert(0, str(coeff))
     return "*".join(factors)
+
+
+def add_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]) -> dict:
+    """The sum of two term tables on one variable table, zeros dropped."""
+    out = dict(a)
+    for exp, coeff in b.items():
+        prev = out.get(exp)
+        out[exp] = coeff if prev is None else prev + coeff
+    return {e: c for e, c in out.items() if c}
+
+
+def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike],
+              r: int = 0, keep: frozenset | None = None) -> dict:
+    """The product of two term tables on one variable table; with `keep`,
+    only the terms whose first r exponents lie in it.  Zeros are dropped."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(map(add, ea, eb))
+            if keep is None or exp[:r] in keep:
+                prev = out.get(exp)
+                out[exp] = ca * cb if prev is None else prev + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:

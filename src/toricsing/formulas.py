@@ -1,7 +1,8 @@
 """Closed-form singularity counts, inequality verdicts, and bounded searches.
 
 Every count is a top-degree integral of a Chern-class expression twisted by
-a degree class, evaluated exactly against a model's intersection tensor.
+a degree class; each hands its factors to `chow.integrate_count`, which
+prunes its products to what the tensor can see and sums by Horner's rule.
 Degrees may be numbers or formal symbols; both run through one code path,
 so the symbolic specializations print the displayed count polynomials and
 the numeric ones produce exact rationals.
@@ -87,11 +88,8 @@ def picard_vector(model: ToricModel, degree) -> tuple:
 def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     """Number of singular points, with multiplicity, of a generic
     one-dimensional foliation of the given degree."""
-    d = degree_class(model, degree)
-    n = model.dim
-    return poly_sum(
-        chow.integrate(model, chow.chern_class(model, j) * d ** (n - j))
-        for j in range(n + 1))
+    return chow.integrate_count(model, top=model.dim,
+                                twist=degree_class(model, degree))
 
 
 @dataclass
@@ -114,7 +112,7 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     if len(divisor_coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
-    chi = chow.integrate(model, chow.chern_class(model, model.dim)).constant_value()
+    chi = chow.integrate_count(model, top=model.dim).constant_value()
     if chi.denominator != 1:
         raise ToricError(
             f"Euler number {chi} is not an integer; obstruction inapplicable")
@@ -139,26 +137,16 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
     _check_kind(kind)
     d = degree_class(model, degree)
     a = degree_class(model, hyp)
-    n = model.dim
-    terms = []
-    for j in range(n):
-        inner = ChowElement(model.gens, MultiPoly.zero(model.gens))
-        for k in range(j + 1):
-            inner = inner + ((-1) ** k * chow.chern_class(model, j - k)
-                             * a ** (k + 1))
-        terms.append(_signed(j, kind)
-                     * chow.integrate(model, inner * d ** (n - 1 - j)))
-    return poly_sum(terms)
+    # sum_j (-1)^j g_j d^(top - j) is (-1)^top times the plain sum at -d
+    d = -d if kind == "distribution" else d
+    return _signed(model.dim - 1, kind) * chow.integrate_count(
+        model, (a,), model.dim - 1, d, over=(a,))
 
 
 def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Orbifold Euler characteristic of a quasi-smooth hypersurface."""
     a = degree_class(model, hyp)
-    n = model.dim
-    return poly_sum(
-        (-1) ** k * chow.integrate(
-            model, chow.chern_class(model, n - 1 - k) * a ** (k + 1))
-        for k in range(n))
+    return chow.integrate_count(model, (a,), model.dim - 1, over=(a,))
 
 
 def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
@@ -166,22 +154,13 @@ def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
     case): the ambient count minus the restricted count."""
     d = degree_class(model, degree)
     a = degree_class(model, hyp)
-    n = model.dim
-    terms = []
-    for j in range(n + 1):
-        for i in range(n - j + 1):
-            terms.append((-1) ** i * chow.integrate(
-                model, chow.chern_class(model, n - j - i) * a ** i * d ** j))
-    return poly_sum(terms)
+    return chow.integrate_count(model, top=model.dim, twist=d, over=(a,))
 
 
 def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Euler characteristic of the hypersurface complement (smooth case)."""
     a = degree_class(model, hyp)
-    n = model.dim
-    return poly_sum(
-        (-1) ** i * chow.integrate(model, chow.chern_class(model, n - i) * a ** i)
-        for i in range(n + 1))
+    return chow.integrate_count(model, top=model.dim, over=(a,))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +300,10 @@ def ci_sing_count(model: ToricModel, classes, degree,
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
     d = degree_class(model, degree)
-    dual = chow.unit_element(model.gens)
-    for a in a_elems:
-        dual = dual * a
-    ws = [chow.wronski_classes(a_elems, j) for j in range(n - m + 1)]
-    terms = []
-    for i in range(n - m + 1):
-        inner = ChowElement(model.gens, MultiPoly.zero(model.gens))
-        for j in range(i + 1):
-            inner = inner + (-1) ** j * ws[j] * chow.chern_class(model, i - j)
-        terms.append(_signed(i, kind) * chow.integrate(
-            model, inner * d ** (n - m - i) * dual))
-    return poly_sum(terms)
+    # on one table, the degree symbols come before the class symbols
+    d, *a_elems = (ChowElement(model.gens, p) for p in aligned(
+        (-d if kind == "distribution" else d).poly, *(a.poly for a in a_elems)))
+    return _signed(n - m, kind) * chow.integrate_count(model, a_elems, n - m, d, a_elems)
 
 
 def ci_euler(model: ToricModel, classes) -> ScalarExpr:
@@ -342,16 +313,7 @@ def ci_euler(model: ToricModel, classes) -> ScalarExpr:
     n = model.dim
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    dual = chow.unit_element(model.gens)
-    for a in a_elems:
-        dual = dual * a
-    terms = []
-    for j in range(n - m + 1):
-        k = n - m - j
-        terms.append((-1) ** j * chow.integrate(
-            model,
-            chow.wronski_classes(a_elems, j) * chow.chern_class(model, k) * dual))
-    return poly_sum(terms)
+    return chow.integrate_count(model, a_elems, n - m, over=a_elems)
 
 
 def multidegree(model: ToricModel, classes, k: int,
@@ -373,10 +335,7 @@ def multidegree(model: ToricModel, classes, k: int,
             raise ValueError(
                 f"divisor index {k} out of range 0..{model.dim + model.rank - 1}")
         h = chow.divisor_class_element(model, k)
-    elem = h ** (n - m)
-    for a in a_elems:
-        elem = elem * a
-    return chow.integrate(model, elem)
+    return chow.integrate_count(model, [h] * (n - m) + a_elems)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +392,15 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
         if len(a_elems) != model.dim - 1:
             raise ValueError(
                 f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")
-        dual = chow.unit_element(model.gens)
-        for a in a_elems:
-            dual = dual * a
         asum = sum(a_elems[1:], start=a_elems[0])
         d = degree_class(model, degree)
-        lhs = chow.integrate(model, asum * dual)
-        rhs = chow.integrate(model, (d + chow.chern_class(model, 1)) * dual)
+        lhs = chow.integrate_count(model, [asum, *a_elems])
+        rhs = chow.integrate_count(model, [d + chow.chern_class(model, 1), *a_elems])
         if strict:
             gen_sum = sum((chow.generator_element(model, k)
                            for k in range(1, model.rank)),
                           start=chow.generator_element(model, 0))
-            rhs_adj, cut = aligned(rhs, chow.integrate(model, gen_sum * dual))
+            rhs_adj, cut = aligned(rhs, chow.integrate_count(model, [gen_sum, *a_elems]))
             rhs = rhs_adj - cut
         return _verdict(lhs, rhs)
     raise ValueError(f"unknown variant {variant!r}")

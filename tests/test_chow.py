@@ -391,3 +391,12 @@ def test_chern_consistency_check():
             "name broken\ndim 2\nrank 1\ngens H\nsmooth true\n"
             "divisor 1\ndivisor 1\ndivisor 1\n"
             "tensor 2 = 1\nchern 1 : 2*H\n")
+
+
+def test_series_reject_mixed_generators():
+    a = class_element(catalog.projective(2), (1,))
+    b = class_element(catalog.multiprojective(1, 1), (1, 2))
+    for series in (chow.elementary_series, chow.complete_series):
+        for items in ([a, b], [b, a], [a, a, b]):
+            with pytest.raises(ValueError, match="generator mismatch"):
+                series(items, 2)

@@ -1,0 +1,255 @@
+"""The pruned count pipeline (`chow.integrate_count`) against the complete
+products it replaced, and the symbolic (P^1)^k count against permanents."""
+
+import random
+import warnings
+from fractions import Fraction
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from toricsing import catalog, chow, formulas
+from toricsing.chow import ChowElement, ToricModel, chern_class, integrate, wronski_classes
+from toricsing.errors import ToricError
+from toricsing.exactalg import MultiPoly, aligned, poly_sum
+
+
+# -- the complete-product route: every product formed in full, one integral
+#    per term, as the counts were computed before the pruned pipeline --------
+
+def _signed(i, kind):
+    return (-1) ** i if kind == "distribution" else 1
+
+
+def _zero(m):
+    return ChowElement(m.gens, MultiPoly.zero(m.gens))
+
+
+def _dual(m, classes):
+    dual = chow.unit_element(m.gens)
+    for a in classes:
+        dual = dual * a
+    return dual
+
+
+def ref_foliation(m, d):
+    n = m.dim
+    return poly_sum(integrate(m, chern_class(m, j) * d ** (n - j)) for j in range(n + 1))
+
+
+def ref_restricted(m, d, a, kind):
+    n = m.dim
+    terms = []
+    for j in range(n):
+        inner = _zero(m)
+        for k in range(j + 1):
+            inner = inner + (-1) ** k * chern_class(m, j - k) * a ** (k + 1)
+        terms.append(_signed(j, kind) * integrate(m, inner * d ** (n - 1 - j)))
+    return poly_sum(terms)
+
+
+def ref_hypersurface_euler(m, a):
+    n = m.dim
+    return poly_sum((-1) ** k * integrate(m, chern_class(m, n - 1 - k) * a ** (k + 1))
+                    for k in range(n))
+
+
+def ref_complement(m, d, a):
+    n = m.dim
+    return poly_sum((-1) ** i * integrate(m, chern_class(m, n - j - i) * a ** i * d ** j)
+                    for j in range(n + 1) for i in range(n - j + 1))
+
+
+def ref_complement_euler(m, a):
+    n = m.dim
+    return poly_sum((-1) ** i * integrate(m, chern_class(m, n - i) * a ** i)
+                    for i in range(n + 1))
+
+
+def ref_ci(m, classes, d, kind):
+    n, k = m.dim, len(classes)
+    dual = _dual(m, classes)
+    ws = [wronski_classes(classes, j) for j in range(n - k + 1)]
+    terms = []
+    for i in range(n - k + 1):
+        inner = _zero(m)
+        for j in range(i + 1):
+            inner = inner + (-1) ** j * ws[j] * chern_class(m, i - j)
+        # d first: h_0 now carries the class symbols in its table, and the
+        # count lists the degree symbols before them
+        terms.append(_signed(i, kind) * integrate(m, d ** (n - k - i) * inner * dual))
+    return poly_sum(terms)
+
+
+def ref_ci_euler(m, classes):
+    n, k = m.dim, len(classes)
+    dual = _dual(m, classes)
+    return poly_sum((-1) ** j * integrate(
+        m, wronski_classes(classes, j) * chern_class(m, n - k - j) * dual)
+        for j in range(n - k + 1))
+
+
+def ref_multidegree(m, classes, h):
+    return integrate(m, h ** (m.dim - len(classes)) * _dual(m, classes))
+
+
+def ref_toric_curve(m, classes, d, strict):
+    dual = _dual(m, classes)
+    lhs = integrate(m, sum(classes[1:], start=classes[0]) * dual)
+    rhs = integrate(m, (d + chern_class(m, 1)) * dual)
+    if strict:
+        gens = [chow.generator_element(m, k) for k in range(m.rank)]
+        rhs, cut = aligned(rhs, integrate(m, sum(gens[1:], start=gens[0]) * dual))
+        rhs = rhs - cut
+    return aligned(lhs, rhs)
+
+
+def same(new, old):
+    """Equal values printed the same way, so the symbol order agrees too."""
+    assert new == old
+    assert new.canonical_string() == old.canonical_string()
+
+
+# -- inputs -------------------------------------------------------------------
+
+BUILTINS = [
+    catalog.projective(1), catalog.projective(3), catalog.weighted(1, 1, 2),
+    catalog.weighted(1, 2, 3, 5), catalog.multiprojective(1, 1, 1),
+    catalog.multiprojective(2, 1), catalog.scroll(1, -1, 2), catalog.blowup_point(2),
+    catalog.blowup_point(3), catalog.blowup_two_points_p3(), catalog.blowup_line_p3(),
+]
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def random_models(draw):
+    """Small models with arbitrary tensors, often sparse, so that the support
+    cuts products hard; the pipeline and the route above apply the same
+    linear functional to the same polynomial, so any tensor will do."""
+    dim, rank = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    gens = ("H", "E", "F")[:rank]
+    keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
+    tensor = draw(st.dictionaries(st.sampled_from(keys), RATIONALS, min_size=1))
+    classes = draw(st.tuples(*[st.tuples(*[st.integers(-3, 3)] * rank)] * (dim + rank)))
+    # overrides of mixed degree: the pipeline integrates only degree n as well
+    exponents = st.tuples(*[st.integers(0, 3)] * rank)
+    overrides = {j: ChowElement(gens, MultiPoly(gens, draw(
+        st.dictionaries(exponents, RATIONALS, max_size=4))))
+        for j in draw(st.sets(st.integers(1, dim)))}
+    return ToricModel("random", dim, rank, gens, classes, tensor,
+                      chern_override=overrides, smooth=draw(st.booleans()))
+
+
+def degrees(m, names):
+    """Numeric Picard vectors, divisor coefficients (when the model records
+    divisor classes), symbols, and Picard vectors mixing both."""
+    ints = st.integers(-4, 4)
+    options = [st.tuples(*[ints] * m.rank),
+               st.just(formulas.symbolic_degree(m, names)),
+               st.tuples(*[ints | st.sampled_from(formulas.symbolic_degree(m, names))]
+                         * m.rank)]
+    if m.divisor_classes is not None:
+        options.append(st.tuples(*[st.integers(-2, 3)] * (m.dim + m.rank)))
+    return st.one_of(options)
+
+
+@st.composite
+def count_cases(draw):
+    m = draw(st.sampled_from(BUILTINS) | random_models())
+    n, r = m.dim, m.rank
+    d = draw(degrees(m, [f"d{i + 1}" for i in range(r)]))
+    hyp = draw(degrees(m, [f"a{i + 1}" for i in range(r)]))
+    classes = draw(st.lists(degrees(m, [f"b{i + 1}" for i in range(r)]),
+                            min_size=1, max_size=max(1, n - 1)))
+    return m, d, hyp, classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_cases(), st.sampled_from(formulas.KINDS), st.booleans())
+def test_counts_match_the_complete_product_route(case, kind, strict):
+    m, degree, hyp, classes = case
+    n = m.dim
+    d = formulas.degree_class(m, degree)
+    a = formulas.degree_class(m, hyp)
+    elems = [formulas.degree_class(m, c) for c in classes]
+    same(formulas.foliation_sing_count(m, degree), ref_foliation(m, d))
+    same(formulas.restricted_sing_count(m, degree, hyp, kind),
+         ref_restricted(m, d, a, kind))
+    same(formulas.hypersurface_euler(m, hyp), ref_hypersurface_euler(m, a))
+    same(formulas.complement_sing_count(m, degree, hyp), ref_complement(m, d, a))
+    same(formulas.complement_euler(m, hyp), ref_complement_euler(m, a))
+    for k in range(m.rank):
+        h = chow.generator_element(m, k)
+        same(formulas.multidegree(m, classes, k, generator=True),
+             ref_multidegree(m, elems, h))
+    if m.divisor_classes is not None:
+        for k in range(n + m.rank):
+            h = chow.divisor_class_element(m, k)
+            same(formulas.multidegree(m, classes, k), ref_multidegree(m, elems, h))
+    if len(classes) < n:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            same(formulas.ci_sing_count(m, classes, degree, kind),
+                 ref_ci(m, elems, d, kind))
+        same(formulas.ci_euler(m, classes), ref_ci_euler(m, elems))
+    if len(classes) == n - 1:
+        verdict = formulas.poincare_check("toric-curve", model=m, classes=classes,
+                                          degree=degree, strict=strict)
+        lhs, rhs = ref_toric_curve(m, elems, d, strict)
+        same(verdict.lhs, lhs)
+        same(verdict.rhs, rhs)
+    if m.divisor_classes is not None:
+        coeffs = [2] * (n + m.rank)
+        chi = integrate(m, chern_class(m, n)).constant_value()
+        if m.smooth and chi.denominator == 1:
+            assert formulas.gcd_obstruction(m, coeffs).chi == chi
+        else:
+            with pytest.raises(ToricError):
+                formulas.gcd_obstruction(m, coeffs)
+
+
+# -- an independent oracle for the large products ------------------------------
+
+def permanent(matrix):
+    k = len(matrix)
+    total = 0
+    for perm in permutations(range(k)):
+        term = 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_symbolic_count_on_p1_products_is_a_permanent(k):
+    # on (P^1)^k the count is the permanent of the k x k matrix with
+    # entries d_j + 2 delta_ij
+    count = formulas.foliation_sing_count(catalog.multiprojective(*[1] * k), "symbolic")
+    rng = random.Random(k)
+    for _ in range(3):
+        d = [rng.randint(-4, 6) for _ in range(k)]
+        matrix = [[d[j] + 2 * (i == j) for j in range(k)] for i in range(k)]
+        point = {f"d{j + 1}": d[j] for j in range(k)}
+        assert count.evaluate(point) == permanent(matrix)
+
+
+def test_integrate_count_rejects_mixed_generators():
+    m = catalog.projective(2)
+    other = chow.class_element(catalog.multiprojective(1, 1), (1, 2))
+    for call in (lambda: chow.integrate_count(m, [other]),
+                 lambda: chow.integrate_count(m, top=2, twist=other),
+                 lambda: chow.integrate_count(m, top=2, over=[other])):
+        with pytest.raises(ValueError, match="generator mismatch"):
+            call()
+
+
+def test_support_is_the_down_set_of_the_tensor_keys():
+    assert catalog.multiprojective(1, 1)._support == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert catalog.projective(3)._support == {(0,), (1,), (2,), (3,)}
+    # a key with a zero weight is no key
+    m = ToricModel("sparse", 2, 2, ("H", "E"), None, {(2, 0): 1, (1, 1): 0},
+                   chern_override={1: chow.unit_element(("H", "E")),
+                                   2: chow.unit_element(("H", "E"))})
+    assert m._support == {(0, 0), (1, 0), (2, 0)}
