@@ -213,29 +213,6 @@ class ChowElement:
 
     __hash__ = None
 
-    # -- grading -------------------------------------------------------------
-
-    def picard_degrees(self) -> dict[int, ChowElement]:
-        """Split into homogeneous parts by total degree in the generators."""
-        r = len(self.gens)
-        parts: dict[int, dict] = {}
-        for exp, coeff in self.poly.terms.items():
-            j = sum(exp[:r])
-            parts.setdefault(j, {})[exp] = coeff
-        return {j: ChowElement(self.gens, MultiPoly(self.poly.vars, t))
-                for j, t in sorted(parts.items())}
-
-    def picard_part(self, j: int) -> ChowElement:
-        r = len(self.gens)
-        terms = {exp: c for exp, c in self.poly.terms.items() if sum(exp[:r]) == j}
-        return ChowElement(self.gens, MultiPoly(self.poly.vars, terms))
-
-    def is_pure_degree(self) -> int | None:
-        degrees = {sum(exp[:len(self.gens)]) for exp in self.poly.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def __repr__(self) -> str:
         return f"ChowElement({self.poly.canonical_string()!r})"
 

@@ -11,6 +11,12 @@ Plain output prints `result = <canonical value>` plus sorted detail lines;
 `--json` prints one object {operation, inputs, result, details}.  Identical
 invocations produce byte-identical output.  Exit status: 0 success,
 1 domain error, 2 usage error.
+
+An invocation imports only the modules its command uses, and argparse builds
+the arguments of that one command: `residue` never loads `formulas` or
+`polyfield`, and `catalog list` loads none of `formulas`, `polyfield` or
+`residue`.  Handlers import their modules inside the function and call them
+as module attributes (`formulas.foliation_sing_count(...)`).
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import catalog, chow, formulas, polyfield, residue
 from .errors import ToricError
 from .exactalg import MultiPoly, poly_sum
 
@@ -89,7 +94,8 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _model_from_args(args) -> chow.ToricModel:
+def _model_from_args(args):
+    from . import catalog
     spec = getattr(args, "model", None)
     path = getattr(args, "model_file", None)
     if spec and path:
@@ -104,6 +110,7 @@ def _model_from_args(args) -> chow.ToricModel:
 
 def _degree_from_args(args, model) -> object:
     if getattr(args, "symbolic", None) is not None:
+        from . import formulas
         names = _split_names(args.symbolic)
         return formulas.symbolic_degree(model, names)
     if getattr(args, "degree_div", None):
@@ -152,6 +159,7 @@ def _add_json_flag(sub):
 
 
 def _parse_components(text: str, variables, synonyms=None):
+    from . import catalog
     return tuple(catalog.parse_polynomial(chunk, variables, synonyms)
                  for chunk in text.split(","))
 
@@ -165,22 +173,26 @@ def _coordinate_synonyms(model):
 
 
 def _handle_catalog_list(args):
+    from . import catalog
     lines = [f"{name}  ({syntax})" for name, syntax in sorted(catalog.FAMILIES.items())]
     return "\n".join(lines), {}
 
 
 def _handle_catalog_show(args):
+    from . import catalog
     model = _model_from_args(args)
     return catalog.serialize_model(model).rstrip("\n"), {}
 
 
 def _handle_count_foliation(args):
+    from . import formulas
     model = _model_from_args(args)
     count = formulas.foliation_sing_count(model, _degree_from_args(args, model))
     return _canonical(count), {}
 
 
 def _handle_count_restricted(args):
+    from . import formulas
     model = _model_from_args(args)
     count = formulas.restricted_sing_count(
         model, _degree_from_args(args, model), _ints(args.hyp), kind=args.kind)
@@ -188,6 +200,7 @@ def _handle_count_restricted(args):
 
 
 def _handle_count_complement(args):
+    from . import formulas
     model = _model_from_args(args)
     count = formulas.complement_sing_count(
         model, _degree_from_args(args, model), _ints(args.hyp))
@@ -195,6 +208,7 @@ def _handle_count_complement(args):
 
 
 def _handle_count_wci(args):
+    from . import formulas
     degree = _scalar_degree_from_args(args)
     parts = formulas.wci_sing_count_parts(
         _ints(args.weights), _ints(args.ci), degree, kind=args.kind)
@@ -203,6 +217,7 @@ def _handle_count_wci(args):
 
 
 def _handle_count_ci(args):
+    from . import formulas
     model = _model_from_args(args)
     count = formulas.ci_sing_count(
         model, _class_list_from_args(args), _degree_from_args(args, model),
@@ -211,36 +226,42 @@ def _handle_count_ci(args):
 
 
 def _handle_euler_ambient(args):
+    from . import chow
     model = _model_from_args(args)
     value = chow.integrate(model, chow.chern_class(model, model.dim))
     return _canonical(value), {}
 
 
 def _handle_euler_hyp(args):
+    from . import formulas
     model = _model_from_args(args)
     value = formulas.hypersurface_euler(model, _ints(args.hyp))
     return _canonical(value), {}
 
 
 def _handle_euler_complement(args):
+    from . import formulas
     model = _model_from_args(args)
     value = formulas.complement_euler(model, _ints(args.hyp))
     return _canonical(value), {}
 
 
 def _handle_euler_ci(args):
+    from . import formulas
     model = _model_from_args(args)
     value = formulas.ci_euler(model, _class_list_from_args(args))
     return _canonical(value), {}
 
 
 def _handle_baumbott(args):
+    from . import formulas
     value = formulas.baum_bott_sum(
         _ints(args.weights), _ints(args.ci), _scalar_degree_from_args(args))
     return _canonical(value), {}
 
 
 def _handle_alpha(args):
+    from . import formulas
     info = formulas.alpha_invariant(_ints(args.weights), _ints(args.ci))
     details = {"chi": _canonical(info.chi)}
     if args.test_divisor is not None:
@@ -249,11 +270,13 @@ def _handle_alpha(args):
 
 
 def _handle_general_type(args):
+    from . import formulas
     value = formulas.general_type_index(_ints(args.weights), _ints(args.ci))
     return _canonical(value), {}
 
 
 def _handle_multidegree(args):
+    from . import formulas
     model = _model_from_args(args)
     value = formulas.multidegree(
         model, _class_list_from_args(args), args.index, generator=args.generator)
@@ -261,6 +284,7 @@ def _handle_multidegree(args):
 
 
 def _handle_poincare(args):
+    from . import formulas
     if args.variant == "toric-curve":
         model = _model_from_args(args)
         verdict = formulas.poincare_check(
@@ -282,6 +306,7 @@ def _handle_poincare(args):
 
 
 def _handle_search(args):
+    from . import formulas
     scroll_a = None
     if args.scroll_a:
         try:
@@ -300,12 +325,14 @@ def _handle_search(args):
 
 
 def _handle_scrollform(args):
+    from . import formulas
     twists = _ints(args.a)
     value = formulas.scroll_closed_form(len(twists), twists, args.d1, args.d2)
     return _canonical(value), {}
 
 
 def _handle_residue(args):
+    from . import residue
     variables = tuple(s.strip() for s in args.vars.split(","))
     components = _parse_components(args.components, variables)
     query = residue.IndexQuery(components, group_order=args.group,
@@ -320,6 +347,7 @@ def _handle_residue(args):
 
 
 def _handle_check_homogeneous(args):
+    from . import catalog, polyfield
     model = _model_from_args(args)
     poly = catalog.parse_polynomial(args.poly, model.coord_names,
                                     _coordinate_synonyms(model))
@@ -334,6 +362,7 @@ def _handle_check_homogeneous(args):
 
 
 def _handle_check_descends(args):
+    from . import polyfield
     model = _model_from_args(args)
     comps = _parse_components(args.form, model.coord_names,
                               _coordinate_synonyms(model))
@@ -342,6 +371,7 @@ def _handle_check_descends(args):
 
 
 def _handle_check_invariant(args):
+    from . import catalog, polyfield
     model = _model_from_args(args)
     synonyms = _coordinate_synonyms(model)
     comps = _parse_components(args.field, model.coord_names, synonyms)
@@ -355,6 +385,7 @@ def _handle_check_invariant(args):
 
 
 def _handle_gcd_obstruction(args):
+    from . import formulas
     model = _model_from_args(args)
     verdict = formulas.gcd_obstruction(model, _ints(args.degree_div))
     details = {"chi": _canonical(verdict.chi), "gcd": verdict.gcd}
@@ -363,49 +394,35 @@ def _handle_gcd_obstruction(args):
 
 # ---------------------------------------------------------------------------
 # parser assembly
+#
+# `_Commands` registers every name of a table up front, so usage lines, help
+# listings and "invalid choice" errors name them all, but fills a parser only
+# when argparse dispatches to it: an invocation builds one path of the tree.
+# A fill adds a command's own arguments; every command then gets `--json`
+# and its handler.
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="toricsing",
-        description="Exact singularity counts on compact toric orbifolds.")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    cat = top.add_parser("catalog", help="list or show builtin models")
-    cat_sub = cat.add_subparsers(dest="subcommand", required=True)
-    p = cat_sub.add_parser("list")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_catalog_list, operation="catalog list")
-    p = cat_sub.add_parser("show")
-    _add_model_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_catalog_show, operation="catalog show")
-
-    count = top.add_parser("count", help="singularity counts")
-    count_sub = count.add_subparsers(dest="subcommand", required=True)
-
-    p = count_sub.add_parser("foliation")
+def _fill_count_foliation(p):
     _add_model_flags(p)
     _add_degree_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_count_foliation, operation="count foliation")
 
-    p = count_sub.add_parser("restricted")
+
+def _fill_count_restricted(p):
+    from . import formulas
     _add_model_flags(p)
     _add_degree_flags(p)
     p.add_argument("--hyp", required=True, help="hypersurface class (Picard vector)")
     p.add_argument("--kind", choices=formulas.KINDS, default="foliation")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_count_restricted, operation="count restricted")
 
-    p = count_sub.add_parser("complement")
+
+def _fill_count_complement(p):
     _add_model_flags(p)
     _add_degree_flags(p)
     p.add_argument("--hyp", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_count_complement, operation="count complement")
 
-    p = count_sub.add_parser("wci")
+
+def _fill_count_wci(p):
+    from . import formulas
     p.add_argument("--weights", required=True, help="comma-separated weights")
     p.add_argument("--ci", required=True, help="comma-separated multidegrees")
     group = p.add_mutually_exclusive_group()
@@ -413,72 +430,53 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--symbolic", nargs="?", const="",
                        help="symbolic degree; optionally name the symbol")
     p.add_argument("--kind", choices=formulas.KINDS, default="foliation")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_count_wci, operation="count wci")
 
-    p = count_sub.add_parser("ci")
+
+def _fill_count_ci(p):
+    from . import formulas
     _add_model_flags(p)
     _add_degree_flags(p)
     p.add_argument("--class", dest="cls", action="append",
                    help="complete-intersection class (repeatable)")
     p.add_argument("--kind", choices=formulas.KINDS, default="foliation")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_count_ci, operation="count ci")
 
-    euler = top.add_parser("euler", help="Euler characteristics")
-    euler_sub = euler.add_subparsers(dest="subcommand", required=True)
-    p = euler_sub.add_parser("ambient")
-    _add_model_flags(p)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_euler_ambient, operation="euler ambient")
-    p = euler_sub.add_parser("hyp")
+
+def _fill_euler_hyp(p):
     _add_model_flags(p)
     p.add_argument("--hyp", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_euler_hyp, operation="euler hyp")
-    p = euler_sub.add_parser("complement")
-    _add_model_flags(p)
-    p.add_argument("--hyp", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_euler_complement, operation="euler complement")
-    p = euler_sub.add_parser("ci")
+
+
+def _fill_euler_ci(p):
     _add_model_flags(p)
     p.add_argument("--class", dest="cls", action="append")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_euler_ci, operation="euler ci")
 
-    p = top.add_parser("baumbott", help="sum of Baum-Bott indices on a surface")
+
+def _add_weight_flags(p):
     p.add_argument("--weights", required=True)
     p.add_argument("--ci", required=True)
+
+
+def _fill_baumbott(p):
+    _add_weight_flags(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--degree")
     group.add_argument("--symbolic", nargs="?", const="")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_baumbott, operation="baumbott")
 
-    p = top.add_parser("alpha", help="divisibility invariant and chi")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--ci", required=True)
+
+def _fill_alpha(p):
+    _add_weight_flags(p)
     p.add_argument("--test-divisor", type=int)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_alpha, operation="alpha")
 
-    p = top.add_parser("general-type", help="canonical-degree index of a surface")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--ci", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_general_type, operation="general-type")
 
-    p = top.add_parser("multidegree", help="k-degree of a complete intersection")
+def _fill_multidegree(p):
     _add_model_flags(p)
     p.add_argument("--class", dest="cls", action="append")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--generator", action="store_true",
                    help="treat the index as a generator index")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_multidegree, operation="multidegree")
 
-    p = top.add_parser("poincare", help="degree-bound verdicts")
+
+def _fill_poincare(p):
     p.add_argument("--variant", required=True,
                    choices=("wci-curve", "wci-general", "toric-curve"))
     p.add_argument("--weights")
@@ -488,57 +486,136 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_degree_flags(p)
     p.add_argument("--strict", action="store_true",
                    help="projective-space sharpening of the bound")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_poincare, operation="poincare")
 
-    p = top.add_parser("search", help="bounded enumeration of regular degree data")
+
+def _fill_search(p):
     p.add_argument("--family", required=True, choices=("p111k", "p1111k", "scroll"))
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--scroll-a", help="twists for the scroll family")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_search, operation="search")
 
-    p = top.add_parser("scrollform", help="closed-form scroll expression")
+
+def _fill_scrollform(p):
     p.add_argument("--a", required=True, help="comma-separated twists")
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_scrollform, operation="scrollform")
 
-    p = top.add_parser("residue", help="local multiplicity and orbifold index")
+
+def _fill_residue(p):
+    from . import residue
     p.add_argument("--vars", required=True, help="comma-separated chart variables")
     p.add_argument("--components", required=True,
                    help="comma-separated map components")
     p.add_argument("--group", type=int, default=1, help="isotropy group order")
     p.add_argument("--cap", type=int, default=residue.DEFAULT_DEGREE_CAP)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_residue, operation="residue")
 
-    check = top.add_parser("check", help="homogeneity, descent, invariance")
-    check_sub = check.add_subparsers(dest="subcommand", required=True)
-    p = check_sub.add_parser("homogeneous")
+
+def _fill_check_homogeneous(p):
     _add_model_flags(p)
     p.add_argument("--poly", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_check_homogeneous, operation="check homogeneous")
-    p = check_sub.add_parser("descends")
+
+
+def _fill_check_descends(p):
     _add_model_flags(p)
     p.add_argument("--form", required=True, help="comma-separated components")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_check_descends, operation="check descends")
-    p = check_sub.add_parser("invariant")
+
+
+def _fill_check_invariant(p):
     _add_model_flags(p)
     p.add_argument("--field", required=True, help="comma-separated components")
     p.add_argument("--poly", required=True, help="hypersurface polynomial")
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_check_invariant, operation="check invariant")
 
-    p = top.add_parser("gcd-obstruction", help="divisibility obstruction")
+
+def _fill_gcd_obstruction(p):
     _add_model_flags(p)
     p.add_argument("--degree-div", required=True)
-    _add_json_flag(p)
-    p.set_defaults(handler=_handle_gcd_obstruction, operation="gcd-obstruction")
 
+
+# name -> (help, command or group); a command is (handler, fill or None) and
+# a group maps each child name to a command (children show no help)
+COMMANDS = {
+    "catalog": ("list or show builtin models", {
+        "list": (_handle_catalog_list, None),
+        "show": (_handle_catalog_show, _add_model_flags),
+    }),
+    "count": ("singularity counts", {
+        "foliation": (_handle_count_foliation, _fill_count_foliation),
+        "restricted": (_handle_count_restricted, _fill_count_restricted),
+        "complement": (_handle_count_complement, _fill_count_complement),
+        "wci": (_handle_count_wci, _fill_count_wci),
+        "ci": (_handle_count_ci, _fill_count_ci),
+    }),
+    "euler": ("Euler characteristics", {
+        "ambient": (_handle_euler_ambient, _add_model_flags),
+        "hyp": (_handle_euler_hyp, _fill_euler_hyp),
+        "complement": (_handle_euler_complement, _fill_euler_hyp),
+        "ci": (_handle_euler_ci, _fill_euler_ci),
+    }),
+    "baumbott": ("sum of Baum-Bott indices on a surface",
+                 (_handle_baumbott, _fill_baumbott)),
+    "alpha": ("divisibility invariant and chi", (_handle_alpha, _fill_alpha)),
+    "general-type": ("canonical-degree index of a surface",
+                     (_handle_general_type, _add_weight_flags)),
+    "multidegree": ("k-degree of a complete intersection",
+                    (_handle_multidegree, _fill_multidegree)),
+    "poincare": ("degree-bound verdicts", (_handle_poincare, _fill_poincare)),
+    "search": ("bounded enumeration of regular degree data",
+               (_handle_search, _fill_search)),
+    "scrollform": ("closed-form scroll expression",
+                   (_handle_scrollform, _fill_scrollform)),
+    "residue": ("local multiplicity and orbifold index",
+                (_handle_residue, _fill_residue)),
+    "check": ("homogeneity, descent, invariance", {
+        "homogeneous": (_handle_check_homogeneous, _fill_check_homogeneous),
+        "descends": (_handle_check_descends, _fill_check_descends),
+        "invariant": (_handle_check_invariant, _fill_check_invariant),
+    }),
+    "gcd-obstruction": ("divisibility obstruction",
+                        (_handle_gcd_obstruction, _fill_gcd_obstruction)),
+}
+
+
+class _Commands(argparse._SubParsersAction):
+    """The subparsers of one table, each filled when argparse dispatches to it.
+
+    `path` names the enclosing group, empty at the top level; `table` is
+    `COMMANDS` there and a group's children below it.  argparse offers no
+    public hook at dispatch, hence the subclass of its subparsers action.
+    """
+
+    def __init__(self, *args, path, table, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._path, self._table = path, table
+        for name, entry in table.items():
+            if path:
+                self.add_parser(name)
+            else:
+                self.add_parser(name, help=entry[0])
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        sub, path = self._name_parser_map[name], (*self._path, name)
+        body = self._table[name] if self._path else self._table[name][1]
+        if isinstance(body, dict):
+            _add_commands(sub, path, body)
+        else:
+            handler, fill = body
+            if fill is not None:
+                fill(sub)
+            _add_json_flag(sub)
+            sub.set_defaults(handler=handler, operation=" ".join(path))
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _add_commands(parser, path, table):
+    parser.add_subparsers(dest="subcommand" if path else "command", required=True,
+                          action=_Commands, path=path, table=table)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="toricsing",
+        description="Exact singularity counts on compact toric orbifolds.")
+    _add_commands(parser, (), COMMANDS)
     return parser
 
 

@@ -319,22 +319,6 @@ def test_e_w_duality():
             assert conv == (1 if degree == 0 else 0)
 
 
-def test_grading_split_and_purity():
-    m = catalog.blowup_point(2)
-    H = chow.generator_element(m, 0)
-    E = chow.generator_element(m, 1)
-    mixed = 3 + H - E + 2 * H * E
-    parts = mixed.picard_degrees()
-    assert set(parts) == {0, 1, 2}
-    assert parts[1] == H - E
-    assert mixed.picard_part(2) == 2 * H * E
-    assert mixed.is_pure_degree() is None
-    assert (H * E).is_pure_degree() == 2
-    # products of pure degrees stay pure and add degrees
-    c1 = elementary_symmetric_classes(m, 1)
-    assert (c1 * (H - E) ** 1).is_pure_degree() == 2
-
-
 def test_class_element_promotion_is_linear():
     m = catalog.scroll(1, 2)
     u = (2, -1)
@@ -365,7 +349,8 @@ def test_class_element_equals_the_generator_sum():
         summed = _summed_class(m, vec)
         assert direct == summed
         assert direct.poly.vars == summed.poly.vars
-        assert direct.is_pure_degree() in (1, None)
+        degrees = {sum(exp[:len(direct.gens)]) for exp in direct.poly.terms}
+        assert len(degrees) != 1 or degrees == {1}
 
 
 def test_class_element_rejects_generator_symbols_and_non_scalars():

@@ -2,12 +2,20 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from toricsing import catalog
 from toricsing.catalog import parse_polynomial
 from toricsing.cli import run
+
+
+# Exit status, stdout and stderr of help and usage-error invocations, written
+# by the CLI with COLUMNS=80 under Python 3.11 (argparse's layout varies
+# between Python versions).
+HELP_STREAMS = json.loads(
+    (Path(__file__).parent / "data" / "help_streams.json").read_text(encoding="utf-8"))
 
 
 def _run(capsys, *argv):
@@ -246,3 +254,16 @@ def test_degree_div_flag(capsys):
     _, out2, _ = _run(capsys, "count", "foliation", "--model",
                       "blowup_point:2", "--degree", "2,1")
     assert out == out2
+
+
+@pytest.mark.parametrize("case", HELP_STREAMS,
+                         ids=lambda case: " ".join(case["argv"]) or "no arguments")
+def test_help_and_usage_streams_are_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        status = run(list(case["argv"]))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (
+        case["status"], case["stdout"], case["stderr"])

@@ -1,0 +1,139 @@
+"""What an import or a command loads: the package resolves its exports on
+first use, and a CLI invocation imports only the modules its command uses.
+
+Module loading is observed in fresh interpreters, since this test process
+has imported every module already.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toricsing
+
+SRC = Path(toricsing.__file__).resolve().parent.parent
+
+# the package's public names by defining module
+EXPORTS = {
+    "exactalg": ("BigRational", "MultiPoly", "aligned", "as_poly", "poly_sum"),
+    "chow": ("ChowElement", "ToricModel", "chern_class", "class_element",
+             "class_of_divisor_coeffs", "elementary_symmetric_classes",
+             "integrate", "wronski_classes"),
+    "catalog": ("ModelSpec", "blowup_line_p3", "blowup_point",
+                "blowup_two_points_p3", "builtin", "from_spec_string",
+                "multiprojective", "parse_model", "parse_polynomial",
+                "projective", "scroll", "serialize_model", "weighted"),
+    "formulas": ("AlphaInvariant", "GcdVerdict", "InequalityVerdict",
+                 "SearchSolution", "alpha_invariant", "baum_bott_sum",
+                 "ci_euler", "ci_sing_count", "complement_euler",
+                 "complement_sing_count", "foliation_sing_count",
+                 "gcd_obstruction", "general_type_index", "hypersurface_euler",
+                 "multidegree", "poincare_check", "regular_search",
+                 "restricted_sing_count", "scroll_closed_form",
+                 "symbolic_degree", "wci_sing_count", "wci_sing_count_parts"),
+    "polyfield": ("ANY_DEGREE", "GradedPoly", "OneFormExpr", "VectorFieldExpr",
+                  "check_descends", "check_invariant_hypersurface",
+                  "check_quasi_homogeneous", "frobenius_integrable",
+                  "radial_fields"),
+    "residue": ("IndexQuery", "LocalIndexReport", "index_sum",
+                "local_multiplicity", "orbifold_index"),
+}
+
+# runs one command with its stdout discarded, then prints its exit status
+# and the toricsing submodules loaded
+COMMAND_LOADS = """
+import contextlib, io, json, sys
+from toricsing.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    status = run(sys.argv[1:])
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("toricsing."))]))
+"""
+
+BARE_IMPORT = """
+import json, sys
+import toricsing
+loaded = sorted(m for m in sys.modules if m.startswith("toricsing."))
+catalog = toricsing.catalog
+print(json.dumps({
+    "loaded": loaded,
+    "version": toricsing.__version__,
+    "catalog": catalog is sys.modules["toricsing.catalog"],
+    "after": sorted(m for m in sys.modules if m.startswith("toricsing.")),
+}))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["catalog", "list"], {"catalog"}, {"formulas", "polyfield", "residue"}),
+    (["count", "foliation", "--model", "projective:3", "--degree", "2"],
+     {"catalog", "formulas"}, {"polyfield", "residue"}),
+    (["residue", "--vars", "z1,z2", "--components", "3*z1^2,3*z2^2"],
+     {"residue"}, {"formulas", "polyfield"}),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
+def test_a_command_loads_only_its_modules(argv, loaded, absent):
+    done = _python("-c", COMMAND_LOADS, *argv)
+    status, modules = json.loads(done.stdout)
+    names = {m.split(".", 1)[1] for m in modules}
+    assert status == 0, done.stderr
+    assert loaded <= names
+    assert not absent & names
+
+
+def test_bare_import_loads_no_submodule():
+    done = _python("-c", BARE_IMPORT)
+    report = json.loads(done.stdout)
+    assert report["loaded"] == []
+    assert report["version"] == "0.1.0"
+    assert report["catalog"] is True
+    assert "toricsing.formulas" not in report["after"]
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["catalog", "list"], 0),
+    (["count", "foliation", "--model", "projective", "--degree", "1"], 1),
+    (["bogus"], 2),
+])
+def test_module_entry_point_exit_status(argv, status):
+    done = _python("-m", "toricsing.cli", *argv)
+    assert done.returncode == status
+    if status == 0:
+        assert "blowup_point  (blowup_point:n)" in done.stdout
+        assert done.stderr == ""
+    elif status == 1:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and "projective:n" in done.stderr
+    else:
+        assert done.stdout == ""
+        assert "invalid choice: 'bogus'" in done.stderr
+
+
+def test_each_export_is_its_module_object():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == 62
+    assert sorted(toricsing.__all__) == sorted(names)
+    for module, exported in EXPORTS.items():
+        source = importlib.import_module(f"toricsing.{module}")
+        for name in exported:
+            assert getattr(toricsing, name) is getattr(source, name), name
+    from toricsing import MultiPoly, local_multiplicity
+    assert MultiPoly is toricsing.exactalg.MultiPoly
+    assert local_multiplicity is toricsing.residue.local_multiplicity
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        toricsing.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from toricsing import no_such_name  # noqa: F401
