@@ -41,17 +41,25 @@ ScalarExpr = MultiPoly
 ClassExpr = tuple  # length = model rank
 
 
+def _check_integral(what: str, rows) -> None:
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int):
+                raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
+
+
 @dataclass(frozen=True)
 class ToricModel:
     """Intersection data of a compact toric orbifold.
 
-    divisor_classes holds the n+r classes [D_i] in the Picard basis; the
-    tensor maps exponent vectors of total degree n to integrals (omitted
-    keys integrate to zero).  chern_override supplies Chern classes directly
-    for models whose divisor lists are not recorded.  radial, when present,
-    is the r x (n+r) integer matrix of diagonal radial vector field
-    coefficients.  The model is frozen, the tensor and the overrides are
-    read-only mappings, and each instance caches its Chern series on first use.
+    divisor_classes holds the n+r classes [D_i] in the Picard basis, as
+    integers; the tensor maps exponent vectors of total degree n to
+    integrals (omitted keys integrate to zero).  chern_override supplies
+    Chern classes directly for models whose divisor lists are not recorded.
+    radial, when present, is the r x (n+r) integer matrix of diagonal radial
+    vector field coefficients.  The model is frozen, the tensor and the
+    overrides are read-only mappings, and each instance caches its Chern
+    series on first use.
     """
 
     name: str
@@ -83,6 +91,7 @@ class ToricModel:
             for v in self.divisor_classes:
                 if len(v) != self.rank:
                     raise ValueError(f"divisor class {v!r} has wrong rank")
+            _check_integral("divisor class", self.divisor_classes)
         store("tensor", MappingProxyType(
             {tuple(k): Fraction(v) for k, v in self.tensor.items() if Fraction(v)}))
         for key in self.tensor:
@@ -106,6 +115,7 @@ class ToricModel:
             if len(self.radial) != self.rank or any(
                     len(row) != self.dim + self.rank for row in self.radial):
                 raise ValueError("radial data must be an r x (n+r) matrix")
+            _check_integral("radial row", self.radial)
         if not self.coord_names:
             store("coord_names", tuple(f"z{i}" for i in range(self.dim + self.rank)))
         elif len(self.coord_names) != self.dim + self.rank:

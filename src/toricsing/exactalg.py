@@ -16,7 +16,10 @@ Arithmetic requires both operands to live on the same variable table;
 
 `integer_roots` finds the integer roots of a univariate integer polynomial
 in a range by exact sign bisection; the searches solve their count
-polynomials with it.
+polynomials with it.  A range of positive integers is first screened by
+Descartes' rule of signs: without a sign change among the coefficients
+there is no positive root, and no bisection runs.  `horner` evaluates such
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -402,11 +405,15 @@ def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
 def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
 
-    Quadratics, one per (k, a) in the p111k search, are solved by the
-    discriminant and `isqrt`, a few times faster than splitting and
-    bisecting them.  Every other degree splits the range where the
-    polynomial stops being monotone and bisects each piece on exact integer
-    signs.  The zero polynomial vanishes on the whole range.
+    When lo >= 1 and the nonzero coefficients share one sign, there is no
+    sign change and so, by Descartes' rule of signs, no positive root: the
+    answer is empty without any root finding.  Most (k, a) pairs of the
+    p-family searches end there.  Quadratics, one per remaining (k, a) in
+    the p111k search, are solved by the discriminant and `isqrt`, a few
+    times faster than splitting and bisecting them.  Every other degree
+    splits the range where the polynomial stops being monotone and bisects
+    each piece on exact integer signs.  The zero polynomial vanishes on the
+    whole range.
     """
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -415,6 +422,8 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
         return []
     if not c:
         return list(range(lo, hi + 1))
+    if lo >= 1 and (min(c) >= 0 or max(c) <= 0):
+        return []
     if len(c) == 3:
         disc = c[1] * c[1] - 4 * c[2] * c[0]
         s = isqrt(disc) if disc >= 0 else -1
@@ -423,15 +432,16 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
         quotients = (divmod(-c[1] + e, 2 * c[2]) for e in (-s, s))
         return sorted({q for q, r in quotients if r == 0 and lo <= q <= hi})
     cuts = _monotone_cuts(c, lo, hi)
-    roots = {x for x in cuts if _horner(c, x) == 0}
+    roots = {x for x in cuts if horner(c, x) == 0}
     for a, b in zip(cuts, cuts[1:]):
         m = _crossing(c, a, b)
-        if m is not None and _horner(c, m) == 0:
+        if m is not None and horner(c, m) == 0:
             roots.add(m)
     return sorted(roots)
 
 
-def _horner(c: Sequence[int], x: int) -> int:
+def horner(c: Sequence[int], x: int) -> int:
+    """sum_i c[i] * x^i by Horner's rule; exact on integers."""
     acc = 0
     for coeff in reversed(c):
         acc = acc * x + coeff
@@ -442,7 +452,7 @@ def _crossing(c: Sequence[int], a: int, b: int) -> int | None:
     """For a polynomial monotone on [a, b]: an m in [a, b] where it vanishes,
     or with a sign change between m and m + 1; None when it keeps one
     strict sign."""
-    fa, fb = _horner(c, a), _horner(c, b)
+    fa, fb = horner(c, a), horner(c, b)
     if fa == 0:
         return a
     if fb == 0:
@@ -451,7 +461,7 @@ def _crossing(c: Sequence[int], a: int, b: int) -> int | None:
         return None
     while b - a > 1:
         mid = (a + b) // 2
-        fm = _horner(c, mid)
+        fm = horner(c, mid)
         if fm == 0:
             return mid
         if (fm > 0) == (fa > 0):

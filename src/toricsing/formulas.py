@@ -28,7 +28,7 @@ from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, aligned, as_poly, integer_roots, poly_sum,
+    MultiPoly, ScalarLike, aligned, as_poly, horner, integer_roots, poly_sum,
 )
 
 KINDS = ("foliation", "distribution")
@@ -469,24 +469,35 @@ def regular_search(family: str, bound: int,
     bounds in the thousands are cheap.  `p111k` and `p1111k` range over
     weight k and hypersurface degree a with k dividing a (the divisibility
     every smooth weighted hypersurface satisfies), and find the distribution
-    degrees d in [1, B] for each pair; `scroll` finds, for each d1 in
-    [-B, B], the d2 in [-B, B] on the scroll with the given twists.  Results
-    are sorted by parameters.  Cohomology exclusions are annotations, never
-    silent deletions.
+    degrees d in [1, B] for each pair.  For each k the compiled coefficients
+    fold into integer polynomials in a, evaluated by Horner's rule at each
+    multiple a of k; most pairs then have d-coefficients of one sign, which
+    `integer_roots` rejects by Descartes' rule without root finding.
+    `scroll` finds, for each d1 in [-B, B], the d2 in [-B, B] on the scroll
+    with the given twists; its count is scaled once to integer coefficients.
+    Results are sorted by parameters.  Cohomology exclusions are
+    annotations, never silent deletions.
     """
-    if bound < 1:
-        raise ValueError("bound must be positive")
+    if not isinstance(bound, int) or bound < 1:
+        raise ValueError("bound must be a positive integer")
     solutions: list[SearchSolution] = []
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        # the compiled coefficients have integer coefficients in (k, a)
-        coeffs = [[(e, int(c)) for e, c in poly.terms.items()]
-                  for poly in _p_family_coefficients(family)]
+        # grids[i][j] lists, lowest power first, the integer coefficients in
+        # k of the a^j part of the d^i coefficient
+        grids = []
+        for poly in _p_family_coefficients(family):
+            n = 1 + max((sum(e) for e in poly.terms), default=0)
+            grid = [[0] * (n - j) for j in range(n)]
+            for (ek, ea), c in poly.terms.items():
+                grid[ea][ek] = int(c)
+            grids.append(grid)
         for k in range(2 if family == "p111k" else 1, bound + 1):
+            # the d-coefficients at this k, as polynomials in a
+            rows = [[horner(col, k) for col in grid] for grid in grids]
             for a in range(k, bound + 1, k):
-                values = [sum(c * k ** ek * a ** ea for (ek, ea), c in terms)
-                          for terms in coeffs]
+                values = [horner(row, a) for row in rows]
                 for d in integer_roots(values, 1, bound):
                     note = "accepted"
                     if family == "p1111k" and (a, d, k) == (2, 1, 1):
@@ -499,17 +510,17 @@ def regular_search(family: str, bound: int,
             raise ValueError("scroll search needs the twist list")
         model = catalog.scroll(*scroll_a)
         count = foliation_sing_count(model, "symbolic")
-        # rows[j] holds the d1-polynomial coefficient of d2^j, as {power: c}
+        # rows[j][i] holds the coefficient of d1^i * d2^j, scaled by one
+        # positive integer to clear every denominator, which moves no root
         i1, i2 = count.vars.index("d1"), count.vars.index("d2")
-        rows: list[dict[int, Fraction]] = [
-            {} for _ in range(1 + max((e[i2] for e in count.terms), default=0))]
+        scale = lcm(*(c.denominator for c in count.terms.values()))
+        top = [max((e[i] for e in count.terms), default=0) for i in (i1, i2)]
+        rows = [[0] * (1 + top[0]) for _ in range(1 + top[1])]
         for exp, c in count.terms.items():
-            rows[exp[i2]][exp[i1]] = c
+            rows[exp[i2]][exp[i1]] = int(c * scale)
         for d1 in range(-bound, bound + 1):
-            values = [sum(c * d1 ** e for e, c in row.items()) for row in rows]
-            scale = lcm(*(Fraction(v).denominator for v in values))
-            for d2 in integer_roots([int(v * scale) for v in values],
-                                    -bound, bound):
+            values = [horner(row, d1) for row in rows]
+            for d2 in integer_roots(values, -bound, bound):
                 solutions.append(SearchSolution(family, (d1, d2)))
     else:
         raise ValueError(f"unknown search family {family!r}")

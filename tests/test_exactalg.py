@@ -248,6 +248,15 @@ def test_integer_roots_edge_cases():
     # a linear factor without an integer root
     assert integer_roots([1, 2], -5, 5) == []
     assert integer_roots([-9, 0, 1], -5, 5) == [-3, 3]
+    # the sign screen: a root at 0 stays visible when the range reaches 0
+    assert integer_roots([0, 1, 1], 0, 5) == [0]
+    assert integer_roots([0, 1, 1], 1, 5) == []
+    assert integer_roots([-2, 0, -1, -3], 1, 50) == []
+    # -(x + 3)(x^2 + 1): one sign, but the range reaches its negative root
+    assert integer_roots([-3, -1, -3, -1], -5, 5) == [-3]
+    # one sign change: (x - 7)(x^2 + x + 3) has its root 7 in range
+    assert integer_roots([-21, -4, -6, 1], 1, 50) == [7]
+    assert integer_roots([-21, -4, -6, 1], 8, 50) == []
 
 
 def test_integer_roots_are_exact_at_large_magnitudes():

@@ -556,6 +556,19 @@ def test_search_unknown_family():
         regular_search("hirzebruch", 5)
 
 
+@pytest.mark.parametrize("bound", [0, -3, 2.5, 3.0, Fraction(3), "3"])
+@pytest.mark.parametrize("family", ["p111k", "p1111k", "scroll"])
+def test_search_rejects_bounds_that_are_not_positive_integers(family, bound):
+    with pytest.raises(ValueError, match="bound must be a positive integer"):
+        regular_search(family, bound, scroll_a=(1, 1) if family == "scroll" else None)
+
+
+def test_scroll_search_rejects_non_integer_twists():
+    # a twist of 1.5 would build the divisor class (-1.5, 1)
+    with pytest.raises(ValueError, match=r"divisor class \(-1.5, 1\)"):
+        regular_search("scroll", 2, scroll_a=(1.5, 1))
+
+
 def _hand_typed(family, k, a, d):
     """The search polynomials as written out by hand: count * k / a."""
     if family == "p111k":
@@ -581,7 +594,8 @@ def _p_family_scan(family, bound):
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
 def test_p_family_search_matches_the_hand_typed_scan(family):
-    for bound in (1, 2, 3, 7, 19, 40):
+    # 95 is the largest bound the benchmark's search workload runs
+    for bound in (1, 2, 3, 7, 19, 40, 95):
         sols = regular_search(family, bound)
         assert [(s.family, s.params, s.annotation) for s in sols] \
             == _p_family_scan(family, bound)
