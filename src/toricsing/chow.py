@@ -11,12 +11,14 @@ where the tensor alone determines the answer, so the ring is kept free.
 coefficients may themselves be polynomials in formal degree symbols.  The
 grading that matters is total degree in the generators only.
 
-Both types are frozen, so each model safely caches its total Chern class
-prod (1 + D_i) and the support of its tensor on first use.  Counts enter
-through `integrate_count`: it keeps only the support after every product,
-sums c_j d^(n-j) by Horner's rule and integrates once.  `chern_class` and
-the one symmetric-function kernel (`elementary_series`, `complete_series`,
-looping on bare term tables) still return complete elements.
+Both types are frozen, so each model safely caches, on first use, the
+support of its tensor and its Chern series c = prod (1 + D_i) in two forms.
+Counts enter through `integrate_count`, which reads the series as integer
+term tables pruned to the support, keeps only the support after every
+product, sums c_j d^(n-j) by Horner's rule and integrates once the terms
+on tensor keys.  `chern_class`, `elementary_symmetric_classes` and the one
+symmetric-function kernel (`elementary_series`, `complete_series`, looping
+on bare term tables) return complete elements, built only when asked for.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class ToricModel:
     divisor_classes holds the n+r classes [D_i] in the Picard basis, as
     integers; the tensor maps exponent vectors of total degree n to
     integrals (omitted keys integrate to zero).  chern_override supplies
-    Chern classes directly for models whose divisor lists are not recorded.
+    Chern classes directly for models whose divisor lists are not recorded;
+    the counts need each on the table of the generators alone.
     radial, when present, is the r x (n+r) integer matrix of diagonal radial
     vector field coefficients.  The model is frozen, the tensor and the
     overrides are read-only mappings, and each instance caches its Chern
@@ -92,8 +95,8 @@ class ToricModel:
                 if len(v) != self.rank:
                     raise ValueError(f"divisor class {v!r} has wrong rank")
             _check_integral("divisor class", self.divisor_classes)
-        store("tensor", MappingProxyType(
-            {tuple(k): Fraction(v) for k, v in self.tensor.items() if Fraction(v)}))
+        weights = ((tuple(k), Fraction(v)) for k, v in self.tensor.items())
+        store("tensor", MappingProxyType({k: v for k, v in weights if v}))
         for key in self.tensor:
             if len(key) != self.rank or any(e < 0 for e in key):
                 raise ValueError(f"bad tensor key {key!r}")
@@ -124,10 +127,33 @@ class ToricModel:
     @cached_property
     def _divisor_esym(self) -> tuple[ChowElement, ...]:
         """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
-        units = [tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank)]
-        xs = [{u: c for u, c in zip(units, v) if c} for v in self.divisor_classes]
         return tuple(ChowElement(self.gens, _wrap(self.gens, t))
-                     for t in _esym_tables(xs, self.rank, self.dim))
+                     for t in _esym_tables(self._divisor_terms(), self.rank, self.dim))
+
+    @cached_property
+    def _chern_tables(self) -> tuple[dict, ...]:
+        """c_0..c_n as term tables on the generators' table, for the counts
+        only: the override where one is recorded, otherwise e_j of the
+        divisor classes, every product kept to the support.  The support is
+        down-closed, so a dropped term only has dropped multiples and the
+        pruned e_j equals the complete one on the support.  Coefficients
+        are ints where integral, as `integrate_count` multiplies them."""
+        r, n, support = self.rank, self.dim, self._support
+        override = self.chern_override or {}
+        given = {j: override[j] for j in range(1, n + 1) if j in override}
+        if any(self.gens != e.gens or self.gens != e.poly.vars for e in given.values()):
+            raise ValueError(f"generator mismatch: elements must use {self.gens!r}")
+        if len(given) < n:
+            series = _esym_tables(self._divisor_terms(), r, n, support)
+        # the zero exponent divides every key: only an empty tensor drops it
+        unit = {(0,) * r: 1} if support else {}
+        return (unit, *(_exact(given[j].poly.terms, r, support) if j in given
+                        else series[j] for j in range(1, n + 1)))
+
+    def _divisor_terms(self) -> list[dict]:
+        """The divisor classes as term tables on the generators' table."""
+        units = [tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank)]
+        return [{u: c for u, c in zip(units, v) if c} for v in self.divisor_classes]
 
     @cached_property
     def _support(self) -> frozenset[tuple[int, ...]]:
@@ -359,12 +385,14 @@ def elementary_series(items: Sequence, k: int) -> list:
     return polys if first is None else [ChowElement(first.gens, p) for p in polys]
 
 
-def _esym_tables(xs: Sequence[dict], nvars: int, k: int) -> list[dict]:
-    """The loop of `elementary_series` on term tables over nvars variables."""
+def _esym_tables(xs: Sequence[dict], nvars: int, k: int,
+                 keep: frozenset | None = None) -> list[dict]:
+    """The loop of `elementary_series` on term tables over nvars variables;
+    with `keep`, every product keeps only the exponents in it."""
     e = [{(0,) * nvars: 1}] + [{}] * k
     for i, x in enumerate(xs):
         for j in range(min(i + 1, k), 0, -1):
-            e[j] = add_terms(e[j], mul_terms(e[j - 1], x))
+            e[j] = add_terms(e[j], mul_terms(e[j - 1], x, nvars, keep))
     return e
 
 
@@ -402,18 +430,16 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     if not isinstance(elem, ChowElement):
         return MultiPoly.zero() if model.dim > 0 else as_poly(elem)
     r = len(elem.gens)
-    dsyms = elem.poly.vars[r:]
+    tensor = model.tensor
     out: dict[tuple[int, ...], Fraction] = {}
     for exp, coeff in elem.poly.terms.items():
-        gexp = exp[:r]
-        if sum(gexp) != model.dim:
-            continue
-        weight = model.tensor.get(gexp)
-        if not weight:
-            continue
-        key = exp[r:]
-        out[key] = out.get(key, Fraction(0)) + coeff * weight
-    return MultiPoly(dsyms, out)
+        # the tensor keys are exactly the degree-n exponents of nonzero weight
+        weight = tensor.get(exp[:r])
+        if weight:
+            key = exp[r:]
+            prev = out.get(key)
+            out[key] = coeff * weight if prev is None else prev + coeff * weight
+    return MultiPoly._trusted(elem.poly.vars[r:], out)
 
 
 def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
@@ -422,20 +448,27 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
     """The integral of prod(factors) * sum_{i <= top} g_i * twist^(top - i),
     where g_i is the degree-i part of c(X) / prod_{a in over} (1 + a); with
     no twist, of prod(factors) * g_top.  Every count in `formulas` has this
-    shape.  Each product keeps only the terms whose generator part lies in
+    shape.  c(X) comes from the model's cached integer series
+    (`ToricModel._chern_tables`), padded with zero exponents for the degree
+    symbols.  Each product keeps only the terms whose generator part lies in
     the model's support, the sum over i runs by Horner's rule (acc <- acc *
-    twist + g_i), and one integral ends it.  The result's table merges the
-    factors', then over's, then the twist's.
+    twist + g_i), and one integral of the terms on tensor keys ends it.  The
+    result's table merges the factors', then over's, then the twist's.
     """
-    elems = [*factors, *over, *([] if twist is None else [twist]),
-             *(chern_class(model, j) for j in range(top + 1))]
+    if not 0 <= top <= model.dim:
+        raise ValueError(f"degree {top} out of range 0..{model.dim}")
+    elems = [*factors, *over, *([] if twist is None else [twist])]
     if any(e.gens != model.gens for e in elems):
         raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
     r, support = model.rank, model._support
     polys = aligned(*(e.poly for e in elems))
+    table = polys[0].vars if polys else model.gens
     tables = [_exact(p.terms, r, support) for p in polys]
+    # with top = 0 only c_0 = 1 enters, so the series need not be built
+    series = model._chern_tables[:top + 1] if top else ({(0,) * r: 1},)
+    pad = (0,) * (len(table) - r)
+    series = [{e + pad: c for e, c in t.items()} if pad else t for t in series]
     f, o = len(factors), len(factors) + len(over)
-    series = tables[len(elems) - top - 1:]
     for a in tables[f:o]:
         neg = {e: -c for e, c in a.items()}
         for j in range(1, top + 1):
@@ -446,7 +479,10 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
         acc = add_terms(mul_terms(acc, step, r, support), g)
     for a in tables[:f]:
         acc = mul_terms(acc, a, r, support)
-    return integrate(model, ChowElement(model.gens, _wrap(polys[0].vars, acc)))
+    # an internal element: int coefficients meet the Fraction weights there
+    keys = model.tensor
+    return integrate(model, ChowElement(model.gens, MultiPoly._trusted(
+        table, {e: c for e, c in acc.items() if e[:r] in keys})))
 
 
 def check_chern_consistency(model: ToricModel) -> None:

@@ -39,6 +39,16 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
+def _integers(what: str, values: Sequence[int]) -> tuple[int, ...]:
+    """The values as a tuple; a ValueError names the argument and the entry
+    when one is not an int, so non-integer data is never truncated."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int):
+            raise ValueError(f"{what} {values!r} has a non-integer entry {x!r}")
+    return values
+
+
 def symbolic_degree(model: ToricModel,
                     names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
     """A fully symbolic Picard vector; defaults to d1..dr in generator order."""
@@ -116,9 +126,7 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     if chi.denominator != 1:
         raise ToricError(
             f"Euler number {chi} is not an integer; obstruction inapplicable")
-    g = 0
-    for c in divisor_coeffs:
-        g = gcd(g, int(c))
+    g = gcd(*_integers("divisor coefficients", divisor_coeffs))
     if g == 0:
         forces = chi != 0
     else:
@@ -168,7 +176,7 @@ def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(int(x) for x in weights)
+    w = _integers("weights", weights)
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
     if not catalog._pairwise_coprime(w):
@@ -203,7 +211,7 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     orbifold degree factor, so they sum to the count."""
     _check_kind(kind)
     w = _check_weights(weights)
-    a = tuple(int(x) for x in classes)
+    a = _integers("classes", classes)
     if any(x < 1 for x in a):
         raise ValueError("complete-intersection multidegrees must be positive")
     n = len(w) - 1
@@ -236,7 +244,7 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
     """Sum of Baum-Bott indices on a complete-intersection surface:
     the orbifold degree times the square of d + C1(w) - W1(a)."""
     w = _check_weights(weights)
-    a = tuple(int(x) for x in classes)
+    a = _integers("classes", classes)
     n = len(w) - 1
     if len(a) != n - 2:
         raise ValueError(f"surface case needs m = n-2 = {n - 2} classes, got {len(a)}")
@@ -248,7 +256,7 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
 def general_type_index(weights: Sequence[int], classes: Sequence[int]) -> int:
     """Canonical-degree index: positive exactly when the intersection
     surface is of general type."""
-    return sum(int(x) for x in classes) - sum(int(x) for x in weights)
+    return sum(_integers("classes", classes)) - sum(_integers("weights", weights))
 
 
 @dataclass
@@ -266,7 +274,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     """Divisibility invariant for regular distributions on a weighted
     complete intersection, together with its Euler characteristic."""
     w = _check_weights(weights)
-    a = tuple(int(x) for x in classes)
+    a = _integers("classes", classes)
     n = len(w) - 1
     m = len(a)
     if not 1 <= m < n:
@@ -373,8 +381,8 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     if variant in ("wci-curve", "wci-general"):
         if weights is None or classes is None or degree is None:
             raise ValueError(f"{variant} needs weights, classes, and degree")
-        w = tuple(int(x) for x in weights)
-        a = tuple(int(x) for x in classes)
+        w = _integers("weights", weights)
+        a = _integers("classes", classes)
         n = len(w) - 1
         lhs = sum(a)
         if variant == "wci-general":
@@ -420,7 +428,7 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
     """
     if n <= 2:
         raise ValueError("closed form applies in dimension > 2")
-    a = tuple(int(x) for x in a)
+    a = _integers("twists", a)
     if len(a) != n:
         raise ValueError(f"need {n} twists, got {len(a)}")
     from math import comb

@@ -165,40 +165,48 @@ def count_cases(draw):
     return m, d, hyp, classes
 
 
-@settings(max_examples=200, deadline=None)
-@given(count_cases(), st.sampled_from(formulas.KINDS), st.booleans())
-def test_counts_match_the_complete_product_route(case, kind, strict):
+def count_routes(case, kind, strict):
+    """Every count in `formulas` on the case, paired with its value by the
+    complete-product route."""
     m, degree, hyp, classes = case
     n = m.dim
     d = formulas.degree_class(m, degree)
     a = formulas.degree_class(m, hyp)
     elems = [formulas.degree_class(m, c) for c in classes]
-    same(formulas.foliation_sing_count(m, degree), ref_foliation(m, d))
-    same(formulas.restricted_sing_count(m, degree, hyp, kind),
-         ref_restricted(m, d, a, kind))
-    same(formulas.hypersurface_euler(m, hyp), ref_hypersurface_euler(m, a))
-    same(formulas.complement_sing_count(m, degree, hyp), ref_complement(m, d, a))
-    same(formulas.complement_euler(m, hyp), ref_complement_euler(m, a))
+    yield formulas.foliation_sing_count(m, degree), ref_foliation(m, d)
+    yield (formulas.restricted_sing_count(m, degree, hyp, kind),
+           ref_restricted(m, d, a, kind))
+    yield formulas.hypersurface_euler(m, hyp), ref_hypersurface_euler(m, a)
+    yield formulas.complement_sing_count(m, degree, hyp), ref_complement(m, d, a)
+    yield formulas.complement_euler(m, hyp), ref_complement_euler(m, a)
     for k in range(m.rank):
         h = chow.generator_element(m, k)
-        same(formulas.multidegree(m, classes, k, generator=True),
-             ref_multidegree(m, elems, h))
+        yield (formulas.multidegree(m, classes, k, generator=True),
+               ref_multidegree(m, elems, h))
     if m.divisor_classes is not None:
         for k in range(n + m.rank):
             h = chow.divisor_class_element(m, k)
-            same(formulas.multidegree(m, classes, k), ref_multidegree(m, elems, h))
+            yield formulas.multidegree(m, classes, k), ref_multidegree(m, elems, h)
     if len(classes) < n:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            same(formulas.ci_sing_count(m, classes, degree, kind),
-                 ref_ci(m, elems, d, kind))
-        same(formulas.ci_euler(m, classes), ref_ci_euler(m, elems))
+            yield (formulas.ci_sing_count(m, classes, degree, kind),
+                   ref_ci(m, elems, d, kind))
+        yield formulas.ci_euler(m, classes), ref_ci_euler(m, elems)
     if len(classes) == n - 1:
         verdict = formulas.poincare_check("toric-curve", model=m, classes=classes,
                                           degree=degree, strict=strict)
         lhs, rhs = ref_toric_curve(m, elems, d, strict)
-        same(verdict.lhs, lhs)
-        same(verdict.rhs, rhs)
+        yield verdict.lhs, lhs
+        yield verdict.rhs, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_cases(), st.sampled_from(formulas.KINDS), st.booleans())
+def test_counts_match_the_complete_product_route(case, kind, strict):
+    for new, old in count_routes(case, kind, strict):
+        same(new, old)
+    m, n = case[0], case[0].dim
     if m.divisor_classes is not None:
         coeffs = [2] * (n + m.rank)
         chi = integrate(m, chern_class(m, n)).constant_value()
@@ -207,6 +215,75 @@ def test_counts_match_the_complete_product_route(case, kind, strict):
         else:
             with pytest.raises(ToricError):
                 formulas.gcd_obstruction(m, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_cases(), st.sampled_from(formulas.KINDS), st.booleans())
+def test_counts_are_fractions_on_the_reference_table(case, kind, strict):
+    # the counts multiply ints where the series is integral; the integral
+    # must hand back Fractions all the same, on the reference's table, and
+    # integrate_count must pass integrate only the terms on tensor keys
+    m = case[0]
+    seen = []
+
+    def spy(model, elem):
+        seen.extend(e[:model.rank] for e in elem.poly.terms)
+        return integrate(model, elem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chow, "integrate", spy)
+        pairs = list(count_routes(case, kind, strict))
+    for new, old in pairs:
+        assert new.vars == old.vars
+        assert all(type(c) is Fraction for c in new.terms.values())
+    assert all(key in m.tensor for key in seen)
+
+
+def test_integrate_drops_keys_whose_sum_is_zero():
+    m = ToricModel("cancel", 2, 2, ("H", "E"), None, {(2, 0): 1, (1, 1): -1},
+                   chern_override={1: chow.unit_element(("H", "E")),
+                                   2: chow.unit_element(("H", "E"))})
+    table = ("H", "E", "d")
+    # H^2*d + H*E*d + 3*H^2: the d terms cancel against the weights
+    elem = ChowElement(m.gens, MultiPoly(table, {(2, 0, 1): 1, (1, 1, 1): 1,
+                                                 (2, 0, 0): 3}))
+    value = integrate(m, elem)
+    assert value.vars == ("d",) and value.terms == {(0,): Fraction(3)}
+    assert type(value.terms[(0,)]) is Fraction
+    gone = integrate(m, ChowElement(m.gens, MultiPoly(table, {(2, 0, 1): 1,
+                                                              (1, 1, 1): 1})))
+    assert gone.vars == ("d",) and gone.terms == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUILTINS) | random_models())
+def test_count_series_is_the_chern_series_on_the_support(m):
+    override = m.chern_override or {}
+    tables = m._chern_tables
+    assert len(tables) == m.dim + 1
+    for j, table in enumerate(tables):
+        assert table == {e: c for e, c in chern_class(m, j).poly.terms.items()
+                         if e in m._support}
+        if j and j in override:
+            assert table == {e: c for e, c in override[j].poly.terms.items()
+                             if e in m._support}
+        elif j and m.divisor_classes is not None:
+            whole = chow.elementary_symmetric_classes(m, j).poly.terms
+            assert table == {e: c for e, c in whole.items() if e in m._support}
+        # integral coefficients are stored as ints
+        assert all(type(c) is int or c.denominator != 1 for c in table.values())
+
+
+def test_counts_leave_the_complete_series_unbuilt():
+    for m in (catalog.projective(3), catalog.scroll(1, 1, 1)):
+        formulas.foliation_sing_count(m, "symbolic")
+        assert "_divisor_esym" not in m.__dict__
+    m = catalog.multiprojective(1, 1)
+    assert formulas.foliation_sing_count(m, (1, 1)) == 10
+    assert m._chern_tables[2] == {(1, 1): 4}
+    # the public class is still complete: H1^2 and H2^2 are off the support
+    e2 = chow.elementary_symmetric_classes(m, 2).poly
+    assert e2.canonical_string() == "H1^2 + 4*H1*H2 + H2^2"
 
 
 # -- an independent oracle for the large products ------------------------------
@@ -243,6 +320,11 @@ def test_integrate_count_rejects_mixed_generators():
                  lambda: chow.integrate_count(m, top=2, over=[other])):
         with pytest.raises(ValueError, match="generator mismatch"):
             call()
+    # a Chern override the counts read must live on the generators alone
+    wide = ChowElement(("H",), MultiPoly(("H", "s"), {(1, 1): 1}))
+    line = ToricModel("wide", 1, 1, ("H",), None, {(1,): 1}, chern_override={1: wide})
+    with pytest.raises(ValueError, match="generator mismatch"):
+        formulas.foliation_sing_count(line, 1)
 
 
 def test_support_is_the_down_set_of_the_tensor_keys():

@@ -1,6 +1,7 @@
 """Counting formulas, inequality verdicts, and bounded searches."""
 
 import random
+import re
 import warnings
 from fractions import Fraction
 from math import gcd
@@ -318,6 +319,54 @@ def test_general_type_index():
     assert general_type_index((1, 1, 1, 1), (5,)) == 1
     assert general_type_index((1, 1, 1, 1), (3,)) == -1
     assert general_type_index((1, 1, 1, 1, 1), (2, 3)) == 0
+
+
+# each scalar route as a call on (weights, classes), integer inputs, and a
+# check of the value the routes gave there before they rejected other data
+SCALAR_ROUTES = {
+    "wci": (lambda w, a: wci_sing_count(w, a, 2), ((1, 1, 1, 2), (3,)),
+            lambda v: v == Fraction(33, 2)),
+    "wci_parts": (lambda w, a: wci_sing_count_parts(w, a, 2, "distribution"),
+                  ((1, 1, 1, 2), (3,)), lambda v: v == [6, -6, Fraction(9, 2)]),
+    "baum_bott": (lambda w, a: baum_bott_sum(w, a, 2), ((1, 1, 1, 2), (3,)),
+                  lambda v: v == 24),
+    "general_type": (general_type_index, ((1, 1, 1, 2), (5,)), lambda v: v == 0),
+    "alpha": (alpha_invariant, ((1, 1, 1, 2), (3,)),
+              lambda v: (v.alpha, v.chi) == (3, Fraction(9, 2))),
+    "wci_curve": (lambda w, a: poincare_check("wci-curve", weights=w, classes=a,
+                                              degree=1), ((1, 1, 2), (2, 3)),
+                  lambda v: (v.lhs, v.rhs, v.holds) == (5, 5, True)),
+    "wci_general": (lambda w, a: poincare_check("wci-general", weights=w, classes=a,
+                                                degree=1), ((1, 1, 1, 2), (3,)),
+                    lambda v: (v.lhs, v.rhs, v.holds) == (4, 6, True)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)])
+@pytest.mark.parametrize("route", sorted(SCALAR_ROUTES))
+def test_scalar_routes_reject_non_integer_data(route, bad):
+    call, (w, a), check = SCALAR_ROUTES[route]
+    entry = re.escape(repr(bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every integer input here is well formed
+        assert check(call(w, a))
+    for name, args in (("weights", (w[:-1] + (bad,), a)),
+                       ("classes", (w, (bad,) + a[1:]))):
+        with pytest.raises(ValueError, match=f"^{name} .* non-integer entry {entry}$"):
+            call(*args)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)])
+def test_scroll_and_gcd_routes_reject_non_integer_data(bad):
+    entry = re.escape(repr(bad))
+    assert scroll_closed_form(3, (1, 2, 2), 1, 1) == -46
+    with pytest.raises(ValueError, match=f"^twists .* non-integer entry {entry}$"):
+        scroll_closed_form(3, (1, bad, 2), 1, 1)
+    p2 = catalog.projective(2)
+    verdict = gcd_obstruction(p2, (2, 4, 0))
+    assert (verdict.chi, verdict.gcd, verdict.forces_singular) == (3, 2, True)
+    with pytest.raises(ValueError, match=f"^divisor coefficients .* entry {entry}$"):
+        gcd_obstruction(p2, (bad, 0, 0))
 
 
 def test_alpha_invariant_quadric_threefold():
