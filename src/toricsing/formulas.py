@@ -468,6 +468,49 @@ def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
     return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
 
 
+def _k_sum_source(terms: dict[int, int]) -> str:
+    """Source of sum c * k^e over {e: c}, such as `-4-6*k`; empty for {}."""
+    out = ""
+    for e, c in sorted(terms.items()):
+        factors = [str(abs(c))] if abs(c) != 1 or not e else []
+        out += ("-" if c < 0 else "+" if out else "") + "*".join(factors + ["k"] * e)
+    return out
+
+
+@cache
+def _p_family_evaluator(family: str):
+    """`lambda k, a: (c_0, ..., c_n)`: the integer d-coefficients of
+    `_p_family_coefficients(family)` at (k, a), lowest power first.
+
+    The coefficients are compiled once into one expression: Horner's rule
+    in a over sums of integer multiples of powers of k.  The expression
+    holds only integer literals, k, a, `*`, `+`, `-`, commas and
+    parentheses.  A coefficient that is not an integer raises ValueError,
+    so none is truncated."""
+    if family not in _P_FAMILIES:
+        raise ValueError(f"unknown search family {family!r}")
+    entries = []
+    for poly in _p_family_coefficients(family):
+        parts: dict[int, dict[int, int]] = {}
+        for (ek, ea), c in poly.terms.items():
+            if c.denominator != 1:
+                raise ValueError(
+                    f"{family} coefficient {poly.canonical_string()} has a "
+                    f"non-integer term {c} at k^{ek} a^{ea}")
+            parts.setdefault(ea, {})[ek] = c.numerator
+        src = ""
+        for ea in reversed(range(1 + max(parts, default=0))):
+            part = _k_sum_source(parts.get(ea, {}))
+            if src:
+                tail = "a" if src == "1" else f"a*({src})"
+                src = f"{part}+{tail}" if part else tail
+            else:
+                src = part
+        entries.append(src or "0")
+    return eval(compile(f"lambda k, a: ({','.join(entries)},)",
+                        f"<{family} coefficients>", "eval"))
+
+
 def regular_search(family: str, bound: int,
                    scroll_a: Sequence[int] | None = None) -> list[SearchSolution]:
     """Degree data within the bound on which the counting polynomial vanishes.
@@ -477,10 +520,12 @@ def regular_search(family: str, bound: int,
     bounds in the thousands are cheap.  `p111k` and `p1111k` range over
     weight k and hypersurface degree a with k dividing a (the divisibility
     every smooth weighted hypersurface satisfies), and find the distribution
-    degrees d in [1, B] for each pair.  For each k the compiled coefficients
-    fold into integer polynomials in a, evaluated by Horner's rule at each
-    multiple a of k; most pairs then have d-coefficients of one sign, which
-    `integer_roots` rejects by Descartes' rule without root finding.
+    degrees d in [1, B] for each pair.  One compiled expression
+    (`_p_family_evaluator`) gives the integer d-coefficients at each pair.
+    The pairs share few distinct d-polynomials (every a = k gives the same
+    one), so each distinct polynomial is solved once per call; most have
+    coefficients of one sign, which `integer_roots` rejects by Descartes'
+    rule without root finding.
     `scroll` finds, for each d1 in [-B, B], the d2 in [-B, B] on the scroll
     with the given twists; its count is scaled once to integer coefficients.
     Results are sorted by parameters.  Cohomology exclusions are
@@ -492,21 +537,15 @@ def regular_search(family: str, bound: int,
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        # grids[i][j] lists, lowest power first, the integer coefficients in
-        # k of the a^j part of the d^i coefficient
-        grids = []
-        for poly in _p_family_coefficients(family):
-            n = 1 + max((sum(e) for e in poly.terms), default=0)
-            grid = [[0] * (n - j) for j in range(n)]
-            for (ek, ea), c in poly.terms.items():
-                grid[ea][ek] = int(c)
-            grids.append(grid)
+        evaluate = _p_family_evaluator(family)
+        solved: dict[tuple[int, ...], list[int]] = {}
         for k in range(2 if family == "p111k" else 1, bound + 1):
-            # the d-coefficients at this k, as polynomials in a
-            rows = [[horner(col, k) for col in grid] for grid in grids]
             for a in range(k, bound + 1, k):
-                values = [horner(row, a) for row in rows]
-                for d in integer_roots(values, 1, bound):
+                values = evaluate(k, a)
+                roots = solved.get(values)
+                if roots is None:
+                    roots = solved[values] = integer_roots(values, 1, bound)
+                for d in roots:
                     note = "accepted"
                     if family == "p1111k" and (a, d, k) == (2, 1, 1):
                         # ruled out by a cohomological vanishing the tool

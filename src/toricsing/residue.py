@@ -47,6 +47,14 @@ from .exactalg import MultiPoly, monomials_of_degree
 DEFAULT_DEGREE_CAP = 64
 
 
+def _require_ints(**fields) -> None:
+    """A ValueError naming the first field whose value is not an int, so a
+    fractional or float group order or cap is never used as a number."""
+    for field, value in fields.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 @dataclass
 class IndexQuery:
     """Chart-local data of a point: map components, isotropy order, cap."""
@@ -71,6 +79,7 @@ class IndexQuery:
                 raise ValueError(
                     "components must vanish at the origin; found constant term "
                     f"in {comp.canonical_string()}")
+        _require_ints(group_order=self.group_order, degree_cap=self.degree_cap)
         if self.group_order < 1:
             raise ValueError("group order must be a positive integer")
         if self.degree_cap < 2:
@@ -123,6 +132,7 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
 
 def orbifold_index(multiplicity: int, group_order: int) -> Fraction:
     """Local multiplicity divided by the isotropy order, exactly."""
+    _require_ints(multiplicity=multiplicity, group_order=group_order)
     if group_order < 1:
         raise ValueError("group order must be a positive integer")
     if multiplicity < 0:

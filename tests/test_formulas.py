@@ -660,6 +660,50 @@ def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
     assert formulas._p_family_coefficients(family) is compiled
 
 
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_evaluator_is_the_exact_coefficients(family):
+    evaluate = formulas._p_family_evaluator(family)
+    compiled = formulas._p_family_coefficients(family)
+    for k in range(-7, 8):
+        for a in range(-7, 8):
+            assert evaluate(k, a) == tuple(
+                c.evaluate({"k": k, "a": a}) for c in compiled)
+    assert formulas._p_family_evaluator(family) is evaluate
+    code = evaluate.__code__
+    assert code.co_varnames[:code.co_argcount] == ("k", "a")
+    assert code.co_names == ()
+    assert all(type(c) is int for c in code.co_consts if c is not None)
+
+
+def test_p_family_evaluator_rejects_non_integral_coefficients(monkeypatch):
+    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
+    exact = formulas._p_family_coefficients("p111k")
+    halved = (exact[0] + Fraction(1, 2) * k * k, *exact[1:])
+    monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: halved)
+    with pytest.raises(ValueError, match=re.escape("non-integer term 1/2 at k^2 a^0")):
+        formulas._p_family_evaluator.__wrapped__("p111k")
+
+
+def test_p_family_evaluator_rejects_other_families():
+    with pytest.raises(ValueError, match="unknown search family 'scroll'"):
+        formulas._p_family_evaluator("scroll")
+
+
+def test_p_family_search_solves_each_polynomial_once(monkeypatch):
+    seen = []
+
+    def spy(coeffs, lo, hi):
+        seen.append(tuple(coeffs))
+        return integer_roots(coeffs, lo, hi)
+
+    integer_roots = formulas.integer_roots
+    monkeypatch.setattr(formulas, "integer_roots", spy)
+    sols = regular_search("p1111k", 95)
+    assert {s.params for s in sols} \
+        == {(k, 2, k) for k in range(1, 96)} | {(2, 1, 1)}
+    assert seen and len(seen) == len(set(seen))
+
+
 def _scroll_grid(a, bound):
     model = catalog.scroll(*a)
     return [(d1, d2) for d1 in range(-bound, bound + 1)
@@ -682,6 +726,7 @@ def test_scroll_search_matches_the_grid(a, bound):
 
 
 def test_searches_at_large_bounds():
+    assert regular_search("p111k", 1000) == []
     sols = regular_search("p1111k", 1000)
     assert {(s.params, s.annotation) for s in sols} \
         == {((k, 2, k), "accepted") for k in range(1, 1001)} \

@@ -1,6 +1,7 @@
 """The local multiplicity oracle and orbifold indices."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -112,6 +113,35 @@ def test_orbifold_index_values():
         assert orbifold_index((k - 1) ** 2, k) == Fraction((k - 1) ** 2, k)
     with pytest.raises(ValueError):
         orbifold_index(3, 0)
+
+
+@pytest.mark.parametrize("group", [Fraction(3, 2), 2.0, "3"])
+def test_query_rejects_a_non_integer_group_order(group):
+    # Fraction(3, 2) used to report orbifold index 4 for multiplicity 6
+    message = f"group_order must be an int, got {group!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _query(["u^2", "v^3"], ("u", "v"), group=group)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orbifold_index(6, group)
+
+
+def test_query_rejects_a_non_integer_cap():
+    with pytest.raises(ValueError, match=re.escape("degree_cap must be an int, got 10.5")):
+        _query(["u^2", "v^3"], ("u", "v"), cap=10.5)
+
+
+def test_orbifold_index_rejects_a_non_integer_multiplicity():
+    with pytest.raises(ValueError, match=re.escape("multiplicity must be an int, got 6.0")):
+        orbifold_index(6.0, 3)
+
+
+def test_integer_queries_report_as_before():
+    report = local_multiplicity(_query(["u^2", "v^3"], ("u", "v"), group=3, cap=10))
+    assert (report.multiplicity, report.group_order, report.orbifold_index,
+            report.stabilized_at) == (6, 3, Fraction(2), 4)
+    report = local_multiplicity(_query(["u^2", "v^3"], ("u", "v")))
+    assert (report.multiplicity, report.group_order, report.orbifold_index,
+            report.stabilized_at) == (6, 1, Fraction(6), 4)
 
 
 def test_index_sum():
