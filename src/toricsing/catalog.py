@@ -29,7 +29,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .chow import ChowElement, ToricModel, check_chern_consistency
@@ -140,9 +140,7 @@ def weighted(*w: int) -> ToricModel:
         raise ModelFormatError("need at least two weights")
     if any(x < 1 for x in w):
         raise ModelFormatError("weights must be positive")
-    g = 0
-    for x in w:
-        g = gcd(g, x)
+    g = gcd(*w)
     if g != 1:
         raise ModelFormatError(f"weights {w} have gcd {g}, expected 1")
     if not _pairwise_coprime(w):
@@ -156,7 +154,7 @@ def weighted(*w: int) -> ToricModel:
         rank=1,
         gens=("H",),
         divisor_classes=tuple((x,) for x in w),
-        tensor={(n,): Fraction(1, _prod(w))},
+        tensor={(n,): Fraction(1, prod(w))},
         smooth=all(x == 1 for x in w),
         radial=(tuple(w),),
     )
@@ -285,13 +283,6 @@ def blowup_line_p3() -> ToricModel:
         chern_override=override,
         smooth=True,
     )
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def _pairwise_coprime(w) -> bool:

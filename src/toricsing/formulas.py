@@ -21,14 +21,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import comb, gcd, prod
 from typing import Sequence
 
 from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, aligned, as_poly, horner, integer_roots, poly_sum,
+    MultiPoly, ScalarLike, aligned, as_poly, integer_roots, poly_sum,
 )
 
 KINDS = ("foliation", "distribution")
@@ -102,7 +102,7 @@ def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
                                 twist=degree_class(model, degree))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GcdVerdict:
     chi: Fraction
     gcd: int
@@ -218,7 +218,7 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     m = len(a)
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    factor = Fraction(catalog._prod(a), catalog._prod(w))
+    factor = Fraction(prod(a), prod(w))
     d = as_poly(degree)
     parts = []
     for i, inner in enumerate(_wci_inner_sums(w, a, n - m)):
@@ -248,7 +248,7 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
     n = len(w) - 1
     if len(a) != n - 2:
         raise ValueError(f"surface case needs m = n-2 = {n - 2} classes, got {len(a)}")
-    factor = Fraction(catalog._prod(a), catalog._prod(w))
+    factor = Fraction(prod(a), prod(w))
     base = as_poly(degree) + (sum(w) - sum(a))
     return factor * base ** 2
 
@@ -259,7 +259,7 @@ def general_type_index(weights: Sequence[int], classes: Sequence[int]) -> int:
     return sum(_integers("classes", classes)) - sum(_integers("weights", weights))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaInvariant:
     alpha: Fraction
     chi: Fraction
@@ -280,7 +280,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
     alpha = _wci_inner_sums(w, a, n - m)[n - m].constant_value()
-    chi = Fraction(catalog._prod(a), catalog._prod(w)) * alpha
+    chi = Fraction(prod(a), prod(w)) * alpha
     return AlphaInvariant(alpha=alpha, chi=chi)
 
 
@@ -350,7 +350,7 @@ def multidegree(model: ToricModel, classes, k: int,
 # inequality checks
 
 
-@dataclass
+@dataclass(frozen=True)
 class InequalityVerdict:
     lhs: ScalarExpr
     rhs: ScalarExpr
@@ -422,16 +422,16 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
                        d2: ScalarLike) -> ScalarExpr:
     """Closed-form vanishing expression for regular foliations on a scroll.
 
-    Agrees with the tensor-route count up to one global sign per dimension;
-    the test suite pins that constant by comparison at a single
-    non-vanishing input.  Valid for n > 2.
+    For n >= 3 it is the tensor-route count times (-1)^n, as an identity
+    of polynomials in d1 and d2:
+    `scroll_closed_form(n, a, d1, d2) ==
+    (-1)**n * foliation_sing_count(catalog.scroll(*a), (d1, d2))`.
     """
     if n <= 2:
         raise ValueError("closed form applies in dimension > 2")
     a = _integers("twists", a)
     if len(a) != n:
         raise ValueError(f"need {n} twists, got {len(a)}")
-    from math import comb
     s = sum(a)
     d1p, d2p = aligned(as_poly(d1), as_poly(d2))
 
@@ -445,7 +445,7 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
             - 2 * P(-d2p) + 2 * (-1) ** n)
 
 
-@dataclass(order=True)
+@dataclass(frozen=True, order=True)
 class SearchSolution:
     family: str
     params: tuple[int, ...]
@@ -468,47 +468,78 @@ def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
     return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
 
 
-def _k_sum_source(terms: dict[int, int]) -> str:
-    """Source of sum c * k^e over {e: c}, such as `-4-6*k`; empty for {}."""
+def _power_sum_source(terms: dict[int, int], x: str) -> str:
+    """Source of sum c * x^e over {e: c}, such as `-4-6*k`; empty for {}."""
     out = ""
     for e, c in sorted(terms.items()):
         factors = [str(abs(c))] if abs(c) != 1 or not e else []
-        out += ("-" if c < 0 else "+" if out else "") + "*".join(factors + ["k"] * e)
+        out += ("-" if c < 0 else "+" if out else "") + "*".join(factors + [x] * e)
     return out
+
+
+def _compile_coefficients(name: str, polys: Sequence[MultiPoly]):
+    """`lambda x, y: (c_0, ..., c_m)`: the integer values at (x, y) of the
+    polynomials, all on one two-variable table (x, y).
+
+    The polynomials are compiled into one expression: Horner's rule in y
+    over sums of integer multiples of powers of x.  The expression holds
+    only integer literals, x, y, `*`, `+`, `-`, commas and parentheses.  A
+    coefficient that is not an integer raises ValueError naming `name`, so
+    none is truncated."""
+    x, y = polys[0].vars
+    entries = []
+    for poly in polys:
+        parts: dict[int, dict[int, int]] = {}
+        for (ex, ey), c in poly.terms.items():
+            if c.denominator != 1:
+                raise ValueError(
+                    f"{name} coefficient {poly.canonical_string()} has a "
+                    f"non-integer term {c} at {x}^{ex} {y}^{ey}")
+            parts.setdefault(ey, {})[ex] = c.numerator
+        src = ""
+        for ey in reversed(range(1 + max(parts, default=0))):
+            part = _power_sum_source(parts.get(ey, {}), x)
+            if src:
+                tail = y if src == "1" else f"{y}*({src})"
+                src = f"{part}+{tail}" if part else tail
+            else:
+                src = part
+        entries.append(src or "0")
+    return eval(compile(f"lambda {x}, {y}: ({','.join(entries)},)",
+                        f"<{name} coefficients>", "eval"))
 
 
 @cache
 def _p_family_evaluator(family: str):
     """`lambda k, a: (c_0, ..., c_n)`: the integer d-coefficients of
-    `_p_family_coefficients(family)` at (k, a), lowest power first.
-
-    The coefficients are compiled once into one expression: Horner's rule
-    in a over sums of integer multiples of powers of k.  The expression
-    holds only integer literals, k, a, `*`, `+`, `-`, commas and
-    parentheses.  A coefficient that is not an integer raises ValueError,
-    so none is truncated."""
+    `_p_family_coefficients(family)` at (k, a), lowest power first, compiled
+    once by `_compile_coefficients`."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
-    entries = []
-    for poly in _p_family_coefficients(family):
-        parts: dict[int, dict[int, int]] = {}
-        for (ek, ea), c in poly.terms.items():
-            if c.denominator != 1:
-                raise ValueError(
-                    f"{family} coefficient {poly.canonical_string()} has a "
-                    f"non-integer term {c} at k^{ek} a^{ea}")
-            parts.setdefault(ea, {})[ek] = c.numerator
-        src = ""
-        for ea in reversed(range(1 + max(parts, default=0))):
-            part = _k_sum_source(parts.get(ea, {}))
-            if src:
-                tail = "a" if src == "1" else f"a*({src})"
-                src = f"{part}+{tail}" if part else tail
-            else:
-                src = part
-        entries.append(src or "0")
-    return eval(compile(f"lambda k, a: ({','.join(entries)},)",
-                        f"<{family} coefficients>", "eval"))
+    return _compile_coefficients(family, _p_family_coefficients(family))
+
+
+@cache
+def _scroll_evaluator(n: int):
+    """`lambda s, d2: (c_0, c_1)`: the integer d1-coefficients, lowest power
+    first, of `foliation_sing_count` at degree (d1, d2) on a scroll with n
+    twists summing to s, compiled once by `_compile_coefficients`.
+
+    Every tensor key of `catalog.scroll` has L-exponent at most 1, so L^2
+    vanishes on the support, and c(X) = (1+L)^2 prod(1 + M - a_i L) reduces
+    there to (1+L)^2 ((1+M)^n - s L (1+M)^(n-1)).  So the count depends on
+    the twists only through s, affinely, and it is linear in d1: the counts
+    C0 at s = 0 and C1 at s = 1 give C0 + s (C1 - C0) for every s."""
+    table = ("s", "d1", "d2")
+    s, d1, d2 = (MultiPoly.variable(v, table) for v in table)
+    c0, c1 = (foliation_sing_count(catalog.scroll(t, *[0] * (n - 1)), (d1, d2))
+              for t in (0, 1))
+    by_d1: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (es, e1, e2), c in (c0 + s * (c1 - c0)).terms.items():
+        by_d1.setdefault(e1, {})[es, e2] = c
+    return _compile_coefficients("scroll", [
+        MultiPoly(("s", "d2"), by_d1.get(e, {}))
+        for e in range(1 + max(by_d1, default=0))])
 
 
 def regular_search(family: str, bound: int,
@@ -526,14 +557,16 @@ def regular_search(family: str, bound: int,
     one), so each distinct polynomial is solved once per call; most have
     coefficients of one sign, which `integer_roots` rejects by Descartes'
     rule without root finding.
-    `scroll` finds, for each d1 in [-B, B], the d2 in [-B, B] on the scroll
-    with the given twists; its count is scaled once to integer coefficients.
+    `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
+    twists.  Its count depends on the twists only through their sum and is
+    linear in d1, so it is compiled once per twist count
+    (`_scroll_evaluator`), and each d2 takes one linear solve in d1.
     Results are sorted by parameters.  Cohomology exclusions are
     annotations, never silent deletions.
     """
     if not isinstance(bound, int) or bound < 1:
         raise ValueError("bound must be a positive integer")
-    solutions: list[SearchSolution] = []
+    found: list[tuple[int, ...]] = []
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
@@ -546,31 +579,21 @@ def regular_search(family: str, bound: int,
                 if roots is None:
                     roots = solved[values] = integer_roots(values, 1, bound)
                 for d in roots:
-                    note = "accepted"
-                    if family == "p1111k" and (a, d, k) == (2, 1, 1):
-                        # ruled out by a cohomological vanishing the tool
-                        # flags but does not prove
-                        note = "excluded-by-cohomology"
-                    solutions.append(SearchSolution(family, (a, d, k), note))
+                    found.append((a, d, k))
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
-        model = catalog.scroll(*scroll_a)
-        count = foliation_sing_count(model, "symbolic")
-        # rows[j][i] holds the coefficient of d1^i * d2^j, scaled by one
-        # positive integer to clear every denominator, which moves no root
-        i1, i2 = count.vars.index("d1"), count.vars.index("d2")
-        scale = lcm(*(c.denominator for c in count.terms.values()))
-        top = [max((e[i] for e in count.terms), default=0) for i in (i1, i2)]
-        rows = [[0] * (1 + top[0]) for _ in range(1 + top[1])]
-        for exp, c in count.terms.items():
-            rows[exp[i2]][exp[i1]] = int(c * scale)
-        for d1 in range(-bound, bound + 1):
-            values = [horner(row, d1) for row in rows]
-            for d2 in integer_roots(values, -bound, bound):
-                solutions.append(SearchSolution(family, (d1, d2)))
+        scroll_a = tuple(scroll_a)
+        catalog.scroll(*scroll_a)  # holds the twists to the model's checks
+        evaluate, s = _scroll_evaluator(len(scroll_a)), sum(scroll_a)
+        for d2 in range(-bound, bound + 1):
+            for d1 in integer_roots(evaluate(s, d2), -bound, bound):
+                found.append((d1, d2))
     else:
         raise ValueError(f"unknown search family {family!r}")
-    solutions.sort(key=lambda s: s.params)
-    return solutions
+    # p1111k at (a, d, k) = (2, 1, 1) is ruled out by a cohomological
+    # vanishing the tool flags but does not prove
+    excluded = (2, 1, 1) if family == "p1111k" else None
+    return [SearchSolution(family, p, "excluded-by-cohomology" if p == excluded
+                           else "accepted") for p in sorted(found)]
 

@@ -32,7 +32,7 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedPoly:
     """A polynomial in the model's homogeneous coordinates."""
 
@@ -49,7 +49,7 @@ class GradedPoly:
         return check_quasi_homogeneous(self.model, self.poly)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VectorFieldExpr:
     """A polynomial vector field, one component per coordinate."""
 
@@ -57,11 +57,11 @@ class VectorFieldExpr:
     components: tuple[MultiPoly, ...]
 
     def __post_init__(self):
-        self.components = tuple(self.components)
+        object.__setattr__(self, "components", tuple(self.components))
         _check_components(self.model, self.components)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OneFormExpr:
     """A polynomial one-form; components are the coordinate differentials'
     coefficients."""
@@ -70,7 +70,7 @@ class OneFormExpr:
     components: tuple[MultiPoly, ...]
 
     def __post_init__(self):
-        self.components = tuple(self.components)
+        object.__setattr__(self, "components", tuple(self.components))
         _check_components(self.model, self.components)
 
 
@@ -148,7 +148,7 @@ def check_descends(model: ToricModel, form: OneFormExpr) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantVerdict:
     invariant: bool
     cofactor: MultiPoly | None
@@ -200,38 +200,6 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
         quot[diff] = coeff
         rem = rem - MultiPoly(rem.vars, {diff: coeff}) * divisor
     return MultiPoly(numerator.vars, quot)
-
-
-def vector_field_degree(field: VectorFieldExpr):
-    """The degree the field induces: the common value of deg(P_i) - h_i over
-    nonzero components.  None when components disagree; ANY_DEGREE when the
-    field is zero."""
-    return _induced_degree(field.model, field.components, sign=-1)
-
-
-def one_form_degree(form: OneFormExpr):
-    """The degree a one-form has: the common value of deg(P_i) + h_i."""
-    return _induced_degree(form.model, form.components, sign=+1)
-
-
-def _induced_degree(model: ToricModel, components, sign: int):
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} records no divisor classes")
-    degrees = set()
-    for i, comp in enumerate(components):
-        deg = check_quasi_homogeneous(model, comp)
-        if deg is ANY_DEGREE:
-            continue
-        if deg is None:
-            return None
-        h = model.divisor_classes[i]
-        degrees.add(tuple(d + sign * hk for d, hk in zip(deg, h)))
-        if len(degrees) > 1:
-            return None
-    if not degrees:
-        return ANY_DEGREE
-    return degrees.pop()
 
 
 def frobenius_integrable(model: ToricModel, form: OneFormExpr) -> bool:

@@ -55,7 +55,7 @@ def _require_ints(**fields) -> None:
             raise ValueError(f"{field} must be an int, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexQuery:
     """Chart-local data of a point: map components, isotropy order, cap."""
 
@@ -64,7 +64,7 @@ class IndexQuery:
     degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
-        self.components = tuple(self.components)
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("need at least one component")
         table = self.components[0].vars
@@ -86,7 +86,7 @@ class IndexQuery:
             raise ValueError("degree cap must be at least 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalIndexReport:
     multiplicity: int
     group_order: int

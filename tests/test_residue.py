@@ -1,5 +1,6 @@
 """The local multiplicity oracle and orbifold indices."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -142,6 +143,19 @@ def test_integer_queries_report_as_before():
     report = local_multiplicity(_query(["u^2", "v^3"], ("u", "v")))
     assert (report.multiplicity, report.group_order, report.orbifold_index,
             report.stabilized_at) == (6, 1, Fraction(6), 4)
+
+
+def test_query_and_report_are_frozen():
+    # a query is checked once, at construction, so no field may change after
+    query = _query(["u^2", "v^3"], ("u", "v"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.degree_cap = 10.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        query.components = query.components[:1]
+    report = local_multiplicity(query)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.multiplicity = 7
+    assert (query.degree_cap, len(query.components), report.multiplicity) == (64, 2, 6)
 
 
 def test_index_sum():
