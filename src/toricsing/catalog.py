@@ -25,7 +25,6 @@ coefficients of the radial vector fields.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +33,7 @@ from typing import Sequence
 
 from .chow import ChowElement, ToricModel, check_chern_consistency
 from .errors import ModelFormatError, NotWellFormedWarning
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -288,89 +287,6 @@ def blowup_line_p3() -> ToricModel:
 def _pairwise_coprime(w) -> bool:
     return all(gcd(w[i], w[j]) == 1
                for i in range(len(w)) for j in range(i + 1, len(w)))
-
-
-# ---------------------------------------------------------------------------
-# polynomial term parser (shared with chern lines, the CLI, and round trips)
-
-_TOKEN = re.compile(r"\s*(\^|\*|[+-]|[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*)")
-
-
-def parse_polynomial(text: str, variables: Sequence[str],
-                     synonyms: dict[str, str] | None = None) -> MultiPoly:
-    """Parse signed-term polynomial syntax onto the given variable table.
-
-    Terms look like `c*G1^e1*G2^e2` with the coefficient omitted when 1 and
-    rationals written `p/q`.  `synonyms` maps alternative spellings onto
-    table names.
-    """
-    variables = tuple(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    for alias, target in (synonyms or {}).items():
-        if target in index:
-            index.setdefault(alias, index[target])
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ModelFormatError(f"bad character {text[pos:].strip()[0]!r} in polynomial")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise ModelFormatError("empty polynomial")
-
-    terms: dict[tuple[int, ...], Fraction] = {}
-    i = 0
-
-    def take_factor(i):
-        tok = tokens[i]
-        if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
-            try:
-                return Fraction(tok), None, i + 1
-            except ZeroDivisionError:
-                raise ModelFormatError(f"zero denominator in {tok!r}") from None
-        if tok in index:
-            exp = 1
-            if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                if i + 2 >= len(tokens) or not tokens[i + 2].isdigit():
-                    raise ModelFormatError("expected integer exponent after '^'")
-                exp = int(tokens[i + 2])
-                i += 2
-            return None, (index[tok], exp), i + 1
-        raise ModelFormatError(f"unknown symbol {tok!r} in polynomial")
-
-    first = True
-    while i < len(tokens):
-        if not first and tokens[i] not in "+-":
-            raise ModelFormatError(
-                f"expected '+' or '-' before {tokens[i]!r}")
-        first = False
-        sign = 1
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise ModelFormatError("dangling sign in polynomial")
-        coeff = Fraction(sign)
-        exps = [0] * len(variables)
-        while True:
-            c, ve, i = take_factor(i)
-            if c is not None:
-                coeff *= c
-            else:
-                vi, e = ve
-                exps[vi] += e
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                continue
-            break
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MultiPoly(variables, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,15 @@ coefficients may themselves be polynomials in formal degree symbols.  The
 grading that matters is total degree in the generators only.
 
 Both types are frozen, so each model safely caches, on first use, the
-support of its tensor and its Chern series c = prod (1 + D_i) in two forms.
-Counts enter through `integrate_count`, which reads the series as integer
-term tables pruned to the support, keeps only the support after every
-product, sums c_j d^(n-j) by Horner's rule and integrates once the terms
-on tensor keys.  `chern_class`, `elementary_symmetric_classes` and the one
+support of its tensor (the monomials dividing some tensor key) and its
+Chern series c = prod (1 + D_i) in two forms.  For the counts, the support
+is indexed once, sorted by degree with the down-neighbours e - u_k of each
+monomial, and the series is built on it with one in-place integer pass per
+divisor class, v[e] += sum_k D[k] * v[e - u_k], then split by degree into
+term tables.  Counts enter through `integrate_count`, which reads those
+tables, keeps only the support after every product, sums c_j d^(n-j) by
+Horner's rule and integrates once the terms on tensor keys.
+`chern_class`, `elementary_symmetric_classes` and the one
 symmetric-function kernel (`elementary_series`, `complete_series`, looping
 on bare term tables) return complete elements, built only when asked for.
 """
@@ -134,9 +138,7 @@ class ToricModel:
     def _chern_tables(self) -> tuple[dict, ...]:
         """c_0..c_n as term tables on the generators' table, for the counts
         only: the override where one is recorded, otherwise e_j of the
-        divisor classes, every product kept to the support.  The support is
-        down-closed, so a dropped term only has dropped multiples and the
-        pruned e_j equals the complete one on the support.  Coefficients
+        divisor classes on the support (`_divisor_series`).  Coefficients
         are ints where integral, as `integrate_count` multiplies them."""
         r, n, support = self.rank, self.dim, self._support
         override = self.chern_override or {}
@@ -144,16 +146,55 @@ class ToricModel:
         if any(self.gens != e.gens or self.gens != e.poly.vars for e in given.values()):
             raise ValueError(f"generator mismatch: elements must use {self.gens!r}")
         if len(given) < n:
-            series = _esym_tables(self._divisor_terms(), r, n, support)
-        # the zero exponent divides every key: only an empty tensor drops it
-        unit = {(0,) * r: 1} if support else {}
-        return (unit, *(_exact(given[j].poly.terms, r, support) if j in given
-                        else series[j] for j in range(1, n + 1)))
+            series = self._divisor_series()
+        else:
+            # the zero exponent divides every key: only an empty tensor drops it
+            series = [{(0,) * r: 1} if support else {}]
+        return (series[0], *(_exact(given[j].poly.terms, r, support) if j in given
+                              else series[j] for j in range(1, n + 1)))
+
+    def _divisor_series(self) -> list[dict]:
+        """e_0..e_n of the divisor classes, on the support only.  The support
+        is down-closed, so multiplying by (1 + D) is a triangular update on
+        it: in the order of `_support_index`, highest degree first,
+        v[e] += sum_k D[k] * v[e - u_k] reads only values not yet updated.
+        One such pass per divisor class builds prod (1 + D) on plain ints,
+        split by degree at the end.  A term off the support only has
+        multiples off it, so each e_j equals the complete one there."""
+        order, edges = self._support_index
+        v = [0] * len(order)
+        if v:
+            v[-1] = 1  # the zero exponent sorts last
+        for d in self.divisor_classes:
+            for i, k, j in edges:
+                if d[k]:
+                    v[i] += d[k] * v[j]
+        series = [{} for _ in range(self.dim + 1)]
+        for e, x in zip(order, v):
+            if x:
+                series[sum(e)][e] = x
+        return series
+
+    @cached_property
+    def _support_index(self) -> tuple[list, list]:
+        """The support monomials sorted by degree, highest first, and the
+        edges (i, k, j) in order of i: monomial j is monomial i less the
+        k-th unit exponent, so j comes after i."""
+        order = sorted(self._support, key=sum, reverse=True)
+        pos = {e: i for i, e in enumerate(order)}
+        edges = [(i, k, pos[e[:k] + (x - 1,) + e[k + 1:]])
+                 for i, e in enumerate(order) for k, x in enumerate(e) if x]
+        return order, edges
+
+    @cached_property
+    def _units(self) -> tuple[tuple[int, ...], ...]:
+        """The unit exponents of the generators."""
+        return tuple(tuple(int(i == k) for i in range(self.rank))
+                     for k in range(self.rank))
 
     def _divisor_terms(self) -> list[dict]:
         """The divisor classes as term tables on the generators' table."""
-        units = [tuple(int(i == k) for i in range(self.rank)) for k in range(self.rank)]
-        return [{u: c for u, c in zip(units, v) if c} for v in self.divisor_classes]
+        return [{u: c for u, c in zip(self._units, v) if c} for v in self.divisor_classes]
 
     @cached_property
     def _support(self) -> frozenset[tuple[int, ...]]:
@@ -273,10 +314,14 @@ def generator_element(model: ToricModel, k: int) -> ChowElement:
 
 
 def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
-    """Promote a Picard vector with scalar-expression entries to degree 1."""
+    """Promote a Picard vector with scalar-expression entries to degree 1.
+    An integer vector becomes its terms on the generators' table directly."""
     if len(vec) != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
     gens = model.gens
+    if all(isinstance(entry, int) for entry in vec):
+        return ChowElement(gens, MultiPoly._trusted(gens, {
+            u: Fraction(c) for u, c in zip(model._units, vec) if c}))
     entries = []
     for entry in vec:
         if not isinstance(entry, (int, Fraction, MultiPoly)):
@@ -385,14 +430,12 @@ def elementary_series(items: Sequence, k: int) -> list:
     return polys if first is None else [ChowElement(first.gens, p) for p in polys]
 
 
-def _esym_tables(xs: Sequence[dict], nvars: int, k: int,
-                 keep: frozenset | None = None) -> list[dict]:
-    """The loop of `elementary_series` on term tables over nvars variables;
-    with `keep`, every product keeps only the exponents in it."""
+def _esym_tables(xs: Sequence[dict], nvars: int, k: int) -> list[dict]:
+    """The loop of `elementary_series` on term tables over nvars variables."""
     e = [{(0,) * nvars: 1}] + [{}] * k
     for i, x in enumerate(xs):
         for j in range(min(i + 1, k), 0, -1):
-            e[j] = add_terms(e[j], mul_terms(e[j - 1], x, nvars, keep))
+            e[j] = add_terms(e[j], mul_terms(e[j - 1], x))
     return e
 
 

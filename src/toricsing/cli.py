@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ToricError
-from .exactalg import MultiPoly, poly_sum
+from .exactalg import MultiPoly, parse_polynomial, poly_sum
 
 
 def main() -> None:
@@ -159,8 +159,7 @@ def _add_json_flag(sub):
 
 
 def _parse_components(text: str, variables, synonyms=None):
-    from . import catalog
-    return tuple(catalog.parse_polynomial(chunk, variables, synonyms)
+    return tuple(parse_polynomial(chunk, variables, synonyms)
                  for chunk in text.split(","))
 
 

@@ -300,7 +300,8 @@ def ci_sing_count(model: ToricModel, classes, degree,
     if not model.smooth:
         warnings.warn(
             f"{model.name} is not smooth; the complete-intersection count "
-            "assumes a smooth ambient variety", OrbifoldHypothesisWarning,
+            "assumes that its orbifold points are isolated and that the "
+            "intersection misses them", OrbifoldHypothesisWarning,
             stacklevel=2)
     a_elems = _class_list(model, classes)
     m = len(a_elems)

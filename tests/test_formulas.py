@@ -445,6 +445,31 @@ def test_ci_orbifold_warns_but_computes():
     assert value == wci_sing_count((1, 1, 1, k), (1,), 2 * k, kind="distribution")
 
 
+# well-formed weighted complete intersections (pairwise coprime weights)
+WCI_CASES = [((1, 1, 2, 3), (6,)), ((1, 1, 1, 2), (4,)), ((1, 1, 1, 3), (6,)),
+             ((1, 1, 1, 2, 3), (6,)), ((1, 1, 1, 1, 2), (2, 4)),
+             ((1, 1, 1, 1, 2, 3), (6, 6))]
+
+
+@pytest.mark.parametrize("w, a", WCI_CASES, ids=str)
+@pytest.mark.parametrize("kind", formulas.KINDS)
+def test_ci_on_weighted_spaces_is_the_scalar_route(w, a, kind):
+    # the tensor route on an orbifold ambient space warns that its points
+    # must be isolated and missed, then agrees with the scalar route
+    m = catalog.weighted(*w)
+    for d in (0, 1, 2, 5):
+        with pytest.warns(OrbifoldHypothesisWarning,
+                          match="orbifold points are isolated and that the "
+                                "intersection misses them"):
+            value = ci_sing_count(m, [(x,) for x in a], (d,), kind)
+        assert value == wci_sing_count(w, a, d, kind)
+
+
+def test_ci_sextic_in_p1123_counts_17():
+    with pytest.warns(OrbifoldHypothesisWarning, match="isolated"):
+        assert ci_sing_count(catalog.weighted(1, 1, 2, 3), [(6,)], 2) == 17
+
+
 def test_ci_sign_duality_symbolic():
     cases = [
         (catalog.projective(3), [(2,)]),

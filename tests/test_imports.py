@@ -80,7 +80,7 @@ def _python(*args):
     (["count", "foliation", "--model", "projective:3", "--degree", "2"],
      {"catalog", "formulas"}, {"polyfield", "residue"}),
     (["residue", "--vars", "z1,z2", "--components", "3*z1^2,3*z2^2"],
-     {"residue"}, {"formulas", "polyfield"}),
+     {"residue"}, {"catalog", "chow", "formulas", "polyfield"}),
     (["search", "--family", "scroll", "--bound", "3", "--scroll-a", "1,1,1"],
      {"catalog", "formulas"}, {"polyfield", "residue"}),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
