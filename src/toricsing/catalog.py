@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .chow import ChowElement, ToricModel, check_chern_consistency
@@ -285,8 +285,9 @@ def blowup_line_p3() -> ToricModel:
 
 
 def _pairwise_coprime(w) -> bool:
-    return all(gcd(w[i], w[j]) == 1
-               for i in range(len(w)) for j in range(i + 1, len(w)))
+    """Whether positive integers are pairwise coprime: exactly when their
+    lcm is their product."""
+    return lcm(*w) == prod(w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,21 @@ where the tensor alone determines the answer, so the ring is kept free.
 coefficients may themselves be polynomials in formal degree symbols.  The
 grading that matters is total degree in the generators only.
 
-Both types are frozen, so each model safely caches, on first use, the
-support of its tensor (the monomials dividing some tensor key) and its
-Chern series c = prod (1 + D_i) in two forms.  For the counts, the support
-is indexed once, sorted by degree with the down-neighbours e - u_k of each
-monomial, and the series is built on it with one in-place integer pass per
-divisor class, v[e] += sum_k D[k] * v[e - u_k], then split by degree into
-term tables.  Counts enter through `integrate_count`, which reads those
-tables, keeps only the support after every product, sums c_j d^(n-j) by
-Horner's rule and integrates once the terms on tensor keys.
+The support of a tensor (the monomials dividing some tensor key) depends
+only on its key set, and families share key sets: every weighted P^n of
+one dimension has the single key (n,).  So the support is indexed once per
+key set, in a bounded module-level cache (`_index_support`): the support,
+the same sorted by degree, highest first, and the down-edges from each
+monomial e to e - u_k, all tuples and frozensets.  Models are frozen, so
+each caches, on first use, that shared index, its tensor as integer
+weights over one common denominator, and its Chern series c = prod (1 +
+D_i) in two forms.  For the counts, the series is built on the index with
+one in-place integer pass per divisor class, v[e] += sum_k D[k] *
+v[e - u_k], then split by degree into term tables.  Counts enter through
+`integrate_count`, which reads those tables, keeps only the support after
+every product, sums c_j d^(n-j) by Horner's rule and hands `integrate` the
+terms on tensor keys; `integrate` sums integer products against the
+integer weights and divides once per output term.
 `chern_class`, `elementary_symmetric_classes` and the one
 symmetric-function kernel (`elementary_series`, `complete_series`, looping
 on bare term tables) return complete elements, built only when asked for.
@@ -29,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, product
+from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
@@ -54,6 +61,34 @@ def _check_integral(what: str, rows) -> None:
                 raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
 
 
+# tensor key sets whose support index is kept at once
+SUPPORT_INDEX_CACHE_SIZE = 256
+
+
+class SupportIndex(NamedTuple):
+    """The support of a tensor key set: the generator exponents dividing
+    some key (`support`), the same sorted by degree, highest first
+    (`order`), and the edges (i, k, j) in order of i (`edges`): monomial j
+    is monomial i less the k-th unit exponent, so j comes after i."""
+
+    support: frozenset[tuple[int, ...]]
+    order: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=SUPPORT_INDEX_CACHE_SIZE)
+def _index_support(keys: frozenset[tuple[int, ...]]) -> SupportIndex:
+    """The support index of a tensor key set, shared by every model whose
+    tensor has these keys."""
+    support = frozenset(chain.from_iterable(
+        product(*(range(e + 1) for e in key)) for key in keys))
+    order = tuple(sorted(support, key=sum, reverse=True))
+    pos = {e: i for i, e in enumerate(order)}
+    edges = tuple((i, k, pos[e[:k] + (x - 1,) + e[k + 1:]])
+                  for i, e in enumerate(order) for k, x in enumerate(e) if x)
+    return SupportIndex(support, order, edges)
+
+
 @dataclass(frozen=True)
 class ToricModel:
     """Intersection data of a compact toric orbifold.
@@ -66,7 +101,9 @@ class ToricModel:
     radial, when present, is the r x (n+r) integer matrix of diagonal radial
     vector field coefficients.  The model is frozen, the tensor and the
     overrides are read-only mappings, and each instance caches its Chern
-    series on first use.
+    series and its integer tensor on first use; the support index is shared
+    by the models with one tensor key set.  Tensor keys must hold ints and
+    weights must be ints or Fractions.
     """
 
     name: str
@@ -99,8 +136,16 @@ class ToricModel:
                 if len(v) != self.rank:
                     raise ValueError(f"divisor class {v!r} has wrong rank")
             _check_integral("divisor class", self.divisor_classes)
-        weights = ((tuple(k), Fraction(v)) for k, v in self.tensor.items())
-        store("tensor", MappingProxyType({k: v for k, v in weights if v}))
+        tensor = {}
+        for key, v in self.tensor.items():
+            key = tuple(key)
+            _check_integral("tensor key", (key,))
+            if not isinstance(v, (int, Fraction)):
+                raise ValueError(f"tensor weight {v!r} at key {key!r} is not an int "
+                                 "or a Fraction")
+            if v:
+                tensor[key] = v if isinstance(v, Fraction) else Fraction(v)
+        store("tensor", MappingProxyType(tensor))
         for key in self.tensor:
             if len(key) != self.rank or any(e < 0 for e in key):
                 raise ValueError(f"bad tensor key {key!r}")
@@ -161,7 +206,7 @@ class ToricModel:
         One such pass per divisor class builds prod (1 + D) on plain ints,
         split by degree at the end.  A term off the support only has
         multiples off it, so each e_j equals the complete one there."""
-        order, edges = self._support_index
+        _, order, edges = self._support_index
         v = [0] * len(order)
         if v:
             v[-1] = 1  # the zero exponent sorts last
@@ -176,15 +221,25 @@ class ToricModel:
         return series
 
     @cached_property
-    def _support_index(self) -> tuple[list, list]:
-        """The support monomials sorted by degree, highest first, and the
-        edges (i, k, j) in order of i: monomial j is monomial i less the
-        k-th unit exponent, so j comes after i."""
-        order = sorted(self._support, key=sum, reverse=True)
-        pos = {e: i for i, e in enumerate(order)}
-        edges = [(i, k, pos[e[:k] + (x - 1,) + e[k + 1:]])
-                 for i, e in enumerate(order) for k, x in enumerate(e) if x]
-        return order, edges
+    def _support_index(self) -> SupportIndex:
+        """The index of the support, shared by every model with the same
+        tensor key set (`_index_support`)."""
+        return _index_support(frozenset(self.tensor))
+
+    @property
+    def _support(self) -> frozenset[tuple[int, ...]]:
+        """Generator exponents dividing some tensor key.  The others, and so
+        every monomial above degree n, form an upward-closed set that
+        integrates to zero, so a product may drop them at any step."""
+        return self._support_index.support
+
+    @cached_property
+    def _integer_tensor(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """The common denominator of the tensor weights, and each weight
+        times it, an int."""
+        den = lcm(*(v.denominator for v in self.tensor.values()))
+        return den, {k: v.numerator * (den // v.denominator)
+                     for k, v in self.tensor.items()}
 
     @cached_property
     def _units(self) -> tuple[tuple[int, ...], ...]:
@@ -195,14 +250,6 @@ class ToricModel:
     def _divisor_terms(self) -> list[dict]:
         """The divisor classes as term tables on the generators' table."""
         return [{u: c for u, c in zip(self._units, v) if c} for v in self.divisor_classes]
-
-    @cached_property
-    def _support(self) -> frozenset[tuple[int, ...]]:
-        """Generator exponents dividing some tensor key.  The others, and so
-        every monomial above degree n, form an upward-closed set that
-        integrates to zero, so a product may drop them at any step."""
-        return frozenset(chain.from_iterable(
-            product(*(range(e + 1) for e in key)) for key in self.tensor))
 
 
 @dataclass(frozen=True)
@@ -469,20 +516,24 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     Terms of any other generator degree contribute nothing, so callers may
     pass whole Chern polynomials or truncated sums unchanged.  Coefficients
     in degree symbols pass through, making the result a scalar expression.
+    The products run against the model's integer weights (`_integer_tensor`),
+    so integral coefficients meet ints only, and each output term is
+    divided by the common denominator once.
     """
     if not isinstance(elem, ChowElement):
         return MultiPoly.zero() if model.dim > 0 else as_poly(elem)
     r = len(elem.gens)
-    tensor = model.tensor
-    out: dict[tuple[int, ...], Fraction] = {}
+    den, weights = model._integer_tensor
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for exp, coeff in elem.poly.terms.items():
         # the tensor keys are exactly the degree-n exponents of nonzero weight
-        weight = tensor.get(exp[:r])
+        weight = weights.get(exp[:r])
         if weight:
             key = exp[r:]
             prev = out.get(key)
             out[key] = coeff * weight if prev is None else prev + coeff * weight
-    return MultiPoly._trusted(elem.poly.vars[r:], out)
+    return MultiPoly._trusted(elem.poly.vars[r:],
+                              {k: Fraction(v, den) for k, v in out.items() if v})
 
 
 def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
@@ -522,7 +573,7 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
         acc = add_terms(mul_terms(acc, step, r, support), g)
     for a in tables[:f]:
         acc = mul_terms(acc, a, r, support)
-    # an internal element: int coefficients meet the Fraction weights there
+    # an internal element: int coefficients meet the integer weights there
     keys = model.tensor
     return integrate(model, ChowElement(model.gens, MultiPoly._trusted(
         table, {e: c for e, c in acc.items() if e[:r] in keys})))

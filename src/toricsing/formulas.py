@@ -28,7 +28,7 @@ from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, aligned, as_poly, integer_roots, poly_sum,
+    MultiPoly, ScalarLike, _variable_table, aligned, as_poly, integer_roots, poly_sum,
 )
 
 KINDS = ("foliation", "distribution")
@@ -49,9 +49,9 @@ def _integers(what: str, values: Sequence[int]) -> tuple[int, ...]:
     return values
 
 
-def symbolic_degree(model: ToricModel,
-                    names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
-    """A fully symbolic Picard vector; defaults to d1..dr in generator order."""
+def _symbol_table(model: ToricModel, names: Sequence[str] | None) -> tuple[str, ...]:
+    """The checked names of a symbolic degree, d1..dr by default: one per
+    generator, none a generator name, no two alike."""
     if names is None:
         names = tuple(f"d{i + 1}" for i in range(model.rank))
     names = tuple(names)
@@ -59,23 +59,35 @@ def symbolic_degree(model: ToricModel,
         raise ValueError(f"expected {model.rank} symbol names, got {names!r}")
     if any(n in model.gens for n in names):
         raise ValueError("degree symbols may not collide with generator names")
-    return tuple(MultiPoly.variable(n, names) for n in names)
+    return _variable_table(names)
+
+
+def symbolic_degree(model: ToricModel,
+                    names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
+    """A fully symbolic Picard vector; defaults to d1..dr in generator order."""
+    names = _symbol_table(model, names)
+    # the k-th symbol's exponent on its own table is the k-th unit exponent
+    return tuple(MultiPoly._trusted(names, {u: Fraction(1)}) for u in model._units)
 
 
 def degree_class(model: ToricModel, degree) -> ChowElement:
     """Normalize a degree input to its degree-1 element.
 
     Accepts a scalar (rank-1 models), a Picard vector of length r, a
-    divisor-coefficient vector of length n+r, or `"symbolic"`.
+    divisor-coefficient vector of length n+r, or `"symbolic"`.  The last is
+    the sum of d_k times the k-th generator, built directly on the table of
+    the generators and then the symbols.
     """
+    if isinstance(degree, str):
+        if degree == "symbolic":
+            table = model.gens + _symbol_table(model, None)
+            return ChowElement(model.gens, MultiPoly._trusted(
+                table, {u + u: Fraction(1) for u in model._units}))
+        raise ValueError(f"unrecognized degree {degree!r}")
     return chow.class_element(model, picard_vector(model, degree))
 
 
 def picard_vector(model: ToricModel, degree) -> tuple:
-    if isinstance(degree, str):
-        if degree == "symbolic":
-            return symbolic_degree(model)
-        raise ValueError(f"unrecognized degree {degree!r}")
     if isinstance(degree, (int, Fraction, MultiPoly)):
         if model.rank != 1:
             raise ValueError(
