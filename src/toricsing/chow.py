@@ -18,17 +18,25 @@ key set, in a bounded module-level cache (`_index_support`): the support,
 the same sorted by degree, highest first, and the down-edges from each
 monomial e to e - u_k, all tuples and frozensets.  Models are frozen, so
 each caches, on first use, that shared index, its tensor as integer
-weights over one common denominator, and its Chern series c = prod (1 +
-D_i) in two forms.  For the counts, the series is built on the index with
-one in-place integer pass per divisor class, v[e] += sum_k D[k] *
-v[e - u_k], then split by degree into term tables.  Counts enter through
-`integrate_count`, which reads those tables, keeps only the support after
-every product, sums c_j d^(n-j) by Horner's rule and hands `integrate` the
-terms on tensor keys; `integrate` sums integer products against the
-integer weights and divides once per output term.
-`chern_class`, `elementary_symmetric_classes` and the one
-symmetric-function kernel (`elementary_series`, `complete_series`, looping
-on bare term tables) return complete elements, built only when asked for.
+weights over one common denominator, and the Chern series c = prod (1 +
+D_i) its counts read.
+
+Every truncated series here comes from one in-place update, s_j +=
+s_(j-1) * x (`_update`).  Run highest degree first it multiplies by
+(1 + x t), giving the elementary series (`elementary_series`, and so
+`elementary_symmetric_classes` and `chern_class`); run lowest degree first
+it divides by (1 - x t), giving the complete series (`complete_series`,
+`wronski_classes`).  These return complete elements, built only when asked
+for.  The counts' Chern series is the one specialisation: built on the
+support index with one in-place integer pass per divisor class, v[e] +=
+sum_k D[k] * v[e - u_k], then split by degree into term tables
+(`_divisor_series`).  Counts enter through `integrate_count`, which reads
+those tables, divides them by prod (1 + a) with the same update, keeps
+only the support after every product, sums c_j d^(n-j) by Horner's rule
+and hands `integrate` the terms on tensor keys; `integrate` sums integer
+products against the integer weights and divides once per output term.
+Degree-1 classes, with numeric or symbolic entries, all come from
+`class_element`.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -176,8 +184,8 @@ class ToricModel:
     @cached_property
     def _divisor_esym(self) -> tuple[ChowElement, ...]:
         """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
-        return tuple(ChowElement(self.gens, _wrap(self.gens, t))
-                     for t in _esym_tables(self._divisor_terms(), self.rank, self.dim))
+        return tuple(elementary_series(
+            [class_element(self, v) for v in self.divisor_classes], self.dim))
 
     @cached_property
     def _chern_tables(self) -> tuple[dict, ...]:
@@ -247,10 +255,6 @@ class ToricModel:
         return tuple(tuple(int(i == k) for i in range(self.rank))
                      for k in range(self.rank))
 
-    def _divisor_terms(self) -> list[dict]:
-        """The divisor classes as term tables on the generators' table."""
-        return [{u: c for u, c in zip(self._units, v) if c} for v in self.divisor_classes]
-
 
 @dataclass(frozen=True)
 class ChowElement:
@@ -318,14 +322,7 @@ class ChowElement:
     def __pow__(self, exponent: int) -> ChowElement:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("power must be a natural number")
-        result, base = None, self
-        while exponent:
-            if exponent & 1:
-                result = base if result is None else result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return unit_element(self.gens, self.poly.vars) if result is None else result
+        return ChowElement(self.gens, self.poly ** exponent)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ChowElement):
@@ -351,9 +348,9 @@ def _table_beside(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> tuple[
         v for p in scalars for v in p.vars if v not in gens))
 
 
-def unit_element(gens: Sequence[str], table: Sequence[str] | None = None) -> ChowElement:
+def unit_element(gens: Sequence[str]) -> ChowElement:
     gens = tuple(gens)
-    return ChowElement(gens, MultiPoly.const(1, tuple(table) if table else gens))
+    return ChowElement(gens, MultiPoly.const(1, gens))
 
 
 def generator_element(model: ToricModel, k: int) -> ChowElement:
@@ -362,29 +359,29 @@ def generator_element(model: ToricModel, k: int) -> ChowElement:
 
 def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     """Promote a Picard vector with scalar-expression entries to degree 1.
-    An integer vector becomes its terms on the generators' table directly."""
+    An integer vector becomes its terms on the generators' table directly;
+    otherwise the entries are aligned on one symbol table, which follows
+    the generators, and the k-th entry's terms gain the k-th unit exponent."""
     if len(vec) != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
-    gens = model.gens
+    gens, units = model.gens, model._units
     if all(isinstance(entry, int) for entry in vec):
         return ChowElement(gens, MultiPoly._trusted(gens, {
-            u: Fraction(c) for u, c in zip(model._units, vec) if c}))
+            u: Fraction(c) for u, c in zip(units, vec) if c}))
     entries = []
     for entry in vec:
-        if not isinstance(entry, (int, Fraction, MultiPoly)):
+        if not isinstance(entry, (MultiPoly, int, Fraction)):
             raise TypeError(f"Picard vector entry {entry!r} is not a scalar expression")
         entries.append(as_poly(entry))
-    table = _table_beside(gens, entries)
-    terms = {}
-    for k, entry in enumerate(entries):
-        pos = [table.index(v) for v in entry.vars]
-        for exp, coeff in entry.terms.items():
-            key = [0] * len(table)
-            key[k] = 1
-            for p, e in zip(pos, exp):
-                key[p] += e
-            terms[tuple(key)] = coeff
-    return ChowElement(gens, MultiPoly._trusted(table, terms))
+    entries = aligned(*entries)
+    table, terms = gens + entries[0].vars, [p.terms for p in entries]
+    if len(set(table)) < len(table):
+        # generator names on the symbol table: unused there, so dropped
+        keep = [v not in gens for v in entries[0].vars]
+        table = _table_beside(gens, entries)
+        terms = [{tuple(compress(e, keep)): c for e, c in t.items()} for t in terms]
+    return ChowElement(gens, MultiPoly._trusted(table, {
+        u + e: c for u, t in zip(units, terms) for e, c in t.items()}))
 
 
 def class_of_divisor_coeffs(model: ToricModel,
@@ -458,13 +455,21 @@ def wronski_classes(classes: Sequence, j: int):
 
 
 def elementary_series(items: Sequence, k: int) -> list:
-    """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions.
+    """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions:
+    the coefficients of prod (1 + x t) over the items, truncated at t^k, one
+    `_update` per item; e_j is 0 for j beyond the length of the list."""
+    return _series(items, k, divide=False)
 
-    These are the coefficients of the product of (1 + x t) over the items,
-    truncated at t^k; e_j is 0 for j beyond the length of the list.  The
-    loop runs on the bare term tables of the items, moved onto one merged
-    variable table first, and wraps each e_j once at the end.
-    """
+
+def complete_series(items: Sequence, k: int) -> list:
+    """h_0..h_k of the same inputs: the coefficients of prod 1 / (1 - x t),
+    truncated at t^k, one `_update` per item."""
+    return _series(items, k, divide=True)
+
+
+def _series(items: Sequence, k: int, divide: bool) -> list:
+    """Both series, updated on the items' bare term tables on one merged
+    variable table; each coefficient is wrapped once at the end."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     first = items[0] if items and isinstance(items[0], ChowElement) else None
@@ -472,18 +477,24 @@ def elementary_series(items: Sequence, k: int) -> list:
     xs = aligned(*(as_poly(x) if first is None else first._merge(first._coerce(x))[1]
                    for x in items))
     table = xs[0].vars if xs else ()
-    e = _esym_tables([_exact(x.terms) for x in xs], len(table), k)
-    polys = [_wrap(table, t) for t in e]
+    series = [{(0,) * len(table): 1}] + [{}] * k
+    _update(series, [_exact(x.terms) for x in xs], divide)
+    polys = [_wrap(table, t) for t in series]
     return polys if first is None else [ChowElement(first.gens, p) for p in polys]
 
 
-def _esym_tables(xs: Sequence[dict], nvars: int, k: int) -> list[dict]:
-    """The loop of `elementary_series` on term tables over nvars variables."""
-    e = [{(0,) * nvars: 1}] + [{}] * k
-    for i, x in enumerate(xs):
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] = add_terms(e[j], mul_terms(e[j - 1], x))
-    return e
+def _update(series: list[dict], xs: Sequence[Mapping], divide: bool,
+            r: int = 0, keep: frozenset | None = None) -> None:
+    """Multiply the series s_0 + s_1 t + ... + s_k t^k in place by (1 + x t)
+    for each x in xs, or with `divide`, divide it by (1 - x t): s_j +=
+    s_(j-1) * x, highest degree first (old s_(j-1)) or lowest first (new
+    s_(j-1), so x^i t^i sums up).  Empty s_(j-1) are skipped, so m factors
+    touch s_0..s_m only; `r` and `keep` prune as in `mul_terms`."""
+    k = len(series) - 1
+    for x in xs:
+        for j in (range(1, k + 1) if divide else range(k, 0, -1)):
+            if series[j - 1]:
+                series[j] = add_terms(series[j], mul_terms(series[j - 1], x, r, keep))
 
 
 def _exact(terms: Mapping, r: int = 0, keep: frozenset | None = None) -> dict:
@@ -497,19 +508,6 @@ def _wrap(table: tuple[str, ...], terms: dict) -> MultiPoly:
     return MultiPoly._trusted(table, {e: Fraction(c) for e, c in terms.items()})
 
 
-def complete_series(items: Sequence, k: int) -> list:
-    """h_0..h_k of the same inputs, from sum_j (-1)^j e_j h_{m-j} = 0 (m >= 1)."""
-    e = elementary_series(items, k)
-    h = [e[0]]
-    for m in range(1, k + 1):
-        total = e[1] * h[m - 1]
-        for j in range(2, min(m, len(items)) + 1):
-            term = e[j] * h[m - j]
-            total = total - term if j % 2 == 0 else total + term
-        h.append(total)
-    return h
-
-
 def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     """Pair the degree-n part against the intersection tensor.
 
@@ -521,7 +519,7 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     divided by the common denominator once.
     """
     if not isinstance(elem, ChowElement):
-        return MultiPoly.zero() if model.dim > 0 else as_poly(elem)
+        return MultiPoly.zero()
     r = len(elem.gens)
     den, weights = model._integer_tensor
     out: dict[tuple[int, ...], int | Fraction] = {}
@@ -563,10 +561,8 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
     pad = (0,) * (len(table) - r)
     series = [{e + pad: c for e, c in t.items()} if pad else t for t in series]
     f, o = len(factors), len(factors) + len(over)
-    for a in tables[f:o]:
-        neg = {e: -c for e, c in a.items()}
-        for j in range(1, top + 1):
-            series[j] = add_terms(series[j], mul_terms(series[j - 1], neg, r, support))
+    # dividing by 1 + a t is dividing by 1 - (-a) t
+    _update(series, [{e: -c for e, c in a.items()} for a in tables[f:o]], True, r, support)
     step = tables[o] if twist is not None else {}
     acc = series[0]
     for g in series[1:]:
@@ -582,18 +578,18 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
 def check_chern_consistency(model: ToricModel) -> None:
     """For models carrying both divisor classes and Chern overrides, verify
     the two routes integrate identically against every complementary
-    monomial.  Raises ValueError on disagreement."""
+    monomial: their difference integrates to zero.  Raises ValueError on
+    disagreement."""
     if model.divisor_classes is None or not model.chern_override:
         return
     for j, supplied in sorted(model.chern_override.items()):
         if not 1 <= j <= model.dim:
             raise ValueError(f"Chern override degree {j} out of range")
-        derived = elementary_symmetric_classes(model, j)
+        difference = supplied - elementary_symmetric_classes(model, j)
         for mono in monomials_of_degree(model.rank, model.dim - j):
             probe = [generator_element(model, k) for k, e in enumerate(mono)
                      for _ in range(e)]
-            if (integrate_count(model, [supplied, *probe])
-                    != integrate_count(model, [derived, *probe])):
+            if not integrate_count(model, [difference, *probe]).is_zero:
                 raise ValueError(
                     f"Chern routes disagree in degree {j} against monomial {mono}")
 

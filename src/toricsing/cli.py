@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .errors import ToricError
-from .exactalg import MultiPoly, parse_polynomial, poly_sum
+from .exactalg import MultiPoly, _check_symbol, parse_polynomial, poly_sum
 
 
 def main() -> None:
@@ -128,7 +128,7 @@ def _split_names(text: str):
 
 def _scalar_degree_from_args(args) -> object:
     if getattr(args, "symbolic", None) is not None:
-        name = args.symbolic or "d"
+        name = _check_symbol(args.symbolic or "d")
         return MultiPoly.variable(name, (name,))
     if args.degree is None:
         raise ToricError("no degree given; use --degree or --symbolic")
@@ -227,7 +227,7 @@ def _handle_count_ci(args):
 def _handle_euler_ambient(args):
     from . import chow
     model = _model_from_args(args)
-    value = chow.integrate(model, chow.chern_class(model, model.dim))
+    value = chow.integrate_count(model, top=model.dim)
     return _canonical(value), {}
 
 

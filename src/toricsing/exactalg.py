@@ -65,6 +65,14 @@ def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
+def _exact_coefficient(value) -> Fraction:
+    """The value as a Fraction.  A float is not exact data (0.1 would become
+    its binary expansion), so it raises ValueError naming it."""
+    if isinstance(value, float):
+        raise ValueError(f"coefficient {value!r} is a float, not exact data")
+    return Fraction(value)
+
+
 class MultiPoly:
     """A sparse multivariate polynomial with exact rational coefficients."""
 
@@ -81,7 +89,7 @@ class MultiPoly:
                     f"exponent {exp!r} does not match variables {variables!r}")
             if any(e < 0 or not isinstance(e, int) for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers: {exp!r}")
-            coeff = Fraction(coeff)
+            coeff = _exact_coefficient(coeff)
             if coeff:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
         object.__setattr__(self, "vars", variables)
@@ -108,7 +116,7 @@ class MultiPoly:
     def const(cls, value: int | Fraction,
               variables: Sequence[str] = ()) -> MultiPoly:
         variables = _variable_table(variables)
-        return cls._trusted(variables, {(0,) * len(variables): Fraction(value)})
+        return cls._trusted(variables, {(0,) * len(variables): _exact_coefficient(value)})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> MultiPoly:
@@ -405,7 +413,17 @@ def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # polynomial term parser (model files, chern lines, the CLI and round trips)
 
-_TOKEN = re.compile(r"\s*(\^|\*|[+-]|[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z_0-9]*)")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(rf"\s*(\^|\*|[+-]|[0-9]+(?:/[0-9]+)?|{_NAME.pattern})")
+
+
+def _check_symbol(name: str) -> str:
+    """The name of a degree symbol, if the parser reads it back as one
+    variable; otherwise a ValueError naming it."""
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ValueError(f"degree symbol {name!r} must be a letter or _ "
+                         "followed by letters, digits or _")
+    return name
 
 
 def parse_polynomial(text: str, variables: Sequence[str],

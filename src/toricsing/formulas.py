@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, gcd, prod
 from typing import Sequence
 
@@ -28,7 +28,8 @@ from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, _variable_table, aligned, as_poly, integer_roots, poly_sum,
+    MultiPoly, ScalarLike, _check_symbol, _variable_table, aligned, as_poly,
+    integer_roots, poly_sum,
 )
 
 KINDS = ("foliation", "distribution")
@@ -43,46 +44,46 @@ def _integers(what: str, values: Sequence[int]) -> tuple[int, ...]:
     """The values as a tuple; a ValueError names the argument and the entry
     when one is not an int, so non-integer data is never truncated."""
     values = tuple(values)
-    for x in values:
-        if not isinstance(x, int):
-            raise ValueError(f"{what} {values!r} has a non-integer entry {x!r}")
+    chow._check_integral(what, (values,))
     return values
-
-
-def _symbol_table(model: ToricModel, names: Sequence[str] | None) -> tuple[str, ...]:
-    """The checked names of a symbolic degree, d1..dr by default: one per
-    generator, none a generator name, no two alike."""
-    if names is None:
-        names = tuple(f"d{i + 1}" for i in range(model.rank))
-    names = tuple(names)
-    if len(names) != model.rank:
-        raise ValueError(f"expected {model.rank} symbol names, got {names!r}")
-    if any(n in model.gens for n in names):
-        raise ValueError("degree symbols may not collide with generator names")
-    return _variable_table(names)
 
 
 def symbolic_degree(model: ToricModel,
                     names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
-    """A fully symbolic Picard vector; defaults to d1..dr in generator order."""
-    names = _symbol_table(model, names)
+    """A fully symbolic Picard vector; defaults to d1..dr in generator order.
+    The names must be one per generator, each a name the parser reads back,
+    none a generator name, no two alike.  The vector is immutable, so one
+    is kept per generator table and names (`_symbol_vector`)."""
+    return _symbol_vector(model.gens, None if names is None
+                          else tuple(map(_check_symbol, names)))
+
+
+@lru_cache(maxsize=256)
+def _symbol_vector(gens: tuple[str, ...],
+                   names: tuple[str, ...] | None) -> tuple[MultiPoly, ...]:
+    r = len(gens)
+    if names is None:
+        names = tuple(f"d{i}" for i in range(1, r + 1))
+    if len(names) != r:
+        raise ValueError(f"expected {r} symbol names, got {names!r}")
+    if not set(names).isdisjoint(gens):
+        raise ValueError("degree symbols may not collide with generator names")
+    names, one = _variable_table(names), Fraction(1)
     # the k-th symbol's exponent on its own table is the k-th unit exponent
-    return tuple(MultiPoly._trusted(names, {u: Fraction(1)}) for u in model._units)
+    return tuple(MultiPoly._trusted(names, {tuple(int(i == k) for i in range(r)): one})
+                 for k in range(r))
 
 
 def degree_class(model: ToricModel, degree) -> ChowElement:
     """Normalize a degree input to its degree-1 element.
 
     Accepts a scalar (rank-1 models), a Picard vector of length r, a
-    divisor-coefficient vector of length n+r, or `"symbolic"`.  The last is
-    the sum of d_k times the k-th generator, built directly on the table of
-    the generators and then the symbols.
+    divisor-coefficient vector of length n+r, or `"symbolic"`, the sum of
+    d_k times the k-th generator (`symbolic_degree`).
     """
     if isinstance(degree, str):
         if degree == "symbolic":
-            table = model.gens + _symbol_table(model, None)
-            return ChowElement(model.gens, MultiPoly._trusted(
-                table, {u + u: Fraction(1) for u in model._units}))
+            return chow.class_element(model, symbolic_degree(model))
         raise ValueError(f"unrecognized degree {degree!r}")
     return chow.class_element(model, picard_vector(model, degree))
 
@@ -93,7 +94,11 @@ def picard_vector(model: ToricModel, degree) -> tuple:
             raise ValueError(
                 f"scalar degree is ambiguous on a rank-{model.rank} model")
         return (degree,)
-    vec = tuple(degree)
+    try:
+        vec = tuple(degree)
+    except TypeError:
+        raise ValueError(f"degree {degree!r} is neither a scalar expression "
+                         "nor a sequence") from None
     if len(vec) == model.rank:
         return vec
     if len(vec) == model.dim + model.rank:
@@ -418,9 +423,7 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
         lhs = chow.integrate_count(model, [asum, *a_elems])
         rhs = chow.integrate_count(model, [d + chow.chern_class(model, 1), *a_elems])
         if strict:
-            gen_sum = sum((chow.generator_element(model, k)
-                           for k in range(1, model.rank)),
-                          start=chow.generator_element(model, 0))
+            gen_sum = chow.class_element(model, (1,) * model.rank)
             rhs_adj, cut = aligned(rhs, chow.integrate_count(model, [gen_sum, *a_elems]))
             rhs = rhs_adj - cut
         return _verdict(lhs, rhs)

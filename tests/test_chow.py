@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toricsing import catalog, chow
 from toricsing.chow import (
@@ -397,3 +398,59 @@ def test_series_reject_mixed_generators():
         for items in ([a, b], [b, a], [a, a, b]):
             with pytest.raises(ValueError, match="generator mismatch"):
                 series(items, 2)
+
+
+def test_chern_consistency_names_the_first_disagreement():
+    text = ("name broken\ndim 2\nrank 2\ngens H1 H2\nsmooth true\n"
+            "divisor 1 0\ndivisor 1 0\ndivisor 0 1\ndivisor 0 1\n"
+            "tensor 1 1 = 1\nchern 1 : 2*H1 + 2*H2\nchern 2 : 3*H1*H2\n")
+    assert catalog.parse_model(text.replace("3*H1*H2", "4*H1*H2")).name == "broken"
+    with pytest.raises(ValueError) as caught:
+        catalog.parse_model(text)
+    assert str(caught.value) == "Chern routes disagree in degree 2 against monomial (0, 0)"
+
+
+# -- the series identity sum_j (-1)^j e_j h_(m-j) = 0 -------------------------
+
+_SYMBOLS = ("a", "b")
+_SCALARS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(-3, 3, max_denominator=5),
+    st.builds(lambda v, c: c * MultiPoly.variable(v, _SYMBOLS),
+              st.sampled_from(_SYMBOLS), st.integers(-3, 3)),
+    st.builds(lambda c: MultiPoly.variable("c", ("c",)) + c, st.integers(-2, 2)),
+)
+_MODELS = (catalog.projective(2), catalog.multiprojective(1, 1),
+           catalog.blowup_point(2), catalog.blowup_line_p3())
+
+
+def _alternating_sums(e, h, k):
+    """sum_j (-1)^j e_j h_(m-j) for m = 1..k."""
+    out = []
+    for m in range(1, k + 1):
+        total = e[0] * h[m]
+        for j in range(1, m + 1):
+            total = total + (-1) ** j * e[j] * h[m - j]
+        out.append(total)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SCALARS, max_size=5), st.integers(0, 5))
+def test_elementary_and_complete_scalar_series_are_inverse(items, k):
+    e, h = chow.elementary_series(items, k), chow.complete_series(items, k)
+    assert e[0] == h[0] == 1 and e[0].vars == h[0].vars
+    for total in _alternating_sums(e, h, k):
+        assert total.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_MODELS), st.data(), st.integers(0, 4))
+def test_elementary_and_complete_chow_series_are_inverse(model, data, k):
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from(
+        [MultiPoly.variable("s", ("s",)), MultiPoly.variable("t", ("s", "t"))]))
+    vecs = data.draw(st.lists(st.tuples(*[entry] * model.rank), min_size=1, max_size=4))
+    items = [class_element(model, v) for v in vecs]
+    e, h = chow.elementary_series(items, k), chow.complete_series(items, k)
+    for total in _alternating_sums(e, h, k):
+        assert total.poly.is_zero and total.gens == model.gens

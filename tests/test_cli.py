@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from toricsing import catalog
+from toricsing import catalog, chow
 from toricsing.catalog import parse_polynomial
 from toricsing.cli import run
 
@@ -267,3 +267,36 @@ def test_help_and_usage_streams_are_pinned(case, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert (status, captured.out, captured.err) == (
         case["status"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv, symbol", [
+    (("count", "foliation", "--model", "projective:2", "--symbolic", "2"), "'2'"),
+    (("count", "foliation", "--model", "projective:2", "--symbolic", " "), "''"),
+    (("count", "foliation", "--model", "multiprojective:1,1", "--symbolic", "a,2b"),
+     "'2b'"),
+    (("count", "wci", "--weights", "1,1,1,2", "--ci", "2", "--symbolic", "H,d"),
+     "'H,d'"),
+    (("count", "wci", "--weights", "1,1,1,2", "--ci", "2", "--symbolic", " "), "' '"),
+])
+def test_symbols_the_parser_cannot_read_back_are_domain_errors(capsys, argv, symbol):
+    status, out, err = _run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err.startswith(f"error: degree symbol {symbol} ")
+
+
+def test_named_symbols_read_back(capsys):
+    status, out, _ = _run(capsys, "count", "wci", "--weights", "1,1,1,2", "--ci", "2",
+                          "--symbolic", "t_1")
+    assert status == 0
+    value = out.splitlines()[0].removeprefix("result = ")
+    assert parse_polynomial(value, ("t_1",)).canonical_string() == value
+
+
+@pytest.mark.parametrize("spec", ["projective:3", "weighted:1,2,3,5",
+                                  "multiprojective:1,1,1", "scroll:1,2,0",
+                                  "blowup_two_points_p3", "blowup_line_p3"])
+def test_euler_ambient_is_the_integral_of_the_top_chern_class(capsys, spec):
+    status, out, _ = _run(capsys, "euler", "ambient", "--model", spec)
+    m = catalog.from_spec_string(spec)
+    expected = chow.integrate(m, chow.chern_class(m, m.dim)).canonical_string()
+    assert (status, out) == (0, f"result = {expected}\n")

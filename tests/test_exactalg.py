@@ -1,5 +1,6 @@
 """Ring axioms, canonical printing, and exactness of the polynomial engine."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -265,3 +266,15 @@ def test_integer_roots_are_exact_at_large_magnitudes():
     assert integer_roots(c, -2 * big, 2 * big) == [-big, big, big + 1]
     c[0] += 1
     assert integer_roots(c, -2 * big, 2 * big) == []
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: MultiPoly.const(0.1), "0.1"),
+    (lambda: MultiPoly.const(2.0, ("a",)), "2.0"),
+    (lambda: MultiPoly(("x",), {(1,): 0.1}), "0.1"),
+    (lambda: MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): 0.5}), "0.5"),
+])
+def test_floats_are_not_exact_coefficients(build, value):
+    # Fraction(0.1) would store the float's binary expansion
+    with pytest.raises(ValueError, match=rf"^coefficient {re.escape(value)} is a float"):
+        build()

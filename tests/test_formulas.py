@@ -357,6 +357,52 @@ def test_scalar_routes_reject_non_integer_data(route, bad):
             call(*args)
 
 
+FLOAT_DEGREE_ROUTES = {
+    "wci_sing_count": lambda d: wci_sing_count((1, 1, 1, 1), (2,), d),
+    "wci_sing_count_parts": lambda d: wci_sing_count_parts((1, 1, 1, 1), (2,), d),
+    "baum_bott_sum": lambda d: baum_bott_sum((1, 1, 1, 1), (2,), d),
+    "scroll_closed_form_d1": lambda d: scroll_closed_form(3, (1, 1, 1), d, 1),
+    "scroll_closed_form_d2": lambda d: scroll_closed_form(3, (1, 1, 1), 1, d),
+    "wci_curve": lambda d: poincare_check("wci-curve", weights=(1, 1, 1, 1),
+                                          classes=(2,), degree=d),
+    "wci_general": lambda d: poincare_check("wci-general", weights=(1, 1, 1, 1),
+                                            classes=(2,), degree=d),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FLOAT_DEGREE_ROUTES))
+def test_float_degrees_are_not_exact_data(route):
+    call = FLOAT_DEGREE_ROUTES[route]
+    assert call(Fraction(1, 2)) is not None  # exact rationals are fine
+    for bad in (0.1, 0.5, 2.0):
+        with pytest.raises(ValueError, match=rf"^coefficient {bad!r} is a float"):
+            call(bad)
+
+
+def test_a_degree_that_is_neither_scalar_nor_sequence_is_named():
+    p2 = catalog.projective(2)
+    for bad in (0.5, None, object()):
+        with pytest.raises(ValueError, match=f"^degree {re.escape(repr(bad))} is "
+                                             "neither a scalar expression nor a sequence$"):
+            foliation_sing_count(p2, bad)
+    with pytest.raises(TypeError, match="Picard vector entry 0.5"):
+        foliation_sing_count(p2, (0.5,))
+
+
+@pytest.mark.parametrize("names, bad", [
+    (("2",), "'2'"), (("",), "''"), ((" d",), "' d'"), (("H,d",), "'H,d'"),
+    (("d-1",), "'d-1'"), ((1,), "1"),
+])
+def test_degree_symbols_must_be_names_the_parser_reads_back(names, bad):
+    p2 = catalog.projective(2)
+    with pytest.raises(ValueError, match=f"^degree symbol {re.escape(bad)} must be"):
+        symbolic_degree(p2, names)
+    for good in ("d", "_", "t_1", "Degree2"):
+        count = foliation_sing_count(p2, symbolic_degree(p2, (good,)))
+        text = count.canonical_string()
+        assert catalog.parse_polynomial(text, (good,)) == count
+
+
 @pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)])
 def test_scroll_and_gcd_routes_reject_non_integer_data(bad):
     entry = re.escape(repr(bad))
