@@ -30,10 +30,10 @@ it divides by (1 - x t), giving the complete series (`complete_series`,
 for.  The counts' Chern series is the one specialisation: built on the
 support index with one in-place integer pass per divisor class, v[e] +=
 sum_k D[k] * v[e - u_k], then split by degree into term tables
-(`_divisor_series`).  Counts enter through `integrate_count`, which reads
-those tables, divides them by prod (1 + a) with the same update, keeps
-only the support after every product, sums c_j d^(n-j) by Horner's rule
-and hands `integrate` the terms on tensor keys; `integrate` sums integer
+(`_divisor_series`).  Counts enter through `integrate_count`, the paper's
+prod a_i * [c / (prod (1 + a_i) * (1 - d))]_(n-m): it divides those tables
+with the same update, keeps only the support after every product and
+hands `integrate` the terms on tensor keys; `integrate` sums integer
 products against the integer weights and divides once per output term.
 Degree-1 classes, with numeric or symbolic entries, all come from
 `class_element`.
@@ -494,7 +494,7 @@ def _update(series: list[dict], xs: Sequence[Mapping], divide: bool,
     for x in xs:
         for j in (range(1, k + 1) if divide else range(k, 0, -1)):
             if series[j - 1]:
-                series[j] = add_terms(series[j], mul_terms(series[j - 1], x, r, keep))
+                series[j] = add_terms(mul_terms(series[j - 1], x, r, keep), series[j])
 
 
 def _exact(terms: Mapping, r: int = 0, keep: frozenset | None = None) -> dict:
@@ -535,20 +535,20 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
 
 
 def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
-                    top: int = 0, twist: ChowElement | None = None,
-                    over: Sequence[ChowElement] = ()) -> ScalarExpr:
-    """The integral of prod(factors) * sum_{i <= top} g_i * twist^(top - i),
-    where g_i is the degree-i part of c(X) / prod_{a in over} (1 + a); with
-    no twist, of prod(factors) * g_top.  Every count in `formulas` has this
-    shape.  c(X) comes from the model's cached integer series
-    (`ToricModel._chern_tables`), padded with zero exponents for the degree
-    symbols.  Each product keeps only the terms whose generator part lies in
-    the model's support, the sum over i runs by Horner's rule (acc <- acc *
-    twist + g_i), and one integral of the terms on tensor keys ends it.  The
+                    over: Sequence[ChowElement] = (),
+                    twist: ChowElement | None = None) -> ScalarExpr:
+    """The integral of prod(factors) * [c(X) / (prod_{a in over} (1 + a) *
+    (1 - twist))]_top, top = n - len(factors): every count in `formulas`,
+    with over = factors on a complete intersection.  c(X) is the model's
+    cached integer series (`ToricModel._chern_tables`), padded with zero
+    exponents for the degree symbols, and one `_update` divides it.  Each
+    product keeps only the terms whose generator part lies in the model's
+    support, and one integral of the terms on tensor keys ends it.  The
     result's table merges the factors', then over's, then the twist's.
     """
-    if not 0 <= top <= model.dim:
-        raise ValueError(f"degree {top} out of range 0..{model.dim}")
+    top = model.dim - len(factors)
+    if top < 0:
+        raise ValueError(f"{len(factors)} factors exceed the dimension {model.dim}")
     elems = [*factors, *over, *([] if twist is None else [twist])]
     if any(e.gens != model.gens for e in elems):
         raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
@@ -562,11 +562,9 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
     series = [{e + pad: c for e, c in t.items()} if pad else t for t in series]
     f, o = len(factors), len(factors) + len(over)
     # dividing by 1 + a t is dividing by 1 - (-a) t
-    _update(series, [{e: -c for e, c in a.items()} for a in tables[f:o]], True, r, support)
-    step = tables[o] if twist is not None else {}
-    acc = series[0]
-    for g in series[1:]:
-        acc = add_terms(mul_terms(acc, step, r, support), g)
+    _update(series, [*({e: -c for e, c in a.items()} for a in tables[f:o]),
+                     *tables[o:]], True, r, support)
+    acc = series[top]
     for a in tables[:f]:
         acc = mul_terms(acc, a, r, support)
     # an internal element: int coefficients meet the integer weights there
@@ -587,9 +585,8 @@ def check_chern_consistency(model: ToricModel) -> None:
             raise ValueError(f"Chern override degree {j} out of range")
         difference = supplied - elementary_symmetric_classes(model, j)
         for mono in monomials_of_degree(model.rank, model.dim - j):
-            probe = [generator_element(model, k) for k, e in enumerate(mono)
-                     for _ in range(e)]
-            if not integrate_count(model, [difference, *probe]).is_zero:
+            probe = ChowElement(model.gens, MultiPoly(model.gens, {mono: 1}))
+            if not integrate(model, difference * probe).is_zero:
                 raise ValueError(
                     f"Chern routes disagree in degree {j} against monomial {mono}")
 

@@ -227,7 +227,7 @@ def _handle_count_ci(args):
 def _handle_euler_ambient(args):
     from . import chow
     model = _model_from_args(args)
-    value = chow.integrate_count(model, top=model.dim)
+    value = chow.integrate_count(model)
     return _canonical(value), {}
 
 

@@ -8,8 +8,8 @@ a fixed, ordered variable table:
 Coefficients are `fractions.Fraction`, so every operation is exact: counts
 with cubic terms at degrees in the hundreds stay precise because Python
 integers are arbitrary precision.  Zero coefficients are never stored, and
-values are immutable after construction, so they may be shared freely
-between threads.
+values are immutable after construction, the term table included (a
+read-only view), so they may be cached and shared freely between threads.
 
 Arithmetic requires both operands to live on the same variable table;
 `aligned()` merges tables when callers hold values from different contexts.
@@ -31,6 +31,7 @@ import re
 from fractions import Fraction
 from math import isqrt
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlignmentError, ModelFormatError
@@ -94,7 +95,7 @@ class MultiPoly:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms",
-                           {e: c for e, c in clean.items() if c})
+                           MappingProxyType({e: c for e, c in clean.items() if c}))
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...],
@@ -104,7 +105,8 @@ class MultiPoly:
         Fractions, so only zero coefficients are dropped."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vars", variables)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(poly, "terms",
+                           MappingProxyType({e: c for e, c in terms.items() if c}))
         return poly
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -251,7 +253,7 @@ class MultiPoly:
         a, b = aligned(self, other)
         return a.terms == b.terms
 
-    __hash__ = None  # mutable mapping inside; identity hashing would mislead
+    __hash__ = None  # equality aligns tables, so no per-table hash agrees with it
 
     # -- calculus and substitution ------------------------------------------
 

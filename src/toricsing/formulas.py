@@ -1,11 +1,11 @@
 """Closed-form singularity counts, inequality verdicts, and bounded searches.
 
-Every count is a top-degree integral of a Chern-class expression twisted by
-a degree class; each hands its factors to `chow.integrate_count`, which
-prunes its products to what the tensor can see and sums by Horner's rule.
-Degrees may be numbers or formal symbols; both run through one code path,
-so the symbolic specializations print the displayed count polynomials and
-the numeric ones produce exact rationals.
+Every count is the paper's formula, the integral of prod a_i * [c /
+(prod (1 + a_i) * (1 - d))]_(n-m): each hands its classes and its degree
+to `chow.integrate_count`, which prunes its products to what the tensor
+can see.  Degrees may be numbers or formal symbols; both run through one
+code path, so the symbolic specializations print the displayed count
+polynomials and the numeric ones produce exact rationals.
 
 Two degree parameterizations are accepted everywhere: a Picard-basis vector
 (length r) or a divisor-coefficient vector (length n+r, summed through the
@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import comb, gcd, prod
+from math import gcd, prod
 from typing import Sequence
 
 from . import catalog, chow
@@ -115,8 +115,7 @@ def picard_vector(model: ToricModel, degree) -> tuple:
 def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     """Number of singular points, with multiplicity, of a generic
     one-dimensional foliation of the given degree."""
-    return chow.integrate_count(model, top=model.dim,
-                                twist=degree_class(model, degree))
+    return chow.integrate_count(model, twist=degree_class(model, degree))
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     if len(divisor_coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
-    chi = chow.integrate_count(model, top=model.dim).constant_value()
+    chi = chow.integrate_count(model).constant_value()
     if chi.denominator != 1:
         raise ToricError(
             f"Euler number {chi} is not an integer; obstruction inapplicable")
@@ -164,14 +163,13 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
     a = degree_class(model, hyp)
     # sum_j (-1)^j g_j d^(top - j) is (-1)^top times the plain sum at -d
     d = -d if kind == "distribution" else d
-    return _signed(model.dim - 1, kind) * chow.integrate_count(
-        model, (a,), model.dim - 1, d, over=(a,))
+    return _signed(model.dim - 1, kind) * chow.integrate_count(model, (a,), (a,), d)
 
 
 def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Orbifold Euler characteristic of a quasi-smooth hypersurface."""
     a = degree_class(model, hyp)
-    return chow.integrate_count(model, (a,), model.dim - 1, over=(a,))
+    return chow.integrate_count(model, (a,), (a,))
 
 
 def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
@@ -179,13 +177,13 @@ def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
     case): the ambient count minus the restricted count."""
     d = degree_class(model, degree)
     a = degree_class(model, hyp)
-    return chow.integrate_count(model, top=model.dim, twist=d, over=(a,))
+    return chow.integrate_count(model, (), (a,), d)
 
 
 def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Euler characteristic of the hypersurface complement (smooth case)."""
     a = degree_class(model, hyp)
-    return chow.integrate_count(model, top=model.dim, over=(a,))
+    return chow.integrate_count(model, over=(a,))
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +205,13 @@ def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> Scalar
     return chow.elementary_series(values, j)[j]
 
 
-def _wci_inner_sums(weights: Sequence[ScalarLike], classes: Sequence[ScalarLike],
-                    top: int) -> list[ScalarExpr]:
-    """sum_j (-1)^j e_{i-j}(weights) h_j(classes) for i = 0..top: the degree-i
-    part of the Chern class of a weighted complete intersection, before the
+def _wci_inner_sums(weights: Sequence[ScalarLike],
+                    classes: Sequence[ScalarLike]) -> list[ScalarExpr]:
+    """sum_j (-1)^j e_{i-j}(weights) h_j(classes) for i = 0..n - m, with n + 1
+    weights and m classes: the degree-i part of the Chern class of a
+    weighted complete intersection, up to its dimension, before the
     orbifold degree factor.  Weights and classes may be numbers or symbols."""
+    top = len(weights) - 1 - len(classes)
     e = [elementary_symmetric_scalars(weights, i) for i in range(top + 1)]
     h = chow.complete_series(classes, top)
     both = aligned(*e, *h)
@@ -238,7 +238,7 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     factor = Fraction(prod(a), prod(w))
     d = as_poly(degree)
     parts = []
-    for i, inner in enumerate(_wci_inner_sums(w, a, n - m)):
+    for i, inner in enumerate(_wci_inner_sums(w, a)):
         inner, dp = aligned(inner, d ** (n - m - i))
         parts.append(_signed(i, kind) * factor * inner * dp)
     return parts
@@ -296,7 +296,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     m = len(a)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    alpha = _wci_inner_sums(w, a, n - m)[n - m].constant_value()
+    alpha = _wci_inner_sums(w, a)[n - m].constant_value()
     chi = Fraction(prod(a), prod(w)) * alpha
     return AlphaInvariant(alpha=alpha, chi=chi)
 
@@ -329,7 +329,7 @@ def ci_sing_count(model: ToricModel, classes, degree,
     # on one table, the degree symbols come before the class symbols
     d, *a_elems = (ChowElement(model.gens, p) for p in aligned(
         (-d if kind == "distribution" else d).poly, *(a.poly for a in a_elems)))
-    return _signed(n - m, kind) * chow.integrate_count(model, a_elems, n - m, d, a_elems)
+    return _signed(n - m, kind) * chow.integrate_count(model, a_elems, a_elems, d)
 
 
 def ci_euler(model: ToricModel, classes) -> ScalarExpr:
@@ -339,7 +339,7 @@ def ci_euler(model: ToricModel, classes) -> ScalarExpr:
     n = model.dim
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    return chow.integrate_count(model, a_elems, n - m, over=a_elems)
+    return chow.integrate_count(model, a_elems, a_elems)
 
 
 def multidegree(model: ToricModel, classes, k: int,
@@ -414,18 +414,19 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     if variant == "toric-curve":
         if model is None or classes is None or degree is None:
             raise ValueError("toric-curve needs a model, classes, and degree")
+        if model.dim < 2:
+            raise ValueError(
+                f"toric-curve needs a model of dimension at least 2, got {model.dim}")
         a_elems = _class_list(model, classes)
         if len(a_elems) != model.dim - 1:
             raise ValueError(
                 f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")
         asum = sum(a_elems[1:], start=a_elems[0])
-        d = degree_class(model, degree)
-        lhs = chow.integrate_count(model, [asum, *a_elems])
-        rhs = chow.integrate_count(model, [d + chow.chern_class(model, 1), *a_elems])
+        bound = degree_class(model, degree) + chow.chern_class(model, 1)
         if strict:
-            gen_sum = chow.class_element(model, (1,) * model.rank)
-            rhs_adj, cut = aligned(rhs, chow.integrate_count(model, [gen_sum, *a_elems]))
-            rhs = rhs_adj - cut
+            bound = bound - chow.class_element(model, (1,) * model.rank)
+        lhs = chow.integrate_count(model, [asum, *a_elems])
+        rhs = chow.integrate_count(model, [bound, *a_elems])
         return _verdict(lhs, rhs)
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -450,15 +451,8 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
         raise ValueError(f"need {n} twists, got {len(a)}")
     s = sum(a)
     d1p, d2p = aligned(as_poly(d1), as_poly(d2))
-
-    def P(t: MultiPoly) -> MultiPoly:
-        acc = MultiPoly.zero(t.vars)
-        for i in range(n - 1):
-            acc = acc + (-1) ** i * comb(n, i) * t ** (n - 2 - i)
-        return t * acc + (-1) ** n * (1 - n)
-
-    return ((-1) ** n * (n * d1p + s * d2p) * (d2p + 1) ** (n - 1)
-            - 2 * P(-d2p) + 2 * (-1) ** n)
+    return (-1) ** n * ((n * d1p + s * d2p) * (d2p + 1) ** (n - 1)
+                        + 2 * poly_sum((d2p + 1) ** k for k in range(n)))
 
 
 @dataclass(frozen=True, order=True)
@@ -480,7 +474,7 @@ def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
     `wci_sing_count_parts` with the weight k and the degree a left symbolic."""
     n = _P_FAMILIES[family]
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
-    inner = _wci_inner_sums((1,) * n + (k,), (a,), n - 1)
+    inner = _wci_inner_sums((1,) * n + (k,), (a,))
     return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
 
 

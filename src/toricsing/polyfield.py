@@ -88,9 +88,11 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
 
     Returns the degree vector (a tuple of length rank), `None` when the
     monomial degrees disagree, and `ANY_DEGREE` for the zero polynomial.
+    A raw polynomial must be on the model's coordinates, as in `GradedPoly`.
     """
-    if isinstance(poly, GradedPoly):
-        poly = poly.poly
+    if not isinstance(poly, GradedPoly):
+        poly = GradedPoly(model, poly)
+    poly = poly.poly
     if model.divisor_classes is None:
         raise UnsupportedModelError(
             f"model {model.name} records no divisor classes, so coordinates "

@@ -141,10 +141,16 @@ def orbifold_index(multiplicity: int, group_order: int) -> Fraction:
 
 
 def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
-    """Aggregate local indices for comparison against a global count."""
+    """Aggregate local indices for comparison against a global count.  An
+    entry that is not a report, an int or a Fraction (a float, say, which
+    is not exact data) raises ValueError naming it."""
     total = Fraction(0)
     for item in reports:
-        total += item.orbifold_index if isinstance(item, LocalIndexReport) else Fraction(item)
+        if isinstance(item, LocalIndexReport):
+            item = item.orbifold_index
+        elif not isinstance(item, (int, Fraction)):
+            raise ValueError(f"index {item!r} is not a report, an int or a Fraction")
+        total += item
     return total
 
 

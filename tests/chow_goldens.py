@@ -151,8 +151,11 @@ def _scalar_goldens():
                     formulas.poincare_check, variant, weights=w, classes=a, degree=deg)
         out[f"alpha_invariant {w} {a}"] = call(formulas.alpha_invariant, w, a)
         out[f"general_type_index {w} {a}"] = call(formulas.general_type_index, w, a)
-    for n, a in ((3, (1, 2, 0)), (4, (0, 0, 1, 1))):
-        for label, (d1, d2) in (("numeric", (2, -1)), ("symbolic", (d, t))):
+    for n, a in ((3, (1, 2, 0)), (4, (0, 0, 1, 1)), (5, (2, 0, 1, 3, 0)),
+                 (6, (1, 1, 1, 1, 1, 1)), (7, (0, 3, 0, 2, 0, 1, 0)),
+                 (8, (4, 0, 0, 1, 2, 0, 0, 5))):
+        for label, (d1, d2) in (("numeric", (2, -1)), ("fraction", (Fraction(7, 2), 3)),
+                                ("symbolic", (d, t))):
             out[f"scroll_closed_form {n} {a} {label}"] = call(
                 formulas.scroll_closed_form, n, a, d1, d2)
     for family, bound, twists in (("p111k", 12, None), ("p1111k", 12, None),

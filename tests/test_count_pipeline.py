@@ -316,8 +316,8 @@ def test_integrate_count_rejects_mixed_generators():
     m = catalog.projective(2)
     other = chow.class_element(catalog.multiprojective(1, 1), (1, 2))
     for call in (lambda: chow.integrate_count(m, [other]),
-                 lambda: chow.integrate_count(m, top=2, twist=other),
-                 lambda: chow.integrate_count(m, top=2, over=[other])):
+                 lambda: chow.integrate_count(m, twist=other),
+                 lambda: chow.integrate_count(m, over=[other])):
         with pytest.raises(ValueError, match="generator mismatch"):
             call()
     # a Chern override the counts read must live on the generators alone
@@ -325,6 +325,30 @@ def test_integrate_count_rejects_mixed_generators():
     line = ToricModel("wide", 1, 1, ("H",), None, {(1,): 1}, chern_override={1: wide})
     with pytest.raises(ValueError, match="generator mismatch"):
         formulas.foliation_sing_count(line, 1)
+
+
+def test_integrate_count_reads_its_degree_from_the_factors():
+    m = catalog.projective(2)
+    h = chow.generator_element(m, 0)
+    assert chow.integrate_count(m, [h, h]) == 1
+    with pytest.raises(ValueError, match="3 factors exceed the dimension 2"):
+        chow.integrate_count(m, [h, h, h])
+
+
+def test_cached_polynomials_cannot_be_mutated():
+    m = catalog.projective(2)
+    symbol = formulas.symbolic_degree(m)[0]
+    with pytest.raises(TypeError):
+        symbol.terms[(0,)] = 5
+    c2 = chern_class(m, 2)
+    with pytest.raises(TypeError):
+        del c2.poly.terms[(2,)]
+    with pytest.raises(AttributeError):  # a read-only view has no clear()
+        c2.poly.terms.clear()
+    assert formulas.symbolic_degree(m)[0] is symbol and symbol.terms == {(1,): 1}
+    assert repr(chern_class(m, 2)) == "ChowElement('3*H^2')"
+    count = formulas.foliation_sing_count(m, "symbolic")
+    assert count.canonical_string() == "d1^2 + 3*d1 + 3"
 
 
 def test_support_is_the_down_set_of_the_tensor_keys():

@@ -585,6 +585,12 @@ def test_poincare_toric_curve_strict_on_projective():
     assert strict.holds  # 16 <= 16 at the boundary
 
 
+def test_poincare_toric_curve_needs_a_surface_at_least():
+    with pytest.raises(ValueError, match="dimension at least 2, got 1"):
+        poincare_check("toric-curve", model=catalog.projective(1), classes=[],
+                       degree=(1,))
+
+
 def test_poincare_identity_with_restricted_count():
     # slack relates to the curve count: lhs - rhs = -(count on the curve)
     for model, classes in [

@@ -47,6 +47,14 @@ def test_quasi_homogeneous_zero_is_any_degree():
     assert check_quasi_homogeneous(m, MultiPoly.zero(m.coord_names)) is ANY_DEGREE
 
 
+def test_quasi_homogeneous_holds_raw_polys_to_the_coordinates():
+    m = catalog.projective(2)
+    for poly in (MultiPoly(("x",), {(2,): 1}),
+                 MultiPoly(tuple("abcde"), {(0, 0, 0, 0, 1): 1})):
+        with pytest.raises(ValueError, match="must equal the model coordinates"):
+            check_quasi_homogeneous(m, poly)
+
+
 def test_graded_poly_degree_method():
     m = catalog.weighted(1, 2, 3)
     g = GradedPoly(m, _poly(m, "z0*z2 + z1^2"))

@@ -169,6 +169,13 @@ def test_index_sum():
     assert index_sum(reports) == Fraction(2 * k * k - 2 * k + 1, k)
 
 
+def test_index_sum_rejects_inexact_entries():
+    with pytest.raises(ValueError, match="0.1 is not a report"):
+        index_sum([0.1, Fraction(1, 5)])
+    with pytest.raises(ValueError, match="'1/2'"):
+        index_sum([1, "1/2"])
+
+
 def test_oracle_matches_global_count_for_diagonal_fields():
     # a generic diagonal field on a well formed weighted plane has one
     # nondegenerate zero in each of the three charts, with isotropy w_i
