@@ -514,9 +514,10 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
 
     When lo >= 1 and the nonzero coefficients share one sign, there is no
     sign change and so, by Descartes' rule of signs, no positive root: the
-    answer is empty without any root finding.  Most (k, a) pairs of the
-    p-family searches end there.  Quadratics, one per distinct quadratic
-    that a p111k search meets, are solved by the discriminant and `isqrt`,
+    answer is empty without any root finding.  The p-family searches run
+    this screen inline in their compiled scan, so only pairs that pass it
+    reach this function.  Quadratics, one per distinct quadratic that a
+    p111k search meets, are solved by the discriminant and `isqrt`,
     a few times faster than splitting and bisecting them.  Every other
     degree splits the range where the polynomial stops being monotone and
     bisects each piece on exact integer signs.  The zero polynomial

@@ -487,15 +487,14 @@ def _power_sum_source(terms: dict[int, int], x: str) -> str:
     return out
 
 
-def _compile_coefficients(name: str, polys: Sequence[MultiPoly]):
-    """`lambda x, y: (c_0, ..., c_m)`: the integer values at (x, y) of the
+def _coefficients_source(name: str, polys: Sequence[MultiPoly]) -> str:
+    """`(c_0, ..., c_m,)`: the source of one tuple expression for the
     polynomials, all on one two-variable table (x, y).
 
-    The polynomials are compiled into one expression: Horner's rule in y
-    over sums of integer multiples of powers of x.  The expression holds
-    only integer literals, x, y, `*`, `+`, `-`, commas and parentheses.  A
-    coefficient that is not an integer raises ValueError naming `name`, so
-    none is truncated."""
+    Each polynomial is written by Horner's rule in y over sums of integer
+    multiples of powers of x.  The source holds only integer literals, x,
+    y, `*`, `+`, `-`, commas and parentheses.  A coefficient that is not an
+    integer raises ValueError naming `name`, so none is truncated."""
     x, y = polys[0].vars
     entries = []
     for poly in polys:
@@ -515,25 +514,39 @@ def _compile_coefficients(name: str, polys: Sequence[MultiPoly]):
             else:
                 src = part
         entries.append(src or "0")
-    return eval(compile(f"lambda {x}, {y}: ({','.join(entries)},)",
-                        f"<{name} coefficients>", "eval"))
+    return f"({','.join(entries)},)"
+
+
+def _compile(name: str, source: str):
+    """Evaluate generated source; `<name>` labels its code in tracebacks."""
+    return eval(compile(source, f"<{name}>", "eval"))
 
 
 @cache
-def _p_family_evaluator(family: str):
-    """`lambda k, a: (c_0, ..., c_n)`: the integer d-coefficients of
-    `_p_family_coefficients(family)` at (k, a), lowest power first, compiled
-    once by `_compile_coefficients`."""
+def _p_family_candidates(family: str):
+    """`lambda k0, bound: [(k, a, c), ...]`: each pair k0 <= k <= a <= bound
+    with k | a, in scan order, whose integer d-coefficients c (lowest power
+    first, those of `_p_family_coefficients(family)` at (k, a)) may vanish
+    at some d >= 1, compiled once.
+
+    A pair survives when its coefficients change sign or are all zero.
+    Nonzero coefficients of one sign have no positive root by Descartes'
+    rule of signs, which is `integer_roots`' own screen at lo = 1, so the
+    pairs left out are exactly those it would answer with no roots."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
-    return _compile_coefficients(family, _p_family_coefficients(family))
+    c = _coefficients_source(family, _p_family_coefficients(family))
+    return _compile(f"{family} candidates",
+                    "lambda k0, bound: [(k, a, c) for k in range(k0, bound + 1)"
+                    " for a in range(k, bound + 1, k)"
+                    f" for c in ({c},) if min(c) < 0 < max(c) or not any(c)]")
 
 
 @cache
 def _scroll_evaluator(n: int):
     """`lambda s, d2: (c_0, c_1)`: the integer d1-coefficients, lowest power
     first, of `foliation_sing_count` at degree (d1, d2) on a scroll with n
-    twists summing to s, compiled once by `_compile_coefficients`.
+    twists summing to s, compiled once from `_coefficients_source`.
 
     Every tensor key of `catalog.scroll` has L-exponent at most 1, so L^2
     vanishes on the support, and c(X) = (1+L)^2 prod(1 + M - a_i L) reduces
@@ -547,9 +560,10 @@ def _scroll_evaluator(n: int):
     by_d1: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (es, e1, e2), c in (c0 + s * (c1 - c0)).terms.items():
         by_d1.setdefault(e1, {})[es, e2] = c
-    return _compile_coefficients("scroll", [
+    c = _coefficients_source("scroll", [
         MultiPoly(("s", "d2"), by_d1.get(e, {}))
         for e in range(1 + max(by_d1, default=0))])
+    return _compile("scroll coefficients", f"lambda s, d2: {c}")
 
 
 def regular_search(family: str, bound: int,
@@ -561,12 +575,14 @@ def regular_search(family: str, bound: int,
     bounds in the thousands are cheap.  `p111k` and `p1111k` range over
     weight k and hypersurface degree a with k dividing a (the divisibility
     every smooth weighted hypersurface satisfies), and find the distribution
-    degrees d in [1, B] for each pair.  One compiled expression
-    (`_p_family_evaluator`) gives the integer d-coefficients at each pair.
-    The pairs share few distinct d-polynomials (every a = k gives the same
-    one), so each distinct polynomial is solved once per call; most have
-    coefficients of one sign, which `integer_roots` rejects by Descartes'
-    rule without root finding.
+    degrees d in [1, B] for each pair.  One compiled scan per family
+    (`_p_family_candidates`) walks the pairs, evaluates their integer
+    d-coefficients inline and keeps only the pairs whose coefficients
+    change sign or all vanish: by Descartes' rule of signs no other pair
+    has a positive root.  The pairs rarely share a polynomial (`p1111k`
+    at B = 95 has 447 pairs and 353 distinct ones), but few survive the
+    screen (100, with 6 distinct polynomials, every a = k giving the same
+    one), and each distinct survivor is solved once per call.
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
     twists.  Its count depends on the twists only through their sum and is
     linear in d1, so it is compiled once per twist count
@@ -580,16 +596,14 @@ def regular_search(family: str, bound: int,
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        evaluate = _p_family_evaluator(family)
+        scan = _p_family_candidates(family)
         solved: dict[tuple[int, ...], list[int]] = {}
-        for k in range(2 if family == "p111k" else 1, bound + 1):
-            for a in range(k, bound + 1, k):
-                values = evaluate(k, a)
-                roots = solved.get(values)
-                if roots is None:
-                    roots = solved[values] = integer_roots(values, 1, bound)
-                for d in roots:
-                    found.append((a, d, k))
+        for k, a, values in scan(2 if family == "p111k" else 1, bound):
+            roots = solved.get(values)
+            if roots is None:
+                roots = solved[values] = integer_roots(values, 1, bound)
+            for d in roots:
+                found.append((a, d, k))
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")

@@ -88,10 +88,14 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
 
     Returns the degree vector (a tuple of length rank), `None` when the
     monomial degrees disagree, and `ANY_DEGREE` for the zero polynomial.
-    A raw polynomial must be on the model's coordinates, as in `GradedPoly`.
+    A raw polynomial must be on the model's coordinates, as in `GradedPoly`,
+    and a `GradedPoly` must belong to the model.
     """
     if not isinstance(poly, GradedPoly):
         poly = GradedPoly(model, poly)
+    elif poly.model != model:
+        raise ValueError(f"polynomial of model {poly.model.name} given for "
+                         f"model {model.name}")
     poly = poly.poly
     if model.divisor_classes is None:
         raise UnsupportedModelError(

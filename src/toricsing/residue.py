@@ -207,12 +207,3 @@ def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
             else:
                 del row[c]
 
-
-def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank over the rationals of sparse rows {column: coefficient}."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        scale = lcm(*(x.denominator for x in row.values()))
-        _insert(pivots, {c: x.numerator * (scale // x.denominator)
-                         for c, x in row.items() if x})
-    return len(pivots)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import re
+import types
 import warnings
 from fractions import Fraction
 from math import gcd
@@ -757,33 +758,67 @@ def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
     assert formulas._p_family_coefficients(family) is compiled
 
 
+def _code_objects(code):
+    """The code object and every code object nested in its constants."""
+    yield code
+    for c in code.co_consts:
+        if isinstance(c, types.CodeType):
+            yield from _code_objects(c)
+
+
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
-def test_p_family_evaluator_is_the_exact_coefficients(family):
-    evaluate = formulas._p_family_evaluator(family)
+def test_p_family_candidates_are_the_exact_coefficients(family):
+    scan = formulas._p_family_candidates(family)
     compiled = formulas._p_family_coefficients(family)
-    for k in range(-7, 8):
-        for a in range(-7, 8):
-            assert evaluate(k, a) == tuple(
-                c.evaluate({"k": k, "a": a}) for c in compiled)
-    assert formulas._p_family_evaluator(family) is evaluate
-    code = evaluate.__code__
-    assert code.co_varnames[:code.co_argcount] == ("k", "a")
-    assert code.co_names == ()
-    assert all(type(c) is int for c in code.co_consts if c is not None)
+    found = scan(1, 60)
+    assert found
+    for k, a, c in found:
+        assert c == tuple(p.evaluate({"k": k, "a": a}) for p in compiled)
+    assert formulas._p_family_candidates(family) is scan
+    code = scan.__code__
+    assert code.co_varnames[:code.co_argcount] == ("k0", "bound")
+    for code in _code_objects(scan.__code__):
+        assert set(code.co_names) <= {"range", "min", "max", "any"}
+        assert all(type(c) is int for c in code.co_consts
+                   if c is not None and not isinstance(c, types.CodeType))
 
 
-def test_p_family_evaluator_rejects_non_integral_coefficients(monkeypatch):
+def test_p_family_candidates_reject_non_integral_coefficients(monkeypatch):
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
     exact = formulas._p_family_coefficients("p111k")
     halved = (exact[0] + Fraction(1, 2) * k * k, *exact[1:])
     monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: halved)
     with pytest.raises(ValueError, match=re.escape("non-integer term 1/2 at k^2 a^0")):
-        formulas._p_family_evaluator.__wrapped__("p111k")
+        formulas._p_family_candidates.__wrapped__("p111k")
 
 
-def test_p_family_evaluator_rejects_other_families():
+def test_p_family_candidates_reject_other_families():
     with pytest.raises(ValueError, match="unknown search family 'scroll'"):
-        formulas._p_family_evaluator("scroll")
+        formulas._p_family_candidates("scroll")
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
+    compiled = formulas._p_family_coefficients(family)
+    k0 = 2 if family == "p111k" else 1
+    exact = {(k, a): tuple(p.evaluate({"k": k, "a": a}) for p in compiled)
+             for k in range(k0, 101) for a in range(k, 101, k)}
+    scan = formulas._p_family_candidates(family)
+    for bound in range(1, 101):
+        pairs = [(k, a) for k, a in exact if a <= bound]
+        kept = [(k, a) for k, a, _ in scan(k0, bound)]
+        survivors = set(kept)
+        assert kept == [p for p in pairs if p in survivors]
+        for p in set(pairs) - survivors:
+            assert any(exact[p]) and (min(exact[p]) >= 0 or max(exact[p]) <= 0)
+        expected = sorted(
+            (a, d, k) for k, a in pairs
+            for d in formulas.integer_roots(exact[k, a], 1, bound))
+        assert [(s.family, s.params, s.annotation)
+                for s in regular_search(family, bound)] == [
+            (family, p, "excluded-by-cohomology"
+             if (family, p) == ("p1111k", (2, 1, 1)) else "accepted")
+            for p in expected]
 
 
 def test_p_family_search_solves_each_polynomial_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Quasi-homogeneity, descent, and invariance checks in homogeneous coordinates."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,16 @@ def test_quasi_homogeneous_holds_raw_polys_to_the_coordinates():
                  MultiPoly(tuple("abcde"), {(0, 0, 0, 0, 1): 1})):
         with pytest.raises(ValueError, match="must equal the model coordinates"):
             check_quasi_homogeneous(m, poly)
+
+
+def test_quasi_homogeneous_rejects_another_models_poly():
+    other = catalog.projective(2)
+    g = GradedPoly(other, _poly(other, "z0 + z1"))
+    with pytest.raises(ValueError, match=re.escape(
+            "polynomial of model P2 given for model P(1,2,3)")):
+        check_quasi_homogeneous(catalog.weighted(1, 2, 3), g)
+    # a model built again from the same data is the same model
+    assert check_quasi_homogeneous(catalog.projective(2), g) == (1,)
 
 
 def test_graded_poly_degree_method():

@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,7 +15,7 @@ from toricsing.catalog import parse_polynomial
 from toricsing.errors import NonIsolatedZeroError
 from toricsing.exactalg import MultiPoly
 from toricsing.residue import (
-    IndexQuery, index_sum, local_multiplicity, orbifold_index,
+    IndexQuery, _insert, index_sum, local_multiplicity, orbifold_index,
 )
 
 
@@ -206,9 +206,18 @@ def test_oracle_matches_global_count_for_diagonal_fields():
         assert index_sum(reports) == formulas.foliation_sing_count(model, 0)
 
 
-def test_exact_rank_matches_rational_elimination():
-    from toricsing.residue import _exact_rank
+def _exact_rank(rows):
+    """Rank over the rationals of sparse rows {column: coefficient}, by the
+    oracle's integer echelon `_insert`."""
+    pivots = {}
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        _insert(pivots, {c: x.numerator * (scale // x.denominator)
+                         for c, x in row.items() if x})
+    return len(pivots)
 
+
+def test_exact_rank_matches_rational_elimination():
     def rational_rank(rows):
         m = [list(map(Fraction, r)) for r in rows]
         cols = len(m[0]) if m else 0
