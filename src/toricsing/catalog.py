@@ -91,9 +91,18 @@ def _check_params(fam: str, params: tuple) -> None:
         raise ModelFormatError(
             f"{fam} is written {syntax}; got {len(params)} parameter(s)")
     for p in params:
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ModelFormatError(
                 f"{fam} is written {syntax}; parameter {p!r} is not an integer")
+
+
+def _check_ints(family: str, params: Sequence) -> None:
+    """A ValueError names the family and the entry when a parameter is not
+    an int, before any arithmetic can mistake it.  The test is on the type:
+    a bool is an int to Python, but True would name a model PTrue."""
+    for p in params:
+        if type(p) is not int:
+            raise ValueError(f"{family} parameter {p!r} is not an int")
 
 
 def from_spec_string(text: str) -> ToricModel:
@@ -113,6 +122,7 @@ def from_spec_string(text: str) -> ToricModel:
 
 
 def projective(n: int) -> ToricModel:
+    _check_ints("projective", (n,))
     if n < 1:
         raise ModelFormatError("projective space needs positive dimension")
     return ToricModel(
@@ -135,6 +145,7 @@ def weighted(*w: int) -> ToricModel:
     singularities stay isolated, but the well-formedness hypotheses of the
     complete-intersection statements are not met.
     """
+    _check_ints("weighted", w)
     if len(w) < 2:
         raise ModelFormatError("need at least two weights")
     if any(x < 1 for x in w):
@@ -160,6 +171,7 @@ def weighted(*w: int) -> ToricModel:
 
 
 def multiprojective(*ns: int) -> ToricModel:
+    _check_ints("multiprojective", ns)
     if not ns or any(n < 1 for n in ns):
         raise ModelFormatError("factor dimensions must be positive")
     k = len(ns)
@@ -190,6 +202,7 @@ def multiprojective(*ns: int) -> ToricModel:
 
 def scroll(*a: int) -> ToricModel:
     """Rational normal scroll over the line with twists a1..an (any integers)."""
+    _check_ints("scroll", a)
     n = len(a)
     if n < 1:
         raise ModelFormatError("scroll needs at least one twist")
@@ -213,6 +226,7 @@ def scroll(*a: int) -> ToricModel:
 
 
 def blowup_point(n: int) -> ToricModel:
+    _check_ints("blowup_point", (n,))
     if n < 2:
         raise ModelFormatError("blow-up of a point needs ambient dimension >= 2")
     classes = [(1, -1)] * n + [(1, 0), (0, 1)]

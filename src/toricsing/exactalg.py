@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import isqrt
-from operator import add
+from operator import add, index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -521,9 +521,18 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     a few times faster than splitting and bisecting them.  Every other
     degree splits the range where the polynomial stops being monotone and
     bisects each piece on exact integer signs.  The zero polynomial
-    vanishes on the whole range.
+    vanishes on the whole range.  A coefficient or bound that is not an
+    int raises ValueError naming it: a float would give inexact signs.
     """
-    c = list(coeffs)
+    try:  # one C-level pass that also rejects what is not an int
+        c = list(map(index, coeffs))
+        lo, hi = index(lo), index(hi)
+    except TypeError:
+        for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(coeffs)),
+                        ("lower bound", lo), ("upper bound", hi)):
+            if not hasattr(type(x), "__index__"):
+                raise ValueError(f"integer_roots {what} is {x!r}, not an int") from None
+        raise
     while c and c[-1] == 0:
         c.pop()
     if lo > hi:

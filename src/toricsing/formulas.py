@@ -487,24 +487,38 @@ def _power_sum_source(terms: dict[int, int], x: str) -> str:
     return out
 
 
-def _coefficients_source(name: str, polys: Sequence[MultiPoly]) -> str:
-    """`(c_0, ..., c_m,)`: the source of one tuple expression for the
-    polynomials, all on one two-variable table (x, y).
-
-    Each polynomial is written by Horner's rule in y over sums of integer
-    multiples of powers of x.  The source holds only integer literals, x,
-    y, `*`, `+`, `-`, commas and parentheses.  A coefficient that is not an
-    integer raises ValueError naming `name`, so none is truncated."""
-    x, y = polys[0].vars
-    entries = []
+def _integer_terms(name: str,
+                   polys: Sequence[MultiPoly]) -> list[dict[tuple[int, int], int]]:
+    """The terms {(ex, ey): c} of each polynomial on its two-variable table
+    (x, y), with int coefficients.  A coefficient that is not an integer
+    raises ValueError naming `name`, so none is truncated."""
+    out = []
     for poly in polys:
-        parts: dict[int, dict[int, int]] = {}
+        x, y = poly.vars
+        ints = {}
         for (ex, ey), c in poly.terms.items():
             if c.denominator != 1:
                 raise ValueError(
                     f"{name} coefficient {poly.canonical_string()} has a "
                     f"non-integer term {c} at {x}^{ex} {y}^{ey}")
-            parts.setdefault(ey, {})[ex] = c.numerator
+            ints[ex, ey] = c.numerator
+        out.append(ints)
+    return out
+
+
+def _coefficients_source(x: str, y: str,
+                         terms: Sequence[dict[tuple[int, int], int]]) -> str:
+    """`(c_0, ..., c_m,)`: the source of one tuple expression for the
+    polynomials with the given integer terms {(ex, ey): c} in x and y.
+
+    Each polynomial is written by Horner's rule in y over sums of integer
+    multiples of powers of x.  The source holds only integer literals, x,
+    y, `*`, `+`, `-`, commas and parentheses."""
+    entries = []
+    for poly in terms:
+        parts: dict[int, dict[int, int]] = {}
+        for (ex, ey), c in poly.items():
+            parts.setdefault(ey, {})[ex] = c
         src = ""
         for ey in reversed(range(1 + max(parts, default=0))):
             part = _power_sum_source(parts.get(ey, {}), x)
@@ -522,24 +536,80 @@ def _compile(name: str, source: str):
     return eval(compile(source, f"<{name}>", "eval"))
 
 
+# the largest m0 a p-family's one-sign cutoff (`_one_sign_cutoff`) tries
+_CUTOFF_TRIES = 16
+
+
+def _taylor_shift(coeffs: Sequence[int], s: int) -> list[int]:
+    """The coefficients of p(x + s), lowest power first, from those of p(x),
+    by repeated synthetic division: exact integer steps only."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in reversed(range(i, len(c) - 1)):
+            c[j] += s * c[j + 1]
+    return c
+
+
+def _one_sign_cutoff(terms: Sequence[dict[tuple[int, int], int]]) -> int | None:
+    """The least m0 <= `_CUTOFF_TRIES` proving the polynomials with integer
+    terms {(em, ek): c} in (m, k) one-signed and not all zero at every
+    m >= m0, k >= 1; None when no m0 up to it does.
+
+    The proof is an integer Taylor shift: at m = m0 + y and k = 1 + x, every
+    coefficient of every polynomial has the same sign and some constant
+    term is nonzero.  Then at x, y >= 0 each polynomial keeps that sign,
+    and the one with the nonzero constant term does not vanish."""
+    polys = []  # per polynomial, per power of x: its coefficients in m
+    for t in terms:
+        dm = 1 + max((em for em, _ in t), default=0)
+        dk = 1 + max((ek for _, ek in t), default=0)
+        by_m = [_taylor_shift([t.get((em, ek), 0) for ek in range(dk)], 1)
+                for em in range(dm)]
+        polys.append([[col[ek] for col in by_m] for ek in range(dk)])
+    for m0 in range(1, _CUTOFF_TRIES + 1):
+        polys = [[_taylor_shift(row, 1) for row in p] for p in polys]
+        values = [c for p in polys for row in p for c in row if c]
+        if any(p[0][0] for p in polys) and (min(values) > 0 or max(values) < 0):
+            return m0
+    return None
+
+
+def _p_family_terms(family: str) -> list[dict[tuple[int, int], int]]:
+    """The integer terms of `_p_family_coefficients(family)` on (m, k) with
+    a = m k: the exponents are remapped, k^i a^j to m^j k^(i+j).  The
+    non-integer check runs on the (k, a) polynomials."""
+    return [{(j, i + j): c for (i, j), c in t.items()}
+            for t in _integer_terms(family, _p_family_coefficients(family))]
+
+
 @cache
 def _p_family_candidates(family: str):
     """`lambda k0, bound: [(k, a, c), ...]`: each pair k0 <= k <= a <= bound
-    with k | a, in scan order, whose integer d-coefficients c (lowest power
-    first, those of `_p_family_coefficients(family)` at (k, a)) may vanish
-    at some d >= 1, compiled once.
+    with a = m k, in scan order (m, then k), whose integer d-coefficients c
+    (lowest power first, those of `_p_family_coefficients(family)` at
+    (k, a)) may vanish at some d >= 1, compiled once.
 
     A pair survives when its coefficients change sign or are all zero.
     Nonzero coefficients of one sign have no positive root by Descartes'
     rule of signs, which is `integer_roots`' own screen at lo = 1, so the
-    pairs left out are exactly those it would answer with no roots."""
+    pairs left out are exactly those it would answer with no roots.  The
+    coefficients are compiled in (m, k), by Horner's rule in k over sums
+    of powers of m, and the scan stops before the cutoff M
+    (`_one_sign_cutoff`, certified from k = 1 so any k0 >= 1 is right):
+    every pair with m >= M is one-signed and not all zero, so the screen
+    would drop it.  That is M = 4 for `p111k` and 5 for `p1111k`; at
+    B = 95 they visit 170 and 196 pairs instead of 352 and 447.  A family
+    without a certificate scans every m."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
-    c = _coefficients_source(family, _p_family_coefficients(family))
+    terms = _p_family_terms(family)
+    cutoff = _one_sign_cutoff(terms)
+    stop = "bound // k0 + 1" if cutoff is None else f"min({cutoff}, bound // k0 + 1)"
     return _compile(f"{family} candidates",
-                    "lambda k0, bound: [(k, a, c) for k in range(k0, bound + 1)"
-                    " for a in range(k, bound + 1, k)"
-                    f" for c in ({c},) if min(c) < 0 < max(c) or not any(c)]")
+                    f"lambda k0, bound: [(k, m * k, c) for m in range(1, {stop})"
+                    " for k in range(k0, bound // m + 1)"
+                    f" for c in ({_coefficients_source('m', 'k', terms)},)"
+                    " if min(c) < 0 < max(c) or not any(c)]")
 
 
 @cache
@@ -560,9 +630,9 @@ def _scroll_evaluator(n: int):
     by_d1: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (es, e1, e2), c in (c0 + s * (c1 - c0)).terms.items():
         by_d1.setdefault(e1, {})[es, e2] = c
-    c = _coefficients_source("scroll", [
+    c = _coefficients_source("s", "d2", _integer_terms("scroll", [
         MultiPoly(("s", "d2"), by_d1.get(e, {}))
-        for e in range(1 + max(by_d1, default=0))])
+        for e in range(1 + max(by_d1, default=0))]))
     return _compile("scroll coefficients", f"lambda s, d2: {c}")
 
 
@@ -576,13 +646,16 @@ def regular_search(family: str, bound: int,
     weight k and hypersurface degree a with k dividing a (the divisibility
     every smooth weighted hypersurface satisfies), and find the distribution
     degrees d in [1, B] for each pair.  One compiled scan per family
-    (`_p_family_candidates`) walks the pairs, evaluates their integer
-    d-coefficients inline and keeps only the pairs whose coefficients
-    change sign or all vanish: by Descartes' rule of signs no other pair
-    has a positive root.  The pairs rarely share a polynomial (`p1111k`
-    at B = 95 has 447 pairs and 353 distinct ones), but few survive the
-    screen (100, with 6 distinct polynomials, every a = k giving the same
-    one), and each distinct survivor is solved once per call.
+    (`_p_family_candidates`) walks the pairs as a = m k, m first, evaluates
+    their integer d-coefficients inline and keeps only the pairs whose
+    coefficients change sign or all vanish: by Descartes' rule of signs no
+    other pair has a positive root.  An integer Taylor shift proves, once
+    per family, that every pair with m >= 4 (`p111k`) or m >= 5 (`p1111k`)
+    is one-signed, so the scan stops there: at B = 95 it visits 170 of the
+    352 `p111k` pairs and 196 of the 447 `p1111k` pairs.  Few pairs
+    survive the screen (`p1111k` at B = 95: 100, with 6 distinct
+    polynomials, every a = k giving the same one), and each distinct
+    survivor is solved once per call.
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
     twists.  Its count depends on the twists only through their sum and is
     linear in d1, so it is compiled once per twist count

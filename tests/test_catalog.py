@@ -136,10 +136,29 @@ def test_malformed_spec_names_the_family_syntax(text, syntax):
     (ModelSpec("projective", ("3",)), "projective:n"),
     (ModelSpec("scroll"), "scroll:a1,...,an"),
     (ModelSpec("blowup_two_points_p3", (1,)), "blowup_two_points_p3"),
+    (ModelSpec("projective", (True,)), "projective:n"),
 ])
 def test_builtin_checks_arity_and_integer_parameters(spec, syntax):
     with pytest.raises(ModelFormatError, match=re.escape(syntax)):
         builtin(spec)
+
+
+@pytest.mark.parametrize("family, build, entry", [
+    ("projective", lambda: catalog.projective("3"), "'3'"),
+    ("projective", lambda: catalog.projective(True), "True"),
+    ("projective", lambda: catalog.projective(2.0), "2.0"),
+    ("weighted", lambda: catalog.weighted(1.0, 2, 3), "1.0"),
+    ("weighted", lambda: catalog.weighted(1, 2, Fraction(3)), "Fraction(3, 1)"),
+    ("multiprojective", lambda: catalog.multiprojective(1, "2"), "'2'"),
+    ("scroll", lambda: catalog.scroll("1", "1"), "'1'"),
+    ("scroll", lambda: catalog.scroll(True, 2), "True"),
+    ("scroll", lambda: catalog.scroll(1, 1.5), "1.5"),
+    ("blowup_point", lambda: catalog.blowup_point(False), "False"),
+])
+def test_builders_name_a_parameter_that_is_not_an_int(family, build, entry):
+    with pytest.raises(ValueError, match=f"^{family} parameter {re.escape(entry)} "
+                                         "is not an int$"):
+        build()
 
 
 def test_round_trip_all_builtins():

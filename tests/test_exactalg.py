@@ -268,6 +268,20 @@ def test_integer_roots_are_exact_at_large_magnitudes():
     assert integer_roots(c, -2 * big, 2 * big) == []
 
 
+@pytest.mark.parametrize("args, named", [
+    # 1.0 * x rounds 10**17 + 1 to 10**17: two false roots, the true one missed
+    (([-(10 ** 17 + 1), 1.0], 10 ** 17, 10 ** 17 + 2), "coefficient of x^1 is 1.0"),
+    (([-9, 0, 1.0], -5, 5), "coefficient of x^2 is 1.0"),
+    (([Fraction(1, 2), 1], -5, 5), "coefficient of x^0 is Fraction(1, 2)"),
+    (([0], 1.5, 3), "lower bound is 1.5"),
+    (([0], 1, "3"), "upper bound is '3'"),
+])
+def test_integer_roots_reject_inexact_data(args, named):
+    with pytest.raises(ValueError, match=f"^integer_roots {re.escape(named)}, not an int$"):
+        integer_roots(*args)
+    assert integer_roots([-(10 ** 17 + 1), 1], 10 ** 17, 10 ** 17 + 2) == [10 ** 17 + 1]
+
+
 @pytest.mark.parametrize("build, value", [
     (lambda: MultiPoly.const(0.1), "0.1"),
     (lambda: MultiPoly.const(2.0, ("a",)), "2.0"),

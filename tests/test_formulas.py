@@ -711,9 +711,11 @@ def test_search_rejects_bounds_that_are_not_positive_integers(family, bound):
 
 
 def test_scroll_search_rejects_non_integer_twists():
-    # a twist of 1.5 would build the divisor class (-1.5, 1)
-    with pytest.raises(ValueError, match=r"divisor class \(-1.5, 1\)"):
-        regular_search("scroll", 2, scroll_a=(1.5, 1))
+    # a twist of 1.5 would build the divisor class (-1.5, 1); the scroll
+    # builder names the twist itself, and a string or a bool twist too
+    for twists, entry in (((1.5, 1), "1.5"), ("11", "'1'"), ((True, 2), "True")):
+        with pytest.raises(ValueError, match=f"^scroll parameter {re.escape(entry)} is not an int$"):
+            regular_search("scroll", 2, scroll_a=twists)
 
 
 def _hand_typed(family, k, a, d):
@@ -803,12 +805,17 @@ def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
     k0 = 2 if family == "p111k" else 1
     exact = {(k, a): tuple(p.evaluate({"k": k, "a": a}) for p in compiled)
              for k in range(k0, 101) for a in range(k, 101, k)}
+    # integer_roots takes ints only
+    assert all(c.denominator == 1 for cs in exact.values() for c in cs)
+    exact = {p: tuple(c.numerator for c in cs) for p, cs in exact.items()}
     scan = formulas._p_family_candidates(family)
     for bound in range(1, 101):
         pairs = [(k, a) for k, a in exact if a <= bound]
         kept = [(k, a) for k, a, _ in scan(k0, bound)]
         survivors = set(kept)
-        assert kept == [p for p in pairs if p in survivors]
+        # the scan runs over m = a / k, then k
+        assert kept == [p for p in sorted(pairs, key=lambda p: (p[1] // p[0], p[0]))
+                        if p in survivors]
         for p in set(pairs) - survivors:
             assert any(exact[p]) and (min(exact[p]) >= 0 or max(exact[p]) <= 0)
         expected = sorted(
@@ -819,6 +826,52 @@ def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
             (family, p, "excluded-by-cohomology"
              if (family, p) == ("p1111k", (2, 1, 1)) else "accepted")
             for p in expected]
+
+
+@pytest.mark.parametrize("family, cutoff", [("p111k", 4), ("p1111k", 5)])
+def test_p_family_cutoff_is_one_signed_beyond_it(family, cutoff):
+    compiled = formulas._p_family_coefficients(family)
+    assert formulas._one_sign_cutoff(formulas._p_family_terms(family)) == cutoff
+    # certified from k = 1: every pair a = m k <= 400 with m >= cutoff
+    for m in range(cutoff, 401):
+        for k in range(1, 400 // m + 1):
+            c = [p.evaluate({"k": k, "a": m * k}) for p in compiled]
+            assert any(c) and (min(c) >= 0 or max(c) <= 0), (m, k, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=6), st.integers(-6, 6))
+def test_taylor_shift_is_the_substitution(coeffs, s):
+    x = MultiPoly.variable("x", ("x",))
+    poly = MultiPoly(("x",), {(i,): c for i, c in enumerate(coeffs)})
+    shifted = formulas._taylor_shift(coeffs, s)
+    assert len(shifted) == len(coeffs)
+    assert MultiPoly(("x",), {(i,): c for i, c in enumerate(shifted)}) \
+        == poly.substitute({"x": x + s})
+
+
+@pytest.mark.parametrize("build, cutoff", [
+    # k - 3 < 0 < 1 at k = 1 for every m, so no m0 is one-signed
+    (lambda k, a: (k - 3, a - 2 * k, k ** 0), None),
+    # every m = 1 pair is all zero: one-signed at m >= 1, but m0 = 1 has no
+    # nonzero constant term to prove the pairs nonzero
+    (lambda k, a: (a - k, 2 * (a - k)), 2),
+])
+def test_p_family_scan_matches_a_per_pair_enumeration(monkeypatch, build, cutoff):
+    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
+    polys = build(k, a)
+    monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: polys)
+    assert formulas._one_sign_cutoff(formulas._p_family_terms("p111k")) == cutoff
+    scan = formulas._p_family_candidates.__wrapped__("p111k")
+    for k0 in (1, 2):
+        for bound in range(1, 41):
+            expected = []
+            for m in range(1, bound + 1):
+                for kk in range(k0, bound // m + 1):
+                    c = tuple(int(p.evaluate({"k": kk, "a": m * kk})) for p in polys)
+                    if min(c) < 0 < max(c) or not any(c):
+                        expected.append((kk, m * kk, c))
+            assert scan(k0, bound) == expected
 
 
 def test_p_family_search_solves_each_polynomial_once(monkeypatch):
