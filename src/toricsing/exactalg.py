@@ -512,17 +512,17 @@ def parse_polynomial(text: str, variables: Sequence[str],
 def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
 
-    When lo >= 1 and the nonzero coefficients share one sign, there is no
-    sign change and so, by Descartes' rule of signs, no positive root: the
-    answer is empty without any root finding.  The p-family searches run
-    this screen inline in their compiled scan, so only pairs that pass it
-    reach this function.  Quadratics, one per distinct quadratic that a
-    p111k search meets, are solved by the discriminant and `isqrt`,
-    a few times faster than splitting and bisecting them.  Every other
-    degree splits the range where the polynomial stops being monotone and
-    bisects each piece on exact integer signs.  The zero polynomial
-    vanishes on the whole range.  A coefficient or bound that is not an
-    int raises ValueError naming it: a float would give inexact signs.
+    A linear polynomial, one per d2 step of a scroll search, has its root
+    by one `divmod`.  When lo >= 1 and the nonzero coefficients share one
+    sign, there is no sign change and so, by Descartes' rule of signs, no
+    positive root: the answer is empty without any root finding.
+    Quadratics, the p111k search polynomials, are solved by the
+    discriminant and `isqrt`, a few times faster than splitting and
+    bisecting them.  Every other degree splits the range where the
+    polynomial stops being monotone and bisects each piece on exact
+    integer signs.  The zero polynomial vanishes on the whole range.  A
+    coefficient or bound that is not an int raises ValueError naming it:
+    a float would give inexact signs.
     """
     try:  # one C-level pass that also rejects what is not an int
         c = list(map(index, coeffs))
@@ -539,6 +539,9 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
         return []
     if not c:
         return list(range(lo, hi + 1))
+    if len(c) == 2:
+        q, r = divmod(-c[0], c[1])
+        return [q] if r == 0 and lo <= q <= hi else []
     if lo >= 1 and (min(c) >= 0 or max(c) <= 0):
         return []
     if len(c) == 3:

@@ -536,7 +536,7 @@ def _compile(name: str, source: str):
     return eval(compile(source, f"<{name}>", "eval"))
 
 
-# the largest m0 a p-family's one-sign cutoff (`_one_sign_cutoff`) tries
+# the largest cutoff that `_one_sign_cutoff` tries
 _CUTOFF_TRIES = 16
 
 
@@ -582,34 +582,69 @@ def _p_family_terms(family: str) -> list[dict[tuple[int, int], int]]:
             for t in _integer_terms(family, _p_family_coefficients(family))]
 
 
-@cache
-def _p_family_candidates(family: str):
-    """`lambda k0, bound: [(k, a, c), ...]`: each pair k0 <= k <= a <= bound
-    with a = m k, in scan order (m, then k), whose integer d-coefficients c
-    (lowest power first, those of `_p_family_coefficients(family)` at
-    (k, a)) may vanish at some d >= 1, compiled once.
+def _row_polynomials(terms: Sequence[dict[tuple[int, int], int]],
+                     m: int) -> list[dict[int, int]]:
+    """The (m, k) polynomials with integer terms {(em, ek): c} at a fixed m,
+    as polynomials in k: {ek: c}, zero coefficients left out."""
+    rows = []
+    for t in terms:
+        row: dict[int, int] = {}
+        for (em, ek), c in t.items():
+            row[ek] = row.get(ek, 0) + c * m ** em
+        rows.append({ek: c for ek, c in row.items() if c})
+    return rows
 
-    A pair survives when its coefficients change sign or are all zero.
-    Nonzero coefficients of one sign have no positive root by Descartes'
-    rule of signs, which is `integer_roots`' own screen at lo = 1, so the
-    pairs left out are exactly those it would answer with no roots.  The
-    coefficients are compiled in (m, k), by Horner's rule in k over sums
-    of powers of m, and the scan stops before the cutoff M
-    (`_one_sign_cutoff`, certified from k = 1 so any k0 >= 1 is right):
-    every pair with m >= M is one-signed and not all zero, so the screen
-    would drop it.  That is M = 4 for `p111k` and 5 for `p1111k`; at
-    B = 95 they visit 170 and 196 pairs instead of 352 and 447.  A family
-    without a certificate scans every m."""
+
+def _roots(coeffs: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The integer roots d >= 1 of sum_i coeffs[i] * d^i, all of them: the
+    Cauchy bound 1 + max |c_i| // |c_n| caps the range.  None when every
+    coefficient is zero, since then every d is a root."""
+    if not any(coeffs):
+        return None
+    lead = next(c for c in reversed(coeffs) if c)
+    return tuple(integer_roots(coeffs, 1, 1 + max(map(abs, coeffs)) // abs(lead)))
+
+
+@cache
+def _p_family_solution_set(family: str):
+    """`((m, first, last, roots), ...)`: every (a, d, k) with a = m k,
+    k >= 1 and d >= 1 at which the d-coefficients of
+    `_p_family_coefficients(family)` vanish, certified once.
+
+    Each entry covers the k in [first, last] (`last` None: every k >=
+    first) and the roots d, None meaning every d.  The cutoff M
+    (`_one_sign_cutoff`, certified from k = 1) proves every pair with
+    m >= M one-signed and not all zero, so only the rows m < M are left.
+    A row whose polynomials are constant in k is one polynomial for every
+    k, a line: the m = 1 row (a = k, a linear cone) is one.  Every other
+    row gets its own k-cutoff K from the same certificate, run in k alone,
+    and leaves the finitely many pairs k < K.  That is K = 3, 2 on the
+    rows m = 2, 3 of `p111k` (M = 4) and 4, 2, 2 on the rows m = 2, 3, 4
+    of `p1111k` (M = 5).  Each distinct polynomial is solved once."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
     terms = _p_family_terms(family)
     cutoff = _one_sign_cutoff(terms)
-    stop = "bound // k0 + 1" if cutoff is None else f"min({cutoff}, bound // k0 + 1)"
-    return _compile(f"{family} candidates",
-                    f"lambda k0, bound: [(k, m * k, c) for m in range(1, {stop})"
-                    " for k in range(k0, bound // m + 1)"
-                    f" for c in ({_coefficients_source('m', 'k', terms)},)"
-                    " if min(c) < 0 < max(c) or not any(c)]")
+    if cutoff is None:
+        raise ValueError(f"search family {family!r} has no one-sign cutoff "
+                         f"in m <= {_CUTOFF_TRIES}")
+    pairs = []  # (m, first, last, d-coefficients)
+    for m in range(1, cutoff):
+        rows = _row_polynomials(terms, m)
+        if all(ek == 0 for row in rows for ek in row):
+            pairs.append((m, 1, None, tuple(row.get(0, 0) for row in rows)))
+            continue
+        # k in the certificate's first slot, its second one left unused
+        k_cutoff = _one_sign_cutoff([{(ek, 0): c for ek, c in row.items()}
+                                     for row in rows])
+        if k_cutoff is None:
+            raise ValueError(f"search family {family!r} has no one-sign "
+                             f"cutoff in k <= {_CUTOFF_TRIES} at m = {m}")
+        pairs += [(m, k, k, tuple(sum(c * k ** ek for ek, c in row.items())
+                                  for row in rows)) for k in range(1, k_cutoff)]
+    solved = {c: _roots(c) for c in {c for *_, c in pairs}}
+    return tuple((m, first, last, solved[c])
+                 for m, first, last, c in pairs if solved[c] != ())
 
 
 @cache
@@ -645,17 +680,16 @@ def regular_search(family: str, bound: int,
     bounds in the thousands are cheap.  `p111k` and `p1111k` range over
     weight k and hypersurface degree a with k dividing a (the divisibility
     every smooth weighted hypersurface satisfies), and find the distribution
-    degrees d in [1, B] for each pair.  One compiled scan per family
-    (`_p_family_candidates`) walks the pairs as a = m k, m first, evaluates
-    their integer d-coefficients inline and keeps only the pairs whose
-    coefficients change sign or all vanish: by Descartes' rule of signs no
-    other pair has a positive root.  An integer Taylor shift proves, once
-    per family, that every pair with m >= 4 (`p111k`) or m >= 5 (`p1111k`)
-    is one-signed, so the scan stops there: at B = 95 it visits 170 of the
-    352 `p111k` pairs and 196 of the 447 `p1111k` pairs.  Few pairs
-    survive the screen (`p1111k` at B = 95: 100, with 6 distinct
-    polynomials, every a = k giving the same one), and each distinct
-    survivor is solved once per call.
+    degrees d in [1, B] for each pair.  Their whole solution set is
+    certified once per family (`_p_family_solution_set`), so a search only
+    filters it, in time linear in its output whatever the bound.  Writing
+    a = m k, an integer Taylor shift proves every pair with m >= 4
+    (`p111k`) or m >= 5 (`p1111k`) one-signed, hence without a root by
+    Descartes' rule of signs.  Below that the m = 1 row has the same
+    polynomial at every k, giving the lines (m k, d, k) of its roots d,
+    and each other row is one-signed beyond its own k-cutoff, leaving at
+    most 5 sporadic pairs.  So `p111k` has no solutions at any bound, and
+    `p1111k` has the line (k, 2, k) and the point (2, 1, 1).
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
     twists.  Its count depends on the twists only through their sum and is
     linear in d1, so it is compiled once per twist count
@@ -669,14 +703,13 @@ def regular_search(family: str, bound: int,
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        scan = _p_family_candidates(family)
-        solved: dict[tuple[int, ...], list[int]] = {}
-        for k, a, values in scan(2 if family == "p111k" else 1, bound):
-            roots = solved.get(values)
-            if roots is None:
-                roots = solved[values] = integer_roots(values, 1, bound)
-            for d in roots:
-                found.append((a, d, k))
+        k0 = 2 if family == "p111k" else 1
+        for m, first, last, roots in _p_family_solution_set(family):
+            ks = range(max(first, k0), 1 + (bound // m if last is None
+                                            else min(last, bound // m)))
+            ds = range(1, bound + 1) if roots is None \
+                else [d for d in roots if d <= bound]
+            found += [(m * k, d, k) for d in ds for k in ks]
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")

@@ -114,6 +114,13 @@ def test_search_json(capsys):
         {"params": [-2, 0], "annotation": "accepted"}]
 
 
+def test_p111k_search_at_a_billion_reads_its_empty_solution_set(capsys):
+    status, out, _ = _run(capsys, "search", "--family", "p111k",
+                          "--bound", "1000000000")
+    assert status == 0
+    assert out.splitlines()[0] == "result = 0 solution(s)"
+
+
 def test_search_rejects_malformed_twists(capsys):
     status, out, err = _run(capsys, "search", "--family", "scroll",
                             "--bound", "3", "--scroll-a", "1,x")

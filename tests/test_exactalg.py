@@ -234,6 +234,17 @@ def test_integer_roots_match_the_scan(case):
     assert integer_roots(c, lo, hi) == _scan(c, lo, hi)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-40, 40).filter(bool), st.integers(-60, 60),
+       st.one_of(st.just(0), st.integers(-500, 500)),
+       st.integers(-70, 70), st.integers(-5, 70))
+def test_linear_integer_roots_match_the_scan(c1, root, shift, lo, width):
+    # c0 = -c1 * root plants an integer root; a shift mostly moves it off
+    # the integers; a negative width makes lo > hi
+    c = [-c1 * root + shift, c1]
+    assert integer_roots(c, lo, lo + width) == _scan(c, lo, lo + width)
+
+
 def test_integer_roots_edge_cases():
     assert integer_roots([], -3, 3) == [-3, -2, -1, 0, 1, 2, 3]
     assert integer_roots([0, 0, 0], 2, 4) == [2, 3, 4]

@@ -3,7 +3,6 @@
 import dataclasses
 import random
 import re
-import types
 import warnings
 from fractions import Fraction
 from math import gcd
@@ -15,7 +14,7 @@ from toricsing import catalog, chow, formulas
 from toricsing.errors import (
     NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
 )
-from toricsing.exactalg import MultiPoly, aligned, poly_sum
+from toricsing.exactalg import MultiPoly, aligned, integer_roots, poly_sum
 from toricsing.formulas import (
     alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
     complement_euler, complement_sing_count, foliation_sing_count,
@@ -760,67 +759,59 @@ def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
     assert formulas._p_family_coefficients(family) is compiled
 
 
-def _code_objects(code):
-    """The code object and every code object nested in its constants."""
-    yield code
-    for c in code.co_consts:
-        if isinstance(c, types.CodeType):
-            yield from _code_objects(c)
+# the solution set of each p-family: (m, first k, last k or None, roots d)
+P_FAMILY_SOLUTIONS = {
+    "p111k": (),
+    "p1111k": ((1, 1, None, (2,)), (2, 1, 1, (1,))),
+}
+# the k-cutoff of each row m below the family's cutoff; None for a line
+P_FAMILY_ROW_CUTOFFS = {"p111k": [None, 3, 2], "p1111k": [None, 4, 2, 2]}
+
+
+def _p_family_values(family, m, k):
+    """The integer d-coefficients of the family's polynomial at a = m k."""
+    values = [p.evaluate({"k": k, "a": m * k})
+              for p in formulas._p_family_coefficients(family)]
+    assert all(c.denominator == 1 for c in values)
+    return tuple(c.numerator for c in values)
 
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
-def test_p_family_candidates_are_the_exact_coefficients(family):
-    scan = formulas._p_family_candidates(family)
-    compiled = formulas._p_family_coefficients(family)
-    found = scan(1, 60)
-    assert found
-    for k, a, c in found:
-        assert c == tuple(p.evaluate({"k": k, "a": a}) for p in compiled)
-    assert formulas._p_family_candidates(family) is scan
-    code = scan.__code__
-    assert code.co_varnames[:code.co_argcount] == ("k0", "bound")
-    for code in _code_objects(scan.__code__):
-        assert set(code.co_names) <= {"range", "min", "max", "any"}
-        assert all(type(c) is int for c in code.co_consts
-                   if c is not None and not isinstance(c, types.CodeType))
+def test_p_family_solution_set_is_exact(family):
+    solutions = formulas._p_family_solution_set(family)
+    assert solutions == P_FAMILY_SOLUTIONS[family]
+    assert formulas._p_family_solution_set(family) is solutions
+    for m, first, last, roots in solutions:
+        for k in range(first, 40 if last is None else last + 1):
+            c = _p_family_values(family, m, k)
+            assert [d for d in range(1, 50)
+                    if sum(ci * d ** i for i, ci in enumerate(c)) == 0] \
+                == list(roots)
 
 
-def test_p_family_candidates_reject_non_integral_coefficients(monkeypatch):
+def test_p_family_solution_set_rejects_non_integral_coefficients(monkeypatch):
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
     exact = formulas._p_family_coefficients("p111k")
     halved = (exact[0] + Fraction(1, 2) * k * k, *exact[1:])
     monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: halved)
     with pytest.raises(ValueError, match=re.escape("non-integer term 1/2 at k^2 a^0")):
-        formulas._p_family_candidates.__wrapped__("p111k")
+        formulas._p_family_solution_set.__wrapped__("p111k")
 
 
-def test_p_family_candidates_reject_other_families():
+def test_p_family_solution_set_rejects_other_families():
     with pytest.raises(ValueError, match="unknown search family 'scroll'"):
-        formulas._p_family_candidates("scroll")
+        formulas._p_family_solution_set("scroll")
 
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
 def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
-    compiled = formulas._p_family_coefficients(family)
     k0 = 2 if family == "p111k" else 1
-    exact = {(k, a): tuple(p.evaluate({"k": k, "a": a}) for p in compiled)
+    exact = {(k, a): _p_family_values(family, a // k, k)
              for k in range(k0, 101) for a in range(k, 101, k)}
-    # integer_roots takes ints only
-    assert all(c.denominator == 1 for cs in exact.values() for c in cs)
-    exact = {p: tuple(c.numerator for c in cs) for p, cs in exact.items()}
-    scan = formulas._p_family_candidates(family)
     for bound in range(1, 101):
-        pairs = [(k, a) for k, a in exact if a <= bound]
-        kept = [(k, a) for k, a, _ in scan(k0, bound)]
-        survivors = set(kept)
-        # the scan runs over m = a / k, then k
-        assert kept == [p for p in sorted(pairs, key=lambda p: (p[1] // p[0], p[0]))
-                        if p in survivors]
-        for p in set(pairs) - survivors:
-            assert any(exact[p]) and (min(exact[p]) >= 0 or max(exact[p]) <= 0)
         expected = sorted(
-            (a, d, k) for k, a in pairs
-            for d in formulas.integer_roots(exact[k, a], 1, bound))
+            (a, d, k) for k, a in exact if a <= bound
+            for d in integer_roots(exact[k, a], 1, bound))
         assert [(s.family, s.params, s.annotation)
                 for s in regular_search(family, bound)] == [
             (family, p, "excluded-by-cohomology"
@@ -836,6 +827,28 @@ def test_p_family_cutoff_is_one_signed_beyond_it(family, cutoff):
     for m in range(cutoff, 401):
         for k in range(1, 400 // m + 1):
             c = [p.evaluate({"k": k, "a": m * k}) for p in compiled]
+            assert any(c) and (min(c) >= 0 or max(c) <= 0), (m, k, c)
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_p_family_row_cutoffs_are_one_signed_beyond_them(family):
+    terms = formulas._p_family_terms(family)
+    cutoffs = P_FAMILY_ROW_CUTOFFS[family]
+    assert len(cutoffs) + 1 == formulas._one_sign_cutoff(terms)
+    for m, cutoff in enumerate(cutoffs, start=1):
+        rows = formulas._row_polynomials(terms, m)
+        line = all(ek == 0 for row in rows for ek in row)
+        assert line == (cutoff is None)
+        if line:  # one polynomial at every k
+            assert len({_p_family_values(family, m, k) for k in range(1, 60)}) == 1
+            continue
+        assert formulas._one_sign_cutoff(
+            [{(ek, 0): c for ek, c in row.items()} for row in rows]) == cutoff
+        # the pair just below the cutoff is not one-signed and nonzero
+        c = _p_family_values(family, m, cutoff - 1)
+        assert not (any(c) and (min(c) >= 0 or max(c) <= 0)), (m, c)
+        for k in range(cutoff, 400 // m + 1):
+            c = _p_family_values(family, m, k)
             assert any(c) and (min(c) >= 0 or max(c) <= 0), (m, k, c)
 
 
@@ -856,22 +869,29 @@ def test_taylor_shift_is_the_substitution(coeffs, s):
     # every m = 1 pair is all zero: one-signed at m >= 1, but m0 = 1 has no
     # nonzero constant term to prove the pairs nonzero
     (lambda k, a: (a - k, 2 * (a - k)), 2),
+    # rows m = 1, 2 are not lines; the pair (m, k) = (2, 1) is all zero
+    (lambda k, a: (a - 2, k - 1), 3),
 ])
 def test_p_family_scan_matches_a_per_pair_enumeration(monkeypatch, build, cutoff):
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
     polys = build(k, a)
     monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: polys)
     assert formulas._one_sign_cutoff(formulas._p_family_terms("p111k")) == cutoff
-    scan = formulas._p_family_candidates.__wrapped__("p111k")
-    for k0 in (1, 2):
+    if cutoff is None:  # a family without a certificate is refused
+        with pytest.raises(ValueError, match="^search family 'p111k' has no one-sign cutoff"):
+            formulas._p_family_solution_set.__wrapped__("p111k")
+        return
+    solutions = formulas._p_family_solution_set.__wrapped__("p111k")
+    monkeypatch.setattr(formulas, "_p_family_solution_set", lambda family: solutions)
+    # p111k searches from k = 2, p1111k from k = 1
+    for family, k0 in (("p111k", 2), ("p1111k", 1)):
         for bound in range(1, 41):
             expected = []
-            for m in range(1, bound + 1):
-                for kk in range(k0, bound // m + 1):
-                    c = tuple(int(p.evaluate({"k": kk, "a": m * kk})) for p in polys)
-                    if min(c) < 0 < max(c) or not any(c):
-                        expected.append((kk, m * kk, c))
-            assert scan(k0, bound) == expected
+            for kk in range(k0, bound + 1):
+                for aa in range(kk, bound + 1, kk):
+                    c = [int(p.evaluate({"k": kk, "a": aa})) for p in polys]
+                    expected += [(aa, d, kk) for d in integer_roots(c, 1, bound)]
+            assert [s.params for s in regular_search(family, bound)] == sorted(expected)
 
 
 def test_p_family_search_solves_each_polynomial_once(monkeypatch):
@@ -881,12 +901,22 @@ def test_p_family_search_solves_each_polynomial_once(monkeypatch):
         seen.append(tuple(coeffs))
         return integer_roots(coeffs, lo, hi)
 
-    integer_roots = formulas.integer_roots
     monkeypatch.setattr(formulas, "integer_roots", spy)
-    sols = regular_search("p1111k", 95)
-    assert {s.params for s in sols} \
-        == {(k, 2, k) for k in range(1, 96)} | {(2, 1, 1)}
-    assert seen and len(seen) == len(set(seen))
+    formulas._p_family_solution_set.cache_clear()
+    for family, cutoffs in P_FAMILY_ROW_CUTOFFS.items():
+        seen.clear()
+        sols = regular_search(family, 95)
+        # the line row's polynomial, then each pair below its row's cutoff
+        pairs = [(m, k) for m, cutoff in enumerate(cutoffs, start=1)
+                 for k in range(1, 2 if cutoff is None else cutoff)]
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {_p_family_values(family, m, k) for m, k in pairs}
+        assert len(sols) == (0 if family == "p111k" else 96)
+    seen.clear()
+    for bound in (1, 2, 95, 1000, 10 ** 6):
+        for family in P_FAMILY_ROW_CUTOFFS:
+            regular_search(family, bound)
+    assert seen == []
 
 
 def _scroll_grid(a, bound):
@@ -946,6 +976,14 @@ def test_searches_at_large_bounds():
         | {((2, 1, 1), "excluded-by-cohomology")}
     assert [s.params for s in regular_search("scroll", 1000, scroll_a=(1, 1, 1))] \
         == [(-2, 0)]
+
+
+def test_p_family_searches_at_bounds_far_beyond_a_scan():
+    # the solution sets are certified once, so the bound only filters them
+    assert regular_search("p111k", 10 ** 9) == []
+    sols = regular_search("p1111k", 10 ** 5)
+    assert len(sols) == 10 ** 5 + 1
+    assert sols[-1].params == (10 ** 5, 2, 10 ** 5)
 
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
