@@ -141,9 +141,9 @@ def weighted(*w: int) -> ToricModel:
     """Weighted projective space with the given positive weights.
 
     The overall gcd must be 1.  Non pairwise-coprime weights are accepted
-    with a warning: the counting formulas still apply whenever the
-    singularities stay isolated, but the well-formedness hypotheses of the
-    complete-intersection statements are not met.
+    with a warning (`_warn_shared_factors`): the counting formulas still
+    apply whenever the singularities stay isolated, but the hypotheses of
+    the complete-intersection statements are not met.
     """
     _check_ints("weighted", w)
     if len(w) < 2:
@@ -153,10 +153,7 @@ def weighted(*w: int) -> ToricModel:
     g = gcd(*w)
     if g != 1:
         raise ModelFormatError(f"weights {w} have gcd {g}, expected 1")
-    if not _pairwise_coprime(w):
-        warnings.warn(
-            f"weights {w} are not pairwise coprime; the space is not well formed",
-            NotWellFormedWarning, stacklevel=2)
+    _warn_shared_factors(w, stacklevel=2)
     n = len(w) - 1
     return ToricModel(
         name="P(" + ",".join(str(x) for x in w) + ")",
@@ -302,6 +299,18 @@ def _pairwise_coprime(w) -> bool:
     """Whether positive integers are pairwise coprime: exactly when their
     lcm is their product."""
     return lcm(*w) == prod(w)
+
+
+def _warn_shared_factors(w: tuple[int, ...], stacklevel: int) -> None:
+    """Warn, at `stacklevel` seen from the caller, when weights share a factor:
+    if n of the n + 1 do, as in P(1,2,2), the space is not well formed;
+    otherwise, as in P(1,2,2,3), its singular locus is not isolated."""
+    if not _pairwise_coprime(w):
+        formed = all(gcd(*w[:i], *w[i + 1:]) == 1 for i in range(len(w)))
+        warnings.warn(f"weights {w} are not pairwise coprime; " + (
+            "the singular locus is not isolated" if formed
+            else "the space is not well formed"), NotWellFormedWarning,
+            stacklevel=stacklevel + 1)
 
 
 # ---------------------------------------------------------------------------

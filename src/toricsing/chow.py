@@ -14,27 +14,29 @@ grading that matters is total degree in the generators only.
 The support of a tensor (the monomials dividing some tensor key) depends
 only on its key set, and families share key sets: every weighted P^n of
 one dimension has the single key (n,).  So the support is indexed once per
-key set, in a bounded module-level cache (`_index_support`): the support,
-the same sorted by degree, highest first, and the down-edges from each
-monomial e to e - u_k, all tuples and frozensets.  Models are frozen, so
-each caches, on first use, that shared index, its tensor as integer
-weights over one common denominator, and the Chern series c = prod (1 +
-D_i) its counts read.
+key set, in a bounded module-level cache (`_index_support`): the support
+sorted by degree, highest first, the position of each monomial there, and
+the down-edges (i, k, j) from monomial i to j = i - u_k, all immutable.
+Off the support lies an upward-closed set, every monomial above degree n
+included, that integrates to zero, so a product may drop it at any step.
+Models are frozen, so each caches, on first use, that shared index, its
+tensor as integer weights over one common denominator, and its Chern
+vector, c = prod (1 + D_i) on the support (`_chern_vector`).
 
-Every truncated series here comes from one in-place update, s_j +=
-s_(j-1) * x (`_update`).  Run highest degree first it multiplies by
-(1 + x t), giving the elementary series (`elementary_series`, and so
-`elementary_symmetric_classes` and `chern_class`); run lowest degree first
-it divides by (1 - x t), giving the complete series (`complete_series`,
-`wronski_classes`).  These return complete elements, built only when asked
-for.  The counts' Chern series is the one specialisation: built on the
-support index with one in-place integer pass per divisor class, v[e] +=
-sum_k D[k] * v[e - u_k], then split by degree into term tables
-(`_divisor_series`).  Counts enter through `integrate_count`, the paper's
-prod a_i * [c / (prod (1 + a_i) * (1 - d))]_(n-m): it divides those tables
-with the same update, keeps only the support after every product and
-hands `integrate` the terms on tensor keys; `integrate` sums integer
-products against the integer weights and divides once per output term.
+Every series and every count here runs one kernel, `_pass`: dst[i] +=
+x[k] * src[j] along the edges (i, k, j) of a vector sorted highest degree
+first.  In place in edge order it reads only entries not yet updated and
+multiplies by (1 + x); in place with the edges reversed it reads updated
+ones and divides by (1 - x); into a fresh vector it multiplies by x.  On
+the chain t^k, ..., t, 1 it gives the elementary series
+(`elementary_series`, and so `elementary_symmetric_classes` and
+`chern_class`) and the complete series (`complete_series`,
+`wronski_classes`), complete elements built only when asked for.  On the
+support it gives every count (`integrate_count`, the paper's prod a_i *
+[c / (prod (1 + a_i) * (1 - d))]_(n-m)), where a position carries the
+generator exponent, so an entry is a number, or a term dict over the
+degree-symbol exponents (`_Terms`).  `integrate` sums the entries on
+tensor keys against the integer weights and divides once per output term.
 Degree-1 classes, with numeric or symbolic entries, all come from
 `class_element`.
 """
@@ -51,7 +53,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
-    MultiPoly, ScalarLike, add_terms, aligned, as_poly, monomials_of_degree,
+    MultiPoly, ScalarLike, aligned, as_poly, monomials_of_degree,
     mul_terms, poly_sum,
 )
 
@@ -75,12 +77,12 @@ SUPPORT_INDEX_CACHE_SIZE = 256
 
 class SupportIndex(NamedTuple):
     """The support of a tensor key set: the generator exponents dividing
-    some key (`support`), the same sorted by degree, highest first
-    (`order`), and the edges (i, k, j) in order of i (`edges`): monomial j
-    is monomial i less the k-th unit exponent, so j comes after i."""
+    some key, sorted by degree, highest first (`order`), the position of
+    each there (`pos`), and the edges (i, k, j) in order of i (`edges`):
+    monomial j is monomial i less the k-th unit exponent, so j comes after i."""
 
-    support: frozenset[tuple[int, ...]]
     order: tuple[tuple[int, ...], ...]
+    pos: Mapping[tuple[int, ...], int]
     edges: tuple[tuple[int, int, int], ...]
 
 
@@ -94,7 +96,7 @@ def _index_support(keys: frozenset[tuple[int, ...]]) -> SupportIndex:
     pos = {e: i for i, e in enumerate(order)}
     edges = tuple((i, k, pos[e[:k] + (x - 1,) + e[k + 1:]])
                   for i, e in enumerate(order) for k, x in enumerate(e) if x)
-    return SupportIndex(support, order, edges)
+    return SupportIndex(order, MappingProxyType(pos), edges)
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class ToricModel:
     radial, when present, is the r x (n+r) integer matrix of diagonal radial
     vector field coefficients.  The model is frozen, the tensor and the
     overrides are read-only mappings, and each instance caches its Chern
-    series and its integer tensor on first use; the support index is shared
+    vector and its integer tensor on first use; the support index is shared
     by the models with one tensor key set.  Tensor keys must hold ints and
     weights must be ints or Fractions.
     """
@@ -188,58 +190,28 @@ class ToricModel:
             [class_element(self, v) for v in self.divisor_classes], self.dim))
 
     @cached_property
-    def _chern_tables(self) -> tuple[dict, ...]:
-        """c_0..c_n as term tables on the generators' table, for the counts
-        only: the override where one is recorded, otherwise e_j of the
-        divisor classes on the support (`_divisor_series`).  Coefficients
-        are ints where integral, as `integrate_count` multiplies them."""
-        r, n, support = self.rank, self.dim, self._support
-        override = self.chern_override or {}
-        given = {j: override[j] for j in range(1, n + 1) if j in override}
+    def _chern_vector(self) -> tuple[int | Fraction, ...]:
+        """c(X) on the support vector, for the counts only: one `_pass` per
+        divisor class multiplies 1 by (1 + D), and the positions of degree j
+        read the degree-j part of an override c_j instead, the only part a
+        count integrates.  Integral entries are ints, which multiply fast."""
+        n, (order, _, edges) = self.dim, self._support_index
+        given = {j: c for j, c in (self.chern_override or {}).items() if 1 <= j <= n}
         if any(self.gens != e.gens or self.gens != e.poly.vars for e in given.values()):
             raise ValueError(f"generator mismatch: elements must use {self.gens!r}")
-        if len(given) < n:
-            series = self._divisor_series()
-        else:
-            # the zero exponent divides every key: only an empty tensor drops it
-            series = [{(0,) * r: 1} if support else {}]
-        return (series[0], *(_exact(given[j].poly.terms, r, support) if j in given
-                              else series[j] for j in range(1, n + 1)))
-
-    def _divisor_series(self) -> list[dict]:
-        """e_0..e_n of the divisor classes, on the support only.  The support
-        is down-closed, so multiplying by (1 + D) is a triangular update on
-        it: in the order of `_support_index`, highest degree first,
-        v[e] += sum_k D[k] * v[e - u_k] reads only values not yet updated.
-        One such pass per divisor class builds prod (1 + D) on plain ints,
-        split by degree at the end.  A term off the support only has
-        multiples off it, so each e_j equals the complete one there."""
-        _, order, edges = self._support_index
-        v = [0] * len(order)
-        if v:
-            v[-1] = 1  # the zero exponent sorts last
-        for d in self.divisor_classes:
-            for i, k, j in edges:
-                if d[k]:
-                    v[i] += d[k] * v[j]
-        series = [{} for _ in range(self.dim + 1)]
-        for e, x in zip(order, v):
-            if x:
-                series[sum(e)][e] = x
-        return series
+        v = _unit_vector(len(order))
+        for d in self.divisor_classes if len(given) < n else ():
+            _pass(v, v, d, edges)
+        for i, e in enumerate(order if given else ()):
+            if sum(e) in given:
+                v[i] = _exact_scalar(given[sum(e)].poly.terms.get(e, 0))
+        return tuple(v)
 
     @cached_property
     def _support_index(self) -> SupportIndex:
         """The index of the support, shared by every model with the same
         tensor key set (`_index_support`)."""
         return _index_support(frozenset(self.tensor))
-
-    @property
-    def _support(self) -> frozenset[tuple[int, ...]]:
-        """Generator exponents dividing some tensor key.  The others, and so
-        every monomial above degree n, form an upward-closed set that
-        integrates to zero, so a product may drop them at any step."""
-        return self._support_index.support
 
     @cached_property
     def _integer_tensor(self) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -457,19 +429,19 @@ def wronski_classes(classes: Sequence, j: int):
 def elementary_series(items: Sequence, k: int) -> list:
     """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions:
     the coefficients of prod (1 + x t) over the items, truncated at t^k, one
-    `_update` per item; e_j is 0 for j beyond the length of the list."""
+    `_pass` per item; e_j is 0 for j beyond the length of the list."""
     return _series(items, k, divide=False)
 
 
 def complete_series(items: Sequence, k: int) -> list:
     """h_0..h_k of the same inputs: the coefficients of prod 1 / (1 - x t),
-    truncated at t^k, one `_update` per item."""
+    truncated at t^k, one `_pass` per item."""
     return _series(items, k, divide=True)
 
 
 def _series(items: Sequence, k: int, divide: bool) -> list:
-    """Both series, updated on the items' bare term tables on one merged
-    variable table; each coefficient is wrapped once at the end."""
+    """Both series, as vectors on the chain t^k, ..., t, 1 of the items' bare
+    term tables on one merged variable table, wrapped once at the end."""
     if k < 0:
         raise ValueError("degree must be nonnegative")
     first = items[0] if items and isinstance(items[0], ChowElement) else None
@@ -477,31 +449,18 @@ def _series(items: Sequence, k: int, divide: bool) -> list:
     xs = aligned(*(as_poly(x) if first is None else first._merge(first._coerce(x))[1]
                    for x in items))
     table = xs[0].vars if xs else ()
-    series = [{(0,) * len(table): 1}] + [{}] * k
-    _update(series, [_exact(x.terms) for x in xs], divide)
-    polys = [_wrap(table, t) for t in series]
+    series = [_Terms() for _ in range(k)] + [_Terms({(0,) * len(table): 1})]
+    edges = [(i, 0, i + 1) for i in range(k)]
+    for x in xs:
+        x = _Terms({e: _exact_scalar(c) for e, c in x.terms.items()})
+        _pass(series, series, [x], reversed(edges) if divide else edges)
+    polys = [_wrap(table, t) for t in reversed(series)]
     return polys if first is None else [ChowElement(first.gens, p) for p in polys]
 
 
-def _update(series: list[dict], xs: Sequence[Mapping], divide: bool,
-            r: int = 0, keep: frozenset | None = None) -> None:
-    """Multiply the series s_0 + s_1 t + ... + s_k t^k in place by (1 + x t)
-    for each x in xs, or with `divide`, divide it by (1 - x t): s_j +=
-    s_(j-1) * x, highest degree first (old s_(j-1)) or lowest first (new
-    s_(j-1), so x^i t^i sums up).  Empty s_(j-1) are skipped, so m factors
-    touch s_0..s_m only; `r` and `keep` prune as in `mul_terms`."""
-    k = len(series) - 1
-    for x in xs:
-        for j in (range(1, k + 1) if divide else range(k, 0, -1)):
-            if series[j - 1]:
-                series[j] = add_terms(mul_terms(series[j - 1], x, r, keep), series[j])
-
-
-def _exact(terms: Mapping, r: int = 0, keep: frozenset | None = None) -> dict:
-    """The terms (with `keep`, those whose first r exponents lie in it), with
-    integral coefficients as ints, which the loops multiply fast."""
-    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()
-            if keep is None or e[:r] in keep}
+def _exact_scalar(c: int | Fraction) -> int | Fraction:
+    """An integral coefficient as an int, which the loops multiply fast."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _wrap(table: tuple[str, ...], terms: dict) -> MultiPoly:
@@ -539,12 +498,11 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
                     twist: ChowElement | None = None) -> ScalarExpr:
     """The integral of prod(factors) * [c(X) / (prod_{a in over} (1 + a) *
     (1 - twist))]_top, top = n - len(factors): every count in `formulas`,
-    with over = factors on a complete intersection.  c(X) is the model's
-    cached integer series (`ToricModel._chern_tables`), padded with zero
-    exponents for the degree symbols, and one `_update` divides it.  Each
-    product keeps only the terms whose generator part lies in the model's
-    support, and one integral of the terms on tensor keys ends it.  The
-    result's table merges the factors', then over's, then the twist's.
+    with over = factors on a complete intersection; each class must be
+    homogeneous of degree 1.  From c(X) (`ToricModel._chern_vector`) one
+    `_pass` per class multiplies by each factor, into a fresh vector, and
+    then divides by each 1 + a and by 1 - twist.  The result's table merges
+    the factors', then over's, then the twist's.
     """
     top = model.dim - len(factors)
     if top < 0:
@@ -552,25 +510,61 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
     elems = [*factors, *over, *([] if twist is None else [twist])]
     if any(e.gens != model.gens for e in elems):
         raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
-    r, support = model.rank, model._support
+    r, (order, pos, edges) = model.rank, model._support_index
     polys = aligned(*(e.poly for e in elems))
     table = polys[0].vars if polys else model.gens
-    tables = [_exact(p.terms, r, support) for p in polys]
-    # with top = 0 only c_0 = 1 enters, so the series need not be built
-    series = model._chern_tables[:top + 1] if top else ({(0,) * r: 1},)
-    pad = (0,) * (len(table) - r)
-    series = [{e + pad: c for e, c in t.items()} if pad else t for t in series]
-    f, o = len(factors), len(factors) + len(over)
-    # dividing by 1 + a t is dividing by 1 - (-a) t
-    _update(series, [*({e: -c for e, c in a.items()} for a in tables[f:o]),
-                     *tables[o:]], True, r, support)
-    acc = series[top]
-    for a in tables[:f]:
-        acc = mul_terms(acc, a, r, support)
+    symbolic, f = len(table) > r, len(factors)
+    xs = []
+    for i, (elem, p) in enumerate(zip(elems, polys)):
+        # dividing by 1 + a is dividing by 1 - (-a)
+        sign, x = -1 if f <= i < f + len(over) else 1, [{} for _ in range(r)]
+        for e, c in p.terms.items():
+            if sum(e[:r]) != 1:
+                raise ValueError(f"{elem!r} is not a class homogeneous of degree 1")
+            # the generator part is a unit exponent, so its first 1 is at k
+            x[e.index(1)][e[r:]] = sign * _exact_scalar(c)
+        xs.append([_Terms(t) if symbolic else t.get((), 0) for t in x])
+    # with top = 0 only c_0 = 1 enters, so c(X) need not be built
+    zero = (0,) * (len(table) - r)
+    v = [_Terms({zero: c} if c else {}) if symbolic else c
+         for c in (model._chern_vector if top else _unit_vector(len(order)))]
+    # multiplied first, the factors meet short entries
+    for x in xs[:f]:
+        w = [_Terms() if symbolic else 0 for _ in v]
+        _pass(w, v, x, edges)
+        v = w
+    for x in xs[f:]:
+        _pass(v, v, x, reversed(edges))
+    terms = {key + e: c for key in model.tensor for e, c in (
+        v[pos[key]].items() if symbolic else [((), v[pos[key]])]) if c}
     # an internal element: int coefficients meet the integer weights there
-    keys = model.tensor
-    return integrate(model, ChowElement(model.gens, MultiPoly._trusted(
-        table, {e: c for e, c in acc.items() if e[:r] in keys})))
+    return integrate(model, ChowElement(model.gens, MultiPoly._trusted(table, terms)))
+
+
+def _unit_vector(size: int) -> list[int]:
+    """1 on a support of this size: the zero exponent sorts last."""
+    return [0] * (size - 1) + [1] if size else []
+
+
+def _pass(dst: list, src: list, x: Sequence, edges) -> None:
+    """dst[i] += x[k] * src[j] along the edges (i, k, j): the one kernel of
+    every series and count here (see the module notes)."""
+    for i, k, j in edges:
+        if x[k] and src[j]:
+            dst[i] += x[k] * src[j]
+
+
+class _Terms(dict):
+    """A term dict with the in-place sum and the product `_pass` takes: an
+    entry of a series, or of a symbolic count (over the symbol exponents)."""
+
+    def __iadd__(self, other: _Terms) -> _Terms:
+        for e, c in other.items():
+            self[e] = self.get(e, 0) + c
+        return self
+
+    def __mul__(self, other: _Terms) -> _Terms:
+        return _Terms(mul_terms(self, other))
 
 
 def check_chern_consistency(model: ToricModel) -> None:

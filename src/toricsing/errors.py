@@ -36,8 +36,8 @@ class ToricWarning(UserWarning):
 
 
 class NotWellFormedWarning(ToricWarning):
-    """Weights are not pairwise coprime; orbifold formulas still apply when
-    the singularities stay isolated."""
+    """Weights share a factor: the space is not well formed, or its singular
+    locus is not isolated.  Counts still apply to isolated singularities."""
 
 
 class OrbifoldHypothesisWarning(ToricWarning):

@@ -362,17 +362,14 @@ def add_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]
     return {e: c for e, c in out.items() if c}
 
 
-def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike],
-              r: int = 0, keep: frozenset | None = None) -> dict:
-    """The product of two term tables on one variable table; with `keep`,
-    only the terms whose first r exponents lie in it.  Zeros are dropped."""
+def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]) -> dict:
+    """The product of two term tables on one variable table, zeros dropped."""
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exp = tuple(map(add, ea, eb))
-            if keep is None or exp[:r] in keep:
-                prev = out.get(exp)
-                out[exp] = ca * cb if prev is None else prev + ca * cb
+            prev = out.get(exp)
+            out[exp] = ca * cb if prev is None else prev + ca * cb
     return {e: c for e, c in out.items() if c}
 
 

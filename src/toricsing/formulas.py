@@ -2,8 +2,8 @@
 
 Every count is the paper's formula, the integral of prod a_i * [c /
 (prod (1 + a_i) * (1 - d))]_(n-m): each hands its classes and its degree
-to `chow.integrate_count`, which prunes its products to what the tensor
-can see.  Degrees may be numbers or formal symbols; both run through one
+to `chow.integrate_count`, which runs it as passes over the tensor's
+support vector.  Degrees may be numbers or formal symbols; both run through one
 code path, so the symbolic specializations print the displayed count
 polynomials and the numeric ones produce exact rationals.
 
@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
-from .errors import NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError
+from .errors import OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
     MultiPoly, ScalarLike, _check_symbol, _variable_table, aligned, as_poly,
     integer_roots, poly_sum,
@@ -194,10 +194,7 @@ def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     w = _integers("weights", weights)
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
-    if not catalog._pairwise_coprime(w):
-        warnings.warn(
-            f"weights {w} are not pairwise coprime; the space is not well formed",
-            NotWellFormedWarning, stacklevel=3)
+    catalog._warn_shared_factors(w, stacklevel=3)
     return w
 
 
@@ -422,7 +419,9 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
             raise ValueError(
                 f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")
         asum = sum(a_elems[1:], start=a_elems[0])
-        bound = degree_class(model, degree) + chow.chern_class(model, 1)
+        c1 = chow.chern_class(model, 1).poly  # only its degree-1 part meets a curve
+        bound = degree_class(model, degree) + ChowElement(model.gens, MultiPoly._trusted(
+            c1.vars, {e: c for e, c in c1.terms.items() if sum(e[:model.rank]) == 1}))
         if strict:
             bound = bound - chow.class_element(model, (1,) * model.rank)
         lhs = chow.integrate_count(model, [asum, *a_elems])

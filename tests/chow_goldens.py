@@ -36,6 +36,9 @@ SPECS = (
     "blowup_two_points_p3", "blowup_line_p3",
 )
 
+# wide symbolic counts: many degree symbols, or a long series
+LARGE = ("multiprojective:1,1,1,1,1,1", "multiprojective:1,1,1,1,2,2", "projective:50")
+
 WCI = (((1, 1, 1, 1), (2,)), ((1, 1, 1, 2), (3,)), ((1, 1, 2, 3, 5), (6, 10)),
        ((1, 1, 1, 1, 1), (2, 2)))
 
@@ -165,8 +168,18 @@ def _scalar_goldens():
     return out
 
 
+def _large_goldens():
+    out = {}
+    for spec in LARGE:
+        m = catalog.from_spec_string(spec)
+        for fn in (formulas.foliation_sing_count, formulas.hypersurface_euler):
+            out[f"{spec} {fn.__name__}"] = call(fn, m, "symbolic")
+    return out
+
+
 def compute() -> dict:
-    return {"models": {spec: _model_goldens(spec) for spec in SPECS},
+    return {"large": _large_goldens(),
+            "models": {spec: _model_goldens(spec) for spec in SPECS},
             "scalars": _scalar_goldens()}
 
 

@@ -96,8 +96,17 @@ def test_weighted_gcd_validation():
 
 
 def test_weighted_not_well_formed_warns():
-    with pytest.warns(NotWellFormedWarning):
+    # the two weights 2 of P(1,2,2) share a factor
+    with pytest.warns(NotWellFormedWarning, match=r"^weights \(1, 2, 2\) are not "
+                      r"pairwise coprime; the space is not well formed$") as caught:
         catalog.weighted(1, 2, 2)
+    assert caught[0].filename == __file__
+    # every 3 of (1, 2, 2, 3) are coprime, so P(1,2,2,3) is well formed, but
+    # the curve {z_0 = z_3 = 0} has isotropy mu_2
+    with pytest.warns(NotWellFormedWarning, match=r"^weights \(1, 2, 2, 3\) are not "
+                      r"pairwise coprime; the singular locus is not isolated$") as caught:
+        catalog.weighted(1, 2, 2, 3)
+    assert caught[0].filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         catalog.weighted(1, 2, 3)  # pairwise coprime, no warning

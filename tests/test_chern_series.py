@@ -72,7 +72,7 @@ def test_a_tensor_of_zero_weights_gives_empty_tables_and_count_zero():
                           (((1, 0), (1, 0), (0, 1), (0, 1)), [(2, 0), (1, 1), (0, 2)])):
         m = ToricModel("null", 2, len(keys[0]), ("H", "E")[:len(keys[0])], classes,
                        {k: 0 for k in keys})
-        assert m._chern_tables == ({}, {}, {})
+        assert m._chern_vector == ()
         assert formulas.foliation_sing_count(m, (3,) * m.rank) == 0
         assert formulas.foliation_sing_count(m, "symbolic").is_zero
 

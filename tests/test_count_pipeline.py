@@ -1,7 +1,9 @@
-"""The pruned count pipeline (`chow.integrate_count`) against the complete
-products it replaced, and the symbolic (P^1)^k count against permanents."""
+"""The count kernel (`chow.integrate_count`, passes over the support vector)
+against the complete products it replaced, and the symbolic (P^1)^k count
+against permanents."""
 
 import random
+import re
 import warnings
 from fractions import Fraction
 from itertools import permutations, product
@@ -142,10 +144,12 @@ def random_models(draw):
 
 
 def degrees(m, names):
-    """Numeric Picard vectors, divisor coefficients (when the model records
-    divisor classes), symbols, and Picard vectors mixing both."""
+    """Numeric Picard vectors, with int or Fraction entries, divisor
+    coefficients (when the model records divisor classes), symbols, and
+    Picard vectors mixing both."""
     ints = st.integers(-4, 4)
     options = [st.tuples(*[ints] * m.rank),
+               st.tuples(*[ints | RATIONALS] * m.rank),
                st.just(formulas.symbolic_degree(m, names)),
                st.tuples(*[ints | st.sampled_from(formulas.symbolic_degree(m, names))]
                          * m.rank)]
@@ -255,23 +259,28 @@ def test_integrate_drops_keys_whose_sum_is_zero():
     assert gone.vars == ("d",) and gone.terms == {}
 
 
+def _in_degree(terms, j, pos):
+    return {e: c for e, c in terms.items() if sum(e) == j and e in pos}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(BUILTINS) | random_models())
 def test_count_series_is_the_chern_series_on_the_support(m):
     override = m.chern_override or {}
-    tables = m._chern_tables
-    assert len(tables) == m.dim + 1
-    for j, table in enumerate(tables):
-        assert table == {e: c for e, c in chern_class(m, j).poly.terms.items()
-                         if e in m._support}
+    order, pos, _ = m._support_index
+    vector = m._chern_vector
+    assert len(vector) == len(order)
+    for j in range(m.dim + 1):
+        entries = {e: c for e, c in zip(order, vector) if sum(e) == j and c}
+        assert entries == _in_degree(chern_class(m, j).poly.terms, j, pos)
         if j and j in override:
-            assert table == {e: c for e, c in override[j].poly.terms.items()
-                             if e in m._support}
+            # an override wins in its degree, read in that degree only
+            assert entries == _in_degree(override[j].poly.terms, j, pos)
         elif j and m.divisor_classes is not None:
             whole = chow.elementary_symmetric_classes(m, j).poly.terms
-            assert table == {e: c for e, c in whole.items() if e in m._support}
-        # integral coefficients are stored as ints
-        assert all(type(c) is int or c.denominator != 1 for c in table.values())
+            assert entries == _in_degree(whole, j, pos)
+    # integral entries are stored as ints
+    assert all(type(c) is int or c.denominator != 1 for c in vector)
 
 
 def test_counts_leave_the_complete_series_unbuilt():
@@ -280,7 +289,7 @@ def test_counts_leave_the_complete_series_unbuilt():
         assert "_divisor_esym" not in m.__dict__
     m = catalog.multiprojective(1, 1)
     assert formulas.foliation_sing_count(m, (1, 1)) == 10
-    assert m._chern_tables[2] == {(1, 1): 4}
+    assert m._chern_vector[m._support_index.pos[(1, 1)]] == 4
     # the public class is still complete: H1^2 and H2^2 are off the support
     e2 = chow.elementary_symmetric_classes(m, 2).poly
     assert e2.canonical_string() == "H1^2 + 4*H1*H2 + H2^2"
@@ -335,6 +344,30 @@ def test_integrate_count_reads_its_degree_from_the_factors():
         chow.integrate_count(m, [h, h, h])
 
 
+def test_integrate_count_takes_classes_of_degree_1_only():
+    m = catalog.multiprojective(1, 1)
+    h, e = chow.generator_element(m, 0), chow.generator_element(m, 1)
+    for bad in (chow.unit_element(m.gens), h * e, h + 1):
+        message = re.escape(repr(bad)) + " is not a class homogeneous of degree 1"
+        for call in (lambda: chow.integrate_count(m, [bad]),
+                     lambda: chow.integrate_count(m, over=[bad]),
+                     lambda: chow.integrate_count(m, [h], twist=bad)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_placeholder_overrides_count_in_their_own_degree():
+    gens = ("H",)
+    unit = chow.unit_element(gens)
+    m = ToricModel("placeholder", 2, 1, gens, None, {(2,): 1},
+                   chern_override={1: -unit, 2: unit})
+    # c_1 = -1 and c_2 = 1 have no part in degrees 1 and 2: c(X) reads as 1
+    assert m._chern_vector == (0, 0, 1)
+    assert formulas.foliation_sing_count(m, 3) == 9
+    verdict = formulas.poincare_check("toric-curve", model=m, classes=[(2,)], degree=3)
+    assert (verdict.lhs, verdict.rhs) == (4, 6)
+
+
 def test_cached_polynomials_cannot_be_mutated():
     m = catalog.projective(2)
     symbol = formulas.symbolic_degree(m)[0]
@@ -351,11 +384,15 @@ def test_cached_polynomials_cannot_be_mutated():
     assert count.canonical_string() == "d1^2 + 3*d1 + 3"
 
 
+def _support(m):
+    return set(m._support_index.pos)
+
+
 def test_support_is_the_down_set_of_the_tensor_keys():
-    assert catalog.multiprojective(1, 1)._support == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert catalog.projective(3)._support == {(0,), (1,), (2,), (3,)}
+    assert _support(catalog.multiprojective(1, 1)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert _support(catalog.projective(3)) == {(0,), (1,), (2,), (3,)}
     # a key with a zero weight is no key
     m = ToricModel("sparse", 2, 2, ("H", "E"), None, {(2, 0): 1, (1, 1): 0},
                    chern_override={1: chow.unit_element(("H", "E")),
                                    2: chow.unit_element(("H", "E"))})
-    assert m._support == {(0, 0), (1, 0), (2, 0)}
+    assert _support(m) == {(0, 0), (1, 0), (2, 0)}

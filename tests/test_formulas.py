@@ -226,6 +226,18 @@ def test_wci_example_one_over_seven():
     assert wci_sing_count((1, 7, 3, 5), (1,), 8, kind="distribution") == Fraction(1, 7)
 
 
+def test_wci_weight_warnings_name_what_fails():
+    for count in (wci_sing_count, wci_sing_count_parts):
+        with pytest.warns(NotWellFormedWarning, match=r"^weights \(1, 2, 2\) are not "
+                          r"pairwise coprime; the space is not well formed$"):
+            count((1, 2, 2), (2,), 1)
+        with pytest.warns(NotWellFormedWarning, match=r"^weights \(1, 2, 2, 3\) are "
+                          r"not pairwise coprime; the singular locus is not "
+                          r"isolated$") as caught:
+            count((1, 2, 2, 3), (6,), 1)
+    assert caught[0].filename == __file__
+
+
 def test_wci_balanced_weight_family():
     # whenever w0 + w1 = w2 + w3 = d, the degree-w0 hypersurface cut by the
     # paired rotational form carries a single zero of index 1/w1

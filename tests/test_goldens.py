@@ -18,6 +18,10 @@ def test_model_goldens(spec):
     assert NOW["models"][spec] == GOLDENS["models"][spec]
 
 
+def test_large_symbolic_goldens():
+    assert NOW["large"] == GOLDENS["large"]
+
+
 def test_scalar_goldens():
     assert NOW["scalars"] == GOLDENS["scalars"]
 

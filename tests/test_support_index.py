@@ -6,6 +6,7 @@ into `chow`."""
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ def test_models_with_one_key_set_share_one_index():
     planes = [catalog.from_spec_string(s)
               for s in ("weighted:1,2,3", "weighted:1,1,5", "projective:2")]
     assert len({id(m._support_index) for m in planes}) == 1
-    assert planes[0]._support is planes[1]._support
+    assert planes[0]._support_index.pos is planes[1]._support_index.pos
     # a scroll with twist sum 0 loses its key (0, n), and then has the keys of
     # the product of projective spaces of the same dimensions
     assert (catalog.scroll(1, -1)._support_index
@@ -71,11 +72,12 @@ def test_index_is_the_sorted_down_set_with_its_edges(keys):
     m = _bare_model({k: 1 for k in keys}, sum(next(iter(keys))), gens)
     index = m._support_index
     support = _down_set(keys)
-    assert index.support == support and m._support == support
     assert sorted(index.order) == sorted(support)
     degrees = [sum(e) for e in index.order]
     assert degrees == sorted(degrees, reverse=True)
     pos = {e: i for i, e in enumerate(index.order)}
+    assert dict(index.pos) == pos and index.pos.keys() == support
+    assert all(index.order[index.pos[e]] == e for e in support)
     expected = []
     for i, e in enumerate(index.order):
         for k in range(len(e)):
@@ -88,7 +90,9 @@ def test_index_is_the_sorted_down_set_with_its_edges(keys):
 def test_index_values_are_immutable_and_the_cache_bounded():
     index = catalog.scroll(1, 2, 3)._support_index
     assert isinstance(index, tuple)
-    assert type(index.support) is frozenset
+    assert type(index.pos) is MappingProxyType
+    with pytest.raises(TypeError):
+        index.pos[(0, 0, 0)] = 1
     assert type(index.order) is tuple and type(index.edges) is tuple
     assert all(type(e) is tuple for e in index.order)
     assert all(type(e) is tuple and len(e) == 3 for e in index.edges)
