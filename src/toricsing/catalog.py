@@ -25,6 +25,8 @@ coefficients of the radial vector fields.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,7 +155,7 @@ def weighted(*w: int) -> ToricModel:
     g = gcd(*w)
     if g != 1:
         raise ModelFormatError(f"weights {w} have gcd {g}, expected 1")
-    _warn_shared_factors(w, stacklevel=2)
+    _warn_shared_factors(w)
     n = len(w) - 1
     return ToricModel(
         name="P(" + ",".join(str(x) for x in w) + ")",
@@ -197,12 +199,18 @@ def multiprojective(*ns: int) -> ToricModel:
     )
 
 
+def _check_scroll_twists(a: Sequence) -> None:
+    """The scroll builder's argument checks, which need no model: a
+    ValueError for a twist that is not an int, a ModelFormatError for none."""
+    _check_ints("scroll", a)
+    if not a:
+        raise ModelFormatError("scroll needs at least one twist")
+
+
 def scroll(*a: int) -> ToricModel:
     """Rational normal scroll over the line with twists a1..an (any integers)."""
-    _check_ints("scroll", a)
+    _check_scroll_twists(a)
     n = len(a)
-    if n < 1:
-        raise ModelFormatError("scroll needs at least one twist")
     classes = [(1, 0), (1, 0)] + [(-ai, 1) for ai in a]
     tensor = {(0, n): Fraction(sum(a)), (1, n - 1): Fraction(1)}
     radial = (
@@ -301,8 +309,25 @@ def _pairwise_coprime(w) -> bool:
     return lcm(*w) == prod(w)
 
 
-def _warn_shared_factors(w: tuple[int, ...], stacklevel: int) -> None:
-    """Warn, at `stacklevel` seen from the caller, when weights share a factor:
+# the library's frames: files in this directory, the command line excepted
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+_CLI_FILE = _PACKAGE_DIR + "cli.py"
+
+
+def _outside_stacklevel() -> int:
+    """The `stacklevel` at which a warning issued by this function's caller
+    names the first frame outside the library, however deep the call.  The
+    command line is a caller, so its warnings name the line in `cli` that
+    asked.  By hand: `warnings.warn(skip_file_prefixes=...)` needs 3.12."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_code.co_filename.startswith(
+            _PACKAGE_DIR) and frame.f_code.co_filename != _CLI_FILE:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
+def _warn_shared_factors(w: tuple[int, ...]) -> None:
+    """Warn, at the caller outside the library, when weights share a factor:
     if n of the n + 1 do, as in P(1,2,2), the space is not well formed;
     otherwise, as in P(1,2,2,3), its singular locus is not isolated."""
     if not _pairwise_coprime(w):
@@ -310,7 +335,7 @@ def _warn_shared_factors(w: tuple[int, ...], stacklevel: int) -> None:
         warnings.warn(f"weights {w} are not pairwise coprime; " + (
             "the singular locus is not isolated" if formed
             else "the space is not well formed"), NotWellFormedWarning,
-            stacklevel=stacklevel + 1)
+            stacklevel=_outside_stacklevel())
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,10 @@ DEFAULT_DEGREE_CAP = 64
 
 def _require_ints(**fields) -> None:
     """A ValueError naming the first field whose value is not an int, so a
-    fractional or float group order or cap is never used as a number."""
+    fractional or float group order or cap is never used as a number.  The
+    test is on the type: a bool is an int to Python, but True is no order."""
     for field, value in fields.items():
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"{field} must be an int, got {value!r}")
 
 

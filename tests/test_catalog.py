@@ -95,6 +95,17 @@ def test_weighted_gcd_validation():
         catalog.weighted(1, 0, 2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: from_spec_string("weighted:1,2,2,3"),
+    lambda: builtin(ModelSpec("weighted", (1, 2, 2, 3))),
+], ids=["from_spec_string", "builtin"])
+def test_weight_warning_names_the_callers_line(build):
+    # however deep the builder sits, the warning points here
+    with pytest.warns(NotWellFormedWarning, match="singular locus is not isolated") as record:
+        build()
+    assert record[0].filename == __file__
+
+
 def test_weighted_not_well_formed_warns():
     # the two weights 2 of P(1,2,2) share a factor
     with pytest.warns(NotWellFormedWarning, match=r"^weights \(1, 2, 2\) are not "

@@ -9,6 +9,7 @@ import pytest
 from toricsing import catalog, chow
 from toricsing.catalog import parse_polynomial
 from toricsing.cli import run
+from toricsing.errors import NotWellFormedWarning
 
 
 # Exit status, stdout and stderr of help and usage-error invocations, written
@@ -104,6 +105,16 @@ def test_wci_partial_sums_in_details(capsys):
     payload = json.loads(out)
     assert payload["details"]["partial_sums"] == ["8", "-16", "12", "-4"]
     assert payload["result"] == "0"
+
+
+def test_weight_warnings_name_the_cli_line(capsys):
+    # stdout is the count alone; the warning names the command line's call
+    for argv in (("count", "wci", "--weights", "1,2,2,3", "--ci", "6", "--degree", "1"),
+                 ("euler", "hyp", "--model", "weighted:1,2,2,3", "--hyp", "6")):
+        with pytest.warns(NotWellFormedWarning, match="not pairwise coprime") as record:
+            status, out, _ = _run(capsys, *argv)
+        assert status == 0 and out.startswith("result = ")
+        assert Path(record[0].filename).name == "cli.py"
 
 
 def test_search_json(capsys):

@@ -1,6 +1,7 @@
 """Counting formulas, inequality verdicts, and bounded searches."""
 
 import dataclasses
+import pickle
 import random
 import re
 import warnings
@@ -12,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from toricsing import catalog, chow, formulas
 from toricsing.errors import (
-    NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
+    ModelFormatError, NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
 )
 from toricsing.exactalg import MultiPoly, aligned, integer_roots, poly_sum
 from toricsing.formulas import (
-    alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
+    SearchSolution, alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
     complement_euler, complement_sing_count, foliation_sing_count,
     gcd_obstruction, general_type_index, hypersurface_euler, multidegree,
     poincare_check, regular_search, restricted_sing_count,
@@ -224,6 +225,14 @@ def test_wci_distribution_family():
 
 def test_wci_example_one_over_seven():
     assert wci_sing_count((1, 7, 3, 5), (1,), 8, kind="distribution") == Fraction(1, 7)
+
+
+@pytest.mark.parametrize("count", [wci_sing_count, wci_sing_count_parts])
+def test_wci_weight_warning_names_the_callers_line(count):
+    for weights in ((1, 2, 2), (1, 2, 2, 3)):
+        with pytest.warns(NotWellFormedWarning, match="not pairwise coprime") as record:
+            count(weights, (6,), 1)
+        assert record[0].filename == __file__
 
 
 def test_wci_weight_warnings_name_what_fails():
@@ -714,7 +723,7 @@ def test_search_unknown_family():
         regular_search("hirzebruch", 5)
 
 
-@pytest.mark.parametrize("bound", [0, -3, 2.5, 3.0, Fraction(3), "3"])
+@pytest.mark.parametrize("bound", [0, -3, 2.5, 3.0, Fraction(3), "3", True, False])
 @pytest.mark.parametrize("family", ["p111k", "p1111k", "scroll"])
 def test_search_rejects_bounds_that_are_not_positive_integers(family, bound):
     with pytest.raises(ValueError, match="bound must be a positive integer"):
@@ -727,6 +736,68 @@ def test_scroll_search_rejects_non_integer_twists():
     for twists, entry in (((1.5, 1), "1.5"), ("11", "'1'"), ((True, 2), "True")):
         with pytest.raises(ValueError, match=f"^scroll parameter {re.escape(entry)} is not an int$"):
             regular_search("scroll", 2, scroll_a=twists)
+
+
+def test_scroll_search_without_twists_raises_the_builders_error():
+    with pytest.raises(ModelFormatError, match="^scroll needs at least one twist$"):
+        regular_search("scroll", 2, scroll_a=())
+
+
+def test_warm_scroll_search_builds_no_model(monkeypatch):
+    regular_search("scroll", 2, scroll_a=(0, 0, 0))  # compiles the 3-twist count
+    builds = []
+    real_scroll, real_init = catalog.scroll, chow.ToricModel.__init__
+
+    def spy_scroll(*a):
+        builds.append(("scroll", a))
+        return real_scroll(*a)
+
+    def spy_init(self, *args, **kwargs):
+        builds.append(("ToricModel", args, kwargs))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "scroll", spy_scroll)
+    monkeypatch.setattr(chow.ToricModel, "__init__", spy_init)
+    for twists in ((1, 1, 1), (3, -1, 0), (-2, 3, 0)):
+        assert [s.params for s in regular_search("scroll", 3, scroll_a=twists)] \
+            == _scroll_scan(twists, 3)
+    assert builds == []
+
+
+def _scroll_scan(twists, bound):
+    """The zero set of the scroll's closed form on the grid [-B, B]^2."""
+    grid = range(-bound, bound + 1)
+    return [(d1, d2) for d1 in grid for d2 in grid
+            if scroll_closed_form(len(twists), twists, d1, d2) == 0]
+
+
+@pytest.mark.parametrize("args", [
+    ("p1111k", (2, 1, 1), "excluded-by-cohomology"),
+    ("p1111k", (7, 2, 7), "accepted"),
+    ("scroll", (-2, 0), "accepted"),
+    ("p111k", (), "accepted"),
+])
+def test_trusted_solution_is_the_dataclass_one(args):
+    fast, slow = SearchSolution._trusted(*args), SearchSolution(*args)
+    assert type(fast) is SearchSolution
+    assert fast == slow and hash(fast) == hash(slow)
+    assert repr(fast) == repr(slow)
+    assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+    assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+    other = SearchSolution("p1111k", (3, 2, 3))
+    for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        assert getattr(fast, op)(other) == getattr(slow, op)(other)
+        assert getattr(other, op)(fast) == getattr(other, op)(slow)
+    assert {fast: 1}[slow] == 1
+    assert pickle.loads(pickle.dumps(fast)) == slow
+    assert dataclasses.replace(fast, annotation="x") == dataclasses.replace(slow, annotation="x")
+    for field in ("family", "params", "annotation"):
+        for sol in (fast, slow):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, field, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(sol, field)
+    assert fast == slow
 
 
 def _hand_typed(family, k, a, d):

@@ -116,7 +116,7 @@ def test_orbifold_index_values():
         orbifold_index(3, 0)
 
 
-@pytest.mark.parametrize("group", [Fraction(3, 2), 2.0, "3"])
+@pytest.mark.parametrize("group", [Fraction(3, 2), 2.0, "3", True, False])
 def test_query_rejects_a_non_integer_group_order(group):
     # Fraction(3, 2) used to report orbifold index 4 for multiplicity 6
     message = f"group_order must be an int, got {group!r}"
@@ -134,6 +134,17 @@ def test_query_rejects_a_non_integer_cap():
 def test_orbifold_index_rejects_a_non_integer_multiplicity():
     with pytest.raises(ValueError, match=re.escape("multiplicity must be an int, got 6.0")):
         orbifold_index(6.0, 3)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_multiplicities_and_caps_are_not_ints(flag):
+    # a bool is an int to Python; orbifold_index(True, 2) used to return 1/2
+    with pytest.raises(ValueError, match=re.escape(
+            f"multiplicity must be an int, got {flag!r}")):
+        orbifold_index(flag, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"degree_cap must be an int, got {flag!r}")):
+        _query(["u^2", "v^3"], ("u", "v"), cap=flag)
 
 
 def test_integer_queries_report_as_before():
