@@ -711,8 +711,8 @@ def regular_search(family: str, bound: int,
     twists meet the scroll builder's own argument checks
     (`catalog._check_scroll_twists`), with its errors, so a call after the
     compile builds no model.  The bound must be an int, not a bool.
-    Results are sorted by parameters and built by `SearchSolution._trusted`.
-    Cohomology exclusions are annotations, never silent deletions.
+    Results are sorted by parameters.  Cohomology exclusions are
+    annotations, never silent deletions.
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
