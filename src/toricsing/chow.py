@@ -65,9 +65,11 @@ ClassExpr = tuple  # length = model rank
 
 
 def _check_integral(what: str, rows) -> None:
+    """The test is on the type: a bool is an int to Python, but True is no
+    weight, class or twist."""
     for row in rows:
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
 
 

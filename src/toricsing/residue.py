@@ -14,12 +14,12 @@ may vanish elsewhere in the chart too.  c(D) rises strictly until its first
 plateau, and the plateau value is the multiplicity.
 
 One integer echelon, keyed by lowest column, serves every depth.  Columns
-number monomials in graded order, so those of degree below D are a prefix.
-At depth D the Macaulay rows s*f_i with deg s = D - 1 - mindeg f_i enter
-once, untruncated: they lead in degree D - 1, and rows entering later lead
-in degree D or above.  A stored pivot never changes, so the rank of the
-depth-D truncation is the number of pivots below degree D, and c(D) is
-C(D - 1 + n, n) minus that number.
+are monomials packed into ints in graded order (see `_macaulay_rows`).  At
+depth D the Macaulay rows s*f_i with deg s = D - 1 - mindeg f_i enter once,
+untruncated: they lead in degree D - 1, and rows entering later lead in
+degree D or above.  A stored pivot never changes, so the rank of the depth-D
+truncation is the number of pivots leading below degree D, final once depth
+D is in, and c(D) is C(D - 1 + n, n) minus that number.
 
 An isolated zero has multiplicity at most the product of the component
 degrees (refined Bezout inequality, Fulton, Intersection Theory, 12.3), and
@@ -34,15 +34,13 @@ at a quotient-chart point; the group order is caller-supplied data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd, lcm, prod
-from operator import add
 
 from .errors import NonIsolatedZeroError
-from .exactalg import MultiPoly, monomials_of_degree
+from .exactalg import MultiPoly
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -97,17 +95,20 @@ class LocalIndexReport:
 
 def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
     """Exact local multiplicity at the origin, with the orbifold index."""
-    components = query.components
-    nvars = len(components[0].vars)
-    bound = prod(comp.total_degree() for comp in components)
+    components, nvars = query.components, len(query.components)
+    degrees = [comp.total_degree() for comp in components]
+    bound, width = prod(degrees), (query.degree_cap + max(degrees)).bit_length()
+    top = nvars * width  # a column below degree D is a key below D << top
     pivots: dict[int, dict[int, int]] = {}
-    new_rows = _macaulay_rows(components, nvars)
-    previous: int | None = None
+    leads: dict[int, int] = {}  # stored pivots per degree of their lead
+    rank, previous = 0, None  # pivots leading below the depth, and c(depth - 1)
+    new_rows = _macaulay_rows(components, nvars, width)
     for depth in range(1, query.degree_cap + 1):
         for row in next(new_rows):
-            _insert(pivots, row)
-        below = comb(depth - 1 + nvars, nvars)
-        dim = below - sum(1 for lead in pivots if lead < below)
+            if (lead := _insert(pivots, row)) is not None:
+                leads[lead >> top] = leads.get(lead >> top, 0) + 1
+        rank += leads.get(depth - 1, 0)
+        dim = comb(depth - 1 + nvars, nvars) - rank
         if previous is not None:
             if dim < previous:
                 raise AssertionError(
@@ -115,11 +116,8 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
                     "inclusion of truncation ideals")
             if dim == previous:
                 return LocalIndexReport(
-                    multiplicity=dim,
-                    group_order=query.group_order,
-                    orbifold_index=orbifold_index(dim, query.group_order),
-                    stabilized_at=depth - 1,
-                )
+                    dim, query.group_order, stabilized_at=depth - 1,
+                    orbifold_index=orbifold_index(dim, query.group_order))
         if dim > bound:
             raise NonIsolatedZeroError(
                 f"proved not isolated: c({depth}) = {dim} exceeds the Bezout "
@@ -155,56 +153,58 @@ def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
     return total
 
 
-def _macaulay_rows(components, nvars: int):
+def _macaulay_rows(components, nvars: int, width: int):
     """Yield, for depth D = 1, 2, ..., the integer rows s*f_i entering at D.
 
-    Each component is scaled to integers once; zero components give no rows.
-    The C(d - 1 + n, n) monomials of degree below d take the lowest columns,
-    and those of degree d follow in order of first use.
-    """
+    The monomial x^e of degree |e| is the column key(e) = (|e| << n*b) +
+    sum_i e_i << i*b, b = `width` = (cap + max deg f).bit_length().  Rows
+    enter at depths D <= cap, so each exponent of s*t (t a term of f_i,
+    |s| = D - 1 - mindeg f_i) is below cap + max deg f < 2^b: no field of
+    key(s) + key(t) carries into the next, and key(s*t) = key(s) + key(t).
+    The low n fields sum to less than 2^(n*b), so |e| < |e'| gives
+    key(e) < key(e'): the order is graded, and the monomials of degree below
+    D are the keys below D << n*b.
+    Components are scaled to integers once; zero ones give no rows.  Shifts
+    of degree k are those of degree k - 1 times each variable, sorted."""
+    top = nvars * width
     scaled = []
     for terms in [comp.terms for comp in components if not comp.is_zero]:
         scale = lcm(*(c.denominator for c in terms.values()))
-        scaled.append((min(map(sum, terms)),
-                       [(e, c.numerator * (scale // c.denominator))
-                        for e, c in terms.items()]))
-    columns: dict[tuple[int, ...], int] = {}
-    used: Counter[int] = Counter()
-
-    def column(exp):
-        idx = columns.get(exp)
-        if idx is None:
-            degree = sum(exp)
-            idx = columns[exp] = comb(degree - 1 + nvars, nvars) + used[degree]
-            used[degree] += 1
-        return idx
-
+        scaled.append((min(map(sum, terms)), [
+            (sum((x << i * width for i, x in enumerate(e)), sum(e) << top),
+             c.numerator * (scale // c.denominator)) for e, c in terms.items()]))
+    units = [(1 << top) + (1 << i * width) for i in range(nvars)]
+    shifts = [[0]]
     for depth in count(1):
-        yield [{column(tuple(map(add, exp, shift))): c for exp, c in terms}
+        yield [{shift + k: c for k, c in terms}
                for low, terms in scaled if depth > low
-               for shift in monomials_of_degree(nvars, depth - 1 - low)]
+               for shift in shifts[depth - 1 - low]]
+        shifts.append(sorted({s + u for s in shifts[-1] for u in units}))
 
 
-def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> None:
-    """Reduce an integer row {column: value} into the echelon.
+def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
+    """Reduce an integer row {column: value} into the echelon; return the
+    column it becomes the pivot of, or None when it reduces to zero.
 
-    While the row's lowest column has a pivot p, the row becomes
-    p[lead]*row - row[lead]*p; a row with a new leading column is divided by
-    its content and kept as that column's pivot, which never changes again.
-    """
+    While the row's lowest column has a pivot p, the row becomes, in place,
+    (p[lead]*row - row[lead]*p) / gcd(p[lead], row[lead]).  A row with a new
+    leading column is kept as that column's pivot, with a positive lead and
+    content 1, and never changes again."""
     while row:
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            g = gcd(*row.values())
-            pivots[lead] = {c: x // g for c, x in row.items()}
-            return
-        a, b = pivot[lead], row[lead]
-        row = {c: a * x for c, x in row.items()}
+            g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+            pivots[lead] = row if g == 1 else {c: x // g for c, x in row.items()}
+            return lead
+        g = gcd(pivot[lead], row[lead])
+        a, b = pivot[lead] // g, row[lead] // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
         for c, x in pivot.items():
-            value = row.get(c, 0) - b * x
-            if value:
+            if value := row.get(c, 0) - b * x:
                 row[c] = value
             else:
                 del row[c]
-
+    return None

@@ -356,7 +356,9 @@ SCALAR_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)])
+# a bool is an int to Python: wci_sing_count((1, True, 1, 2), (2,), 1) used
+# to return 7 and alpha_invariant((1, 1, True, 2), (2,)) alpha = 3
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), True])
 @pytest.mark.parametrize("route", sorted(SCALAR_ROUTES))
 def test_scalar_routes_reject_non_integer_data(route, bad):
     call, (w, a), check = SCALAR_ROUTES[route]
@@ -416,7 +418,8 @@ def test_degree_symbols_must_be_names_the_parser_reads_back(names, bad):
         assert catalog.parse_polynomial(text, (good,)) == count
 
 
-@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2)])
+# scroll_closed_form(3, (True, 1, 1), 0, 0) used to return -6
+@pytest.mark.parametrize("bad", [2.5, Fraction(5, 2), True])
 def test_scroll_and_gcd_routes_reject_non_integer_data(bad):
     entry = re.escape(repr(bad))
     assert scroll_closed_form(3, (1, 2, 2), 1, 1) == -46

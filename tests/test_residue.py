@@ -5,7 +5,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -194,7 +194,6 @@ def test_oracle_matches_global_count_for_diagonal_fields():
     triples = []
     while len(triples) < 10:
         w = tuple(rng.randint(1, 9) for _ in range(3))
-        from math import gcd
         if all(gcd(w[i], w[j]) == 1 for i in range(3) for j in range(i + 1, 3)):
             triples.append(w)
     for w in triples:
@@ -427,3 +426,94 @@ def test_single_echelon_matches_per_depth_route(case):
         assert str(exc) == expected
     else:
         assert (report.multiplicity, report.stabilized_at) == expected
+
+
+def _weighted_homogeneous(weights, degree, rng):
+    """Every monomial of weighted degree `degree`, with random coefficients."""
+    table = tuple(f"x{i}" for i in range(len(weights)))
+    ranges = [range(degree // w + 1) for w in weights]
+    terms = {e: rng.randint(1, 9) for e in product(*ranges)
+             if sum(a * w for a, w in zip(e, weights)) == degree}
+    return MultiPoly(table, terms)
+
+
+@pytest.mark.parametrize("weights, degree", [
+    ((1, 1), 4), ((1, 2), 6), ((2, 3), 12), ((1, 2, 3), 6), ((1, 1, 1), 3),
+    ((1, 1, 2), 4), ((1, 1, 1, 1), 3), ((1, 2, 2, 3), 6),
+])
+def test_jacobian_germs_follow_milnor_orlik(weights, degree):
+    # the Milnor number of an isolated weighted homogeneous singularity is
+    # prod (d / w_i - 1) (Milnor and Orlik, 1970)
+    f = _weighted_homogeneous(weights, degree, random.Random(f"{weights}@{degree}"))
+    jacobian = tuple(f.derivative(v) for v in f.vars)
+    milnor = prod(Fraction(degree, w) - 1 for w in weights)
+    assert milnor <= 20
+    assert local_multiplicity(IndexQuery(jacobian)).multiplicity == milnor
+
+
+def _determinant(m):
+    """By Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+@pytest.mark.parametrize("exps", [(1, 1, 1, 4), (1, 2, 2, 2), (1, 1, 2, 3), (2, 2, 1, 2)])
+def test_linear_changes_of_four_variable_diagonal_germs(exps):
+    # (z_i^a_i) has multiplicity prod a_i, and so has every linear change of it
+    rng = random.Random(f"diagonal4/{exps}")
+    table = ("z1", "z2", "z3", "z4")
+    while True:
+        m = [[rng.randint(-2, 2) for _ in table] for _ in table]
+        if _determinant(m):
+            break
+    images = {v: MultiPoly(table, {tuple(int(j == i) for j in range(4)): m[k][i]
+                                   for i in range(4)})
+              for k, v in enumerate(table)}
+    changed = tuple((MultiPoly.variable(v, table) ** e).substitute(images)
+                    for v, e in zip(table, exps))
+    assert local_multiplicity(IndexQuery(changed)).multiplicity == prod(exps)
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (5, 5), (9, 11), (5, 13)])
+def test_packed_fields_at_their_width_limit(a, b):
+    # the plateau of (u^a, v^b) is found at depth a + b, and a cap there makes
+    # cap + max degree = 2^k - 1, the widest exponents the key fields allow
+    plateau = a + b
+    assert (plateau + b + 1).bit_length() > (plateau + b).bit_length()
+    for cap in (plateau, 10 ** 4):
+        report = local_multiplicity(_query([f"u^{a}", f"v^{b}"], ("u", "v"), cap=cap))
+        assert (report.multiplicity, report.stabilized_at) == (a * b, plateau - 1)
+    with pytest.raises(NonIsolatedZeroError) as caught:
+        local_multiplicity(_query([f"u^{a}", f"v^{b}"], ("u", "v"), cap=plateau - 1))
+    assert str(caught.value) == (
+        f"cap below the plateau: no stabilization by degree {plateau - 1}; the "
+        f"zero at the origin may still be isolated, and a cap of {a * b + 1} "
+        "decides it")
+
+
+def test_stored_pivots_have_positive_lead_and_content_one():
+    rng = random.Random(7)
+    for _ in range(100):
+        pivots = {}
+        for _ in range(rng.randint(1, 10)):
+            row = {c: x for c in range(8) if (x := rng.choice([0, 0, rng.randint(-9, 9)]))}
+            before = {column: dict(pivot) for column, pivot in pivots.items()}
+            lead = _insert(pivots, {c: 6 * x for c, x in row.items()})
+            # a stored pivot never changes; a new one is stored under its lead
+            assert {column: pivots[column] for column in before} == before
+            assert pivots.keys() - before.keys() == ({lead} if lead is not None else set())
+            for column, pivot in pivots.items():
+                assert column == min(pivot) and pivot[column] > 0
+                assert gcd(*pivot.values()) == 1
