@@ -509,10 +509,10 @@ def parse_polynomial(text: str, variables: Sequence[str],
 def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
 
-    A linear polynomial, one per d2 step of a scroll search, has its root
-    by one `divmod`.  When lo >= 1 and the nonzero coefficients share one
-    sign, there is no sign change and so, by Descartes' rule of signs, no
-    positive root: the answer is empty without any root finding.
+    A linear polynomial has its root by one `divmod`.  When lo >= 1 and
+    the nonzero coefficients share one sign, there is no sign change and
+    so, by Descartes' rule of signs, no positive root: the answer is empty
+    without any root finding.
     Quadratics, the p111k search polynomials, are solved by the
     discriminant and `isqrt`, a few times faster than splitting and
     bisecting them.  Every other degree splits the range where the

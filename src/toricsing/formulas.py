@@ -434,6 +434,24 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
 # scrolls and bounded searches
 
 
+def _scroll_coefficients(n: int, s: ScalarLike,
+                         d2: ScalarLike) -> tuple[ScalarExpr, ScalarExpr]:
+    """`(c0, c1)`: the count `foliation_sing_count` at degree (d1, d2) on a
+    scroll with n >= 1 twists summing to s is c1 * d1 + c0.  With u = d2 + 1,
+    c1 = n u^(n-1) and c0 = s d2 u^(n-1) + 2 sum_(k<n) u^k, the sum by
+    Horner's rule, so numbers and `MultiPoly`s both pass.
+
+    Every tensor key of `catalog.scroll` has L-exponent at most 1, so L^2
+    vanishes on the support, and c(X) = (1+L)^2 prod(1 + M - a_i L) reduces
+    there to (1+L)^2 ((1+M)^n - s L (1+M)^(n-1)): the count depends on the
+    twists only through s, and it is linear in d1."""
+    u = d2 + 1
+    top, geometric = u ** (n - 1), 1
+    for _ in range(n - 1):
+        geometric = geometric * u + 1
+    return s * d2 * top + 2 * geometric, n * top
+
+
 def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
                        d2: ScalarLike) -> ScalarExpr:
     """Closed-form vanishing expression for regular foliations on a scroll.
@@ -448,10 +466,9 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
     a = _integers("twists", a)
     if len(a) != n:
         raise ValueError(f"need {n} twists, got {len(a)}")
-    s = sum(a)
     d1p, d2p = aligned(as_poly(d1), as_poly(d2))
-    return (-1) ** n * ((n * d1p + s * d2p) * (d2p + 1) ** (n - 1)
-                        + 2 * poly_sum((d2p + 1) ** k for k in range(n)))
+    c0, c1 = _scroll_coefficients(n, sum(a), d2p)
+    return (-1) ** n * (c1 * d1p + c0)
 
 
 @dataclass(frozen=True, order=True)
@@ -477,15 +494,6 @@ def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
     return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
 
 
-def _power_sum_source(terms: dict[int, int], x: str) -> str:
-    """Source of sum c * x^e over {e: c}, such as `-4-6*k`; empty for {}."""
-    out = ""
-    for e, c in sorted(terms.items()):
-        factors = [str(abs(c))] if abs(c) != 1 or not e else []
-        out += ("-" if c < 0 else "+" if out else "") + "*".join(factors + [x] * e)
-    return out
-
-
 def _integer_terms(name: str,
                    polys: Sequence[MultiPoly]) -> list[dict[tuple[int, int], int]]:
     """The terms {(ex, ey): c} of each polynomial on its two-variable table
@@ -503,36 +511,6 @@ def _integer_terms(name: str,
             ints[ex, ey] = c.numerator
         out.append(ints)
     return out
-
-
-def _coefficients_source(x: str, y: str,
-                         terms: Sequence[dict[tuple[int, int], int]]) -> str:
-    """`(c_0, ..., c_m,)`: the source of one tuple expression for the
-    polynomials with the given integer terms {(ex, ey): c} in x and y.
-
-    Each polynomial is written by Horner's rule in y over sums of integer
-    multiples of powers of x.  The source holds only integer literals, x,
-    y, `*`, `+`, `-`, commas and parentheses."""
-    entries = []
-    for poly in terms:
-        parts: dict[int, dict[int, int]] = {}
-        for (ex, ey), c in poly.items():
-            parts.setdefault(ey, {})[ex] = c
-        src = ""
-        for ey in reversed(range(1 + max(parts, default=0))):
-            part = _power_sum_source(parts.get(ey, {}), x)
-            if src:
-                tail = y if src == "1" else f"{y}*({src})"
-                src = f"{part}+{tail}" if part else tail
-            else:
-                src = part
-        entries.append(src or "0")
-    return f"({','.join(entries)},)"
-
-
-def _compile(name: str, source: str):
-    """Evaluate generated source; `<name>` labels its code in tracebacks."""
-    return eval(compile(source, f"<{name}>", "eval"))
 
 
 # the largest cutoff that `_one_sign_cutoff` tries
@@ -646,56 +624,35 @@ def _p_family_solution_set(family: str):
                  for m, first, last, c in pairs if solved[c] != ())
 
 
-@cache
-def _scroll_evaluator(n: int):
-    """`lambda s, d2: (c_0, c_1)`: the integer d1-coefficients, lowest power
-    first, of `foliation_sing_count` at degree (d1, d2) on a scroll with n
-    twists summing to s, compiled once from `_coefficients_source`.
-
-    Every tensor key of `catalog.scroll` has L-exponent at most 1, so L^2
-    vanishes on the support, and c(X) = (1+L)^2 prod(1 + M - a_i L) reduces
-    there to (1+L)^2 ((1+M)^n - s L (1+M)^(n-1)).  So the count depends on
-    the twists only through s, affinely, and it is linear in d1: the counts
-    C0 at s = 0 and C1 at s = 1 give C0 + s (C1 - C0) for every s."""
-    table = ("s", "d1", "d2")
-    s, d1, d2 = (MultiPoly.variable(v, table) for v in table)
-    c0, c1 = (foliation_sing_count(catalog.scroll(t, *[0] * (n - 1)), (d1, d2))
-              for t in (0, 1))
-    by_d1: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (es, e1, e2), c in (c0 + s * (c1 - c0)).terms.items():
-        by_d1.setdefault(e1, {})[es, e2] = c
-    c = _coefficients_source("s", "d2", _integer_terms("scroll", [
-        MultiPoly(("s", "d2"), by_d1.get(e, {}))
-        for e in range(1 + max(by_d1, default=0))]))
-    return _compile("scroll coefficients", f"lambda s, d2: {c}")
-
-
 def regular_search(family: str, bound: int,
                    scroll_a: Sequence[int] | None = None) -> list[SearchSolution]:
     """Degree data within the bound on which the counting polynomial vanishes.
 
-    Each family builds its count polynomial once and solves it for exact
-    integer roots (`integer_roots`) instead of evaluating it on a grid, so
-    bounds in the thousands are cheap.  `p111k` and `p1111k` range over
-    weight k and hypersurface degree a with k dividing a (the divisibility
-    every smooth weighted hypersurface satisfies), and find the distribution
-    degrees d in [1, B] for each pair.  Their whole solution set is
-    certified once per family (`_p_family_solution_set`), so a search only
-    filters it, in time linear in its output whatever the bound.  Writing
-    a = m k, an integer Taylor shift proves every pair with m >= 4
-    (`p111k`) or m >= 5 (`p1111k`) one-signed, hence without a root by
-    Descartes' rule of signs.  Below that the m = 1 row has the same
-    polynomial at every k, giving the lines (m k, d, k) of its roots d,
-    and each other row is one-signed beyond its own k-cutoff, leaving at
-    most 5 sporadic pairs.  So `p111k` has no solutions at any bound, and
-    `p1111k` has the line (k, 2, k) and the point (2, 1, 1).
+    Every family answers from a solution set certified for every bound,
+    which the bound only filters, so a search costs its output, not its
+    bound.  `p111k` and `p1111k` range over weight k and hypersurface
+    degree a with k dividing a (the divisibility every smooth weighted
+    hypersurface satisfies), and find the distribution degrees d in [1, B]
+    for each pair.  Their solution set is built once per family
+    (`_p_family_solution_set`).  Writing a = m k, an integer Taylor shift
+    proves every pair with m >= 4 (`p111k`) or m >= 5 (`p1111k`)
+    one-signed, hence without a root by Descartes' rule of signs.  Below
+    that the m = 1 row has the same polynomial at every k, giving the lines
+    (m k, d, k) of its roots d, and each other row is one-signed beyond its
+    own k-cutoff, leaving at most 5 sporadic pairs.  So `p111k` has no
+    solutions at any bound, and `p1111k` has the line (k, 2, k) and the
+    point (2, 1, 1).
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
-    twists.  Its count depends on the twists only through their sum and is
-    linear in d1, so it is compiled once per twist count
-    (`_scroll_evaluator`), and each d2 takes one linear solve in d1.  The
-    twists meet the scroll builder's own argument checks
-    (`catalog._check_scroll_twists`), with its errors, so a call after the
-    compile builds no model.  The bound must be an int, not a bool.
+    twists, where the count is c1 d1 + c0 (`_scroll_coefficients`), with
+    u = d2 + 1, c1 = n u^(n-1) and c0 = s d2 u^(n-1) + 2 sum_(k<n) u^k for
+    n twists summing to s.  For n >= 2 only four d2 can solve it.  At
+    u = 0, c1 = 0 and c0 = 2, so no d1 does.  Otherwise an integer d1 needs
+    c1 | c0, hence u^(n-1) | c0, and c0 = 2 mod u since n - 1 >= 1, so
+    u | 2: d2 is one of -3, -2, 0, 1, each one `divmod`.  For n = 1,
+    c1 = 1, so every d2 gives d1 = -(s d2 + 2): a line, whose d2 range
+    within the bound is found by division.  The twists meet the scroll
+    builder's own argument checks (`catalog._check_scroll_twists`), with
+    its errors; no model is built.  The bound must be an int, not a bool.
     Results are sorted by parameters.  Cohomology exclusions are
     annotations, never silent deletions.
     """
@@ -717,10 +674,21 @@ def regular_search(family: str, bound: int,
             raise ValueError("scroll search needs the twist list")
         scroll_a = tuple(scroll_a)
         catalog._check_scroll_twists(scroll_a)
-        evaluate, s = _scroll_evaluator(len(scroll_a)), sum(scroll_a)
-        for d2 in range(-bound, bound + 1):
-            for d1 in integer_roots(evaluate(s, d2), -bound, bound):
-                found.append((d1, d2))
+        n, s = len(scroll_a), sum(scroll_a)
+        if n == 1:
+            # d1 = -(|s| v + 2) at d2 = sign(s) v, for the v with |d1| <= B
+            t, sign = abs(s), -1 if s < 0 else 1
+            if t:
+                lo, hi = max(-bound, -((bound + 2) // t)), (bound - 2) // t
+            else:
+                lo, hi = (-bound, bound) if bound >= 2 else (1, 0)
+            found = [(-(t * v + 2), sign * v) for v in range(lo, hi + 1)]
+        else:
+            for d2 in (-3, -2, 0, 1):
+                c0, c1 = _scroll_coefficients(n, s, d2)
+                d1, r = divmod(-c0, c1)
+                if not r and max(abs(d1), abs(d2)) <= bound:
+                    found.append((d1, d2))
     else:
         raise ValueError(f"unknown search family {family!r}")
     # p1111k at (a, d, k) = (2, 1, 1) is ruled out by a cohomological

@@ -132,6 +132,11 @@ def test_p111k_search_at_a_billion_reads_its_empty_solution_set(capsys):
     assert out.splitlines()[0] == "result = 0 solution(s)"
 
 
+def test_scroll_search_at_a_huge_bound_prints_the_bytes_of_bound_ten(capsys):
+    argv = ("search", "--family", "scroll", "--scroll-a", "1,1,1", "--bound")
+    assert _run(capsys, *argv, "100000000000000000000") == _run(capsys, *argv, "10")
+
+
 def test_search_rejects_malformed_twists(capsys):
     status, out, err = _run(capsys, "search", "--family", "scroll",
                             "--bound", "3", "--scroll-a", "1,x")

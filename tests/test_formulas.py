@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toricsing import catalog, chow, formulas
 from toricsing.errors import (
@@ -739,7 +739,6 @@ def test_scroll_search_without_twists_raises_the_builders_error():
 
 
 def test_warm_scroll_search_builds_no_model(monkeypatch):
-    regular_search("scroll", 2, scroll_a=(0, 0, 0))  # compiles the 3-twist count
     builds = []
     real_scroll, real_init = catalog.scroll, chow.ToricModel.__init__
 
@@ -989,32 +988,45 @@ def test_scroll_search_matches_the_grid(a, bound):
     assert [s.params for s in sols] == _scroll_grid(a, bound)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-5, 6), min_size=1, max_size=6),
+def test_scroll_search_matches_the_grid_beyond_the_certificate():
+    # at B = 6 the grid also tries d2 = -6..-4 and 2..6, which the
+    # certificate rules out for n >= 2 without a look
+    rng = random.Random(53)
+    for _ in range(30):
+        a = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
+        assert [s.params for s in regular_search("scroll", 6, scroll_a=a)] \
+            == _scroll_grid(a, 6), a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-5, 6), min_size=1, max_size=8),
        st.integers(-6, 6), st.integers(-6, 6))
-def test_scroll_evaluator_is_the_tensor_count(a, d1, d2):
-    evaluate = formulas._scroll_evaluator(len(a))
-    value = sum(c * d1 ** i for i, c in enumerate(evaluate(sum(a), d2)))
-    assert value == foliation_sing_count(catalog.scroll(*a), (d1, d2))
-    code = evaluate.__code__
-    assert code.co_varnames[:code.co_argcount] == ("s", "d2")
-    assert code.co_names == ()
+@example([3], -2, 4)  # n = 1 and 2 are outside `scroll_closed_form`
+@example([1, -2], 5, -3)
+def test_scroll_coefficients_are_the_tensor_count(a, d1, d2):
+    c0, c1 = formulas._scroll_coefficients(len(a), sum(a), d2)
+    assert c1 * d1 + c0 == foliation_sing_count(catalog.scroll(*a), (d1, d2))
 
 
-def test_scroll_searches_share_one_count_per_twist_count(monkeypatch):
+def test_scroll_search_runs_no_count(monkeypatch):
     calls = []
 
-    def spy(model, degree):
-        calls.append(model.name)
-        return count(model, degree)
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
 
-    count = formulas.foliation_sing_count
-    monkeypatch.setattr(formulas, "foliation_sing_count", spy)
-    formulas._scroll_evaluator.cache_clear()
-    for a in [(1, 1, 1), (0, 2, 1), (-2, 3, 4)]:
+    for module in (catalog, chow, formulas):  # every functools cache
+        for value in vars(module).values():
+            getattr(value, "cache_clear", lambda: None)()
+    for owner, name in ((catalog, "scroll"), (formulas, "foliation_sing_count"),
+                        (chow, "integrate_count")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for a in [(1, 1, 1), (0, 2, 1), (-2, 3, 4), (1, -2), (3,)]:
         sols = regular_search("scroll", 10, scroll_a=a)
-        assert [s.params for s in sols] == [(-2, 0)]
-    assert len(calls) <= 2
+        assert sols and all(s.family == "scroll" for s in sols)
+    assert calls == []
 
 
 def test_searches_at_large_bounds():
@@ -1023,8 +1035,23 @@ def test_searches_at_large_bounds():
     assert {(s.params, s.annotation) for s in sols} \
         == {((k, 2, k), "accepted") for k in range(1, 1001)} \
         | {((2, 1, 1), "excluded-by-cohomology")}
-    assert [s.params for s in regular_search("scroll", 1000, scroll_a=(1, 1, 1))] \
-        == [(-2, 0)]
+    for bound in (1000, 10 ** 18):
+        assert [s.params for s in regular_search("scroll", bound, scroll_a=(1, 1, 1))] \
+            == [(-2, 0)]
+
+
+def test_one_twist_scroll_search_is_its_line_cut_by_division():
+    # c1 = 1, so the solutions are d1 = -(s d2 + 2) with |d1|, |d2| <= B
+    for s in range(-7, 8):
+        for bound in range(1, 13):
+            line = [(-(s * d2 + 2), d2) for d2 in range(-bound, bound + 1)
+                    if abs(s * d2 + 2) <= bound]
+            assert [x.params for x in regular_search("scroll", bound, scroll_a=(s,))] \
+                == sorted(line)
+    s = 10 ** 19
+    for sign in (1, -1):
+        assert [x.params for x in regular_search("scroll", 10 * s, scroll_a=(sign * s,))] \
+            == sorted((-(s * v + 2), sign * v) for v in range(-10, 10))
 
 
 def test_p_family_searches_at_bounds_far_beyond_a_scan():
