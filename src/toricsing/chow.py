@@ -333,13 +333,14 @@ def generator_element(model: ToricModel, k: int) -> ChowElement:
 
 def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     """Promote a Picard vector with scalar-expression entries to degree 1.
-    An integer vector becomes its terms on the generators' table directly;
+    An integer vector becomes its terms on the generators' table directly
+    (a bool entry is no int here, and `as_poly` refuses it below);
     otherwise the entries are aligned on one symbol table, which follows
     the generators, and the k-th entry's terms gain the k-th unit exponent."""
     if len(vec) != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
     gens, units = model.gens, model._units
-    if all(isinstance(entry, int) for entry in vec):
+    if all(type(entry) is int for entry in vec):
         return ChowElement(gens, MultiPoly._trusted(gens, {
             u: Fraction(c) for u, c in zip(units, vec) if c}))
     entries = []

@@ -66,11 +66,19 @@ def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
-def _exact_coefficient(value) -> Fraction:
-    """The value as a Fraction.  A float is not exact data (0.1 would become
-    its binary expansion), so it raises ValueError naming it."""
+def _check_exact(value) -> None:
+    """A float is not exact data (0.1 would become its binary expansion),
+    and a bool is no number, though Python takes True for 1: either raises
+    ValueError naming it."""
     if isinstance(value, float):
         raise ValueError(f"coefficient {value!r} is a float, not exact data")
+    if value is True or value is False:
+        raise ValueError(f"coefficient {value!r} is a bool, not exact data")
+
+
+def _exact_coefficient(value) -> Fraction:
+    """The value as a Fraction, once `_check_exact` passes it."""
+    _check_exact(value)
     return Fraction(value)
 
 

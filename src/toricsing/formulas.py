@@ -21,15 +21,15 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from math import gcd, prod
+from math import comb, gcd, prod
 from typing import Sequence
 
 from . import catalog, chow
 from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_symbol, _variable_table, aligned, as_poly,
-    integer_roots, poly_sum,
+    MultiPoly, ScalarLike, _check_exact, _check_symbol, _variable_table,
+    aligned, as_poly, integer_roots, poly_sum,
 )
 
 KINDS = ("foliation", "distribution")
@@ -90,6 +90,7 @@ def degree_class(model: ToricModel, degree) -> ChowElement:
 
 def picard_vector(model: ToricModel, degree) -> tuple:
     if isinstance(degree, (int, Fraction, MultiPoly)):
+        _check_exact(degree)
         if model.rank != 1:
             raise ValueError(
                 f"scalar degree is ambiguous on a rank-{model.rank} model")
@@ -485,13 +486,31 @@ _P_FAMILIES = {"p111k": 3, "p1111k": 4}
 @cache
 def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
     """Coefficients in d, lowest power first, of the distribution count on a
-    degree-a hypersurface of P(1,..,1,k) times k/a, as polynomials in k and
-    a: the coefficient of d^(n-1-i) is (-1)^i times the i-th inner sum of
-    `wci_sing_count_parts` with the weight k and the degree a left symbolic."""
-    n = _P_FAMILIES[family]
-    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
-    inner = _wci_inner_sums((1,) * n + (k,), (a,))
-    return tuple((-1) ** i * inner[i] for i in reversed(range(n)))
+    degree-a hypersurface of P(1,..,1,k) times k/a, as integer polynomials
+    in k and a: `_p_coefficients` at the family's number of weight-one
+    coordinates."""
+    return _p_coefficients(_P_FAMILIES[family])
+
+
+def _p_coefficients(n: int) -> tuple[MultiPoly, ...]:
+    """The d-coefficients, lowest power first, of the distribution count on
+    a degree-a hypersurface of P(1^n, k) times k/a, in closed form: the
+    coefficient of d^(n-1-i) is (-1)^i times the i-th inner sum of
+    `wci_sing_count_parts` with the weight k and the degree a left
+    symbolic.  With n weights 1 and one weight k, e_r = C(n, r) + k C(n, r-1);
+    with the one class a, h_j = a^j.  So the inner sum
+    sum_(j<=i) (-1)^j e_(i-j) h_j has the integer terms (-1)^j C(n, i-j) a^j
+    and (-1)^j C(n, i-j-1) k a^j."""
+    coeffs = []
+    for i in reversed(range(n)):
+        terms = {}
+        for j in range(i + 1):
+            sign = (-1) ** (i + j)
+            terms[0, j] = sign * comb(n, i - j)
+            if j < i:
+                terms[1, j] = sign * comb(n, i - j - 1)
+        coeffs.append(MultiPoly(("k", "a"), terms))
+    return tuple(coeffs)
 
 
 def _integer_terms(name: str,
@@ -634,14 +653,16 @@ def regular_search(family: str, bound: int,
     degree a with k dividing a (the divisibility every smooth weighted
     hypersurface satisfies), and find the distribution degrees d in [1, B]
     for each pair.  Their solution set is built once per family
-    (`_p_family_solution_set`).  Writing a = m k, an integer Taylor shift
-    proves every pair with m >= 4 (`p111k`) or m >= 5 (`p1111k`)
-    one-signed, hence without a root by Descartes' rule of signs.  Below
-    that the m = 1 row has the same polynomial at every k, giving the lines
-    (m k, d, k) of its roots d, and each other row is one-signed beyond its
-    own k-cutoff, leaving at most 5 sporadic pairs.  So `p111k` has no
-    solutions at any bound, and `p1111k` has the line (k, 2, k) and the
-    point (2, 1, 1).
+    (`_p_family_solution_set`) from the count's d-coefficients, integer
+    polynomials in k and a in closed form (`_p_coefficients`), so a fresh
+    process runs no symbolic algebra for it.  Writing a = m k, an integer
+    Taylor shift proves every pair with m >= 4 (`p111k`) or m >= 5
+    (`p1111k`) one-signed, hence without a root by Descartes' rule of
+    signs.  Below that the m = 1 row has the same polynomial at every k,
+    giving the lines (m k, d, k) of its roots d, and each other row is
+    one-signed beyond its own k-cutoff, leaving at most 5 sporadic pairs.
+    So `p111k` has no solutions at any bound, and `p1111k` has the line
+    (k, 2, k) and the point (2, 1, 1).
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
     twists, where the count is c1 d1 + c0 (`_scroll_coefficients`), with
     u = d2 + 1, c1 = n u^(n-1) and c0 = s d2 u^(n-1) + 2 sum_(k<n) u^k for

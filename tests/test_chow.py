@@ -376,6 +376,10 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
         class_element(m, (1,))
     with pytest.raises(TypeError):
         class_element(m, (1.5, 1))
+    # a bool is an int to Python, but no Picard entry
+    for vec in ((True, 1), (1, False), (True, True)):
+        with pytest.raises(ValueError, match="^coefficient (True|False) is a bool"):
+            class_element(m, vec)
 
 
 def test_chern_consistency_check():

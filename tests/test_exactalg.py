@@ -303,3 +303,15 @@ def test_floats_are_not_exact_coefficients(build, value):
     # Fraction(0.1) would store the float's binary expansion
     with pytest.raises(ValueError, match=rf"^coefficient {re.escape(value)} is a float"):
         build()
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: MultiPoly.const(True), "True"),
+    (lambda: MultiPoly.const(False, ("a",)), "False"),
+    (lambda: MultiPoly(("x",), {(1,): True}), "True"),
+    (lambda: MultiPoly(("x", "y"), {(1, 0): 1, (0, 1): False}), "False"),
+])
+def test_bools_are_not_exact_coefficients(build, value):
+    # Fraction(True) would be 1
+    with pytest.raises(ValueError, match=f"^coefficient {value} is a bool, not exact data$"):
+        build()

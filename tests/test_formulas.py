@@ -382,6 +382,7 @@ FLOAT_DEGREE_ROUTES = {
                                           classes=(2,), degree=d),
     "wci_general": lambda d: poincare_check("wci-general", weights=(1, 1, 1, 1),
                                             classes=(2,), degree=d),
+    "wci_sing_count_p112": lambda d: wci_sing_count((1, 1, 1, 2), (2,), d),
 }
 
 
@@ -392,6 +393,23 @@ def test_float_degrees_are_not_exact_data(route):
     for bad in (0.1, 0.5, 2.0):
         with pytest.raises(ValueError, match=rf"^coefficient {bad!r} is a float"):
             call(bad)
+    # a bool is an int to Python: wci_sing_count((1, 1, 1, 2), (2,), True)
+    # used to return 7, the count at degree 1
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"^coefficient {bad} is a bool, not exact data$"):
+            call(bad)
+
+
+# foliation_sing_count(projective(2), True) used to return 7, the count at
+# degree 1, through the int paths of `picard_vector` and `class_element`
+@pytest.mark.parametrize("spec, degree", [
+    ("projective:2", True), ("projective:2", (True,)), ("projective:2", False),
+    ("projective:2", (1, True, 0)),  # divisor coefficients
+    ("multiprojective:1,1", True), ("multiprojective:1,1", (1, True)),
+])
+def test_bool_degrees_are_not_exact_data(spec, degree):
+    with pytest.raises(ValueError, match="^coefficient (True|False) is a bool, not exact data$"):
+        foliation_sing_count(catalog.from_spec_string(spec), degree)
 
 
 def test_a_degree_that_is_neither_scalar_nor_sequence_is_named():
@@ -805,6 +823,52 @@ def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
     rebuilt = poly_sum(c.extended(table) * d ** p for p, c in enumerate(compiled))
     assert rebuilt == _hand_typed(family, k, a, d)
     assert formulas._p_family_coefficients(family) is compiled
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_p_coefficients_are_the_symbolic_inner_sums(n):
+    # the closed form against the symmetric-function route, k and a symbolic
+    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
+    inner = formulas._wci_inner_sums((1,) * n + (k,), (a,))
+    closed = formulas._p_coefficients(n)
+    assert closed == tuple((-1) ** i * inner[i] for i in reversed(range(n)))
+    if n == 1:  # P(1, k) has no hypersurface count: m < n fails
+        return
+    # and against the count itself at integer (k, a, d): the parts of
+    # wci_sing_count_parts, highest power first, are the coefficients times
+    # a/k, also where k does not divide a
+    rng = random.Random(2300 + n)
+    cases = [(3, 5, 2), (2, 7, -3)] + [
+        (rng.randint(1, 9), rng.randint(1, 30), rng.randint(-6, 12)) for _ in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every P(1^n, k), n >= 2, is well formed
+        for kk, aa, d in cases:
+            parts = wci_sing_count_parts((1,) * n + (kk,), (aa,), d, "distribution")
+            values = [p.evaluate({"k": kk, "a": aa}) for p in closed]
+            assert [p.constant_value() * kk / aa for p in parts] \
+                == [values[i] * d ** i for i in reversed(range(n))], (kk, aa, d)
+
+
+def test_p_family_searches_start_cold_without_symbolic_algebra(monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (catalog, chow, formulas):  # every functools cache
+        for value in vars(module).values():
+            getattr(value, "cache_clear", lambda: None)()
+    for owner, name in ((formulas, "_wci_inner_sums"), (chow, "elementary_series"),
+                        (MultiPoly, "__mul__"), (MultiPoly, "__rmul__")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for family, solutions in P_FAMILY_SOLUTIONS.items():
+        sols = regular_search(family, 95)
+        assert len(sols) == (0 if family == "p111k" else 96)
+        assert formulas._p_family_solution_set(family) == solutions
+    assert calls == []
 
 
 # the solution set of each p-family: (m, first k, last k or None, roots d)

@@ -5,6 +5,7 @@ Module loading is observed in fresh interpreters, since this test process
 has imported every module already.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -139,3 +140,47 @@ def test_unknown_attribute_is_an_attribute_error():
         toricsing.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         from toricsing import no_such_name  # noqa: F401
+
+
+# the north star: standard library only, and no code built from strings
+BUILTIN_CODE_RUNNERS = {"eval", "exec", "compile"}
+
+
+def _outside_uses(source: str) -> list[str]:
+    """Imports of anything but the standard library and this package, and
+    calls of `eval`, `exec` or `compile`, as 'line: what' entries."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        found += [f"{node.lineno}: import {m}" for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names | {"toricsing"}]
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "builtins":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)  # a plain name, not re.compile
+            if name in BUILTIN_CODE_RUNNERS:
+                found.append(f"{node.lineno}: call {name}")
+    return found
+
+
+def test_the_walk_finds_outside_imports_and_code_runners():
+    source = ("import numpy.linalg\nfrom sympy import Rational\nimport builtins\n"
+              "from . import chow\nfrom toricsing.exactalg import MultiPoly\n"
+              "import re, fractions\nre.compile('x')\nx = eval('1')\n"
+              "exec('y = 2')\nbuiltins.compile('1', '', 'eval')\n")
+    assert _outside_uses(source) == ["1: import numpy.linalg", "2: import sympy",
+                                     "8: call eval", "9: call exec", "10: call compile"]
+
+
+def test_the_package_imports_only_the_standard_library_and_runs_no_strings():
+    files = sorted((SRC / "toricsing").glob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        assert _outside_uses(path.read_text()) == [], path.name
