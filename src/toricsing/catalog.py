@@ -2,8 +2,11 @@
 
 Builtins cover projective spaces, weighted projective spaces,
 multiprojective spaces, rational normal scrolls, and the three blow-up
-models whose Chern classes are recorded directly.  User models travel as
-line-oriented UTF-8 text:
+models whose Chern classes are recorded directly.  A builder checks its
+parameters and builds fields that are canonical by construction, so it
+stores them through `ToricModel._trusted`, without the model's own checks.
+User models travel as line-oriented UTF-8 text, read through the checking
+constructor:
 
     name P(1,2,3)
     dim 2
@@ -127,7 +130,7 @@ def projective(n: int) -> ToricModel:
     _check_ints("projective", (n,))
     if n < 1:
         raise ModelFormatError("projective space needs positive dimension")
-    return ToricModel(
+    return ToricModel._trusted(
         name=f"P{n}",
         dim=n,
         rank=1,
@@ -157,7 +160,7 @@ def weighted(*w: int) -> ToricModel:
         raise ModelFormatError(f"weights {w} have gcd {g}, expected 1")
     _warn_shared_factors(w)
     n = len(w) - 1
-    return ToricModel(
+    return ToricModel._trusted(
         name="P(" + ",".join(str(x) for x in w) + ")",
         dim=n,
         rank=1,
@@ -186,7 +189,7 @@ def multiprojective(*ns: int) -> ToricModel:
         for i2, n2 in enumerate(ns):
             row.extend([1 if i2 == i else 0] * (n2 + 1))
         radial.append(tuple(row))
-    return ToricModel(
+    return ToricModel._trusted(
         name="x".join(f"P{ni}" for ni in ns),
         dim=n,
         rank=k,
@@ -217,7 +220,7 @@ def scroll(*a: int) -> ToricModel:
         (1, 1) + tuple(-ai for ai in a),
         (0, 0) + tuple(1 for _ in a),
     )
-    return ToricModel(
+    return ToricModel._trusted(
         name="F(" + ",".join(str(x) for x in a) + ")",
         dim=n,
         rank=2,
@@ -239,7 +242,7 @@ def blowup_point(n: int) -> ToricModel:
         (n, 0): Fraction(1),
         (0, n): Fraction((-1) ** (n + 1)),
     }
-    return ToricModel(
+    return ToricModel._trusted(
         name=f"Bl_p(P{n})",
         dim=n,
         rank=2,
@@ -267,7 +270,7 @@ def blowup_two_points_p3() -> ToricModel:
         (0, 3, 0): Fraction(1),
         (0, 0, 3): Fraction(1),
     }
-    return ToricModel(
+    return ToricModel._trusted(
         name="Bl_pq(P3)",
         dim=3,
         rank=3,
@@ -291,7 +294,7 @@ def blowup_line_p3() -> ToricModel:
         (1, 2): Fraction(-1),
         (0, 3): Fraction(-2),
     }
-    return ToricModel(
+    return ToricModel._trusted(
         name="Bl_L(P3)",
         dim=3,
         rank=2,

@@ -35,8 +35,9 @@ the chain t^k, ..., t, 1 it gives the elementary series
 support it gives every count (`integrate_count`, the paper's prod a_i *
 [c / (prod (1 + a_i) * (1 - d))]_(n-m)), where a position carries the
 generator exponent, so an entry is a number, or a term dict over the
-degree-symbol exponents (`_Terms`).  `integrate` sums the entries on
-tensor keys against the integer weights and divides once per output term.
+degree-symbol exponents (`_Terms`); the entries on the tensor keys are
+read out against the integer weights directly (`_pair`, which `integrate`
+shares), and divided by the common denominator once per output term.
 Degree-1 classes, with numeric or symbolic entries, all come from
 `class_element`.
 """
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain, compress, product
 from math import lcm
 from types import MappingProxyType
@@ -101,6 +102,30 @@ def _index_support(keys: frozenset[tuple[int, ...]]) -> SupportIndex:
     return SupportIndex(order, MappingProxyType(pos), edges)
 
 
+@lru_cache(maxsize=64)
+def _default_coord_names(size: int) -> tuple[str, ...]:
+    """z0, ..., z(size - 1): the coordinate names of a model that gives none."""
+    return tuple(f"z{i}" for i in range(size))
+
+
+class _lazy:
+    """A model field computed on first use and stored in the instance
+    `__dict__`, where later reads find it before this non-data descriptor:
+    `functools.cached_property` without the lock that 3.10 and 3.11 take on
+    every first access.  Two threads reading a field first at once may both
+    compute it; each stores an equal value, as `cached_property` does from
+    3.12 on."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ToricModel:
     """Intersection data of a compact toric orbifold.
@@ -115,7 +140,8 @@ class ToricModel:
     overrides are read-only mappings, and each instance caches its Chern
     vector and its integer tensor on first use; the support index is shared
     by the models with one tensor key set.  Tensor keys must hold ints and
-    weights must be ints or Fractions.
+    weights must be ints or Fractions.  The builtins of `catalog` build
+    their models through `_trusted`, which skips these checks.
     """
 
     name: str
@@ -181,17 +207,40 @@ class ToricModel:
                 raise ValueError("radial data must be an r x (n+r) matrix")
             _check_integral("radial row", self.radial)
         if not self.coord_names:
-            store("coord_names", tuple(f"z{i}" for i in range(self.dim + self.rank)))
+            store("coord_names", _default_coord_names(self.dim + self.rank))
         elif len(self.coord_names) != self.dim + self.rank:
             raise ValueError("coordinate table must have n+r names")
 
-    @cached_property
+    @classmethod
+    def _trusted(cls, *, name: str, dim: int, rank: int, gens: tuple[str, ...],
+                 divisor_classes: tuple[tuple[int, ...], ...] | None,
+                 tensor: dict[tuple[int, ...], Fraction],
+                 chern_override: dict[int, ChowElement] | None = None,
+                 smooth: bool = True,
+                 radial: tuple[tuple[int, ...], ...] | None = None,
+                 coord_names: tuple[str, ...] = ()) -> ToricModel:
+        """Store the fields of a model this package builds itself, already
+        canonical: tuples of ints, `Fraction` weights, and overrides on the
+        generators' table.  Only what validation would change is done: zero
+        weights are dropped, the mappings made read-only, and the default
+        coordinate names filled in."""
+        model = object.__new__(cls)
+        model.__dict__.update(
+            name=name, dim=dim, rank=rank, gens=gens,
+            divisor_classes=divisor_classes,
+            tensor=MappingProxyType({k: v for k, v in tensor.items() if v}),
+            chern_override=MappingProxyType(chern_override) if chern_override else None,
+            smooth=smooth, radial=radial,
+            coord_names=coord_names or _default_coord_names(dim + rank))
+        return model
+
+    @_lazy
     def _divisor_esym(self) -> tuple[ChowElement, ...]:
         """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
         return tuple(elementary_series(
             [class_element(self, v) for v in self.divisor_classes], self.dim))
 
-    @cached_property
+    @_lazy
     def _chern_vector(self) -> tuple[int | Fraction, ...]:
         """c(X) on the support vector, for the counts only: one `_pass` per
         divisor class multiplies 1 by (1 + D), and the positions of degree j
@@ -209,13 +258,13 @@ class ToricModel:
                 v[i] = _exact_scalar(given[sum(e)].poly.terms.get(e, 0))
         return tuple(v)
 
-    @cached_property
+    @_lazy
     def _support_index(self) -> SupportIndex:
         """The index of the support, shared by every model with the same
         tensor key set (`_index_support`)."""
         return _index_support(frozenset(self.tensor))
 
-    @cached_property
+    @_lazy
     def _integer_tensor(self) -> tuple[int, dict[tuple[int, ...], int]]:
         """The common denominator of the tensor weights, and each weight
         times it, an int."""
@@ -223,7 +272,7 @@ class ToricModel:
         return den, {k: v.numerator * (den // v.denominator)
                      for k, v in self.tensor.items()}
 
-    @cached_property
+    @_lazy
     def _units(self) -> tuple[tuple[int, ...], ...]:
         """The unit exponents of the generators."""
         return tuple(tuple(int(i == k) for i in range(self.rank))
@@ -294,7 +343,8 @@ class ChowElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> ChowElement:
-        if not isinstance(exponent, int) or exponent < 0:
+        # a bool is an int to Python, but no power
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("power must be a natural number")
         return ChowElement(self.gens, self.poly ** exponent)
 
@@ -476,24 +526,30 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     Terms of any other generator degree contribute nothing, so callers may
     pass whole Chern polynomials or truncated sums unchanged.  Coefficients
     in degree symbols pass through, making the result a scalar expression.
-    The products run against the model's integer weights (`_integer_tensor`),
-    so integral coefficients meet ints only, and each output term is
-    divided by the common denominator once.
+    The products run against the model's integer weights (`_pair`).
     """
     if not isinstance(elem, ChowElement):
         return MultiPoly.zero()
     r = len(elem.gens)
     den, weights = model._integer_tensor
+    # the tensor keys are exactly the degree-n exponents of nonzero weight
+    return _pair(den, elem.poly.vars[r:], (
+        (weight, exp[r:], coeff) for exp, coeff in elem.poly.terms.items()
+        if (weight := weights.get(exp[:r]))))
+
+
+def _pair(den: int, symbols: tuple[str, ...], products) -> ScalarExpr:
+    """The sum of weight * c * s^e over the triples (weight, e, c) of an
+    integer tensor weight and a coefficient c of the monomial s^e in the
+    degree symbols, divided by the tensor's common denominator once: the
+    pairing of `integrate` and `integrate_count`.  Integral coefficients
+    meet ints only; each output term is one `Fraction`."""
     out: dict[tuple[int, ...], int | Fraction] = {}
-    for exp, coeff in elem.poly.terms.items():
-        # the tensor keys are exactly the degree-n exponents of nonzero weight
-        weight = weights.get(exp[:r])
-        if weight:
-            key = exp[r:]
-            prev = out.get(key)
-            out[key] = coeff * weight if prev is None else prev + coeff * weight
-    return MultiPoly._trusted(elem.poly.vars[r:],
-                              {k: Fraction(v, den) for k, v in out.items() if v})
+    for weight, e, c in products:
+        if c:
+            prev = out.get(e)
+            out[e] = c * weight if prev is None else prev + c * weight
+    return MultiPoly._trusted(symbols, {e: Fraction(c, den) for e, c in out.items() if c})
 
 
 def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
@@ -504,8 +560,9 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
     with over = factors on a complete intersection; each class must be
     homogeneous of degree 1.  From c(X) (`ToricModel._chern_vector`) one
     `_pass` per class multiplies by each factor, into a fresh vector, and
-    then divides by each 1 + a and by 1 - twist.  The result's table merges
-    the factors', then over's, then the twist's.
+    then divides by each 1 + a and by 1 - twist; the entries on the tensor
+    keys are paired with the integer weights (`_pair`).  The result's table
+    merges the factors', then over's, then the twist's.
     """
     top = model.dim - len(factors)
     if top < 0:
@@ -538,10 +595,10 @@ def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
         v = w
     for x in xs[f:]:
         _pass(v, v, x, reversed(edges))
-    terms = {key + e: c for key in model.tensor for e, c in (
-        v[pos[key]].items() if symbolic else [((), v[pos[key]])]) if c}
-    # an internal element: int coefficients meet the integer weights there
-    return integrate(model, ChowElement(model.gens, MultiPoly._trusted(table, terms)))
+    den, weights = model._integer_tensor
+    return _pair(den, table[r:], (
+        (weight, e, c) for key, weight in weights.items()
+        for e, c in (v[pos[key]].items() if symbolic else [((), v[pos[key]])])))
 
 
 def _unit_vector(size: int) -> list[int]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import isqrt
-from operator import add, index
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -239,7 +239,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        if not isinstance(exponent, int) or exponent < 0:
+        # a bool is an int to Python, but no power
+        if type(exponent) is not int or exponent < 0:
             raise ValueError(f"polynomial power must be a natural number: {exponent!r}")
         result = MultiPoly.const(1, self.vars)
         base = self
@@ -311,11 +312,18 @@ class MultiPoly:
         return result
 
     def evaluate(self, values: Mapping[str, int | Fraction]) -> Fraction:
-        """Evaluate at a rational point; every variable must be assigned."""
+        """Evaluate at a rational point; every variable must be assigned an
+        int or a Fraction (a bool is an int to Python, but True is no
+        point)."""
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")
-        point = [Fraction(values[name]) for name in self.vars]
+        point = []
+        for name in self.vars:
+            x = values[name]
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ValueError(f"value {x!r} of {name} is not an int or a Fraction")
+            point.append(Fraction(x))
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
@@ -371,14 +379,15 @@ def add_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]
 
 
 def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]) -> dict:
-    """The product of two term tables on one variable table, zeros dropped."""
+    """The product of two term tables on one variable table.  Coefficients
+    that cancel stay as zeros: every caller drops them where it reads out."""
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             exp = tuple(map(add, ea, eb))
             prev = out.get(exp)
             out[exp] = ca * cb if prev is None else prev + ca * cb
-    return {e: c for e, c in out.items() if c}
+    return out
 
 
 def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:
@@ -527,17 +536,15 @@ def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     polynomial stops being monotone and bisects each piece on exact
     integer signs.  The zero polynomial vanishes on the whole range.  A
     coefficient or bound that is not an int raises ValueError naming it:
-    a float would give inexact signs.
+    a float would give inexact signs, and a bool is an int to Python but
+    no coefficient.
     """
-    try:  # one C-level pass that also rejects what is not an int
-        c = list(map(index, coeffs))
-        lo, hi = index(lo), index(hi)
-    except TypeError:
-        for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(coeffs)),
+    c = list(coeffs)
+    if any(type(x) is not int for x in (*c, lo, hi)):
+        for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(c)),
                         ("lower bound", lo), ("upper bound", hi)):
-            if not hasattr(type(x), "__index__"):
-                raise ValueError(f"integer_roots {what} is {x!r}, not an int") from None
-        raise
+            if type(x) is not int:
+                raise ValueError(f"integer_roots {what} is {x!r}, not an int")
     while c and c[-1] == 0:
         c.pop()
     if lo > hi:

@@ -380,6 +380,10 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
     for vec in ((True, 1), (1, False), (True, True)):
         with pytest.raises(ValueError, match="^coefficient (True|False) is a bool"):
             class_element(m, vec)
+    # nor a power: element ** True used to return the element
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^power must be a natural number$"):
+            class_element(m, (1, 2)) ** flag
 
 
 def test_chern_consistency_check():

@@ -286,6 +286,10 @@ def test_integer_roots_are_exact_at_large_magnitudes():
     (([Fraction(1, 2), 1], -5, 5), "coefficient of x^0 is Fraction(1, 2)"),
     (([0], 1.5, 3), "lower bound is 1.5"),
     (([0], 1, "3"), "upper bound is '3'"),
+    # a bool is an int to Python: [True, 1] used to give the root -1
+    (([True, 1], -3, 3), "coefficient of x^0 is True"),
+    (([0], False, 3), "lower bound is False"),
+    (([0], 1, True), "upper bound is True"),
 ])
 def test_integer_roots_reject_inexact_data(args, named):
     with pytest.raises(ValueError, match=f"^integer_roots {re.escape(named)}, not an int$"):
@@ -315,3 +319,14 @@ def test_bools_are_not_exact_coefficients(build, value):
     # Fraction(True) would be 1
     with pytest.raises(ValueError, match=f"^coefficient {value} is a bool, not exact data$"):
         build()
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_bools_are_no_powers_or_points(flag):
+    # x ** True used to return x, and evaluating at x = True gave 1
+    x = MultiPoly.variable("x", ("x",))
+    with pytest.raises(ValueError, match=f"^polynomial power must be a natural number: {flag}$"):
+        x ** flag
+    with pytest.raises(ValueError, match=f"^value {flag} of x is not an int or a Fraction$"):
+        (x + 1).evaluate({"x": flag})
+    assert (x + 1).evaluate({"x": int(flag)}) == 1 + flag
