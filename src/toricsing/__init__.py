@@ -10,7 +10,7 @@ so a CLI command or a script pays for the modules it uses.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "exactalg": "BigRational MultiPoly aligned as_poly poly_sum",
+    "exactalg": "MultiPoly aligned as_poly poly_sum",
     "chow": """ChowElement ToricModel chern_class class_element
         class_of_divisor_coeffs elementary_symmetric_classes integrate
         wronski_classes""",

@@ -36,10 +36,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import AlignmentError, ModelFormatError
 
-# Exact rationals are stdlib fractions: always in lowest terms, positive
-# denominator, arbitrary-precision numerator.
-BigRational = Fraction
-
 Exponent = tuple[int, ...]
 ScalarLike = Union[int, Fraction, "MultiPoly"]
 

@@ -9,10 +9,11 @@ polynomials and the numeric ones produce exact rationals.
 
 Two degree parameterizations are accepted everywhere: a Picard-basis vector
 (length r) or a divisor-coefficient vector (length n+r, summed through the
-divisor classes).  The weighted-complete-intersection formulas work on
-weight and multidegree scalars directly and never build a subvariety model:
-integrals over the intersection are ambient integrals against its
-Poincare dual, the product of its defining classes.
+divisor classes).  The weighted-complete-intersection formulas take
+weights and multidegrees, build P(w) (`catalog.weighted`) and run the same
+count there.  No count builds a subvariety model: integrals over the
+intersection are ambient integrals against its Poincare dual, the product
+of its defining classes.
 """
 
 from __future__ import annotations
@@ -188,14 +189,13 @@ def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
 
 
 # ---------------------------------------------------------------------------
-# weighted complete intersections (scalar route)
+# weighted complete intersections in P(w) (tensor route)
 
 
 def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
     w = _integers("weights", weights)
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
-    catalog._warn_shared_factors(w)
     return w
 
 
@@ -203,43 +203,29 @@ def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> Scalar
     return chow.elementary_series(values, j)[j]
 
 
-def _wci_inner_sums(weights: Sequence[ScalarLike],
-                    classes: Sequence[ScalarLike]) -> list[ScalarExpr]:
-    """sum_j (-1)^j e_{i-j}(weights) h_j(classes) for i = 0..n - m, with n + 1
-    weights and m classes: the degree-i part of the Chern class of a
-    weighted complete intersection, up to its dimension, before the
-    orbifold degree factor.  Weights and classes may be numbers or symbols."""
-    top = len(weights) - 1 - len(classes)
-    e = [elementary_symmetric_scalars(weights, i) for i in range(top + 1)]
-    h = chow.complete_series(classes, top)
-    both = aligned(*e, *h)
-    e, h = both[:top + 1], both[top + 1:]
-    return [poly_sum((-1) ** j * e[i - j] * h[j] for j in range(i + 1))
-            for i in range(top + 1)]
-
-
 def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
                          degree: ScalarLike,
                          kind: str = "foliation") -> list[ScalarExpr]:
     """The per-power contributions to `wci_sing_count`, highest power of the
     degree first.  The pieces already carry the distribution signs and the
-    orbifold degree factor, so they sum to the count."""
+    orbifold degree factor, so they sum to the count.  They are the
+    coefficients of the count on P(w) (`catalog.weighted`, which checks the
+    gcd and warns on shared factors) at the degree symbol d1, so the
+    caller's degree, a number or a polynomial in any symbols, never enters
+    the model."""
     _check_kind(kind)
-    w = _check_weights(weights)
+    model = catalog.weighted(*_check_weights(weights))
     a = _integers("classes", classes)
     if any(x < 1 for x in a):
         raise ValueError("complete-intersection multidegrees must be positive")
-    n = len(w) - 1
-    m = len(a)
+    n, m = model.dim, len(a)
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    factor = Fraction(prod(a), prod(w))
     d = as_poly(degree)
-    parts = []
-    for i, inner in enumerate(_wci_inner_sums(w, a)):
-        inner, dp = aligned(inner, d ** (n - m - i))
-        parts.append(_signed(i, kind) * factor * inner * dp)
-    return parts
+    a = _class_list(model, a)
+    count = chow.integrate_count(model, a, a, degree_class(model, "symbolic"))
+    return [_signed(i, kind) * count.coefficient((n - m - i,)) * d ** (n - m - i)
+            for i in range(n - m + 1)]
 
 
 def wci_sing_count(weights: Sequence[int], classes: Sequence[int],
@@ -259,6 +245,7 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
     """Sum of Baum-Bott indices on a complete-intersection surface:
     the orbifold degree times the square of d + C1(w) - W1(a)."""
     w = _check_weights(weights)
+    catalog._warn_shared_factors(w)
     a = _integers("classes", classes)
     n = len(w) - 1
     if len(a) != n - 2:
@@ -287,14 +274,20 @@ class AlphaInvariant:
 
 def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInvariant:
     """Divisibility invariant for regular distributions on a weighted
-    complete intersection, together with its Euler characteristic."""
+    complete intersection, together with its Euler characteristic.
+
+    chi is the count `ci_euler` on P(w) and alpha is chi prod(w) / prod(a),
+    read as prod(w) times the integral with the factors H^m in place of
+    prod(a) H^m, so a multidegree 0 (chi = 0) still has its alpha."""
     w = _check_weights(weights)
+    model = catalog.weighted(*w)
     a = _integers("classes", classes)
-    n = len(w) - 1
-    m = len(a)
+    n, m = model.dim, len(a)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    alpha = _wci_inner_sums(w, a)[n - m].constant_value()
+    h = chow.generator_element(model, 0)
+    alpha = prod(w) * chow.integrate_count(
+        model, [h] * m, _class_list(model, a)).constant_value()
     chi = Fraction(prod(a), prod(w)) * alpha
     return AlphaInvariant(alpha=alpha, chi=chi)
 
@@ -495,11 +488,11 @@ def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
 def _p_coefficients(n: int) -> tuple[MultiPoly, ...]:
     """The d-coefficients, lowest power first, of the distribution count on
     a degree-a hypersurface of P(1^n, k) times k/a, in closed form: the
-    coefficient of d^(n-1-i) is (-1)^i times the i-th inner sum of
-    `wci_sing_count_parts` with the weight k and the degree a left
-    symbolic.  With n weights 1 and one weight k, e_r = C(n, r) + k C(n, r-1);
-    with the one class a, h_j = a^j.  So the inner sum
-    sum_(j<=i) (-1)^j e_(i-j) h_j has the integer terms (-1)^j C(n, i-j) a^j
+    coefficient of d^(n-1-i) is (-1)^i times the coefficient of H^i in
+    c(P(w)) / (1 + a H), the inner sum sum_(j<=i) (-1)^j e_(i-j)(w) h_j(a),
+    with the weight k and the degree a left symbolic.  With n weights 1 and
+    one weight k, e_r = C(n, r) + k C(n, r-1); with the one class a,
+    h_j = a^j.  So the inner sum has the integer terms (-1)^j C(n, i-j) a^j
     and (-1)^j C(n, i-j-1) k a^j."""
     coeffs = []
     for i in reversed(range(n)):
@@ -643,6 +636,16 @@ def _p_family_solution_set(family: str):
                  for m, first, last, c in pairs if solved[c] != ())
 
 
+# the most solutions a search builds, about 0.5 GB of `SearchSolution`s
+_MAX_SOLUTIONS = 2 * 10 ** 6
+
+
+def _check_count(family: str, bound: int, count: int) -> None:
+    if count > _MAX_SOLUTIONS:
+        raise ValueError(f"{family} search at bound {bound} has {count} solutions, "
+                         f"more than the {_MAX_SOLUTIONS} a search returns")
+
+
 def regular_search(family: str, bound: int,
                    scroll_a: Sequence[int] | None = None) -> list[SearchSolution]:
     """Degree data within the bound on which the counting polynomial vanishes.
@@ -674,22 +677,28 @@ def regular_search(family: str, bound: int,
     within the bound is found by division.  The twists meet the scroll
     builder's own argument checks (`catalog._check_scroll_twists`), with
     its errors; no model is built.  The bound must be an int, not a bool.
+    A line holds about 2B solutions at bound B, so the solutions are
+    counted from the ranges first: more than `_MAX_SOLUTIONS` raise
+    ValueError naming the count and the bound, before any is built.
     Results are sorted by parameters.  Cohomology exclusions are
     annotations, never silent deletions.
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
-    found: list[tuple[int, ...]] = []
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        k0 = 2 if family == "p111k" else 1
+        k0, rows, count = 2 if family == "p111k" else 1, [], 0
         for m, first, last, roots in _p_family_solution_set(family):
             ks = range(max(first, k0), 1 + (bound // m if last is None
                                             else min(last, bound // m)))
             ds = range(1, bound + 1) if roots is None \
                 else [d for d in roots if d <= bound]
-            found += [(m * k, d, k) for d in ds for k in ks]
+            rows.append((m, ks, ds))
+            # len(ks) stops at sys.maxsize
+            count += max(0, ks.stop - ks.start) * (bound if roots is None else len(ds))
+        _check_count(family, bound, count)
+        found = [(m * k, d, k) for m, ks, ds in rows for d in ds for k in ks]
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
@@ -703,8 +712,10 @@ def regular_search(family: str, bound: int,
                 lo, hi = max(-bound, -((bound + 2) // t)), (bound - 2) // t
             else:
                 lo, hi = (-bound, bound) if bound >= 2 else (1, 0)
+            _check_count(family, bound, hi + 1 - lo)
             found = [(-(t * v + 2), sign * v) for v in range(lo, hi + 1)]
         else:
+            found = []
             for d2 in (-3, -2, 0, 1):
                 c0, c1 = _scroll_coefficients(n, s, d2)
                 d1, r = divmod(-c0, c1)

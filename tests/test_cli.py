@@ -1,6 +1,9 @@
 """Exit codes, output determinism, and JSON round trips for the CLI."""
 
 import json
+import linecache
+import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,6 +110,16 @@ def test_wci_partial_sums_in_details(capsys):
     assert payload["result"] == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "wci", "--weights", "2,2,2,2", "--ci", "2", "--degree", "1"),
+    ("alpha", "--weights", "2,2,2,2", "--ci", "2"),
+])
+def test_weights_with_a_common_factor_are_refused(capsys, argv):
+    status, out, err = _run(capsys, *argv)
+    assert (status, out) == (1, "")
+    assert err == "error: weights (2, 2, 2, 2) have gcd 2, expected 1\n"
+
+
 def test_weight_warnings_name_the_cli_line(capsys):
     # stdout is the count alone; the warning names the command line's call
     for argv in (("count", "wci", "--weights", "1,2,2,3", "--ci", "6", "--degree", "1"),
@@ -115,6 +128,21 @@ def test_weight_warnings_name_the_cli_line(capsys):
             status, out, _ = _run(capsys, *argv)
         assert status == 0 and out.startswith("result = ")
         assert Path(record[0].filename).name == "cli.py"
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("count", "wci", "--weights", "1,2,2", "--ci", "2", "--degree", "1"),
+     "formulas.wci_sing_count_parts("),
+    (("alpha", "--weights", "1,2,2,3", "--ci", "6"), "formulas.alpha_invariant("),
+])
+def test_weighted_commands_warn_once_at_their_call(capsys, argv, call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, _, _ = _run(capsys, *argv)
+    assert status == 0
+    assert [c.category for c in caught] == [NotWellFormedWarning]
+    assert Path(caught[0].filename).name == "cli.py"
+    assert call in linecache.getline(caught[0].filename, caught[0].lineno)
 
 
 def test_search_json(capsys):
@@ -135,6 +163,19 @@ def test_p111k_search_at_a_billion_reads_its_empty_solution_set(capsys):
 def test_scroll_search_at_a_huge_bound_prints_the_bytes_of_bound_ten(capsys):
     argv = ("search", "--family", "scroll", "--scroll-a", "1,1,1", "--bound")
     assert _run(capsys, *argv, "100000000000000000000") == _run(capsys, *argv, "10")
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("--family", "scroll", "--scroll-a", "1"), 1999999999),
+    (("--family", "p1111k"), 1000000001),
+])
+def test_searches_on_a_line_at_a_billion_end_promptly(capsys, argv, count):
+    start = time.perf_counter()
+    status, out, err = _run(capsys, "search", *argv, "--bound", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (1, "")
+    assert err == (f"error: {argv[1]} search at bound 1000000000 has {count} "
+                   "solutions, more than the 2000000 a search returns\n")
 
 
 def test_search_rejects_malformed_twists(capsys):

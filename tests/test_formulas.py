@@ -3,9 +3,11 @@
 import dataclasses
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +16,7 @@ from toricsing import catalog, chow, formulas
 from toricsing.errors import (
     ModelFormatError, NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
 )
-from toricsing.exactalg import MultiPoly, aligned, integer_roots, poly_sum
+from toricsing.exactalg import MultiPoly, aligned, as_poly, integer_roots, poly_sum
 from toricsing.formulas import (
     alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
     complement_euler, complement_sing_count, foliation_sing_count,
@@ -237,6 +239,36 @@ def test_wci_weight_warnings_name_what_fails():
                           r"isolated$") as caught:
             count((1, 2, 2, 3), (6,), 1)
         assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize("count", [
+    partial(wci_sing_count, degree=1), partial(wci_sing_count_parts, degree=1),
+    alpha_invariant], ids=["wci_sing_count", "wci_sing_count_parts", "alpha_invariant"])
+def test_wci_weight_warnings_come_once_per_call(count):
+    # P(w) warns when it is built; the weight checks before it do not
+    for w, a, text in (((1, 2, 2), (2,), "the space is not well formed"),
+                       ((1, 2, 2, 3), (6,), "the singular locus is not isolated")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            count(w, a)
+        assert [str(c.message) for c in caught] == [
+            f"weights {w} are not pairwise coprime; {text}"]
+        assert caught[0].category is NotWellFormedWarning
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+
+@pytest.mark.parametrize("w", [(2, 2, 2, 2), (2, 4, 6), (3, 3, 6, 9, 12)])
+def test_wci_counts_refuse_weights_with_a_common_factor(w):
+    # P(w) with gcd(w) = g > 1 is P(w/g); the formula's hypotheses fail, so
+    # the counts raise the builder's error instead of evaluating it anyway
+    g = gcd(*w)
+    for call in (lambda: wci_sing_count(w, (2,), 1),
+                 lambda: wci_sing_count_parts(w, (2,), 1, "distribution"),
+                 lambda: alpha_invariant(w, (2,))):
+        with pytest.raises(ModelFormatError, match=re.escape(
+                f"weights {w} have gcd {g}, expected 1")):
+            call()
 
 
 def test_wci_balanced_weight_family():
@@ -825,11 +857,73 @@ def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
     assert formulas._p_family_coefficients(family) is compiled
 
 
+def _inner_sums(weights, classes):
+    """The reference route of the weighted counts: sum_j (-1)^j e_(i-j)(weights)
+    h_j(classes) for i = 0..n - m, with n + 1 weights and m classes, from the
+    symmetric-function series.  It is the degree-i part of the Chern class
+    of the intersection before the orbifold degree factor.  Weights and
+    classes may be numbers or symbols."""
+    top = len(weights) - 1 - len(classes)
+    both = aligned(*chow.elementary_series(weights, top),
+                   *chow.complete_series(classes, top))
+    e, h = both[:top + 1], both[top + 1:]
+    return [poly_sum((-1) ** j * e[i - j] * h[j] for j in range(i + 1))
+            for i in range(top + 1)]
+
+
+def _reference_parts(w, a, degree, kind):
+    """`wci_sing_count_parts` from `_inner_sums`: the prod(a) / prod(w)
+    factor, the distribution signs, and each inner sum on the degree's table."""
+    n, m, d = len(w) - 1, len(a), as_poly(degree)
+    parts = []
+    for i, inner in enumerate(_inner_sums(w, a)):
+        inner, dp = aligned(inner, d ** (n - m - i))
+        sign = (-1) ** i if kind == "distribution" else 1
+        parts.append(sign * Fraction(prod(a), prod(w)) * inner * dp)
+    return parts
+
+
+def _printed(p):
+    return p.canonical_string(), p.vars, sorted({type(c).__name__ for c in p.terms.values()})
+
+
+def test_wci_parts_match_the_symmetric_function_route():
+    # the P(w) tensor count against the inner sums: values, tables and
+    # coefficient types, at int, Fraction and symbolic degrees, one of them
+    # named H like the generator of P(w)
+    rng = random.Random(2500)
+    t, h = MultiPoly.variable("t", ("t",)), MultiPoly.variable("H", ("H",))
+    degrees = (lambda: rng.randint(-8, 12),
+               lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+               lambda: t, lambda: t + 1, lambda: h, lambda: 2 * h - Fraction(1, 3))
+    done = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotWellFormedWarning)
+        while done < 300:
+            n = rng.randint(2, 7)
+            w = tuple(rng.randint(1, 7) for _ in range(n + 1))
+            if gcd(*w) != 1:
+                continue
+            a = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, n - 1)))
+            degree = degrees[done % len(degrees)]()
+            kind = formulas.KINDS[done % 2]
+            parts = wci_sing_count_parts(w, a, degree, kind)
+            expected = _reference_parts(w, a, degree, kind)
+            assert [_printed(p) for p in parts] == [_printed(p) for p in expected], \
+                (w, a, degree, kind)
+            if a:
+                info = alpha_invariant(w, a)
+                alpha = _inner_sums(w, a)[-1].constant_value()
+                assert (info.alpha, info.chi) == (alpha, Fraction(prod(a), prod(w)) * alpha)
+                assert type(info.alpha) is type(info.chi) is Fraction
+            done += 1
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_p_coefficients_are_the_symbolic_inner_sums(n):
     # the closed form against the symmetric-function route, k and a symbolic
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
-    inner = formulas._wci_inner_sums((1,) * n + (k,), (a,))
+    inner = _inner_sums((1,) * n + (k,), (a,))
     closed = formulas._p_coefficients(n)
     assert closed == tuple((-1) ** i * inner[i] for i in reversed(range(n)))
     if n == 1:  # P(1, k) has no hypersurface count: m < n fails
@@ -861,8 +955,8 @@ def test_p_family_searches_start_cold_without_symbolic_algebra(monkeypatch):
     for module in (catalog, chow, formulas):  # every functools cache
         for value in vars(module).values():
             getattr(value, "cache_clear", lambda: None)()
-    for owner, name in ((formulas, "_wci_inner_sums"), (chow, "elementary_series"),
-                        (MultiPoly, "__mul__"), (MultiPoly, "__rmul__")):
+    for owner, name in ((chow, "elementary_series"), (MultiPoly, "__mul__"),
+                        (MultiPoly, "__rmul__")):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     for family, solutions in P_FAMILY_SOLUTIONS.items():
         sols = regular_search(family, 95)
@@ -1124,6 +1218,27 @@ def test_p_family_searches_at_bounds_far_beyond_a_scan():
     sols = regular_search("p1111k", 10 ** 5)
     assert len(sols) == 10 ** 5 + 1
     assert sols[-1].params == (10 ** 5, 2, 10 ** 5)
+
+
+def test_searches_refuse_more_solutions_than_they_return(monkeypatch):
+    # counted from the ranges of the solution set, before any is built
+    monkeypatch.setattr(formulas, "_MAX_SOLUTIONS", 21)
+    # p1111k holds the line (k, 2, k), k <= B, and the point (2, 1, 1);
+    # the one-twist scroll (1,) the line d1 = -(d2 + 2), 2B - 1 points
+    assert len(regular_search("p1111k", 20)) == 21
+    assert len(regular_search("scroll", 11, scroll_a=(1,))) == 21
+    assert len(regular_search("scroll", 10 ** 30, scroll_a=(1, 1, 1))) == 1
+
+    def built(*args):
+        raise AssertionError("a solution was built past the limit")
+
+    monkeypatch.setattr(formulas, "SearchSolution", built)
+    for family, bound, twists, count in (("p1111k", 21, None, 22),
+                                         ("scroll", 12, (1,), 23),
+                                         ("scroll", 10 ** 20, (0,), 2 * 10 ** 20 + 1)):
+        with pytest.raises(ValueError, match=rf"^{family} search at bound {bound} has "
+                           rf"{count} solutions, more than the 21 a search returns$"):
+            regular_search(family, bound, scroll_a=twists)
 
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
