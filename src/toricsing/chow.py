@@ -435,6 +435,13 @@ def divisor_class_element(model: ToricModel, i: int) -> ChowElement:
     return class_element(model, model.divisor_classes[i])
 
 
+def _check_degree(j) -> None:
+    """A series degree or index must be an int: a bool is an int to Python
+    but no degree, and a float would fail only at a tuple index."""
+    if type(j) is not int:
+        raise ValueError(f"degree {j!r} is not an int")
+
+
 def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     """The j-th elementary symmetric polynomial in the divisor classes.
 
@@ -442,6 +449,7 @@ def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     the truncated product of (1 + D_i t); later calls return the same
     element.
     """
+    _check_degree(j)
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     if model.divisor_classes is None:
@@ -456,6 +464,7 @@ def chern_class(model: ToricModel, j: int) -> ChowElement:
     Uses the supplied override when present, otherwise the elementary
     symmetric function of the divisor classes.
     """
+    _check_degree(j)
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     if j == 0:
@@ -495,6 +504,7 @@ def complete_series(items: Sequence, k: int) -> list:
 def _series(items: Sequence, k: int, divide: bool) -> list:
     """Both series, as vectors on the chain t^k, ..., t, 1 of the items' bare
     term tables on one merged variable table, wrapped once at the end."""
+    _check_degree(k)
     if k < 0:
         raise ValueError("degree must be nonnegative")
     first = items[0] if items and isinstance(items[0], ChowElement) else None

@@ -243,11 +243,12 @@ def wci_sing_count(weights: Sequence[int], classes: Sequence[int],
 def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
                   degree: ScalarLike) -> ScalarExpr:
     """Sum of Baum-Bott indices on a complete-intersection surface:
-    the orbifold degree times the square of d + C1(w) - W1(a)."""
+    the orbifold degree times the square of d + C1(w) - W1(a).  The weights
+    meet `catalog.weighted`'s checks: a common factor raises, and factors
+    shared by some of them warn."""
     w = _check_weights(weights)
-    catalog._warn_shared_factors(w)
+    n = catalog.weighted(*w).dim
     a = _integers("classes", classes)
-    n = len(w) - 1
     if len(a) != n - 2:
         raise ValueError(f"surface case needs m = n-2 = {n - 2} classes, got {len(a)}")
     factor = Fraction(prod(a), prod(w))
@@ -267,6 +268,9 @@ class AlphaInvariant:
     chi: Fraction
 
     def divides(self, d: int) -> bool:
+        # a bool is an int to Python, and a float divides by float modulo
+        if type(d) is not int:
+            raise ValueError(f"divisor {d!r} is not an int")
         if d == 0:
             return self.alpha == 0
         return self.alpha % d == 0
@@ -338,6 +342,8 @@ def multidegree(model: ToricModel, classes, k: int,
     """The k-degree of the intersection: the k-th divisor class (or
     generator, for models without divisor lists) raised to its dimension,
     integrated over it."""
+    if type(k) is not int:
+        raise ValueError(f"index {k!r} is not an int")
     a_elems = _class_list(model, classes)
     m = len(a_elems)
     n = model.dim
@@ -472,57 +478,31 @@ class SearchSolution:
     annotation: str = "accepted"
 
 
-# number of weight-one coordinates in each p-family's ambient P(1,..,1,k)
-_P_FAMILIES = {"p111k": 3, "p1111k": 4}
+# each p-family's ambient P(1,..,1,k) and search: its number of weight-one
+# coordinates, its first weight k, and the point (a, d, k) ruled out by a
+# cohomological vanishing that the tool flags but does not prove
+_P_FAMILIES = {"p111k": (3, 2, None), "p1111k": (4, 1, (2, 1, 1))}
 
 
-@cache
-def _p_family_coefficients(family: str) -> tuple[ScalarExpr, ...]:
-    """Coefficients in d, lowest power first, of the distribution count on a
-    degree-a hypersurface of P(1,..,1,k) times k/a, as integer polynomials
-    in k and a: `_p_coefficients` at the family's number of weight-one
-    coordinates."""
-    return _p_coefficients(_P_FAMILIES[family])
-
-
-def _p_coefficients(n: int) -> tuple[MultiPoly, ...]:
+def _p_coefficients(n: int) -> list[dict[tuple[int, int], int]]:
     """The d-coefficients, lowest power first, of the distribution count on
-    a degree-a hypersurface of P(1^n, k) times k/a, in closed form: the
-    coefficient of d^(n-1-i) is (-1)^i times the coefficient of H^i in
-    c(P(w)) / (1 + a H), the inner sum sum_(j<=i) (-1)^j e_(i-j)(w) h_j(a),
-    with the weight k and the degree a left symbolic.  With n weights 1 and
-    one weight k, e_r = C(n, r) + k C(n, r-1); with the one class a,
-    h_j = a^j.  So the inner sum has the integer terms (-1)^j C(n, i-j) a^j
-    and (-1)^j C(n, i-j-1) k a^j."""
+    a degree-a hypersurface of P(1^n, k) times k/a, in closed form as
+    integer terms {(em, ek): c} of m^em k^ek with a = m k.  The coefficient
+    of d^(n-1-i) is (-1)^i times the coefficient of H^i in
+    c(P(w)) / (1 + a H), the inner sum sum_(j<=i) (-1)^j e_(i-j)(w) h_j(a).
+    With n weights 1 and one weight k, e_r = C(n, r) + k C(n, r-1); with
+    the one class a, h_j = a^j = m^j k^j.  So the inner sum has the terms
+    (-1)^j C(n, i-j) m^j k^j and (-1)^j C(n, i-j-1) m^j k^(j+1)."""
     coeffs = []
     for i in reversed(range(n)):
         terms = {}
         for j in range(i + 1):
             sign = (-1) ** (i + j)
-            terms[0, j] = sign * comb(n, i - j)
+            terms[j, j] = sign * comb(n, i - j)
             if j < i:
-                terms[1, j] = sign * comb(n, i - j - 1)
-        coeffs.append(MultiPoly(("k", "a"), terms))
-    return tuple(coeffs)
-
-
-def _integer_terms(name: str,
-                   polys: Sequence[MultiPoly]) -> list[dict[tuple[int, int], int]]:
-    """The terms {(ex, ey): c} of each polynomial on its two-variable table
-    (x, y), with int coefficients.  A coefficient that is not an integer
-    raises ValueError naming `name`, so none is truncated."""
-    out = []
-    for poly in polys:
-        x, y = poly.vars
-        ints = {}
-        for (ex, ey), c in poly.terms.items():
-            if c.denominator != 1:
-                raise ValueError(
-                    f"{name} coefficient {poly.canonical_string()} has a "
-                    f"non-integer term {c} at {x}^{ex} {y}^{ey}")
-            ints[ex, ey] = c.numerator
-        out.append(ints)
-    return out
+                terms[j, j + 1] = sign * comb(n, i - j - 1)
+        coeffs.append(terms)
+    return coeffs
 
 
 # the largest cutoff that `_one_sign_cutoff` tries
@@ -563,14 +543,6 @@ def _one_sign_cutoff(terms: Sequence[dict[tuple[int, int], int]]) -> int | None:
     return None
 
 
-def _p_family_terms(family: str) -> list[dict[tuple[int, int], int]]:
-    """The integer terms of `_p_family_coefficients(family)` on (m, k) with
-    a = m k: the exponents are remapped, k^i a^j to m^j k^(i+j).  The
-    non-integer check runs on the (k, a) polynomials."""
-    return [{(j, i + j): c for (i, j), c in t.items()}
-            for t in _integer_terms(family, _p_family_coefficients(family))]
-
-
 def _row_polynomials(terms: Sequence[dict[tuple[int, int], int]],
                      m: int) -> list[dict[int, int]]:
     """The (m, k) polynomials with integer terms {(em, ek): c} at a fixed m,
@@ -597,8 +569,9 @@ def _roots(coeffs: tuple[int, ...]) -> tuple[int, ...] | None:
 @cache
 def _p_family_solution_set(family: str):
     """`((m, first, last, roots), ...)`: every (a, d, k) with a = m k,
-    k >= 1 and d >= 1 at which the d-coefficients of
-    `_p_family_coefficients(family)` vanish, certified once.
+    k >= 1 and d >= 1 at which the d-coefficients `_p_coefficients(n)`,
+    n the family's number of weight-one coordinates, vanish, certified
+    once from their integer terms in (m, k).
 
     Each entry covers the k in [first, last] (`last` None: every k >=
     first) and the roots d, None meaning every d.  The cutoff M
@@ -612,7 +585,7 @@ def _p_family_solution_set(family: str):
     of `p1111k` (M = 5).  Each distinct polynomial is solved once."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
-    terms = _p_family_terms(family)
+    terms = _p_coefficients(_P_FAMILIES[family][0])
     cutoff = _one_sign_cutoff(terms)
     if cutoff is None:
         raise ValueError(f"search family {family!r} has no one-sign cutoff "
@@ -655,13 +628,14 @@ def regular_search(family: str, bound: int,
     bound.  `p111k` and `p1111k` range over weight k and hypersurface
     degree a with k dividing a (the divisibility every smooth weighted
     hypersurface satisfies), and find the distribution degrees d in [1, B]
-    for each pair.  Their solution set is built once per family
-    (`_p_family_solution_set`) from the count's d-coefficients, integer
-    polynomials in k and a in closed form (`_p_coefficients`), so a fresh
-    process runs no symbolic algebra for it.  Writing a = m k, an integer
-    Taylor shift proves every pair with m >= 4 (`p111k`) or m >= 5
-    (`p1111k`) one-signed, hence without a root by Descartes' rule of
-    signs.  Below that the m = 1 row has the same polynomial at every k,
+    for each pair; `_P_FAMILIES` gives each family's first k and its point
+    excluded by cohomology.  Their solution set is built once per family
+    (`_p_family_solution_set`) from the count's d-coefficients, written
+    with a = m k as integer terms in (m, k) in closed form
+    (`_p_coefficients`), so a fresh process builds no `MultiPoly` for it.
+    An integer Taylor shift proves every pair with m >= 4 (`p111k`) or
+    m >= 5 (`p1111k`) one-signed, hence without a root by Descartes' rule
+    of signs.  Below that the m = 1 row has the same polynomial at every k,
     giving the lines (m k, d, k) of its roots d, and each other row is
     one-signed beyond its own k-cutoff, leaving at most 5 sporadic pairs.
     So `p111k` has no solutions at any bound, and `p1111k` has the line
@@ -688,7 +662,8 @@ def regular_search(family: str, bound: int,
     if family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
-        k0, rows, count = 2 if family == "p111k" else 1, [], 0
+        _, k0, excluded = _P_FAMILIES[family]
+        rows, count = [], 0
         for m, first, last, roots in _p_family_solution_set(family):
             ks = range(max(first, k0), 1 + (bound // m if last is None
                                             else min(last, bound // m)))
@@ -704,6 +679,7 @@ def regular_search(family: str, bound: int,
             raise ValueError("scroll search needs the twist list")
         scroll_a = tuple(scroll_a)
         catalog._check_scroll_twists(scroll_a)
+        excluded = None
         n, s = len(scroll_a), sum(scroll_a)
         if n == 1:
             # d1 = -(|s| v + 2) at d2 = sign(s) v, for the v with |d1| <= B
@@ -723,9 +699,6 @@ def regular_search(family: str, bound: int,
                     found.append((d1, d2))
     else:
         raise ValueError(f"unknown search family {family!r}")
-    # p1111k at (a, d, k) = (2, 1, 1) is ruled out by a cohomological
-    # vanishing the tool flags but does not prove
-    excluded = (2, 1, 1) if family == "p1111k" else None
     return [SearchSolution(family, p, "excluded-by-cohomology" if p == excluded
                            else "accepted") for p in sorted(found)]
 

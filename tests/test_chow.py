@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -384,6 +385,21 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
     for flag in (True, False):
         with pytest.raises(ValueError, match="^power must be a natural number$"):
             class_element(m, (1, 2)) ** flag
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1)])
+def test_degree_indices_are_ints(bad):
+    # chern_class(m, True) used to return c_1, and a float index failed
+    # with a bare TypeError from the series' tuple
+    m = catalog.projective(3)
+    h = chow.generator_element(m, 0)
+    for call in (lambda: chern_class(m, bad),
+                 lambda: elementary_symmetric_classes(m, bad),
+                 lambda: wronski_classes([h, 2 * h], bad),
+                 lambda: chow.elementary_series([1, 2], bad),
+                 lambda: chow.complete_series([1, 2], bad)):
+        with pytest.raises(ValueError, match=f"^degree {re.escape(repr(bad))} is not an int$"):
+            call()
 
 
 def test_chern_consistency_check():

@@ -113,6 +113,7 @@ def test_wci_partial_sums_in_details(capsys):
 @pytest.mark.parametrize("argv", [
     ("count", "wci", "--weights", "2,2,2,2", "--ci", "2", "--degree", "1"),
     ("alpha", "--weights", "2,2,2,2", "--ci", "2"),
+    ("baumbott", "--weights", "2,2,2,2", "--ci", "2", "--degree", "1"),
 ])
 def test_weights_with_a_common_factor_are_refused(capsys, argv):
     status, out, err = _run(capsys, *argv)

@@ -258,14 +258,31 @@ def test_wci_weight_warnings_come_once_per_call(count):
         assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
+def test_baum_bott_sum_warns_once_at_its_call():
+    # P(w) warns when it is built, with the text and line of the other counts
+    for w, a, text in (((1, 2, 2, 2), (2,), "the space is not well formed"),
+                       ((1, 2, 2, 3, 5), (2, 6), "the singular locus is not isolated")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            value = baum_bott_sum(w, a, 1)
+        assert value == Fraction(prod(a), prod(w)) * (1 + sum(w) - sum(a)) ** 2
+        assert [str(c.message) for c in caught] == [
+            f"weights {w} are not pairwise coprime; {text}"]
+        assert caught[0].category is NotWellFormedWarning
+        assert (caught[0].filename, caught[0].lineno) == (__file__, line)
+
+
 @pytest.mark.parametrize("w", [(2, 2, 2, 2), (2, 4, 6), (3, 3, 6, 9, 12)])
 def test_wci_counts_refuse_weights_with_a_common_factor(w):
     # P(w) with gcd(w) = g > 1 is P(w/g); the formula's hypotheses fail, so
-    # the counts raise the builder's error instead of evaluating it anyway
+    # the counts raise the builder's error instead of evaluating it anyway;
+    # baum_bott_sum((2, 2, 2, 2), (2,), 1) used to return 49/8
     g = gcd(*w)
     for call in (lambda: wci_sing_count(w, (2,), 1),
                  lambda: wci_sing_count_parts(w, (2,), 1, "distribution"),
-                 lambda: alpha_invariant(w, (2,))):
+                 lambda: alpha_invariant(w, (2,)),
+                 lambda: baum_bott_sum(w, (2,) * (len(w) - 3), 1)):
         with pytest.raises(ModelFormatError, match=re.escape(
                 f"weights {w} have gcd {g}, expected 1")):
             call()
@@ -489,6 +506,13 @@ def test_alpha_invariant_quadric_threefold():
     assert info.divides(2) and info.divides(1) and not info.divides(3)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, Fraction(5)])
+def test_alpha_divides_refuses_divisors_that_are_not_ints(bad):
+    # 5 % 2.5 == 0.0 and 5 % True == 0 used to make both "divide" 5
+    with pytest.raises(ValueError, match=f"^divisor {re.escape(repr(bad))} is not an int$"):
+        formulas.AlphaInvariant(Fraction(5), Fraction(0)).divides(bad)
+
+
 def test_alpha_invariant_p1():
     assert alpha_invariant((1, 1, 1), (1,)).chi == 2
 
@@ -619,6 +643,12 @@ def test_multidegree():
 def test_multidegree_index_range():
     with pytest.raises(ValueError):
         multidegree(catalog.projective(3), [(2,)], 9)
+    # nor an index that is not an int: True used to pick generator 1
+    pp = catalog.multiprojective(1, 1)
+    for bad in (1.0, True, Fraction(1)):
+        for generator in (False, True):
+            with pytest.raises(ValueError, match=f"^index {re.escape(repr(bad))} is not an int$"):
+                multidegree(pp, [(2, 3)], bad, generator=generator)
 
 
 # -- inequality checks ---------------------------------------------------------
@@ -847,14 +877,28 @@ def test_p_family_search_matches_the_hand_typed_scan(family):
             == _p_family_scan(family, bound)
 
 
+def _p_terms_at(terms, m, k):
+    """The value of the integer terms {(em, ek): c} of m^em k^ek at (m, k)."""
+    return sum(c * m ** em * k ** ek for (em, ek), c in terms.items())
+
+
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
 def test_p_family_coefficients_are_the_hand_typed_polynomials(family):
-    table = ("k", "a", "d")
-    k, a, d = (MultiPoly.variable(v, table) for v in table)
-    compiled = formulas._p_family_coefficients(family)
-    rebuilt = poly_sum(c.extended(table) * d ** p for p, c in enumerate(compiled))
-    assert rebuilt == _hand_typed(family, k, a, d)
-    assert formulas._p_family_coefficients(family) is compiled
+    compiled = formulas._p_coefficients(formulas._P_FAMILIES[family][0])
+    assert all(type(c) is int for t in compiled for c in t.values())
+    # as polynomials, with a = m k substituted into the hand-typed ones
+    table = ("m", "k", "d")
+    m, k, d = (MultiPoly.variable(v, table) for v in table)
+    rebuilt = poly_sum(MultiPoly(("m", "k"), t).extended(table) * d ** p
+                       for p, t in enumerate(compiled))
+    assert rebuilt == _hand_typed(family, k, m * k, d)
+    # and as values at m = a / k, also where k does not divide a
+    for kk in range(1, 7):
+        for aa in range(1, 13):
+            for dd in range(-3, 6):
+                assert sum(_p_terms_at(t, Fraction(aa, kk), kk) * dd ** p
+                           for p, t in enumerate(compiled)) \
+                    == _hand_typed(family, kk, aa, dd), (kk, aa, dd)
 
 
 def _inner_sums(weights, classes):
@@ -921,16 +965,20 @@ def test_wci_parts_match_the_symmetric_function_route():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_p_coefficients_are_the_symbolic_inner_sums(n):
-    # the closed form against the symmetric-function route, k and a symbolic
+    # the closed form against the symmetric-function route, k and a symbolic,
+    # with a = m k substituted
     k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
+    mk = MultiPoly(("m", "k"), {(1, 1): 1})
     inner = _inner_sums((1,) * n + (k,), (a,))
     closed = formulas._p_coefficients(n)
-    assert closed == tuple((-1) ** i * inner[i] for i in reversed(range(n)))
+    assert all(type(c) is int for t in closed for c in t.values())
+    assert [MultiPoly(("m", "k"), t) for t in closed] == [
+        (-1) ** i * inner[i].substitute({"a": mk}) for i in reversed(range(n))]
     if n == 1:  # P(1, k) has no hypersurface count: m < n fails
         return
     # and against the count itself at integer (k, a, d): the parts of
-    # wci_sing_count_parts, highest power first, are the coefficients times
-    # a/k, also where k does not divide a
+    # wci_sing_count_parts, highest power first, are the coefficients at
+    # m = a/k times a/k, also where k does not divide a
     rng = random.Random(2300 + n)
     cases = [(3, 5, 2), (2, 7, -3)] + [
         (rng.randint(1, 9), rng.randint(1, 30), rng.randint(-6, 12)) for _ in range(20)]
@@ -938,7 +986,7 @@ def test_p_coefficients_are_the_symbolic_inner_sums(n):
         warnings.simplefilter("error")  # every P(1^n, k), n >= 2, is well formed
         for kk, aa, d in cases:
             parts = wci_sing_count_parts((1,) * n + (kk,), (aa,), d, "distribution")
-            values = [p.evaluate({"k": kk, "a": aa}) for p in closed]
+            values = [_p_terms_at(t, Fraction(aa, kk), kk) for t in closed]
             assert [p.constant_value() * kk / aa for p in parts] \
                 == [values[i] * d ** i for i in reversed(range(n))], (kk, aa, d)
 
@@ -956,8 +1004,11 @@ def test_p_family_searches_start_cold_without_symbolic_algebra(monkeypatch):
         for value in vars(module).values():
             getattr(value, "cache_clear", lambda: None)()
     for owner, name in ((chow, "elementary_series"), (MultiPoly, "__mul__"),
-                        (MultiPoly, "__rmul__")):
+                        (MultiPoly, "__rmul__"), (MultiPoly, "__init__")):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    # no MultiPoly is built, not even from the package's own arithmetic
+    monkeypatch.setattr(MultiPoly, "_trusted",
+                        staticmethod(spy("_trusted", MultiPoly._trusted)))
     for family, solutions in P_FAMILY_SOLUTIONS.items():
         sols = regular_search(family, 95)
         assert len(sols) == (0 if family == "p111k" else 96)
@@ -975,9 +1026,10 @@ P_FAMILY_ROW_CUTOFFS = {"p111k": [None, 3, 2], "p1111k": [None, 4, 2, 2]}
 
 
 def _p_family_values(family, m, k):
-    """The integer d-coefficients of the family's polynomial at a = m k."""
-    values = [p.evaluate({"k": k, "a": m * k})
-              for p in formulas._p_family_coefficients(family)]
+    """The integer d-coefficients, lowest power first, of the family's
+    hand-typed polynomial at a = m k."""
+    poly = _hand_typed(family, k, m * k, MultiPoly.variable("d", ("d",)))
+    values = [poly.coefficient((i,)) for i in range(formulas._P_FAMILIES[family][0])]
     assert all(c.denominator == 1 for c in values)
     return tuple(c.numerator for c in values)
 
@@ -993,15 +1045,6 @@ def test_p_family_solution_set_is_exact(family):
             assert [d for d in range(1, 50)
                     if sum(ci * d ** i for i, ci in enumerate(c)) == 0] \
                 == list(roots)
-
-
-def test_p_family_solution_set_rejects_non_integral_coefficients(monkeypatch):
-    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
-    exact = formulas._p_family_coefficients("p111k")
-    halved = (exact[0] + Fraction(1, 2) * k * k, *exact[1:])
-    monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: halved)
-    with pytest.raises(ValueError, match=re.escape("non-integer term 1/2 at k^2 a^0")):
-        formulas._p_family_solution_set.__wrapped__("p111k")
 
 
 def test_p_family_solution_set_rejects_other_families():
@@ -1027,18 +1070,18 @@ def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
 
 @pytest.mark.parametrize("family, cutoff", [("p111k", 4), ("p1111k", 5)])
 def test_p_family_cutoff_is_one_signed_beyond_it(family, cutoff):
-    compiled = formulas._p_family_coefficients(family)
-    assert formulas._one_sign_cutoff(formulas._p_family_terms(family)) == cutoff
+    terms = formulas._p_coefficients(formulas._P_FAMILIES[family][0])
+    assert formulas._one_sign_cutoff(terms) == cutoff
     # certified from k = 1: every pair a = m k <= 400 with m >= cutoff
     for m in range(cutoff, 401):
         for k in range(1, 400 // m + 1):
-            c = [p.evaluate({"k": k, "a": m * k}) for p in compiled]
+            c = _p_family_values(family, m, k)
             assert any(c) and (min(c) >= 0 or max(c) <= 0), (m, k, c)
 
 
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
 def test_p_family_row_cutoffs_are_one_signed_beyond_them(family):
-    terms = formulas._p_family_terms(family)
+    terms = formulas._p_coefficients(formulas._P_FAMILIES[family][0])
     cutoffs = P_FAMILY_ROW_CUTOFFS[family]
     assert len(cutoffs) + 1 == formulas._one_sign_cutoff(terms)
     for m, cutoff in enumerate(cutoffs, start=1):
@@ -1079,10 +1122,11 @@ def test_taylor_shift_is_the_substitution(coeffs, s):
     (lambda k, a: (a - 2, k - 1), 3),
 ])
 def test_p_family_scan_matches_a_per_pair_enumeration(monkeypatch, build, cutoff):
-    k, a = (MultiPoly.variable(v, ("k", "a")) for v in ("k", "a"))
-    polys = build(k, a)
-    monkeypatch.setattr(formulas, "_p_family_coefficients", lambda family: polys)
-    assert formulas._one_sign_cutoff(formulas._p_family_terms("p111k")) == cutoff
+    # the fake d-coefficients as integer terms in (m, k), with a = m k
+    k, a = MultiPoly.variable("k", ("m", "k")), MultiPoly(("m", "k"), {(1, 1): 1})
+    terms = [{e: c.numerator for e, c in p.terms.items()} for p in build(k, a)]
+    monkeypatch.setattr(formulas, "_p_coefficients", lambda n: terms)
+    assert formulas._one_sign_cutoff(terms) == cutoff
     if cutoff is None:  # a family without a certificate is refused
         with pytest.raises(ValueError, match="^search family 'p111k' has no one-sign cutoff"):
             formulas._p_family_solution_set.__wrapped__("p111k")
@@ -1095,7 +1139,7 @@ def test_p_family_scan_matches_a_per_pair_enumeration(monkeypatch, build, cutoff
             expected = []
             for kk in range(k0, bound + 1):
                 for aa in range(kk, bound + 1, kk):
-                    c = [int(p.evaluate({"k": kk, "a": aa})) for p in polys]
+                    c = list(build(kk, aa))
                     expected += [(aa, d, kk) for d in integer_roots(c, 1, bound)]
             assert [s.params for s in regular_search(family, bound)] == sorted(expected)
 
