@@ -1,6 +1,8 @@
 """Counting formulas, inequality verdicts, and bounded searches."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
 import sys
@@ -22,7 +24,8 @@ from toricsing.formulas import (
     complement_euler, complement_sing_count, foliation_sing_count,
     gcd_obstruction, general_type_index, hypersurface_euler, multidegree,
     poincare_check, regular_search, restricted_sing_count,
-    scroll_closed_form, symbolic_degree, wci_sing_count, wci_sing_count_parts,
+    SearchSolution, scroll_closed_form, symbolic_degree, wci_sing_count,
+    wci_sing_count_parts,
 )
 
 
@@ -346,6 +349,40 @@ def test_wci_sign_duality_symbolic():
             rhs = (-1) ** (n - m) * wci_sing_count(w, a, minus_d, kind="foliation")
             assert lhs == rhs
             done += 1
+
+
+def test_wci_count_is_the_sum_of_its_parts():
+    # one count at d (or -d) against the per-power parts, at int, Fraction
+    # and symbolic degrees, for both kinds: values, tables and coefficient types
+    rng = random.Random(2700)
+    t = MultiPoly.variable("t", ("t", "u"))
+    degrees = (lambda: rng.randint(-8, 12),
+               lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+               lambda: t, lambda: 2 * t - Fraction(1, 3))
+    done = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotWellFormedWarning)
+        while done < 200:
+            n = rng.randint(2, 7)
+            w = tuple(rng.randint(1, 7) for _ in range(n + 1))
+            if gcd(*w) != 1:
+                continue
+            a = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, n - 1)))
+            degree = degrees[done % len(degrees)]()
+            for kind in formulas.KINDS:
+                parts = wci_sing_count_parts(w, a, degree, kind)
+                assert _printed(wci_sing_count(w, a, degree, kind)) \
+                    == _printed(poly_sum(parts)), (w, a, degree, kind)
+            done += 1
+
+
+def test_wci_count_refuses_a_degree_in_the_generator_symbol():
+    # the degree enters P(w), whose generator is H; the parts never put it there
+    h = MultiPoly.variable("H", ("H",))
+    assert poly_sum(wci_sing_count_parts((1, 1, 1, 2), (2,), h)) == h ** 2 + 3 * h + 3
+    assert [wci_sing_count((1, 1, 1, 2), (2,), d) for d in (1, 2)] == [7, 13]
+    with pytest.raises(ValueError, match="^degree symbols may not collide with generators$"):
+        wci_sing_count((1, 1, 1, 2), (2,), h)
 
 
 def test_wci_rejects_too_many_classes():
@@ -784,8 +821,56 @@ def test_search_scroll():
 def test_search_solutions_are_frozen_and_ordered():
     first, second = regular_search("p1111k", 3)[:2]
     assert first < second
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first.annotation = "excluded-by-cohomology"
+    for field, value in (("family", "p111k"), ("params", (1, 1, 1)),
+                         ("annotation", "excluded-by-cohomology")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(first, field, value)
+    assert (first.family, first.params, first.annotation) \
+        == ("p1111k", (1, 2, 1), "accepted")
+
+
+def _searches():
+    rng = random.Random(2701)
+    twists = [(s,) for s in range(-4, 5)] + [
+        tuple(rng.randint(-5, 5) for _ in range(n)) for n in range(1, 6) for _ in range(6)]
+    for family in formulas._P_FAMILIES:
+        for bound in range(1, 101):
+            yield family, bound, None
+    for a in twists:
+        for bound in (1, 2, 3, 7, 40):
+            yield "scroll", bound, a
+
+
+def _same_solutions(built, made, stride=1):
+    assert [type(b) for b in built] == [SearchSolution] * len(made)
+    assert built == made
+    assert list(map(repr, built)) == list(map(repr, made))
+    assert list(map(hash, built)) == list(map(hash, made))
+    assert not any(b < m or m < b or hasattr(b, "__dict__") for b, m in zip(built, made))
+    for b, c in zip(built, built[1:]):
+        assert b < c and not c < b and b <= c
+    # the field copies and round trips run on every stride-th solution,
+    # the excluded point (2, 1, 1), second in p1111k, among them
+    built, made = built[1::stride] + built[:1], made[1::stride] + made[:1]
+    assert list(map(dataclasses.astuple, built)) == list(map(dataclasses.astuple, made))
+    assert list(map(dataclasses.asdict, built)) == list(map(dataclasses.asdict, made))
+    for round_trip in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert round_trip == made
+        assert list(map(repr, round_trip)) == list(map(repr, made))
+
+
+def test_built_solutions_are_constructed_solutions():
+    # results filled through the slot descriptors against the public
+    # constructor: equality, repr, hash, order, fields, pickle and deepcopy
+    for family, bound, a in _searches():
+        built = regular_search(family, bound, scroll_a=a)
+        made = [SearchSolution(family, s.params, s.annotation) for s in built]
+        _same_solutions(built, made)
+    built = regular_search("p1111k", 10 ** 5)
+    made = [SearchSolution("p1111k", (k, 2, k)) for k in range(1, 10 ** 5 + 1)]
+    made.insert(1, SearchSolution("p1111k", (2, 1, 1), "excluded-by-cohomology"))
+    _same_solutions(built, made, stride=97)
+    assert regular_search("p111k", 10 ** 5) == []
 
 
 def test_search_results_are_sorted():
