@@ -152,8 +152,14 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     return GcdVerdict(chi=chi, gcd=g, forces_singular=forces)
 
 
-def _signed(i: int, kind: str) -> int:
-    return (-1) ** i if kind == "distribution" else 1
+def _ci_count(model: ToricModel, a: Sequence[ChowElement], d: ChowElement,
+              kind: str) -> ScalarExpr:
+    """The count on the complete intersection of the classes a at degree d.
+    A distribution counts as (-1)^(n-m) times a foliation at -d: the signed
+    sum sum_j (-1)^j g_j d^(n-m-j) is the plain sum at -d times (-1)^(n-m)."""
+    if kind == "foliation":
+        return chow.integrate_count(model, a, a, d)
+    return (-1) ** (model.dim - len(a)) * chow.integrate_count(model, a, a, -d)
 
 
 def restricted_sing_count(model: ToricModel, degree, hyp,
@@ -162,10 +168,7 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
     hypersurface of class `hyp`."""
     _check_kind(kind)
     d = degree_class(model, degree)
-    a = degree_class(model, hyp)
-    # sum_j (-1)^j g_j d^(top - j) is (-1)^top times the plain sum at -d
-    d = -d if kind == "distribution" else d
-    return _signed(model.dim - 1, kind) * chow.integrate_count(model, (a,), (a,), d)
+    return _ci_count(model, [degree_class(model, hyp)], d, kind)
 
 
 def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
@@ -192,11 +195,15 @@ def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
 # weighted complete intersections in P(w) (tensor route)
 
 
-def _check_weights(weights: Sequence[int]) -> tuple[int, ...]:
+def _weighted(weights: Sequence[int], classes: Sequence[int]
+              ) -> tuple[ToricModel, tuple[int, ...], tuple[int, ...]]:
+    """P(w), the weights and the multidegrees, all ints: the hypothesis of
+    every weighted entry point.  `catalog.weighted` refuses a common factor
+    and warns, once, on factors shared by some of the weights."""
     w = _integers("weights", weights)
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
-    return w
+    return catalog.weighted(*w), w, _integers("classes", classes)
 
 
 def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> ScalarExpr:
@@ -205,17 +212,13 @@ def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> Scalar
 
 def _wci_classes(weights: Sequence[int], classes: Sequence[int],
                  kind: str) -> tuple[ToricModel, list[ChowElement]]:
-    """P(w) (`catalog.weighted`, which checks the gcd and warns once on
-    shared factors) and the multidegrees as its classes, after the checks
-    the two weighted complete-intersection counts share."""
+    """P(w) (`_weighted`) and the multidegrees as its classes, after the
+    checks the two weighted complete-intersection counts share."""
     _check_kind(kind)
-    model = catalog.weighted(*_check_weights(weights))
-    a = _integers("classes", classes)
+    model, _, a = _weighted(weights, classes)
     if any(x < 1 for x in a):
         raise ValueError("complete-intersection multidegrees must be positive")
-    if len(a) >= model.dim:
-        raise ValueError(f"need m < n, got m={len(a)}, n={model.dim}")
-    return model, _class_list(model, a)
+    return model, _ci_classes(model, a)
 
 
 def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
@@ -230,9 +233,8 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     model, a = _wci_classes(weights, classes, kind)
     top = model.dim - len(a)
     d = as_poly(degree)
-    count = chow.integrate_count(model, a, a, degree_class(model, "symbolic"))
-    return [_signed(i, kind) * count.coefficient((top - i,)) * d ** (top - i)
-            for i in range(top + 1)]
+    count = _ci_count(model, a, degree_class(model, "symbolic"), kind)
+    return [count.coefficient((top - i,)) * d ** (top - i) for i in range(top + 1)]
 
 
 def wci_sing_count(weights: Sequence[int], classes: Sequence[int],
@@ -252,9 +254,7 @@ def wci_sing_count(weights: Sequence[int], classes: Sequence[int],
     """
     model, a = _wci_classes(weights, classes, kind)
     # as_poly refuses the degrees the parts refuse, with their messages
-    d = chow.class_element(model, (as_poly(degree),))
-    d = -d if kind == "distribution" else d
-    return _signed(model.dim - len(a), kind) * chow.integrate_count(model, a, a, d)
+    return _ci_count(model, a, chow.class_element(model, (as_poly(degree),)), kind)
 
 
 def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
@@ -263,9 +263,8 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
     the orbifold degree times the square of d + C1(w) - W1(a).  The weights
     meet `catalog.weighted`'s checks: a common factor raises, and factors
     shared by some of them warn."""
-    w = _check_weights(weights)
-    n = catalog.weighted(*w).dim
-    a = _integers("classes", classes)
+    model, w, a = _weighted(weights, classes)
+    n = model.dim
     if len(a) != n - 2:
         raise ValueError(f"surface case needs m = n-2 = {n - 2} classes, got {len(a)}")
     factor = Fraction(prod(a), prod(w))
@@ -276,7 +275,8 @@ def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
 def general_type_index(weights: Sequence[int], classes: Sequence[int]) -> int:
     """Canonical-degree index: positive exactly when the intersection
     surface is of general type."""
-    return sum(_integers("classes", classes)) - sum(_integers("weights", weights))
+    _, w, a = _weighted(weights, classes)
+    return sum(a) - sum(w)
 
 
 @dataclass(frozen=True)
@@ -300,9 +300,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     chi is the count `ci_euler` on P(w) and alpha is chi prod(w) / prod(a),
     read as prod(w) times the integral with the factors H^m in place of
     prod(a) H^m, so a multidegree 0 (chi = 0) still has its alpha."""
-    w = _check_weights(weights)
-    model = catalog.weighted(*w)
-    a = _integers("classes", classes)
+    model, w, a = _weighted(weights, classes)
     n, m = model.dim, len(a)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
@@ -321,6 +319,14 @@ def _class_list(model: ToricModel, classes) -> list[ChowElement]:
     return [degree_class(model, c) for c in classes]
 
 
+def _ci_classes(model: ToricModel, classes) -> list[ChowElement]:
+    """The classes of a complete intersection of positive dimension, m < n."""
+    a = _class_list(model, classes)
+    if len(a) >= model.dim:
+        raise ValueError(f"need m < n, got m={len(a)}, n={model.dim}")
+    return a
+
+
 def ci_sing_count(model: ToricModel, classes, degree,
                   kind: str = "foliation") -> ScalarExpr:
     """Singularity count on a smooth complete intersection, computed as an
@@ -332,25 +338,17 @@ def ci_sing_count(model: ToricModel, classes, degree,
             "assumes that its orbifold points are isolated and that the "
             "intersection misses them", OrbifoldHypothesisWarning,
             stacklevel=2)
-    a_elems = _class_list(model, classes)
-    m = len(a_elems)
-    n = model.dim
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
+    a_elems = _ci_classes(model, classes)
     d = degree_class(model, degree)
     # on one table, the degree symbols come before the class symbols
     d, *a_elems = (ChowElement(model.gens, p) for p in aligned(
-        (-d if kind == "distribution" else d).poly, *(a.poly for a in a_elems)))
-    return _signed(n - m, kind) * chow.integrate_count(model, a_elems, a_elems, d)
+        d.poly, *(a.poly for a in a_elems)))
+    return _ci_count(model, a_elems, d, kind)
 
 
 def ci_euler(model: ToricModel, classes) -> ScalarExpr:
     """Euler characteristic of a smooth complete intersection."""
-    a_elems = _class_list(model, classes)
-    m = len(a_elems)
-    n = model.dim
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
+    a_elems = _ci_classes(model, classes)
     return chow.integrate_count(model, a_elems, a_elems)
 
 
@@ -413,9 +411,8 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     if variant in ("wci-curve", "wci-general"):
         if weights is None or classes is None or degree is None:
             raise ValueError(f"{variant} needs weights, classes, and degree")
-        w = _integers("weights", weights)
-        a = _integers("classes", classes)
-        n = len(w) - 1
+        model, w, a = _weighted(weights, classes)
+        n = model.dim
         lhs = sum(a)
         if variant == "wci-general":
             # the bound adds dim(V) - 1, so the intersection must be positive
