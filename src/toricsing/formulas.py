@@ -433,9 +433,11 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
             raise ValueError(
                 f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")
         asum = sum(a_elems[1:], start=a_elems[0])
-        c1 = chow.chern_class(model, 1).poly  # only its degree-1 part meets a curve
-        bound = degree_class(model, degree) + ChowElement(model.gens, MultiPoly._trusted(
-            c1.vars, {e: c for e, c in c1.terms.items() if sum(e[:model.rank]) == 1}))
+        # only the degree-1 part of c(X) meets a curve: its entries at the
+        # unit exponents of the counts' Chern vector, 0 off the support
+        c, pos = model._chern_vector, model._support_index.pos
+        c1 = [c[pos[u]] if u in pos else 0 for u in model._units]
+        bound = degree_class(model, degree) + chow.class_element(model, c1)
         if strict:
             bound = bound - chow.class_element(model, (1,) * model.rank)
         lhs = chow.integrate_count(model, [asum, *a_elems])
@@ -490,6 +492,11 @@ class SearchSolution:
     family: str
     params: tuple[int, ...]
     annotation: str = "accepted"
+
+    def __reduce__(self):
+        # the constructor, not the generated `__setstate__`, which sets each
+        # field through `object.__setattr__` and doubles a pickle's cost
+        return type(self), (self.family, self.params, self.annotation)
 
 
 # each p-family's ambient P(1,..,1,k) and search: its number of weight-one

@@ -114,6 +114,11 @@ def test_wci_partial_sums_in_details(capsys):
     ("count", "wci", "--weights", "2,2,2,2", "--ci", "2", "--degree", "1"),
     ("alpha", "--weights", "2,2,2,2", "--ci", "2"),
     ("baumbott", "--weights", "2,2,2,2", "--ci", "2", "--degree", "1"),
+    ("general-type", "--weights", "2,2,2,2", "--ci", "2"),
+    ("poincare", "--variant", "wci-curve", "--weights", "2,2,2,2", "--ci", "2,2",
+     "--degree", "1"),
+    ("poincare", "--variant", "wci-general", "--weights", "2,2,2,2", "--ci", "2",
+     "--degree", "1"),
 ])
 def test_weights_with_a_common_factor_are_refused(capsys, argv):
     status, out, err = _run(capsys, *argv)
@@ -135,6 +140,12 @@ def test_weight_warnings_name_the_cli_line(capsys):
     (("count", "wci", "--weights", "1,2,2", "--ci", "2", "--degree", "1"),
      "formulas.wci_sing_count_parts("),
     (("alpha", "--weights", "1,2,2,3", "--ci", "6"), "formulas.alpha_invariant("),
+    (("general-type", "--weights", "1,2,2,3", "--ci", "6"),
+     "formulas.general_type_index("),
+    (("poincare", "--variant", "wci-curve", "--weights", "1,2,2", "--ci", "2,2",
+      "--degree", "1"), "formulas.poincare_check("),
+    (("poincare", "--variant", "wci-general", "--weights", "1,2,2,3", "--ci", "6",
+      "--degree", "1"), "formulas.poincare_check("),
 ])
 def test_weighted_commands_warn_once_at_their_call(capsys, argv, call):
     with warnings.catch_warnings(record=True) as caught:

@@ -334,6 +334,11 @@ def test_integrate_count_rejects_mixed_generators():
     line = ToricModel("wide", 1, 1, ("H",), None, {(1,): 1}, chern_override={1: wide})
     with pytest.raises(ValueError, match="generator mismatch"):
         formulas.foliation_sing_count(line, 1)
+    # the curve bound reads its c_1 there too
+    plane = ToricModel("wide", 2, 1, ("H",), None, {(2,): 1},
+                       chern_override={1: wide, 2: chow.unit_element(("H",))})
+    with pytest.raises(ValueError, match="generator mismatch"):
+        formulas.poincare_check("toric-curve", model=plane, classes=[(1,)], degree=1)
 
 
 def test_integrate_count_reads_its_degree_from_the_factors():

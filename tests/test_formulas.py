@@ -246,7 +246,11 @@ def test_wci_weight_warnings_name_what_fails():
 
 @pytest.mark.parametrize("count", [
     partial(wci_sing_count, degree=1), partial(wci_sing_count_parts, degree=1),
-    alpha_invariant], ids=["wci_sing_count", "wci_sing_count_parts", "alpha_invariant"])
+    alpha_invariant, general_type_index,
+    partial(poincare_check, "wci-curve", degree=1),
+    partial(poincare_check, "wci-general", degree=1)],
+    ids=["wci_sing_count", "wci_sing_count_parts", "alpha_invariant",
+         "general_type_index", "wci_curve", "wci_general"])
 def test_wci_weight_warnings_come_once_per_call(count):
     # P(w) warns when it is built; the weight checks before it do not
     for w, a, text in (((1, 2, 2), (2,), "the space is not well formed"),
@@ -254,7 +258,7 @@ def test_wci_weight_warnings_come_once_per_call(count):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             line = sys._getframe().f_lineno + 1
-            count(w, a)
+            count(weights=w, classes=a)
         assert [str(c.message) for c in caught] == [
             f"weights {w} are not pairwise coprime; {text}"]
         assert caught[0].category is NotWellFormedWarning
@@ -276,6 +280,10 @@ def test_baum_bott_sum_warns_once_at_its_call():
         assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
+def _poincare(variant):
+    return lambda w, a: poincare_check(variant, weights=w, classes=a, degree=1)
+
+
 @pytest.mark.parametrize("w", [(2, 2, 2, 2), (2, 4, 6), (3, 3, 6, 9, 12)])
 def test_wci_counts_refuse_weights_with_a_common_factor(w):
     # P(w) with gcd(w) = g > 1 is P(w/g); the formula's hypotheses fail, so
@@ -285,10 +293,34 @@ def test_wci_counts_refuse_weights_with_a_common_factor(w):
     for call in (lambda: wci_sing_count(w, (2,), 1),
                  lambda: wci_sing_count_parts(w, (2,), 1, "distribution"),
                  lambda: alpha_invariant(w, (2,)),
-                 lambda: baum_bott_sum(w, (2,) * (len(w) - 3), 1)):
+                 lambda: baum_bott_sum(w, (2,) * (len(w) - 3), 1),
+                 lambda: general_type_index(w, (2,)),
+                 lambda: _poincare("wci-curve")(w, (2,)),
+                 lambda: _poincare("wci-general")(w, (2,))):
         with pytest.raises(ModelFormatError, match=re.escape(
                 f"weights {w} have gcd {g}, expected 1")):
             call()
+
+
+# every weighted entry point, as a call on (weights, classes)
+WEIGHTED_ENTRY_POINTS = {
+    "wci_sing_count": lambda w, a: wci_sing_count(w, a, 1),
+    "wci_sing_count_parts": lambda w, a: wci_sing_count_parts(w, a, 1),
+    "alpha_invariant": alpha_invariant,
+    "baum_bott_sum": lambda w, a: baum_bott_sum(w, a, 1),
+    "general_type_index": general_type_index,
+    "wci_curve": _poincare("wci-curve"),
+    "wci_general": _poincare("wci-general"),
+}
+
+
+# general_type_index((0, -2), (1,)) used to return 3, and the wci-curve
+# verdict on a single weight to hold
+@pytest.mark.parametrize("w", [(0, 1, 1), (1, -2, 1, 1), (0, -2), (3,), ()])
+@pytest.mark.parametrize("route", sorted(WEIGHTED_ENTRY_POINTS))
+def test_weighted_entry_points_refuse_weights_that_are_no_space(route, w):
+    with pytest.raises(ValueError, match="^weights must be at least two positive integers$"):
+        WEIGHTED_ENTRY_POINTS[route](w, (1,))
 
 
 def test_wci_balanced_weight_family():
@@ -575,6 +607,17 @@ def test_alpha_chi_matches_ci_euler():
 def test_ci_matches_restricted_on_p3():
     m = catalog.projective(3)
     assert ci_sing_count(m, [(2,)], (1,)) == 10
+    # a hypersurface is the complete intersection of one class, for both
+    # kinds, on smooth builtins at numeric and symbolic degrees
+    for m, hyp, degrees in (
+            (m, (2,), ((1,), (-3,), "symbolic")),
+            (catalog.multiprojective(1, 1), (2, 3), ((1, 0), (-2, 5), "symbolic")),
+            (catalog.blowup_point(2), (1, 2), ((3, 1), "symbolic")),
+            (catalog.multiprojective(1, 2), (1, 1), ((2, 2), "symbolic"))):
+        for degree in degrees:
+            for kind in ("foliation", "distribution"):
+                assert ci_sing_count(m, [hyp], degree, kind) == \
+                    restricted_sing_count(m, degree, hyp, kind)
 
 
 @st.composite
@@ -705,6 +748,8 @@ def test_poincare_toric_curve():
     m = catalog.multiprojective(1, 1)
     v = poincare_check("toric-curve", model=m, classes=[(2, 3)], degree=(1, 0))
     assert (v.lhs, v.rhs, v.holds, v.slack) == (12, 13, True, 1)
+    # c_1 is read from the counts' Chern vector, so no Chern class is built
+    assert "_divisor_esym" not in m.__dict__
 
 
 def test_poincare_toric_curve_strict_on_projective():
@@ -871,6 +916,18 @@ def test_built_solutions_are_constructed_solutions():
     made.insert(1, SearchSolution("p1111k", (2, 1, 1), "excluded-by-cohomology"))
     _same_solutions(built, made, stride=97)
     assert regular_search("p111k", 10 ** 5) == []
+
+
+def test_solutions_pickle_through_their_constructor(monkeypatch):
+    # the generated __setstate__ sets each field through object.__setattr__,
+    # at twice the cost of the constructor that __reduce__ names
+    def refuse(self, state):
+        raise AssertionError("__setstate__ called")
+
+    monkeypatch.setattr(SearchSolution, "__setstate__", refuse, raising=False)
+    built = regular_search("p1111k", 10)
+    assert pickle.loads(pickle.dumps(built)) == built
+    assert copy.deepcopy(built) == built
 
 
 def test_search_results_are_sorted():
