@@ -280,10 +280,6 @@ def test_baum_bott_sum_warns_once_at_its_call():
         assert (caught[0].filename, caught[0].lineno) == (__file__, line)
 
 
-def _poincare(variant):
-    return lambda w, a: poincare_check(variant, weights=w, classes=a, degree=1)
-
-
 @pytest.mark.parametrize("w", [(2, 2, 2, 2), (2, 4, 6), (3, 3, 6, 9, 12)])
 def test_wci_counts_refuse_weights_with_a_common_factor(w):
     # P(w) with gcd(w) = g > 1 is P(w/g); the formula's hypotheses fail, so
@@ -295,11 +291,15 @@ def test_wci_counts_refuse_weights_with_a_common_factor(w):
                  lambda: alpha_invariant(w, (2,)),
                  lambda: baum_bott_sum(w, (2,) * (len(w) - 3), 1),
                  lambda: general_type_index(w, (2,)),
-                 lambda: _poincare("wci-curve")(w, (2,)),
-                 lambda: _poincare("wci-general")(w, (2,))):
+                 lambda: poincare_check("wci-curve", weights=w, classes=(2,), degree=1),
+                 lambda: poincare_check("wci-general", weights=w, classes=(2,), degree=1)):
         with pytest.raises(ModelFormatError, match=re.escape(
                 f"weights {w} have gcd {g}, expected 1")):
             call()
+
+
+def _poincare(variant):
+    return lambda w, a: poincare_check(variant, weights=w, classes=a, degree=1)
 
 
 # every weighted entry point, as a call on (weights, classes)
@@ -609,15 +609,15 @@ def test_ci_matches_restricted_on_p3():
     assert ci_sing_count(m, [(2,)], (1,)) == 10
     # a hypersurface is the complete intersection of one class, for both
     # kinds, on smooth builtins at numeric and symbolic degrees
-    for m, hyp, degrees in (
+    for model, hyp, degrees in (
             (m, (2,), ((1,), (-3,), "symbolic")),
             (catalog.multiprojective(1, 1), (2, 3), ((1, 0), (-2, 5), "symbolic")),
             (catalog.blowup_point(2), (1, 2), ((3, 1), "symbolic")),
             (catalog.multiprojective(1, 2), (1, 1), ((2, 2), "symbolic"))):
         for degree in degrees:
             for kind in ("foliation", "distribution"):
-                assert ci_sing_count(m, [hyp], degree, kind) == \
-                    restricted_sing_count(m, degree, hyp, kind)
+                assert ci_sing_count(model, [hyp], degree, kind) == \
+                    restricted_sing_count(model, degree, hyp, kind)
 
 
 @st.composite
