@@ -38,8 +38,10 @@ generator exponent, so an entry is a number, or a term dict over the
 degree-symbol exponents (`_Terms`); the entries on the tensor keys are
 read out against the integer weights directly (`_pair`, which `integrate`
 shares), and divided by the common denominator once per output term.
-Degree-1 classes, with numeric or symbolic entries, all come from
-`class_element`.
+A count reads its classes as Picard vectors, `rank` scalar expressions
+each, straight into those per-generator entries (`_picard_row`), so it
+builds no `ChowElement`; `class_element` turns the same vectors into
+degree-1 elements for the ring, with the same refusals (`_vector_symbols`).
 """
 
 from __future__ import annotations
@@ -47,14 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress, product
+from itertools import chain, product
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
-    MultiPoly, ScalarLike, aligned, as_poly, monomials_of_degree,
+    MultiPoly, ScalarLike, _check_exact, aligned, as_poly, monomials_of_degree,
     mul_terms, poly_sum,
 )
 
@@ -382,31 +384,51 @@ def generator_element(model: ToricModel, k: int) -> ChowElement:
 
 
 def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
-    """Promote a Picard vector with scalar-expression entries to degree 1.
-    An integer vector becomes its terms on the generators' table directly
-    (a bool entry is no int here, and `as_poly` refuses it below);
-    otherwise the entries are aligned on one symbol table, which follows
-    the generators, and the k-th entry's terms gain the k-th unit exponent."""
+    """Promote a Picard vector with scalar-expression entries to degree 1,
+    with the refusals of `_vector_symbols`: the entries' terms on one symbol
+    table, which follows the generators, the k-th entry's terms with the
+    k-th unit exponent."""
+    symbols = _vector_symbols(model, vec)
+    terms, zero = {}, (0,) * len(symbols)
+    for u, x in zip(model._units, vec):
+        if isinstance(x, MultiPoly):
+            terms.update((u + e, c) for e, c in _on_table(x.terms.items(), x.vars, symbols))
+        elif x:
+            terms[u + zero] = Fraction(x)
+    return ChowElement(model.gens, MultiPoly._trusted(model.gens + symbols, terms))
+
+
+def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, ...]:
+    """The degree symbols of a Picard vector, in order of first appearance
+    among its entries, once the vector passes: it must have one entry per
+    generator, each an int, a `Fraction` or a `MultiPoly` (a bool is an int
+    to Python, but no entry), and no entry may use a generator name as a
+    symbol.  A generator name an entry's table holds unused is dropped."""
     if len(vec) != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
-    gens, units = model.gens, model._units
-    if all(type(entry) is int for entry in vec):
-        return ChowElement(gens, MultiPoly._trusted(gens, {
-            u: Fraction(c) for u, c in zip(units, vec) if c}))
-    entries = []
-    for entry in vec:
-        if not isinstance(entry, (MultiPoly, int, Fraction)):
-            raise TypeError(f"Picard vector entry {entry!r} is not a scalar expression")
-        entries.append(as_poly(entry))
-    entries = aligned(*entries)
-    table, terms = gens + entries[0].vars, [p.terms for p in entries]
-    if len(set(table)) < len(table):
-        # generator names on the symbol table: unused there, so dropped
-        keep = [v not in gens for v in entries[0].vars]
-        table = _table_beside(gens, entries)
-        terms = [{tuple(compress(e, keep)): c for e, c in t.items()} for t in terms]
-    return ChowElement(gens, MultiPoly._trusted(table, {
-        u + e: c for u, t in zip(units, terms) for e, c in t.items()}))
+    polys = []
+    for x in vec:
+        if type(x) is int:
+            continue
+        if isinstance(x, MultiPoly):
+            polys.append(x)
+        elif isinstance(x, (int, Fraction)):
+            _check_exact(x)
+        else:
+            raise TypeError(f"Picard vector entry {x!r} is not a scalar expression")
+    symbols = tuple(dict.fromkeys(v for p in polys for v in p.vars))
+    if set(symbols).isdisjoint(model.gens):
+        return symbols
+    return _table_beside(model.gens, polys)[model.rank:]
+
+
+def _on_table(items, src: tuple[str, ...], table: tuple[str, ...]):
+    """(exponent, coefficient) items over the symbols src, each exponent
+    moved onto the table, which holds every symbol an exponent uses."""
+    if src == table:
+        return items
+    at = [src.index(v) if v in src else None for v in table]
+    return [(tuple(0 if i is None else e[i] for i in at), c) for e, c in items]
 
 
 def class_of_divisor_coeffs(model: ToricModel,
@@ -562,53 +584,91 @@ def _pair(den: int, symbols: tuple[str, ...], products) -> ScalarExpr:
     return MultiPoly._trusted(symbols, {e: Fraction(c, den) for e, c in out.items() if c})
 
 
-def integrate_count(model: ToricModel, factors: Sequence[ChowElement] = (),
-                    over: Sequence[ChowElement] = (),
-                    twist: ChowElement | None = None) -> ScalarExpr:
+def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = (),
+                    twist=None) -> ScalarExpr:
     """The integral of prod(factors) * [c(X) / (prod_{a in over} (1 + a) *
     (1 - twist))]_top, top = n - len(factors): every count in `formulas`,
-    with over = factors on a complete intersection; each class must be
-    homogeneous of degree 1.  From c(X) (`ToricModel._chern_vector`) one
-    `_pass` per class multiplies by each factor, into a fresh vector, and
-    then divides by each 1 + a and by 1 - twist; the entries on the tensor
-    keys are paired with the integer weights (`_pair`).  The result's table
-    merges the factors', then over's, then the twist's.
+    with over = factors on a complete intersection.  Each class is a
+    Picard vector, `model.rank` scalar expressions (`class_element`'s
+    input, with its refusals), or a `ChowElement` homogeneous of degree 1
+    on the model's generators.  The boundary step (`_picard_row`) reads
+    each straight into its per-generator entries; from c(X)
+    (`ToricModel._chern_vector`) one `_pass` per class then multiplies by
+    each factor, into a fresh vector, and divides by each 1 + a and by
+    1 - twist; the entries on the tensor keys are paired with the integer
+    weights (`_pair`).  The result's table merges the symbols of the
+    factors, then over's, then the twist's, each in order of first
+    appearance: the table `aligned` gives the classes' elements.
     """
     top = model.dim - len(factors)
     if top < 0:
         raise ValueError(f"{len(factors)} factors exceed the dimension {model.dim}")
-    elems = [*factors, *over, *([] if twist is None else [twist])]
-    if any(e.gens != model.gens for e in elems):
-        raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
-    r, (order, pos, edges) = model.rank, model._support_index
-    polys = aligned(*(e.poly for e in elems))
-    table = polys[0].vars if polys else model.gens
-    symbolic, f = len(table) > r, len(factors)
+    rows = [_picard_row(model, c)
+            for c in (*factors, *over, *(() if twist is None else (twist,)))]
+    symbols = [s for s, _ in rows if s]
+    table = tuple(dict.fromkeys(chain.from_iterable(symbols))) if symbols else ()
+    f, g = len(factors), len(factors) + len(over)
     xs = []
-    for i, (elem, p) in enumerate(zip(elems, polys)):
+    for i, (_, entries) in enumerate(rows):
         # dividing by 1 + a is dividing by 1 - (-a)
-        sign, x = -1 if f <= i < f + len(over) else 1, [{} for _ in range(r)]
-        for e, c in p.terms.items():
-            if sum(e[:r]) != 1:
-                raise ValueError(f"{elem!r} is not a class homogeneous of degree 1")
-            # the generator part is a unit exponent, so its first 1 is at k
-            x[e.index(1)][e[r:]] = sign * _exact_scalar(c)
-        xs.append([_Terms(t) if symbolic else t.get((), 0) for t in x])
+        sign = -1 if f <= i < g else 1
+        if table:
+            xs.append([_kernel_terms(x, table, sign) for x in entries])
+        else:
+            xs.append(entries if sign == 1 else [-x for x in entries])
+    order, pos, edges = model._support_index
     # with top = 0 only c_0 = 1 enters, so c(X) need not be built
-    zero = (0,) * (len(table) - r)
-    v = [_Terms({zero: c} if c else {}) if symbolic else c
+    zero = (0,) * len(table)
+    v = [_Terms({zero: c} if c else {}) if table else c
          for c in (model._chern_vector if top else _unit_vector(len(order)))]
     # multiplied first, the factors meet short entries
     for x in xs[:f]:
-        w = [_Terms() if symbolic else 0 for _ in v]
+        w = [_Terms() if table else 0 for _ in v]
         _pass(w, v, x, edges)
         v = w
     for x in xs[f:]:
         _pass(v, v, x, reversed(edges))
     den, weights = model._integer_tensor
-    return _pair(den, table[r:], (
+    return _pair(den, table, (
         (weight, e, c) for key, weight in weights.items()
-        for e, c in (v[pos[key]].items() if symbolic else [((), v[pos[key]])])))
+        for e, c in (v[pos[key]].items() if table else [((), v[pos[key]])])))
+
+
+def _picard_row(model: ToricModel, cls) -> tuple[tuple[str, ...], list]:
+    """The boundary step of `integrate_count`, for one class: its degree
+    symbols, and per generator its coefficient.  That is an exact number
+    (an int when integral) when the class has no symbols, and otherwise
+    the pair of a symbol table and the (exponent, coefficient) items on it.
+    A vector passes `_vector_symbols`; a `ChowElement` must be on the
+    model's generators and homogeneous of degree 1."""
+    r = model.rank
+    if not isinstance(cls, ChowElement):
+        symbols = _vector_symbols(model, cls)
+        if not symbols:
+            return (), [x if type(x) is int else _exact_scalar(
+                x.constant_value() if isinstance(x, MultiPoly) else x) for x in cls]
+        return symbols, [(x.vars, x.terms.items()) if isinstance(x, MultiPoly)
+                         else ((), [((), x)] if x else ()) for x in cls]
+    if cls.gens != model.gens:
+        raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
+    symbols, items = cls.poly.vars[r:], [[] for _ in range(r)]
+    for e, c in cls.poly.terms.items():
+        if sum(e[:r]) != 1:
+            raise ValueError(f"{cls!r} is not a class homogeneous of degree 1")
+        # the generator part is a unit exponent, so its first 1 is at k
+        items[e.index(1)].append((e[r:], c))
+    if not symbols:
+        return (), [_exact_scalar(t[0][1]) if t else 0 for t in items]
+    return symbols, [(symbols, t) for t in items]
+
+
+def _kernel_terms(entry, table: tuple[str, ...], sign: int) -> _Terms:
+    """sign times a coefficient of `_picard_row` as a `_pass` entry on the
+    merged symbol table."""
+    if not isinstance(entry, tuple):
+        return _Terms({(0,) * len(table): sign * entry} if entry else {})
+    src, items = entry
+    return _Terms((e, sign * _exact_scalar(c)) for e, c in _on_table(items, src, table))
 
 
 def _unit_vector(size: int) -> list[int]:

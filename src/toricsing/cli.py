@@ -114,9 +114,14 @@ def _degree_from_args(args, model) -> object:
         names = _split_names(args.symbolic)
         return formulas.symbolic_degree(model, names)
     if getattr(args, "degree_div", None):
-        return _ints(args.degree_div)
+        from . import chow
+        return chow.class_of_divisor_coeffs(model, _ints(args.degree_div))
     if getattr(args, "degree", None) is not None:
-        return _ints(args.degree)
+        degree = _ints(args.degree)
+        if len(degree) != model.rank:
+            raise ToricError("--degree must have one entry per Picard generator: "
+                             f"{model.rank} on {model.name}, got {len(degree)}")
+        return degree
     raise ToricError("no degree given; use --degree, --degree-div, or --symbolic")
 
 

@@ -2,8 +2,9 @@
 
 Every count is the paper's formula, the integral of prod a_i * [c /
 (prod (1 + a_i) * (1 - d))]_(n-m): each hands its classes and its degree
-to `chow.integrate_count`, which runs it as passes over the tensor's
-support vector.  Degrees may be numbers or formal symbols; both run through one
+to `chow.integrate_count` as Picard vectors (`_degree_vector`), which it
+runs as passes over the tensor's support vector; no count builds a
+`ChowElement`.  Degrees may be numbers or formal symbols; both run through one
 code path, so the symbolic specializations print the displayed count
 polynomials and the numeric ones produce exact rationals.
 
@@ -82,11 +83,17 @@ def degree_class(model: ToricModel, degree) -> ChowElement:
     divisor-coefficient vector of length n+r, or `"symbolic"`, the sum of
     d_k times the k-th generator (`symbolic_degree`).
     """
+    return chow.class_element(model, _degree_vector(model, degree))
+
+
+def _degree_vector(model: ToricModel, degree) -> tuple:
+    """The Picard vector of a degree input (see `degree_class`), as the
+    counts hand it to `chow.integrate_count`, which checks its entries."""
     if isinstance(degree, str):
         if degree == "symbolic":
-            return chow.class_element(model, symbolic_degree(model))
+            return symbolic_degree(model)
         raise ValueError(f"unrecognized degree {degree!r}")
-    return chow.class_element(model, picard_vector(model, degree))
+    return picard_vector(model, degree)
 
 
 def picard_vector(model: ToricModel, degree) -> tuple:
@@ -117,7 +124,7 @@ def picard_vector(model: ToricModel, degree) -> tuple:
 def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     """Number of singular points, with multiplicity, of a generic
     one-dimensional foliation of the given degree."""
-    return chow.integrate_count(model, twist=degree_class(model, degree))
+    return chow.integrate_count(model, twist=_degree_vector(model, degree))
 
 
 @dataclass(frozen=True)
@@ -152,14 +159,18 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     return GcdVerdict(chi=chi, gcd=g, forces_singular=forces)
 
 
-def _ci_count(model: ToricModel, a: Sequence[ChowElement], d: ChowElement,
+def _ci_count(model: ToricModel, a: Sequence[tuple], d: tuple,
               kind: str) -> ScalarExpr:
-    """The count on the complete intersection of the classes a at degree d.
-    A distribution counts as (-1)^(n-m) times a foliation at -d: the signed
-    sum sum_j (-1)^j g_j d^(n-m-j) is the plain sum at -d times (-1)^(n-m)."""
+    """The count on the complete intersection of the classes a at degree d,
+    all Picard vectors.  A distribution counts as (-1)^(n-m) times a
+    foliation at -d: the signed sum sum_j (-1)^j g_j d^(n-m-j) is the plain
+    sum at -d times (-1)^(n-m).  Only scalar expressions are negated, so an
+    entry `integrate_count` refuses reaches it as given."""
     if kind == "foliation":
         return chow.integrate_count(model, a, a, d)
-    return (-1) ** (model.dim - len(a)) * chow.integrate_count(model, a, a, -d)
+    d = tuple(-x if isinstance(x, (int, Fraction, MultiPoly)) and type(x) is not bool
+              else x for x in d)
+    return (-1) ** (model.dim - len(a)) * chow.integrate_count(model, a, a, d)
 
 
 def restricted_sing_count(model: ToricModel, degree, hyp,
@@ -167,28 +178,27 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
     """Singularity count of the restriction to an invariant quasi-smooth
     hypersurface of class `hyp`."""
     _check_kind(kind)
-    d = degree_class(model, degree)
-    return _ci_count(model, [degree_class(model, hyp)], d, kind)
+    d = _degree_vector(model, degree)
+    return _ci_count(model, [_degree_vector(model, hyp)], d, kind)
 
 
 def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Orbifold Euler characteristic of a quasi-smooth hypersurface."""
-    a = degree_class(model, hyp)
+    a = _degree_vector(model, hyp)
     return chow.integrate_count(model, (a,), (a,))
 
 
 def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
     """Singularities lying off an invariant hypersurface (nondegenerate
     case): the ambient count minus the restricted count."""
-    d = degree_class(model, degree)
-    a = degree_class(model, hyp)
+    d = _degree_vector(model, degree)
+    a = _degree_vector(model, hyp)
     return chow.integrate_count(model, (), (a,), d)
 
 
 def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Euler characteristic of the hypersurface complement (smooth case)."""
-    a = degree_class(model, hyp)
-    return chow.integrate_count(model, over=(a,))
+    return chow.integrate_count(model, over=(_degree_vector(model, hyp),))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +221,7 @@ def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> Scalar
 
 
 def _wci_classes(weights: Sequence[int], classes: Sequence[int],
-                 kind: str) -> tuple[ToricModel, list[ChowElement]]:
+                 kind: str) -> tuple[ToricModel, list[tuple]]:
     """P(w) (`_weighted`) and the multidegrees as its classes, after the
     checks the two weighted complete-intersection counts share."""
     _check_kind(kind)
@@ -233,7 +243,7 @@ def wci_sing_count_parts(weights: Sequence[int], classes: Sequence[int],
     model, a = _wci_classes(weights, classes, kind)
     top = model.dim - len(a)
     d = as_poly(degree)
-    count = _ci_count(model, a, degree_class(model, "symbolic"), kind)
+    count = _ci_count(model, a, symbolic_degree(model), kind)
     return [count.coefficient((top - i,)) * d ** (top - i) for i in range(top + 1)]
 
 
@@ -254,7 +264,7 @@ def wci_sing_count(weights: Sequence[int], classes: Sequence[int],
     """
     model, a = _wci_classes(weights, classes, kind)
     # as_poly refuses the degrees the parts refuse, with their messages
-    return _ci_count(model, a, chow.class_element(model, (as_poly(degree),)), kind)
+    return _ci_count(model, a, (as_poly(degree),), kind)
 
 
 def baum_bott_sum(weights: Sequence[int], classes: Sequence[int],
@@ -304,9 +314,8 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     n, m = model.dim, len(a)
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
-    h = chow.generator_element(model, 0)
     alpha = prod(w) * chow.integrate_count(
-        model, [h] * m, _class_list(model, a)).constant_value()
+        model, [model._units[0]] * m, _class_list(model, a)).constant_value()
     chi = Fraction(prod(a), prod(w)) * alpha
     return AlphaInvariant(alpha=alpha, chi=chi)
 
@@ -315,11 +324,11 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
 # complete intersections in smooth toric varieties (tensor route)
 
 
-def _class_list(model: ToricModel, classes) -> list[ChowElement]:
-    return [degree_class(model, c) for c in classes]
+def _class_list(model: ToricModel, classes) -> list[tuple]:
+    return [_degree_vector(model, c) for c in classes]
 
 
-def _ci_classes(model: ToricModel, classes) -> list[ChowElement]:
+def _ci_classes(model: ToricModel, classes) -> list[tuple]:
     """The classes of a complete intersection of positive dimension, m < n."""
     a = _class_list(model, classes)
     if len(a) >= model.dim:
@@ -338,18 +347,24 @@ def ci_sing_count(model: ToricModel, classes, degree,
             "assumes that its orbifold points are isolated and that the "
             "intersection misses them", OrbifoldHypothesisWarning,
             stacklevel=2)
-    a_elems = _ci_classes(model, classes)
-    d = degree_class(model, degree)
+    a = _ci_classes(model, classes)
     # on one table, the degree symbols come before the class symbols
-    d, *a_elems = (ChowElement(model.gens, p) for p in aligned(
-        d.poly, *(a.poly for a in a_elems)))
-    return _ci_count(model, a_elems, d, kind)
+    d, *a = _aligned_vectors(_degree_vector(model, degree), *a)
+    return _ci_count(model, a, d, kind)
+
+
+def _aligned_vectors(*vectors: tuple) -> list[tuple]:
+    """The vectors with their polynomial entries on one table (`aligned`);
+    other entries stay as they are."""
+    polys = iter(aligned(*(x for v in vectors for x in v if isinstance(x, MultiPoly))))
+    return [tuple(next(polys) if isinstance(x, MultiPoly) else x for x in v)
+            for v in vectors]
 
 
 def ci_euler(model: ToricModel, classes) -> ScalarExpr:
     """Euler characteristic of a smooth complete intersection."""
-    a_elems = _ci_classes(model, classes)
-    return chow.integrate_count(model, a_elems, a_elems)
+    a = _ci_classes(model, classes)
+    return chow.integrate_count(model, a, a)
 
 
 def multidegree(model: ToricModel, classes, k: int,
@@ -359,21 +374,21 @@ def multidegree(model: ToricModel, classes, k: int,
     integrated over it."""
     if type(k) is not int:
         raise ValueError(f"index {k!r} is not an int")
-    a_elems = _class_list(model, classes)
-    m = len(a_elems)
+    a = _class_list(model, classes)
+    m = len(a)
     n = model.dim
     if m > n:
         raise ValueError("too many classes")
     if generator or model.divisor_classes is None:
         if not 0 <= k < model.rank:
             raise ValueError(f"generator index {k} out of range 0..{model.rank - 1}")
-        h = chow.generator_element(model, k)
+        h = model._units[k]
     else:
         if not 0 <= k < model.dim + model.rank:
             raise ValueError(
                 f"divisor index {k} out of range 0..{model.dim + model.rank - 1}")
-        h = chow.divisor_class_element(model, k)
-    return chow.integrate_count(model, [h] * (n - m) + a_elems)
+        h = model.divisor_classes[k]
+    return chow.integrate_count(model, [h] * (n - m) + a)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +443,7 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
         if model.dim < 2:
             raise ValueError(
                 f"toric-curve needs a model of dimension at least 2, got {model.dim}")
-        a_elems = _class_list(model, classes)
+        a_elems = [degree_class(model, c) for c in classes]
         if len(a_elems) != model.dim - 1:
             raise ValueError(
                 f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")

@@ -142,12 +142,13 @@ def orbifold_index(multiplicity: int, group_order: int) -> Fraction:
 def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
     """Aggregate local indices for comparison against a global count.  An
     entry that is not a report, an int or a Fraction (a float, say, which
-    is not exact data) raises ValueError naming it."""
+    is not exact data, or a bool, which Python takes for an int but is no
+    index) raises ValueError naming it."""
     total = Fraction(0)
     for item in reports:
         if isinstance(item, LocalIndexReport):
             item = item.orbifold_index
-        elif not isinstance(item, (int, Fraction)):
+        elif not isinstance(item, (int, Fraction)) or isinstance(item, bool):
             raise ValueError(f"index {item!r} is not a report, an int or a Fraction")
         total += item
     return total

@@ -332,6 +332,33 @@ def test_degree_div_flag(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("argv, message", [
+    # P^2 has three invariant divisors: --degree-div 1 used to be read as the
+    # Picard vector (1,) and print "result = 7"
+    (("projective:2", "--degree-div", "1"), "expected 3 divisor coefficients"),
+    # scroll:1,2 has four; --degree-div 1,1 used to print "result = 16"
+    (("scroll:1,2", "--degree-div", "1,1"), "expected 4 divisor coefficients"),
+    # P^2 has Picard rank 1: --degree 1,0,0 used to be read as divisor
+    # coefficients and print "result = 7"
+    (("projective:2", "--degree", "1,0,0"),
+     "--degree must have one entry per Picard generator: 1 on P2, got 3"),
+    (("scroll:1,2", "--degree", "1"),
+     "--degree must have one entry per Picard generator: 2 on F(1,2), got 1"),
+])
+def test_each_degree_flag_keeps_its_own_meaning(capsys, argv, message):
+    model, flag, value = argv
+    status, out, err = _run(capsys, "count", "foliation", "--model", model, flag, value)
+    assert (status, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_degree_flags_of_the_right_length_still_agree(capsys):
+    for model, div, picard in (("projective:2", "1,0,0", "1"),
+                               ("scroll:1,2", "2,1,0,1", "1,1")):
+        outs = [_run(capsys, "count", "foliation", "--model", model, *flag)
+                for flag in (("--degree-div", div), ("--degree", picard))]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 @pytest.mark.parametrize("case", HELP_STREAMS,
                          ids=lambda case: " ".join(case["argv"]) or "no arguments")
 def test_help_and_usage_streams_are_pinned(case, capsys, monkeypatch):

@@ -401,3 +401,179 @@ def test_support_is_the_down_set_of_the_tensor_keys():
                    chern_override={1: chow.unit_element(("H", "E")),
                                    2: chow.unit_element(("H", "E"))})
     assert _support(m) == {(0, 0), (1, 0), (2, 0)}
+
+
+# -- counts read Picard vectors ------------------------------------------------
+
+def _symbol_entries(m, names):
+    """Scalar expressions in fresh symbols: each symbol alone, on a table
+    with an unused neighbour, and a polynomial in two of them."""
+    s, t = (MultiPoly.variable(x, names) for x in names[:2])
+    return st.sampled_from([s, t, 2 * s - t * t + Fraction(1, 3),
+                            MultiPoly.const(3, names), s * t])
+
+
+def picard_vectors(m, names):
+    entry = st.integers(-4, 4) | RATIONALS | _symbol_entries(m, names)
+    return st.tuples(*[entry] * m.rank)
+
+
+@st.composite
+def vector_counts(draw):
+    """A builtin and the classes of one `integrate_count`: factors, over and
+    a twist, with symbols shared between classes, or each class its own."""
+    m = draw(st.sampled_from(BUILTINS))
+    shared = draw(st.booleans())
+
+    def vec(tag):
+        names = ("s", "t") if shared else (f"s{tag}", f"t{tag}")
+        return draw(picard_vectors(m, names))
+
+    factors = [vec(f"f{i}") for i in range(draw(st.integers(0, m.dim)))]
+    over = [vec(f"o{i}") for i in range(draw(st.integers(0, 2)))]
+    twist = draw(st.none() | st.just(vec("d")))
+    return m, factors, over, twist
+
+
+@settings(max_examples=200, deadline=None)
+@given(vector_counts(), st.data())
+def test_counts_on_vectors_are_counts_on_their_elements(case, data):
+    m, factors, over, twist = case
+    on_vectors = chow.integrate_count(m, factors, over, twist)
+
+    def element(v):
+        return chow.class_element(m, v)
+
+    on_elements = chow.integrate_count(m, [element(v) for v in factors],
+                                       [element(v) for v in over],
+                                       None if twist is None else element(twist))
+    same(on_vectors, on_elements)
+    assert on_vectors.vars == on_elements.vars
+    # the two forms mix freely in one call
+    factors, over, twist = ([v if v is None or data.draw(st.booleans()) else element(v)
+                             for v in vs] for vs in (factors, over, [twist]))
+    on_both = chow.integrate_count(m, factors, over, twist[0])
+    same(on_both, on_elements)
+    assert on_both.vars == on_elements.vars
+
+
+def _refusal(call):
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _bad_vectors(m):
+    """A Picard vector with one fault: a bool entry, a float or a None entry,
+    a generator name used as a symbol, or a wrong length that is not the
+    number of divisor coefficients either."""
+    gen = MultiPoly.variable(m.gens[0], (m.gens[0], "s"))
+    faults = [True, False, 0.5, None, gen, 2 * gen + 1]
+    lengths = [n for n in range(m.rank + 3) if n not in (m.rank, m.dim + m.rank)]
+    return st.one_of(
+        st.tuples(st.integers(0, m.rank - 1), st.sampled_from(faults)).map(
+            lambda f: tuple(f[1] if k == f[0] else k + 1 for k in range(m.rank))),
+        st.sampled_from(lengths).map(lambda n: (1,) * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BUILTINS).flatmap(lambda m: st.tuples(st.just(m), _bad_vectors(m))),
+       st.sampled_from(formulas.KINDS))
+def test_both_forms_and_every_count_refuse_alike(case, kind):
+    m, bad = case
+    good = (1,) * m.rank
+    expected = _refusal(lambda: chow.class_element(m, bad))
+    assert expected is not None
+    for call in (lambda: chow.integrate_count(m, [bad]),
+                 lambda: chow.integrate_count(m, over=[bad]),
+                 lambda: chow.integrate_count(m, [good], [good], bad)):
+        assert _refusal(call) == expected
+    # the counts refuse what degree_class refuses: a vector of the wrong
+    # length is no Picard vector there, nor divisor coefficients
+    expected = _refusal(lambda: formulas.degree_class(m, bad))
+    assert expected is not None
+    calls = [lambda: formulas.foliation_sing_count(m, bad),
+             lambda: formulas.restricted_sing_count(m, bad, good, kind),
+             lambda: formulas.restricted_sing_count(m, good, bad, kind),
+             lambda: formulas.complement_sing_count(m, bad, good),
+             lambda: formulas.complement_sing_count(m, good, bad),
+             lambda: formulas.hypersurface_euler(m, bad),
+             lambda: formulas.complement_euler(m, bad),
+             lambda: formulas.multidegree(m, [bad], 0, generator=True)]
+    if m.dim > 1:
+        calls += [lambda: formulas.ci_sing_count(m, [good], bad, kind),
+                  lambda: formulas.ci_sing_count(m, [bad], good, kind),
+                  lambda: formulas.ci_euler(m, [bad])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for call in calls:
+            assert _refusal(call) == expected
+
+
+def test_weighted_counts_refuse_what_their_parts_refuse():
+    # wci_sing_count hands its degree to integrate_count as a vector
+    for bad in (True, 0.5, None):
+        for kind in formulas.KINDS:
+            expected = _refusal(lambda: formulas.wci_sing_count_parts(
+                (1, 1, 1, 2), (2,), bad, kind))
+            assert expected is not None
+            assert _refusal(lambda: formulas.wci_sing_count(
+                (1, 1, 1, 2), (2,), bad, kind)) == expected
+
+
+SPY_MODELS = ["projective:3", "weighted:1,2,3", "scroll:1,2,0", "blowup_point:2"]
+
+
+def _every_count(m, degree, hyp, classes):
+    n = m.dim
+    yield formulas.foliation_sing_count(m, degree)
+    for kind in formulas.KINDS:
+        yield formulas.restricted_sing_count(m, degree, hyp, kind)
+        yield formulas.ci_sing_count(m, classes[:n - 1], degree, kind)
+    yield formulas.complement_sing_count(m, degree, hyp)
+    yield formulas.hypersurface_euler(m, hyp)
+    yield formulas.complement_euler(m, hyp)
+    yield formulas.ci_euler(m, classes[:n - 1])
+    for k in range(n + m.rank):
+        yield formulas.multidegree(m, classes, k)
+    for k in range(m.rank):
+        yield formulas.multidegree(m, classes, k, generator=True)
+
+
+def test_count_routes_build_no_chow_element(monkeypatch):
+    models = {spec: catalog.from_spec_string(spec) for spec in SPY_MODELS}
+    calls = []
+    post_init, class_element = ChowElement.__post_init__, chow.class_element
+
+    def spied_post_init(self):
+        calls.append("ChowElement")
+        post_init(self)
+
+    def spied_class_element(*args):
+        calls.append("class_element")
+        return class_element(*args)
+
+    monkeypatch.setattr(ChowElement, "__post_init__", spied_post_init)
+    monkeypatch.setattr(chow, "class_element", spied_class_element)
+    formulas.degree_class(models["projective:3"], (1,))
+    assert calls == ["class_element", "ChowElement"]  # the spies see calls
+    calls.clear()
+    values = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in models.values():
+            r = m.rank
+            numeric = (tuple(range(2, 2 + r)), (2,) * r, [(1,) * r, (2,) * r])
+            symbolic = ("symbolic", formulas.symbolic_degree(m, [f"a{i}" for i in range(r)]),
+                        [formulas.symbolic_degree(m, [f"b{i}" for i in range(r)]), (1,) * r])
+            for degree, hyp, classes in (numeric, symbolic):
+                values += _every_count(m, degree, hyp, classes)
+        d = MultiPoly.variable("d", ("d",))
+        for degree in (3, Fraction(1, 2), d):
+            for kind in formulas.KINDS:
+                values.append(formulas.wci_sing_count((1, 1, 2, 3), (2, 3), degree, kind))
+                values += formulas.wci_sing_count_parts((1, 1, 2, 3), (2, 3), degree, kind)
+        values.append(formulas.alpha_invariant((1, 1, 2, 3), (2, 3)).alpha)
+    assert values and calls == []

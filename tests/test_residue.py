@@ -185,6 +185,11 @@ def test_index_sum_rejects_inexact_entries():
         index_sum([0.1, Fraction(1, 5)])
     with pytest.raises(ValueError, match="'1/2'"):
         index_sum([1, "1/2"])
+    # a bool is an int to Python: index_sum([True, True]) used to return 2
+    for bad in (True, False):
+        with pytest.raises(ValueError,
+                           match=f"^index {bad} is not a report, an int or a Fraction$"):
+            index_sum([Fraction(1, 2), bad])
 
 
 def test_oracle_matches_global_count_for_diagonal_fields():
