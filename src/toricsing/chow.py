@@ -416,6 +416,8 @@ def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, 
             _check_exact(x)
         else:
             raise TypeError(f"Picard vector entry {x!r} is not a scalar expression")
+    if not polys:
+        return ()
     symbols = tuple(dict.fromkeys(v for p in polys for v in p.vars))
     if set(symbols).isdisjoint(model.gens):
         return symbols
@@ -618,20 +620,22 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
             xs.append(entries if sign == 1 else [-x for x in entries])
     order, pos, edges = model._support_index
     # with top = 0 only c_0 = 1 enters, so c(X) need not be built
-    zero = (0,) * len(table)
-    v = [_Terms({zero: c} if c else {}) if table else c
-         for c in (model._chern_vector if top else _unit_vector(len(order)))]
+    v = list(model._chern_vector if top else _unit_vector(len(order)))
+    if table:
+        zero = (0,) * len(table)
+        v = [_Terms({zero: c} if c else {}) for c in v]
     # multiplied first, the factors meet short entries
     for x in xs[:f]:
-        w = [_Terms() if table else 0 for _ in v]
+        w = [_Terms() for _ in v] if table else [0] * len(v)
         _pass(w, v, x, edges)
         v = w
     for x in xs[f:]:
         _pass(v, v, x, reversed(edges))
     den, weights = model._integer_tensor
-    return _pair(den, table, (
-        (weight, e, c) for key, weight in weights.items()
-        for e, c in (v[pos[key]].items() if table else [((), v[pos[key]])])))
+    if not table:
+        return _pair(den, (), ((weight, (), v[pos[key]]) for key, weight in weights.items()))
+    return _pair(den, table, ((weight, e, c) for key, weight in weights.items()
+                              for e, c in v[pos[key]].items()))
 
 
 def _picard_row(model: ToricModel, cls) -> tuple[tuple[str, ...], list]:
