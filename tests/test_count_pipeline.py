@@ -405,7 +405,7 @@ def test_support_is_the_down_set_of_the_tensor_keys():
 
 # -- counts read Picard vectors ------------------------------------------------
 
-def _symbol_entries(m, names):
+def _symbol_entries(names):
     """Scalar expressions in fresh symbols: each symbol alone, on a table
     with an unused neighbour, and a polynomial in two of them."""
     s, t = (MultiPoly.variable(x, names) for x in names[:2])
@@ -414,7 +414,7 @@ def _symbol_entries(m, names):
 
 
 def picard_vectors(m, names):
-    entry = st.integers(-4, 4) | RATIONALS | _symbol_entries(m, names)
+    entry = st.integers(-4, 4) | RATIONALS | _symbol_entries(names)
     return st.tuples(*[entry] * m.rank)
 
 
@@ -510,17 +510,6 @@ def test_both_forms_and_every_count_refuse_alike(case, kind):
         warnings.simplefilter("ignore")
         for call in calls:
             assert _refusal(call) == expected
-
-
-def test_weighted_counts_refuse_what_their_parts_refuse():
-    # wci_sing_count hands its degree to integrate_count as a vector
-    for bad in (True, 0.5, None):
-        for kind in formulas.KINDS:
-            expected = _refusal(lambda: formulas.wci_sing_count_parts(
-                (1, 1, 1, 2), (2,), bad, kind))
-            assert expected is not None
-            assert _refusal(lambda: formulas.wci_sing_count(
-                (1, 1, 1, 2), (2,), bad, kind)) == expected
 
 
 SPY_MODELS = ["projective:3", "weighted:1,2,3", "scroll:1,2,0", "blowup_point:2"]
