@@ -38,10 +38,11 @@ generator exponent, so an entry is a number, or a term dict over the
 degree-symbol exponents (`_Terms`); the entries on the tensor keys are
 read out against the integer weights directly (`_pair`, which `integrate`
 shares), and divided by the common denominator once per output term.
-A count reads its classes as Picard vectors, `rank` scalar expressions
-each, straight into those per-generator entries (`_picard_row`), so it
-builds no `ChowElement`; `class_element` turns the same vectors into
-degree-1 elements for the ring, with the same refusals (`_vector_symbols`).
+A count takes its classes as Picard vectors only, `rank` scalar
+expressions each, and reads them straight into those per-generator
+entries, so it builds no `ChowElement`; `class_element` turns the same
+vectors into degree-1 elements for the ring, with the same refusals
+(`_vector_symbols`).
 """
 
 from __future__ import annotations
@@ -403,8 +404,14 @@ def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, 
     among its entries, once the vector passes: it must have one entry per
     generator, each an int, a `Fraction` or a `MultiPoly` (a bool is an int
     to Python, but no entry), and no entry may use a generator name as a
-    symbol.  A generator name an entry's table holds unused is dropped."""
-    if len(vec) != model.rank:
+    symbol.  A generator name an entry's table holds unused is dropped.
+    A value with no length (a number, None, a `ChowElement`) raises
+    TypeError naming it."""
+    try:
+        size = len(vec)
+    except TypeError:
+        raise TypeError(f"{vec!r} is not a Picard vector") from None
+    if size != model.rank:
         raise ValueError(f"expected a Picard vector of length {model.rank}")
     polys = []
     for x in vec:
@@ -591,10 +598,11 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     """The integral of prod(factors) * [c(X) / (prod_{a in over} (1 + a) *
     (1 - twist))]_top, top = n - len(factors): every count in `formulas`,
     with over = factors on a complete intersection.  Each class is a
-    Picard vector, `model.rank` scalar expressions (`class_element`'s
-    input, with its refusals), or a `ChowElement` homogeneous of degree 1
-    on the model's generators.  The boundary step (`_picard_row`) reads
-    each straight into its per-generator entries; from c(X)
+    Picard vector, `model.rank` scalar expressions, with `class_element`'s
+    refusals (`_vector_symbols`); a value with no length raises TypeError.
+    Each is read straight into its per-generator entries: a
+    number (an int when integral), or with degree symbols a term dict on
+    the merged symbol table (`_kernel_terms`).  From c(X)
     (`ToricModel._chern_vector`) one `_pass` per class then multiplies by
     each factor, into a fresh vector, and divides by each 1 + a and by
     1 - twist; the entries on the tensor keys are paired with the integer
@@ -605,18 +613,20 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     top = model.dim - len(factors)
     if top < 0:
         raise ValueError(f"{len(factors)} factors exceed the dimension {model.dim}")
-    rows = [_picard_row(model, c)
-            for c in (*factors, *over, *(() if twist is None else (twist,)))]
-    symbols = [s for s, _ in rows if s]
+    classes = (*factors, *over, *(() if twist is None else (twist,)))
+    symbols = [s for s in (_vector_symbols(model, c) for c in classes) if s]
     table = tuple(dict.fromkeys(chain.from_iterable(symbols))) if symbols else ()
     f, g = len(factors), len(factors) + len(over)
     xs = []
-    for i, (_, entries) in enumerate(rows):
+    for i, cls in enumerate(classes):
         # dividing by 1 + a is dividing by 1 - (-a)
         sign = -1 if f <= i < g else 1
         if table:
-            xs.append([_kernel_terms(x, table, sign) for x in entries])
+            xs.append([_kernel_terms(x, table, sign) for x in cls])
         else:
+            # no entry has symbols, so a MultiPoly entry is a constant
+            entries = [x if type(x) is int else _exact_scalar(
+                x.constant_value() if isinstance(x, MultiPoly) else x) for x in cls]
             xs.append(entries if sign == 1 else [-x for x in entries])
     order, pos, edges = model._support_index
     # with top = 0 only c_0 = 1 enters, so c(X) need not be built
@@ -638,41 +648,13 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
                               for e, c in v[pos[key]].items()))
 
 
-def _picard_row(model: ToricModel, cls) -> tuple[tuple[str, ...], list]:
-    """The boundary step of `integrate_count`, for one class: its degree
-    symbols, and per generator its coefficient.  That is an exact number
-    (an int when integral) when the class has no symbols, and otherwise
-    the pair of a symbol table and the (exponent, coefficient) items on it.
-    A vector passes `_vector_symbols`; a `ChowElement` must be on the
-    model's generators and homogeneous of degree 1."""
-    r = model.rank
-    if not isinstance(cls, ChowElement):
-        symbols = _vector_symbols(model, cls)
-        if not symbols:
-            return (), [x if type(x) is int else _exact_scalar(
-                x.constant_value() if isinstance(x, MultiPoly) else x) for x in cls]
-        return symbols, [(x.vars, x.terms.items()) if isinstance(x, MultiPoly)
-                         else ((), [((), x)] if x else ()) for x in cls]
-    if cls.gens != model.gens:
-        raise ValueError(f"generator mismatch: elements must use {model.gens!r}")
-    symbols, items = cls.poly.vars[r:], [[] for _ in range(r)]
-    for e, c in cls.poly.terms.items():
-        if sum(e[:r]) != 1:
-            raise ValueError(f"{cls!r} is not a class homogeneous of degree 1")
-        # the generator part is a unit exponent, so its first 1 is at k
-        items[e.index(1)].append((e[r:], c))
-    if not symbols:
-        return (), [_exact_scalar(t[0][1]) if t else 0 for t in items]
-    return symbols, [(symbols, t) for t in items]
-
-
-def _kernel_terms(entry, table: tuple[str, ...], sign: int) -> _Terms:
-    """sign times a coefficient of `_picard_row` as a `_pass` entry on the
-    merged symbol table."""
-    if not isinstance(entry, tuple):
-        return _Terms({(0,) * len(table): sign * entry} if entry else {})
-    src, items = entry
-    return _Terms((e, sign * _exact_scalar(c)) for e, c in _on_table(items, src, table))
+def _kernel_terms(x: ScalarLike, table: tuple[str, ...], sign: int) -> _Terms:
+    """sign times a Picard vector entry, an int, a `Fraction` or a
+    `MultiPoly`, as a `_pass` entry on the merged symbol table."""
+    if isinstance(x, MultiPoly):
+        return _Terms((e, sign * _exact_scalar(c))
+                      for e, c in _on_table(x.terms.items(), x.vars, table))
+    return _Terms({(0,) * len(table): sign * _exact_scalar(x)} if x else {})
 
 
 def _unit_vector(size: int) -> list[int]:

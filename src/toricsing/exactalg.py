@@ -404,9 +404,14 @@ def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:
 
 
 def as_poly(value: ScalarLike, variables: Sequence[str] = ()) -> MultiPoly:
-    """Coerce an int or Fraction to a constant polynomial; pass polys through."""
+    """Coerce an int or Fraction to a constant polynomial; pass polys through.
+    Anything else raises ValueError naming it: a float or a bool as
+    `_check_exact` does, and a str or a Decimal, which `Fraction` would read."""
     if isinstance(value, MultiPoly):
         return value
+    _check_exact(value)
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficient {value!r} is not an int, a Fraction or a MultiPoly")
     return MultiPoly.const(value, variables)
 
 

@@ -3,10 +3,11 @@
 Every count is the paper's formula, the integral of prod a_i * [c /
 (prod (1 + a_i) * (1 - d))]_(n-m): each hands its classes and its degree
 to `chow.integrate_count` as Picard vectors (`_degree_vector`), which it
-runs as passes over the tensor's support vector; no count builds a
-`ChowElement`.  Degrees may be numbers or formal symbols; both run through one
-code path, so the symbolic specializations print the displayed count
-polynomials and the numeric ones produce exact rationals.
+runs as passes over the tensor's support vector; no count, and no
+verdict, builds a `ChowElement`.  Degrees may be numbers or formal
+symbols; both run through one code path, so the symbolic specializations
+print the displayed count polynomials and the numeric ones produce exact
+rationals.
 
 Two degree parameterizations are accepted everywhere: a Picard-basis vector
 (length r) or a divisor-coefficient vector (length n+r, summed through the
@@ -443,20 +444,27 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
         if model.dim < 2:
             raise ValueError(
                 f"toric-curve needs a model of dimension at least 2, got {model.dim}")
-        a_elems = [degree_class(model, c) for c in classes]
-        if len(a_elems) != model.dim - 1:
-            raise ValueError(
-                f"curve case needs {model.dim - 1} classes, got {len(a_elems)}")
-        asum = sum(a_elems[1:], start=a_elems[0])
+        # each vector is checked as the counts check it before any sum,
+        # where a bool entry would pass as an int
+        a = []
+        for c in classes:
+            a.append(_degree_vector(model, c))
+            chow._vector_symbols(model, a[-1])
+        if len(a) != model.dim - 1:
+            raise ValueError(f"curve case needs {model.dim - 1} classes, got {len(a)}")
+        # the classes on one table, so the sum lists their symbols in order
+        a = _aligned_vectors(*a)
+        asum = tuple(map(sum, zip(*a)))
         # only the degree-1 part of c(X) meets a curve: its entries at the
         # unit exponents of the counts' Chern vector, 0 off the support
         c, pos = model._chern_vector, model._support_index.pos
-        c1 = [c[pos[u]] if u in pos else 0 for u in model._units]
-        bound = degree_class(model, degree) + chow.class_element(model, c1)
-        if strict:
-            bound = bound - chow.class_element(model, (1,) * model.rank)
-        lhs = chow.integrate_count(model, [asum, *a_elems])
-        rhs = chow.integrate_count(model, [bound, *a_elems])
+        d = _degree_vector(model, degree)
+        chow._vector_symbols(model, d)
+        cut = 1 if strict else 0
+        bound = tuple(x + (c[pos[u]] if u in pos else 0) - cut
+                      for x, u in zip(d, model._units))
+        lhs = chow.integrate_count(model, [asum, *a])
+        rhs = chow.integrate_count(model, [bound, *a])
         return _verdict(lhs, rhs)
     raise ValueError(f"unknown variant {variant!r}")
 

@@ -2,6 +2,7 @@
 
 import json
 import linecache
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -16,10 +17,12 @@ from toricsing.errors import NotWellFormedWarning
 
 
 # Exit status, stdout and stderr of help and usage-error invocations, written
-# by the CLI with COLUMNS=80 under Python 3.11 (argparse's layout varies
-# between Python versions).
-HELP_STREAMS = json.loads(
-    (Path(__file__).parent / "data" / "help_streams.json").read_text(encoding="utf-8"))
+# by the CLI with COLUMNS=80: under Python 3.11.7, where 3.10.13 and 3.12.1
+# write the same, and under 3.13.13, whose argparse keeps a long usage line
+# whole before its "...".  The file is picked by minor version.
+HELP_STREAMS = json.loads((Path(__file__).parent / "data" / {
+    13: "help_streams_3.13.json"}.get(sys.version_info.minor, "help_streams.json")
+).read_text(encoding="utf-8"))
 
 
 def _run(capsys, *argv):

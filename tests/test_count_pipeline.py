@@ -322,13 +322,6 @@ def test_symbolic_count_on_p1_products_is_a_permanent(k):
 
 
 def test_integrate_count_rejects_mixed_generators():
-    m = catalog.projective(2)
-    other = chow.class_element(catalog.multiprojective(1, 1), (1, 2))
-    for call in (lambda: chow.integrate_count(m, [other]),
-                 lambda: chow.integrate_count(m, twist=other),
-                 lambda: chow.integrate_count(m, over=[other])):
-        with pytest.raises(ValueError, match="generator mismatch"):
-            call()
     # a Chern override the counts read must live on the generators alone
     wide = ChowElement(("H",), MultiPoly(("H", "s"), {(1, 1): 1}))
     line = ToricModel("wide", 1, 1, ("H",), None, {(1,): 1}, chern_override={1: wide})
@@ -343,22 +336,29 @@ def test_integrate_count_rejects_mixed_generators():
 
 def test_integrate_count_reads_its_degree_from_the_factors():
     m = catalog.projective(2)
-    h = chow.generator_element(m, 0)
+    h = m._units[0]
     assert chow.integrate_count(m, [h, h]) == 1
     with pytest.raises(ValueError, match="3 factors exceed the dimension 2"):
         chow.integrate_count(m, [h, h, h])
 
 
-def test_integrate_count_takes_classes_of_degree_1_only():
+def test_integrate_count_refuses_what_is_no_picard_vector():
+    # Picard vectors are the one class form: an element, a number or None
+    # used to fail on len(), or, for an element, be taken apart
     m = catalog.multiprojective(1, 1)
-    h, e = chow.generator_element(m, 0), chow.generator_element(m, 1)
-    for bad in (chow.unit_element(m.gens), h * e, h + 1):
-        message = re.escape(repr(bad)) + " is not a class homogeneous of degree 1"
-        for call in (lambda: chow.integrate_count(m, [bad]),
-                     lambda: chow.integrate_count(m, over=[bad]),
-                     lambda: chow.integrate_count(m, [h], twist=bad)):
-            with pytest.raises(ValueError, match=message):
+    h = m._units[0]
+    for bad in (chow.generator_element(m, 0), chow.class_element(m, (1, 2)), 3, None):
+        message = f"^{re.escape(repr(bad))} is not a Picard vector$"
+        calls = [lambda: chow.integrate_count(m, [bad]),
+                 lambda: chow.integrate_count(m, over=[bad]),
+                 lambda: chow.integrate_count(m, [h], [h, bad])]
+        if bad is not None:  # no twist is None
+            calls.append(lambda: chow.integrate_count(m, [h], twist=bad))
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
                 call()
+        with pytest.raises(TypeError, match=message):
+            chow.class_element(m, bad)
 
 
 def test_placeholder_overrides_count_in_their_own_degree():
@@ -435,26 +435,46 @@ def vector_counts(draw):
     return m, factors, over, twist
 
 
+def _upto(elem, top):
+    """The element less its terms above generator degree top."""
+    r = len(elem.gens)
+    return ChowElement(elem.gens, MultiPoly(elem.poly.vars, {
+        e: c for e, c in elem.poly.terms.items() if sum(e[:r]) <= top}))
+
+
+def _geometric(x, top):
+    """1 + x + ... + x^top, on the table of x even at top = 0."""
+    return sum((x ** k for k in range(1, top + 1)), start=x * 0 + 1)
+
+
+def ring_count(m, factors, over, twist):
+    """The count of `integrate_count` in the ring: the integral of
+    prod(factors) * c(X) * prod_over sum_k (-a)^k * sum_k d^k, every series
+    cut at the degree top = n - len(factors) that the bracket contributes,
+    on the elements of the vectors."""
+    n, top = m.dim, m.dim - len(factors)
+    product = chow.unit_element(m.gens)
+    for v in factors:
+        product = product * chow.class_element(m, v)
+    bracket = sum((chern_class(m, j) for j in range(1, top + 1)),
+                  start=chow.unit_element(m.gens))
+    series = [_geometric(-chow.class_element(m, a), top) for a in over]
+    if twist is not None:
+        series.append(_geometric(chow.class_element(m, twist), top))
+    product = _upto(product * bracket, n)
+    for x in series:
+        product = _upto(product * x, n)
+    return integrate(m, product)
+
+
 @settings(max_examples=200, deadline=None)
-@given(vector_counts(), st.data())
-def test_counts_on_vectors_are_counts_on_their_elements(case, data):
+@given(vector_counts())
+def test_counts_on_vectors_are_counts_on_their_elements(case):
     m, factors, over, twist = case
     on_vectors = chow.integrate_count(m, factors, over, twist)
-
-    def element(v):
-        return chow.class_element(m, v)
-
-    on_elements = chow.integrate_count(m, [element(v) for v in factors],
-                                       [element(v) for v in over],
-                                       None if twist is None else element(twist))
+    on_elements = ring_count(m, factors, over, twist)
     same(on_vectors, on_elements)
     assert on_vectors.vars == on_elements.vars
-    # the two forms mix freely in one call
-    factors, over, twist = ([v if v is None or data.draw(st.booleans()) else element(v)
-                             for v in vs] for vs in (factors, over, [twist]))
-    on_both = chow.integrate_count(m, factors, over, twist[0])
-    same(on_both, on_elements)
-    assert on_both.vars == on_elements.vars
 
 
 def _refusal(call):
@@ -503,9 +523,14 @@ def test_both_forms_and_every_count_refuse_alike(case, kind):
              lambda: formulas.complement_euler(m, bad),
              lambda: formulas.multidegree(m, [bad], 0, generator=True)]
     if m.dim > 1:
+        others = [good] * (m.dim - 2)
         calls += [lambda: formulas.ci_sing_count(m, [good], bad, kind),
                   lambda: formulas.ci_sing_count(m, [bad], good, kind),
-                  lambda: formulas.ci_euler(m, [bad])]
+                  lambda: formulas.ci_euler(m, [bad]),
+                  lambda: formulas.poincare_check("toric-curve", model=m,
+                                                  classes=[bad, *others], degree=good),
+                  lambda: formulas.poincare_check("toric-curve", model=m,
+                                                  classes=[good, *others], degree=bad)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for call in calls:
@@ -529,6 +554,9 @@ def _every_count(m, degree, hyp, classes):
         yield formulas.multidegree(m, classes, k)
     for k in range(m.rank):
         yield formulas.multidegree(m, classes, k, generator=True)
+    for strict in (False, True):
+        yield formulas.poincare_check("toric-curve", model=m, classes=classes[:n - 1],
+                                      degree=degree, strict=strict).rhs
 
 
 def test_count_routes_build_no_chow_element(monkeypatch):

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 from math import gcd, prod
@@ -501,6 +502,8 @@ FLOAT_DEGREE_ROUTES = {
     "wci_general": lambda d: poincare_check("wci-general", weights=(1, 1, 1, 1),
                                             classes=(2,), degree=d),
     "wci_sing_count_p112": lambda d: wci_sing_count((1, 1, 1, 2), (2,), d),
+    "class_of_divisor_coeffs": lambda d: chow.class_of_divisor_coeffs(
+        catalog.projective(2), (d, 0, 0)),
 }
 
 
@@ -516,6 +519,16 @@ def test_float_degrees_are_not_exact_data(route):
     for bad in (True, False):
         with pytest.raises(ValueError, match=f"^coefficient {bad} is a bool, not exact data$"):
             call(bad)
+
+
+# wci_sing_count((1, 1, 1, 2), (2,), "1") used to return 7, and the other
+# routes read a str or a Decimal through Fraction as well
+@pytest.mark.parametrize("route", sorted(FLOAT_DEGREE_ROUTES))
+def test_str_and_decimal_degrees_are_not_exact_data(route):
+    for bad in ("1", " 1/2 ", Decimal("1")):
+        with pytest.raises(ValueError, match=f"^coefficient {re.escape(repr(bad))} is not "
+                                             "an int, a Fraction or a MultiPoly$"):
+            FLOAT_DEGREE_ROUTES[route](bad)
 
 
 # foliation_sing_count(projective(2), True) used to return 7, the count at
