@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .chow import ChowElement, ToricModel, check_chern_consistency
 from .errors import ModelFormatError, NotWellFormedWarning
-from .exactalg import MultiPoly, parse_polynomial
+from .exactalg import MultiPoly, _variable_table, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def parse_model(text: str) -> ToricModel:
             elif word in ("dim", "rank"):
                 fields[word] = int(rest)
             elif word == "gens":
-                fields["gens"] = tuple(rest.split())
+                fields["gens"] = _variable_table(rest.split())
             elif word == "smooth":
                 if rest not in ("true", "false"):
                     raise ModelFormatError("smooth must be true or false")

@@ -57,8 +57,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, aligned, as_poly, monomials_of_degree,
-    mul_terms, poly_sum,
+    MultiPoly, ScalarLike, _check_exact, _variable_table, aligned, as_poly,
+    monomials_of_degree, mul_terms, poly_sum,
 )
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
@@ -143,7 +143,8 @@ class ToricModel:
     overrides are read-only mappings, and each instance caches its Chern
     vector and its integer tensor on first use; the support index is shared
     by the models with one tensor key set.  Tensor keys must hold ints and
-    weights must be ints or Fractions.  The builtins of `catalog` build
+    weights must be ints or Fractions, generator names must differ, and
+    override degrees must lie in 1..n.  The builtins of `catalog` build
     their models through `_trusted`, which skips these checks.
     """
 
@@ -164,7 +165,7 @@ class ToricModel:
         store = partial(object.__setattr__, self)
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
-        store("gens", tuple(self.gens))
+        store("gens", _variable_table(self.gens))
         if len(self.gens) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {self.gens!r}")
         if self.divisor_classes is not None:
@@ -196,6 +197,10 @@ class ToricModel:
         # an empty mapping writes no chern lines, so it reads back as None
         store("chern_override", MappingProxyType(dict(self.chern_override))
               if self.chern_override else None)
+        for j in self.chern_override or ():
+            # a bool is an int to Python, but would be written `chern True`
+            if type(j) is not int or not 1 <= j <= self.dim:
+                raise ValueError(f"Chern override degree {j!r} out of range 1..{self.dim}")
         if self.divisor_classes is None:
             override = self.chern_override or {}
             missing = [j for j in range(1, self.dim + 1) if j not in override]
@@ -250,7 +255,7 @@ class ToricModel:
         read the degree-j part of an override c_j instead, the only part a
         count integrates.  Integral entries are ints, which multiply fast."""
         n, (order, _, edges) = self.dim, self._support_index
-        given = {j: c for j, c in (self.chern_override or {}).items() if 1 <= j <= n}
+        given = self.chern_override or {}
         if any(self.gens != e.gens or self.gens != e.poly.vars for e in given.values()):
             raise ValueError(f"generator mismatch: elements must use {self.gens!r}")
         v = _unit_vector(len(order))
@@ -691,8 +696,6 @@ def check_chern_consistency(model: ToricModel) -> None:
     if model.divisor_classes is None or not model.chern_override:
         return
     for j, supplied in sorted(model.chern_override.items()):
-        if not 1 <= j <= model.dim:
-            raise ValueError(f"Chern override degree {j} out of range")
         difference = supplied - elementary_symmetric_classes(model, j)
         for mono in monomials_of_degree(model.rank, model.dim - j):
             probe = ChowElement(model.gens, MultiPoly(model.gens, {mono: 1}))

@@ -16,20 +16,17 @@ Arithmetic requires both operands to live on the same variable table;
 
 `integer_roots` finds the integer roots of a univariate integer polynomial
 in a range by exact sign bisection; the searches solve their count
-polynomials with it.  A range of positive integers is first screened by
-Descartes' rule of signs: without a sign change among the coefficients
-there is no positive root, and no bisection runs.  `horner` evaluates such
-coefficient lists.
+polynomials with it.  `horner` evaluates such coefficient lists.
 
 `parse_polynomial` reads signed-term syntax such as `3*x^2*y - 1/2*y`
 onto a given variable table; model files, the CLI and round trips share it.
+Text it cannot read raises ModelFormatError naming the fault.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -431,7 +428,8 @@ def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
 # polynomial term parser (model files, chern lines, the CLI and round trips)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(rf"\s*(\^|\*|[+-]|[0-9]+(?:/[0-9]+)?|{_NAME.pattern})")
+# a token, or in group 2 the first character that starts none
+_TOKEN = re.compile(rf"\s*(?:(\^|\*|[+-]|[0-9]+(?:/[0-9]+)?|{_NAME.pattern})|(\S))")
 
 
 def _check_symbol(name: str) -> str:
@@ -457,67 +455,54 @@ def parse_polynomial(text: str, variables: Sequence[str],
         if target in index:
             index.setdefault(alias, index[target])
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ModelFormatError(f"bad character {text[pos:].strip()[0]!r} in polynomial")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise ModelFormatError(f"bad character {m[2]!r} in polynomial")
+        tokens.append(m[1])
     if not tokens:
         raise ModelFormatError("empty polynomial")
+    tokens.append("")  # the end marker: no token is empty
 
-    terms: dict[tuple[int, ...], Fraction] = {}
-    i = 0
-
-    def take_factor(i):
+    terms: dict[Exponent, Fraction] = {}
+    coeff, exps = Fraction(1), [0] * len(variables)
+    i, joint = 0, ""  # joint: the token before tokens[i], "" at the start
+    while True:
         tok = tokens[i]
-        if re.fullmatch(r"[0-9]+(?:/[0-9]+)?", tok):
+        if joint != "*" and tok in ("+", "-"):  # the signs that open a term
+            if tok == "-":
+                coeff = -coeff
+            i, joint = i + 1, tok
+            continue
+        if not tok:
+            raise ModelFormatError("dangling '*' in polynomial" if joint == "*"
+                                   else "dangling sign in polynomial")
+        if tok[0].isdigit():
             try:
-                return Fraction(tok), None, i + 1
+                coeff *= Fraction(tok)
             except ZeroDivisionError:
                 raise ModelFormatError(f"zero denominator in {tok!r}") from None
-        if tok in index:
+        elif tok in index:
             exp = 1
-            if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                if i + 2 >= len(tokens) or not tokens[i + 2].isdigit():
-                    raise ModelFormatError("expected integer exponent after '^'")
-                exp = int(tokens[i + 2])
+            if tokens[i + 1] == "^":
                 i += 2
-            return None, (index[tok], exp), i + 1
-        raise ModelFormatError(f"unknown symbol {tok!r} in polynomial")
-
-    first = True
-    while i < len(tokens):
-        if not first and tokens[i] not in "+-":
-            raise ModelFormatError(
-                f"expected '+' or '-' before {tokens[i]!r}")
-        first = False
-        sign = 1
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
+                if not tokens[i].isdigit():
+                    raise ModelFormatError("expected integer exponent after '^'")
+                exp = int(tokens[i])
+            exps[index[tok]] += exp
+        else:
+            raise ModelFormatError(f"unknown symbol {tok!r} in polynomial")
+        i += 1
+        joint = tokens[i]
+        if joint == "*":
             i += 1
-        if i >= len(tokens):
-            raise ModelFormatError("dangling sign in polynomial")
-        coeff = Fraction(sign)
-        exps = [0] * len(variables)
-        while True:
-            c, ve, i = take_factor(i)
-            if c is not None:
-                coeff *= c
-            else:
-                vi, e = ve
-                exps[vi] += e
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                continue
-            break
+            continue
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MultiPoly(variables, terms)
+        if not joint:
+            return MultiPoly(variables, terms)
+        if joint not in ("+", "-"):
+            raise ModelFormatError(f"expected '+' or '-' before {joint!r}")
+        coeff, exps = Fraction(1), [0] * len(variables)
 
 
 # ---------------------------------------------------------------------------
@@ -527,43 +512,21 @@ def parse_polynomial(text: str, variables: Sequence[str],
 def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
     """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
 
-    A linear polynomial has its root by one `divmod`.  When lo >= 1 and
-    the nonzero coefficients share one sign, there is no sign change and
-    so, by Descartes' rule of signs, no positive root: the answer is empty
-    without any root finding.
-    Quadratics, the p111k search polynomials, are solved by the
-    discriminant and `isqrt`, a few times faster than splitting and
-    bisecting them.  Every other degree splits the range where the
-    polynomial stops being monotone and bisects each piece on exact
-    integer signs.  The zero polynomial vanishes on the whole range.  A
-    coefficient or bound that is not an int raises ValueError naming it:
-    a float would give inexact signs, and a bool is an int to Python but
-    no coefficient.
+    The range is split where the polynomial stops being monotone, and each
+    piece is bisected on exact integer signs.  The zero polynomial vanishes
+    on the whole range.  A coefficient or bound that is not an int raises
+    ValueError naming it: a float would give inexact signs, and a bool is an
+    int to Python but no coefficient.
     """
     c = list(coeffs)
-    if any(type(x) is not int for x in (*c, lo, hi)):
-        for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(c)),
-                        ("lower bound", lo), ("upper bound", hi)):
-            if type(x) is not int:
-                raise ValueError(f"integer_roots {what} is {x!r}, not an int")
+    for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(c)),
+                    ("lower bound", lo), ("upper bound", hi)):
+        if type(x) is not int:
+            raise ValueError(f"integer_roots {what} is {x!r}, not an int")
     while c and c[-1] == 0:
         c.pop()
-    if lo > hi:
-        return []
-    if not c:
+    if not c or lo > hi:
         return list(range(lo, hi + 1))
-    if len(c) == 2:
-        q, r = divmod(-c[0], c[1])
-        return [q] if r == 0 and lo <= q <= hi else []
-    if lo >= 1 and (min(c) >= 0 or max(c) <= 0):
-        return []
-    if len(c) == 3:
-        disc = c[1] * c[1] - 4 * c[2] * c[0]
-        s = isqrt(disc) if disc >= 0 else -1
-        if s * s != disc:
-            return []
-        quotients = (divmod(-c[1] + e, 2 * c[2]) for e in (-s, s))
-        return sorted({q for q, r in quotients if r == 0 and lo <= q <= hi})
     cuts = _monotone_cuts(c, lo, hi)
     roots = {x for x in cuts if horner(c, x) == 0}
     for a, b in zip(cuts, cuts[1:]):

@@ -307,6 +307,46 @@ def test_parse_requires_a_chern_route():
         parse_model(text)
 
 
+@pytest.mark.parametrize("chern", ["", "chern 1 : 2*H\n"],
+                         ids=["without chern lines", "with a chern line"])
+def test_parse_refuses_repeated_generator_names(chern):
+    # the repeat names the line, whether or not a chern line parses on it
+    text = ("name twice\ndim 1\nrank 2\ngens H H\n"
+            "divisor 1 0\ndivisor 0 1\ndivisor 1 1\ntensor 1 0 = 1\n" + chern)
+    with pytest.raises(ModelFormatError,
+                       match=r"^line 4: duplicate variable names in \('H', 'H'\)$"):
+        parse_model(text)
+
+
+def test_models_refuse_repeated_generator_names():
+    with pytest.raises(ValueError, match=r"^duplicate variable names in \('H', 'H'\)$"):
+        chow.ToricModel("twice", 1, 2, ("H", "H"), ((1, 0), (0, 1), (1, 1)),
+                        {(1, 0): 1})
+
+
+@pytest.mark.parametrize("divisors", ["", "divisor 1\ndivisor 1\ndivisor 1\n"],
+                         ids=["without divisor lines", "with divisor lines"])
+@pytest.mark.parametrize("line, degree", [
+    ("chern 0 : 5", 0), ("chern 9 : H", 9), ("chern -1 : H", -1)])
+def test_parse_refuses_chern_degrees_outside_the_dimension(divisors, line, degree):
+    # refused by the model, before any consistency check with divisor lines
+    text = ("name P2\ndim 2\nrank 1\ngens H\ntensor 2 = 1\n" + divisors
+            + "chern 1 : 3*H\nchern 2 : 3*H^2\n" + line + "\n")
+    with pytest.raises(ModelFormatError,
+                       match=f"^Chern override degree {degree} out of range 1..2$"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("degree", [0, 3, True, "1"])
+def test_models_refuse_chern_degrees_outside_the_dimension(degree):
+    m = catalog.projective(2)
+    # True == 1 as a key, so degree 1 itself is left out
+    override = {2: chow.chern_class(m, 2), degree: chow.chern_class(m, 1)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"Chern override degree {degree!r} out of range 1..2")):
+        chow.ToricModel(m.name, m.dim, m.rank, m.gens, None, m.tensor, override)
+
+
 def test_parse_comments_and_blank_lines():
     text = (
         "# a plane\nname P2\n\ndim 2  # dimension\nrank 1\ngens H\n"
@@ -347,6 +387,9 @@ def test_parse_polynomial_rejects_malformed_terms():
         parse_polynomial("1/0*x", ("x",))
     with pytest.raises(ModelFormatError, match="bad character"):
         parse_polynomial("x @ y", ("x", "y"))
+    for text in ("x*", "2*x^2 * ", "x*y*"):
+        with pytest.raises(ModelFormatError, match="^dangling '\\*' in polynomial$"):
+            parse_polynomial(text, ("x", "y"))
 
 
 def test_serialize_contains_chern_lines():

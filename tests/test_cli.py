@@ -18,9 +18,13 @@ from toricsing.errors import NotWellFormedWarning
 
 # Exit status, stdout and stderr of help and usage-error invocations, written
 # by the CLI with COLUMNS=80: under Python 3.11.7, where 3.10.13 and 3.12.1
-# write the same, and under 3.13.13, whose argparse keeps a long usage line
-# whole before its "...".  The file is picked by minor version.
-HELP_STREAMS = json.loads((Path(__file__).parent / "data" / {
+# write the same, under 3.13.13, whose argparse keeps a long usage line
+# whole before its "...", and under 3.13.0, which also quotes the invalid
+# choices.  A file named for the exact release is preferred; otherwise the
+# file is picked by minor version.
+_DATA = Path(__file__).parent / "data"
+_EXACT = _DATA / "help_streams_{}.{}.{}.json".format(*sys.version_info[:3])
+HELP_STREAMS = json.loads((_EXACT if _EXACT.exists() else _DATA / {
     13: "help_streams_3.13.json"}.get(sys.version_info.minor, "help_streams.json")
 ).read_text(encoding="utf-8"))
 
@@ -273,6 +277,17 @@ def test_malformed_model_spec_is_a_domain_error(capsys):
                             "projective", "--degree", "1")
     assert (status, out) == (1, "")
     assert err.startswith("error:") and "projective:n" in err
+
+
+def test_a_dangling_star_is_a_domain_error(tmp_path, capsys):
+    # a factor missing after '*', on the command line and in a chern line
+    status, out, err = _run(capsys, "residue", "--vars", "u,v", "--components", "u*,v")
+    assert (status, out, err) == (1, "", "error: dangling '*' in polynomial\n")
+    path = tmp_path / "star.model"
+    path.write_text("name P2\ndim 2\nrank 1\ngens H\ndivisor 1\ndivisor 1\n"
+                    "divisor 1\ntensor 2 = 1\nchern 1 : H*\n", encoding="utf-8")
+    status, out, err = _run(capsys, "euler", "ambient", "--model-file", str(path))
+    assert (status, out, err) == (1, "", "error: line 9: dangling '*' in polynomial\n")
 
 
 def test_usage_error_exit_code(capsys):

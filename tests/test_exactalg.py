@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricsing.errors import AlignmentError
+from toricsing.errors import AlignmentError, ModelFormatError
 from toricsing.exactalg import MultiPoly, aligned, integer_roots, poly_sum
 from toricsing.catalog import parse_polynomial
 
@@ -47,6 +47,21 @@ def test_canonical_string_round_trips(p):
         return
     text = p.canonical_string()
     assert parse_polynomial(text, p.vars) == p
+
+
+# the parser's token alphabet: names on and off the table, integers,
+# rationals (one with a zero denominator), operators, spaces, a bad character
+TOKENS = st.sampled_from(["a", "b", "x", "q", "0", "2", "17", "3/4", "1/0",
+                          "*", "^", "+", "-", " ", "@"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TOKENS, max_size=12).map("".join))
+def test_parse_polynomial_ends_in_a_value_or_a_format_error(text):
+    try:
+        parse_polynomial(text, ("a", "b", "x"))
+    except ModelFormatError:
+        pass
 
 
 def test_rational_exactness():
