@@ -382,13 +382,15 @@ def serialize_model(model: ToricModel) -> str:
 def parse_model(text: str) -> ToricModel:
     """Parse the model file format; inverse of `serialize_model`.
 
-    Raises ModelFormatError with a line number on syntax errors, and with
-    the violated invariant named on semantic errors.
+    Raises ModelFormatError with a line number on syntax errors and
+    repeated lines, and with the violated invariant named on semantic
+    errors, a disagreement of Chern overrides with the divisor classes
+    (`check_chern_consistency`) among them.
     """
     fields: dict[str, object] = {}
     divisors: list[tuple[int, ...]] = []
     tensor: dict[tuple[int, ...], Fraction] = {}
-    chern_lines: list[tuple[int, int, str]] = []
+    chern_lines: dict[int, tuple[int, str]] = {}
     radial: list[tuple[int, ...]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -398,6 +400,8 @@ def parse_model(text: str) -> ToricModel:
         word, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
+            if word in fields:
+                raise ModelFormatError(f"duplicate {word} line")
             if word == "name":
                 if not rest:
                     raise ModelFormatError("empty name")
@@ -424,7 +428,10 @@ def parse_model(text: str) -> ToricModel:
                 degree, _, poly = rest.partition(":")
                 if not _:
                     raise ModelFormatError("chern line needs ':'")
-                chern_lines.append((lineno, int(degree), poly.strip()))
+                j = int(degree)
+                if j in chern_lines:
+                    raise ModelFormatError(f"duplicate chern degree {j}")
+                chern_lines[j] = lineno, poly.strip()
             elif word == "radial":
                 radial.append(tuple(int(x) for x in rest.split()))
             else:
@@ -441,8 +448,12 @@ def parse_model(text: str) -> ToricModel:
     override = None
     if chern_lines:
         override = {}
-        for lineno, j, poly_text in chern_lines:
+        for j, (lineno, poly_text) in chern_lines.items():
             try:
+                # the model refuses it too, but no longer knows the line
+                if not 1 <= j <= fields["dim"]:
+                    raise ModelFormatError(
+                        f"Chern override degree {j} out of range 1..{fields['dim']}")
                 poly = parse_polynomial(poly_text, gens)
             except ModelFormatError as exc:
                 raise ModelFormatError(f"line {lineno}: {exc}") from None
@@ -459,7 +470,7 @@ def parse_model(text: str) -> ToricModel:
             smooth=fields.get("smooth", True),
             radial=tuple(radial) if radial else None,
         )
+        check_chern_consistency(model)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    check_chern_consistency(model)
     return model

@@ -42,12 +42,13 @@ A count takes its classes as Picard vectors only, `rank` scalar
 expressions each, and reads them straight into those per-generator
 entries, so it builds no `ChowElement`; `class_element` turns the same
 vectors into degree-1 elements for the ring, with the same refusals
-(`_vector_symbols`).
+(`_vector_symbols`).  The model-file check of Chern overrides against
+divisor classes (`check_chern_consistency`) is counts too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -58,7 +59,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import UnsupportedModelError
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _variable_table, aligned, as_poly,
-    monomials_of_degree, mul_terms, poly_sum,
+    mul_terms, poly_sum,
 )
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
@@ -136,16 +137,17 @@ class ToricModel:
     divisor_classes holds the n+r classes [D_i] in the Picard basis, as
     integers; the tensor maps exponent vectors of total degree n to
     integrals (omitted keys integrate to zero).  chern_override supplies
-    Chern classes directly for models whose divisor lists are not recorded;
-    the counts need each on the table of the generators alone.
+    Chern classes directly for models whose divisor lists are not recorded,
+    each a `ChowElement` on the table of the generators alone.
     radial, when present, is the r x (n+r) integer matrix of diagonal radial
     vector field coefficients.  The model is frozen, the tensor and the
     overrides are read-only mappings, and each instance caches its Chern
     vector and its integer tensor on first use; the support index is shared
     by the models with one tensor key set.  Tensor keys must hold ints and
     weights must be ints or Fractions, generator names must differ, and
-    override degrees must lie in 1..n.  The builtins of `catalog` build
-    their models through `_trusted`, which skips these checks.
+    override degrees must lie in 1..n, each on the generators' table.  The
+    builtins of `catalog` build their models through `_trusted`, which
+    skips these checks.
     """
 
     name: str
@@ -197,10 +199,13 @@ class ToricModel:
         # an empty mapping writes no chern lines, so it reads back as None
         store("chern_override", MappingProxyType(dict(self.chern_override))
               if self.chern_override else None)
-        for j in self.chern_override or ():
+        for j, c in (self.chern_override or {}).items():
             # a bool is an int to Python, but would be written `chern True`
             if type(j) is not int or not 1 <= j <= self.dim:
                 raise ValueError(f"Chern override degree {j!r} out of range 1..{self.dim}")
+            if not (isinstance(c, ChowElement) and self.gens == c.gens == c.poly.vars):
+                raise ValueError(f"generator mismatch: elements must use {self.gens!r}; "
+                                 f"the Chern override in degree {j} is {c!r}")
         if self.divisor_classes is None:
             override = self.chern_override or {}
             missing = [j for j in range(1, self.dim + 1) if j not in override]
@@ -256,8 +261,6 @@ class ToricModel:
         count integrates.  Integral entries are ints, which multiply fast."""
         n, (order, _, edges) = self.dim, self._support_index
         given = self.chern_override or {}
-        if any(self.gens != e.gens or self.gens != e.poly.vars for e in given.values()):
-            raise ValueError(f"generator mismatch: elements must use {self.gens!r}")
         v = _unit_vector(len(order))
         for d in self.divisor_classes if len(given) < n else ():
             _pass(v, v, d, edges)
@@ -385,10 +388,6 @@ def unit_element(gens: Sequence[str]) -> ChowElement:
     return ChowElement(gens, MultiPoly.const(1, gens))
 
 
-def generator_element(model: ToricModel, k: int) -> ChowElement:
-    return ChowElement(model.gens, MultiPoly.variable(model.gens[k], model.gens))
-
-
 def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     """Promote a Picard vector with scalar-expression entries to degree 1,
     with the refusals of `_vector_symbols`: the entries' terms on one symbol
@@ -463,14 +462,6 @@ def class_of_divisor_coeffs(model: ToricModel,
     return tuple(out)
 
 
-def divisor_class_element(model: ToricModel, i: int) -> ChowElement:
-    """The degree-1 element of the i-th invariant divisor."""
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} records no divisor classes")
-    return class_element(model, model.divisor_classes[i])
-
-
 def _check_degree(j) -> None:
     """A series degree or index must be an int: a bool is an int to Python
     but no degree, and a float would fail only at a tuple index."""
@@ -507,10 +498,6 @@ def chern_class(model: ToricModel, j: int) -> ChowElement:
         return unit_element(model.gens)
     if model.chern_override and j in model.chern_override:
         return model.chern_override[j]
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} has neither divisor classes nor a Chern "
-            f"class in degree {j}")
     return elementary_symmetric_classes(model, j)
 
 
@@ -690,16 +677,17 @@ class _Terms(dict):
 
 def check_chern_consistency(model: ToricModel) -> None:
     """For models carrying both divisor classes and Chern overrides, verify
-    the two routes integrate identically against every complementary
-    monomial: their difference integrates to zero.  Raises ValueError on
-    disagreement."""
+    that `integrate_count` with and without the overrides agrees on each
+    support monomial of degree n - j, for each override c_j.  Every count
+    is a sum of such integrals, and off the support both vanish.  Raises
+    ValueError naming the first disagreement."""
     if model.divisor_classes is None or not model.chern_override:
         return
-    for j, supplied in sorted(model.chern_override.items()):
-        difference = supplied - elementary_symmetric_classes(model, j)
-        for mono in monomials_of_degree(model.rank, model.dim - j):
-            probe = ChowElement(model.gens, MultiPoly(model.gens, {mono: 1}))
-            if not integrate(model, difference * probe).is_zero:
+    plain = replace(model, chern_override=None)
+    order = model._support_index.order
+    for j in sorted(model.chern_override):
+        for mono in sorted(e for e in order if sum(e) == model.dim - j):
+            factors = [u for u, x in zip(model._units, mono) for _ in range(x)]
+            if integrate_count(model, factors) != integrate_count(plain, factors):
                 raise ValueError(
                     f"Chern routes disagree in degree {j} against monomial {mono}")
-

@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import AlignmentError, ModelFormatError
 
@@ -40,16 +40,6 @@ ScalarLike = Union[int, Fraction, "MultiPoly"]
 def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing graded-lexicographic order (higher sorts later)."""
     return (sum(exponent), exponent)
-
-
-def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponent]:
-    """Every exponent tuple of `nvars` entries with total degree `degree`."""
-    if nvars == 1:
-        yield (degree,)
-        return
-    for head in range(degree + 1):
-        for tail in monomials_of_degree(nvars - 1, degree - head):
-            yield (head,) + tail
 
 
 def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:

@@ -165,13 +165,11 @@ def _ci_count(model: ToricModel, a: Sequence[tuple], d: tuple,
     """The count on the complete intersection of the classes a at degree d,
     all Picard vectors.  A distribution counts as (-1)^(n-m) times a
     foliation at -d: the signed sum sum_j (-1)^j g_j d^(n-m-j) is the plain
-    sum at -d times (-1)^(n-m).  Only scalar expressions are negated, so an
-    entry `integrate_count` refuses reaches it as given."""
+    sum at -d times (-1)^(n-m), and 1 / (1 - (-d)) = 1 / (1 + d), so d
+    divides like an `over` class."""
     if kind == "foliation":
         return chow.integrate_count(model, a, a, d)
-    d = tuple(-x if isinstance(x, (int, Fraction, MultiPoly)) and type(x) is not bool
-              else x for x in d)
-    return (-1) ** (model.dim - len(a)) * chow.integrate_count(model, a, a, d)
+    return (-1) ** (model.dim - len(a)) * chow.integrate_count(model, a, (*a, d))
 
 
 def restricted_sing_count(model: ToricModel, degree, hyp,

@@ -87,10 +87,10 @@ def _model_goldens(spec):
         out[f"chern_class {j}"] = call(chow.chern_class, m, j)
         out[f"elementary_symmetric_classes {j}"] = call(
             chow.elementary_symmetric_classes, m, j)
-    gens = [chow.generator_element(m, k) for k in range(r)]
+    gens = [chow.class_element(m, m._units[k]) for k in range(r)]
     lists = {"generators": gens}
     if m.divisor_classes is not None:
-        lists["divisors"] = [chow.divisor_class_element(m, i) for i in range(n + r)]
+        lists["divisors"] = [chow.class_element(m, v) for v in m.divisor_classes]
     lists["symbolic"] = [*gens, formulas.degree_class(m, "symbolic")]
     for name, items in lists.items():
         for j in range(n + 1):

@@ -49,16 +49,16 @@ def test_scroll_11_tensor():
 
 def test_blowup_point_tensor_sign():
     m2 = catalog.blowup_point(2)
-    assert chow.integrate(m2, chow.generator_element(m2, 1) ** 2) == -1
+    assert chow.integrate(m2, chow.class_element(m2, m2._units[1]) ** 2) == -1
     m3 = catalog.blowup_point(3)
-    assert chow.integrate(m3, chow.generator_element(m3, 1) ** 3) == 1
+    assert chow.integrate(m3, chow.class_element(m3, m3._units[1]) ** 3) == 1
 
 
 def test_blowup_two_points_e_cubed_positive():
     # the sign convention E_i^3 = +1 is locked in deliberately
     m = catalog.blowup_two_points_p3()
     for k in (1, 2):
-        assert chow.integrate(m, chow.generator_element(m, k) ** 3) == 1
+        assert chow.integrate(m, chow.class_element(m, m._units[k]) ** 3) == 1
 
 
 def test_builtin_euler_numbers():
@@ -329,11 +329,13 @@ def test_models_refuse_repeated_generator_names():
 @pytest.mark.parametrize("line, degree", [
     ("chern 0 : 5", 0), ("chern 9 : H", 9), ("chern -1 : H", -1)])
 def test_parse_refuses_chern_degrees_outside_the_dimension(divisors, line, degree):
-    # refused by the model, before any consistency check with divisor lines
+    # refused with the line of the chern line, before any consistency check
+    # with divisor lines
     text = ("name P2\ndim 2\nrank 1\ngens H\ntensor 2 = 1\n" + divisors
             + "chern 1 : 3*H\nchern 2 : 3*H^2\n" + line + "\n")
-    with pytest.raises(ModelFormatError,
-                       match=f"^Chern override degree {degree} out of range 1..2$"):
+    lineno = text.count("\n")
+    with pytest.raises(ModelFormatError, match=(
+            f"^line {lineno}: Chern override degree {degree} out of range 1..2$")):
         parse_model(text)
 
 
@@ -345,6 +347,35 @@ def test_models_refuse_chern_degrees_outside_the_dimension(degree):
     with pytest.raises(ValueError, match=re.escape(
             f"Chern override degree {degree!r} out of range 1..2")):
         chow.ToricModel(m.name, m.dim, m.rank, m.gens, None, m.tensor, override)
+
+
+@pytest.mark.parametrize("value", [
+    5, MultiPoly(("H",), {(1,): 3}), "3*H",
+    chow.class_element(catalog.multiprojective(1, 1), (1, 1)),
+    chow.ChowElement(("H",), MultiPoly(("H", "s"), {(1, 1): 1}))],
+    ids=["int", "MultiPoly", "str", "other generators", "degree symbols"])
+def test_models_refuse_overrides_that_are_no_element_on_the_generators(value):
+    # these used to build, and the first count died with an AttributeError
+    # or read the wrong table
+    m = catalog.projective(2)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"generator mismatch: elements must use ('H',); the Chern override "
+            f"in degree 2 is {value!r}") + "$"):
+        chow.ToricModel(m.name, m.dim, m.rank, m.gens, m.divisor_classes, m.tensor,
+                        {1: chow.chern_class(m, 1), 2: value})
+
+
+@pytest.mark.parametrize("line", ["name P2", "dim 3", "rank 1", "gens H",
+                                  "smooth false", "chern 1 : 5*H"])
+def test_parse_refuses_repeated_lines(line):
+    # these used to be read last-wins; a repeated tensor key was refused
+    text = ("name P2\ndim 2\nrank 1\ngens H\nsmooth true\n"
+            "divisor 1\ndivisor 1\ndivisor 1\ntensor 2 = 1\nchern 1 : 3*H\n")
+    word = line.split()[0]
+    what = "chern degree 1" if word == "chern" else f"{word} line"
+    with pytest.raises(ModelFormatError, match=f"^line 11: duplicate {what}$"):
+        parse_model(text + line + "\n")
+    assert parse_model(text).chern_override[1] == chow.chern_class(catalog.projective(2), 1)
 
 
 def test_parse_comments_and_blank_lines():

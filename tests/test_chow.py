@@ -4,7 +4,7 @@ import dataclasses
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from toricsing.chow import (
     ChowElement, class_element, class_of_divisor_coeffs,
     chern_class, elementary_symmetric_classes, integrate, wronski_classes,
 )
-from toricsing.errors import UnsupportedModelError
+from toricsing.errors import ModelFormatError, UnsupportedModelError
 from toricsing.exactalg import MultiPoly, aligned
 
 
@@ -163,14 +163,14 @@ def test_wronski_empty_list():
 
 def test_integrate_weighted():
     m = catalog.weighted(1, 2, 3)
-    h = chow.generator_element(m, 0)
+    h = chow.class_element(m, m._units[0])
     assert integrate(m, h ** 2) == Fraction(1, 6)
 
 
 def test_integrate_blowup_line():
     m = catalog.blowup_line_p3()
-    H = chow.generator_element(m, 0)
-    E = chow.generator_element(m, 1)
+    H = chow.class_element(m, m._units[0])
+    E = chow.class_element(m, m._units[1])
     assert integrate(m, H * E ** 2) == -1
     assert integrate(m, H ** 2 * E) == 0
     assert integrate(m, E ** 3) == -2
@@ -178,15 +178,15 @@ def test_integrate_blowup_line():
 
 def test_integrate_multiprojective():
     m = catalog.multiprojective(1, 1)
-    h1 = chow.generator_element(m, 0)
-    h2 = chow.generator_element(m, 1)
+    h1 = chow.class_element(m, m._units[0])
+    h2 = chow.class_element(m, m._units[1])
     assert integrate(m, h1 * h2) == 1
     assert integrate(m, h1 ** 2) == 0
 
 
 def test_integrate_drops_lower_degrees():
     m = catalog.projective(2)
-    h = chow.generator_element(m, 0)
+    h = chow.class_element(m, m._units[0])
     total = 1 + h + 3 * h ** 2  # a truncated total Chern style sum
     assert integrate(m, total) == 3
 
@@ -262,7 +262,7 @@ def test_power_is_the_repeated_product():
     m = catalog.scroll(1, 2)
     d1 = MultiPoly.variable("d1", ("d1",))
     for e in (class_element(m, (2, -1)), class_element(m, (d1, 3)),
-              3 + chow.generator_element(m, 1)):
+              3 + chow.class_element(m, m._units[1])):
         product = chow.unit_element(m.gens)
         for k in range(10):
             assert e ** k == product
@@ -345,8 +345,8 @@ def test_class_element_promotion_is_linear():
 def _summed_class(m, vec):
     """Sum of generator times entry: the definition of the degree-1 class."""
     total = ChowElement(m.gens, MultiPoly.zero(m.gens))
-    for k, entry in enumerate(vec):
-        total = total + chow.generator_element(m, k) * entry
+    for g, entry in zip(m.gens, vec):
+        total = total + ChowElement(m.gens, MultiPoly.variable(g, m.gens)) * entry
     return total
 
 
@@ -372,7 +372,7 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
     with pytest.raises(ValueError, match="collide"):
         class_element(m, (MultiPoly.variable("E", ("E",)), 1))
     with pytest.raises(ValueError, match="collide"):
-        chow.generator_element(m, 0) * MultiPoly.variable("E", ("E",))
+        chow.class_element(m, m._units[0]) * MultiPoly.variable("E", ("E",))
     with pytest.raises(ValueError, match="length"):
         class_element(m, (1,))
     with pytest.raises(TypeError):
@@ -392,7 +392,7 @@ def test_degree_indices_are_ints(bad):
     # chern_class(m, True) used to return c_1, and a float index failed
     # with a bare TypeError from the series' tuple
     m = catalog.projective(3)
-    h = chow.generator_element(m, 0)
+    h = chow.class_element(m, m._units[0])
     for call in (lambda: chern_class(m, bad),
                  lambda: elementary_symmetric_classes(m, bad),
                  lambda: wronski_classes([h, 2 * h], bad),
@@ -429,9 +429,74 @@ def test_chern_consistency_names_the_first_disagreement():
             "divisor 1 0\ndivisor 1 0\ndivisor 0 1\ndivisor 0 1\n"
             "tensor 1 1 = 1\nchern 1 : 2*H1 + 2*H2\nchern 2 : 3*H1*H2\n")
     assert catalog.parse_model(text.replace("3*H1*H2", "4*H1*H2")).name == "broken"
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(ModelFormatError) as caught:
         catalog.parse_model(text)
     assert str(caught.value) == "Chern routes disagree in degree 2 against monomial (0, 0)"
+
+
+def _complete_product_check(m):
+    """The check by complete products: each override less e_j, times every
+    monomial of degree n - j in lexicographic order, integrated; the
+    message of the first that does not vanish, or None."""
+    for j, supplied in sorted(m.chern_override.items()):
+        difference = supplied - elementary_symmetric_classes(m, j)
+        for mono in sorted(e for e in product(range(m.dim + 1), repeat=m.rank)
+                           if sum(e) == m.dim - j):
+            probe = ChowElement(m.gens, MultiPoly(m.gens, {mono: 1}))
+            if not integrate(m, difference * probe).is_zero:
+                return f"Chern routes disagree in degree {j} against monomial {mono}"
+    return None
+
+
+@st.composite
+def overridden_models(draw):
+    """Models with divisor classes and overrides: e_j itself, or e_j with a
+    few coefficients moved, often off the support of a sparse tensor."""
+    dim, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = ("H", "E", "F")[:rank]
+    keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
+    tensor = draw(st.dictionaries(st.sampled_from(keys), st.integers(-3, 3), min_size=1))
+    ints = st.integers(-2, 2)
+    classes = draw(st.tuples(*[st.tuples(*[ints] * rank)] * (dim + rank)))
+    m = chow.ToricModel("mixed", dim, rank, gens, classes, tensor)
+    exponents = st.tuples(*[st.integers(0, dim)] * rank)
+    override = {}
+    for j in draw(st.sets(st.integers(1, dim), min_size=1)):
+        moved = draw(st.dictionaries(exponents, ints, max_size=2))
+        override[j] = elementary_symmetric_classes(m, j) + ChowElement(
+            gens, MultiPoly(gens, moved))
+    return dataclasses.replace(m, chern_override=override)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overridden_models())
+def test_chern_consistency_is_the_complete_product_check(m):
+    expected = _complete_product_check(m)
+    if expected is None:
+        chow.check_chern_consistency(m)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            chow.check_chern_consistency(m)
+
+
+def test_chern_consistency_runs_counts_only():
+    # two counts per support monomial: no element, no integrate, no e_j
+    m = catalog.blowup_point(3)
+    good = dataclasses.replace(m, chern_override={j: chern_class(m, j) for j in (1, 2, 3)})
+    bad = dataclasses.replace(m, chern_override={1: class_element(m, (4, -1))})
+    built = []
+
+    def refuse(*args):
+        raise AssertionError("the check left the count route")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChowElement, "__post_init__", lambda self: built.append(self))
+        patch.setattr(chow, "integrate", refuse)
+        patch.setattr(chow, "elementary_symmetric_classes", refuse)
+        chow.check_chern_consistency(good)
+        with pytest.raises(ValueError, match="^Chern routes disagree in degree 1 "):
+            chow.check_chern_consistency(bad)
+    assert built == []
 
 
 # -- the series identity sum_j (-1)^j e_j h_(m-j) = 0 -------------------------

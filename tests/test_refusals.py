@@ -1,0 +1,162 @@
+"""Domain errors no other test reaches: each input, its exception type and
+its exact text, in one table."""
+
+import pytest
+
+from toricsing import catalog, formulas, polyfield, residue
+from toricsing.catalog import parse_model
+from toricsing.chow import ChowElement, ToricModel, elementary_series
+from toricsing.errors import AlignmentError, ModelFormatError, UnsupportedModelError
+from toricsing.exactalg import MultiPoly
+
+P2_LINES = ["name P2", "dim 2", "rank 1", "gens H", "smooth true", "divisor 1",
+            "divisor 1", "divisor 1", "tensor 2 = 1"]
+
+
+def p2_file(replace=None, drop=None, add=()):
+    """The model file of P^2 with line `replace` (an index, a new line)
+    replaced, line `drop` left out, and the lines `add` appended."""
+    lines = list(P2_LINES)
+    if replace is not None:
+        lines[replace[0]] = replace[1]
+    if drop is not None:
+        del lines[drop]
+    return "\n".join([*lines, *add]) + "\n"
+
+
+def model(**changes):
+    """P^1 through the checked constructor, with some fields changed."""
+    fields = dict(name="P1", dim=1, rank=1, gens=("H",),
+                  divisor_classes=((1,), (1,)), tensor={(1,): 1})
+    return ToricModel(**{**fields, **changes})
+
+
+P2 = catalog.projective(2)
+X, Y = (MultiPoly.variable(v, ("x", "y")) for v in ("x", "y"))
+U = MultiPoly.variable("u", ("u",))
+ZP2 = [MultiPoly.zero(P2.coord_names)] * 3
+
+REFUSALS = {
+    # the model file
+    "empty name": (lambda: parse_model(p2_file(replace=(0, "name"))),
+                   ModelFormatError, "line 1: empty name"),
+    "smooth yes": (lambda: parse_model(p2_file(replace=(4, "smooth yes"))),
+                   ModelFormatError, "line 5: smooth must be true or false"),
+    "tensor without =": (lambda: parse_model(p2_file(replace=(8, "tensor 2 1"))),
+                         ModelFormatError, "line 9: tensor line needs '='"),
+    "chern without :": (lambda: parse_model(p2_file(add=["chern 1 3*H"])),
+                        ModelFormatError, "line 10: chern line needs ':'"),
+    "unknown keyword": (lambda: parse_model(p2_file(add=["weights 1 1 1"])),
+                        ModelFormatError, "line 10: unknown keyword 'weights'"),
+    "no name line": (lambda: parse_model(p2_file(drop=0)),
+                     ModelFormatError, "missing required line: name"),
+    "no gens line": (lambda: parse_model(p2_file(drop=3)),
+                     ModelFormatError, "missing required line: gens"),
+    "model file dim 0": (lambda: parse_model(p2_file(replace=(1, "dim 0"))),
+                         ModelFormatError, "dim and rank must be positive"),
+    # the model
+    "dim 0": (lambda: model(dim=0), ValueError, "dim and rank must be positive"),
+    "rank 0": (lambda: model(rank=0), ValueError, "dim and rank must be positive"),
+    "gens count": (lambda: model(gens=("H", "E")), ValueError,
+                   "expected 1 generator names, got ('H', 'E')"),
+    "divisor count": (lambda: model(divisor_classes=((1,),)), ValueError,
+                      "expected 2 divisor classes, got 1"),
+    "divisor rank": (lambda: model(divisor_classes=((1,), (1, 0))), ValueError,
+                     "divisor class (1, 0) has wrong rank"),
+    "tensor key length": (lambda: model(tensor={(1, 0): 1}), ValueError,
+                          "bad tensor key (1, 0)"),
+    "negative tensor key": (lambda: model(dim=2, divisor_classes=((1,),) * 3,
+                                          tensor={(-1,): 1}),
+                            ValueError, "bad tensor key (-1,)"),
+    "radial shape": (lambda: model(radial=((1,),)), ValueError,
+                     "radial data must be an r x (n+r) matrix"),
+    "coordinate count": (lambda: model(coord_names=("x",)), ValueError,
+                         "coordinate table must have n+r names"),
+    "element table": (lambda: ChowElement(("H",), MultiPoly(("E", "H"))), ValueError,
+                      "generators ('H',) must prefix the table ('E', 'H')"),
+    # the builtin families
+    "projective(0)": (lambda: catalog.projective(0), ModelFormatError,
+                      "projective space needs positive dimension"),
+    "weighted(1)": (lambda: catalog.weighted(1), ModelFormatError,
+                    "need at least two weights"),
+    "weighted(1, -2)": (lambda: catalog.weighted(1, -2), ModelFormatError,
+                        "weights must be positive"),
+    "multiprojective()": (lambda: catalog.multiprojective(), ModelFormatError,
+                          "factor dimensions must be positive"),
+    "blowup_point(1)": (lambda: catalog.blowup_point(1), ModelFormatError,
+                        "blow-up of a point needs ambient dimension >= 2"),
+    # the residue layer
+    "no components": (lambda: residue.IndexQuery(()), ValueError,
+                      "need at least one component"),
+    "mixed table": (lambda: residue.IndexQuery((X * X, U * U)), ValueError,
+                    "components must share one variable table"),
+    "component count of a germ": (lambda: residue.IndexQuery((X,)), ValueError,
+                                  "2 variables need 2 components, got 1"),
+    "constant term": (lambda: residue.IndexQuery((X + 1, Y)), ValueError,
+                      "components must vanish at the origin; found constant term in x + 1"),
+    "group order 0": (lambda: residue.IndexQuery((X, Y), group_order=0), ValueError,
+                      "group order must be a positive integer"),
+    "cap 1": (lambda: residue.IndexQuery((X, Y), degree_cap=1), ValueError,
+              "degree cap must be at least 2"),
+    "negative multiplicity": (lambda: residue.orbifold_index(-1, 1), ValueError,
+                              "multiplicity cannot be negative"),
+    # the counts
+    "kind": (lambda: formulas.restricted_sing_count(P2, 1, 1, "leaf"), ValueError,
+             "kind must be one of ('foliation', 'distribution'), got 'leaf'"),
+    "scalar degree on rank 2": (
+        lambda: formulas.foliation_sing_count(catalog.multiprojective(1, 1), 1),
+        ValueError, "scalar degree is ambiguous on a rank-2 model"),
+    "unrecognized degree": (lambda: formulas.foliation_sing_count(P2, "d"), ValueError,
+                            "unrecognized degree 'd'"),
+    "multidegree classes": (lambda: formulas.multidegree(P2, [1, 1, 1], 0), ValueError,
+                            "too many classes"),
+    "multidegree generator": (lambda: formulas.multidegree(P2, [1], 1, generator=True),
+                              ValueError, "generator index 1 out of range 0..0"),
+    "wci multidegree": (lambda: formulas.wci_sing_count((1, 1, 1, 1), (0,), 1), ValueError,
+                        "complete-intersection multidegrees must be positive"),
+    "surface multidegrees": (lambda: formulas.baum_bott_sum((1, 1, 1, 1), (), 1),
+                             ValueError, "surface case needs m = n-2 = 1 classes, got 0"),
+    "scroll twists": (lambda: formulas.regular_search("scroll", 3), ValueError,
+                      "scroll search needs the twist list"),
+    "closed form n = 2": (lambda: formulas.scroll_closed_form(2, (1, 1), 1, 1),
+                          ValueError, "closed form applies in dimension > 2"),
+    "closed form twist count": (lambda: formulas.scroll_closed_form(3, (1, 1), 1, 1),
+                                ValueError, "need 3 twists, got 2"),
+    "toric-curve data": (lambda: formulas.poincare_check("toric-curve", model=P2),
+                         ValueError, "toric-curve needs a model, classes, and degree"),
+    "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
+                         "expected 3 divisor coefficients"),
+    # polynomial fields and exact division
+    "component count": (lambda: polyfield.VectorFieldExpr(P2, ZP2[:2]), ValueError,
+                        "expected 3 components, got 2"),
+    "component table": (lambda: polyfield.OneFormExpr(P2, [X, X, X]), ValueError,
+                        "components must live on the model's coordinates"),
+    "zero divisor": (lambda: polyfield.exact_divide(X, MultiPoly.zero(("x", "y"))),
+                     ZeroDivisionError, "division by the zero polynomial"),
+    "division tables": (lambda: polyfield.exact_divide(X, U), ValueError,
+                        "divide requires a shared variable table"),
+    "degrees without divisors": (
+        lambda: polyfield.check_quasi_homogeneous(
+            catalog.blowup_line_p3(), MultiPoly.zero(catalog.blowup_line_p3().coord_names)),
+        UnsupportedModelError,
+        "model Bl_L(P3) records no divisor classes, so coordinates carry no degrees"),
+    # polynomials and series
+    "exponent length": (lambda: MultiPoly(("x",), {(1, 2): 1}), ValueError,
+                        "exponent (1, 2) does not match variables ('x',)"),
+    "negative exponent": (lambda: MultiPoly(("x",), {(-1,): 1}), ValueError,
+                          "exponents must be nonnegative integers: (-1,)"),
+    "constant_value": (lambda: (X + 1).constant_value(), ValueError,
+                       "not a constant polynomial: x + 1"),
+    "extended": (lambda: X.extended(("x", "z")), AlignmentError,
+                 "cannot embed table ('x', 'y') into ('x', 'z')"),
+    "negative series degree": (lambda: elementary_series([1], -1), ValueError,
+                               "degree must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("call, error, text", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, error, text):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == text
