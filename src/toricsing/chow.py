@@ -58,8 +58,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedModelError
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, _variable_table, aligned, as_poly,
-    mul_terms, poly_sum,
+    MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms,
+    _variable_table, aligned, as_poly, mul_terms, poly_sum,
 )
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
@@ -147,7 +147,10 @@ class ToricModel:
     weights must be ints or Fractions, generator names must differ, and
     override degrees must lie in 1..n, each on the generators' table.  The
     builtins of `catalog` build their models through `_trusted`, which
-    skips these checks.
+    skips these checks.  Only `catalog.parse_model` runs
+    `check_chern_consistency`: a model built here directly takes its
+    overrides as given, even where they disagree with its divisor classes,
+    and the counts read them.
     """
 
     name: str
@@ -322,8 +325,9 @@ class ChowElement:
             return ChowElement(self.gens, MultiPoly.const(value, self.poly.vars))
         if isinstance(value, MultiPoly):
             # scalar expression: degree symbols only, no generator collisions
-            return ChowElement(self.gens,
-                               value.extended(_table_beside(self.gens, [value])))
+            _check_symbols(self.gens, (value,))
+            return ChowElement(self.gens, value.extended(
+                self.gens + _merged_table((value.vars,), self.gens)))
         return None
 
     def __add__(self, other) -> ChowElement:
@@ -373,14 +377,13 @@ class ChowElement:
         return f"ChowElement({self.poly.canonical_string()!r})"
 
 
-def _table_beside(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> tuple[str, ...]:
-    """The variable table of Chow elements with these scalar coefficients:
-    the generators first, then the degree symbols in order of first
-    appearance.  A degree symbol may not collide with a generator."""
-    if any(v in gens for p in scalars for v in p.used_vars()):
-        raise ValueError("degree symbols may not collide with generators")
-    return gens + tuple(dict.fromkeys(
-        v for p in scalars for v in p.vars if v not in gens))
+def _check_symbols(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> None:
+    """A scalar expression's table may hold a generator name, which the
+    merge of degree symbols (`exactalg._merged_table`) leaves out, only
+    unused: a degree symbol may not collide with a generator."""
+    for p in scalars:
+        if any(v in gens for v in p.vars) and any(v in gens for v in p.used_vars()):
+            raise ValueError("degree symbols may not collide with generators")
 
 
 def unit_element(gens: Sequence[str]) -> ChowElement:
@@ -397,7 +400,7 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     terms, zero = {}, (0,) * len(symbols)
     for u, x in zip(model._units, vec):
         if isinstance(x, MultiPoly):
-            terms.update((u + e, c) for e, c in _on_table(x.terms.items(), x.vars, symbols))
+            terms.update((u + e, c) for e, c in _moved_terms(x.terms.items(), x.vars, symbols))
         elif x:
             terms[u + zero] = Fraction(x)
     return ChowElement(model.gens, MultiPoly._trusted(model.gens + symbols, terms))
@@ -429,19 +432,8 @@ def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, 
             raise TypeError(f"Picard vector entry {x!r} is not a scalar expression")
     if not polys:
         return ()
-    symbols = tuple(dict.fromkeys(v for p in polys for v in p.vars))
-    if set(symbols).isdisjoint(model.gens):
-        return symbols
-    return _table_beside(model.gens, polys)[model.rank:]
-
-
-def _on_table(items, src: tuple[str, ...], table: tuple[str, ...]):
-    """(exponent, coefficient) items over the symbols src, each exponent
-    moved onto the table, which holds every symbol an exponent uses."""
-    if src == table:
-        return items
-    at = [src.index(v) if v in src else None for v in table]
-    return [(tuple(0 if i is None else e[i] for i in at), c) for e, c in items]
+    _check_symbols(model.gens, polys)
+    return _merged_table((p.vars for p in polys), model.gens)
 
 
 def class_of_divisor_coeffs(model: ToricModel,
@@ -607,7 +599,7 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
         raise ValueError(f"{len(factors)} factors exceed the dimension {model.dim}")
     classes = (*factors, *over, *(() if twist is None else (twist,)))
     symbols = [s for s in (_vector_symbols(model, c) for c in classes) if s]
-    table = tuple(dict.fromkeys(chain.from_iterable(symbols))) if symbols else ()
+    table = _merged_table(symbols) if symbols else ()
     f, g = len(factors), len(factors) + len(over)
     xs = []
     for i, cls in enumerate(classes):
@@ -645,7 +637,7 @@ def _kernel_terms(x: ScalarLike, table: tuple[str, ...], sign: int) -> _Terms:
     `MultiPoly`, as a `_pass` entry on the merged symbol table."""
     if isinstance(x, MultiPoly):
         return _Terms((e, sign * _exact_scalar(c))
-                      for e, c in _on_table(x.terms.items(), x.vars, table))
+                      for e, c in _moved_terms(x.terms.items(), x.vars, table))
     return _Terms({(0,) * len(table): sign * _exact_scalar(x)} if x else {})
 
 

@@ -12,7 +12,8 @@ values are immutable after construction, the term table included (a
 read-only view), so they may be cached and shared freely between threads.
 
 Arithmetic requires both operands to live on the same variable table;
-`aligned()` merges tables when callers hold values from different contexts.
+`aligned()` merges tables when callers hold values from different contexts,
+by the one merge (`_merged_table`) and move (`_moved_terms`) `chow` uses too.
 
 `integer_roots` finds the integer roots of a univariate integer polynomial
 in a range by exact sign bisection; the searches solve their count
@@ -161,17 +162,10 @@ class MultiPoly:
         variables = tuple(variables)
         if variables == self.vars:
             return self
-        try:
-            pos = [variables.index(v) for v in self.vars]
-        except ValueError:
+        if not set(self.vars).issubset(variables):
             raise AlignmentError(
                 f"cannot embed table {self.vars!r} into {variables!r}")
-        terms = {}
-        for exp, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, exp):
-                new[p] = e
-            terms[tuple(new)] = coeff
+        terms = dict(_moved_terms(self.terms.items(), self.vars, variables))
         return MultiPoly._trusted(_variable_table(variables), terms)
 
     def _check_table(self, other: MultiPoly) -> None:
@@ -374,20 +368,31 @@ def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]
 
 
 def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:
-    """Re-embed polynomials on the merged variable table.
-
-    The merge keeps the first operand's order and appends unseen variables
-    in the order the later operands declare them.
-    """
+    """Re-embed polynomials on their tables merged by `_merged_table`: the
+    first operand's order, then unseen names as later operands declare them."""
     if all(p.vars == polys[0].vars for p in polys[1:]):
         return polys
-    merged: list[str] = []
-    for p in polys:
-        for v in p.vars:
-            if v not in merged:
-                merged.append(v)
-    table = tuple(merged)
+    table = _merged_table(p.vars for p in polys)
     return tuple(p.extended(table) for p in polys)
+
+
+def _merged_table(tables: Iterable[Sequence[str]],
+                  leave_out: Sequence[str] = ()) -> tuple[str, ...]:
+    """The names of the tables in order of first appearance, less those in
+    leave_out: the one merge of variable tables (`aligned`, and the degree
+    symbols beside the generators in `chow`, which leaves those out)."""
+    return tuple(dict.fromkeys(v for t in tables for v in t if v not in leave_out))
+
+
+def _moved_terms(items, src: tuple[str, ...], table: tuple[str, ...]):
+    """(exponent, coefficient) items over the names src, each exponent moved
+    onto the table: a name src lacks gets exponent 0, and one the table
+    lacks is dropped, so it must be unused there (`extended` refuses any
+    such name first).  Equal tables give the items back as they are."""
+    if src == table:
+        return items
+    at = [src.index(v) if v in src else None for v in table]
+    return [(tuple(0 if i is None else e[i] for i in at), c) for e, c in items]
 
 
 def as_poly(value: ScalarLike, variables: Sequence[str] = ()) -> MultiPoly:

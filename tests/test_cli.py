@@ -372,6 +372,24 @@ def test_each_degree_flag_keeps_its_own_meaning(capsys, argv, message):
     assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # refused before the file is opened, so it need not exist
+    (("count", "foliation", "--model", "projective:2", "--model-file", "unread.model",
+      "--degree", "1"), "give exactly one of --model and --model-file"),
+    (("count", "foliation", "--degree", "1"),
+     "no model given; use --model or --model-file"),
+    (("count", "foliation", "--model", "projective:2"),
+     "no degree given; use --degree, --degree-div, or --symbolic"),
+    (("count", "wci", "--weights", "1,1,1", "--ci", "1"),
+     "no degree given; use --degree or --symbolic"),
+    (("euler", "ci", "--model", "projective:3"), "no classes given; use --class"),
+    (("search", "--family", "scroll", "--bound", "3", "--scroll-a", "1,x"),
+     "--scroll-a takes comma-separated integers, got '1,x'"),
+])
+def test_missing_and_malformed_arguments_are_domain_errors(capsys, argv, message):
+    assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("case", HELP_STREAMS,
                          ids=lambda case: " ".join(case["argv"]) or "no arguments")
 def test_help_and_usage_streams_are_pinned(case, capsys, monkeypatch):

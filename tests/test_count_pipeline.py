@@ -412,7 +412,13 @@ def _symbol_entries(names):
 
 
 def picard_vectors(m, names):
-    entry = st.integers(-4, 4) | RATIONALS | _symbol_entries(names)
+    """Entries of ints, rationals and scalar expressions, the latter on the
+    symbols' table, on it reversed, or on one holding a generator name
+    unused, which the count's table and the element's leave out."""
+    s, t = names
+    tables = [names, (t, s), (t, m.gens[0], s), (s, t, m.gens[-1])]
+    symbolic = st.builds(MultiPoly.extended, _symbol_entries(names), st.sampled_from(tables))
+    entry = st.integers(-4, 4) | RATIONALS | symbolic
     return st.tuples(*[entry] * m.rank)
 
 
