@@ -348,6 +348,12 @@ class ChowElement:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other) -> ChowElement:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other) -> ChowElement:
         other = self._coerce(other)
         if other is None:

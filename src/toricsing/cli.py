@@ -291,14 +291,12 @@ def _handle_poincare(args):
     from . import formulas
     if args.variant == "toric-curve":
         model = _model_from_args(args)
-        verdict = formulas.poincare_check(
-            args.variant, model=model, classes=_class_list_from_args(args),
-            degree=_degree_from_args(args, model), strict=args.strict)
+        data = dict(model=model, classes=_class_list_from_args(args),
+                    degree=_degree_from_args(args, model))
     else:
         degree = _scalar_degree_from_args(args)
-        verdict = formulas.poincare_check(
-            args.variant, weights=_ints(args.weights), classes=_ints(args.ci),
-            degree=degree)
+        data = dict(weights=_ints(args.weights), classes=_ints(args.ci), degree=degree)
+    verdict = formulas.poincare_check(args.variant, strict=args.strict, **data)
     result = ("holds" if verdict.holds else "fails") if verdict.holds is not None \
         else "indeterminate"
     details = {

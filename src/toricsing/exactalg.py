@@ -15,10 +15,6 @@ Arithmetic requires both operands to live on the same variable table;
 `aligned()` merges tables when callers hold values from different contexts,
 by the one merge (`_merged_table`) and move (`_moved_terms`) `chow` uses too.
 
-`integer_roots` finds the integer roots of a univariate integer polynomial
-in a range by exact sign bisection; the searches solve their count
-polynomials with it.  `horner` evaluates such coefficient lists.
-
 `parse_polynomial` reads signed-term syntax such as `3*x^2*y - 1/2*y`
 onto a given variable table; model files, the CLI and round trips share it.
 Text it cannot read raises ModelFormatError naming the fault.
@@ -80,7 +76,7 @@ class MultiPoly:
             if len(exp) != len(variables):
                 raise ValueError(
                     f"exponent {exp!r} does not match variables {variables!r}")
-            if any(e < 0 or not isinstance(e, int) for e in exp):
+            if any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"exponents must be nonnegative integers: {exp!r}")
             coeff = _exact_coefficient(coeff)
             if coeff:
@@ -231,7 +227,7 @@ class MultiPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.vars) if not isinstance(other, MultiPoly) else other
+            other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         if self.vars == other.vars:
@@ -498,89 +494,3 @@ def parse_polynomial(text: str, variables: Sequence[str],
         if joint not in ("+", "-"):
             raise ModelFormatError(f"expected '+' or '-' before {joint!r}")
         coeff, exps = Fraction(1), [0] * len(variables)
-
-
-# ---------------------------------------------------------------------------
-# integer roots of univariate integer polynomials
-
-
-def integer_roots(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
-    """The sorted integer roots in [lo, hi] of sum_i coeffs[i] * x^i.
-
-    The range is split where the polynomial stops being monotone, and each
-    piece is bisected on exact integer signs.  The zero polynomial vanishes
-    on the whole range.  A coefficient or bound that is not an int raises
-    ValueError naming it: a float would give inexact signs, and a bool is an
-    int to Python but no coefficient.
-    """
-    c = list(coeffs)
-    for what, x in (*((f"coefficient of x^{i}", x) for i, x in enumerate(c)),
-                    ("lower bound", lo), ("upper bound", hi)):
-        if type(x) is not int:
-            raise ValueError(f"integer_roots {what} is {x!r}, not an int")
-    while c and c[-1] == 0:
-        c.pop()
-    if not c or lo > hi:
-        return list(range(lo, hi + 1))
-    cuts = _monotone_cuts(c, lo, hi)
-    roots = {x for x in cuts if horner(c, x) == 0}
-    for a, b in zip(cuts, cuts[1:]):
-        m = _crossing(c, a, b)
-        if m is not None and horner(c, m) == 0:
-            roots.add(m)
-    return sorted(roots)
-
-
-def horner(c: Sequence[int], x: int) -> int:
-    """sum_i c[i] * x^i by Horner's rule; exact on integers."""
-    acc = 0
-    for coeff in reversed(c):
-        acc = acc * x + coeff
-    return acc
-
-
-def _crossing(c: Sequence[int], a: int, b: int) -> int | None:
-    """For a polynomial monotone on [a, b]: an m in [a, b] where it vanishes,
-    or with a sign change between m and m + 1; None when it keeps one
-    strict sign."""
-    fa, fb = horner(c, a), horner(c, b)
-    if fa == 0:
-        return a
-    if fb == 0:
-        return b
-    if (fa > 0) == (fb > 0):
-        return None
-    while b - a > 1:
-        mid = (a + b) // 2
-        fm = horner(c, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a = mid
-        else:
-            b = mid
-    return a
-
-
-def _monotone_cuts(c: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Sorted integers of [lo, hi], both ends included, such that the
-    nonzero polynomial c is strictly monotone or constant between any two
-    consecutive cuts at distance two or more.
-
-    A polynomial of degree at most one needs only the ends.  Otherwise the
-    cuts are those of the derivative, plus the integer neighbours of each
-    sign change of the derivative, located by `_crossing` on the
-    derivative's own monotone pieces.  Keeping the derivative's cuts lets a
-    piece of length one, on which the derivative need not be monotone, hide
-    nothing: it has no integer strictly inside.
-    """
-    if len(c) <= 2:
-        return [lo, hi]
-    dc = [i * x for i, x in enumerate(c)][1:]
-    inner = _monotone_cuts(dc, lo, hi)
-    cuts = set(inner)
-    for a, b in zip(inner, inner[1:]):
-        m = _crossing(dc, a, b)
-        if m is not None:
-            cuts.update(x for x in (m, m + 1) if x <= hi)
-    return sorted(cuts)

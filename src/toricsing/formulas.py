@@ -32,7 +32,7 @@ from .chow import ChowElement, ScalarExpr, ToricModel
 from .errors import OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _check_symbol, _variable_table,
-    aligned, as_poly, integer_roots,
+    aligned, as_poly,
 )
 
 KINDS = ("foliation", "distribution")
@@ -420,9 +420,11 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     left.  `toric-curve`: the aggregated multidegree inequality on a smooth
     toric variety, computed against the curve's Poincare dual; `strict`
     tightens the bound by one unit of curve degree, the sharpening valid on
-    projective space.
+    projective space, and the wci variants refuse it.
     """
     if variant in ("wci-curve", "wci-general"):
+        if strict:
+            raise ValueError(f"{variant} has no strict form; only toric-curve has")
         if weights is None or classes is None or degree is None:
             raise ValueError(f"{variant} needs weights, classes, and degree")
         model, w, a = _weighted(weights, classes)
@@ -598,14 +600,24 @@ def _row_polynomials(terms: Sequence[dict[tuple[int, int], int]],
     return rows
 
 
+def horner(c: Sequence[int], x: int) -> int:
+    """sum_i c[i] * x^i by Horner's rule; exact on integers."""
+    acc = 0
+    for coeff in reversed(c):
+        acc = acc * x + coeff
+    return acc
+
+
 def _roots(coeffs: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The integer roots d >= 1 of sum_i coeffs[i] * d^i, all of them: the
-    Cauchy bound 1 + max |c_i| // |c_n| caps the range.  None when every
-    coefficient is zero, since then every d is a root."""
+    """The integer roots d >= 1 of sum_i coeffs[i] * d^i, all of them, found
+    by evaluating at each d up to the Cauchy bound 1 + max |c_i| // |c_n|,
+    above which no root lies.  None when every coefficient is zero, since
+    then every d is a root."""
     if not any(coeffs):
         return None
     lead = next(c for c in reversed(coeffs) if c)
-    return tuple(integer_roots(coeffs, 1, 1 + max(map(abs, coeffs)) // abs(lead)))
+    bound = 1 + max(map(abs, coeffs)) // abs(lead)
+    return tuple(d for d in range(1, bound + 1) if horner(coeffs, d) == 0)
 
 
 @cache

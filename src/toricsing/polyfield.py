@@ -209,15 +209,9 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
 
 
 def frobenius_integrable(model: ToricModel, form: OneFormExpr) -> bool:
-    """Frobenius integrability by direct expansion of the wedge ω ∧ dω.
-
-    Implemented for up to 6 coordinates; the coefficient count grows
-    combinatorially beyond that and nothing in the catalog needs it.
-    """
+    """Frobenius integrability by direct expansion of the wedge ω ∧ dω:
+    its C(N, 3) coefficients on N coordinates are tested for zero."""
     coords = model.coord_names
-    if len(coords) > 6:
-        raise UnsupportedModelError(
-            "integrability check supports at most 6 coordinates")
     P = form.components
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):

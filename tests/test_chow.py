@@ -191,6 +191,13 @@ def test_integrate_drops_lower_degrees():
     assert integrate(m, total) == 3
 
 
+@pytest.mark.parametrize("x", [1, Fraction(1, 2), 3 * MultiPoly.variable("d", ("d",)) - 1])
+def test_scalars_subtract_elements_from_the_left(x):
+    # 1 - c used to raise TypeError, while c - 1 worked
+    c = chern_class(catalog.projective(2), 1)
+    assert x - c == -(c - x)
+
+
 def _random_element(rng, model, nterms=4, with_symbol=False):
     table = model.gens + (("t",) if with_symbol else ())
     terms = {}

@@ -265,6 +265,16 @@ def test_poincare_cli(capsys):
     assert "lhs = 12" in lines and "rhs = 13" in lines and "slack = 1" in lines
 
 
+def test_strict_wci_verdicts_are_refused(capsys):
+    # --strict used to be dropped on the wci variants, printing slack 4
+    argv = ("poincare", "--variant", "wci-curve", "--weights", "1,1,1", "--ci", "2",
+            "--degree", "3")
+    assert _run(capsys, *argv)[0] == 0
+    status, out, err = _run(capsys, *argv, "--strict")
+    assert (status, out) == (1, "")
+    assert err == "error: wci-curve has no strict form; only toric-curve has\n"
+
+
 def test_domain_error_exit_code(capsys):
     status, out, err = _run(capsys, "count", "foliation", "--model",
                             "weighted:2,4,6", "--degree", "1")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toricsing.errors import AlignmentError, ModelFormatError
-from toricsing.exactalg import MultiPoly, aligned, integer_roots, poly_sum
+from toricsing.exactalg import MultiPoly, aligned, poly_sum
 from toricsing.catalog import parse_polynomial
 
 VARS = ("a", "b", "c", "x", "y")
@@ -198,118 +198,6 @@ def test_const_coerces_with_fraction():
     assert MultiPoly.const(0, ("a",)).is_zero
     with pytest.raises(TypeError):
         MultiPoly.const(None, ("a",))
-
-
-# -- integer roots of univariate integer polynomials -------------------------
-
-def _times_linear(c, root_num, root_den=1):
-    """c times (root_den*x - root_num), coefficients lowest power first."""
-    out = [0] * (len(c) + 1)
-    for i, x in enumerate(c):
-        out[i] -= root_num * x
-        out[i + 1] += root_den * x
-    return out
-
-
-def _scan(c, lo, hi):
-    return [x for x in range(lo, hi + 1)
-            if sum(ci * x ** i for i, ci in enumerate(c)) == 0]
-
-
-@st.composite
-def planted_polys(draw):
-    """(coefficients, lo, hi): a product of planted linear factors, integer
-    roots with repeats and neighbours or half-integer ones, sometimes shifted
-    by a constant, over a range whose ends often sit on a planted root."""
-    roots = draw(st.lists(st.integers(-12, 12), max_size=5))
-    if roots and len(roots) < 5:
-        extra = draw(st.sampled_from(("none", "repeat", "adjacent")))
-        if extra == "repeat":
-            roots.append(roots[0])
-        elif extra == "adjacent":
-            roots.append(roots[0] + 1)
-    c = [draw(st.integers(-4, 4).filter(bool))]
-    for r in roots:
-        if draw(st.integers(0, 4)) == 0:
-            c = _times_linear(c, 2 * r + 1, 2)   # root r + 1/2
-        else:
-            c = _times_linear(c, r)
-    if draw(st.booleans()):
-        c[0] += draw(st.integers(-30, 30))
-    ends = st.sampled_from(roots) if roots else st.integers(-15, 15)
-    lo = draw(st.one_of(ends, st.integers(-15, 15)))
-    hi = draw(st.one_of(ends, st.integers(lo - 1, lo + 25)))
-    return c, lo, hi
-
-
-@settings(max_examples=400, deadline=None)
-@given(planted_polys())
-def test_integer_roots_match_the_scan(case):
-    c, lo, hi = case
-    assert integer_roots(c, lo, hi) == _scan(c, lo, hi)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.integers(-40, 40).filter(bool), st.integers(-60, 60),
-       st.one_of(st.just(0), st.integers(-500, 500)),
-       st.integers(-70, 70), st.integers(-5, 70))
-def test_linear_integer_roots_match_the_scan(c1, root, shift, lo, width):
-    # c0 = -c1 * root plants an integer root; a shift mostly moves it off
-    # the integers; a negative width makes lo > hi
-    c = [-c1 * root + shift, c1]
-    assert integer_roots(c, lo, lo + width) == _scan(c, lo, lo + width)
-
-
-def test_integer_roots_edge_cases():
-    assert integer_roots([], -3, 3) == [-3, -2, -1, 0, 1, 2, 3]
-    assert integer_roots([0, 0, 0], 2, 4) == [2, 3, 4]
-    assert integer_roots([0], 5, 4) == []
-    assert integer_roots([7], -10, 10) == []
-    assert integer_roots([-7, 0, 0], -10, 10) == []
-    # roots at both ends, adjacent roots, a triple root
-    c = _times_linear(_times_linear(_times_linear([1], -4), 5), 6)
-    assert integer_roots(c, -4, 6) == [-4, 5, 6]
-    assert integer_roots(c, -3, 5) == [5]
-    triple = _times_linear(_times_linear(_times_linear([3], 2), 2), 2)
-    assert integer_roots(triple, -100, 100) == [2]
-    # a linear factor without an integer root
-    assert integer_roots([1, 2], -5, 5) == []
-    assert integer_roots([-9, 0, 1], -5, 5) == [-3, 3]
-    # the sign screen: a root at 0 stays visible when the range reaches 0
-    assert integer_roots([0, 1, 1], 0, 5) == [0]
-    assert integer_roots([0, 1, 1], 1, 5) == []
-    assert integer_roots([-2, 0, -1, -3], 1, 50) == []
-    # -(x + 3)(x^2 + 1): one sign, but the range reaches its negative root
-    assert integer_roots([-3, -1, -3, -1], -5, 5) == [-3]
-    # one sign change: (x - 7)(x^2 + x + 3) has its root 7 in range
-    assert integer_roots([-21, -4, -6, 1], 1, 50) == [7]
-    assert integer_roots([-21, -4, -6, 1], 8, 50) == []
-
-
-def test_integer_roots_are_exact_at_large_magnitudes():
-    big = 10 ** 30
-    c = _times_linear(_times_linear(_times_linear([1], big), big + 1), -big)
-    assert integer_roots(c, -2 * big, 2 * big) == [-big, big, big + 1]
-    c[0] += 1
-    assert integer_roots(c, -2 * big, 2 * big) == []
-
-
-@pytest.mark.parametrize("args, named", [
-    # 1.0 * x rounds 10**17 + 1 to 10**17: two false roots, the true one missed
-    (([-(10 ** 17 + 1), 1.0], 10 ** 17, 10 ** 17 + 2), "coefficient of x^1 is 1.0"),
-    (([-9, 0, 1.0], -5, 5), "coefficient of x^2 is 1.0"),
-    (([Fraction(1, 2), 1], -5, 5), "coefficient of x^0 is Fraction(1, 2)"),
-    (([0], 1.5, 3), "lower bound is 1.5"),
-    (([0], 1, "3"), "upper bound is '3'"),
-    # a bool is an int to Python: [True, 1] used to give the root -1
-    (([True, 1], -3, 3), "coefficient of x^0 is True"),
-    (([0], False, 3), "lower bound is False"),
-    (([0], 1, True), "upper bound is True"),
-])
-def test_integer_roots_reject_inexact_data(args, named):
-    with pytest.raises(ValueError, match=f"^integer_roots {re.escape(named)}, not an int$"):
-        integer_roots(*args)
-    assert integer_roots([-(10 ** 17 + 1), 1], 10 ** 17, 10 ** 17 + 2) == [10 ** 17 + 1]
 
 
 @pytest.mark.parametrize("build, value", [

@@ -13,13 +13,13 @@ from functools import partial
 from math import gcd, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from toricsing import catalog, chow, formulas
 from toricsing.errors import (
     ModelFormatError, NotWellFormedWarning, OrbifoldHypothesisWarning, ToricError,
 )
-from toricsing.exactalg import MultiPoly, aligned, as_poly, integer_roots, poly_sum
+from toricsing.exactalg import MultiPoly, aligned, as_poly, poly_sum
 from toricsing.formulas import (
     alpha_invariant, baum_bott_sum, ci_euler, ci_sing_count,
     complement_euler, complement_sing_count, foliation_sing_count,
@@ -1180,6 +1180,12 @@ P_FAMILY_SOLUTIONS = {
 P_FAMILY_ROW_CUTOFFS = {"p111k": [None, 3, 2], "p1111k": [None, 4, 2, 2]}
 
 
+def _scan_roots(c, hi):
+    """The d in [1, hi] where sum_i c[i] * d^i vanishes, by brute scan."""
+    return [d for d in range(1, hi + 1)
+            if sum(ci * d ** i for i, ci in enumerate(c)) == 0]
+
+
 def _p_family_values(family, m, k):
     """The integer d-coefficients, lowest power first, of the family's
     hand-typed polynomial at a = m k."""
@@ -1196,10 +1202,7 @@ def test_p_family_solution_set_is_exact(family):
     assert formulas._p_family_solution_set(family) is solutions
     for m, first, last, roots in solutions:
         for k in range(first, 40 if last is None else last + 1):
-            c = _p_family_values(family, m, k)
-            assert [d for d in range(1, 50)
-                    if sum(ci * d ** i for i, ci in enumerate(c)) == 0] \
-                == list(roots)
+            assert _scan_roots(_p_family_values(family, m, k), 49) == list(roots)
 
 
 def test_p_family_solution_set_rejects_other_families():
@@ -1210,12 +1213,12 @@ def test_p_family_solution_set_rejects_other_families():
 @pytest.mark.parametrize("family", ["p111k", "p1111k"])
 def test_p_family_scan_leaves_out_only_pairs_without_roots(family):
     k0 = 2 if family == "p111k" else 1
-    exact = {(k, a): _p_family_values(family, a // k, k)
+    roots = {(k, a): _scan_roots(_p_family_values(family, a // k, k), 100)
              for k in range(k0, 101) for a in range(k, 101, k)}
     for bound in range(1, 101):
         expected = sorted(
-            (a, d, k) for k, a in exact if a <= bound
-            for d in integer_roots(exact[k, a], 1, bound))
+            (a, d, k) for k, a in roots if a <= bound
+            for d in roots[k, a] if d <= bound)
         assert [(s.family, s.params, s.annotation)
                 for s in regular_search(family, bound)] == [
             (family, p, "excluded-by-cohomology"
@@ -1295,18 +1298,18 @@ def test_p_family_scan_matches_a_per_pair_enumeration(monkeypatch, build, cutoff
             for kk in range(k0, bound + 1):
                 for aa in range(kk, bound + 1, kk):
                     c = list(build(kk, aa))
-                    expected += [(aa, d, kk) for d in integer_roots(c, 1, bound)]
+                    expected += [(aa, d, kk) for d in _scan_roots(c, bound)]
             assert [s.params for s in regular_search(family, bound)] == sorted(expected)
 
 
 def test_p_family_search_solves_each_polynomial_once(monkeypatch):
     seen = []
 
-    def spy(coeffs, lo, hi):
-        seen.append(tuple(coeffs))
-        return integer_roots(coeffs, lo, hi)
+    def spy(coeffs, solve=formulas._roots):
+        seen.append(coeffs)
+        return solve(coeffs)
 
-    monkeypatch.setattr(formulas, "integer_roots", spy)
+    monkeypatch.setattr(formulas, "_roots", spy)
     formulas._p_family_solution_set.cache_clear()
     for family, cutoffs in P_FAMILY_ROW_CUTOFFS.items():
         seen.clear()
@@ -1322,6 +1325,47 @@ def test_p_family_search_solves_each_polynomial_once(monkeypatch):
         for family in P_FAMILY_ROW_CUTOFFS:
             regular_search(family, bound)
     assert seen == []
+
+
+def _times_linear(c, root_num, root_den=1):
+    """c times (root_den*x - root_num), coefficients lowest power first."""
+    out = [0] * (len(c) + 1)
+    for i, x in enumerate(c):
+        out[i] -= root_num * x
+        out[i + 1] += root_den * x
+    return out
+
+
+@st.composite
+def planted_polys(draw):
+    """A product of planted linear factors, lowest power first: integer
+    roots with repeats and neighbours or half-integer ones, sometimes
+    shifted by a constant, sometimes padded with zero top coefficients."""
+    roots = draw(st.lists(st.integers(-12, 12), max_size=5))
+    if roots and len(roots) < 5:
+        extra = draw(st.sampled_from(("none", "repeat", "adjacent")))
+        if extra == "repeat":
+            roots.append(roots[0])
+        elif extra == "adjacent":
+            roots.append(roots[0] + 1)
+    c = [draw(st.integers(-4, 4).filter(bool))]
+    for r in roots:
+        if draw(st.integers(0, 4)) == 0:
+            c = _times_linear(c, 2 * r + 1, 2)   # root r + 1/2
+        else:
+            c = _times_linear(c, r)
+    if draw(st.booleans()):
+        c[0] += draw(st.integers(-30, 30))
+    return tuple(c + [0] * draw(st.integers(0, 2)))
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(planted_polys())
+def test_roots_match_a_scan_past_the_cauchy_bound(c):
+    lead = next(x for x in reversed(c) if x)
+    cauchy = 1 + max(map(abs, c)) // abs(lead)
+    assert formulas._roots(c) == tuple(_scan_roots(c, 3 * cauchy + 50))
 
 
 def _scroll_grid(a, bound):

@@ -168,12 +168,16 @@ def test_exact_forms_are_integrable():
     assert frobenius_integrable(m, form)
 
 
-def test_integrability_coordinate_cap():
+def test_integrability_on_seven_and_eight_coordinates():
+    # more than 6 coordinates used to be refused
     m = catalog.projective(6)
-    form = OneFormExpr(m, tuple(MultiPoly.zero(m.coord_names)
-                                for _ in range(7)))
-    with pytest.raises(UnsupportedModelError):
-        frobenius_integrable(m, form)
+    assert frobenius_integrable(m, OneFormExpr(m, (MultiPoly.zero(m.coord_names),) * 7))
+    m = catalog.multiprojective(1, 1, 1, 1)
+    # d(z1_0*z2_0), z1_0 and z2_0 at positions 0 and 2
+    exact = _components(m, "z2", "0", "z0", "0", "0", "0", "0", "0")
+    assert frobenius_integrable(m, OneFormExpr(m, exact))
+    rotation = _components(m, *(t for i in range(0, 8, 2) for t in (f"-z{i + 1}", f"z{i}")))
+    assert not frobenius_integrable(m, OneFormExpr(m, rotation))
 
 
 def test_invariant_diagonal_field_coordinate_hyperplane():

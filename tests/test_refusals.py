@@ -124,6 +124,12 @@ REFUSALS = {
                                 ValueError, "need 3 twists, got 2"),
     "toric-curve data": (lambda: formulas.poincare_check("toric-curve", model=P2),
                          ValueError, "toric-curve needs a model, classes, and degree"),
+    "strict wci-curve": (lambda: formulas.poincare_check(
+        "wci-curve", weights=(1, 1, 1), classes=(2,), degree=3, strict=True),
+        ValueError, "wci-curve has no strict form; only toric-curve has"),
+    "strict wci-general": (lambda: formulas.poincare_check(
+        "wci-general", weights=(1, 1, 1, 1), classes=(2,), degree=3, strict=True),
+        ValueError, "wci-general has no strict form; only toric-curve has"),
     "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
                          "expected 3 divisor coefficients"),
     # polynomial fields and exact division
@@ -145,6 +151,10 @@ REFUSALS = {
                         "exponent (1, 2) does not match variables ('x',)"),
     "negative exponent": (lambda: MultiPoly(("x",), {(-1,): 1}), ValueError,
                           "exponents must be nonnegative integers: (-1,)"),
+    "string exponent": (lambda: MultiPoly(("x",), {("a",): 1}), ValueError,
+                        "exponents must be nonnegative integers: ('a',)"),
+    "bool exponent": (lambda: MultiPoly(("x",), {(True,): 1}), ValueError,
+                      "exponents must be nonnegative integers: (True,)"),
     "constant_value": (lambda: (X + 1).constant_value(), ValueError,
                        "not a constant polynomial: x + 1"),
     "extended": (lambda: X.extended(("x", "z")), AlignmentError,
