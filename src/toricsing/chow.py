@@ -370,6 +370,8 @@ class ChowElement:
         return ChowElement(self.gens, self.poly ** exponent)
 
     def __eq__(self, other) -> bool:
+        if other is True or other is False:
+            return NotImplemented  # no number, so == answers False
         if not isinstance(other, ChowElement):
             coerced = self._coerce(other)
             if coerced is None:

@@ -226,6 +226,8 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
+        if other is True or other is False:
+            return NotImplemented  # no number, so == answers False
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):

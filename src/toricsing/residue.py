@@ -13,13 +13,37 @@ Truncating by powers of the maximal ideal localizes at the origin, so inputs
 may vanish elsewhere in the chart too.  c(D) rises strictly until its first
 plateau, and the plateau value is the multiplicity.
 
-One integer echelon, keyed by lowest column, serves every depth.  Columns
-are monomials packed into ints in graded order (see `_macaulay_rows`).  At
-depth D the Macaulay rows s*f_i with deg s = D - 1 - mindeg f_i enter once,
-untruncated: they lead in degree D - 1, and rows entering later lead in
-degree D or above.  A stored pivot never changes, so the rank of the depth-D
-truncation is the number of pivots leading below degree D, final once depth
-D is in, and c(D) is C(D - 1 + n, n) minus that number.
+One integer echelon, keyed by lowest column, serves every depth.  The
+monomial x^e of degree |e| is the column key(e) = (|e| << n*b) +
+sum_i e_i << i*b, b = (cap + max deg f).bit_length().  Rows enter at depths
+D <= cap, so each exponent of s*t (t a term of f_i, |s| = D - 1 - mindeg f_i)
+is below cap + max deg f < 2^b: no field of key(s) + key(t) carries into the
+next, and key(s*t) = key(s) + key(t).  The low n fields sum to less than
+2^(n*b), so |e| < |e'| gives key(e) < key(e'): the order is graded, and the
+monomials of degree below D are the keys below D << n*b.
+
+At depth D the Macaulay rows s*f_i with deg s = D - 1 - mindeg f_i enter
+once, untruncated, by component and then by key(s): they lead in degree
+D - 1, and rows entering later lead in degree D or above.  A stored pivot
+never changes, so the rank of the depth-D truncation is the number of pivots
+leading below degree D, final once depth D is in, and c(D) is
+C(D - 1 + n, n) minus that number.  Three rules keep the echelon cheap:
+
+- A row s*f_i whose lead key(s) + key(lead f_i) has no pivot yet needs no
+  reduction.  It is stored as the pair (key(s), f_i scaled to a positive
+  lead and content 1), counted at its own depth, and expanded into a row
+  only when a reduction first reads it.
+- A row x_k*s*f_i is skipped when s*f_i, one depth earlier, reduced to zero
+  or was skipped.  Then s*f_i is a combination of rows entered before it,
+  and x_k times those are rows entered before x_k*s*f_i, since adding
+  key(x_k) keeps the (depth, component, key) order; so x_k*s*f_i would
+  reduce to zero too, and every pivot stays as it was (this is the
+  redundancy Faugere's F5, ISSAC 2002, avoids).
+- The keys of all monomials of one degree, sorted, are shared by every
+  query: `_shifts` keeps them as tuples, which nothing changes, for at most
+  SHIFT_CACHE_SIZE (variable count, field width, degree) keys, least
+  recently used first out.  Two threads building one list at once store
+  equal values.
 
 An isolated zero has multiplicity at most the product of the component
 degrees (refined Bezout inequality, Fulton, Intersection Theory, 12.3), and
@@ -36,13 +60,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from .errors import NonIsolatedZeroError
 from .exactalg import MultiPoly
 
 DEFAULT_DEGREE_CAP = 64
+# (variable count, field width, degree) keys whose shift lists are kept at once
+SHIFT_CACHE_SIZE = 128
 
 
 def _require_ints(**fields) -> None:
@@ -99,14 +125,30 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
     degrees = [comp.total_degree() for comp in components]
     bound, width = prod(degrees), (query.degree_cap + max(degrees)).bit_length()
     top = nvars * width  # a column below degree D is a key below D << top
-    pivots: dict[int, dict[int, int]] = {}
-    leads: dict[int, int] = {}  # stored pivots per degree of their lead
+    units = [(1 << top) + (1 << i * width) for i in range(nvars)]
+    rows = [_packed(comp, width, top) for comp in components if not comp.is_zero]
+    # per component, the shifts one depth back whose rows were in the span
+    # of the rows before them: reduced to zero, or skipped
+    dead: list[list[int]] = [[] for _ in rows]
+    pivots: dict[int, dict[int, int] | tuple] = {}
+    leads: dict[int, int] = {}  # reduced pivots per degree of their lead
     rank, previous = 0, None  # pivots leading below the depth, and c(depth - 1)
-    new_rows = _macaulay_rows(components, nvars, width)
     for depth in range(1, query.degree_cap + 1):
-        for row in next(new_rows):
-            if (lead := _insert(pivots, row)) is not None:
-                leads[lead >> top] = leads.get(lead >> top, 0) + 1
+        for i, (lead, terms) in enumerate(rows):
+            if (degree := depth - 1 - (lead >> top)) < 0:
+                continue
+            skip = {shift + unit for shift in dead[i] for unit in units}
+            dead[i] = zero = []
+            for shift in _shifts(nvars, width, degree):
+                if shift in skip:
+                    zero.append(shift)
+                elif shift + lead not in pivots:
+                    pivots[shift + lead] = (shift, terms)
+                    rank += 1  # it leads in degree depth - 1
+                elif (new := _insert(pivots, {shift + k: c for k, c in terms})) is None:
+                    zero.append(shift)
+                else:
+                    leads[new >> top] = leads.get(new >> top, 0) + 1
         rank += leads.get(depth - 1, 0)
         dim = comb(depth - 1 + nvars, nvars) - rank
         if previous is not None:
@@ -154,43 +196,41 @@ def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
     return total
 
 
-def _macaulay_rows(components, nvars: int, width: int):
-    """Yield, for depth D = 1, 2, ..., the integer rows s*f_i entering at D.
-
-    The monomial x^e of degree |e| is the column key(e) = (|e| << n*b) +
-    sum_i e_i << i*b, b = `width` = (cap + max deg f).bit_length().  Rows
-    enter at depths D <= cap, so each exponent of s*t (t a term of f_i,
-    |s| = D - 1 - mindeg f_i) is below cap + max deg f < 2^b: no field of
-    key(s) + key(t) carries into the next, and key(s*t) = key(s) + key(t).
-    The low n fields sum to less than 2^(n*b), so |e| < |e'| gives
-    key(e) < key(e'): the order is graded, and the monomials of degree below
-    D are the keys below D << n*b.
-    Components are scaled to integers once; zero ones give no rows.  Shifts
-    of degree k are those of degree k - 1 times each variable, sorted."""
-    top = nvars * width
-    scaled = []
-    for terms in [comp.terms for comp in components if not comp.is_zero]:
-        scale = lcm(*(c.denominator for c in terms.values()))
-        scaled.append((min(map(sum, terms)), [
-            (sum((x << i * width for i, x in enumerate(e)), sum(e) << top),
-             c.numerator * (scale // c.denominator)) for e, c in terms.items()]))
-    units = [(1 << top) + (1 << i * width) for i in range(nvars)]
-    shifts = [[0]]
-    for depth in count(1):
-        yield [{shift + k: c for k, c in terms}
-               for low, terms in scaled if depth > low
-               for shift in shifts[depth - 1 - low]]
-        shifts.append(sorted({s + u for s in shifts[-1] for u in units}))
+def _packed(comp: MultiPoly, width: int, top: int) -> tuple[int, tuple]:
+    """The lead column and the (column, value) terms, lead first, of a
+    nonzero component as a row of the echelon: scaled to integers with a
+    positive lead and content 1, as a stored pivot is.  Its row shifted by
+    the monomial of key s is {s + k: c}, normalised the same way."""
+    scale = lcm(*(c.denominator for c in comp.terms.values()))
+    terms = sorted(
+        (sum((x << i * width for i, x in enumerate(e)), sum(e) << top),
+         c.numerator * (scale // c.denominator)) for e, c in comp.terms.items())
+    g = gcd(*(c for _, c in terms)) if terms[0][1] > 0 else -gcd(*(c for _, c in terms))
+    return terms[0][0], tuple((k, c // g) for k, c in terms)
 
 
-def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | None:
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _shifts(nvars: int, width: int, degree: int) -> tuple[int, ...]:
+    """The keys of the monomials of one degree in `nvars` variables, with
+    fields of `width` bits, ascending: by the highest variable's exponent,
+    then the next.  Shared by every query; a tuple, so never changed."""
+    keys = [(degree << nvars * width, degree)]  # (key so far, degree left)
+    for i in range(nvars - 1, 0, -1):
+        keys = [(key + (x << i * width), left - x)
+                for key, left in keys for x in range(left + 1)]
+    return tuple(key + left for key, left in keys)
+
+
+def _insert(pivots: dict[int, dict[int, int] | tuple], row: dict[int, int]) -> int | None:
     """Reduce an integer row {column: value} into the echelon; return the
     column it becomes the pivot of, or None when it reduces to zero.
 
     While the row's lowest column has a pivot p, the row becomes, in place,
     (p[lead]*row - row[lead]*p) / gcd(p[lead], row[lead]).  A row with a new
     leading column is kept as that column's pivot, with a positive lead and
-    content 1, and never changes again."""
+    content 1, and never changes again.  A pivot may also be stored as a
+    pair (s, terms) standing for the row {s + k: c for k, c in terms}; the
+    first reduction that reads it stores that row in its place."""
     while row:
         lead = min(row)
         pivot = pivots.get(lead)
@@ -198,6 +238,9 @@ def _insert(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> int | Non
             g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
             pivots[lead] = row if g == 1 else {c: x // g for c, x in row.items()}
             return lead
+        if type(pivot) is tuple:
+            shift, terms = pivot
+            pivot = pivots[lead] = {shift + k: c for k, c in terms}
         g = gcd(pivot[lead], row[lead])
         a, b = pivot[lead] // g, row[lead] // g
         if a != 1:

@@ -394,6 +394,17 @@ def test_class_element_rejects_generator_symbols_and_non_scalars():
             class_element(m, (1, 2)) ** flag
 
 
+def test_bools_compare_unequal_to_elements():
+    # chern_class(projective(2), 1) == True raised "coefficient True is a bool"
+    m = catalog.projective(2)
+    for element in (chern_class(m, 0), chern_class(m, 1)):
+        for flag in (True, False):
+            assert not element == flag and not flag == element
+            assert element != flag and flag != element
+        assert element not in [True, False]
+    assert chern_class(m, 0) == 1
+
+
 @pytest.mark.parametrize("bad", [1.0, True, Fraction(1)])
 def test_degree_indices_are_ints(bad):
     # chern_class(m, True) used to return c_1, and a float index failed

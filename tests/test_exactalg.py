@@ -224,6 +224,17 @@ def test_bools_are_not_exact_coefficients(build, value):
         build()
 
 
+def test_bools_compare_unequal_to_polynomials():
+    # each of these raised "coefficient True is a bool, not exact data"
+    u = MultiPoly.variable("u", ("u",))
+    for p in (MultiPoly.const(1), MultiPoly.const(0), u):
+        for flag in (True, False):
+            assert not p == flag and not flag == p
+            assert p != flag and flag != p
+        assert p not in [True, False]
+    assert MultiPoly.const(1) == 1 and MultiPoly.const(0) == 0
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_bools_are_no_powers_or_points(flag):
     # x ** True used to return x, and evaluating at x = True gave 1

@@ -10,12 +10,13 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from toricsing import catalog, formulas
+from toricsing import catalog, formulas, residue
 from toricsing.catalog import parse_polynomial
 from toricsing.errors import NonIsolatedZeroError
 from toricsing.exactalg import MultiPoly
 from toricsing.residue import (
-    IndexQuery, _insert, index_sum, local_multiplicity, orbifold_index,
+    SHIFT_CACHE_SIZE, IndexQuery, _insert, _shifts, index_sum, local_multiplicity,
+    orbifold_index,
 )
 
 
@@ -522,3 +523,126 @@ def test_stored_pivots_have_positive_lead_and_content_one():
             for column, pivot in pivots.items():
                 assert column == min(pivot) and pivot[column] > 0
                 assert gcd(*pivot.values()) == 1
+
+
+def _answer(components, cap):
+    """Multiplicity and plateau, or the error text, as `_per_depth_route` gives."""
+    try:
+        report = local_multiplicity(IndexQuery(components, degree_cap=cap))
+    except NonIsolatedZeroError as exc:
+        return str(exc)
+    return report.multiplicity, report.stabilized_at
+
+
+@st.composite
+def shared_factor_germs(draw):
+    # (f*l1, f*l2, g), or (f*l1, f*l2) in two variables: the first two
+    # components share the factor f, so rows of both reduce to zero
+    n = draw(st.sampled_from((2, 3)))
+    table = ("z1", "z2", "z3")[:n]
+    coefficient_lists = st.lists(st.integers(-3, 3), min_size=10, max_size=10)
+    f, g = (_integer_poly(table, draw(coefficient_lists), 1, 2) for _ in range(2))
+    l1, l2 = (_integer_poly(table, draw(coefficient_lists), 1, 1) for _ in range(2))
+    return (f * l1, f * l2, g)[:n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(common_factor_germs(), shared_factor_germs()),
+       st.integers(2, DENSE_CAPS[2]))
+def test_factor_germs_match_per_depth_route(components, cap):
+    # rows skipped as multiples of zero rows leave every c(D) as it was
+    cap = min(cap, DENSE_CAPS[len(components)])
+    assert _answer(components, cap) == _per_depth_route(components, cap)
+
+
+def test_no_row_is_inserted_below_a_zero_row(monkeypatch):
+    # f*l2*f_1 = f*l1*f_2, so rows of the second component reduce to zero;
+    # each multiple of such a row lies in the span of the rows before it and
+    # is skipped.  At cap 8 the echelon reduced 65 rows to zero before that
+    # rule, and reduces 3 now.
+    table = ("u", "v", "w")
+    rng = random.Random(1)
+    f, g = (_integer_poly(table, [rng.randint(-9, 9) for _ in range(9)], 1, 2)
+            for _ in range(2))
+    l1, l2 = (_integer_poly(table, [rng.randint(-9, 9) for _ in range(3)], 1, 1)
+              for _ in range(2))
+    components, cap = (f * l1, f * l2, g), 8
+    width = (cap + 3).bit_length()
+
+    def exponents(column):
+        return [(column >> i * width) & ((1 << width) - 1) for i in range(3)]
+
+    inserted = []  # (component shape, lowest column, reduced to zero)
+
+    def spy(pivots, row):
+        lead = min(row)
+        shape = tuple(sorted((c - lead, x) for c, x in row.items()))
+        new = _insert(pivots, row)
+        inserted.append((shape, lead, new is None))
+        return new
+
+    monkeypatch.setattr(residue, "_insert", spy)
+    with pytest.raises(NonIsolatedZeroError, match="cap below the plateau"):
+        local_multiplicity(IndexQuery(components, degree_cap=cap))
+    zeros = [(shape, lead) for shape, lead, zero in inserted if zero]
+    assert len(zeros) == 3
+    for shape, lead, _ in inserted:
+        # the shift of a row divides another's in the same component exactly
+        # when its lowest column does
+        for zero_shape, zero_lead in zeros:
+            if zero_shape == shape and zero_lead < lead:
+                assert not all(a <= b for a, b in zip(exponents(zero_lead), exponents(lead)))
+    monkeypatch.undo()
+    assert _answer(components, cap) == (
+        "cap below the plateau: no stabilization by degree 8; the zero at the "
+        "origin may still be isolated, and a cap of 19 decides it")
+
+
+def test_shared_shift_lists_give_the_answers_of_fresh_ones():
+    # queries in 2, 3 and 4 variables at three field widths, interleaved in
+    # both orders, read the lists the others left behind
+    rng = random.Random(35)
+    queries = []
+    for n in (2, 3, 4):
+        table = ("z1", "z2", "z3", "z4")[:n]
+        diagonal = [MultiPoly.variable(v, table) ** (i + 2) for i, v in enumerate(table)]
+        first = MultiPoly.variable(table[0], table)
+        changed = tuple(p.substitute({table[0]: first + rng.randint(-2, 2) * MultiPoly.variable(
+            table[-1], table)}) for p in diagonal)
+        for cap in (8, 64, 10 ** 4):
+            queries += [(changed, cap), (tuple(diagonal[:1] * n), min(cap, 12))]
+    fresh = []
+    for query in queries:
+        _shifts.cache_clear()
+        fresh.append(_answer(*query))
+    for order in (range(len(queries)), reversed(range(len(queries)))):
+        _shifts.cache_clear()
+        shared = {k: _answer(*queries[k]) for k in order}
+        assert [shared[k] for k in range(len(queries))] == fresh
+
+
+def test_shift_lists_are_sorted_monomial_keys():
+    for nvars, width, degree in [(1, 4, 0), (1, 4, 9), (2, 5, 7), (3, 4, 6), (4, 7, 5)]:
+        top = nvars * width
+        keys = sorted((degree << top) + sum(x << i * width for i, x in enumerate(e))
+                      for e in product(range(degree + 1), repeat=nvars)
+                      if sum(e) == degree)
+        assert _shifts(nvars, width, degree) == tuple(keys)
+
+
+def test_shift_lists_keep_a_bounded_number_of_keys():
+    _shifts.cache_clear()
+    report = local_multiplicity(_query(["u^12", "v^12"], ("u", "v"), cap=10 ** 4))
+    assert (report.multiplicity, report.stabilized_at) == (144, 23)
+    table = ("z1", "z2", "z3", "z4")
+    g = _integer_poly(table, [1, -2, 3] * 5, 1, 2)
+    hs = [_integer_poly(table, ([2, -1, 1, 3, -3] * 2)[k:k + 5], 0, 1) for k in range(4)]
+    with pytest.raises(NonIsolatedZeroError, match="proved not isolated"):
+        local_multiplicity(IndexQuery(tuple(g * h for h in hs), degree_cap=12))
+    assert 0 < _shifts.cache_info().currsize <= SHIFT_CACHE_SIZE
+    # nine field widths times 31 degrees ask for more lists than are kept
+    for cap in (2 ** k for k in range(5, 14)):
+        report = local_multiplicity(_query(["u", "v^30"], ("u", "v"), cap=cap))
+        assert (report.multiplicity, report.stabilized_at) == (30, 30)
+    assert _shifts.cache_info().misses > SHIFT_CACHE_SIZE
+    assert _shifts.cache_info().currsize == SHIFT_CACHE_SIZE
