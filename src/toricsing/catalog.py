@@ -1,8 +1,8 @@
 """Builtin toric models and the textual model-file format.
 
 Builtins cover projective spaces, weighted projective spaces,
-multiprojective spaces, rational normal scrolls, and the three blow-up
-models whose Chern classes are recorded directly.  A builder checks its
+multiprojective spaces, rational normal scrolls, and three blow-ups of
+projective space.  Every model is its divisor classes.  A builder checks its
 parameters and builds fields that are canonical by construction, so it
 stores them through `ToricModel._trusted`, without the model's own checks.
 User models travel as line-oriented UTF-8 text, read through the checking
@@ -19,9 +19,10 @@ constructor:
     tensor 2 = 1/6
 
 `#` starts a comment.  `divisor` lines give one Picard vector per invariant
-divisor (all n+r of them or none); `tensor` lines map an exponent vector to
-a rational (omitted keys are zero, duplicates are an error); `chern j : ...`
-lines supply Chern classes as signed-term polynomials in the generators;
+divisor (all n+r of them); `tensor` lines map an exponent vector to a
+rational (omitted keys are zero, duplicates are an error); optional
+`chern j : ...` lines state Chern classes as signed-term polynomials in the
+generators, checked against the divisor classes and not stored;
 `radial` lines (one per generator, n+r integers each) give the diagonal
 coefficients of the radial vector fields.
 """
@@ -36,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .chow import ChowElement, ToricModel, check_chern_consistency
+from .chow import ToricModel, integrate_count
 from .errors import ModelFormatError, NotWellFormedWarning
 from .exactalg import MultiPoly, _variable_table, parse_polynomial
 
@@ -253,18 +254,8 @@ def blowup_point(n: int) -> ToricModel:
     )
 
 
-def _override(gens: Sequence[str], terms: dict) -> ChowElement:
-    return ChowElement(tuple(gens), MultiPoly(tuple(gens), terms))
-
-
 def blowup_two_points_p3() -> ToricModel:
-    gens = ("H", "E1", "E2")
-    override = {
-        1: _override(gens, {(1, 0, 0): 4, (0, 1, 0): -2, (0, 0, 1): -2}),
-        2: _override(gens, {(2, 0, 0): 6}),
-        # any representative with integral 8 works: only the top pairing matters
-        3: _override(gens, {(3, 0, 0): 8}),
-    }
+    """P^3 blown up at two torus-fixed points, in the basis (H, E1, E2)."""
     tensor = {
         (3, 0, 0): Fraction(1),
         (0, 3, 0): Fraction(1),
@@ -274,21 +265,16 @@ def blowup_two_points_p3() -> ToricModel:
         name="Bl_pq(P3)",
         dim=3,
         rank=3,
-        gens=gens,
-        divisor_classes=None,
+        gens=("H", "E1", "E2"),
+        divisor_classes=((1, -1, 0), (1, -1, -1), (1, -1, -1), (1, 0, -1),
+                         (0, 1, 0), (0, 0, 1)),
         tensor=tensor,
-        chern_override=override,
         smooth=True,
     )
 
 
 def blowup_line_p3() -> ToricModel:
-    gens = ("H", "E")
-    override = {
-        1: _override(gens, {(1, 0): 4, (0, 1): -1}),
-        2: _override(gens, {(2, 0): 7, (1, 1): -4}),
-        3: _override(gens, {(3, 0): 6}),
-    }
+    """P^3 blown up along a torus-invariant line, in the basis (H, E)."""
     tensor = {
         (3, 0): Fraction(1),
         (1, 2): Fraction(-1),
@@ -298,10 +284,9 @@ def blowup_line_p3() -> ToricModel:
         name="Bl_L(P3)",
         dim=3,
         rank=2,
-        gens=gens,
-        divisor_classes=None,
+        gens=("H", "E"),
+        divisor_classes=((1, -1), (1, -1), (1, 0), (1, 0), (0, 1)),
         tensor=tensor,
-        chern_override=override,
         smooth=True,
     )
 
@@ -363,16 +348,11 @@ def serialize_model(model: ToricModel) -> str:
         "gens " + " ".join(model.gens),
         f"smooth {'true' if model.smooth else 'false'}",
     ]
-    if model.divisor_classes is not None:
-        for vec in model.divisor_classes:
-            lines.append("divisor " + " ".join(str(x) for x in vec))
+    for vec in model.divisor_classes:
+        lines.append("divisor " + " ".join(str(x) for x in vec))
     for key in sorted(model.tensor, reverse=True):
         value = model.tensor[key]
         lines.append("tensor " + " ".join(str(e) for e in key) + f" = {value}")
-    if model.chern_override:
-        for j in sorted(model.chern_override):
-            poly = model.chern_override[j].poly
-            lines.append(f"chern {j} : {poly.canonical_string()}")
     if model.radial is not None:
         for row in model.radial:
             lines.append("radial " + " ".join(str(x) for x in row))
@@ -384,8 +364,8 @@ def parse_model(text: str) -> ToricModel:
 
     Raises ModelFormatError with a line number on syntax errors and
     repeated lines, and with the violated invariant named on semantic
-    errors, a disagreement of Chern overrides with the divisor classes
-    (`check_chern_consistency`) among them.
+    errors, a `chern` line that disagrees with the divisor classes
+    (`_check_chern`) among them.
     """
     fields: dict[str, object] = {}
     divisors: list[tuple[int, ...]] = []
@@ -445,32 +425,43 @@ def parse_model(text: str) -> ToricModel:
         if required not in fields:
             raise ModelFormatError(f"missing required line: {required}")
     gens = fields["gens"]
-    override = None
-    if chern_lines:
-        override = {}
-        for j, (lineno, poly_text) in chern_lines.items():
-            try:
-                # the model refuses it too, but no longer knows the line
-                if not 1 <= j <= fields["dim"]:
-                    raise ModelFormatError(
-                        f"Chern override degree {j} out of range 1..{fields['dim']}")
-                poly = parse_polynomial(poly_text, gens)
-            except ModelFormatError as exc:
-                raise ModelFormatError(f"line {lineno}: {exc}") from None
-            override[j] = ChowElement(tuple(gens), poly)
+    chern = {}
+    for j, (lineno, poly_text) in chern_lines.items():
+        try:
+            if not 1 <= j <= fields["dim"]:
+                raise ModelFormatError(
+                    f"Chern override degree {j} out of range 1..{fields['dim']}")
+            chern[j] = parse_polynomial(poly_text, gens)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"line {lineno}: {exc}") from None
     try:
         model = ToricModel(
             name=fields["name"],
             dim=fields["dim"],
             rank=fields["rank"],
             gens=gens,
-            divisor_classes=tuple(divisors) if divisors else None,
+            divisor_classes=tuple(divisors),
             tensor=tensor,
-            chern_override=override,
             smooth=fields.get("smooth", True),
             radial=tuple(radial) if radial else None,
         )
-        check_chern_consistency(model)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    for j in sorted(chern):
+        _check_chern(model, j, chern[j])
     return model
+
+
+def _check_chern(model: ToricModel, j: int, poly: MultiPoly) -> None:
+    """A file's c_j against the model's own: paired with each support
+    monomial m of degree n - j, in lexicographic order, it must give the
+    count `integrate_count` gives, the integral of m * c(X).  Every count
+    is a sum of such integrals, and off the support both vanish."""
+    order = model._support_index.order
+    for mono in sorted(e for e in order if sum(e) == model.dim - j):
+        paired = sum(c * model.tensor.get(tuple(a + b for a, b in zip(e, mono)), 0)
+                     for e, c in poly.terms.items())
+        factors = [u for u, x in zip(model._units, mono) for _ in range(x)]
+        if integrate_count(model, factors).constant_value() != paired:
+            raise ModelFormatError(
+                f"Chern routes disagree in degree {j} against monomial {mono}")

@@ -42,13 +42,13 @@ A count takes its classes as Picard vectors only, `rank` scalar
 expressions each, and reads them straight into those per-generator
 entries, so it builds no `ChowElement`; `class_element` turns the same
 vectors into degree-1 elements for the ring, with the same refusals
-(`_vector_symbols`).  The model-file check of Chern overrides against
-divisor classes (`check_chern_consistency`) is counts too.
+(`_vector_symbols`).  A model is its divisor classes: c(X) = prod (1 + D)
+over them, with no second route to a Chern class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
@@ -56,7 +56,6 @@ from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import UnsupportedModelError
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms,
     _variable_table, aligned, as_poly, mul_terms, poly_sum,
@@ -136,30 +135,24 @@ class ToricModel:
 
     divisor_classes holds the n+r classes [D_i] in the Picard basis, as
     integers; the tensor maps exponent vectors of total degree n to
-    integrals (omitted keys integrate to zero).  chern_override supplies
-    Chern classes directly for models whose divisor lists are not recorded,
-    each a `ChowElement` on the table of the generators alone.
+    integrals (omitted keys integrate to zero).  The classes are required:
+    they determine c(X) = prod (1 + D_i), so every Chern class and count.
     radial, when present, is the r x (n+r) integer matrix of diagonal radial
-    vector field coefficients.  The model is frozen, the tensor and the
-    overrides are read-only mappings, and each instance caches its Chern
-    vector and its integer tensor on first use; the support index is shared
-    by the models with one tensor key set.  Tensor keys must hold ints and
-    weights must be ints or Fractions, generator names must differ, and
-    override degrees must lie in 1..n, each on the generators' table.  The
-    builtins of `catalog` build their models through `_trusted`, which
-    skips these checks.  Only `catalog.parse_model` runs
-    `check_chern_consistency`: a model built here directly takes its
-    overrides as given, even where they disagree with its divisor classes,
-    and the counts read them.
+    vector field coefficients.  The model is frozen, the tensor is a
+    read-only mapping, and each instance caches its Chern vector and its
+    integer tensor on first use; the support index is shared by the models
+    with one tensor key set.  Tensor keys must hold ints and weights must be
+    ints or Fractions, and generator names must differ.  The builtins of
+    `catalog` build their models through `_trusted`, which skips these
+    checks.
     """
 
     name: str
     dim: int
     rank: int
     gens: tuple[str, ...]
-    divisor_classes: tuple[tuple[int, ...], ...] | None
+    divisor_classes: tuple[tuple[int, ...], ...]
     tensor: Mapping[tuple[int, ...], Fraction]
-    chern_override: Mapping[int, "ChowElement"] | None = None
     smooth: bool = True
     radial: tuple[tuple[int, ...], ...] | None = None
     coord_names: tuple[str, ...] = field(default=(), compare=False)
@@ -173,16 +166,17 @@ class ToricModel:
         store("gens", _variable_table(self.gens))
         if len(self.gens) != self.rank:
             raise ValueError(f"expected {self.rank} generator names, got {self.gens!r}")
-        if self.divisor_classes is not None:
-            store("divisor_classes", tuple(tuple(v) for v in self.divisor_classes))
-            if len(self.divisor_classes) != self.dim + self.rank:
-                raise ValueError(
-                    f"expected {self.dim + self.rank} divisor classes, "
-                    f"got {len(self.divisor_classes)}")
-            for v in self.divisor_classes:
-                if len(v) != self.rank:
-                    raise ValueError(f"divisor class {v!r} has wrong rank")
-            _check_integral("divisor class", self.divisor_classes)
+        if self.divisor_classes is None:
+            raise ValueError(f"expected {self.dim + self.rank} divisor classes, got None")
+        store("divisor_classes", tuple(tuple(v) for v in self.divisor_classes))
+        if len(self.divisor_classes) != self.dim + self.rank:
+            raise ValueError(
+                f"expected {self.dim + self.rank} divisor classes, "
+                f"got {len(self.divisor_classes)}")
+        for v in self.divisor_classes:
+            if len(v) != self.rank:
+                raise ValueError(f"divisor class {v!r} has wrong rank")
+        _check_integral("divisor class", self.divisor_classes)
         tensor = {}
         for key, v in self.tensor.items():
             key = tuple(key)
@@ -199,23 +193,6 @@ class ToricModel:
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
-        # an empty mapping writes no chern lines, so it reads back as None
-        store("chern_override", MappingProxyType(dict(self.chern_override))
-              if self.chern_override else None)
-        for j, c in (self.chern_override or {}).items():
-            # a bool is an int to Python, but would be written `chern True`
-            if type(j) is not int or not 1 <= j <= self.dim:
-                raise ValueError(f"Chern override degree {j!r} out of range 1..{self.dim}")
-            if not (isinstance(c, ChowElement) and self.gens == c.gens == c.poly.vars):
-                raise ValueError(f"generator mismatch: elements must use {self.gens!r}; "
-                                 f"the Chern override in degree {j} is {c!r}")
-        if self.divisor_classes is None:
-            override = self.chern_override or {}
-            missing = [j for j in range(1, self.dim + 1) if j not in override]
-            if missing:
-                raise ValueError(
-                    "model needs divisor classes or Chern classes for every "
-                    f"degree 1..{self.dim}; missing {missing}")
         if self.radial is not None:
             store("radial", tuple(tuple(row) for row in self.radial))
             if len(self.radial) != self.rank or any(
@@ -229,23 +206,20 @@ class ToricModel:
 
     @classmethod
     def _trusted(cls, *, name: str, dim: int, rank: int, gens: tuple[str, ...],
-                 divisor_classes: tuple[tuple[int, ...], ...] | None,
+                 divisor_classes: tuple[tuple[int, ...], ...],
                  tensor: dict[tuple[int, ...], Fraction],
-                 chern_override: dict[int, ChowElement] | None = None,
                  smooth: bool = True,
                  radial: tuple[tuple[int, ...], ...] | None = None,
                  coord_names: tuple[str, ...] = ()) -> ToricModel:
         """Store the fields of a model this package builds itself, already
-        canonical: tuples of ints, `Fraction` weights, and overrides on the
-        generators' table.  Only what validation would change is done: zero
-        weights are dropped, the mappings made read-only, and the default
-        coordinate names filled in."""
+        canonical: tuples of ints and `Fraction` weights.  Only what
+        validation would change is done: zero weights are dropped, the
+        tensor made read-only, and the default coordinate names filled in."""
         model = object.__new__(cls)
         model.__dict__.update(
             name=name, dim=dim, rank=rank, gens=gens,
             divisor_classes=divisor_classes,
             tensor=MappingProxyType({k: v for k, v in tensor.items() if v}),
-            chern_override=MappingProxyType(chern_override) if chern_override else None,
             smooth=smooth, radial=radial,
             coord_names=coord_names or _default_coord_names(dim + rank))
         return model
@@ -257,19 +231,13 @@ class ToricModel:
             [class_element(self, v) for v in self.divisor_classes], self.dim))
 
     @_lazy
-    def _chern_vector(self) -> tuple[int | Fraction, ...]:
+    def _chern_vector(self) -> tuple[int, ...]:
         """c(X) on the support vector, for the counts only: one `_pass` per
-        divisor class multiplies 1 by (1 + D), and the positions of degree j
-        read the degree-j part of an override c_j instead, the only part a
-        count integrates.  Integral entries are ints, which multiply fast."""
-        n, (order, _, edges) = self.dim, self._support_index
-        given = self.chern_override or {}
+        divisor class multiplies 1 by (1 + D).  The entries are ints."""
+        order, _, edges = self._support_index
         v = _unit_vector(len(order))
-        for d in self.divisor_classes if len(given) < n else ():
+        for d in self.divisor_classes:
             _pass(v, v, d, edges)
-        for i, e in enumerate(order if given else ()):
-            if sum(e) in given:
-                v[i] = _exact_scalar(given[sum(e)].poly.terms.get(e, 0))
         return tuple(v)
 
     @_lazy
@@ -448,9 +416,6 @@ def class_of_divisor_coeffs(model: ToricModel,
                             coeffs: Sequence[ScalarLike]) -> ClassExpr:
     """Map divisor coefficients (one per invariant divisor) to the Picard
     vector of the class they sum to."""
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} records no divisor classes")
     if len(coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
@@ -479,25 +444,17 @@ def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     _check_degree(j)
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} records no divisor classes")
     return model._divisor_esym[j]
 
 
 def chern_class(model: ToricModel, j: int) -> ChowElement:
-    """Chern class of the tangent sheaf in degree j.
-
-    Uses the supplied override when present, otherwise the elementary
-    symmetric function of the divisor classes.
-    """
+    """Chern class of the tangent sheaf in degree j: the elementary
+    symmetric function of the divisor classes."""
     _check_degree(j)
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     if j == 0:
         return unit_element(model.gens)
-    if model.chern_override and j in model.chern_override:
-        return model.chern_override[j]
     return elementary_symmetric_classes(model, j)
 
 
@@ -673,21 +630,3 @@ class _Terms(dict):
 
     def __mul__(self, other: _Terms) -> _Terms:
         return _Terms(mul_terms(self, other))
-
-
-def check_chern_consistency(model: ToricModel) -> None:
-    """For models carrying both divisor classes and Chern overrides, verify
-    that `integrate_count` with and without the overrides agrees on each
-    support monomial of degree n - j, for each override c_j.  Every count
-    is a sum of such integrals, and off the support both vanish.  Raises
-    ValueError naming the first disagreement."""
-    if model.divisor_classes is None or not model.chern_override:
-        return
-    plain = replace(model, chern_override=None)
-    order = model._support_index.order
-    for j in sorted(model.chern_override):
-        for mono in sorted(e for e in order if sum(e) == model.dim - j):
-            factors = [u for u, x in zip(model._units, mono) for _ in range(x)]
-            if integrate_count(model, factors) != integrate_count(plain, factors):
-                raise ValueError(
-                    f"Chern routes disagree in degree {j} against monomial {mono}")

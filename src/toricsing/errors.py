@@ -10,8 +10,8 @@ class AlignmentError(ToricError):
 
 
 class UnsupportedModelError(ToricError):
-    """The model lacks the data (divisor classes, Chern data, radial data)
-    required by the requested operation."""
+    """The model lacks the radial data required by the requested
+    operation."""
 
 
 class ModelFormatError(ToricError):

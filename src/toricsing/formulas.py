@@ -368,9 +368,9 @@ def ci_euler(model: ToricModel, classes) -> ScalarExpr:
 
 def multidegree(model: ToricModel, classes, k: int,
                 generator: bool = False) -> ScalarExpr:
-    """The k-degree of the intersection: the k-th divisor class (or
-    generator, for models without divisor lists) raised to its dimension,
-    integrated over it."""
+    """The k-degree of the intersection: the k-th divisor class (or, with
+    `generator`, the k-th generator) raised to its dimension, integrated
+    over it."""
     if type(k) is not int:
         raise ValueError(f"index {k!r} is not an int")
     a = _class_list(model, classes)
@@ -378,7 +378,7 @@ def multidegree(model: ToricModel, classes, k: int,
     n = model.dim
     if m > n:
         raise ValueError("too many classes")
-    if generator or model.divisor_classes is None:
+    if generator:
         if not 0 <= k < model.rank:
             raise ValueError(f"generator index {k} out of range 0..{model.rank - 1}")
         h = model._units[k]

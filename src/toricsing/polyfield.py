@@ -97,10 +97,6 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
         raise ValueError(f"polynomial of model {poly.model.name} given for "
                          f"model {model.name}")
     poly = poly.poly
-    if model.divisor_classes is None:
-        raise UnsupportedModelError(
-            f"model {model.name} records no divisor classes, so coordinates "
-            "carry no degrees")
     if poly.is_zero:
         return ANY_DEGREE
     degrees = set()

@@ -74,8 +74,7 @@ def _degrees(m):
            "named": formulas.symbolic_degree(m, tuple(f"s{k}" for k in range(m.rank)))}
     if m.rank == 1:
         out["scalar"] = 3
-    if m.divisor_classes is not None:
-        out["divisor"] = tuple((k % 3) for k in range(m.dim + m.rank))
+    out["divisor"] = tuple((k % 3) for k in range(m.dim + m.rank))
     return out
 
 
@@ -88,9 +87,8 @@ def _model_goldens(spec):
         out[f"elementary_symmetric_classes {j}"] = call(
             chow.elementary_symmetric_classes, m, j)
     gens = [chow.class_element(m, m._units[k]) for k in range(r)]
-    lists = {"generators": gens}
-    if m.divisor_classes is not None:
-        lists["divisors"] = [chow.class_element(m, v) for v in m.divisor_classes]
+    lists = {"generators": gens,
+             "divisors": [chow.class_element(m, v) for v in m.divisor_classes]}
     lists["symbolic"] = [*gens, formulas.degree_class(m, "symbolic")]
     for name, items in lists.items():
         for j in range(n + 1):

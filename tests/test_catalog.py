@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toricsing import catalog, chow
 from toricsing.catalog import (
@@ -14,7 +14,6 @@ from toricsing.catalog import (
     serialize_model,
 )
 from toricsing.errors import ModelFormatError, NotWellFormedWarning
-from toricsing.exactalg import MultiPoly
 
 
 ALL_BUILTINS = [
@@ -191,14 +190,6 @@ def test_round_trip_is_deterministic():
     assert serialize_model(parse_model(serialize_model(m))) == serialize_model(m)
 
 
-def test_empty_chern_override_round_trips():
-    m = catalog.projective(2)
-    bare = chow.ToricModel(m.name, m.dim, m.rank, m.gens, m.divisor_classes,
-                           m.tensor, chern_override={}, radial=m.radial)
-    assert bare.chern_override is None
-    assert bare == m == parse_model(serialize_model(bare))
-
-
 GEN_POOL = ("H", "F", "E", "G1", "G2", "x_1")
 NAME_CHARS = "abXY09(),:+- \t"
 # '#' starts a comment, and str.splitlines breaks lines at all the others
@@ -219,29 +210,10 @@ def toric_models(draw):
     # about half the names use characters serialize_model must reject
     name = draw(st.text(NAME_CHARS, min_size=1, max_size=12).filter(
         lambda s: s == s.strip()) | st.text(NAME_CHARS + UNWRITABLE, max_size=12))
-    fields = dict(name=name, dim=dim, rank=rank, gens=gens, tensor=tensor,
-                  smooth=draw(st.booleans()), radial=radial)
-    if draw(st.booleans()):
-        # integer divisor classes, optionally with overrides derived from them
-        classes = draw(st.tuples(*[st.tuples(*[ints] * rank)] * (dim + rank)))
-        try:
-            model = chow.ToricModel(divisor_classes=classes, **fields)
-        except ValueError:
-            assume(False)
-        degrees = draw(st.sets(st.integers(1, dim)))
-        override = {j: chow.elementary_symmetric_classes(model, j) for j in degrees}
-        return chow.ToricModel(divisor_classes=classes, chern_override=override,
-                               **fields)
-    # Chern overrides alone, one per degree, with rational coefficients
-    exponents = st.tuples(*[st.integers(0, 3)] * rank)
-    override = {j: chow.ChowElement(gens, MultiPoly(gens, draw(
-        st.dictionaries(exponents, RATIONALS, max_size=4))))
-        for j in range(1, dim + 1)}
-    try:
-        return chow.ToricModel(divisor_classes=None, chern_override=override,
-                               **fields)
-    except ValueError:
-        assume(False)
+    classes = draw(st.tuples(*[st.tuples(*[ints] * rank)] * (dim + rank)))
+    return chow.ToricModel(name=name, dim=dim, rank=rank, gens=gens,
+                           divisor_classes=classes, tensor=tensor,
+                           smooth=draw(st.booleans()), radial=radial)
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,9 +274,11 @@ def test_parse_wrong_divisor_count():
 
 
 def test_parse_requires_a_chern_route():
+    # divisor classes are the one route; chern lines alone used to do
     text = "name bare\ndim 2\nrank 1\ngens H\nsmooth true\ntensor 2 = 1\n"
-    with pytest.raises(ModelFormatError, match="divisor classes or Chern"):
-        parse_model(text)
+    for lines in ("", "chern 1 : 3*H\nchern 2 : 3*H^2\n"):
+        with pytest.raises(ModelFormatError, match="^expected 3 divisor classes, got 0$"):
+            parse_model(text + lines)
 
 
 @pytest.mark.parametrize("chern", ["", "chern 1 : 2*H\n"],
@@ -339,32 +313,6 @@ def test_parse_refuses_chern_degrees_outside_the_dimension(divisors, line, degre
         parse_model(text)
 
 
-@pytest.mark.parametrize("degree", [0, 3, True, "1"])
-def test_models_refuse_chern_degrees_outside_the_dimension(degree):
-    m = catalog.projective(2)
-    # True == 1 as a key, so degree 1 itself is left out
-    override = {2: chow.chern_class(m, 2), degree: chow.chern_class(m, 1)}
-    with pytest.raises(ValueError, match=re.escape(
-            f"Chern override degree {degree!r} out of range 1..2")):
-        chow.ToricModel(m.name, m.dim, m.rank, m.gens, None, m.tensor, override)
-
-
-@pytest.mark.parametrize("value", [
-    5, MultiPoly(("H",), {(1,): 3}), "3*H",
-    chow.class_element(catalog.multiprojective(1, 1), (1, 1)),
-    chow.ChowElement(("H",), MultiPoly(("H", "s"), {(1, 1): 1}))],
-    ids=["int", "MultiPoly", "str", "other generators", "degree symbols"])
-def test_models_refuse_overrides_that_are_no_element_on_the_generators(value):
-    # these used to build, and the first count died with an AttributeError
-    # or read the wrong table
-    m = catalog.projective(2)
-    with pytest.raises(ValueError, match="^" + re.escape(
-            f"generator mismatch: elements must use ('H',); the Chern override "
-            f"in degree 2 is {value!r}") + "$"):
-        chow.ToricModel(m.name, m.dim, m.rank, m.gens, m.divisor_classes, m.tensor,
-                        {1: chow.chern_class(m, 1), 2: value})
-
-
 @pytest.mark.parametrize("line", ["name P2", "dim 3", "rank 1", "gens H",
                                   "smooth false", "chern 1 : 5*H"])
 def test_parse_refuses_repeated_lines(line):
@@ -375,7 +323,7 @@ def test_parse_refuses_repeated_lines(line):
     what = "chern degree 1" if word == "chern" else f"{word} line"
     with pytest.raises(ModelFormatError, match=f"^line 11: duplicate {what}$"):
         parse_model(text + line + "\n")
-    assert parse_model(text).chern_override[1] == chow.chern_class(catalog.projective(2), 1)
+    assert parse_model(text).name == "P2"
 
 
 def test_parse_comments_and_blank_lines():
@@ -423,6 +371,7 @@ def test_parse_polynomial_rejects_malformed_terms():
             parse_polynomial(text, ("x", "y"))
 
 
-def test_serialize_contains_chern_lines():
+def test_serialize_writes_divisor_lines_and_no_chern_lines():
     text = serialize_model(catalog.blowup_line_p3())
-    assert "chern 2 : 7*H^2 - 4*H*E" in text
+    assert "divisor 1 -1\ndivisor 1 -1\ndivisor 1 0\ndivisor 1 0\ndivisor 0 1\n" in text
+    assert "chern" not in text

@@ -9,12 +9,12 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toricsing import catalog, chow
+from toricsing import catalog, chow, formulas, polyfield
 from toricsing.chow import (
     ChowElement, class_element, class_of_divisor_coeffs,
     chern_class, elementary_symmetric_classes, integrate, wronski_classes,
 )
-from toricsing.errors import ModelFormatError, UnsupportedModelError
+from toricsing.errors import ModelFormatError
 from toricsing.exactalg import MultiPoly, aligned
 
 
@@ -81,10 +81,25 @@ def test_class_of_divisor_coeffs_weighted():
     assert class_of_divisor_coeffs(m, (0, 0, 0)) == (0,)
 
 
-def test_class_of_divisor_coeffs_needs_divisors():
-    m = catalog.blowup_line_p3()
-    with pytest.raises(UnsupportedModelError):
-        class_of_divisor_coeffs(m, (1,) * 5)
+def test_blowups_of_p3_answer_through_their_divisor_classes():
+    # both used to carry Chern overrides and no divisor classes: these
+    # refused, and multidegree read k as the k-th generator
+    line, points = catalog.blowup_line_p3(), catalog.blowup_two_points_p3()
+    for m, degrees, generators, count, monomial, degree, c1, chi in (
+            (line, (0, 0, 1, 1, -2), (1, -2), 6, (1, 0, 1, 0, 0), (2, -1), (4, -1), 6),
+            (points, (0, -1, -1, 0, 1, 1), (1, 1, 1), 7, (0, 0, 0, 0, 1, 1), (0, 1, 1),
+             (4, -2, -2), 8)):
+        size = m.dim + m.rank
+        assert tuple(formulas.multidegree(m, [], k) for k in range(size)) == degrees
+        assert tuple(formulas.multidegree(m, [], k, generator=True)
+                     for k in range(m.rank)) == generators
+        vec = class_of_divisor_coeffs(m, (0,) * (size - 1) + (1,))
+        assert vec == m.divisor_classes[-1]
+        assert formulas.foliation_sing_count(m, vec) == count
+        z = MultiPoly(m.coord_names, {monomial: 1})
+        assert polyfield.check_quasi_homogeneous(m, z) == degree
+        assert elementary_symmetric_classes(m, 1) == class_element(m, c1)
+        assert integrate(m, elementary_symmetric_classes(m, 3)) == chi
 
 
 def test_elementary_symmetric_blowup_p2():
@@ -119,15 +134,33 @@ def test_scroll_c2_integral():
         assert integrate(m, elementary_symmetric_classes(m, 2)) == expected
 
 
+# the Chern classes the two blow-ups of P^3 once carried in place of divisor
+# classes; only their pairings with the tensor were ever read
+OLD_OVERRIDES = {
+    "blowup_line_p3": {1: {(1, 0): 4, (0, 1): -1}, 2: {(2, 0): 7, (1, 1): -4},
+                       3: {(3, 0): 6}},
+    "blowup_two_points_p3": {1: {(1, 0, 0): 4, (0, 1, 0): -2, (0, 0, 1): -2},
+                             2: {(2, 0, 0): 6}, 3: {(3, 0, 0): 8}},
+}
+
+
 def test_chern_class_overrides():
-    m = catalog.blowup_line_p3()
-    assert chern_class(m, 2) == ChowElement(
-        m.gens, MultiPoly(m.gens, {(2, 0): 7, (1, 1): -4}))
-    m2 = catalog.blowup_two_points_p3()
-    assert chern_class(m2, 1) == ChowElement(
-        m2.gens, MultiPoly(m2.gens, {(1, 0, 0): 4, (0, 1, 0): -2, (0, 0, 1): -2}))
-    assert chern_class(m2, 0) == ChowElement(
-        m2.gens, MultiPoly.const(1, m2.gens))
+    # the classes give c_j, which pairs with every support monomial of
+    # degree 3 - j as the old override did
+    for spec, overrides in OLD_OVERRIDES.items():
+        m = catalog.from_spec_string(spec)
+        for j, terms in overrides.items():
+            old = ChowElement(m.gens, MultiPoly(m.gens, terms))
+            for mono in m._support_index.order:
+                if sum(mono) == m.dim - j:
+                    probe = ChowElement(m.gens, MultiPoly(m.gens, {mono: 1}))
+                    assert (integrate(m, chern_class(m, j) * probe)
+                            == integrate(m, old * probe))
+        assert chern_class(m, 0) == ChowElement(m.gens, MultiPoly.const(1, m.gens))
+    # Bl_L's c_2 is now 6H^2 - 2HE - E^2, against the old 7H^2 - 4HE
+    line = catalog.blowup_line_p3()
+    assert chern_class(line, 2) == ChowElement(
+        line.gens, MultiPoly(line.gens, {(2, 0): 6, (1, 1): -2, (0, 2): -1}))
 
 
 def test_chern_class_range():
@@ -285,9 +318,6 @@ def test_models_and_elements_are_frozen():
         elem.poly = MultiPoly.zero(m.gens)
     with pytest.raises(TypeError):
         m.tensor[(2,)] = Fraction(2)
-    overrides = catalog.blowup_line_p3().chern_override
-    with pytest.raises(TypeError):
-        overrides[1] = elem
 
 
 def test_models_reject_non_integer_classes_and_radial_data():
@@ -452,11 +482,11 @@ def test_chern_consistency_names_the_first_disagreement():
     assert str(caught.value) == "Chern routes disagree in degree 2 against monomial (0, 0)"
 
 
-def _complete_product_check(m):
-    """The check by complete products: each override less e_j, times every
+def _complete_product_check(m, override):
+    """The check by complete products: each stated c_j less e_j, times every
     monomial of degree n - j in lexicographic order, integrated; the
     message of the first that does not vanish, or None."""
-    for j, supplied in sorted(m.chern_override.items()):
+    for j, supplied in sorted(override.items()):
         difference = supplied - elementary_symmetric_classes(m, j)
         for mono in sorted(e for e in product(range(m.dim + 1), repeat=m.rank)
                            if sum(e) == m.dim - j):
@@ -466,10 +496,17 @@ def _complete_product_check(m):
     return None
 
 
+def _with_chern_lines(m, override):
+    """The model file of m with a `chern` line per stated class."""
+    return catalog.serialize_model(m) + "".join(
+        f"chern {j} : {c.poly.canonical_string()}\n" for j, c in override.items())
+
+
 @st.composite
-def overridden_models(draw):
-    """Models with divisor classes and overrides: e_j itself, or e_j with a
-    few coefficients moved, often off the support of a sparse tensor."""
+def stated_chern_classes(draw):
+    """A model with divisor classes and Chern classes stated beside them:
+    e_j itself, or e_j with a few coefficients moved, often off the support
+    of a sparse tensor."""
     dim, rank = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     gens = ("H", "E", "F")[:rank]
     keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
@@ -483,25 +520,27 @@ def overridden_models(draw):
         moved = draw(st.dictionaries(exponents, ints, max_size=2))
         override[j] = elementary_symmetric_classes(m, j) + ChowElement(
             gens, MultiPoly(gens, moved))
-    return dataclasses.replace(m, chern_override=override)
+    return m, override
 
 
 @settings(max_examples=200, deadline=None)
-@given(overridden_models())
-def test_chern_consistency_is_the_complete_product_check(m):
-    expected = _complete_product_check(m)
+@given(stated_chern_classes())
+def test_chern_consistency_is_the_complete_product_check(case):
+    m, override = case
+    expected = _complete_product_check(m, override)
+    text = _with_chern_lines(m, override)
     if expected is None:
-        chow.check_chern_consistency(m)
+        assert catalog.parse_model(text) == m
     else:
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            chow.check_chern_consistency(m)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(expected)}$"):
+            catalog.parse_model(text)
 
 
 def test_chern_consistency_runs_counts_only():
-    # two counts per support monomial: no element, no integrate, no e_j
+    # one count per support monomial: no element, no integrate, no e_j
     m = catalog.blowup_point(3)
-    good = dataclasses.replace(m, chern_override={j: chern_class(m, j) for j in (1, 2, 3)})
-    bad = dataclasses.replace(m, chern_override={1: class_element(m, (4, -1))})
+    good = _with_chern_lines(m, {j: chern_class(m, j) for j in (1, 2, 3)})
+    bad = _with_chern_lines(m, {1: class_element(m, (4, -1))})
     built = []
 
     def refuse(*args):
@@ -511,9 +550,9 @@ def test_chern_consistency_runs_counts_only():
         patch.setattr(ChowElement, "__post_init__", lambda self: built.append(self))
         patch.setattr(chow, "integrate", refuse)
         patch.setattr(chow, "elementary_symmetric_classes", refuse)
-        chow.check_chern_consistency(good)
-        with pytest.raises(ValueError, match="^Chern routes disagree in degree 1 "):
-            chow.check_chern_consistency(bad)
+        assert catalog.parse_model(good) == m
+        with pytest.raises(ModelFormatError, match="^Chern routes disagree in degree 1 "):
+            catalog.parse_model(bad)
     assert built == []
 
 

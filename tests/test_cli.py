@@ -219,6 +219,30 @@ def test_catalog_list_and_show(capsys):
     assert "tensor 2 = 1" in out
 
 
+@pytest.mark.parametrize("spec, divisors", [
+    ("blowup_line_p3", "divisor 1 -1\ndivisor 1 -1\ndivisor 1 0\ndivisor 1 0\n"
+                       "divisor 0 1\n"),
+    ("blowup_two_points_p3", "divisor 1 -1 0\ndivisor 1 -1 -1\ndivisor 1 -1 -1\n"
+                             "divisor 1 0 -1\ndivisor 0 1 0\ndivisor 0 0 1\n")],
+    ids=["blowup_line_p3", "blowup_two_points_p3"])
+def test_catalog_show_prints_the_blowups_as_divisor_classes(capsys, spec, divisors):
+    # both used to print chern lines and no divisor lines
+    status, out, _ = _run(capsys, "catalog", "show", "--model", spec)
+    assert status == 0 and "smooth true\n" + divisors + "tensor 3 " in out
+    assert "chern" not in out
+
+
+def test_blowup_along_a_line_counts_at_divisor_coefficients(capsys):
+    # refused with "model Bl_L(P3) records no divisor classes" before
+    status, out, _ = _run(capsys, "count", "foliation", "--model", "blowup_line_p3",
+                          "--degree-div", "0,0,0,0,1")
+    assert (status, out) == (0, "result = 6\n")
+    status, out, _ = _run(capsys, "count", "foliation", "--model", "blowup_line_p3",
+                          "--symbolic")
+    assert (status, out) == (0, "result = d1^3 - 3*d1*d2^2 - 2*d2^3 + 4*d1^2 + 2*d1*d2"
+                                " - 2*d2^2 + 7*d1 + 4*d2 + 6\n")
+
+
 def test_model_file_input(tmp_path, capsys):
     path = tmp_path / "plane.model"
     path.write_text(catalog.serialize_model(catalog.projective(2)),

@@ -134,28 +134,20 @@ def random_models(draw):
     keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
     tensor = draw(st.dictionaries(st.sampled_from(keys), RATIONALS, min_size=1))
     classes = draw(st.tuples(*[st.tuples(*[st.integers(-3, 3)] * rank)] * (dim + rank)))
-    # overrides of mixed degree: the pipeline integrates only degree n as well
-    exponents = st.tuples(*[st.integers(0, 3)] * rank)
-    overrides = {j: ChowElement(gens, MultiPoly(gens, draw(
-        st.dictionaries(exponents, RATIONALS, max_size=4))))
-        for j in draw(st.sets(st.integers(1, dim)))}
     return ToricModel("random", dim, rank, gens, classes, tensor,
-                      chern_override=overrides, smooth=draw(st.booleans()))
+                      smooth=draw(st.booleans()))
 
 
 def degrees(m, names):
     """Numeric Picard vectors, with int or Fraction entries, divisor
-    coefficients (when the model records divisor classes), symbols, and
-    Picard vectors mixing both."""
+    coefficients, symbols, and Picard vectors mixing both."""
     ints = st.integers(-4, 4)
-    options = [st.tuples(*[ints] * m.rank),
-               st.tuples(*[ints | RATIONALS] * m.rank),
-               st.just(formulas.symbolic_degree(m, names)),
-               st.tuples(*[ints | st.sampled_from(formulas.symbolic_degree(m, names))]
-                         * m.rank)]
-    if m.divisor_classes is not None:
-        options.append(st.tuples(*[st.integers(-2, 3)] * (m.dim + m.rank)))
-    return st.one_of(options)
+    return st.one_of(st.tuples(*[ints] * m.rank),
+                     st.tuples(*[ints | RATIONALS] * m.rank),
+                     st.just(formulas.symbolic_degree(m, names)),
+                     st.tuples(*[ints | st.sampled_from(formulas.symbolic_degree(m, names))]
+                               * m.rank),
+                     st.tuples(*[st.integers(-2, 3)] * (m.dim + m.rank)))
 
 
 @st.composite
@@ -187,10 +179,9 @@ def count_routes(case, kind, strict):
         h = chow.class_element(m, m._units[k])
         yield (formulas.multidegree(m, classes, k, generator=True),
                ref_multidegree(m, elems, h))
-    if m.divisor_classes is not None:
-        for k in range(n + m.rank):
-            h = chow.class_element(m, m.divisor_classes[k])
-            yield formulas.multidegree(m, classes, k), ref_multidegree(m, elems, h)
+    for k in range(n + m.rank):
+        h = chow.class_element(m, m.divisor_classes[k])
+        yield formulas.multidegree(m, classes, k), ref_multidegree(m, elems, h)
     if len(classes) < n:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -211,14 +202,13 @@ def test_counts_match_the_complete_product_route(case, kind, strict):
     for new, old in count_routes(case, kind, strict):
         same(new, old)
     m, n = case[0], case[0].dim
-    if m.divisor_classes is not None:
-        coeffs = [2] * (n + m.rank)
-        chi = integrate(m, chern_class(m, n)).constant_value()
-        if m.smooth and chi.denominator == 1:
-            assert formulas.gcd_obstruction(m, coeffs).chi == chi
-        else:
-            with pytest.raises(ToricError):
-                formulas.gcd_obstruction(m, coeffs)
+    coeffs = [2] * (n + m.rank)
+    chi = integrate(m, chern_class(m, n)).constant_value()
+    if m.smooth and chi.denominator == 1:
+        assert formulas.gcd_obstruction(m, coeffs).chi == chi
+    else:
+        with pytest.raises(ToricError):
+            formulas.gcd_obstruction(m, coeffs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,9 +234,7 @@ def test_counts_are_fractions_on_the_reference_table(case, kind, strict):
 
 
 def test_integrate_drops_keys_whose_sum_is_zero():
-    m = ToricModel("cancel", 2, 2, ("H", "E"), None, {(2, 0): 1, (1, 1): -1},
-                   chern_override={1: chow.unit_element(("H", "E")),
-                                   2: chow.unit_element(("H", "E"))})
+    m = ToricModel("cancel", 2, 2, ("H", "E"), ((1, 0),) * 4, {(2, 0): 1, (1, 1): -1})
     table = ("H", "E", "d")
     # H^2*d + H*E*d + 3*H^2: the d terms cancel against the weights
     elem = ChowElement(m.gens, MultiPoly(table, {(2, 0, 1): 1, (1, 1, 1): 1,
@@ -266,21 +254,17 @@ def _in_degree(terms, j, pos):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(BUILTINS) | random_models())
 def test_count_series_is_the_chern_series_on_the_support(m):
-    override = m.chern_override or {}
     order, pos, _ = m._support_index
     vector = m._chern_vector
     assert len(vector) == len(order)
     for j in range(m.dim + 1):
         entries = {e: c for e, c in zip(order, vector) if sum(e) == j and c}
         assert entries == _in_degree(chern_class(m, j).poly.terms, j, pos)
-        if j and j in override:
-            # an override wins in its degree, read in that degree only
-            assert entries == _in_degree(override[j].poly.terms, j, pos)
-        elif j and m.divisor_classes is not None:
+        if j:
             whole = chow.elementary_symmetric_classes(m, j).poly.terms
             assert entries == _in_degree(whole, j, pos)
-    # integral entries are stored as ints
-    assert all(type(c) is int or c.denominator != 1 for c in vector)
+    # the classes are integral, and so are the entries, stored as ints
+    assert all(type(c) is int for c in vector)
 
 
 def test_counts_leave_the_complete_series_unbuilt():
@@ -321,17 +305,6 @@ def test_symbolic_count_on_p1_products_is_a_permanent(k):
         assert count.evaluate(point) == permanent(matrix)
 
 
-def test_integrate_count_rejects_mixed_generators():
-    # a Chern override the counts read must live on the generators alone,
-    # and the model refuses one that does not when it is built
-    wide = ChowElement(("H",), MultiPoly(("H", "s"), {(1, 1): 1}))
-    with pytest.raises(ValueError, match="generator mismatch"):
-        ToricModel("wide", 1, 1, ("H",), None, {(1,): 1}, chern_override={1: wide})
-    with pytest.raises(ValueError, match="generator mismatch"):
-        ToricModel("wide", 2, 1, ("H",), None, {(2,): 1},
-                   chern_override={1: wide, 2: chow.unit_element(("H",))})
-
-
 def test_integrate_count_reads_its_degree_from_the_factors():
     m = catalog.projective(2)
     h = m._units[0]
@@ -359,18 +332,6 @@ def test_integrate_count_refuses_what_is_no_picard_vector():
             chow.class_element(m, bad)
 
 
-def test_placeholder_overrides_count_in_their_own_degree():
-    gens = ("H",)
-    unit = chow.unit_element(gens)
-    m = ToricModel("placeholder", 2, 1, gens, None, {(2,): 1},
-                   chern_override={1: -unit, 2: unit})
-    # c_1 = -1 and c_2 = 1 have no part in degrees 1 and 2: c(X) reads as 1
-    assert m._chern_vector == (0, 0, 1)
-    assert formulas.foliation_sing_count(m, 3) == 9
-    verdict = formulas.poincare_check("toric-curve", model=m, classes=[(2,)], degree=3)
-    assert (verdict.lhs, verdict.rhs) == (4, 6)
-
-
 def test_cached_polynomials_cannot_be_mutated():
     m = catalog.projective(2)
     symbol = formulas.symbolic_degree(m)[0]
@@ -395,9 +356,7 @@ def test_support_is_the_down_set_of_the_tensor_keys():
     assert _support(catalog.multiprojective(1, 1)) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert _support(catalog.projective(3)) == {(0,), (1,), (2,), (3,)}
     # a key with a zero weight is no key
-    m = ToricModel("sparse", 2, 2, ("H", "E"), None, {(2, 0): 1, (1, 1): 0},
-                   chern_override={1: chow.unit_element(("H", "E")),
-                                   2: chow.unit_element(("H", "E"))})
+    m = ToricModel("sparse", 2, 2, ("H", "E"), ((1, 0),) * 4, {(2, 0): 1, (1, 1): 0})
     assert _support(m) == {(0, 0), (1, 0), (2, 0)}
 
 

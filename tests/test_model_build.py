@@ -19,6 +19,7 @@ import pytest
 
 from toricsing import catalog, chow, formulas
 from toricsing.chow import ToricModel
+from toricsing.exactalg import MultiPoly
 
 
 def _coprime_weights(rng, length):
@@ -61,13 +62,24 @@ def test_builtins_are_the_checked_model_of_their_fields(m):
     assert all(type(w) is Fraction and w for w in m.tensor.values())
     assert m.coord_names == checked.coord_names
     assert type(m.tensor) is MappingProxyType
-    assert m.chern_override is None or type(m.chern_override) is MappingProxyType
     assert type(m.gens) is tuple
-    for rows in (m.divisor_classes, m.radial):
-        assert rows is None or (type(rows) is tuple
-                                and all(type(row) is tuple for row in rows))
+    # divisor classes are required, radial data is optional
+    for rows in (m.divisor_classes, m.radial or ()):
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert (formulas.foliation_sing_count(m, "symbolic")
             == formulas.foliation_sing_count(checked, "symbolic"))
+
+
+def test_building_a_builtin_makes_no_polynomial(monkeypatch):
+    # the two blow-ups of P^3 used to build Chern overrides as elements
+    built = []
+    monkeypatch.setattr(chow.ChowElement, "__post_init__", built.append)
+    monkeypatch.setattr(MultiPoly, "__init__", lambda self, *args: built.append(args))
+    monkeypatch.setattr(MultiPoly, "_trusted", classmethod(lambda cls, *args: built.append(args)))
+    models = [m for seed in range(3) for m in _seeded_builtins(seed)] + [
+        catalog.blowup_two_points_p3(), catalog.blowup_line_p3()]
+    assert built == []
+    assert all(m.divisor_classes for m in models)
 
 
 def test_zero_scroll_weights_are_dropped():

@@ -17,13 +17,11 @@ from toricsing.errors import ModelFormatError
 from toricsing.exactalg import MultiPoly
 
 
-def _override(gens, dim):
-    return {j: chow.unit_element(gens) for j in range(1, dim + 1)}
-
-
 def _bare_model(tensor, dim, gens):
-    return ToricModel("bare", dim, len(gens), gens, None, tensor,
-                      chern_override=_override(gens, dim))
+    """A model with this tensor; its divisor classes, all the first
+    generator, take no part in what these tests check."""
+    first = (1,) + (0,) * (len(gens) - 1)
+    return ToricModel("bare", dim, len(gens), gens, (first,) * (dim + len(gens)), tensor)
 
 
 # -- one index per key set -----------------------------------------------------
