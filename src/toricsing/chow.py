@@ -48,13 +48,14 @@ over them, with no second route to a Chern class.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms,
@@ -75,6 +76,22 @@ def _check_integral(what: str, rows) -> None:
         for x in row:
             if type(x) is not int:
                 raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
+
+
+def _tuple(value, refusal: str) -> tuple:
+    """The value as a tuple; when it is not iterable (an int, say), a
+    ValueError with the text refusal.format(value), which names the field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(refusal.format(value)) from None
+
+
+def _rows(rows, refusal: str, what: str) -> tuple[tuple, ...]:
+    """`rows` as a tuple of tuples: `_tuple` with `refusal`, and each row
+    with '<what> <row> is not a sequence of ints'."""
+    row_refusal = what + " {!r} is not a sequence of ints"
+    return tuple(_tuple(row, row_refusal) for row in _tuple(rows, refusal))
 
 
 # tensor key sets whose support index is kept at once
@@ -163,23 +180,23 @@ class ToricModel:
         store = partial(object.__setattr__, self)
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
-        store("gens", _variable_table(self.gens))
+        wrong_gens = f"expected {self.rank} generator names, got {{!r}}"
+        store("gens", _variable_table(_tuple(self.gens, wrong_gens)))
         if len(self.gens) != self.rank:
-            raise ValueError(f"expected {self.rank} generator names, got {self.gens!r}")
-        if self.divisor_classes is None:
-            raise ValueError(f"expected {self.dim + self.rank} divisor classes, got None")
-        store("divisor_classes", tuple(tuple(v) for v in self.divisor_classes))
+            raise ValueError(wrong_gens.format(self.gens))
+        wrong_classes = f"expected {self.dim + self.rank} divisor classes, got {{!r}}"
+        store("divisor_classes", _rows(self.divisor_classes, wrong_classes, "divisor class"))
         if len(self.divisor_classes) != self.dim + self.rank:
-            raise ValueError(
-                f"expected {self.dim + self.rank} divisor classes, "
-                f"got {len(self.divisor_classes)}")
+            raise ValueError(wrong_classes.format(len(self.divisor_classes)))
         for v in self.divisor_classes:
             if len(v) != self.rank:
                 raise ValueError(f"divisor class {v!r} has wrong rank")
         _check_integral("divisor class", self.divisor_classes)
+        if not isinstance(self.tensor, Mapping):
+            raise ValueError(f"tensor must map keys to weights, got {self.tensor!r}")
         tensor = {}
         for key, v in self.tensor.items():
-            key = tuple(key)
+            key = _tuple(key, "tensor key {!r} is not a sequence of ints")
             _check_integral("tensor key", (key,))
             if not isinstance(v, (int, Fraction)):
                 raise ValueError(f"tensor weight {v!r} at key {key!r} is not an int "
@@ -194,7 +211,8 @@ class ToricModel:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
         if self.radial is not None:
-            store("radial", tuple(tuple(row) for row in self.radial))
+            store("radial", _rows(self.radial, "radial data must be an r x (n+r) matrix",
+                                  "radial row"))
             if len(self.radial) != self.rank or any(
                     len(row) != self.dim + self.rank for row in self.radial):
                 raise ValueError("radial data must be an r x (n+r) matrix")

@@ -27,7 +27,7 @@ once, untruncated, by component and then by key(s): they lead in degree
 D - 1, and rows entering later lead in degree D or above.  A stored pivot
 never changes, so the rank of the depth-D truncation is the number of pivots
 leading below degree D, final once depth D is in, and c(D) is
-C(D - 1 + n, n) minus that number.  Three rules keep the echelon cheap:
+C(D - 1 + n, n) minus that number.  Four rules keep the echelon cheap:
 
 - A row s*f_i whose lead key(s) + key(lead f_i) has no pivot yet needs no
   reduction.  It is stored as the pair (key(s), f_i scaled to a positive
@@ -39,6 +39,16 @@ C(D - 1 + n, n) minus that number.  Three rules keep the echelon cheap:
   key(x_k) keeps the (depth, component, key) order; so x_k*s*f_i would
   reduce to zero too, and every pivot stays as it was (this is the
   redundancy Faugere's F5, ISSAC 2002, avoids).
+- A row s*f_i whose lead has a pivot starts, in its place, from x_j*P when
+  (s/x_j)*f_i, one depth earlier, reduced to a new pivot P; of several such
+  x_j, the one whose x_j*P leads highest (Faugere's Simplify, F4, J. Pure
+  Appl. Algebra 139, 1999).  P is a nonzero multiple of (s/x_j)*f_i plus
+  rows entered before it, so x_j*P is a nonzero multiple of s*f_i plus rows
+  entered before s*f_i, by the order argument of the rule above.  The span
+  at the end of every depth, and with it every pivot count, stays as it
+  was, and x_j*P reduces to a pivot of the lead s*f_i would reach.  The
+  rows that reduced to a new pivot are kept as (component, shift) mapped
+  to the pivot's lead: one small entry beside each such stored pivot.
 - The keys of all monomials of one degree, sorted, are shared by every
   query: `_shifts` keeps them as tuples, which nothing changes, for at most
   SHIFT_CACHE_SIZE (variable count, field width, degree) keys, least
@@ -130,6 +140,10 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
     # per component, the shifts one depth back whose rows were in the span
     # of the rows before them: reduced to zero, or skipped
     dead: list[list[int]] = [[] for _ in rows]
+    # the rows, as (component, shift), that reduced to a new pivot, each with
+    # that pivot's lead; a component's shifts at one depth share one degree,
+    # so a shift one degree lower finds a row of the depth before
+    grown: dict[tuple[int, int], int] = {}
     pivots: dict[int, dict[int, int] | tuple] = {}
     leads: dict[int, int] = {}  # reduced pivots per degree of their lead
     rank, previous = 0, None  # pivots leading below the depth, and c(depth - 1)
@@ -145,10 +159,25 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
                 elif shift + lead not in pivots:
                     pivots[shift + lead] = (shift, terms)
                     rank += 1  # it leads in degree depth - 1
-                elif (new := _insert(pivots, {shift + k: c for k, c in terms})) is None:
-                    zero.append(shift)
                 else:
-                    leads[new >> top] = leads.get(new >> top, 0) + 1
+                    # start from x_j*P, P the pivot (shift/x_j)*f_i reduced to
+                    # one depth back, for the x_j whose x_j*P leads highest
+                    # (a lead is positive, so 0 is none); shift - unit
+                    # borrows, and is no shift, when x_j does not divide shift
+                    start = step = 0
+                    for unit in units if grown else ():
+                        back = grown.get((i, shift - unit))
+                        if back is not None and back + unit > start:
+                            start, step = back + unit, unit
+                    if start:
+                        row = {k + step: c for k, c in pivots[start - step].items()}
+                    else:
+                        row = {shift + k: c for k, c in terms}
+                    if (new := _insert(pivots, row)) is None:
+                        zero.append(shift)
+                    else:
+                        grown[i, shift] = new
+                        leads[new >> top] = leads.get(new >> top, 0) + 1
         rank += leads.get(depth - 1, 0)
         dim = comb(depth - 1 + nvars, nvars) - rank
         if previous is not None:

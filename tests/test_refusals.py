@@ -62,6 +62,19 @@ REFUSALS = {
                            "expected 2 divisor classes, got None"),
     "gens count": (lambda: model(gens=("H", "E")), ValueError,
                    "expected 1 generator names, got ('H', 'E')"),
+    "divisor classes 7": (lambda: model(divisor_classes=7), ValueError,
+                          "expected 2 divisor classes, got 7"),
+    "divisor class 5": (lambda: model(divisor_classes=((1,), 5)), ValueError,
+                        "divisor class 5 is not a sequence of ints"),
+    "gens 5": (lambda: model(gens=5), ValueError, "expected 1 generator names, got 5"),
+    "tensor list": (lambda: model(tensor=[((1,), 1)]), ValueError,
+                    "tensor must map keys to weights, got [((1,), 1)]"),
+    "tensor key 5": (lambda: model(tensor={5: 1}), ValueError,
+                     "tensor key 5 is not a sequence of ints"),
+    "radial 7": (lambda: model(radial=7), ValueError,
+                 "radial data must be an r x (n+r) matrix"),
+    "radial row 5": (lambda: model(radial=(5,)), ValueError,
+                     "radial row 5 is not a sequence of ints"),
     "divisor count": (lambda: model(divisor_classes=((1,),)), ValueError,
                       "expected 2 divisor classes, got 1"),
     "divisor rank": (lambda: model(divisor_classes=((1,), (1, 0))), ValueError,

@@ -457,6 +457,15 @@ def test_jacobian_germs_follow_milnor_orlik(weights, degree):
     assert local_multiplicity(IndexQuery(jacobian)).multiplicity == milnor
 
 
+@pytest.mark.parametrize("weights, degree", [((1, 1, 2, 3), 6), ((1, 1, 1, 3), 6), ((2, 3, 5), 30)])
+def test_jacobian_germs_past_milnor_twenty(weights, degree):
+    # past the milnor <= 20 germs above: Milnor numbers 50, 125 and 630
+    f = _weighted_homogeneous(weights, degree, random.Random(f"{weights}@{degree}"))
+    jacobian = tuple(f.derivative(v) for v in f.vars)
+    milnor = prod(Fraction(degree, w) - 1 for w in weights)
+    assert local_multiplicity(IndexQuery(jacobian)).multiplicity == milnor
+
+
 def _determinant(m):
     """By Gaussian elimination over the rationals."""
     m = [[Fraction(x) for x in row] for row in m]
@@ -555,11 +564,68 @@ def test_factor_germs_match_per_depth_route(components, cap):
     assert _answer(components, cap) == _per_depth_route(components, cap)
 
 
+class _CountingPivots(dict):
+    """A copy of the echelon's pivots that counts the reduction steps of
+    `_insert`: the lookups that find a pivot under the row's lead."""
+
+    steps = 0
+
+    def get(self, key, default=None):
+        pivot = super().get(key, default)
+        self.steps += pivot is not None
+        return pivot
+
+
+def _spied_rows(monkeypatch, components, cap):
+    """The answer on a germ, and for every row the echelon hands to
+    `_insert`: its component, its shift, the pivot it became (None for
+    zero), and the reduction steps it took and the plain row shift*f_i
+    takes, each counted on a copy of the pivots."""
+    n = len(components)
+    width = (cap + max(comp.total_degree() for comp in components)).bit_length()
+    packed = [residue._packed(comp, width, n * width) for comp in components]
+    # _shifts is asked once per depth and component, for the shifts of degree
+    # depth - 1 - mindeg f_i, and the rows of one shift are inserted before
+    # the next shift is read
+    calls = iter([(i, depth - 1 - (lead >> n * width))
+                  for depth in range(1, cap + 1) for i, (lead, _) in enumerate(packed)
+                  if depth - 1 - (lead >> n * width) >= 0])
+    current = []
+
+    def shifts(nvars, width, degree):
+        i, expected = next(calls)
+        assert degree == expected
+        for shift in _shifts(nvars, width, degree):
+            current[:] = [i, shift]
+            yield shift
+
+    rows = []
+
+    def insert(pivots, row):
+        i, shift = current
+        counted = []
+        for trial in (dict(row), {shift + k: c for k, c in packed[i][1]}):
+            copy = _CountingPivots(pivots)
+            counted.append((_insert(copy, trial), copy.steps))
+        new = _insert(pivots, row)
+        # the row and the plain row reduce to pivots of one lead
+        assert counted[0][0] == counted[1][0] == new
+        rows.append((i, shift, new, counted[0][1], counted[1][1]))
+        return new
+
+    monkeypatch.setattr(residue, "_shifts", shifts)
+    monkeypatch.setattr(residue, "_insert", insert)
+    answer = _answer(components, cap)
+    monkeypatch.undo()
+    return answer, rows
+
+
 def test_no_row_is_inserted_below_a_zero_row(monkeypatch):
     # f*l2*f_1 = f*l1*f_2, so rows of the second component reduce to zero;
     # each multiple of such a row lies in the span of the rows before it and
     # is skipped.  At cap 8 the echelon reduced 65 rows to zero before that
-    # rule, and reduces 3 now.
+    # rule, and reduces 3 now.  Rows are told apart by (component, shift):
+    # a row may be x_j times a reduced pivot, not the shifted component
     table = ("u", "v", "w")
     rng = random.Random(1)
     f, g = (_integer_poly(table, [rng.randint(-9, 9) for _ in range(9)], 1, 2)
@@ -569,33 +635,53 @@ def test_no_row_is_inserted_below_a_zero_row(monkeypatch):
     components, cap = (f * l1, f * l2, g), 8
     width = (cap + 3).bit_length()
 
-    def exponents(column):
-        return [(column >> i * width) & ((1 << width) - 1) for i in range(3)]
+    def exponents(shift):
+        return [(shift >> i * width) & ((1 << width) - 1) for i in range(3)]
 
-    inserted = []  # (component shape, lowest column, reduced to zero)
-
-    def spy(pivots, row):
-        lead = min(row)
-        shape = tuple(sorted((c - lead, x) for c, x in row.items()))
-        new = _insert(pivots, row)
-        inserted.append((shape, lead, new is None))
-        return new
-
-    monkeypatch.setattr(residue, "_insert", spy)
-    with pytest.raises(NonIsolatedZeroError, match="cap below the plateau"):
-        local_multiplicity(IndexQuery(components, degree_cap=cap))
-    zeros = [(shape, lead) for shape, lead, zero in inserted if zero]
-    assert len(zeros) == 3
-    for shape, lead, _ in inserted:
-        # the shift of a row divides another's in the same component exactly
-        # when its lowest column does
-        for zero_shape, zero_lead in zeros:
-            if zero_shape == shape and zero_lead < lead:
-                assert not all(a <= b for a, b in zip(exponents(zero_lead), exponents(lead)))
-    monkeypatch.undo()
-    assert _answer(components, cap) == (
+    answer, rows = _spied_rows(monkeypatch, components, cap)
+    assert answer == (
         "cap below the plateau: no stabilization by degree 8; the zero at the "
         "origin may still be isolated, and a cap of 19 decides it")
+    zeros = [(i, shift) for i, shift, new, _, _ in rows if new is None]
+    assert len(zeros) == 3
+    for i, shift, *_ in rows:
+        for zero_i, zero_shift in zeros:
+            if zero_i == i and zero_shift != shift:
+                assert not all(a <= b for a, b in zip(exponents(zero_shift), exponents(shift)))
+
+
+def test_rows_start_from_the_reduced_row_one_depth_back(monkeypatch):
+    # a row whose lead has a pivot is x_j times the pivot its shift divided
+    # by x_j reduced to one depth earlier (F4's Simplify), which spares most
+    # of the reduction steps the plain rows need
+    table = ("z1", "z2", "z3")
+    images = {"z1": _integer_poly(table, [1, 2, -1], 1, 1),
+              "z2": _integer_poly(table, [-1, 1, 3], 1, 1),
+              "z3": _integer_poly(table, [2, -3, 1], 1, 1)}
+    components = tuple((MultiPoly.variable(v, table) ** 3).substitute(images)
+                       for v in table)
+    answer, rows = _spied_rows(monkeypatch, components, 64)
+    assert answer == (27, 7)
+    steps, plain = (sum(row[k] for row in rows) for k in (3, 4))
+    assert 2 * steps < plain
+
+
+def test_dense_shared_factor_germs_are_proved_not_isolated():
+    # (f*l1, f*l2, g) vanishes on the curve f = g = 0; f and g carry every
+    # monomial of degree 1..2, l1 and l2 every one of degree 1, coefficients
+    # drawn f, g, l1, l2 from one stream, the second germ continuing it
+    table = ("u", "v", "w")
+    rng = random.Random(1)
+    for _ in range(2):
+        f, g = (_integer_poly(table, [rng.randint(-9, 9) for _ in range(9)], 1, 2)
+                for _ in range(2))
+        l1, l2 = (_integer_poly(table, [rng.randint(-9, 9) for _ in range(3)], 1, 1)
+                  for _ in range(2))
+        with pytest.raises(NonIsolatedZeroError) as caught:
+            local_multiplicity(IndexQuery((f * l1, f * l2, g)))
+        assert str(caught.value) == (
+            "proved not isolated: c(18) = 19 exceeds the Bezout bound 18 on the "
+            "multiplicity of an isolated zero")
 
 
 def test_shared_shift_lists_give_the_answers_of_fresh_ones():
