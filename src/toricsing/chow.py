@@ -178,6 +178,9 @@ class ToricModel:
 
     def __post_init__(self):
         store = partial(object.__setattr__, self)
+        for what, value in (("dim", self.dim), ("rank", self.rank)):
+            if type(value) is not int:  # True is no dimension
+                raise ValueError(f"{what} must be an int, got {value!r}")
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
         wrong_gens = f"expected {self.rank} generator names, got {{!r}}"
@@ -217,10 +220,18 @@ class ToricModel:
                     len(row) != self.dim + self.rank for row in self.radial):
                 raise ValueError("radial data must be an r x (n+r) matrix")
             _check_integral("radial row", self.radial)
-        if not self.coord_names:
-            store("coord_names", _default_coord_names(self.dim + self.rank))
-        elif len(self.coord_names) != self.dim + self.rank:
+        wrong_names = "coordinate names must be a sequence of strs, got {!r}"
+        if isinstance(self.coord_names, str):  # a str is a sequence of strs
+            raise ValueError(wrong_names.format(self.coord_names))
+        names = _tuple(self.coord_names, wrong_names)
+        for name in names:
+            if type(name) is not str:
+                raise ValueError(f"coordinate name {name!r} is not a str")
+        if not names:
+            names = _default_coord_names(self.dim + self.rank)
+        elif len(names) != self.dim + self.rank:
             raise ValueError("coordinate table must have n+r names")
+        store("coord_names", names)
 
     @classmethod
     def _trusted(cls, *, name: str, dim: int, rank: int, gens: tuple[str, ...],

@@ -566,12 +566,8 @@ def _taylor_shift(coeffs: Sequence[int], s: int) -> list[int]:
 def _one_sign_cutoff(terms: Sequence[dict[tuple[int, int], int]]) -> int | None:
     """The least m0 <= `_CUTOFF_TRIES` proving the polynomials with integer
     terms {(em, ek): c} in (m, k) one-signed and not all zero at every
-    m >= m0, k >= 1; None when no m0 up to it does.
-
-    The proof is an integer Taylor shift: at m = m0 + y and k = 1 + x, every
-    coefficient of every polynomial has the same sign and some constant
-    term is nonzero.  Then at x, y >= 0 each polynomial keeps that sign,
-    and the one with the nonzero constant term does not vanish."""
+    m >= m0, k >= 1; None when no m0 up to it does.  Each polynomial is
+    shifted once to k = 1 + x, and `_least_shift` finds m0 from there."""
     polys = []  # per polynomial, per power of x: its coefficients in m
     for t in terms:
         dm = 1 + max((em for em, _ in t), default=0)
@@ -579,24 +575,44 @@ def _one_sign_cutoff(terms: Sequence[dict[tuple[int, int], int]]) -> int | None:
         by_m = [_taylor_shift([t.get((em, ek), 0) for ek in range(dk)], 1)
                 for em in range(dm)]
         polys.append([[col[ek] for col in by_m] for ek in range(dk)])
-    for m0 in range(1, _CUTOFF_TRIES + 1):
-        polys = [[_taylor_shift(row, 1) for row in p] for p in polys]
-        values = [c for p in polys for row in p for c in row if c]
-        if any(p[0][0] for p in polys) and (min(values) > 0 or max(values) < 0):
-            return m0
+    return _least_shift(polys)
+
+
+def _least_shift(polys: Sequence[Sequence[Sequence[int]]]) -> int | None:
+    """The least t0 <= `_CUTOFF_TRIES` proving the polynomials in (t, x)
+    one-signed and not all zero at every t >= t0, x >= 0; None when no t0
+    up to it does.  Each polynomial is its coefficient lists in t, lowest
+    power first, one per power of x, lowest first: a polynomial in t alone
+    is one list.
+
+    The proof is an integer Taylor shift: at t = t0 + y, every coefficient
+    of every polynomial has the same sign and some constant term is
+    nonzero.  Then at x, y >= 0 each polynomial keeps that sign, and the
+    one with the nonzero constant term does not vanish.  The constant terms
+    are the values at the corner (t0, 0), each its x^0 list by Horner's
+    rule.  A t0 at which they all vanish, or two of them differ in sign,
+    fails the proof and is screened out before any shift; a t0 that passes
+    shifts each list once, directly by t0."""
+    for t0 in range(1, _CUTOFF_TRIES + 1):
+        corner = [horner(p[0], t0) for p in polys]
+        if not any(corner) or min(corner) < 0 < max(corner):
+            continue
+        values = [c for p in polys for row in p for c in _taylor_shift(row, t0) if c]
+        if min(values) > 0 or max(values) < 0:
+            return t0
     return None
 
 
 def _row_polynomials(terms: Sequence[dict[tuple[int, int], int]],
-                     m: int) -> list[dict[int, int]]:
+                     m: int) -> list[list[int]]:
     """The (m, k) polynomials with integer terms {(em, ek): c} at a fixed m,
-    as polynomials in k: {ek: c}, zero coefficients left out."""
+    as coefficient lists in k, lowest power first."""
     rows = []
     for t in terms:
-        row: dict[int, int] = {}
+        row = [0] * (1 + max((ek for _, ek in t), default=0))
         for (em, ek), c in t.items():
-            row[ek] = row.get(ek, 0) + c * m ** em
-        rows.append({ek: c for ek, c in row.items() if c})
+            row[ek] += c * m ** em
+        rows.append(row)
     return rows
 
 
@@ -633,10 +649,14 @@ def _p_family_solution_set(family: str):
     m >= M one-signed and not all zero, so only the rows m < M are left.
     A row whose polynomials are constant in k is one polynomial for every
     k, a line: the m = 1 row (a = k, a linear cone) is one.  Every other
-    row gets its own k-cutoff K from the same certificate, run in k alone,
-    and leaves the finitely many pairs k < K.  That is K = 3, 2 on the
-    rows m = 2, 3 of `p111k` (M = 4) and 4, 2, 2 on the rows m = 2, 3, 4
-    of `p1111k` (M = 5).  Each distinct polynomial is solved once."""
+    row gets its own k-cutoff K from the same certificate, run in k alone
+    on the row's coefficient lists (`_least_shift`), and leaves the
+    finitely many pairs k < K, each evaluated by Horner's rule.  That is
+    K = 3, 2 on the rows m = 2, 3 of `p111k` (M = 4) and 4, 2, 2 on the
+    rows m = 2, 3, 4 of `p1111k` (M = 5).  Each certificate screens its
+    candidate cutoffs by the polynomials' values at the corner and shifts
+    once, at the cutoff it proves: 18 Taylor shifts for `p111k` and 32 for
+    `p1111k`.  Each distinct polynomial is solved once."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
     terms = _p_coefficients(_P_FAMILIES[family][0])
@@ -647,17 +667,15 @@ def _p_family_solution_set(family: str):
     pairs = []  # (m, first, last, d-coefficients)
     for m in range(1, cutoff):
         rows = _row_polynomials(terms, m)
-        if all(ek == 0 for row in rows for ek in row):
-            pairs.append((m, 1, None, tuple(row.get(0, 0) for row in rows)))
+        if not any(c for row in rows for c in row[1:]):  # constant in k
+            pairs.append((m, 1, None, tuple(horner(row, 0) for row in rows)))
             continue
-        # k in the certificate's first slot, its second one left unused
-        k_cutoff = _one_sign_cutoff([{(ek, 0): c for ek, c in row.items()}
-                                     for row in rows])
+        k_cutoff = _least_shift([[row] for row in rows])  # polynomials in k alone
         if k_cutoff is None:
             raise ValueError(f"search family {family!r} has no one-sign "
                              f"cutoff in k <= {_CUTOFF_TRIES} at m = {m}")
-        pairs += [(m, k, k, tuple(sum(c * k ** ek for ek, c in row.items())
-                                  for row in rows)) for k in range(1, k_cutoff)]
+        pairs += [(m, k, k, tuple(horner(row, k) for row in rows))
+                  for k in range(1, k_cutoff)]
     solved = {c: _roots(c) for c in {c for *_, c in pairs}}
     return tuple((m, first, last, solved[c])
                  for m, first, last, c in pairs if solved[c] != ())
@@ -690,11 +708,13 @@ def regular_search(family: str, bound: int,
     (`_p_coefficients`), so a fresh process builds no `MultiPoly` for it.
     An integer Taylor shift proves every pair with m >= 4 (`p111k`) or
     m >= 5 (`p1111k`) one-signed, hence without a root by Descartes' rule
-    of signs.  Below that the m = 1 row has the same polynomial at every k,
-    giving the lines (m k, d, k) of its roots d, and each other row is
-    one-signed beyond its own k-cutoff, leaving at most 5 sporadic pairs.
-    So `p111k` has no solutions at any bound, and `p1111k` has the line
-    (k, 2, k) and the point (2, 1, 1).
+    of signs; a candidate cutoff whose corner values (its shift's constant
+    terms) all vanish or differ in sign is screened out before any shift,
+    so each proof shifts once.  Below that the m = 1 row has the same
+    polynomial at every k, giving the lines (m k, d, k) of its roots d,
+    and each other row is one-signed beyond its own k-cutoff, leaving at
+    most 5 sporadic pairs.  So `p111k` has no solutions at any bound, and
+    `p1111k` has the line (k, 2, k) and the point (2, 1, 1).
     `scroll` finds the (d1, d2) in [-B, B]^2 on the scroll with the given
     twists, where the count is c1 d1 + c0 (`_scroll_coefficients`), with
     u = d2 + 1, c1 = n u^(n-1) and c0 = s d2 u^(n-1) + 2 sum_(k<n) u^k for
@@ -705,10 +725,12 @@ def regular_search(family: str, bound: int,
     c1 = 1, so every d2 gives d1 = -(s d2 + 2): a line, whose d2 range
     within the bound is found by division.  The twists meet the scroll
     builder's own argument checks (`catalog._check_scroll_twists`), with
-    its errors; no model is built.  The bound must be an int, not a bool.
-    A line holds about 2B solutions at bound B, so the solutions are
-    counted from the ranges first: more than `_MAX_SOLUTIONS` raise
-    ValueError naming the count and the bound, before any is built.
+    its errors, and a twist list that is not a sequence is refused; no
+    model is built.  A family that is not a str is unknown.  The bound
+    must be an int, not a bool.  A line holds about 2B solutions at bound
+    B, so the solutions are counted from the ranges first: more than
+    `_MAX_SOLUTIONS` raise ValueError naming the count and the bound,
+    before any is built.
     Results are sorted by parameters.  Cohomology exclusions are
     annotations, never silent deletions.  Each result is equal, in every
     field, hash, repr and pickle, to `SearchSolution(family, params,
@@ -717,7 +739,7 @@ def regular_search(family: str, bound: int,
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
-    if family in _P_FAMILIES:
+    if isinstance(family, str) and family in _P_FAMILIES:
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
         _, k0, excluded = _P_FAMILIES[family]
@@ -735,7 +757,11 @@ def regular_search(family: str, bound: int,
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
-        scroll_a = tuple(scroll_a)
+        try:  # inline, not `chow._tuple`: that call adds about 4 % to a scroll op
+            scroll_a = tuple(scroll_a)
+        except TypeError:
+            raise ValueError(f"scroll twist list {scroll_a!r} is not a sequence "
+                             "of ints") from None
         catalog._check_scroll_twists(scroll_a)
         excluded = None
         n, s = len(scroll_a), sum(scroll_a)

@@ -1244,19 +1244,108 @@ def test_p_family_row_cutoffs_are_one_signed_beyond_them(family):
     assert len(cutoffs) + 1 == formulas._one_sign_cutoff(terms)
     for m, cutoff in enumerate(cutoffs, start=1):
         rows = formulas._row_polynomials(terms, m)
-        line = all(ek == 0 for row in rows for ek in row)
+        line = not any(c for row in rows for c in row[1:])
         assert line == (cutoff is None)
         if line:  # one polynomial at every k
             assert len({_p_family_values(family, m, k) for k in range(1, 60)}) == 1
             continue
-        assert formulas._one_sign_cutoff(
-            [{(ek, 0): c for ek, c in row.items()} for row in rows]) == cutoff
+        assert formulas._least_shift([[row] for row in rows]) == cutoff
         # the pair just below the cutoff is not one-signed and nonzero
         c = _p_family_values(family, m, cutoff - 1)
         assert not (any(c) and (min(c) >= 0 or max(c) <= 0)), (m, c)
         for k in range(cutoff, 400 // m + 1):
             c = _p_family_values(family, m, k)
             assert any(c) and (min(c) >= 0 or max(c) <= 0), (m, k, c)
+
+
+def _cumulative_shift_cutoff(terms):
+    """`formulas._one_sign_cutoff` without the corner screen: every
+    polynomial is shifted by 1 in m at every candidate m0, and each m0 gets
+    the full sign test.  The reference for the screened form."""
+    polys = []  # per polynomial, per power of k - 1: its coefficients in m
+    for t in terms:
+        dm = 1 + max((em for em, _ in t), default=0)
+        dk = 1 + max((ek for _, ek in t), default=0)
+        by_m = [formulas._taylor_shift([t.get((em, ek), 0) for ek in range(dk)], 1)
+                for em in range(dm)]
+        polys.append([[col[ek] for col in by_m] for ek in range(dk)])
+    for m0 in range(1, formulas._CUTOFF_TRIES + 1):
+        polys = [[formulas._taylor_shift(row, 1) for row in p] for p in polys]
+        values = [c for p in polys for row in p for c in row if c]
+        if any(p[0][0] for p in polys) and (min(values) > 0 or max(values) < 0):
+            return m0
+    return None
+
+
+def _times(t, em, ek, r):
+    """The integer terms of t times (m^em k^ek - r)."""
+    out = {}
+    for (a, b), c in t.items():
+        for key, x in (((a + em, b + ek), c), ((a, b), -r * c)):
+            out[key] = out.get(key, 0) + x
+    return {key: c for key, c in out.items() if c}
+
+
+def _random_terms(rng):
+    """1-4 random polynomials as integer terms {(em, ek): c} in (m, k).
+    Some are multiplied by (m - r) with r up to 20, which moves a sign
+    change out to m = r, past `_CUTOFF_TRIES` for r > 16; in some sets
+    every one is multiplied by (k - 1), so that every constant term
+    vanishes at every m0."""
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        t = {}
+        for _ in range(rng.randint(0, 5)):
+            key = rng.randint(0, 3), rng.randint(0, 3)
+            t[key] = t.get(key, 0) + rng.randint(-9, 9)
+        if rng.random() < 0.4:
+            t = _times(t, 1, 0, rng.randint(1, 20))
+        terms.append(t)
+    if rng.random() < 0.1:
+        terms = [_times(t, 0, 1, 1) for t in terms]
+    return terms
+
+
+def test_screened_cutoff_matches_the_cumulative_shift():
+    rng = random.Random(20261020)
+    cutoffs, corners_vanish = set(), 0
+    for _ in range(1500):
+        terms = _random_terms(rng)
+        cutoff = formulas._one_sign_cutoff(terms)
+        assert cutoff == _cumulative_shift_cutoff(terms), terms
+        cutoffs.add(cutoff)
+        # nonzero polynomials that all vanish at k = 1, at every m
+        at_k_one = [sum(c for (e, _), c in t.items() if e == em)
+                    for t in terms for em in range(5)]
+        corners_vanish += any(terms) and not any(at_k_one)
+        # a row at fixed m is a set of polynomials in k alone
+        rows = formulas._row_polynomials(terms, rng.randint(1, 6))
+        assert formulas._least_shift([[row] for row in rows]) == \
+            _cumulative_shift_cutoff([{(ek, 0): c for ek, c in enumerate(row) if c}
+                                      for row in rows]), rows
+    assert corners_vanish
+    assert cutoffs == {None, *range(1, formulas._CUTOFF_TRIES + 1)}
+
+
+def test_each_certificate_shifts_once_per_proof(monkeypatch):
+    shifted = []
+
+    def spy(coeffs, s, shift=formulas._taylor_shift):
+        shifted.append(s)
+        return shift(coeffs, s)
+
+    monkeypatch.setattr(formulas, "_taylor_shift", spy)
+    counts = {}
+    for family, solutions in P_FAMILY_SOLUTIONS.items():
+        formulas._p_family_solution_set.cache_clear()
+        shifted.clear()
+        assert formulas._p_family_solution_set(family) == solutions
+        counts[family] = len(shifted)
+    # n polynomials, of degrees 0..n-1 in each of m and k: one shift to
+    # k = 1 + x per power of m, one to m = M + y per power of k, and one
+    # per polynomial of each row that is not a line; shifting at every
+    # candidate cutoff takes 57 and 122
+    assert counts == {"p111k": 6 + 6 + 2 * 3, "p1111k": 10 + 10 + 3 * 4}
 
 
 @settings(max_examples=200, deadline=None)

@@ -88,6 +88,18 @@ REFUSALS = {
                      "radial data must be an r x (n+r) matrix"),
     "coordinate count": (lambda: model(coord_names=("x",)), ValueError,
                          "coordinate table must have n+r names"),
+    "dim '1'": (lambda: model(dim="1"), ValueError, "dim must be an int, got '1'"),
+    "dim 1.0": (lambda: model(dim=1.0), ValueError, "dim must be an int, got 1.0"),
+    "dim None": (lambda: model(dim=None), ValueError, "dim must be an int, got None"),
+    "dim True": (lambda: model(dim=True), ValueError, "dim must be an int, got True"),
+    "rank '1'": (lambda: model(rank="1"), ValueError, "rank must be an int, got '1'"),
+    "rank True": (lambda: model(rank=True), ValueError, "rank must be an int, got True"),
+    "coordinate names 5": (lambda: model(coord_names=5), ValueError,
+                           "coordinate names must be a sequence of strs, got 5"),
+    "coordinate names 'ab'": (lambda: model(coord_names="ab"), ValueError,
+                              "coordinate names must be a sequence of strs, got 'ab'"),
+    "coordinate name 3": (lambda: model(coord_names=("a", 3)), ValueError,
+                          "coordinate name 3 is not a str"),
     "element table": (lambda: ChowElement(("H",), MultiPoly(("E", "H"))), ValueError,
                       "generators ('H',) must prefix the table ('E', 'H')"),
     # the builtin families
@@ -134,6 +146,10 @@ REFUSALS = {
                              ValueError, "surface case needs m = n-2 = 1 classes, got 0"),
     "scroll twists": (lambda: formulas.regular_search("scroll", 3), ValueError,
                       "scroll search needs the twist list"),
+    "scroll twists 5": (lambda: formulas.regular_search("scroll", 3, scroll_a=5), ValueError,
+                        "scroll twist list 5 is not a sequence of ints"),
+    "search family list": (lambda: formulas.regular_search(["p111k"], 3), ValueError,
+                           "unknown search family ['p111k']"),
     "closed form n = 2": (lambda: formulas.scroll_closed_form(2, (1, 1), 1, 1),
                           ValueError, "closed form applies in dimension > 2"),
     "closed form twist count": (lambda: formulas.scroll_closed_form(3, (1, 1), 1, 1),
