@@ -190,7 +190,7 @@ def multiprojective(*ns: int) -> ToricModel:
         for i2, n2 in enumerate(ns):
             row.extend([1 if i2 == i else 0] * (n2 + 1))
         radial.append(tuple(row))
-    return ToricModel._trusted(
+    model = ToricModel._trusted(
         name="x".join(f"P{ni}" for ni in ns),
         dim=n,
         rank=k,
@@ -201,6 +201,9 @@ def multiprojective(*ns: int) -> ToricModel:
         radial=tuple(radial),
         coord_names=tuple(coords),
     )
+    # the factor dimensions, beside the fields: counts take chow's product route
+    model.__dict__["_factor_dims"] = ns
+    return model
 
 
 def _check_scroll_twists(a: Sequence) -> None:

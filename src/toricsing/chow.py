@@ -23,12 +23,13 @@ Models are frozen, so each caches, on first use, that shared index, its
 tensor as integer weights over one common denominator, and its Chern
 vector, c = prod (1 + D_i) on the support (`_chern_vector`).
 
-Every series and every count here runs one kernel, `_pass`: dst[i] +=
-x[k] * src[j] along the edges (i, k, j) of a vector sorted highest degree
-first.  In place in edge order it reads only entries not yet updated and
-multiplies by (1 + x); in place with the edges reversed it reads updated
-ones and divides by (1 - x); into a fresh vector it multiplies by x.  On
-the chain t^k, ..., t, 1 it gives the elementary series
+Every series, and every count off the products below, runs one kernel,
+`_pass`: dst[i] += x[k] * src[j] along the edges (i, k, j) of a vector
+sorted highest degree first.  In place in edge order it reads only
+entries not yet updated and multiplies by (1 + x); in place with the
+edges reversed it reads updated ones and divides by (1 - x); into a fresh
+vector it multiplies by x.  On the chain t^k, ..., t, 1 it gives the
+elementary series
 (`elementary_series`, and so `elementary_symmetric_classes` and
 `chern_class`) and the complete series (`complete_series`,
 `wronski_classes`), complete elements built only when asked for.  On the
@@ -44,6 +45,18 @@ entries, so it builds no `ChowElement`; `class_element` turns the same
 vectors into degree-1 elements for the ring, with the same refusals
 (`_vector_symbols`).  A model is its divisor classes: c(X) = prod (1 + D)
 over them, with no second route to a Chern class.
+
+Products of projective spaces are the exception to the support: a support
+of prod (n_k + 1) monomials grows like 2^k.  `catalog.multiprojective`
+records its factor dimensions beside the fields (`ToricModel._factor_dims`),
+and a count on such a model runs from per-factor moments instead
+(`_product_count`): by Kunneth, int c(X) exp(sum_j tau_j L_j) is the
+product over the factors of phi_k(s_k), and the count is a linear
+functional of that product, polynomial in k for a fixed set of classes.
+It gives way to the support route when that is smaller.  No count
+enumerates more than SIZE_BOUND entries: past it, a support
+(`ToricModel._support_index`) or a product count is refused with a
+ValueError naming the size, before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -53,7 +66,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
-from math import lcm
+from math import comb, factorial, lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
@@ -96,6 +109,12 @@ def _rows(rows, refusal: str, what: str) -> tuple[tuple, ...]:
 
 # tensor key sets whose support index is kept at once
 SUPPORT_INDEX_CACHE_SIZE = 256
+
+# The most entries a count may enumerate: the monomials of a support, or a
+# product count's moments or symbolic terms (`_product_count`).  A count at
+# degree 1 on (P^1)^16, whose support holds 65536 monomials, takes 0.7 s on
+# a 2-vCPU Xeon VM with Python 3.11.
+SIZE_BOUND = 1 << 16
 
 
 class SupportIndex(NamedTuple):
@@ -159,7 +178,8 @@ class ToricModel:
     read-only mapping, and each instance caches its Chern vector and its
     integer tensor on first use; the support index is shared by the models
     with one tensor key set.  Tensor keys must hold ints and weights must be
-    ints or Fractions, and generator names must differ.  The builtins of
+    ints or Fractions; the name and the generator names must be strs, the
+    generator names must differ, and smooth must be a bool.  The builtins of
     `catalog` build their models through `_trusted`, which skips these
     checks.
     """
@@ -176,15 +196,32 @@ class ToricModel:
 
     __hash__ = None  # the tensor mapping is not hashable
 
+    # The factor dimensions (n1, ..., nk) of P^n1 x ... x P^nk, which
+    # `catalog.multiprojective` records in the instance `__dict__`.  It is no
+    # field: equality, `dataclasses.fields` and `serialize_model` ignore it,
+    # and a model rebuilt from its fields has none.  Counts on a model with
+    # a record take the product route (`_product_count`).
+    _factor_dims = None
+
     def __post_init__(self):
         store = partial(object.__setattr__, self)
+        if type(self.name) is not str:
+            raise ValueError(f"name must be a str, got {self.name!r}")
         for what, value in (("dim", self.dim), ("rank", self.rank)):
             if type(value) is not int:  # True is no dimension
                 raise ValueError(f"{what} must be an int, got {value!r}")
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
+        if type(self.smooth) is not bool:  # a str such as 'no' is true
+            raise ValueError(f"smooth must be a bool, got {self.smooth!r}")
         wrong_gens = f"expected {self.rank} generator names, got {{!r}}"
-        store("gens", _variable_table(_tuple(self.gens, wrong_gens)))
+        if isinstance(self.gens, str):  # a str is a sequence of strs
+            raise ValueError(f"generator names must be a sequence of strs, got {self.gens!r}")
+        gens = _tuple(self.gens, wrong_gens)
+        for name in gens:
+            if type(name) is not str:
+                raise ValueError(f"generator name {name!r} is not a str")
+        store("gens", _variable_table(gens))
         if len(self.gens) != self.rank:
             raise ValueError(wrong_gens.format(self.gens))
         wrong_classes = f"expected {self.dim + self.rank} divisor classes, got {{!r}}"
@@ -272,8 +309,18 @@ class ToricModel:
     @_lazy
     def _support_index(self) -> SupportIndex:
         """The index of the support, shared by every model with the same
-        tensor key set (`_index_support`)."""
-        return _index_support(frozenset(self.tensor))
+        tensor key set (`_index_support`).  A support that may hold more
+        than SIZE_BOUND monomials, sum over the keys of prod (e_k + 1), is
+        refused before anything is enumerated.  As e + 1 <= 2^e, that sum is
+        at most the number of keys times 2^n, which settles most models at
+        once."""
+        keys = frozenset(self.tensor)
+        if len(keys) << self.dim > SIZE_BOUND:
+            size = sum(prod(e + 1 for e in key) for key in keys)
+            if size > SIZE_BOUND:
+                raise ValueError(f"the support may hold {size} monomials, "
+                                 f"past the bound of {SIZE_BOUND}")
+        return _index_support(keys)
 
     @_lazy
     def _integer_tensor(self) -> tuple[int, dict[tuple[int, ...], int]]:
@@ -587,6 +634,14 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     weights (`_pair`).  The result's table merges the symbols of the
     factors, then over's, then the twist's, each in order of first
     appearance: the table `aligned` gives the classes' elements.
+
+    On a product of projective spaces from `catalog.multiprojective` the
+    same entries go to `_product_count`, which multiplies per-factor
+    moments instead, unless the support is the smaller; the value, its
+    table and its `Fraction` coefficients are the support route's.  A
+    support that may hold more than SIZE_BOUND monomials, and a product
+    count past it, raise ValueError before anything is enumerated.  The
+    refusals of the classes come first, on either route.
     """
     top = model.dim - len(factors)
     if top < 0:
@@ -606,6 +661,10 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
             entries = [x if type(x) is int else _exact_scalar(
                 x.constant_value() if isinstance(x, MultiPoly) else x) for x in cls]
             xs.append(entries if sign == 1 else [-x for x in entries])
+    if model._factor_dims is not None:
+        count = _product_count(model.dim, model._factor_dims, xs, f, table)
+        if count is not None:
+            return count
     order, pos, edges = model._support_index
     # with top = 0 only c_0 = 1 enters, so c(X) need not be built
     v = list(model._chern_vector if top else _unit_vector(len(order)))
@@ -626,6 +685,194 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
                               for e, c in v[pos[key]].items()))
 
 
+def _product_count(n: int, dims: tuple[int, ...], xs: list, f: int,
+                   table: tuple[str, ...]) -> ScalarExpr | None:
+    """The count of `integrate_count` on P^n1 x ... x P^nk from per-factor
+    moments, given its pass entries `xs` (the `over` classes negated), the
+    first f of them factors; None when the support route enumerates less.
+
+    By Kunneth, c(X) = prod_k (1 + H_k)^(n_k + 1), and an integral of
+    pulled-back classes is the product of the factors' integrals, so the
+    moments of classes L_j, with s_k = sum_j tau_j L_jk, are
+    int c(X) exp(sum_j tau_j L_j) = prod_k phi_k(s_k), where
+    phi_k(s) = sum_(i <= n_k) C(n_k + 1, n_k - i) s^i / i!
+    (Fulton, Intersection Theory, ch. 3): int c(X) L^beta is beta! times
+    the tau^beta coefficient.  Equal entries share one variable, e of them
+    factors and t of them divisors 1 - x, and the count weighs the beta-th
+    moment by prod_j `_weight`(beta_j, e_j, t_j).  Each phi_k is divided by
+    its constant term n_k + 1 and its tau^alpha coefficient multiplied by
+    R^|alpha| (`_moment_row`), and every class is multiplied by the common
+    denominator D of all the entries, so every coefficient is an int (or an
+    int term dict) and the product runs in place; each output term is one
+    `Fraction`, over (R D)^n (`_pair`).
+
+    The route is taken unless it reads more moments than the support has
+    monomials.  On a support past SIZE_BOUND it is taken, or the count is
+    refused before anything is enumerated when its moments, or with degree
+    symbols its output terms, may pass SIZE_BOUND too."""
+    groups: list[list] = []  # [entries, e, t]
+    for i, x in enumerate(xs):
+        for group in groups:
+            if group[0] == x:
+                break
+        else:
+            group = [x, 0, 0]
+            groups.append(group)
+        group[1 if i < f else 2] += 1
+    if len(groups) == 1:  # one class: its moments are its degrees up to the top
+        moments, size = None, (n if groups[0][2] else groups[0][1]) + 1
+    else:
+        moments = _moment_states(n, tuple((e, t) for _, e, t in groups))
+        size = moments[0]
+    support = prod(m + 1 for m in dims)
+    if support > SIZE_BOUND:
+        noun = "moments"
+        if table:
+            # an output term multiplies at most n_k monomials of the k-th
+            # entries per factor, and has degree at most sum_k n_k * deg_k
+            zero = (0,) * len(table)
+            terms, top = 1, 0
+            for k, m in enumerate(dims):
+                monos = {u for x, _, _ in groups for u in x[k]} - {zero}
+                terms *= comb(m + len(monos), m)
+                top += m * max(map(sum, monos), default=0)
+            terms = min(terms, comb(top + len(table), top))
+            if terms > size:
+                size, noun = terms, "terms"
+        if size > SIZE_BOUND:
+            raise ValueError(f"this product count may hold {size} {noun}, "
+                             f"past the bound of {SIZE_BOUND}")
+    elif size > support:
+        return None
+    scale = lcm(*(c.denominator for x, _, _ in groups for y in x
+                  for c in (y.values() if table else (y,))))
+    if scale != 1:
+        for group in groups:
+            group[0] = [_Terms({u: c.numerator * (scale // c.denominator) for u, c in y.items()})
+                        if table else y.numerator * (scale // y.denominator) for y in group[0]]
+    # (d + 1)! divides R^d for d <= n_k: each prime p <= d + 1 divides R,
+    # and (d + 1)! has at most d factors p
+    radix = lcm(*range(1, max(dims) + 2))
+    q = radix * scale
+    # the moment of degree d lacks q^(n - d), and each phi_k its constant n_k + 1
+    lifts = [support * q ** (n - d) for d in range(n + 1)]
+    if moments is None:
+        (x, e, t), = groups
+        products = ((_weight(b, e, t) * lifts[b], c) for b, c in
+                    enumerate(_class_moments(n, dims, x, e, t, radix, table)) if b >= e)
+    else:
+        _, need, weight, degree, places = moments
+        v = _joint_moments(n, dims, groups, need, places, radix, table)
+        products = ((weight[key] * lifts[degree[key]], c) for key, c in v.items())
+    if not table:
+        return _pair(q ** n, (), ((w, (), c) for w, c in products))
+    return _pair(q ** n, table, ((w, u, c) for w, terms in products for u, c in terms.items()))
+
+
+def _class_moments(n: int, dims: tuple[int, ...], x: list, e: int, t: int, radix: int,
+                   table: tuple[str, ...]) -> list:
+    """The scaled moments of one class (see `_product_count`) by degree, up
+    to e for a class that is only factors and to n else: from 1, each
+    factor P^m multiplies in place by sum_a row_a (x_k tau)^a, the degrees
+    read from the top down, so each before the ones it feeds."""
+    top = n if t else e
+    v = [_Terms({(0,) * len(table): 1}), *(_Terms() for _ in range(top))] if table \
+        else [1] + [0] * top
+    done = 0
+    for m, y in zip(dims, x):
+        if y:
+            row = _moment_row(m, radix)
+            for b in range(min(done, top), -1, -1):
+                z = v[b]
+                if z:
+                    for a in range(1, min(m, top - b) + 1):
+                        z = z * y
+                        v[b + a] += z if row[a] == 1 else row[a] * z
+        done += m
+    return v
+
+
+def _joint_moments(n: int, dims: tuple[int, ...], groups: list, need: dict[int, int],
+                   places: tuple[int, ...], radix: int, table: tuple[str, ...]) -> dict:
+    """The scaled moments of several classes (see `_product_count`) by key:
+    from 1, each factor multiplies in place by its terms, the keys read from
+    the top down, so each before the ones it feeds; a moment is made only
+    while its need fits in the factors to come."""
+    v = {0: _Terms({(0,) * len(table): 1}) if table else 1}
+    far, left = n + 1, n
+    for k, m in enumerate(dims):
+        left -= m
+        # phi_k / (n_k + 1), tau^alpha scaled by R^|alpha|, alpha != 0, as
+        # (key of alpha, |alpha|, alpha!, prod_j x_jk^alpha_j), the last an
+        # int until a class with degree symbols enters
+        terms = [(0, 0, 1, 1)]
+        for (x, e, t), place in zip(groups, places):
+            if x[k]:
+                powers = [1, x[k]]
+                for _ in range((m if t else min(e, m)) - 1):
+                    powers.append(powers[-1] * x[k])
+                terms = [(key + a * place, deg + a, fa * factorial(a), xa * powers[a] if a else xa)
+                         for key, deg, fa, xa in terms
+                         for a in range(min(len(powers), m - deg + 1))]
+        row = _moment_row(m, radix)
+        phi = [(step, row[deg] * (factorial(deg) // fa) * xa) for step, deg, fa, xa in terms[1:]]
+        for key in sorted(v, reverse=True):
+            z = v[key]
+            if z:
+                for step, y in phi:
+                    if need.get(key + step, far) <= left:
+                        if key + step in v:
+                            v[key + step] += y * z
+                        else:
+                            v[key + step] = y * z
+    return v
+
+
+def _weight(b: int, e: int, t: int) -> int:
+    """b! [x^b] x^e / (1 - x)^t: the count's weight of the b-th moment of a
+    class that is e factors and t divisors."""
+    if b < e:
+        return 0
+    return factorial(b) * comb(b - e + t - 1, t - 1) if t else factorial(b)
+
+
+@lru_cache(maxsize=64)
+def _moment_row(m: int, radix: int) -> tuple[int, ...]:
+    """C(m, d) R^d / (d + 1)! for d <= m: the tau^alpha coefficient of
+    phi(s) / (m + 1) on P^m, with tau^alpha scaled by R^|alpha|, is this
+    times d! / alpha! x^alpha, d = |alpha|; R is chosen so that (d + 1)!
+    divides R^d."""
+    return tuple(comb(m, d) * (radix ** d // factorial(d + 1)) for d in range(m + 1))
+
+
+@lru_cache(maxsize=32)
+def _moment_states(n: int, shape: tuple[tuple[int, int], ...]) -> tuple:
+    """The moments a product count on an n-fold reads, for variables with e
+    factors and t divisors 1 - x each (`shape`): the beta with beta_j <= e_j
+    where t_j = 0 and |beta| + need(beta) <= n, where need(beta) =
+    sum_j max(e_j - beta_j, 0), so that every e_j can still be reached.
+    Each is keyed by its digits in base n + 1.  Returns their number, and
+    by key their need, their weight prod_j `_weight`(beta_j, e_j, t_j) and
+    their degree |beta|, and the digits' place values.  Past SIZE_BOUND the
+    number is its bound prod (e_j + 1) C(n - sum e_j + g, g), over the e_j
+    with t_j = 0 and the g variables with t_j > 0, and none is listed."""
+    places = tuple((n + 1) ** j for j in range(len(shape)))
+    exact = [e for e, t in shape if not t]
+    free = len(shape) - len(exact)
+    size = prod(e + 1 for e in exact) * comb(n - sum(exact) + free, free)
+    if size > SIZE_BOUND:
+        return size, {}, {}, {}, places
+    spare = n - sum(e for e, _ in shape)
+    states, rest = [(0, 0, 0, 1)], n - spare  # rest: the e_j still to come
+    for (e, t), place in zip(shape, places):
+        rest -= e
+        states = [(key + b * place, deg + b, need + max(e - b, 0), w * _weight(b, e, t))
+                  for key, deg, need, w in states for b in range(e + spare + 1 if t else e + 1)
+                  if deg + b + need + max(e - b, 0) + rest <= n]
+    return (len(states), {s[0]: s[2] for s in states}, {s[0]: s[3] for s in states},
+            {s[0]: s[1] for s in states}, places)
+
+
 def _kernel_terms(x: ScalarLike, table: tuple[str, ...], sign: int) -> _Terms:
     """sign times a Picard vector entry, an int, a `Fraction` or a
     `MultiPoly`, as a `_pass` entry on the merged symbol table."""
@@ -642,7 +889,8 @@ def _unit_vector(size: int) -> list[int]:
 
 def _pass(dst: list, src: list, x: Sequence, edges) -> None:
     """dst[i] += x[k] * src[j] along the edges (i, k, j): the one kernel of
-    every series and count here (see the module notes)."""
+    every series and of every count off the products (see the module
+    notes)."""
     for i, k, j in edges:
         if x[k] and src[j]:
             dst[i] += x[k] * src[j]
@@ -659,3 +907,6 @@ class _Terms(dict):
 
     def __mul__(self, other: _Terms) -> _Terms:
         return _Terms(mul_terms(self, other))
+
+    def __rmul__(self, k: int) -> _Terms:
+        return _Terms({e: k * c for e, c in self.items()})

@@ -455,14 +455,12 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
         # the classes on one table, so the sum lists their symbols in order
         a = _aligned_vectors(*a)
         asum = tuple(map(sum, zip(*a)))
-        # only the degree-1 part of c(X) meets a curve: its entries at the
-        # unit exponents of the counts' Chern vector, 0 off the support
-        c, pos = model._chern_vector, model._support_index.pos
+        # only the degree-1 part of c(X) meets a curve: c_1 = sum_i D_i
+        c1 = tuple(map(sum, zip(*model.divisor_classes)))
         d = _degree_vector(model, degree)
         chow._vector_symbols(model, d)
         cut = 1 if strict else 0
-        bound = tuple(x + (c[pos[u]] if u in pos else 0) - cut
-                      for x, u in zip(d, model._units))
+        bound = tuple(x + c - cut for x, c in zip(d, c1))
         lhs = chow.integrate_count(model, [asum, *a])
         rhs = chow.integrate_count(model, [bound, *a])
         return _verdict(lhs, rhs)

@@ -4,7 +4,7 @@ its exact text, in one table."""
 import pytest
 
 from toricsing import catalog, formulas, polyfield, residue
-from toricsing.catalog import parse_model
+from toricsing.catalog import parse_model, serialize_model
 from toricsing.chow import ChowElement, ToricModel, elementary_series
 from toricsing.errors import AlignmentError, ModelFormatError
 from toricsing.exactalg import MultiPoly
@@ -32,6 +32,10 @@ def model(**changes):
 
 
 P2 = catalog.projective(2)
+# (P^1)^17 as a model file, which records no factors: counts run over its
+# support of 2^17 monomials
+P1_17_FILE = serialize_model(catalog.multiprojective(*[1] * 17))
+P1_24 = catalog.multiprojective(*[1] * 24)
 X, Y = (MultiPoly.variable(v, ("x", "y")) for v in ("x", "y"))
 U = MultiPoly.variable("u", ("u",))
 ZP2 = [MultiPoly.zero(P2.coord_names)] * 3
@@ -100,6 +104,14 @@ REFUSALS = {
                               "coordinate names must be a sequence of strs, got 'ab'"),
     "coordinate name 3": (lambda: model(coord_names=("a", 3)), ValueError,
                           "coordinate name 3 is not a str"),
+    "name 5": (lambda: model(name=5), ValueError, "name must be a str, got 5"),
+    # a str such as 'no' is true, so the model would pass as smooth
+    "smooth 'no'": (lambda: model(smooth="no"), ValueError, "smooth must be a bool, got 'no'"),
+    "smooth None": (lambda: model(smooth=None), ValueError, "smooth must be a bool, got None"),
+    "smooth 1": (lambda: model(smooth=1), ValueError, "smooth must be a bool, got 1"),
+    "generator name 5": (lambda: model(gens=(5,)), ValueError, "generator name 5 is not a str"),
+    "gens 'HE'": (lambda: model(rank=2, gens="HE"), ValueError,
+                  "generator names must be a sequence of strs, got 'HE'"),
     "element table": (lambda: ChowElement(("H",), MultiPoly(("E", "H"))), ValueError,
                       "generators ('H',) must prefix the table ('E', 'H')"),
     # the builtin families
@@ -164,6 +176,21 @@ REFUSALS = {
         ValueError, "wci-general has no strict form; only toric-curve has"),
     "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
                          "expected 3 divisor coefficients"),
+    # past the size bound, before anything is enumerated
+    "support past the bound": (
+        lambda: formulas.foliation_sing_count(parse_model(P1_17_FILE), (1,) * 17),
+        ValueError, "the support may hold 131072 monomials, past the bound of 65536"),
+    "chern line past the bound": (
+        lambda: parse_model(P1_17_FILE + "chern 1 : " + " + ".join(
+            f"2*H{k}" for k in range(1, 18))),
+        ValueError, "the support may hold 131072 monomials, past the bound of 65536"),
+    "symbolic product past the bound": (
+        lambda: formulas.foliation_sing_count(catalog.multiprojective(*[1] * 17), "symbolic"),
+        ValueError, "this product count may hold 131072 terms, past the bound of 65536"),
+    "product moments past the bound": (
+        lambda: formulas.ci_sing_count(
+            P1_24, [[1 + (k + j) % 3 for k in range(24)] for j in range(3)], (1,) * 24),
+        ValueError, "this product count may hold 101200 moments, past the bound of 65536"),
     # polynomial fields and exact division
     "component count": (lambda: polyfield.VectorFieldExpr(P2, ZP2[:2]), ValueError,
                         "expected 3 components, got 2"),
