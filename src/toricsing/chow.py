@@ -46,6 +46,16 @@ vectors into degree-1 elements for the ring, with the same refusals
 (`_vector_symbols`).  A model is its divisor classes: c(X) = prod (1 + D)
 over them, with no second route to a Chern class.
 
+A symbolic count whose degree symbols all sit in its last class, a
+divisor (the twist, or else the last of `over`, where a distribution's
+degree goes), with each entry 0 or one term c s^e, as
+`formulas.symbolic_degree` gives, multiplies no term dict: the other
+classes run as passes on numbers, and the last is paired in closed form
+by 1 / (1 - D) = sum_alpha (|alpha|! / alpha!) D^alpha (`_twist_count`),
+through a pair table of the support built once per index on first use
+(`SupportIndex.pairs`).  Every other symbolic count keeps the term-dict
+passes.
+
 Products of projective spaces are the exception to the support: a support
 of prod (n_k + 1) monomials grows like 2^k.  `catalog.multiprojective`
 records its factor dimensions beside the fields (`ToricModel._factor_dims`),
@@ -67,11 +77,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, product
 from math import comb, factorial, lcm, prod
+from operator import sub
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms,
+    MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms, _tuple,
     _variable_table, aligned, as_poly, mul_terms, poly_sum,
 )
 
@@ -91,15 +102,6 @@ def _check_integral(what: str, rows) -> None:
                 raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
 
 
-def _tuple(value, refusal: str) -> tuple:
-    """The value as a tuple; when it is not iterable (an int, say), a
-    ValueError with the text refusal.format(value), which names the field."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise ValueError(refusal.format(value)) from None
-
-
 def _rows(rows, refusal: str, what: str) -> tuple[tuple, ...]:
     """`rows` as a tuple of tuples: `_tuple` with `refusal`, and each row
     with '<what> <row> is not a sequence of ints'."""
@@ -117,15 +119,55 @@ SUPPORT_INDEX_CACHE_SIZE = 256
 SIZE_BOUND = 1 << 16
 
 
-class SupportIndex(NamedTuple):
-    """The support of a tensor key set: the generator exponents dividing
-    some key, sorted by degree, highest first (`order`), the position of
-    each there (`pos`), and the edges (i, k, j) in order of i (`edges`):
-    monomial j is monomial i less the k-th unit exponent, so j comes after i."""
+class _lazy:
+    """A field of a model or of a support index computed on first use and
+    stored in the instance `__dict__`, where later reads find it before
+    this non-data descriptor: `functools.cached_property` without the lock
+    that 3.10 and 3.11 take on every first access.  Two threads reading a field first at once may both
+    compute it; each stores an equal value, as `cached_property` does from
+    3.12 on."""
 
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class _SupportFields(NamedTuple):
     order: tuple[tuple[int, ...], ...]
     pos: Mapping[tuple[int, ...], int]
     edges: tuple[tuple[int, int, int], ...]
+
+
+class SupportIndex(_SupportFields):
+    """The support of a tensor key set: the generator exponents dividing
+    some key, sorted by degree, highest first (`order`), the position of
+    each there (`pos`), and the edges (i, k, j) in order of i (`edges`):
+    monomial j is monomial i less the k-th unit exponent, so j comes after i.
+    The keys, all of the top degree, come first in `order`.  The pair table
+    of a symbolic twist (`pairs`) is built on first use beside them."""
+
+    @_lazy
+    def pairs(self) -> tuple[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]], ...]:
+        """For each monomial alpha of the support, highest degree first:
+        alpha, the multinomial |alpha|! / alpha!, and the pairs (i, j) of
+        the keys order[i] >= alpha, j the position of order[i] - alpha.
+        It holds sum over the keys of prod (e_k + 1) pairs, the size
+        `ToricModel._support_index` bounds (see `_twist_count`)."""
+        order, pos = self.order, self.pos
+        top = sum(order[0]) if order else 0
+        rows: dict[tuple[int, ...], list] = {e: [] for e in order}
+        for i, key in enumerate(order):
+            if sum(key) != top:
+                break
+            for alpha in product(*(range(e + 1) for e in key)):
+                rows[alpha].append((i, pos[tuple(map(sub, key, alpha))]))
+        return tuple((alpha, factorial(sum(alpha)) // prod(map(factorial, alpha)), tuple(p))
+                     for alpha, p in rows.items())
 
 
 @lru_cache(maxsize=SUPPORT_INDEX_CACHE_SIZE)
@@ -145,24 +187,6 @@ def _index_support(keys: frozenset[tuple[int, ...]]) -> SupportIndex:
 def _default_coord_names(size: int) -> tuple[str, ...]:
     """z0, ..., z(size - 1): the coordinate names of a model that gives none."""
     return tuple(f"z{i}" for i in range(size))
-
-
-class _lazy:
-    """A model field computed on first use and stored in the instance
-    `__dict__`, where later reads find it before this non-data descriptor:
-    `functools.cached_property` without the lock that 3.10 and 3.11 take on
-    every first access.  Two threads reading a field first at once may both
-    compute it; each stores an equal value, as `cached_property` does from
-    3.12 on."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -635,6 +659,14 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     factors, then over's, then the twist's, each in order of first
     appearance: the table `aligned` gives the classes' elements.
 
+    When the last class is a divisor (the twist, or else the last of
+    `over`), the only one with degree symbols, and each of its entries is
+    0 or one term, as on a `formulas.symbolic_degree` vector, every other
+    class runs as a pass on numbers, and the last is paired in closed form
+    by the multinomial identity (`_twist_count`), with no term-dict
+    product; the value, its table and its `Fraction` coefficients are
+    those of the term-dict passes, which every other symbolic count runs.
+
     On a product of projective spaces from `catalog.multiprojective` the
     same entries go to `_product_count`, which multiplies per-factor
     moments instead, unless the support is the smaller; the value, its
@@ -647,14 +679,22 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     if top < 0:
         raise ValueError(f"{len(factors)} factors exceed the dimension {model.dim}")
     classes = (*factors, *over, *(() if twist is None else (twist,)))
-    symbols = [s for s in (_vector_symbols(model, c) for c in classes) if s]
+    tables = [_vector_symbols(model, c) for c in classes]
+    symbols = [s for s in tables if s]
     table = _merged_table(symbols) if symbols else ()
     f, g = len(factors), len(factors) + len(over)
+    # the last class, a divisor, pairs in closed form when it alone carries
+    # symbols, one term at most an entry, off the products (`_twist_count`)
+    closed = (bool(table) and len(classes) > f and not any(tables[:-1])
+              and model._factor_dims is None
+              and all(len(x.terms) <= 1 for x in classes[-1] if isinstance(x, MultiPoly)))
+    # the entries of the support vector are term dicts
+    terms = bool(table) and not closed
     xs = []
     for i, cls in enumerate(classes):
         # dividing by 1 + a is dividing by 1 - (-a)
         sign = -1 if f <= i < g else 1
-        if table:
+        if terms or tables[i]:
             xs.append([_kernel_terms(x, table, sign) for x in cls])
         else:
             # no entry has symbols, so a MultiPoly entry is a constant
@@ -668,21 +708,69 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     order, pos, edges = model._support_index
     # with top = 0 only c_0 = 1 enters, so c(X) need not be built
     v = list(model._chern_vector if top else _unit_vector(len(order)))
-    if table:
+    if terms:
         zero = (0,) * len(table)
         v = [_Terms({zero: c} if c else {}) for c in v]
     # multiplied first, the factors meet short entries
     for x in xs[:f]:
-        w = [_Terms() for _ in v] if table else [0] * len(v)
+        w = [_Terms() for _ in v] if terms else [0] * len(v)
         _pass(w, v, x, edges)
         v = w
-    for x in xs[f:]:
+    for x in xs[f:len(xs) - closed]:
         _pass(v, v, x, reversed(edges))
+    if closed:
+        return _twist_count(model, v, xs[-1], table)
     den, weights = model._integer_tensor
     if not table:
         return _pair(den, (), ((weight, (), v[pos[key]]) for key, weight in weights.items()))
     return _pair(den, table, ((weight, e, c) for key, weight in weights.items()
                               for e, c in v[pos[key]].items()))
+
+
+def _twist_count(model: ToricModel, v: list, x: list, table: tuple[str, ...]) -> ScalarExpr:
+    """The pairing of v / (1 - X) with the model's tensor, for v a vector
+    of numbers on its support and X = sum_k x_k H_k whose entries x_k, term
+    dicts on the symbol table, are each 0 or one term c_k s^(e_k).
+
+    By the multinomial identity 1 / (1 - X) = sum_alpha M(alpha) X^alpha,
+    M(alpha) = |alpha|! / alpha! (Fulton, Intersection Theory, ch. 3), the
+    entry of v / (1 - X) on a key is the sum over alpha <= key of
+    M(alpha) x^alpha v[key - alpha], and x^alpha = c^alpha s^(alpha E) is
+    one term, E the matrix of the rows e_k.  So the count is the sum over
+    alpha of M(alpha) c^alpha A[alpha] s^(alpha E), where A[alpha] = sum
+    over the keys >= alpha of w(key) v[key - alpha], integer weights w: the
+    index's pair table (`SupportIndex.pairs`) lists those pairs with
+    M(alpha).  The terms are found by alpha, which is already the symbol
+    exponent when E is the identity, as on a `formulas.symbolic_degree`
+    vector, and moved to alpha E otherwise; no term dict is multiplied, and
+    each output term is one `Fraction`."""
+    index = model._support_index
+    den, weights = model._integer_tensor
+    w = [weights[key] for key in index.order[:len(weights)]]
+    cs, es = [], []  # x_k = c_k s^(e_k), and c_k = 0 for a zero entry
+    for y in x:
+        (e, c), = y.items() if y else ((None, 0),)
+        cs.append(c)
+        es.append(e)
+    ones = all(c == 1 for c in cs)
+    out = {}
+    for alpha, multinomial, pairs in index.pairs:
+        total = 0
+        for i, j in pairs:
+            total += w[i] * v[j]
+        if total:
+            out[alpha] = multinomial * total if ones else \
+                multinomial * total * prod(map(pow, cs, alpha))
+    if len(table) != len(x) or any(e is None or e[k] != 1 or sum(e) != 1
+                                   for k, e in enumerate(es)):
+        moved: dict[tuple[int, ...], int | Fraction] = {}
+        for alpha, c in out.items():
+            if c:
+                e = tuple(sum(a * ek[t] for a, ek in zip(alpha, es) if a)
+                          for t in range(len(table)))
+                moved[e] = moved.get(e, 0) + c
+        out = moved
+    return MultiPoly._trusted(table, {e: Fraction(c, den) for e, c in out.items() if c})
 
 
 def _product_count(n: int, dims: tuple[int, ...], xs: list, f: int,

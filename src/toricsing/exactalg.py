@@ -46,6 +46,15 @@ def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
+def _tuple(value, refusal: str) -> tuple:
+    """The value as a tuple; when it is not iterable (an int, say), a
+    ValueError with the text refusal.format(value), which names the field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(refusal.format(value)) from None
+
+
 def _check_exact(value) -> None:
     """A float is not exact data (0.1 would become its binary expansion),
     and a bool is no number, though Python takes True for 1: either raises

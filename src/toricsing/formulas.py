@@ -44,9 +44,10 @@ def _check_kind(kind: str) -> None:
 
 
 def _integers(what: str, values: Sequence[int]) -> tuple[int, ...]:
-    """The values as a tuple; a ValueError names the argument and the entry
-    when one is not an int, so non-integer data is never truncated."""
-    values = tuple(values)
+    """The values as a tuple; a ValueError names the argument when they are
+    no sequence, and the entry when one is not an int, so non-integer data
+    is never truncated."""
+    values = chow._tuple(values, what + " must be a sequence of ints, got {!r}")
     chow._check_integral(what, (values,))
     return values
 
@@ -55,10 +56,16 @@ def symbolic_degree(model: ToricModel,
                     names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
     """A fully symbolic Picard vector; defaults to d1..dr in generator order.
     The names must be one per generator, each a name the parser reads back,
-    none a generator name, no two alike.  The vector is immutable, so one
-    is kept per generator table and names (`_symbol_vector`)."""
-    return _symbol_vector(model.gens, None if names is None
-                          else tuple(map(_check_symbol, names)))
+    none a generator name, no two alike; a str or a value that is no
+    sequence is refused, as for a model's generator names.  The vector is
+    immutable, so one is kept per generator table and names
+    (`_symbol_vector`)."""
+    if names is None:
+        return _symbol_vector(model.gens, None)
+    wrong = "symbol names must be a sequence of strs, got {!r}"
+    if isinstance(names, str):  # a str is a sequence of strs
+        raise ValueError(wrong.format(names))
+    return _symbol_vector(model.gens, tuple(map(_check_symbol, chow._tuple(names, wrong))))
 
 
 @lru_cache(maxsize=256)
@@ -145,14 +152,15 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
         raise ToricError(
             "gcd obstruction applies to smooth models only; "
             f"{model.name} is an orbifold")
-    if len(divisor_coeffs) != model.dim + model.rank:
+    coeffs = _integers("divisor coefficients", divisor_coeffs)
+    if len(coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
     chi = chow.integrate_count(model).constant_value()
     if chi.denominator != 1:
         raise ToricError(
             f"Euler number {chi} is not an integer; obstruction inapplicable")
-    g = gcd(*_integers("divisor coefficients", divisor_coeffs))
+    g = gcd(*coeffs)
     if g == 0:
         forces = chi != 0
     else:
@@ -324,7 +332,13 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
 
 
 def _class_list(model: ToricModel, classes) -> list[tuple]:
-    return [_degree_vector(model, c) for c in classes]
+    """The Picard vectors of a sequence of degree inputs; a str, whose
+    characters are no classes, or a value that is no sequence raises a
+    ValueError naming the argument."""
+    wrong = "classes must be a sequence of classes, got {!r}"
+    if isinstance(classes, str):
+        raise ValueError(wrong.format(classes))
+    return [_degree_vector(model, c) for c in chow._tuple(classes, wrong)]
 
 
 def _ci_classes(model: ToricModel, classes) -> list[tuple]:
@@ -446,10 +460,9 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
                 f"toric-curve needs a model of dimension at least 2, got {model.dim}")
         # each vector is checked as the counts check it before any sum,
         # where a bool entry would pass as an int
-        a = []
-        for c in classes:
-            a.append(_degree_vector(model, c))
-            chow._vector_symbols(model, a[-1])
+        a = _class_list(model, classes)
+        for v in a:
+            chow._vector_symbols(model, v)
         if len(a) != model.dim - 1:
             raise ValueError(f"curve case needs {model.dim - 1} classes, got {len(a)}")
         # the classes on one table, so the sum lists their symbols in order

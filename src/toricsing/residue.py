@@ -74,7 +74,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from .errors import NonIsolatedZeroError
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, _tuple
 
 DEFAULT_DEGREE_CAP = 64
 # (variable count, field width, degree) keys whose shift lists are kept at once
@@ -99,7 +99,12 @@ class IndexQuery:
     degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        components = _tuple(self.components,
+                            "components must be a sequence of MultiPolys, got {!r}")
+        for comp in components:
+            if not isinstance(comp, MultiPoly):
+                raise ValueError(f"component {comp!r} is not a MultiPoly")
+        object.__setattr__(self, "components", components)
         if not self.components:
             raise ValueError("need at least one component")
         table = self.components[0].vars

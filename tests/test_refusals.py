@@ -138,6 +138,12 @@ REFUSALS = {
                       "group order must be a positive integer"),
     "cap 1": (lambda: residue.IndexQuery((X, Y), degree_cap=1), ValueError,
               "degree cap must be at least 2"),
+    "components None": (lambda: residue.IndexQuery(None), ValueError,
+                        "components must be a sequence of MultiPolys, got None"),
+    "component names": (lambda: residue.IndexQuery(("u", "v")), ValueError,
+                        "component 'u' is not a MultiPoly"),
+    "component 5": (lambda: residue.IndexQuery((U, 5)), ValueError,
+                    "component 5 is not a MultiPoly"),
     "negative multiplicity": (lambda: residue.orbifold_index(-1, 1), ValueError,
                               "multiplicity cannot be negative"),
     # the counts
@@ -176,6 +182,32 @@ REFUSALS = {
         ValueError, "wci-general has no strict form; only toric-curve has"),
     "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
                          "expected 3 divisor coefficients"),
+    "gcd coefficients 5": (lambda: formulas.gcd_obstruction(P2, 5), ValueError,
+                           "divisor coefficients must be a sequence of ints, got 5"),
+    # names and lists that are a str or no sequence
+    "symbol names 'ab'": (lambda: formulas.symbolic_degree(catalog.blowup_point(2), "ab"),
+                          ValueError, "symbol names must be a sequence of strs, got 'ab'"),
+    "symbol names 5": (lambda: formulas.symbolic_degree(P2, 5), ValueError,
+                       "symbol names must be a sequence of strs, got 5"),
+    "ci classes 2": (lambda: formulas.ci_sing_count(P2, 2, 1), ValueError,
+                     "classes must be a sequence of classes, got 2"),
+    "ci classes 'ab'": (lambda: formulas.ci_sing_count(P2, "ab", 1), ValueError,
+                        "classes must be a sequence of classes, got 'ab'"),
+    "ci_euler classes 2": (lambda: formulas.ci_euler(P2, 2), ValueError,
+                           "classes must be a sequence of classes, got 2"),
+    "multidegree classes 2": (lambda: formulas.multidegree(P2, 2, 0), ValueError,
+                              "classes must be a sequence of classes, got 2"),
+    "toric-curve classes 5": (lambda: formulas.poincare_check(
+        "toric-curve", model=P2, classes=5, degree=1),
+        ValueError, "classes must be a sequence of classes, got 5"),
+    "wci classes 2": (lambda: formulas.wci_sing_count((1, 1, 1), 2, 1), ValueError,
+                      "classes must be a sequence of ints, got 2"),
+    "wci parts classes 2": (lambda: formulas.wci_sing_count_parts((1, 1, 1, 1), 2, 1),
+                            ValueError, "classes must be a sequence of ints, got 2"),
+    "Baum-Bott classes 2": (lambda: formulas.baum_bott_sum((1, 1, 1, 1), 2, 1), ValueError,
+                            "classes must be a sequence of ints, got 2"),
+    "wci weights 5": (lambda: formulas.wci_sing_count(5, (2,), 1), ValueError,
+                      "weights must be a sequence of ints, got 5"),
     # past the size bound, before anything is enumerated
     "support past the bound": (
         lambda: formulas.foliation_sing_count(parse_model(P1_17_FILE), (1,) * 17),
