@@ -34,6 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -112,7 +113,10 @@ def _check_ints(family: str, params: Sequence) -> None:
 
 
 def from_spec_string(text: str) -> ToricModel:
-    """Parse `family` or `family:p1,p2,...` into a builtin model."""
+    """Parse `family` or `family:p1,p2,...` into a builtin model; a value
+    that is not a str raises ModelFormatError naming it."""
+    if not isinstance(text, str):
+        raise ModelFormatError(f"model spec must be a str, got {text!r}")
     fam, _, tail = text.partition(":")
     fam = fam.strip()
     if fam not in FAMILIES:
@@ -177,33 +181,22 @@ def multiprojective(*ns: int) -> ToricModel:
     _check_ints("multiprojective", ns)
     if not ns or any(n < 1 for n in ns):
         raise ModelFormatError("factor dimensions must be positive")
-    k = len(ns)
-    n = sum(ns)
-    classes = []
-    coords = []
-    radial = []
-    for i, ni in enumerate(ns):
-        unit = tuple(1 if j == i else 0 for j in range(k))
-        classes.extend([unit] * (ni + 1))
-        coords.extend(f"z{i + 1}_{j}" for j in range(ni + 1))
-        row = []
-        for i2, n2 in enumerate(ns):
-            row.extend([1 if i2 == i else 0] * (n2 + 1))
-        radial.append(tuple(row))
-    model = ToricModel._trusted(
+    k, zero = len(ns), (0,) * len(ns)
+    # the n_i + 1 coordinates of the i-th factor have class H_i; the radial
+    # rows are the columns of the classes
+    classes = tuple(chain.from_iterable(
+        [zero[:i] + (1,) + zero[i + 1:]] * (ni + 1) for i, ni in enumerate(ns)))
+    return ToricModel._trusted(
         name="x".join(f"P{ni}" for ni in ns),
-        dim=n,
+        dim=sum(ns),
         rank=k,
         gens=tuple(f"H{i + 1}" for i in range(k)) if k > 1 else ("H",),
-        divisor_classes=tuple(classes),
-        tensor={tuple(ns): Fraction(1)},
+        divisor_classes=classes,
+        tensor={ns: Fraction(1)},
         smooth=True,
-        radial=tuple(radial),
-        coord_names=tuple(coords),
+        radial=tuple(zip(*classes)),
+        coord_names=tuple(f"z{i + 1}_{j}" for i, ni in enumerate(ns) for j in range(ni + 1)),
     )
-    # the factor dimensions, beside the fields: counts take chow's product route
-    model.__dict__["_factor_dims"] = ns
-    return model
 
 
 def _check_scroll_twists(a: Sequence) -> None:
@@ -368,8 +361,10 @@ def parse_model(text: str) -> ToricModel:
     Raises ModelFormatError with a line number on syntax errors and
     repeated lines, and with the violated invariant named on semantic
     errors, a `chern` line that disagrees with the divisor classes
-    (`_check_chern`) among them.
+    (`_check_chern`) among them, and naming the value when it is not a str.
     """
+    if not isinstance(text, str):
+        raise ModelFormatError(f"model file text must be a str, got {text!r}")
     fields: dict[str, object] = {}
     divisors: list[tuple[int, ...]] = []
     tensor: dict[tuple[int, ...], Fraction] = {}

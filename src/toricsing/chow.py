@@ -57,27 +57,28 @@ through a pair table of the support built once per index on first use
 passes.
 
 Products of projective spaces are the exception to the support: a support
-of prod (n_k + 1) monomials grows like 2^k.  `catalog.multiprojective`
-records its factor dimensions beside the fields (`ToricModel._factor_dims`),
-and a count on such a model runs from per-factor moments instead
-(`_product_count`): by Kunneth, int c(X) exp(sum_j tau_j L_j) is the
-product over the factors of phi_k(s_k), and the count is a linear
-functional of that product, polynomial in k for a fixed set of classes.
-It gives way to the support route when that is smaller.  No count
-enumerates more than SIZE_BOUND entries: past it, a support
+of prod (n_k + 1) monomials grows like 2^k.  A count on a model whose
+fields are those of such a product (`ToricModel._factor_dims`) runs from
+the integer moments int c(X) L^beta instead (`_product_count`): by
+Kunneth, int c(X) exp(sum_j tau_j L_j) is the product over the factors
+of phi_k(s_k), and the count is a linear functional of that product,
+polynomial in k for a fixed set of classes.  It gives way to the support
+route when that is smaller.  No count enumerates more than SIZE_BOUND
+entries: past it, a support
 (`ToricModel._support_index`) or a product count is refused with a
 ValueError naming the size, before anything is enumerated.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, lcm, prod
-from operator import sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
@@ -201,11 +202,12 @@ class ToricModel:
     vector field coefficients.  The model is frozen, the tensor is a
     read-only mapping, and each instance caches its Chern vector and its
     integer tensor on first use; the support index is shared by the models
-    with one tensor key set.  Tensor keys must hold ints and weights must be
-    ints or Fractions; the name and the generator names must be strs, the
-    generator names must differ, and smooth must be a bool.  The builtins of
-    `catalog` build their models through `_trusted`, which skips these
-    checks.
+    with one tensor key set.  Whether it is a product of projective spaces
+    (`_factor_dims`) is such a cache, so equal models answer alike.  Tensor
+    keys must hold ints and weights must be ints or Fractions; the name and
+    the generator names must be strs, the generator names must differ, and
+    smooth must be a bool.  The builtins of `catalog` build their models
+    through `_trusted`, which skips these checks.
     """
 
     name: str
@@ -219,13 +221,6 @@ class ToricModel:
     coord_names: tuple[str, ...] = field(default=(), compare=False)
 
     __hash__ = None  # the tensor mapping is not hashable
-
-    # The factor dimensions (n1, ..., nk) of P^n1 x ... x P^nk, which
-    # `catalog.multiprojective` records in the instance `__dict__`.  It is no
-    # field: equality, `dataclasses.fields` and `serialize_model` ignore it,
-    # and a model rebuilt from its fields has none.  Counts on a model with
-    # a record take the product route (`_product_count`).
-    _factor_dims = None
 
     def __post_init__(self):
         store = partial(object.__setattr__, self)
@@ -353,6 +348,20 @@ class ToricModel:
         den = lcm(*(v.denominator for v in self.tensor.values()))
         return den, {k: v.numerator * (den // v.denominator)
                      for k, v in self.tensor.items()}
+
+    @_lazy
+    def _factor_dims(self) -> tuple[int, ...] | None:
+        """(n1, ..., nk) when the fields are those of P^n1 x ... x P^nk,
+        k >= 2, whose counts take the product route (`_product_count`): one
+        tensor key kappa, of weight 1, each kappa_k >= 1, and the k-th unit
+        class kappa_k + 1 times among the divisor classes; None otherwise."""
+        if self.rank < 2 or len(self.tensor) != 1:
+            return None
+        (key, weight), = self.tensor.items()
+        units = sorted(v.index(1) for v in self.divisor_classes
+                       if sum(v) == 1 and v.count(0) == self.rank - 1)
+        expected = [k for k, e in enumerate(key) for _ in range(e + 1)]
+        return key if weight == 1 and min(key) >= 1 and units == expected else None
 
     @_lazy
     def _units(self) -> tuple[tuple[int, ...], ...]:
@@ -515,7 +524,10 @@ def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, 
 def class_of_divisor_coeffs(model: ToricModel,
                             coeffs: Sequence[ScalarLike]) -> ClassExpr:
     """Map divisor coefficients (one per invariant divisor) to the Picard
-    vector of the class they sum to."""
+    vector of the class they sum to.  Coefficients that are no sequence
+    raise ValueError naming them."""
+    coeffs = _tuple(coeffs, "divisor coefficients must be a sequence of scalar expressions, "
+                    "got {!r}")
     if len(coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
@@ -667,7 +679,7 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     product; the value, its table and its `Fraction` coefficients are
     those of the term-dict passes, which every other symbolic count runs.
 
-    On a product of projective spaces from `catalog.multiprojective` the
+    On a product of projective spaces (`ToricModel._factor_dims`) the
     same entries go to `_product_count`, which multiplies per-factor
     moments instead, unless the support is the smaller; the value, its
     table and its `Fraction` coefficients are the support route's.  A
@@ -683,10 +695,12 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     symbols = [s for s in tables if s]
     table = _merged_table(symbols) if symbols else ()
     f, g = len(factors), len(factors) + len(over)
+    # rank 1 or several tensor keys settle it without a lazy field
+    dims = model._factor_dims if model.rank > 1 and len(model.tensor) == 1 else None
     # the last class, a divisor, pairs in closed form when it alone carries
     # symbols, one term at most an entry, off the products (`_twist_count`)
     closed = (bool(table) and len(classes) > f and not any(tables[:-1])
-              and model._factor_dims is None
+              and dims is None
               and all(len(x.terms) <= 1 for x in classes[-1] if isinstance(x, MultiPoly)))
     # the entries of the support vector are term dicts
     terms = bool(table) and not closed
@@ -701,8 +715,8 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
             entries = [x if type(x) is int else _exact_scalar(
                 x.constant_value() if isinstance(x, MultiPoly) else x) for x in cls]
             xs.append(entries if sign == 1 else [-x for x in entries])
-    if model._factor_dims is not None:
-        count = _product_count(model.dim, model._factor_dims, xs, f, table)
+    if dims is not None:
+        count = _product_count(model.dim, dims, xs, f, table)
         if count is not None:
             return count
     order, pos, edges = model._support_index
@@ -783,16 +797,15 @@ def _product_count(n: int, dims: tuple[int, ...], xs: list, f: int,
     pulled-back classes is the product of the factors' integrals, so the
     moments of classes L_j, with s_k = sum_j tau_j L_jk, are
     int c(X) exp(sum_j tau_j L_j) = prod_k phi_k(s_k), where
-    phi_k(s) = sum_(i <= n_k) C(n_k + 1, n_k - i) s^i / i!
+    phi_k(s) = sum_(a <= n_k) C(n_k + 1, a + 1) s^a / a!
     (Fulton, Intersection Theory, ch. 3): int c(X) L^beta is beta! times
     the tau^beta coefficient.  Equal entries share one variable, e of them
     factors and t of them divisors 1 - x, and the count weighs the beta-th
-    moment by prod_j `_weight`(beta_j, e_j, t_j).  Each phi_k is divided by
-    its constant term n_k + 1 and its tau^alpha coefficient multiplied by
-    R^|alpha| (`_moment_row`), and every class is multiplied by the common
-    denominator D of all the entries, so every coefficient is an int (or an
-    int term dict) and the product runs in place; each output term is one
-    `Fraction`, over (R D)^n (`_pair`).
+    moment by prod_j `_weight`(beta_j, e_j, t_j).  Every class is
+    multiplied by the common denominator D of all the entries, so the
+    moments are ints (or int term dicts), each its state |beta|! [tau^beta]
+    over |beta|! / beta! (`_class_moments`, `_joint_moments`); each output
+    term is one `Fraction`, over D^n (`_pair`).
 
     The route is taken unless it reads more moments than the support has
     monomials.  On a support past SIZE_BOUND it is taken, or the count is
@@ -838,99 +851,91 @@ def _product_count(n: int, dims: tuple[int, ...], xs: list, f: int,
         for group in groups:
             group[0] = [_Terms({u: c.numerator * (scale // c.denominator) for u, c in y.items()})
                         if table else y.numerator * (scale // y.denominator) for y in group[0]]
-    # (d + 1)! divides R^d for d <= n_k: each prime p <= d + 1 divides R,
-    # and (d + 1)! has at most d factors p
-    radix = lcm(*range(1, max(dims) + 2))
-    q = radix * scale
-    # the moment of degree d lacks q^(n - d), and each phi_k its constant n_k + 1
-    lifts = [support * q ** (n - d) for d in range(n + 1)]
+    # the moment of degree d lacks D^(n - d)
+    lifts = [scale ** (n - d) for d in range(n + 1)]
     if moments is None:
         (x, e, t), = groups
-        products = ((_weight(b, e, t) * lifts[b], c) for b, c in
-                    enumerate(_class_moments(n, dims, x, e, t, radix, table)) if b >= e)
+        products = ((_weight(b, e, t) * lifts[b], c, 1) for b, c in
+                    enumerate(_class_moments(n, dims, x, e, t, table)) if b >= e)
     else:
-        _, need, weight, degree, places = moments
-        v = _joint_moments(n, dims, groups, need, places, radix, table)
-        products = ((weight[key] * lifts[degree[key]], c) for key, c in v.items())
+        _, need, weight, multinomial, places = moments
+        products = ((weight[key] * lifts[d], c, multinomial[key]) for d, level in
+                    enumerate(_joint_moments(n, dims, groups, need, places, table))
+                    for key, c in level.items() if weight[key])
     if not table:
-        return _pair(q ** n, (), ((w, (), c) for w, c in products))
-    return _pair(q ** n, table, ((w, u, c) for w, terms in products for u, c in terms.items()))
+        return _pair(scale ** n, (), ((w, (), c // mult) for w, c, mult in products))
+    return _pair(scale ** n, table, ((w, u, c // mult) for w, terms, mult in products
+                                     for u, c in terms.items()))
 
 
-def _class_moments(n: int, dims: tuple[int, ...], x: list, e: int, t: int, radix: int,
+def _class_moments(n: int, dims: tuple[int, ...], x: list, e: int, t: int,
                    table: tuple[str, ...]) -> list:
-    """The scaled moments of one class (see `_product_count`) by degree, up
-    to e for a class that is only factors and to n else: from 1, each
-    factor P^m multiplies in place by sum_a row_a (x_k tau)^a, the degrees
-    read from the top down, so each before the ones it feeds."""
+    """The moments b! [tau^b] prod_k phi_k(x_k tau) of one class (see
+    `_product_count`) by degree, up to e for a class of factors only and to
+    n else: from the constant terms of the factors whose entry is 0, each
+    other P^m scales the state by m + 1 and adds C(b + a, a) C(m + 1, a + 1)
+    x_k^a times its degree b to its degree b + a."""
     top = n if t else e
-    v = [_Terms({(0,) * len(table): 1}), *(_Terms() for _ in range(top))] if table \
-        else [1] + [0] * top
-    done = 0
+    one = prod(m + 1 for m, y in zip(dims, x) if not y)
+    v = [_Terms({(0,) * len(table): one}), *(_Terms() for _ in range(top))] if table \
+        else [one] + [0] * top
+    done = 0  # the degrees above it are 0
     for m, y in zip(dims, x):
         if y:
-            row = _moment_row(m, radix)
-            for b in range(min(done, top), -1, -1):
-                z = v[b]
-                if z:
-                    for a in range(1, min(m, top - b) + 1):
-                        z = z * y
-                        v[b + a] += z if row[a] == 1 else row[a] * z
-        done += m
+            w = [(m + 1) * z for z in v[:done + 1]] + v[done + 1:]
+            for a in range(1, min(m, top) + 1):
+                power = power * y if a > 1 else y
+                term, c = power if a == m else comb(m + 1, a + 1) * power, 1
+                for b in range(min(done, top - a) + 1):
+                    if z := v[b]:
+                        w[b + a] += z * (c * term if b else term)
+                    c = c * (b + a + 1) // (b + 1)  # C(b + a, a) at the next b
+            v, done = w, done + m
     return v
 
 
 def _joint_moments(n: int, dims: tuple[int, ...], groups: list, need: dict[int, int],
-                   places: tuple[int, ...], radix: int, table: tuple[str, ...]) -> dict:
-    """The scaled moments of several classes (see `_product_count`) by key:
-    from 1, each factor multiplies in place by its terms, the keys read from
-    the top down, so each before the ones it feeds; a moment is made only
-    while its need fits in the factors to come."""
-    v = {0: _Terms({(0,) * len(table): 1}) if table else 1}
-    far, left = n + 1, n
+                   places: tuple[int, ...], table: tuple[str, ...]) -> list[dict]:
+    """The moments of several classes (see `_product_count`) by degree and
+    key, as |beta|! [tau^beta] prod_k phi_k(s_k), made as in `_class_moments`
+    with the term C(m + 1, a + 1) (sum_j tau_j x_jk)^a, a multinomial sum,
+    and only while their need fits in the factors to come."""
+    one = prod(m + 1 for m, *ys in zip(dims, *(x for x, _, _ in groups)) if not any(ys))
+    v = [defaultdict(_Terms if table else int) for _ in range(n + max(dims) + 1)]
+    v[0][0] = _Terms({(0,) * len(table): one}) if table else one
+    far, left, reach = n + 1, n, need.get
     for k, m in enumerate(dims):
         left -= m
-        # phi_k / (n_k + 1), tau^alpha scaled by R^|alpha|, alpha != 0, as
-        # (key of alpha, |alpha|, alpha!, prod_j x_jk^alpha_j), the last an
-        # int until a class with degree symbols enters
+        # the terms of (sum_j tau_j x_jk)^a, a <= n_k, as (key of alpha,
+        # |alpha|, alpha!, prod_j x_jk^alpha_j), the last an int until a
+        # class with degree symbols enters
         terms = [(0, 0, 1, 1)]
         for (x, e, t), place in zip(groups, places):
             if x[k]:
-                powers = [1, x[k]]
-                for _ in range((m if t else min(e, m)) - 1):
-                    powers.append(powers[-1] * x[k])
+                powers = [1, *accumulate(repeat(x[k], m if t else min(e, m)), mul)]
                 terms = [(key + a * place, deg + a, fa * factorial(a), xa * powers[a] if a else xa)
                          for key, deg, fa, xa in terms
                          for a in range(min(len(powers), m - deg + 1))]
-        row = _moment_row(m, radix)
-        phi = [(step, row[deg] * (factorial(deg) // fa) * xa) for step, deg, fa, xa in terms[1:]]
-        for key in sorted(v, reverse=True):
-            z = v[key]
-            if z:
-                for step, y in phi:
-                    if need.get(key + step, far) <= left:
-                        if key + step in v:
-                            v[key + step] += y * z
-                        else:
-                            v[key + step] = y * z
+        if len(terms) == 1:
+            continue
+        phi = [(step, a, comb(m + 1, a + 1) * (factorial(a) // fa) * xa)
+               for step, a, fa, xa in terms[1:]]
+        for b in range(n, -1, -1):
+            if level := v[b]:
+                for step, a, y in phi:
+                    up, y = v[b + a], comb(b + a, a) * y
+                    for key, z in level.items():
+                        if reach(s := key + step, far) <= left:
+                            up[s] += y * z
+                for key, z in level.items():
+                    level[key] = (m + 1) * z
     return v
 
 
 def _weight(b: int, e: int, t: int) -> int:
-    """b! [x^b] x^e / (1 - x)^t: the count's weight of the b-th moment of a
-    class that is e factors and t divisors."""
-    if b < e:
-        return 0
-    return factorial(b) * comb(b - e + t - 1, t - 1) if t else factorial(b)
-
-
-@lru_cache(maxsize=64)
-def _moment_row(m: int, radix: int) -> tuple[int, ...]:
-    """C(m, d) R^d / (d + 1)! for d <= m: the tau^alpha coefficient of
-    phi(s) / (m + 1) on P^m, with tau^alpha scaled by R^|alpha|, is this
-    times d! / alpha! x^alpha, d = |alpha|; R is chosen so that (d + 1)!
-    divides R^d."""
-    return tuple(comb(m, d) * (radix ** d // factorial(d + 1)) for d in range(m + 1))
+    """[x^b] x^e / (1 - x)^t, b <= e when t = 0: the count's weight of the
+    b-th moment of a class that is e factors and t divisors."""
+    return 0 if b < e else comb(b - e + t - 1, t - 1) if t else 1
 
 
 @lru_cache(maxsize=32)
@@ -939,9 +944,9 @@ def _moment_states(n: int, shape: tuple[tuple[int, int], ...]) -> tuple:
     factors and t divisors 1 - x each (`shape`): the beta with beta_j <= e_j
     where t_j = 0 and |beta| + need(beta) <= n, where need(beta) =
     sum_j max(e_j - beta_j, 0), so that every e_j can still be reached.
-    Each is keyed by its digits in base n + 1.  Returns their number, and
-    by key their need, their weight prod_j `_weight`(beta_j, e_j, t_j) and
-    their degree |beta|, and the digits' place values.  Past SIZE_BOUND the
+    Each is keyed by its digits in base n + 1.  Returns their number, by key
+    their need, weight prod_j `_weight`(beta_j, e_j, t_j) and multinomial
+    |beta|! / beta!, and the digits' place values.  Past SIZE_BOUND the
     number is its bound prod (e_j + 1) C(n - sum e_j + g, g), over the e_j
     with t_j = 0 and the g variables with t_j > 0, and none is listed."""
     places = tuple((n + 1) ** j for j in range(len(shape)))
@@ -951,14 +956,15 @@ def _moment_states(n: int, shape: tuple[tuple[int, int], ...]) -> tuple:
     if size > SIZE_BOUND:
         return size, {}, {}, {}, places
     spare = n - sum(e for e, _ in shape)
-    states, rest = [(0, 0, 0, 1)], n - spare  # rest: the e_j still to come
+    states, rest = [(0, 0, 0, 1, 1)], n - spare  # rest: the e_j still to come
     for (e, t), place in zip(shape, places):
         rest -= e
-        states = [(key + b * place, deg + b, need + max(e - b, 0), w * _weight(b, e, t))
-                  for key, deg, need, w in states for b in range(e + spare + 1 if t else e + 1)
+        states = [(key + b * place, deg + b, need + max(e - b, 0), w * _weight(b, e, t),
+                   mult * comb(deg + b, b))
+                  for key, deg, need, w, mult in states
+                  for b in range(e + spare + 1 if t else e + 1)
                   if deg + b + need + max(e - b, 0) + rest <= n]
-    return (len(states), {s[0]: s[2] for s in states}, {s[0]: s[3] for s in states},
-            {s[0]: s[1] for s in states}, places)
+    return len(states), *({s[0]: s[i] for s in states} for i in (2, 3, 4)), places
 
 
 def _kernel_terms(x: ScalarLike, table: tuple[str, ...], sign: int) -> _Terms:
@@ -986,7 +992,8 @@ def _pass(dst: list, src: list, x: Sequence, edges) -> None:
 
 class _Terms(dict):
     """A term dict with the in-place sum and the product `_pass` takes: an
-    entry of a series, or of a symbolic count (over the symbol exponents)."""
+    entry of a series, or of a symbolic count (over the symbol exponents).
+    A product with one term is a shift, whose terms never meet."""
 
     def __iadd__(self, other: _Terms) -> _Terms:
         for e, c in other.items():
@@ -994,6 +1001,10 @@ class _Terms(dict):
         return self
 
     def __mul__(self, other: _Terms) -> _Terms:
+        many, one = (self, other) if len(other) == 1 else (other, self)
+        if len(one) == 1:  # a shift: no two terms meet
+            (u, k), = one.items()
+            return _Terms({tuple(map(add, e, u)): c * k for e, c in many.items()})
         return _Terms(mul_terms(self, other))
 
     def __rmul__(self, k: int) -> _Terms:

@@ -511,6 +511,8 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
     `scroll_closed_form(n, a, d1, d2) ==
     (-1)**n * foliation_sing_count(catalog.scroll(*a), (d1, d2))`.
     """
+    if type(n) is not int:  # True is no dimension
+        raise ValueError(f"n must be an int, got {n!r}")
     if n <= 2:
         raise ValueError("closed form applies in dimension > 2")
     a = _integers("twists", a)

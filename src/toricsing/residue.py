@@ -135,7 +135,10 @@ class LocalIndexReport:
 
 
 def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
-    """Exact local multiplicity at the origin, with the orbifold index."""
+    """Exact local multiplicity at the origin, with the orbifold index.  A
+    query that is not an `IndexQuery` raises ValueError naming it."""
+    if not isinstance(query, IndexQuery):
+        raise ValueError(f"query {query!r} is not an IndexQuery")
     components, nvars = query.components, len(query.components)
     degrees = [comp.total_degree() for comp in components]
     bound, width = prod(degrees), (query.degree_cap + max(degrees)).bit_length()
@@ -219,9 +222,9 @@ def index_sum(reports: list[LocalIndexReport] | list[Fraction]) -> Fraction:
     """Aggregate local indices for comparison against a global count.  An
     entry that is not a report, an int or a Fraction (a float, say, which
     is not exact data, or a bool, which Python takes for an int but is no
-    index) raises ValueError naming it."""
+    index) raises ValueError naming it, as does a value that is no sequence."""
     total = Fraction(0)
-    for item in reports:
+    for item in _tuple(reports, "reports must be a sequence of reports or indices, got {!r}"):
         if isinstance(item, LocalIndexReport):
             item = item.orbifold_index
         elif not isinstance(item, (int, Fraction)) or isinstance(item, bool):

@@ -95,7 +95,8 @@ def test_default_coordinate_names_are_shared_per_size():
     assert catalog.scroll(1, 2).coord_names == ("z1_1", "z1_2", "z2_1", "z2_2")
 
 
-LAZY = ("_support_index", "_chern_vector", "_integer_tensor", "_units", "_divisor_esym")
+LAZY = ("_support_index", "_chern_vector", "_integer_tensor", "_units", "_divisor_esym",
+        "_factor_dims")
 
 
 def test_lazy_fields_are_computed_once_into_the_instance(monkeypatch):

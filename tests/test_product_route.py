@@ -1,13 +1,15 @@
 """Counts on products of projective spaces from per-factor moments
-(`chow._product_count`) against the support route, which a model rebuilt
-from its fields takes, as it carries no record of its factors; the large
-products the support route cannot reach; and the record itself."""
+(`chow._product_count`) against the support route of the same model,
+forced by making the product route give way; the large products the
+support route cannot reach; and the factor record, which is derived from
+the model's fields."""
 
 import random
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -17,10 +19,12 @@ from toricsing.chow import ToricModel
 from toricsing.exactalg import MultiPoly
 
 
-def support_model(m):
-    """The same fields through the checking constructor: no factor record,
-    so every count runs over the support."""
-    return ToricModel(**{f.name: getattr(m, f.name) for f in fields(m)})
+def on_support(call):
+    """call() with the product route giving way, so that every count it
+    makes runs over the support."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chow, "_product_count", lambda *args: None)
+        return call()
 
 
 def assert_same(new, old):
@@ -30,14 +34,35 @@ def assert_same(new, old):
     assert [type(c) for c in new.terms.values()] == [Fraction] * len(new.terms)
 
 
-def test_the_factor_record_is_no_field():
+@pytest.fixture
+def routed(monkeypatch):
+    """The answers of the product route, None where it gave way."""
+    answers = []
+    real = chow._product_count
+    monkeypatch.setattr(chow, "_product_count",
+                        lambda *args: answers.append(real(*args)) or answers[-1])
+    return answers
+
+
+def test_the_record_is_derived_from_the_fields():
     m = catalog.multiprojective(1, 2, 3)
-    plain = support_model(m)
-    assert m._factor_dims == (1, 2, 3) and plain._factor_dims is None
+    assert "_factor_dims" not in m.__dict__  # the builder writes nothing
     assert "_factor_dims" not in {f.name for f in fields(m)}
-    assert m == plain and serialize_model(m) == serialize_model(plain)
-    assert catalog.parse_model(serialize_model(m))._factor_dims is None
-    assert catalog.projective(3)._factor_dims is None
+    rebuilt = ToricModel(**{f.name: getattr(m, f.name) for f in fields(m)})
+    parsed = catalog.parse_model(serialize_model(m))
+    for twin in (m, rebuilt, parsed):
+        assert twin == m and twin._factor_dims == (1, 2, 3)
+    # by its fields, scroll:0,0 is P^1 x P^1
+    assert catalog.scroll(0, 0)._factor_dims == (1, 1)
+    p1p1 = catalog.multiprojective(1, 1)
+    for other in (catalog.projective(3), catalog.multiprojective(3),  # rank 1
+                  catalog.scroll(1, 2), catalog.blowup_point(2),  # two keys
+                  catalog.scroll(0),  # one key, (1, 0)
+                  catalog.scroll(1, -1),  # one key, a class (1, 1)
+                  replace(p1p1, tensor={(1, 1): Fraction(2)}),
+                  replace(p1p1, tensor={(1, 1): Fraction(1, 2)}),
+                  replace(p1p1, divisor_classes=((1, 0), (1, 0), (1, 0), (0, 1)))):
+        assert other._factor_dims is None
 
 
 SYMBOLS = ("a", "b", "c")
@@ -66,22 +91,18 @@ TWISTS = ("absent", "int", "Fraction", "symbolic", "named", "polynomial")
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_product_route_matches_the_support_route(seed, monkeypatch):
+def test_product_route_matches_the_support_route(seed, monkeypatch, routed):
     # products of 1-5 factors P^1..P^3; 0-2 factors and 0-2 over classes,
     # numeric and now and then polynomial, repeated or negated now and then,
     # so that classes share a variable; every kind of twist
-    answered, kernels = [], []
-    route = chow._product_count
-    monkeypatch.setattr(chow, "_product_count",
-                        lambda *args: answered.append(route(*args)) or answered[-1])
+    kernels = []
     for name in ("_class_moments", "_joint_moments"):
         kernel = getattr(chow, name)
         monkeypatch.setattr(chow, name, lambda *args, name=name, kernel=kernel:
                             kernels.append(name) or kernel(*args))
     rng = random.Random(seed)
     for _ in range(10):
-        m = catalog.multiprojective(*(rng.randint(1, 3) for _ in range(rng.randint(1, 5))))
-        plain = support_model(m)
+        m = catalog.multiprojective(*(rng.randint(1, 3) for _ in range(rng.randint(2, 5))))
         kind = rng.choice(("int", "int", "Fraction", "polynomial"))
         classes = [tuple(_entry(rng, kind if rng.random() < 0.3 else "int")
                          for _ in range(m.rank)) for _ in range(4)]
@@ -91,20 +112,23 @@ def test_product_route_matches_the_support_route(seed, monkeypatch):
             over = [*over, rng.choice((factors[0], tuple(-x for x in factors[0])))]
         for twist in TWISTS:
             args = (factors, over, _twist(rng, m, twist))
-            assert_same(chow.integrate_count(m, *args), chow.integrate_count(plain, *args))
+            assert_same(chow.integrate_count(m, *args),
+                        on_support(lambda: chow.integrate_count(m, *args)))
     # the route answers at least a quarter of the counts, with both kernels;
     # it gives the rest, multi-class counts on small products, to the support
-    assert 4 * sum(a is not None for a in answered) >= len(answered)
+    assert 4 * sum(a is not None for a in routed) >= len(routed)
     assert {"_class_moments", "_joint_moments"} <= set(kernels)
 
 
-def test_the_route_gives_way_to_a_smaller_support():
-    # nine distinct factor classes on P^9 read 2^9 moments, and the support
-    # has 10 monomials
-    m = catalog.multiprojective(9)
-    classes = [(k,) for k in range(1, 10)]
-    assert chow._product_count(9, (9,), [list(c) for c in classes], 9, ()) is None
-    assert chow.integrate_count(m, classes) == factorial(9)
+def test_the_route_gives_way_to_a_smaller_support(routed):
+    # nine distinct factor classes on P^9 x P^1 read 2^9 moments, and the
+    # support has 20 monomials
+    m = catalog.multiprojective(9, 1)
+    classes = [(k, 1) for k in range(1, 10)]
+    # c_1 = 10 H1 + 2 H2 and prod_k (k H1 + H2) = 9! (H1^9 + sum_k H1^8 H2 / k + ...)
+    assert chow.integrate_count(m, classes) == 2 * factorial(9) + 10 * sum(
+        factorial(9) // k for k in range(1, 10))
+    assert routed == [None]
 
 
 P1_10 = catalog.multiprojective(*[1] * 10)
@@ -132,7 +156,7 @@ def _every_count(m, d, a, b):
 
 def test_a_product_count_indexes_no_support_and_runs_no_pass(monkeypatch):
     d, a, b = tuple(range(-2, 8)), ONES, (2, 1) * 5
-    expected = list(_every_count(support_model(P1_10), d, a, b))
+    expected = on_support(lambda: list(_every_count(P1_10, d, a, b)))
     calls = []
     for name in ("_index_support", "_pass"):
         real = getattr(chow, name)
@@ -150,17 +174,26 @@ def _timed(call):
     return value, time.perf_counter() - start
 
 
-def test_foliations_on_p1_products_are_the_closed_sum():
-    # sum_s s! C(k, s) 2^(k - s) at degree 1, on both routes at k = 12
-    def closed(k):
-        return sum(factorial(s) * comb(k, s) * 2 ** (k - s) for s in range(k + 1))
+def _p1_closed_sum(k):
+    """The foliation count on (P^1)^k at degree (1, ..., 1):
+    sum_s s! C(k, s) 2^(k - s)."""
+    return sum(factorial(s) * comb(k, s) * 2 ** (k - s) for s in range(k + 1))
 
+
+def test_foliations_on_p1_products_are_the_closed_sum():
+    # on both routes at k = 12; at k = 17 from a model file, which the
+    # support route refuses; at k = 24 promptly
     m = catalog.multiprojective(*[1] * 12)
-    assert formulas.foliation_sing_count(m, (1,) * 12) == closed(12)
-    assert formulas.foliation_sing_count(support_model(m), (1,) * 12) == closed(12)
+    assert formulas.foliation_sing_count(m, (1,) * 12) == _p1_closed_sum(12)
+    assert on_support(lambda: formulas.foliation_sing_count(m, (1,) * 12)) == _p1_closed_sum(12)
+    text = serialize_model(catalog.multiprojective(*[1] * 17))
+    count, seconds = _timed(lambda: formulas.foliation_sing_count(
+        catalog.parse_model(text), (1,) * 17))
+    assert count == _p1_closed_sum(17) == 2628194359869440
+    assert seconds < 1
     m = catalog.multiprojective(*[1] * 24)
     count, seconds = _timed(lambda: formulas.foliation_sing_count(m, (1,) * 24))
-    assert count == closed(24) == 4584528046898767093301248
+    assert count == _p1_closed_sum(24) == 4584528046898767093301248
     assert seconds < 1
 
 
@@ -189,8 +222,9 @@ def test_a_symbolic_count_on_ten_p1_factors_is_prompt():
 @pytest.mark.parametrize("call", [
     lambda: formulas.foliation_sing_count(catalog.multiprojective(*[1] * 24), "symbolic"),
     lambda: formulas.foliation_sing_count(catalog.multiprojective(*[2] * 13), "symbolic"),
-    lambda: formulas.foliation_sing_count(
-        support_model(catalog.multiprojective(*[1] * 24)), (1,) * 24),
+    # weight 2 on the one key: no product, so the support route
+    lambda: formulas.foliation_sing_count(replace(
+        catalog.multiprojective(*[1] * 24), tensor={(1,) * 24: Fraction(2)}), (1,) * 24),
     lambda: catalog.multiprojective(*[1] * 24)._chern_vector,
 ], ids=["symbolic P1^24", "symbolic P2^13", "support of P1^24", "Chern vector of P1^24"])
 def test_refusals_past_the_bound_are_prompt(call):
@@ -198,3 +232,66 @@ def test_refusals_past_the_bound_are_prompt(call):
     with pytest.raises(ValueError, match=f"past the bound of {chow.SIZE_BOUND}$"):
         call()
     assert time.perf_counter() - start < 0.1
+
+
+def test_equal_models_take_the_route_alike(routed):
+    # a model file and a replaced copy are products by their fields, so
+    # they answer as the builtin does, past the support bound too
+    m = catalog.multiprojective(*[1] * 17)
+    twins = (catalog.parse_model(serialize_model(m)), replace(m), replace(m, coord_names=()))
+    d = tuple(range(1, 18))
+    expected = formulas.foliation_sing_count(m, d)
+    for twin in twins:
+        assert twin == m
+        assert_same(formulas.foliation_sing_count(twin, d), expected)
+    assert len(routed) == 1 + len(twins) and None not in routed
+
+
+@pytest.mark.parametrize("dims", [(200, 1), (400, 1), (800, 1), (150, 2)],
+                         ids=lambda dims: ",".join(map(str, dims)))
+def test_one_large_factor_agrees_with_the_support_route(dims, routed):
+    m = catalog.multiprojective(*dims)
+    for d in ((1, 1), (Fraction(1, 2), -3), "symbolic"):
+        count, seconds = _timed(lambda: formulas.foliation_sing_count(m, d))
+        assert seconds < 1
+        assert_same(count, on_support(lambda: formulas.foliation_sing_count(m, d)))
+    assert len(routed) == 3 and None not in routed
+
+
+def test_scroll_0_0_takes_the_route(routed):
+    m = catalog.scroll(0, 0)
+    for d in ((2, 3), "symbolic"):
+        assert_same(formulas.foliation_sing_count(m, d),
+                    on_support(lambda: formulas.foliation_sing_count(m, d)))
+    assert len(routed) == 2 and None not in routed
+    assert formulas.foliation_sing_count(m, (2, 3)) == formulas.foliation_sing_count(
+        catalog.multiprojective(1, 1), (2, 3))
+
+
+def test_single_key_models_that_are_no_products_keep_the_support(routed):
+    p1p1 = catalog.multiprojective(1, 1)
+    for m in (catalog.scroll(0),  # key (1, 0): kappa_2 = 0
+              catalog.scroll(1, -1),  # key (1, 1), but a class (1, 1)
+              replace(p1p1, tensor={(1, 1): Fraction(2)}),
+              replace(p1p1, divisor_classes=((1, 0), (1, 0), (1, 0), (0, 1)))):
+        assert len(m.tensor) == 1
+        formulas.foliation_sing_count(m, (1, 2))
+        formulas.foliation_sing_count(m, "symbolic")
+    assert routed == []
+
+
+# the foliation count on P^800 x P^1 at degree (1, 1), which the install
+# step of the CI workflow compares with the command line's output
+P800_P1 = int(
+    "536775161846828269063428069153061252670153044946430606911898753847004997"
+    "644319381757475292170160120404805857802771375855894048533156608888969250"
+    "162212631818710660185150878171956277802015901028990681683798938871459526"
+    "1052170168551339386921287678")
+
+
+def test_the_recorded_count_on_p800_x_p1_is_the_support_route():
+    m = catalog.multiprojective(800, 1)
+    assert on_support(lambda: formulas.foliation_sing_count(m, (1, 1))) == P800_P1
+    assert formulas.foliation_sing_count(m, (1, 1)) == P800_P1
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert f'test "$out" = "result = {P800_P1}"' in workflow.read_text()

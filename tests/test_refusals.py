@@ -5,7 +5,7 @@ import pytest
 
 from toricsing import catalog, formulas, polyfield, residue
 from toricsing.catalog import parse_model, serialize_model
-from toricsing.chow import ChowElement, ToricModel, elementary_series
+from toricsing.chow import ChowElement, ToricModel, class_of_divisor_coeffs, elementary_series
 from toricsing.errors import AlignmentError, ModelFormatError
 from toricsing.exactalg import MultiPoly
 
@@ -32,13 +32,14 @@ def model(**changes):
 
 
 P2 = catalog.projective(2)
-# (P^1)^17 as a model file, which records no factors: counts run over its
-# support of 2^17 monomials
-P1_17_FILE = serialize_model(catalog.multiprojective(*[1] * 17))
+# (P^1)^17 as a model file, but with weight 2 on its one key: no product,
+# so counts run over its support of 2^17 monomials
+P1_17_FILE = serialize_model(catalog.multiprojective(*[1] * 17)).replace(" = 1\n", " = 2\n")
 P1_24 = catalog.multiprojective(*[1] * 24)
 X, Y = (MultiPoly.variable(v, ("x", "y")) for v in ("x", "y"))
 U = MultiPoly.variable("u", ("u",))
 ZP2 = [MultiPoly.zero(P2.coord_names)] * 3
+THING = object()
 
 REFUSALS = {
     # the model file
@@ -58,6 +59,18 @@ REFUSALS = {
                      ModelFormatError, "missing required line: gens"),
     "model file dim 0": (lambda: parse_model(p2_file(replace=(1, "dim 0"))),
                          ModelFormatError, "dim and rank must be positive"),
+    "model file 5": (lambda: parse_model(5), ModelFormatError,
+                     "model file text must be a str, got 5"),
+    "model file None": (lambda: parse_model(None), ModelFormatError,
+                        "model file text must be a str, got None"),
+    "model file bytes": (lambda: parse_model(p2_file().encode()), ModelFormatError,
+                         f"model file text must be a str, got {p2_file().encode()!r}"),
+    "spec 5": (lambda: catalog.from_spec_string(5), ModelFormatError,
+               "model spec must be a str, got 5"),
+    "spec None": (lambda: catalog.from_spec_string(None), ModelFormatError,
+                  "model spec must be a str, got None"),
+    "spec tuple": (lambda: catalog.from_spec_string(("projective", 2)), ModelFormatError,
+                   "model spec must be a str, got ('projective', 2)"),
     # the model
     "dim 0": (lambda: model(dim=0), ValueError, "dim and rank must be positive"),
     "rank 0": (lambda: model(rank=0), ValueError, "dim and rank must be positive"),
@@ -146,6 +159,16 @@ REFUSALS = {
                     "component 5 is not a MultiPoly"),
     "negative multiplicity": (lambda: residue.orbifold_index(-1, 1), ValueError,
                               "multiplicity cannot be negative"),
+    "query None": (lambda: residue.local_multiplicity(None), ValueError,
+                   "query None is not an IndexQuery"),
+    "query 5": (lambda: residue.local_multiplicity(5), ValueError,
+                "query 5 is not an IndexQuery"),
+    "query components": (lambda: residue.local_multiplicity((X * X, Y * Y)), ValueError,
+                         f"query {(X * X, Y * Y)!r} is not an IndexQuery"),
+    "reports 5": (lambda: residue.index_sum(5), ValueError,
+                  "reports must be a sequence of reports or indices, got 5"),
+    "reports None": (lambda: residue.index_sum(None), ValueError,
+                     "reports must be a sequence of reports or indices, got None"),
     # the counts
     "kind": (lambda: formulas.restricted_sing_count(P2, 1, 1, "leaf"), ValueError,
              "kind must be one of ('foliation', 'distribution'), got 'leaf'"),
@@ -172,6 +195,19 @@ REFUSALS = {
                           ValueError, "closed form applies in dimension > 2"),
     "closed form twist count": (lambda: formulas.scroll_closed_form(3, (1, 1), 1, 1),
                                 ValueError, "need 3 twists, got 2"),
+    # True would be read as n = 1, the others failed on the comparison n <= 2
+    "closed form n None": (lambda: formulas.scroll_closed_form(None, (1, 1, 1), 1, 1),
+                           ValueError, "n must be an int, got None"),
+    "closed form n 'ab'": (lambda: formulas.scroll_closed_form("ab", (1, 1, 1), 1, 1),
+                           ValueError, "n must be an int, got 'ab'"),
+    "closed form n ()": (lambda: formulas.scroll_closed_form((), (1, 1, 1), 1, 1),
+                         ValueError, "n must be an int, got ()"),
+    "closed form n object": (lambda: formulas.scroll_closed_form(THING, (1, 1, 1), 1, 1),
+                             ValueError, f"n must be an int, got {THING!r}"),
+    "closed form n True": (lambda: formulas.scroll_closed_form(True, (1, 1, 1), 1, 1),
+                           ValueError, "n must be an int, got True"),
+    "closed form n 3.0": (lambda: formulas.scroll_closed_form(3.0, (1, 1, 1), 1, 1),
+                          ValueError, "n must be an int, got 3.0"),
     "toric-curve data": (lambda: formulas.poincare_check("toric-curve", model=P2),
                          ValueError, "toric-curve needs a model, classes, and degree"),
     "strict wci-curve": (lambda: formulas.poincare_check(
@@ -184,6 +220,12 @@ REFUSALS = {
                          "expected 3 divisor coefficients"),
     "gcd coefficients 5": (lambda: formulas.gcd_obstruction(P2, 5), ValueError,
                            "divisor coefficients must be a sequence of ints, got 5"),
+    "class coefficients 5": (lambda: class_of_divisor_coeffs(P2, 5), ValueError,
+                             "divisor coefficients must be a sequence of scalar expressions, "
+                             "got 5"),
+    "class coefficients None": (lambda: class_of_divisor_coeffs(P2, None), ValueError,
+                                "divisor coefficients must be a sequence of scalar "
+                                "expressions, got None"),
     # names and lists that are a str or no sequence
     "symbol names 'ab'": (lambda: formulas.symbolic_degree(catalog.blowup_point(2), "ab"),
                           ValueError, "symbol names must be a sequence of strs, got 'ab'"),

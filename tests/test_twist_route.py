@@ -17,9 +17,10 @@ from toricsing import catalog, chow, exactalg, formulas
 from toricsing.exactalg import MultiPoly
 
 # a model of every builtin family but the products, whose counts run from
-# per-factor moments
+# per-factor moments; scroll:0,0 is P^1 x P^1 by its fields, and scroll:1,-1
+# has one tensor key, (1, 1), but a divisor class (1, 1), so it is no product
 OFF_PRODUCTS = ("projective:1", "projective:3", "weighted:1,1,2", "weighted:1,2,3,5",
-                "weighted:2,3,5", "scroll:0,0", "scroll:1,2,0", "scroll:1,-1,2",
+                "weighted:2,3,5", "scroll:1,-1", "scroll:1,2,0", "scroll:1,-1,2",
                 "blowup_point:2", "blowup_point:3", "blowup_two_points_p3", "blowup_line_p3")
 
 
@@ -164,7 +165,9 @@ def test_a_symbolic_foliation_count_multiplies_no_term_dict(monkeypatch):
     monkeypatch.setattr(chow._Terms, "__mul__", spied_terms_mul)
     m = catalog.from_spec_string("blowup_point:3")
     d = formulas.symbolic_degree(m)
-    chow.integrate_count(m, over=[d], twist=(1, 1))
+    # entries of two terms, as a product with a one-term entry is a shift
+    # that does not reach mul_terms
+    chow.integrate_count(m, over=[tuple(x + 1 for x in d)], twist=(1, 1))
     assert "_Terms.__mul__" in calls and "mul_terms" in calls  # the spies see calls
     calls.clear()
     count = formulas.foliation_sing_count(catalog.from_spec_string("blowup_point:3"),
