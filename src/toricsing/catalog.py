@@ -22,9 +22,10 @@ constructor:
 divisor (all n+r of them); `tensor` lines map an exponent vector to a
 rational (omitted keys are zero, duplicates are an error); optional
 `chern j : ...` lines state Chern classes as signed-term polynomials in the
-generators, checked against the divisor classes and not stored;
-`radial` lines (one per generator, n+r integers each) give the diagonal
-coefficients of the radial vector fields.
+generators, checked against the divisor classes and not stored; so are
+optional `radial` lines, whose k-th must be the k-th column of the
+divisor classes, the diagonal of the k-th radial vector field.
+`serialize_model` writes every column as a `radial` line.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def projective(n: int) -> ToricModel:
         divisor_classes=tuple((1,) for _ in range(n + 1)),
         tensor={(n,): Fraction(1)},
         smooth=True,
-        radial=(tuple(1 for _ in range(n + 1)),),
     )
 
 
@@ -173,7 +173,6 @@ def weighted(*w: int) -> ToricModel:
         divisor_classes=tuple((x,) for x in w),
         tensor={(n,): Fraction(1, prod(w))},
         smooth=all(x == 1 for x in w),
-        radial=(tuple(w),),
     )
 
 
@@ -182,8 +181,7 @@ def multiprojective(*ns: int) -> ToricModel:
     if not ns or any(n < 1 for n in ns):
         raise ModelFormatError("factor dimensions must be positive")
     k, zero = len(ns), (0,) * len(ns)
-    # the n_i + 1 coordinates of the i-th factor have class H_i; the radial
-    # rows are the columns of the classes
+    # the n_i + 1 coordinates of the i-th factor have class H_i
     classes = tuple(chain.from_iterable(
         [zero[:i] + (1,) + zero[i + 1:]] * (ni + 1) for i, ni in enumerate(ns)))
     return ToricModel._trusted(
@@ -194,7 +192,6 @@ def multiprojective(*ns: int) -> ToricModel:
         divisor_classes=classes,
         tensor={ns: Fraction(1)},
         smooth=True,
-        radial=tuple(zip(*classes)),
         coord_names=tuple(f"z{i + 1}_{j}" for i, ni in enumerate(ns) for j in range(ni + 1)),
     )
 
@@ -213,10 +210,6 @@ def scroll(*a: int) -> ToricModel:
     n = len(a)
     classes = [(1, 0), (1, 0)] + [(-ai, 1) for ai in a]
     tensor = {(0, n): Fraction(sum(a)), (1, n - 1): Fraction(1)}
-    radial = (
-        (1, 1) + tuple(-ai for ai in a),
-        (0, 0) + tuple(1 for _ in a),
-    )
     return ToricModel._trusted(
         name="F(" + ",".join(str(x) for x in a) + ")",
         dim=n,
@@ -225,7 +218,6 @@ def scroll(*a: int) -> ToricModel:
         divisor_classes=tuple(classes),
         tensor=tensor,
         smooth=True,
-        radial=radial,
         coord_names=("z1_1", "z1_2") + tuple(f"z2_{i + 1}" for i in range(n)),
     )
 
@@ -349,9 +341,8 @@ def serialize_model(model: ToricModel) -> str:
     for key in sorted(model.tensor, reverse=True):
         value = model.tensor[key]
         lines.append("tensor " + " ".join(str(e) for e in key) + f" = {value}")
-    if model.radial is not None:
-        for row in model.radial:
-            lines.append("radial " + " ".join(str(x) for x in row))
+    for column in zip(*model.divisor_classes):
+        lines.append("radial " + " ".join(str(x) for x in column))
     return "\n".join(lines) + "\n"
 
 
@@ -361,7 +352,8 @@ def parse_model(text: str) -> ToricModel:
     Raises ModelFormatError with a line number on syntax errors and
     repeated lines, and with the violated invariant named on semantic
     errors, a `chern` line that disagrees with the divisor classes
-    (`_check_chern`) among them, and naming the value when it is not a str.
+    (`_check_chern`) and a `radial` line that is not their column among
+    them, and naming the value when it is not a str.
     """
     if not isinstance(text, str):
         raise ModelFormatError(f"model file text must be a str, got {text!r}")
@@ -369,7 +361,7 @@ def parse_model(text: str) -> ToricModel:
     divisors: list[tuple[int, ...]] = []
     tensor: dict[tuple[int, ...], Fraction] = {}
     chern_lines: dict[int, tuple[int, str]] = {}
-    radial: list[tuple[int, ...]] = []
+    radial_lines: list[tuple[int, tuple[int, ...]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,7 +403,7 @@ def parse_model(text: str) -> ToricModel:
                     raise ModelFormatError(f"duplicate chern degree {j}")
                 chern_lines[j] = lineno, poly.strip()
             elif word == "radial":
-                radial.append(tuple(int(x) for x in rest.split()))
+                radial_lines.append((lineno, tuple(int(x) for x in rest.split())))
             else:
                 raise ModelFormatError(f"unknown keyword {word!r}")
         except ModelFormatError as exc:
@@ -441,12 +433,20 @@ def parse_model(text: str) -> ToricModel:
             divisor_classes=tuple(divisors),
             tensor=tensor,
             smooth=fields.get("smooth", True),
-            radial=tuple(radial) if radial else None,
         )
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     for j in sorted(chern):
         _check_chern(model, j, chern[j])
+    columns = tuple(zip(*model.divisor_classes))
+    for k, (lineno, row) in enumerate(radial_lines):
+        if k >= model.rank:
+            raise ModelFormatError(
+                f"line {lineno}: radial line {k + 1} on a model of rank {model.rank}")
+        if row != columns[k]:
+            raise ModelFormatError(
+                f"line {lineno}: radial row {row} is not column {k + 1} of the "
+                f"divisor classes, {columns[k]}")
     return model
 
 

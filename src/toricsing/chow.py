@@ -197,17 +197,17 @@ class ToricModel:
     divisor_classes holds the n+r classes [D_i] in the Picard basis, as
     integers; the tensor maps exponent vectors of total degree n to
     integrals (omitted keys integrate to zero).  The classes are required:
-    they determine c(X) = prod (1 + D_i), so every Chern class and count.
-    radial, when present, is the r x (n+r) integer matrix of diagonal radial
-    vector field coefficients.  The model is frozen, the tensor is a
-    read-only mapping, and each instance caches its Chern vector and its
-    integer tensor on first use; the support index is shared by the models
-    with one tensor key set.  Whether it is a product of projective spaces
-    (`_factor_dims`) is such a cache, so equal models answer alike.  Tensor
-    keys must hold ints and weights must be ints or Fractions; the name and
-    the generator names must be strs, the generator names must differ, and
-    smooth must be a bool.  The builtins of `catalog` build their models
-    through `_trusted`, which skips these checks.
+    they determine c(X) = prod (1 + D_i), so every Chern class and count,
+    and their columns are the radial vector fields (`polyfield`).  The
+    model is frozen, the tensor is a read-only mapping, and each instance
+    caches its Chern vector and its integer tensor on first use; the
+    support index is shared by the models with one tensor key set.  Whether
+    it is a product of projective spaces (`_factor_dims`) is such a cache,
+    so equal models answer alike.  Tensor keys must hold ints and weights
+    must be ints or Fractions; the name and the generator names must be
+    strs, the generator names must differ, and smooth must be a bool.  The
+    builtins of `catalog` build their models through `_trusted`, which
+    skips these checks.
     """
 
     name: str
@@ -217,7 +217,6 @@ class ToricModel:
     divisor_classes: tuple[tuple[int, ...], ...]
     tensor: Mapping[tuple[int, ...], Fraction]
     smooth: bool = True
-    radial: tuple[tuple[int, ...], ...] | None = None
     coord_names: tuple[str, ...] = field(default=(), compare=False)
 
     __hash__ = None  # the tensor mapping is not hashable
@@ -269,13 +268,6 @@ class ToricModel:
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
-        if self.radial is not None:
-            store("radial", _rows(self.radial, "radial data must be an r x (n+r) matrix",
-                                  "radial row"))
-            if len(self.radial) != self.rank or any(
-                    len(row) != self.dim + self.rank for row in self.radial):
-                raise ValueError("radial data must be an r x (n+r) matrix")
-            _check_integral("radial row", self.radial)
         wrong_names = "coordinate names must be a sequence of strs, got {!r}"
         if isinstance(self.coord_names, str):  # a str is a sequence of strs
             raise ValueError(wrong_names.format(self.coord_names))
@@ -294,7 +286,6 @@ class ToricModel:
                  divisor_classes: tuple[tuple[int, ...], ...],
                  tensor: dict[tuple[int, ...], Fraction],
                  smooth: bool = True,
-                 radial: tuple[tuple[int, ...], ...] | None = None,
                  coord_names: tuple[str, ...] = ()) -> ToricModel:
         """Store the fields of a model this package builds itself, already
         canonical: tuples of ints and `Fraction` weights.  Only what
@@ -305,7 +296,7 @@ class ToricModel:
             name=name, dim=dim, rank=rank, gens=gens,
             divisor_classes=divisor_classes,
             tensor=MappingProxyType({k: v for k, v in tensor.items() if v}),
-            smooth=smooth, radial=radial,
+            smooth=smooth,
             coord_names=coord_names or _default_coord_names(dim + rank))
         return model
 
@@ -628,10 +619,13 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     Terms of any other generator degree contribute nothing, so callers may
     pass whole Chern polynomials or truncated sums unchanged.  Coefficients
     in degree symbols pass through, making the result a scalar expression.
-    The products run against the model's integer weights (`_pair`).
+    The products run against the model's integer weights (`_pair`); an
+    element on other generators than the model's raises ValueError.
     """
     if not isinstance(elem, ChowElement):
         return MultiPoly.zero()
+    if elem.gens != model.gens:
+        raise ValueError(f"generator mismatch: {elem.gens!r} vs {model.gens!r}")
     r = len(elem.gens)
     den, weights = model._integer_tensor
     # the tensor keys are exactly the degree-n exponents of nonzero weight

@@ -9,11 +9,6 @@ class AlignmentError(ToricError):
     """Polynomial operands do not share a variable table."""
 
 
-class UnsupportedModelError(ToricError):
-    """The model lacks the radial data required by the requested
-    operation."""
-
-
 class ModelFormatError(ToricError):
     """Model text is syntactically or semantically invalid.
 

@@ -387,6 +387,8 @@ def multidegree(model: ToricModel, classes, k: int,
     over it."""
     if type(k) is not int:
         raise ValueError(f"index {k!r} is not an int")
+    if type(generator) is not bool:  # a str such as 'no' is true
+        raise ValueError(f"generator must be a bool, got {generator!r}")
     a = _class_list(model, classes)
     m = len(a)
     n = model.dim
@@ -436,6 +438,8 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     tightens the bound by one unit of curve degree, the sharpening valid on
     projective space, and the wci variants refuse it.
     """
+    if type(strict) is not bool:  # a str such as 'no' is true
+        raise ValueError(f"strict must be a bool, got {strict!r}")
     if variant in ("wci-curve", "wci-general"):
         if strict:
             raise ValueError(f"{variant} has no strict form; only toric-curve has")

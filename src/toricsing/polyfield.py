@@ -4,16 +4,17 @@ homogeneous coordinates.
 Coordinates are graded by the model's class group: the i-th coordinate has
 the degree of the i-th invariant divisor.  A polynomial is
 quasi-homogeneous when all of its monomials share one class-group degree.
-A one-form descends to the quotient exactly when every radial contraction
-vanishes; a vector field leaves a hypersurface invariant exactly when it
-maps the defining polynomial into the principal ideal it generates.
+A one-form descends to the quotient exactly when its contraction with
+every radial field vanishes, the k-th field being sum_i (D_i)_k z_i d_i
+over the k-th column of the divisor classes; a vector field leaves a
+hypersurface invariant exactly when it maps the defining polynomial into
+the principal ideal it generates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from .chow import ToricModel
-from .errors import UnsupportedModelError
 from .exactalg import MultiPoly, grlex_key
 
 
@@ -111,30 +112,13 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
 
 
 def radial_fields(model: ToricModel) -> list[VectorFieldExpr]:
-    """The radial vector fields spanning the quotient group's Lie algebra.
-
-    Available for the catalog families that record them (weighted,
-    multiprojective, scroll) and for parsed models carrying `radial` lines.
-    """
-    if model.radial is None:
-        raise UnsupportedModelError(
-            f"model {model.name} carries no radial data; add `radial` lines "
-            "to its model file")
+    """The radial vector fields spanning the quotient group's Lie algebra,
+    one per column of the divisor classes: the k-th is sum_i (D_i)_k z_i d_i,
+    so every model has them."""
     coords = model.coord_names
-    fields = []
-    for row in model.radial:
-        comps = tuple(
-            MultiPoly(coords, {_unit_exp(len(coords), j): c}) if c else
-            MultiPoly.zero(coords)
-            for j, c in enumerate(row))
-        fields.append(VectorFieldExpr(model, comps))
-    return fields
-
-
-def _unit_exp(length: int, j: int) -> tuple[int, ...]:
-    exp = [0] * length
-    exp[j] = 1
-    return tuple(exp)
+    z = [MultiPoly.variable(name, coords) for name in coords]
+    return [VectorFieldExpr(model, tuple(c * zi for c, zi in zip(column, z)))
+            for column in zip(*model.divisor_classes)]
 
 
 def check_descends(model: ToricModel, form: OneFormExpr) -> bool:

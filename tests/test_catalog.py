@@ -4,6 +4,7 @@ import re
 import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,31 @@ def test_round_trip_all_builtins():
         assert parse_model(serialize_model(m)) == m
 
 
+@pytest.mark.parametrize("m", ALL_BUILTINS, ids=lambda m: m.name)
+def test_model_files_carry_the_class_columns_as_radial_lines(m):
+    text = serialize_model(m)
+    radial = [line for line in text.splitlines() if line.startswith("radial ")]
+    assert radial == ["radial " + " ".join(map(str, column))
+                      for column in zip(*m.divisor_classes)]
+    assert parse_model(text) == m
+    # a changed entry is refused on its line, and so is one line too many
+    lineno = text.splitlines().index(radial[-1]) + 1
+    wrong = text.replace(radial[-1] + "\n", radial[-1] + "7\n")
+    with pytest.raises(ModelFormatError, match=f"^line {lineno}: radial row "):
+        parse_model(wrong)
+    with pytest.raises(ModelFormatError, match=f"^line {lineno + 1}: radial line {m.rank + 1} "):
+        parse_model(text + radial[-1] + "\n")
+    # the lines are optional
+    kept = "".join(line + "\n" for line in text.splitlines() if line not in radial)
+    assert parse_model(kept) == m
+
+
+def test_the_benchmark_model_file_parses():
+    text = (Path(__file__).parent.parent / "perfbench" / "p123.model").read_text()
+    assert "radial 1 2 3" in text.splitlines()
+    assert parse_model(text) == catalog.weighted(1, 2, 3)
+
+
 def test_round_trip_is_deterministic():
     m = catalog.blowup_line_p3()
     assert serialize_model(parse_model(serialize_model(m))) == serialize_model(m)
@@ -205,15 +231,13 @@ def toric_models(draw):
     keys = [k for k in product(range(dim + 1), repeat=rank) if sum(k) == dim]
     tensor = draw(st.dictionaries(st.sampled_from(keys), RATIONALS))
     ints = st.integers(-3, 3)
-    radial = draw(st.none() | st.tuples(
-        *[st.tuples(*[ints] * (dim + rank))] * rank))
     # about half the names use characters serialize_model must reject
     name = draw(st.text(NAME_CHARS, min_size=1, max_size=12).filter(
         lambda s: s == s.strip()) | st.text(NAME_CHARS + UNWRITABLE, max_size=12))
     classes = draw(st.tuples(*[st.tuples(*[ints] * rank)] * (dim + rank)))
     return chow.ToricModel(name=name, dim=dim, rank=rank, gens=gens,
                            divisor_classes=classes, tensor=tensor,
-                           smooth=draw(st.booleans()), radial=radial)
+                           smooth=draw(st.booleans()))
 
 
 @settings(max_examples=150, deadline=None)

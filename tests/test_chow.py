@@ -320,16 +320,13 @@ def test_models_and_elements_are_frozen():
         m.tensor[(2,)] = Fraction(2)
 
 
-def test_models_reject_non_integer_classes_and_radial_data():
+def test_models_reject_non_integer_classes():
     fields = dict(name="P1", dim=1, rank=1, gens=("H",), tensor={(1,): 1})
     with pytest.raises(ValueError, match=r"divisor class \(1.5,\) .* 1.5"):
         chow.ToricModel(divisor_classes=((1,), (1.5,)), **fields)
     with pytest.raises(ValueError, match=r"divisor class \(Fraction\(1, 1\),\)"):
         chow.ToricModel(divisor_classes=((Fraction(1),), (1,)), **fields)
-    with pytest.raises(ValueError, match=r"radial row \(1, 0.5\) .* 0.5"):
-        chow.ToricModel(divisor_classes=((1,), (1,)), radial=((1, 0.5),), **fields)
-    assert chow.ToricModel(divisor_classes=((1,), (1,)), radial=((1, 1),),
-                           **fields) == catalog.projective(1)
+    assert chow.ToricModel(divisor_classes=((1,), (1,)), **fields) == catalog.projective(1)
 
 
 def test_chern_series_is_computed_once_per_model():

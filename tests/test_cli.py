@@ -270,6 +270,26 @@ def test_check_subcommands(capsys):
     assert "cofactor = 2" in lines
 
 
+@pytest.mark.parametrize("argv, first", [
+    (("euler", "complement", "--model", "projective:2", "--hyp", "1"), "result = 1"),
+    # 2 (1 + 4 - 2)^2 on the quadric surface
+    (("baumbott", "--weights", "1,1,1,1", "--ci", "2", "--degree", "1"), "result = 18"),
+    (("check", "homogeneous", "--model", "projective:2", "--poly", "0"),
+     "result = any degree"),
+    (("check", "homogeneous", "--model", "projective:2", "--poly", "z0+z1^2"),
+     "result = not quasi-homogeneous"),
+    # the blow-up's radial fields are its class columns, (1, 1, 1, 0) and
+    # (-1, -1, 0, 1), and the rotation of z0 and z1 contracts to 0 with both
+    (("check", "descends", "--model", "blowup_point:2", "--form", "z1,-z0,0,0"),
+     "result = true"),
+    (("check", "descends", "--model", "blowup_point:2", "--form", "z1,0,0,0"),
+     "result = false"),
+], ids=" ".join)
+def test_subcommand_results(capsys, argv, first):
+    status, out, _ = _run(capsys, *argv)
+    assert status == 0 and out.splitlines()[0] == first
+
+
 def test_gcd_obstruction_cli(capsys):
     status, out, _ = _run(capsys, "gcd-obstruction", "--model", "projective:2",
                           "--degree-div", "2,0,0")

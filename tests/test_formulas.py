@@ -111,6 +111,12 @@ def test_gcd_obstruction_unit_coeffs_never_force():
         assert not v.forces_singular
 
 
+def test_gcd_obstruction_all_zero_coefficients():
+    # 0 divides only 0, and chi(P^3) = 4
+    v = gcd_obstruction(catalog.projective(3), (0, 0, 0, 0))
+    assert (v.gcd, v.chi, v.forces_singular) == (0, 4, True)
+
+
 def test_gcd_obstruction_rejects_orbifolds():
     with pytest.raises(ToricError):
         gcd_obstruction(catalog.weighted(1, 1, 2), (1, 1, 1))
@@ -586,6 +592,12 @@ def test_alpha_invariant_quadric_threefold():
     assert info.alpha == 2
     assert info.chi == 4
     assert info.divides(2) and info.divides(1) and not info.divides(3)
+
+
+def test_alpha_divides_zero_only_when_alpha_is_zero():
+    info = alpha_invariant((1, 1, 1, 1), (2,))
+    assert info.alpha == 2 and not info.divides(0)
+    assert formulas.AlphaInvariant(Fraction(0), Fraction(0)).divides(0)
 
 
 @pytest.mark.parametrize("bad", [2.5, True, Fraction(5)])

@@ -63,9 +63,8 @@ def test_builtins_are_the_checked_model_of_their_fields(m):
     assert m.coord_names == checked.coord_names
     assert type(m.tensor) is MappingProxyType
     assert type(m.gens) is tuple
-    # divisor classes are required, radial data is optional
-    for rows in (m.divisor_classes, m.radial or ()):
-        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    rows = m.divisor_classes
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert (formulas.foliation_sing_count(m, "symbolic")
             == formulas.foliation_sing_count(checked, "symbolic"))
 

@@ -7,7 +7,6 @@ import pytest
 
 from toricsing import catalog
 from toricsing.catalog import parse_polynomial
-from toricsing.errors import UnsupportedModelError
 from toricsing.exactalg import MultiPoly
 from toricsing.polyfield import (
     ANY_DEGREE, GradedPoly, OneFormExpr, VectorFieldExpr,
@@ -100,9 +99,30 @@ def test_radial_scroll():
                              MultiPoly.zero(m.coord_names), z[2], z[3])
 
 
-def test_radial_unavailable():
-    with pytest.raises(UnsupportedModelError):
-        radial_fields(catalog.blowup_point(2))
+def test_radial_blowup_point():
+    # classes (1, -1) twice, then (1, 0) and (0, 1): the columns of the classes
+    m = catalog.blowup_point(2)
+    r1, r2 = radial_fields(m)
+    z = [MultiPoly.variable(n, m.coord_names) for n in m.coord_names]
+    zero = MultiPoly.zero(m.coord_names)
+    assert r1.components == (z[0], z[1], z[2], zero)
+    assert r2.components == (-z[0], -z[1], zero, z[3])
+    # the rotation of the first two coordinates descends, as on P^2
+    form = OneFormExpr(m, (z[1], -z[0], zero, zero))
+    assert check_descends(m, form)
+    assert not check_descends(m, OneFormExpr(m, (z[1], zero, zero, zero)))
+
+
+@pytest.mark.parametrize("m", [
+    catalog.projective(3), catalog.weighted(1, 2, 3), catalog.multiprojective(1, 2),
+    catalog.scroll(2, -1, 3), catalog.blowup_point(3), catalog.blowup_two_points_p3(),
+    catalog.blowup_line_p3()], ids=lambda m: m.name)
+def test_radial_fields_are_the_class_columns(m):
+    z = [MultiPoly.variable(n, m.coord_names) for n in m.coord_names]
+    fields = radial_fields(m)
+    assert len(fields) == m.rank
+    for k, field in enumerate(fields):
+        assert field.components == tuple(d[k] * zi for d, zi in zip(m.divisor_classes, z))
 
 
 def test_descends_weighted_form():

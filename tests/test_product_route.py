@@ -295,3 +295,40 @@ def test_the_recorded_count_on_p800_x_p1_is_the_support_route():
     assert formulas.foliation_sing_count(m, (1, 1)) == P800_P1
     workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
     assert f'test "$out" = "result = {P800_P1}"' in workflow.read_text()
+
+
+def _restricted_oracle(k):
+    """The count on (P^1)^k of the restriction to a hypersurface of class
+    (1, ..., 1) at degree d = (1, ..., k): the sum over s of s! e_s(d)
+    g(k - s), with e_s the elementary symmetric functions of d and
+    g(R) = sum_{j=1..R} (-1)^(j-1) j! C(R, j) 2^(R-j)."""
+    e = [1] + [0] * k
+    for x in range(1, k + 1):
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * x
+
+    def g(r):
+        return sum((-1) ** (j - 1) * factorial(j) * comb(r, j) * 2 ** (r - j)
+                   for j in range(1, r + 1))
+    return sum(factorial(s) * e[s] * g(k - s) for s in range(k + 1))
+
+
+# the restricted count on (P^1)^24, which the install step of the CI workflow
+# compares with the command line's output
+P1_24_RESTRICTED = 70655467797976402156708141475163005209613959168
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 24])
+def test_restricted_counts_on_p1_powers_match_the_oracle(k):
+    m = catalog.multiprojective(*[1] * k)
+    d, a = tuple(range(1, k + 1)), (1,) * k
+    count = formulas.restricted_sing_count(m, d, a)
+    assert count == _restricted_oracle(k)
+    if k <= 8:
+        assert on_support(lambda: formulas.restricted_sing_count(m, d, a)) == count
+
+
+def test_the_recorded_restricted_count_on_p1_24():
+    assert _restricted_oracle(24) == P1_24_RESTRICTED
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    assert f'test "$out" = "result = {P1_24_RESTRICTED}"' in workflow.read_text()

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from toricsing import catalog
 from toricsing.cli import run
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
-def _block(section: str, lang: str) -> list[str]:
+def _block(section: str, lang: str = "") -> list[str]:
     """The lines of the first `lang` code block under the heading `section`."""
     body = README.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
     return body.split(f"```{lang}\n", 1)[1].split("```", 1)[0].splitlines()
@@ -51,3 +52,10 @@ def test_readme_library_sketch_prints_its_comments(capsys):
     exec(compile("\n".join(lines), "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
     assert len(expected) == 3
+
+
+def test_readme_model_file_is_weighted_p123():
+    # its `radial 1 2 3` line is the column of the divisor classes
+    text = "\n".join(_block("Model files")) + "\n"
+    assert "radial 1 2 3" in text.splitlines()
+    assert catalog.parse_model(text) == catalog.weighted(1, 2, 3)

@@ -5,7 +5,9 @@ import pytest
 
 from toricsing import catalog, formulas, polyfield, residue
 from toricsing.catalog import parse_model, serialize_model
-from toricsing.chow import ChowElement, ToricModel, class_of_divisor_coeffs, elementary_series
+from toricsing.chow import (
+    ChowElement, ToricModel, chern_class, class_of_divisor_coeffs, elementary_series, integrate,
+)
 from toricsing.errors import AlignmentError, ModelFormatError
 from toricsing.exactalg import MultiPoly
 
@@ -57,6 +59,16 @@ REFUSALS = {
                      ModelFormatError, "missing required line: name"),
     "no gens line": (lambda: parse_model(p2_file(drop=3)),
                      ModelFormatError, "missing required line: gens"),
+    # radial lines are checked against the columns of the divisor classes
+    "radial row": (lambda: parse_model(p2_file(add=["radial 1 2 1"])), ModelFormatError,
+                   "line 10: radial row (1, 2, 1) is not column 1 of the divisor classes, "
+                   "(1, 1, 1)"),
+    "radial row length": (lambda: parse_model(p2_file(add=["radial 1 1"])), ModelFormatError,
+                          "line 10: radial row (1, 1) is not column 1 of the divisor "
+                          "classes, (1, 1, 1)"),
+    "radial line past the rank": (
+        lambda: parse_model(p2_file(add=["radial 1 1 1", "radial 1 1 1"])),
+        ModelFormatError, "line 11: radial line 2 on a model of rank 1"),
     "model file dim 0": (lambda: parse_model(p2_file(replace=(1, "dim 0"))),
                          ModelFormatError, "dim and rank must be positive"),
     "model file 5": (lambda: parse_model(5), ModelFormatError,
@@ -88,10 +100,6 @@ REFUSALS = {
                     "tensor must map keys to weights, got [((1,), 1)]"),
     "tensor key 5": (lambda: model(tensor={5: 1}), ValueError,
                      "tensor key 5 is not a sequence of ints"),
-    "radial 7": (lambda: model(radial=7), ValueError,
-                 "radial data must be an r x (n+r) matrix"),
-    "radial row 5": (lambda: model(radial=(5,)), ValueError,
-                     "radial row 5 is not a sequence of ints"),
     "divisor count": (lambda: model(divisor_classes=((1,),)), ValueError,
                       "expected 2 divisor classes, got 1"),
     "divisor rank": (lambda: model(divisor_classes=((1,), (1, 0))), ValueError,
@@ -101,8 +109,6 @@ REFUSALS = {
     "negative tensor key": (lambda: model(dim=2, divisor_classes=((1,),) * 3,
                                           tensor={(-1,): 1}),
                             ValueError, "bad tensor key (-1,)"),
-    "radial shape": (lambda: model(radial=((1,),)), ValueError,
-                     "radial data must be an r x (n+r) matrix"),
     "coordinate count": (lambda: model(coord_names=("x",)), ValueError,
                          "coordinate table must have n+r names"),
     "dim '1'": (lambda: model(dim="1"), ValueError, "dim must be an int, got '1'"),
@@ -181,6 +187,10 @@ REFUSALS = {
                             "too many classes"),
     "multidegree generator": (lambda: formulas.multidegree(P2, [1], 1, generator=True),
                               ValueError, "generator index 1 out of range 0..0"),
+    # a str such as 'no' is true: it once picked the generator, 0 for 1 here
+    "multidegree generator 'no'": (
+        lambda: formulas.multidegree(catalog.blowup_point(2), [(1, 0)], 1, generator="no"),
+        ValueError, "generator must be a bool, got 'no'"),
     "wci multidegree": (lambda: formulas.wci_sing_count((1, 1, 1, 1), (0,), 1), ValueError,
                         "complete-intersection multidegrees must be positive"),
     "surface multidegrees": (lambda: formulas.baum_bott_sum((1, 1, 1, 1), (), 1),
@@ -216,6 +226,16 @@ REFUSALS = {
     "strict wci-general": (lambda: formulas.poincare_check(
         "wci-general", weights=(1, 1, 1, 1), classes=(2,), degree=3, strict=True),
         ValueError, "wci-general has no strict form; only toric-curve has"),
+    # a str such as 'no' is true: it once tightened the bound, rhs 5 for 6
+    "strict 'no'": (lambda: formulas.poincare_check(
+        "toric-curve", model=catalog.projective(3), classes=[(1,), (1,)], degree=2,
+        strict="no"), ValueError, "strict must be a bool, got 'no'"),
+    # an element is paired on its own generators, not term by term on these
+    "integrate generators": (lambda: integrate(P2, chern_class(catalog.multiprojective(1, 1), 2)),
+                             ValueError, "generator mismatch: ('H1', 'H2') vs ('H',)"),
+    "integrate generators on a blow-up": (
+        lambda: integrate(catalog.blowup_point(2), chern_class(catalog.multiprojective(1, 1), 2)),
+        ValueError, "generator mismatch: ('H1', 'H2') vs ('H', 'E')"),
     "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
                          "expected 3 divisor coefficients"),
     "gcd coefficients 5": (lambda: formulas.gcd_obstruction(P2, 5), ValueError,

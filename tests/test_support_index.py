@@ -201,8 +201,7 @@ def test_tensor_weights_are_kept_or_made_fractions():
     assert m.tensor[(1,)] is half
     m = ToricModel(tensor={(1,): 2}, **FIELDS)
     assert type(m.tensor[(1,)]) is Fraction and m.tensor[(1,)] == 2
-    assert (ToricModel(tensor={(1,): 1}, radial=((1, 1),), **FIELDS)
-            == catalog.projective(1))
+    assert ToricModel(tensor={(1,): 1}, **FIELDS) == catalog.projective(1)
 
 
 def test_model_files_report_bad_tensor_data_as_format_errors():
