@@ -620,9 +620,16 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     pass whole Chern polynomials or truncated sums unchanged.  Coefficients
     in degree symbols pass through, making the result a scalar expression.
     The products run against the model's integer weights (`_pair`); an
-    element on other generators than the model's raises ValueError.
+    element on other generators than the model's raises ValueError.  An
+    exact scalar (an int, a Fraction, or a scalar expression whose symbols
+    are no generators) has no degree-n part and integrates to 0; any other
+    value raises ValueError naming it.
     """
     if not isinstance(elem, ChowElement):
+        if isinstance(elem, MultiPoly):
+            _check_symbols(model.gens, (elem,))
+        elif not isinstance(elem, (int, Fraction)) or isinstance(elem, bool):
+            raise ValueError(f"{elem!r} is not a Chow element or an exact scalar")
         return MultiPoly.zero()
     if elem.gens != model.gens:
         raise ValueError(f"generator mismatch: {elem.gens!r} vs {model.gens!r}")

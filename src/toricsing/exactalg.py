@@ -136,7 +136,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree among terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)

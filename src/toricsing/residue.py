@@ -237,13 +237,33 @@ def _packed(comp: MultiPoly, width: int, top: int) -> tuple[int, tuple]:
     """The lead column and the (column, value) terms, lead first, of a
     nonzero component as a row of the echelon: scaled to integers with a
     positive lead and content 1, as a stored pivot is.  Its row shifted by
-    the monomial of key s is {s + k: c}, normalised the same way."""
-    scale = lcm(*(c.denominator for c in comp.terms.values()))
-    terms = sorted(
-        (sum((x << i * width for i, x in enumerate(e)), sum(e) << top),
-         c.numerator * (scale // c.denominator)) for e, c in comp.terms.items())
-    g = gcd(*(c for _, c in terms)) if terms[0][1] > 0 else -gcd(*(c for _, c in terms))
-    return terms[0][0], tuple((k, c // g) for k, c in terms)
+    the monomial of key s is {s + k: c}, normalised the same way.  The keys
+    are distinct, so sorting the (key, numerator, denominator) triples
+    compares keys only."""
+    scale, terms = 1, []
+    for e, c in comp.terms.items():
+        key = degree = shift = 0
+        for x in e:
+            key += x << shift
+            degree += x
+            shift += width
+        den = c.denominator
+        if den != 1:
+            scale = lcm(scale, den)
+        terms.append((key + (degree << top), c.numerator, den))
+    terms.sort()
+    content, row = 0, []
+    for key, value, den in terms:
+        if den != scale:
+            value *= scale // den
+        content = gcd(content, value)
+        row.append((key, value))
+    lead, value = row[0]
+    if value < 0:
+        content = -content
+    if content == 1:
+        return lead, tuple(row)
+    return lead, tuple([(k, c // content) for k, c in row])
 
 
 @lru_cache(maxsize=SHIFT_CACHE_SIZE)

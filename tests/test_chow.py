@@ -231,6 +231,22 @@ def test_scalars_subtract_elements_from_the_left(x):
     assert x - c == -(c - x)
 
 
+def test_operands_that_are_no_scalars_raise_type_errors():
+    e = chern_class(catalog.projective(2), 1)
+    for call in (lambda: e + "x", lambda: e - None, lambda: "x" - e, lambda: e * object()):
+        with pytest.raises(TypeError):
+            call()
+    assert (e == "x") is False
+
+
+@pytest.mark.parametrize("scalar", [
+    0, 5, -3, Fraction(1, 2), MultiPoly.variable("d", ("d",)) + 1,
+    # a generator name in the table, but unused, is no collision
+    MultiPoly.variable("d", ("H", "d"))])
+def test_exact_scalars_integrate_to_zero(scalar):
+    assert integrate(catalog.projective(2), scalar) == 0
+
+
 def _random_element(rng, model, nterms=4, with_symbol=False):
     table = model.gens + (("t",) if with_symbol else ())
     terms = {}

@@ -244,3 +244,17 @@ def test_bools_are_no_powers_or_points(flag):
     with pytest.raises(ValueError, match=f"^value {flag} of x is not an int or a Fraction$"):
         (x + 1).evaluate({"x": flag})
     assert (x + 1).evaluate({"x": int(flag)}) == 1 + flag
+
+
+def test_operands_that_are_no_scalars_raise_type_errors():
+    p = parse_polynomial("u^2 - 3*v", ("u", "v"))
+    for call in (lambda: p + "x", lambda: p - None, lambda: "x" - p, lambda: p * object()):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_scalars_subtract_polynomials_from_the_left():
+    p = parse_polynomial("u^2 - 3*v", ("u", "v"))
+    assert 3 - p == -(p - 3)
+    assert Fraction(1, 2) - p == parse_polynomial("-u^2 + 3*v + 1/2", ("u", "v"))
+    assert (Fraction(1, 2) - p).canonical_string() == "-u^2 + 3*v + 1/2"

@@ -245,8 +245,15 @@ def test_invariance_is_multiplicative():
 def test_invariant_rejects_zero_hypersurface():
     m = catalog.projective(2)
     (euler,) = radial_fields(m)
-    with pytest.raises(ValueError):
-        check_invariant_hypersurface(euler, MultiPoly.zero(m.coord_names))
+    for zero in (MultiPoly.zero(m.coord_names), GradedPoly(m, MultiPoly.zero(m.coord_names))):
+        with pytest.raises(ValueError, match="^hypersurface polynomial must be nonzero$"):
+            check_invariant_hypersurface(euler, zero)
+
+
+def test_any_degree_marker():
+    assert repr(ANY_DEGREE) == "ANY_DEGREE"
+    assert ANY_DEGREE == ANY_DEGREE
+    assert not ANY_DEGREE == 0 and ANY_DEGREE != 0
 
 
 def test_exact_divide():
@@ -255,6 +262,8 @@ def test_exact_divide():
     g = parse_polynomial("x - y", table)
     assert exact_divide(f, g) == parse_polynomial("x + y", table)
     assert exact_divide(f, parse_polynomial("x", table)) is None
+    zero = MultiPoly.zero(table)
+    assert exact_divide(zero, g) == zero and exact_divide(zero, g).vars == table
 
 
 def test_degree_bookkeeping_of_descending_form():

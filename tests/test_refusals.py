@@ -4,7 +4,7 @@ its exact text, in one table."""
 import pytest
 
 from toricsing import catalog, formulas, polyfield, residue
-from toricsing.catalog import parse_model, serialize_model
+from toricsing.catalog import parse_model, parse_polynomial, serialize_model
 from toricsing.chow import (
     ChowElement, ToricModel, chern_class, class_of_divisor_coeffs, elementary_series, integrate,
 )
@@ -236,6 +236,23 @@ REFUSALS = {
     "integrate generators on a blow-up": (
         lambda: integrate(catalog.blowup_point(2), chern_class(catalog.multiprojective(1, 1), 2)),
         ValueError, "generator mismatch: ('H1', 'H2') vs ('H', 'E')"),
+    # anything but an element or an exact scalar once integrated to 0
+    "integrate None": (lambda: integrate(P2, None), ValueError,
+                       "None is not a Chow element or an exact scalar"),
+    "integrate 'abc'": (lambda: integrate(P2, "abc"), ValueError,
+                        "'abc' is not a Chow element or an exact scalar"),
+    "integrate 1.5": (lambda: integrate(P2, 1.5), ValueError,
+                      "1.5 is not a Chow element or an exact scalar"),
+    "integrate True": (lambda: integrate(P2, True), ValueError,
+                       "True is not a Chow element or an exact scalar"),
+    "integrate object": (lambda: integrate(P2, THING), ValueError,
+                         f"{THING!r} is not a Chow element or an exact scalar"),
+    "integrate [1, 2]": (lambda: integrate(P2, [1, 2]), ValueError,
+                         "[1, 2] is not a Chow element or an exact scalar"),
+    # H is the generator of P^1, and its integral is 1, not 0
+    "integrate a generator symbol": (
+        lambda: integrate(catalog.projective(1), parse_polynomial("H", ("H",))),
+        ValueError, "degree symbols may not collide with generators"),
     "gcd coefficients": (lambda: formulas.gcd_obstruction(P2, (1, 1)), ValueError,
                          "expected 3 divisor coefficients"),
     "gcd coefficients 5": (lambda: formulas.gcd_obstruction(P2, 5), ValueError,

@@ -518,6 +518,67 @@ def test_packed_fields_at_their_width_limit(a, b):
         "decides it")
 
 
+def _random_component(rng, n, degree):
+    """A component of total degree `degree` in n variables, holding the pure
+    power x_j^degree of a random j, with numerators up to 10^30 and a mix of
+    no, small and huge denominators, so leads of either sign occur."""
+    j = rng.randrange(n)
+    exps = {tuple(degree * (i == j) for i in range(n))}
+    while len(exps) < rng.randint(1, 12):
+        e = [rng.randint(0, degree) for _ in range(n)]
+        if 1 <= sum(e) <= degree:
+            exps.add(tuple(e))
+    return MultiPoly(tuple(f"x{i}" for i in range(n)), {e: Fraction(
+        rng.choice([-1, 1]) * rng.choice([rng.randint(1, 9), rng.randint(1, 10 ** 30)]),
+        rng.choice([1, rng.randint(1, 12), rng.randint(1, 10 ** 20)])) for e in exps})
+
+
+def _reference_row(comp):
+    """The component's exponents in the packed order, graded and then from
+    the last variable, and its coefficients scaled to integers with a positive
+    lead and content 1: divided by the lead coefficient, then multiplied by
+    the lcm L of the reduced denominators.  The lead becomes L > 0, and no
+    prime divides every value: a prime power dividing L exactly divides some
+    ratio's denominator, and so not that value."""
+    exps = sorted(comp.terms, key=lambda e: (sum(e), e[::-1]))
+    ratios = [comp.terms[e] / comp.terms[exps[0]] for e in exps]
+    scale = 1
+    for r in ratios:
+        scale = scale * r.denominator // gcd(scale, r.denominator)
+    return exps, [int(r * scale) for r in ratios]
+
+
+def test_packed_rows_decode_to_their_terms_at_the_no_carry_limit():
+    rng = random.Random(43)
+    for _ in range(300):
+        n, degree, cap = rng.randint(1, 5), rng.randint(1, 6), rng.randint(2, 40)
+        comp = _random_component(rng, n, degree)
+        width = (cap + comp.total_degree()).bit_length()
+        top, mask = n * width, (1 << width) - 1
+        # a shift x_j^(cap - 1) takes the pure power to exponent cap + degree - 1,
+        # the widest a field must hold, and no field carries into the next
+        j = next(i for e in comp.terms for i in range(n) if e[i] == degree)
+        shift = MultiPoly.variable(f"x{j}", comp.vars) ** (cap - 1)
+        for poly in (comp, shift * comp):
+            lead, row = residue._packed(poly, width, top)
+            exps, values = _reference_row(poly)
+            assert lead == row[0][0] and values[0] > 0
+            assert [value for _, value in row] == values
+            assert [k for k, _ in row] == sorted(k for k, _ in row)
+            for (key, _), e in zip(row, exps):
+                assert key >> top == sum(e)
+                assert tuple((key >> i * width) & mask for i in range(n)) == e
+        assert max(e[j] for e in (shift * comp).terms) == cap + degree - 1
+        unshifted = residue._packed(comp, width, top)[1]
+        key = (cap - 1 << top) + (cap - 1 << j * width)
+        assert residue._packed(shift * comp, width, top)[1] == tuple(
+            (key + k, c) for k, c in unshifted)
+        # a rational multiple of a component is the same row of the echelon
+        for _ in range(3):
+            q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 25), rng.randint(1, 10 ** 15))
+            assert residue._packed(q * comp, width, top) == (unshifted[0][0], unshifted)
+
+
 def test_stored_pivots_have_positive_lead_and_content_one():
     rng = random.Random(7)
     for _ in range(100):
