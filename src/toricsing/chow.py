@@ -7,9 +7,10 @@ generators to its orbifold integral.  No middle-degree relations are
 imposed; every formula downstream funnels through a top-degree integral,
 where the tensor alone determines the answer, so the ring is kept free.
 
-`ChowElement` values are polynomials in the Picard generators whose
-coefficients may themselves be polynomials in formal degree symbols.  The
-grading that matters is total degree in the generators only.
+The intersection ring itself, `ChowElement` and the series, Chern classes
+and integrals on it, is the module `ring`, which no count imports; its old
+paths here (`chow.ChowElement`, `chow.integrate`, ...) resolve there on
+first use.
 
 The support of a tensor (the monomials dividing some tensor key) depends
 only on its key set, and families share key sets: every weighted P^n of
@@ -29,22 +30,19 @@ sorted highest degree first.  In place in edge order it reads only
 entries not yet updated and multiplies by (1 + x); in place with the
 edges reversed it reads updated ones and divides by (1 - x); into a fresh
 vector it multiplies by x.  On the chain t^k, ..., t, 1 it gives the
-elementary series
-(`elementary_series`, and so `elementary_symmetric_classes` and
-`chern_class`) and the complete series (`complete_series`,
-`wronski_classes`), complete elements built only when asked for.  On the
-support it gives every count (`integrate_count`, the paper's prod a_i *
-[c / (prod (1 + a_i) * (1 - d))]_(n-m)), where a position carries the
-generator exponent, so an entry is a number, or a term dict over the
-degree-symbol exponents (`_Terms`); the entries on the tensor keys are
-read out against the integer weights directly (`_pair`, which `integrate`
-shares), and divided by the common denominator once per output term.
-A count takes its classes as Picard vectors only, `rank` scalar
-expressions each, and reads them straight into those per-generator
-entries, so it builds no `ChowElement`; `class_element` turns the same
-vectors into degree-1 elements for the ring, with the same refusals
-(`_vector_symbols`).  A model is its divisor classes: c(X) = prod (1 + D)
-over them, with no second route to a Chern class.
+series of `ring`.  On the support it gives every count
+(`integrate_count`, the paper's prod a_i * [c / (prod (1 + a_i) *
+(1 - d))]_(n-m)), where a position carries the generator exponent, so an
+entry is a number, or a term dict over the degree-symbol exponents
+(`_Terms`); the entries on the tensor keys are read out against the
+integer weights directly (`_pair`, which `ring.integrate` shares), and
+divided by the common denominator once per output term.  A count takes
+its classes as Picard vectors only, `rank` scalar expressions each, and
+reads them straight into those per-generator entries, so it builds no
+`ChowElement`; `ring.class_element` turns the same vectors into degree-1
+elements, with the same refusals (`_vector_symbols`).  A model is its
+divisor classes: c(X) = prod (1 + D) over them, with no second route to a
+Chern class.
 
 A symbolic count whose degree symbols all sit in its last class, a
 divisor (the twist, or else the last of `over`, where a distribution's
@@ -80,12 +78,15 @@ from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms, _tuple,
-    _variable_table, aligned, as_poly, mul_terms, poly_sum,
+    _variable_table, as_poly, mul_terms, poly_sum,
 )
+
+if TYPE_CHECKING:
+    from .ring import ChowElement
 
 # A scalar expression: an exact rational, or a polynomial in degree symbols.
 ScalarExpr = MultiPoly
@@ -302,9 +303,9 @@ class ToricModel:
 
     @_lazy
     def _divisor_esym(self) -> tuple[ChowElement, ...]:
-        """e_0..e_n of the divisor classes; see `elementary_symmetric_classes`."""
-        return tuple(elementary_series(
-            [class_element(self, v) for v in self.divisor_classes], self.dim))
+        """e_0..e_n of the divisor classes, as ring elements (`ring`)."""
+        from .ring import _divisor_esym
+        return _divisor_esym(self)
 
     @_lazy
     def _chern_vector(self) -> tuple[int, ...]:
@@ -361,98 +362,6 @@ class ToricModel:
                      for k in range(self.rank))
 
 
-@dataclass(frozen=True)
-class ChowElement:
-    """Polynomial in Picard generators with scalar-expression coefficients.
-
-    The generator symbols form a prefix of the underlying variable table;
-    any further variables are formal degree symbols and take no part in the
-    grading.  Elements are frozen, so they may be shared between callers.
-    """
-
-    gens: tuple[str, ...]
-    poly: MultiPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        if self.poly.vars[:len(self.gens)] != self.gens:
-            raise ValueError(
-                f"generators {self.gens!r} must prefix the table {self.poly.vars!r}")
-
-    # -- ring structure ----------------------------------------------------
-
-    def _merge(self, other: ChowElement) -> tuple[MultiPoly, MultiPoly]:
-        if self.gens != other.gens:
-            raise ValueError(f"generator mismatch: {self.gens!r} vs {other.gens!r}")
-        return aligned(self.poly, other.poly)
-
-    def _coerce(self, value) -> ChowElement | None:
-        if isinstance(value, ChowElement):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return ChowElement(self.gens, MultiPoly.const(value, self.poly.vars))
-        if isinstance(value, MultiPoly):
-            # scalar expression: degree symbols only, no generator collisions
-            _check_symbols(self.gens, (value,))
-            return ChowElement(self.gens, value.extended(
-                self.gens + _merged_table((value.vars,), self.gens)))
-        return None
-
-    def __add__(self, other) -> ChowElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._merge(other)
-        return ChowElement(self.gens, a + b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> ChowElement:
-        return ChowElement(self.gens, -self.poly)
-
-    def __sub__(self, other) -> ChowElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> ChowElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> ChowElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._merge(other)
-        return ChowElement(self.gens, a * b)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> ChowElement:
-        # a bool is an int to Python, but no power
-        if type(exponent) is not int or exponent < 0:
-            raise ValueError("power must be a natural number")
-        return ChowElement(self.gens, self.poly ** exponent)
-
-    def __eq__(self, other) -> bool:
-        if other is True or other is False:
-            return NotImplemented  # no number, so == answers False
-        if not isinstance(other, ChowElement):
-            coerced = self._coerce(other)
-            if coerced is None:
-                return NotImplemented
-            other = coerced
-        return self.gens == other.gens and self.poly == other.poly
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"ChowElement({self.poly.canonical_string()!r})"
-
-
 def _check_symbols(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> None:
     """A scalar expression's table may hold a generator name, which the
     merge of degree symbols (`exactalg._merged_table`) leaves out, only
@@ -460,26 +369,6 @@ def _check_symbols(gens: tuple[str, ...], scalars: Sequence[MultiPoly]) -> None:
     for p in scalars:
         if any(v in gens for v in p.vars) and any(v in gens for v in p.used_vars()):
             raise ValueError("degree symbols may not collide with generators")
-
-
-def unit_element(gens: Sequence[str]) -> ChowElement:
-    gens = tuple(gens)
-    return ChowElement(gens, MultiPoly.const(1, gens))
-
-
-def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
-    """Promote a Picard vector with scalar-expression entries to degree 1,
-    with the refusals of `_vector_symbols`: the entries' terms on one symbol
-    table, which follows the generators, the k-th entry's terms with the
-    k-th unit exponent."""
-    symbols = _vector_symbols(model, vec)
-    terms, zero = {}, (0,) * len(symbols)
-    for u, x in zip(model._units, vec):
-        if isinstance(x, MultiPoly):
-            terms.update((u + e, c) for e, c in _moved_terms(x.terms.items(), x.vars, symbols))
-        elif x:
-            terms[u + zero] = Fraction(x)
-    return ChowElement(model.gens, MultiPoly._trusted(model.gens + symbols, terms))
 
 
 def _vector_symbols(model: ToricModel, vec: Sequence[ScalarLike]) -> tuple[str, ...]:
@@ -530,123 +419,18 @@ def class_of_divisor_coeffs(model: ToricModel,
     return tuple(out)
 
 
-def _check_degree(j) -> None:
-    """A series degree or index must be an int: a bool is an int to Python
-    but no degree, and a float would fail only at a tuple index."""
-    if type(j) is not int:
-        raise ValueError(f"degree {j!r} is not an int")
-
-
-def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
-    """The j-th elementary symmetric polynomial in the divisor classes.
-
-    The whole series e_0..e_n is computed once per model, on first use, as
-    the truncated product of (1 + D_i t); later calls return the same
-    element.
-    """
-    _check_degree(j)
-    if not 0 <= j <= model.dim:
-        raise ValueError(f"degree {j} out of range 0..{model.dim}")
-    return model._divisor_esym[j]
-
-
-def chern_class(model: ToricModel, j: int) -> ChowElement:
-    """Chern class of the tangent sheaf in degree j: the elementary
-    symmetric function of the divisor classes."""
-    _check_degree(j)
-    if not 0 <= j <= model.dim:
-        raise ValueError(f"degree {j} out of range 0..{model.dim}")
-    if j == 0:
-        return unit_element(model.gens)
-    return elementary_symmetric_classes(model, j)
-
-
-def wronski_classes(classes: Sequence, j: int):
-    """Complete homogeneous symmetric function of degree j.
-
-    A list of degree-1 `ChowElement`s gives a `ChowElement`; a list of
-    scalar expressions gives a scalar expression.  The empty list follows
-    the zero-variable convention: 1 at j = 0 and 0 beyond.
-    """
-    return complete_series(classes, j)[j]
-
-
-def elementary_series(items: Sequence, k: int) -> list:
-    """e_0..e_k of a list of degree-1 `ChowElement`s or of scalar expressions:
-    the coefficients of prod (1 + x t) over the items, truncated at t^k, one
-    `_pass` per item; e_j is 0 for j beyond the length of the list."""
-    return _series(items, k, divide=False)
-
-
-def complete_series(items: Sequence, k: int) -> list:
-    """h_0..h_k of the same inputs: the coefficients of prod 1 / (1 - x t),
-    truncated at t^k, one `_pass` per item."""
-    return _series(items, k, divide=True)
-
-
-def _series(items: Sequence, k: int, divide: bool) -> list:
-    """Both series, as vectors on the chain t^k, ..., t, 1 of the items' bare
-    term tables on one merged variable table, wrapped once at the end."""
-    _check_degree(k)
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    first = items[0] if items and isinstance(items[0], ChowElement) else None
-    # Chow elements meet through _merge, which raises on a generator mismatch
-    xs = aligned(*(as_poly(x) if first is None else first._merge(first._coerce(x))[1]
-                   for x in items))
-    table = xs[0].vars if xs else ()
-    series = [_Terms() for _ in range(k)] + [_Terms({(0,) * len(table): 1})]
-    edges = [(i, 0, i + 1) for i in range(k)]
-    for x in xs:
-        x = _Terms({e: _exact_scalar(c) for e, c in x.terms.items()})
-        _pass(series, series, [x], reversed(edges) if divide else edges)
-    polys = [_wrap(table, t) for t in reversed(series)]
-    return polys if first is None else [ChowElement(first.gens, p) for p in polys]
-
 
 def _exact_scalar(c: int | Fraction) -> int | Fraction:
     """An integral coefficient as an int, which the loops multiply fast."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _wrap(table: tuple[str, ...], terms: dict) -> MultiPoly:
-    return MultiPoly._trusted(table, {e: Fraction(c) for e, c in terms.items()})
-
-
-def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
-    """Pair the degree-n part against the intersection tensor.
-
-    Terms of any other generator degree contribute nothing, so callers may
-    pass whole Chern polynomials or truncated sums unchanged.  Coefficients
-    in degree symbols pass through, making the result a scalar expression.
-    The products run against the model's integer weights (`_pair`); an
-    element on other generators than the model's raises ValueError.  An
-    exact scalar (an int, a Fraction, or a scalar expression whose symbols
-    are no generators) has no degree-n part and integrates to 0; any other
-    value raises ValueError naming it.
-    """
-    if not isinstance(elem, ChowElement):
-        if isinstance(elem, MultiPoly):
-            _check_symbols(model.gens, (elem,))
-        elif not isinstance(elem, (int, Fraction)) or isinstance(elem, bool):
-            raise ValueError(f"{elem!r} is not a Chow element or an exact scalar")
-        return MultiPoly.zero()
-    if elem.gens != model.gens:
-        raise ValueError(f"generator mismatch: {elem.gens!r} vs {model.gens!r}")
-    r = len(elem.gens)
-    den, weights = model._integer_tensor
-    # the tensor keys are exactly the degree-n exponents of nonzero weight
-    return _pair(den, elem.poly.vars[r:], (
-        (weight, exp[r:], coeff) for exp, coeff in elem.poly.terms.items()
-        if (weight := weights.get(exp[:r]))))
-
-
 def _pair(den: int, symbols: tuple[str, ...], products) -> ScalarExpr:
     """The sum of weight * c * s^e over the triples (weight, e, c) of an
     integer tensor weight and a coefficient c of the monomial s^e in the
     degree symbols, divided by the tensor's common denominator once: the
-    pairing of `integrate` and `integrate_count`.  Integral coefficients
-    meet ints only; each output term is one `Fraction`."""
+    pairing of `ring.integrate` and `integrate_count`.  Integral
+    coefficients meet ints only; each output term is one `Fraction`."""
     out: dict[tuple[int, ...], int | Fraction] = {}
     for weight, e, c in products:
         if c:
@@ -660,8 +444,9 @@ def integrate_count(model: ToricModel, factors: Sequence = (), over: Sequence = 
     """The integral of prod(factors) * [c(X) / (prod_{a in over} (1 + a) *
     (1 - twist))]_top, top = n - len(factors): every count in `formulas`,
     with over = factors on a complete intersection.  Each class is a
-    Picard vector, `model.rank` scalar expressions, with `class_element`'s
-    refusals (`_vector_symbols`); a value with no length raises TypeError.
+    Picard vector, `model.rank` scalar expressions, with the refusals of
+    `ring.class_element` (`_vector_symbols`); a value with no length raises
+    TypeError.
     Each is read straight into its per-generator entries: a
     number (an int when integral), or with degree symbols a term dict on
     the merged symbol table (`_kernel_terms`).  From c(X)
@@ -1010,3 +795,50 @@ class _Terms(dict):
 
     def __rmul__(self, k: int) -> _Terms:
         return _Terms({e: k * c for e, c in self.items()})
+
+
+# ---------------------------------------------------------------------------
+# the ring's old paths
+#
+# The ring lives in `ring`, which this module never imports at load time.
+# An old `chow.<name>` of the ring resolves there on first use through the
+# module `__getattr__` below.  The four functions the tracer of `perfbench`
+# wraps by name read this module's namespace, which `__getattr__` does not
+# fill, so each is a function here that hands its call to the ring.
+
+
+def chern_class(model: ToricModel, j: int) -> ChowElement:
+    """`ring.chern_class`."""
+    from .ring import chern_class
+    return chern_class(model, j)
+
+
+def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
+    """`ring.elementary_symmetric_classes`."""
+    from .ring import elementary_symmetric_classes
+    return elementary_symmetric_classes(model, j)
+
+
+def wronski_classes(classes: Sequence, j: int):
+    """`ring.wronski_classes`."""
+    from .ring import wronski_classes
+    return wronski_classes(classes, j)
+
+
+def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
+    """`ring.integrate`."""
+    from .ring import integrate
+    return integrate(model, elem)
+
+
+_RING_NAMES = frozenset((
+    "ChowElement", "unit_element", "class_element", "elementary_series",
+    "complete_series", "_series", "_wrap", "_check_degree"))
+
+
+def __getattr__(name: str):
+    if name not in _RING_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ring
+    value = globals()[name] = getattr(ring, name)
+    return value

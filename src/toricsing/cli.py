@@ -13,9 +13,10 @@ invocations produce byte-identical output.  Exit status: 0 success,
 1 domain error, 2 usage error.
 
 An invocation imports only the modules its command uses, and argparse builds
-the arguments of that one command: `residue` never loads `formulas` or
-`polyfield`, and `catalog list` loads none of `formulas`, `polyfield` or
-`residue`.  Handlers import their modules inside the function and call them
+only that command's parser, with the parsers of the groups above it:
+`residue` never loads `formulas` or `polyfield`, and `catalog list` loads
+none of `formulas`, `polyfield` or `residue`.  No count loads `ring` or
+`verdicts`.  Handlers import their modules inside the function and call them
 as module attributes (`formulas.foliation_sing_count(...)`).
 """
 
@@ -90,8 +91,15 @@ def _canonical(value) -> str:
 # argument plumbing
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _ints(text: str | None, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers given to `flag`; a missing or malformed
+    text is a domain error naming the flag and the text."""
+    if text is None:
+        raise ToricError(f"no {flag} given")
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ToricError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 def _model_from_args(args):
@@ -115,9 +123,9 @@ def _degree_from_args(args, model) -> object:
         return formulas.symbolic_degree(model, names)
     if getattr(args, "degree_div", None):
         from . import chow
-        return chow.class_of_divisor_coeffs(model, _ints(args.degree_div))
+        return chow.class_of_divisor_coeffs(model, _ints(args.degree_div, "--degree-div"))
     if getattr(args, "degree", None) is not None:
-        degree = _ints(args.degree)
+        degree = _ints(args.degree, "--degree")
         if len(degree) != model.rank:
             raise ToricError("--degree must have one entry per Picard generator: "
                              f"{model.rank} on {model.name}, got {len(degree)}")
@@ -137,13 +145,20 @@ def _scalar_degree_from_args(args) -> object:
         return MultiPoly.variable(name, (name,))
     if args.degree is None:
         raise ToricError("no degree given; use --degree or --symbolic")
-    return int(args.degree)
+    try:
+        return int(args.degree)
+    except ValueError:
+        raise ToricError(f"--degree takes an integer, got {args.degree!r}") from None
+
+
+def _weights_from_args(args):
+    return _ints(args.weights, "--weights"), _ints(args.ci, "--ci")
 
 
 def _class_list_from_args(args):
     if not getattr(args, "cls", None):
         raise ToricError("no classes given; use --class")
-    return [_ints(c) for c in args.cls]
+    return [_ints(c, "--class") for c in args.cls]
 
 
 def _add_model_flags(sub):
@@ -199,7 +214,7 @@ def _handle_count_restricted(args):
     from . import formulas
     model = _model_from_args(args)
     count = formulas.restricted_sing_count(
-        model, _degree_from_args(args, model), _ints(args.hyp), kind=args.kind)
+        model, _degree_from_args(args, model), _ints(args.hyp, "--hyp"), kind=args.kind)
     return _canonical(count), {}
 
 
@@ -207,7 +222,7 @@ def _handle_count_complement(args):
     from . import formulas
     model = _model_from_args(args)
     count = formulas.complement_sing_count(
-        model, _degree_from_args(args, model), _ints(args.hyp))
+        model, _degree_from_args(args, model), _ints(args.hyp, "--hyp"))
     return _canonical(count), {}
 
 
@@ -215,7 +230,7 @@ def _handle_count_wci(args):
     from . import formulas
     degree = _scalar_degree_from_args(args)
     parts = formulas.wci_sing_count_parts(
-        _ints(args.weights), _ints(args.ci), degree, kind=args.kind)
+        *_weights_from_args(args), degree, kind=args.kind)
     total = poly_sum(parts)
     return _canonical(total), {"partial_sums": [_canonical(p) for p in parts]}
 
@@ -239,14 +254,14 @@ def _handle_euler_ambient(args):
 def _handle_euler_hyp(args):
     from . import formulas
     model = _model_from_args(args)
-    value = formulas.hypersurface_euler(model, _ints(args.hyp))
+    value = formulas.hypersurface_euler(model, _ints(args.hyp, "--hyp"))
     return _canonical(value), {}
 
 
 def _handle_euler_complement(args):
     from . import formulas
     model = _model_from_args(args)
-    value = formulas.complement_euler(model, _ints(args.hyp))
+    value = formulas.complement_euler(model, _ints(args.hyp, "--hyp"))
     return _canonical(value), {}
 
 
@@ -260,13 +275,13 @@ def _handle_euler_ci(args):
 def _handle_baumbott(args):
     from . import formulas
     value = formulas.baum_bott_sum(
-        _ints(args.weights), _ints(args.ci), _scalar_degree_from_args(args))
+        *_weights_from_args(args), _scalar_degree_from_args(args))
     return _canonical(value), {}
 
 
 def _handle_alpha(args):
     from . import formulas
-    info = formulas.alpha_invariant(_ints(args.weights), _ints(args.ci))
+    info = formulas.alpha_invariant(*_weights_from_args(args))
     details = {"chi": _canonical(info.chi)}
     if args.test_divisor is not None:
         details["divides"] = _canonical(info.divides(args.test_divisor))
@@ -275,7 +290,7 @@ def _handle_alpha(args):
 
 def _handle_general_type(args):
     from . import formulas
-    value = formulas.general_type_index(_ints(args.weights), _ints(args.ci))
+    value = formulas.general_type_index(*_weights_from_args(args))
     return _canonical(value), {}
 
 
@@ -295,7 +310,8 @@ def _handle_poincare(args):
                     degree=_degree_from_args(args, model))
     else:
         degree = _scalar_degree_from_args(args)
-        data = dict(weights=_ints(args.weights), classes=_ints(args.ci), degree=degree)
+        weights, classes = _weights_from_args(args)
+        data = dict(weights=weights, classes=classes, degree=degree)
     verdict = formulas.poincare_check(args.variant, strict=args.strict, **data)
     result = ("holds" if verdict.holds else "fails") if verdict.holds is not None \
         else "indeterminate"
@@ -309,13 +325,7 @@ def _handle_poincare(args):
 
 def _handle_search(args):
     from . import formulas
-    scroll_a = None
-    if args.scroll_a:
-        try:
-            scroll_a = _ints(args.scroll_a)
-        except ValueError:
-            raise ToricError(f"--scroll-a takes comma-separated integers, "
-                             f"got {args.scroll_a!r}") from None
+    scroll_a = _ints(args.scroll_a, "--scroll-a") if args.scroll_a else None
     solutions = formulas.regular_search(args.family, args.bound, scroll_a=scroll_a)
     details = {
         "solutions": [
@@ -328,7 +338,7 @@ def _handle_search(args):
 
 def _handle_scrollform(args):
     from . import formulas
-    twists = _ints(args.a)
+    twists = _ints(args.a, "--a")
     value = formulas.scroll_closed_form(len(twists), twists, args.d1, args.d2)
     return _canonical(value), {}
 
@@ -389,7 +399,7 @@ def _handle_check_invariant(args):
 def _handle_gcd_obstruction(args):
     from . import formulas
     model = _model_from_args(args)
-    verdict = formulas.gcd_obstruction(model, _ints(args.degree_div))
+    verdict = formulas.gcd_obstruction(model, _ints(args.degree_div, "--degree-div"))
     details = {"chi": _canonical(verdict.chi), "gcd": verdict.gcd}
     return _canonical(verdict.forces_singular), details
 
@@ -397,11 +407,12 @@ def _handle_gcd_obstruction(args):
 # ---------------------------------------------------------------------------
 # parser assembly
 #
-# `_Commands` registers every name of a table up front, so usage lines, help
-# listings and "invalid choice" errors name them all, but fills a parser only
-# when argparse dispatches to it: an invocation builds one path of the tree.
-# A fill adds a command's own arguments; every command then gets `--json`
-# and its handler.
+# `_Commands` registers every name of a table up front, with its help line,
+# so usage lines, help listings and "invalid choice" errors name them all,
+# but constructs and fills a parser only when argparse dispatches to it: an
+# invocation builds one path of the tree, `count foliation` the top, `count`
+# and `foliation` parsers.  A fill adds a command's own arguments; every
+# command then gets `--json` and its handler.
 
 
 def _fill_count_foliation(p):
@@ -577,25 +588,30 @@ COMMANDS = {
 
 
 class _Commands(argparse._SubParsersAction):
-    """The subparsers of one table, each filled when argparse dispatches to it.
+    """The subparsers of one table, each constructed and filled when argparse
+    dispatches to it.
 
     `path` names the enclosing group, empty at the top level; `table` is
-    `COMMANDS` there and a group's children below it.  argparse offers no
-    public hook at dispatch, hence the subclass of its subparsers action.
+    `COMMANDS` there and a group's children below it.  Each name maps to
+    None until its parser is constructed.  argparse reads only the names of
+    that map before dispatch, and offers no public hook at dispatch, hence
+    the subclass of its subparsers action.
     """
 
     def __init__(self, *args, path, table, **kwargs):
         super().__init__(*args, **kwargs)
         self._path, self._table = path, table
         for name, entry in table.items():
-            if path:
-                self.add_parser(name)
-            else:
-                self.add_parser(name, help=entry[0])
+            self._name_parser_map[name] = None
+            if not path:  # a group's children show no help line
+                self._choices_actions.append(self._ChoicesPseudoAction(name, (), entry[0]))
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]
-        sub, path = self._name_parser_map[name], (*self._path, name)
+        path = (*self._path, name)
+        # the parser `add_parser` would construct, in the name's place in the map
+        sub = self._name_parser_map[name] = self._parser_class(
+            prog=f"{self._prog_prefix} {name}")
         body = self._table[name] if self._path else self._table[name][1]
         if isinstance(body, dict):
             _add_commands(sub, path, body)

@@ -4,10 +4,12 @@ Every count is the paper's formula, the integral of prod a_i * [c /
 (prod (1 + a_i) * (1 - d))]_(n-m): each hands its classes and its degree
 to `chow.integrate_count` as Picard vectors (`_degree_vector`), which it
 runs as passes over the tensor's support vector; no count, and no
-verdict, builds a `ChowElement`.  Degrees may be numbers or formal
-symbols; both run through one code path, so the symbolic specializations
-print the displayed count polynomials and the numeric ones produce exact
-rationals.
+verdict, builds a `ChowElement`, and only `degree_class` and
+`elementary_symmetric_scalars` reach the ring (`ring`).  The verdict types
+live in `verdicts`, which the function that builds each imports.
+Degrees may be numbers or formal symbols; both run through one code path,
+so the symbolic specializations print the displayed count polynomials and
+the numeric ones produce exact rationals.
 
 Two degree parameterizations are accepted everywhere: a Picard-basis vector
 (length r) or a divisor-coefficient vector (length n+r, summed through the
@@ -25,15 +27,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, gcd, prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import catalog, chow
-from .chow import ChowElement, ScalarExpr, ToricModel
+from .chow import ScalarExpr, ToricModel
 from .errors import OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
     MultiPoly, ScalarLike, _check_exact, _check_symbol, _variable_table,
     aligned, as_poly,
 )
+
+if TYPE_CHECKING:
+    from .ring import ChowElement
+    from .verdicts import AlphaInvariant, GcdVerdict, InequalityVerdict
 
 KINDS = ("foliation", "distribution")
 
@@ -135,19 +141,13 @@ def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     return chow.integrate_count(model, twist=_degree_vector(model, degree))
 
 
-@dataclass(frozen=True)
-class GcdVerdict:
-    chi: Fraction
-    gcd: int
-    forces_singular: bool
-
-
 def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerdict:
     """Divisibility obstruction to regularity on smooth models.
 
     When the gcd of the divisor coefficients does not divide the Euler
     number, every foliation of that degree is singular.
     """
+    from .verdicts import GcdVerdict
     if not model.smooth:
         raise ToricError(
             "gcd obstruction applies to smooth models only; "
@@ -214,13 +214,17 @@ def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
 
 def _weighted(weights: Sequence[int], classes: Sequence[int]
               ) -> tuple[ToricModel, tuple[int, ...], tuple[int, ...]]:
-    """P(w), the weights and the multidegrees, all ints: the hypothesis of
-    every weighted entry point.  `catalog.weighted` refuses a common factor
-    and warns, once, on factors shared by some of the weights."""
+    """P(w), the weights and the multidegrees, all ints and the
+    multidegrees positive: the hypothesis of every weighted entry point.
+    `catalog.weighted` refuses a common factor and warns, once, on factors
+    shared by some of the weights."""
     w = _integers("weights", weights)
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
-    return catalog.weighted(*w), w, _integers("classes", classes)
+    a = _integers("classes", classes)
+    if any(x < 1 for x in a):
+        raise ValueError("complete-intersection multidegrees must be positive")
+    return catalog.weighted(*w), w, a
 
 
 def elementary_symmetric_scalars(values: Sequence[ScalarLike], j: int) -> ScalarExpr:
@@ -233,8 +237,6 @@ def _wci_classes(weights: Sequence[int], classes: Sequence[int],
     checks the two weighted complete-intersection counts share."""
     _check_kind(kind)
     model, _, a = _weighted(weights, classes)
-    if any(x < 1 for x in a):
-        raise ValueError("complete-intersection multidegrees must be positive")
     return model, _ci_classes(model, a)
 
 
@@ -296,27 +298,13 @@ def general_type_index(weights: Sequence[int], classes: Sequence[int]) -> int:
     return sum(a) - sum(w)
 
 
-@dataclass(frozen=True)
-class AlphaInvariant:
-    alpha: Fraction
-    chi: Fraction
-
-    def divides(self, d: int) -> bool:
-        # a bool is an int to Python, and a float divides by float modulo
-        if type(d) is not int:
-            raise ValueError(f"divisor {d!r} is not an int")
-        if d == 0:
-            return self.alpha == 0
-        return self.alpha % d == 0
-
-
 def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInvariant:
     """Divisibility invariant for regular distributions on a weighted
     complete intersection, together with its Euler characteristic.
 
     chi is the count `ci_euler` on P(w) and alpha is chi prod(w) / prod(a),
     read as prod(w) times the integral with the factors H^m in place of
-    prod(a) H^m, so a multidegree 0 (chi = 0) still has its alpha."""
+    prod(a) H^m."""
     model, w, a = _weighted(weights, classes)
     n, m = model.dim, len(a)
     if not 1 <= m < n:
@@ -324,6 +312,7 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     alpha = prod(w) * chow.integrate_count(
         model, [model._units[0]] * m, _class_list(model, a)).constant_value()
     chi = Fraction(prod(a), prod(w)) * alpha
+    from .verdicts import AlphaInvariant
     return AlphaInvariant(alpha=alpha, chi=chi)
 
 
@@ -410,15 +399,8 @@ def multidegree(model: ToricModel, classes, k: int,
 # inequality checks
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
-    lhs: ScalarExpr
-    rhs: ScalarExpr
-    holds: bool | None  # None when either side stays symbolic
-    slack: ScalarExpr
-
-
 def _verdict(lhs: ScalarExpr, rhs: ScalarExpr) -> InequalityVerdict:
+    from .verdicts import InequalityVerdict
     lhs, rhs = aligned(as_poly(lhs), as_poly(rhs))
     slack = rhs - lhs
     holds = slack.constant_value() >= 0 if slack.is_constant() else None
@@ -824,3 +806,15 @@ def _solutions(family: str, found: list[tuple[int, ...]],
         solutions.append(solution)
     return solutions
 
+
+
+_VERDICTS = frozenset(("AlphaInvariant", "GcdVerdict", "InequalityVerdict"))
+
+
+def __getattr__(name: str):
+    """The verdict types, which live in `verdicts`, on first use."""
+    if name not in _VERDICTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verdicts
+    value = globals()[name] = getattr(verdicts, name)
+    return value

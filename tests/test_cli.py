@@ -439,9 +439,69 @@ def test_each_degree_flag_keeps_its_own_meaning(capsys, argv, message):
     (("euler", "ci", "--model", "projective:3"), "no classes given; use --class"),
     (("search", "--family", "scroll", "--bound", "3", "--scroll-a", "1,x"),
      "--scroll-a takes comma-separated integers, got '1,x'"),
+    # a wci poincare verdict without weights used to end in an AttributeError
+    (("poincare", "--variant", "wci-curve", "--ci", "2", "--degree", "1"),
+     "no --weights given"),
+    (("poincare", "--variant", "wci-general", "--weights", "1,1,1,1", "--degree", "1"),
+     "no --ci given"),
 ])
 def test_missing_and_malformed_arguments_are_domain_errors(capsys, argv, message):
     assert _run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# each integer-list flag used to print Python's own text, such as "invalid
+# literal for int() with base 10: 'x'", without naming the flag
+@pytest.mark.parametrize("argv, flag, text", [
+    (("count", "foliation", "--model", "projective:2", "--degree", "x"), "--degree", "x"),
+    (("count", "foliation", "--model", "projective:2", "--degree", ","), "--degree", ","),
+    (("count", "foliation", "--model", "multiprojective:1,1", "--degree", "1,2.5"),
+     "--degree", "1,2.5"),
+    (("count", "foliation", "--model", "projective:2", "--degree-div", "1,a,1"),
+     "--degree-div", "1,a,1"),
+    (("gcd-obstruction", "--model", "projective:2", "--degree-div", ""), "--degree-div", ""),
+    (("count", "ci", "--model", "projective:3", "--class", "2", "--class", "y",
+      "--degree", "1"), "--class", "y"),
+    (("euler", "ci", "--model", "projective:3", "--class", "1,"), "--class", "1,"),
+    (("count", "restricted", "--model", "projective:3", "--degree", "1", "--hyp", "two"),
+     "--hyp", "two"),
+    (("euler", "hyp", "--model", "projective:3", "--hyp", "1/2"), "--hyp", "1/2"),
+    (("general-type", "--weights", "1,1,,1", "--ci", "2"), "--weights", "1,1,,1"),
+    (("count", "wci", "--weights", "1 1 1 1", "--ci", "2", "--degree", "1"),
+     "--weights", "1 1 1 1"),
+    (("alpha", "--weights", "1,1,1,1", "--ci", "two"), "--ci", "two"),
+    (("baumbott", "--weights", "1,1,1,1", "--ci", "2;3", "--degree", "1"), "--ci", "2;3"),
+    (("scrollform", "--a", "1;2", "--d1", "1", "--d2", "1"), "--a", "1;2"),
+    (("search", "--family", "scroll", "--bound", "3", "--scroll-a", ",,"),
+     "--scroll-a", ",,"),
+])
+def test_malformed_integer_lists_name_their_flag(capsys, argv, flag, text):
+    message = f"error: {flag} takes comma-separated integers, got {text!r}\n"
+    assert _run(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "wci", "--weights", "1,1,1,1", "--ci", "2", "--degree", "x"),
+    ("baumbott", "--weights", "1,1,1,1", "--ci", "2", "--degree", "1,2"),
+    ("poincare", "--variant", "wci-curve", "--weights", "1,1,1", "--ci", "2",
+     "--degree", "one"),
+])
+def test_a_malformed_scalar_degree_names_its_flag(capsys, argv):
+    message = f"error: --degree takes an integer, got {argv[-1]!r}\n"
+    assert _run(capsys, *argv) == (1, "", message)
+
+
+# the three answered for a multidegree <= 0: -4, alpha 6 with chi 0, and 0
+@pytest.mark.parametrize("argv", [
+    ("general-type", "--weights", "1,1,1,1", "--ci", "0"),
+    ("general-type", "--weights", "1,1,1,1", "--ci", "-2"),
+    ("alpha", "--weights", "1,1,1,1", "--ci", "0"),
+    ("baumbott", "--weights", "1,1,1,1", "--ci", "0", "--degree", "1"),
+    ("poincare", "--variant", "wci-curve", "--weights", "1,1,1", "--ci", "0",
+     "--degree", "1"),
+])
+def test_multidegrees_that_are_not_positive_are_refused(capsys, argv):
+    message = "error: complete-intersection multidegrees must be positive\n"
+    assert _run(capsys, *argv) == (1, "", message)
 
 
 @pytest.mark.parametrize("case", HELP_STREAMS,

@@ -22,15 +22,14 @@ SRC = Path(toricsing.__file__).resolve().parent.parent
 # the package's public names by defining module
 EXPORTS = {
     "exactalg": ("MultiPoly", "aligned", "as_poly", "poly_sum"),
-    "chow": ("ChowElement", "ToricModel", "chern_class", "class_element",
-             "class_of_divisor_coeffs", "elementary_symmetric_classes",
-             "integrate", "wronski_classes"),
+    "chow": ("ToricModel", "class_of_divisor_coeffs"),
+    "ring": ("ChowElement", "chern_class", "class_element",
+             "elementary_symmetric_classes", "integrate", "wronski_classes"),
     "catalog": ("ModelSpec", "blowup_line_p3", "blowup_point",
                 "blowup_two_points_p3", "builtin", "from_spec_string",
                 "multiprojective", "parse_model", "parse_polynomial",
                 "projective", "scroll", "serialize_model", "weighted"),
-    "formulas": ("AlphaInvariant", "GcdVerdict", "InequalityVerdict",
-                 "SearchSolution", "alpha_invariant", "baum_bott_sum",
+    "formulas": ("SearchSolution", "alpha_invariant", "baum_bott_sum",
                  "ci_euler", "ci_sing_count", "complement_euler",
                  "complement_sing_count", "foliation_sing_count",
                  "gcd_obstruction", "general_type_index", "hypersurface_euler",
@@ -43,6 +42,7 @@ EXPORTS = {
                   "radial_fields"),
     "residue": ("IndexQuery", "LocalIndexReport", "index_sum",
                 "local_multiplicity", "orbifold_index"),
+    "verdicts": ("AlphaInvariant", "GcdVerdict", "InequalityVerdict"),
 }
 
 # runs one command with its stdout discarded, then prints its exit status
@@ -76,14 +76,32 @@ def _python(*args):
                           text=True, timeout=60)
 
 
+# neither the ring nor the verdict types is on a count's path
+OFF_THE_COUNT_PATH = {"ring", "verdicts"}
+
+
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["catalog", "list"], {"catalog"}, {"formulas", "polyfield", "residue"}),
+    (["catalog", "list"], {"catalog"}, {"formulas", "polyfield", "residue"}
+     | OFF_THE_COUNT_PATH),
     (["count", "foliation", "--model", "projective:3", "--degree", "2"],
-     {"catalog", "formulas"}, {"polyfield", "residue"}),
+     {"catalog", "formulas"}, {"polyfield", "residue"} | OFF_THE_COUNT_PATH),
     (["residue", "--vars", "z1,z2", "--components", "3*z1^2,3*z2^2"],
-     {"residue"}, {"catalog", "chow", "formulas", "polyfield"}),
+     {"residue"}, {"catalog", "chow", "formulas", "polyfield"} | OFF_THE_COUNT_PATH),
     (["search", "--family", "scroll", "--bound", "3", "--scroll-a", "1,1,1"],
-     {"catalog", "formulas"}, {"polyfield", "residue"}),
+     {"catalog", "formulas"}, {"polyfield", "residue"} | OFF_THE_COUNT_PATH),
+    (["count", "foliation", "--model", "blowup_point:2", "--symbolic"],
+     {"catalog", "formulas"}, {"polyfield", "residue"} | OFF_THE_COUNT_PATH),
+    (["euler", "ambient", "--model", "weighted:1,1,2"],
+     {"catalog", "chow"}, {"formulas", "polyfield", "residue"} | OFF_THE_COUNT_PATH),
+    (["alpha", "--weights", "1,1,1,1", "--ci", "2"],
+     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+    (["poincare", "--variant", "wci-curve", "--weights", "1,1,1", "--ci", "2",
+      "--degree", "1"], {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+    (["poincare", "--variant", "toric-curve", "--model", "projective:3",
+      "--class", "1", "--class", "2", "--degree", "1"],
+     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+    (["gcd-obstruction", "--model", "projective:2", "--degree-div", "2,2,2"],
+     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
 def test_a_command_loads_only_its_modules(argv, loaded, absent):
     done = _python("-c", COMMAND_LOADS, *argv)
@@ -92,6 +110,58 @@ def test_a_command_loads_only_its_modules(argv, loaded, absent):
     assert status == 0, done.stderr
     assert loaded <= names
     assert not absent & names
+
+
+# counts every ArgumentParser a fresh interpreter constructs while its CLI
+# runs one command, help and usage errors included
+PARSERS_BUILT = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from toricsing.cli import run
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        run(sys.argv[1:])
+    except SystemExit:
+        pass
+print(len(built))
+"""
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["count", "foliation", "--model", "projective:2", "--degree", "1"], 3),
+    (["count", "foliation", "--bogus"], 3),
+    (["residue", "--vars", "u", "--components", "u^2"], 2),
+    (["-h"], 1),
+    (["bogus"], 1),
+    ([], 1),
+], ids=lambda v: " ".join(v) or "no arguments" if isinstance(v, list) else None)
+def test_a_command_constructs_only_its_parsers(argv, parsers):
+    done = _python("-c", PARSERS_BUILT, *argv)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == parsers
+
+
+def test_old_ring_and_verdict_paths_resolve():
+    from toricsing import chow, formulas, ring, verdicts
+    for name in ("ChowElement", "unit_element", "class_element", "elementary_series",
+                 "complete_series"):
+        assert getattr(chow, name) is getattr(ring, name), name
+    m = toricsing.projective(2)
+    for name in ("chern_class", "elementary_symmetric_classes"):
+        assert getattr(chow, name)(m, 2) == getattr(ring, name)(m, 2), name
+    h = ring.class_element(m, (1,))
+    assert chow.wronski_classes([h, h], 2) == ring.wronski_classes([h, h], 2)
+    assert chow.integrate(m, h ** 2) == ring.integrate(m, h ** 2) == 1
+    for name in ("AlphaInvariant", "GcdVerdict", "InequalityVerdict"):
+        assert getattr(formulas, name) is getattr(verdicts, name), name
+    for module in (chow, formulas):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            module.no_such_name
 
 
 def test_bare_import_loads_no_submodule():

@@ -193,6 +193,34 @@ REFUSALS = {
         ValueError, "generator must be a bool, got 'no'"),
     "wci multidegree": (lambda: formulas.wci_sing_count((1, 1, 1, 1), (0,), 1), ValueError,
                         "complete-intersection multidegrees must be positive"),
+    # the weighted entry points used to answer for these: -4 and -6, alpha 6
+    # with chi 0 and alpha 8 with chi -16, 0 and -294, and two verdicts that held
+    "general-type multidegree 0": (
+        lambda: formulas.general_type_index((1, 1, 1, 1), (0,)), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "general-type multidegree -2": (
+        lambda: formulas.general_type_index((1, 1, 1, 1), (-2,)), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "alpha multidegree 0": (
+        lambda: formulas.alpha_invariant((1, 1, 1, 1), (0,)), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "alpha multidegree -1": (
+        lambda: formulas.alpha_invariant((1, 1, 1, 1, 1), (2, -1)), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "Baum-Bott multidegree 0": (
+        lambda: formulas.baum_bott_sum((1, 1, 1, 1), (0,), 1), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "Baum-Bott multidegree -3": (
+        lambda: formulas.baum_bott_sum((1, 1, 1, 1, 1), (2, -3), 1), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "wci-curve multidegree 0": (
+        lambda: formulas.poincare_check("wci-curve", weights=(1, 1, 1), classes=(0,),
+                                        degree=1), ValueError,
+        "complete-intersection multidegrees must be positive"),
+    "wci-general multidegree 0": (
+        lambda: formulas.poincare_check("wci-general", weights=(1, 1, 1, 1), classes=(0,),
+                                        degree=1), ValueError,
+        "complete-intersection multidegrees must be positive"),
     "surface multidegrees": (lambda: formulas.baum_bott_sum((1, 1, 1, 1), (), 1),
                              ValueError, "surface case needs m = n-2 = 1 classes, got 0"),
     "scroll twists": (lambda: formulas.regular_search("scroll", 3), ValueError,
