@@ -39,9 +39,9 @@ from itertools import chain
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .chow import ToricModel, integrate_count
+from .chow import NOT_A_MODEL, ToricModel, integrate_count
 from .errors import ModelFormatError, NotWellFormedWarning
-from .exactalg import MultiPoly, _variable_table, parse_polynomial
+from .exactalg import MultiPoly, _entries, _typed, _variable_table, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ def _check_params(fam: str, params: tuple) -> None:
                 f"{fam} is written {syntax}; parameter {p!r} is not an integer")
 
 
-def _check_ints(family: str, params: Sequence) -> None:
-    """A ValueError names the family and the entry when a parameter is not
-    an int, before any arithmetic can mistake it.  The test is on the type:
-    a bool is an int to Python, but True would name a model PTrue."""
-    for p in params:
-        if type(p) is not int:
-            raise ValueError(f"{family} parameter {p!r} is not an int")
-
-
 def from_spec_string(text: str) -> ToricModel:
     """Parse `family` or `family:p1,p2,...` into a builtin model; a value
     that is not a str raises ModelFormatError naming it."""
@@ -133,7 +124,7 @@ def from_spec_string(text: str) -> ToricModel:
 
 
 def projective(n: int) -> ToricModel:
-    _check_ints("projective", (n,))
+    _typed(n, int, "projective parameter {!r} is not an int")
     if n < 1:
         raise ModelFormatError("projective space needs positive dimension")
     return ToricModel._trusted(
@@ -155,7 +146,8 @@ def weighted(*w: int) -> ToricModel:
     apply whenever the singularities stay isolated, but the hypotheses of
     the complete-intersection statements are not met.
     """
-    _check_ints("weighted", w)
+    _entries(w, int, "weighted parameters {!r} are not a sequence",
+             "weighted parameter {x!r} is not an int")
     if len(w) < 2:
         raise ModelFormatError("need at least two weights")
     if any(x < 1 for x in w):
@@ -177,7 +169,8 @@ def weighted(*w: int) -> ToricModel:
 
 
 def multiprojective(*ns: int) -> ToricModel:
-    _check_ints("multiprojective", ns)
+    _entries(ns, int, "multiprojective parameters {!r} are not a sequence",
+             "multiprojective parameter {x!r} is not an int")
     if not ns or any(n < 1 for n in ns):
         raise ModelFormatError("factor dimensions must be positive")
     k, zero = len(ns), (0,) * len(ns)
@@ -199,7 +192,8 @@ def multiprojective(*ns: int) -> ToricModel:
 def _check_scroll_twists(a: Sequence) -> None:
     """The scroll builder's argument checks, which need no model: a
     ValueError for a twist that is not an int, a ModelFormatError for none."""
-    _check_ints("scroll", a)
+    _entries(a, int, "scroll parameters {!r} are not a sequence",
+             "scroll parameter {x!r} is not an int")
     if not a:
         raise ModelFormatError("scroll needs at least one twist")
 
@@ -223,7 +217,7 @@ def scroll(*a: int) -> ToricModel:
 
 
 def blowup_point(n: int) -> ToricModel:
-    _check_ints("blowup_point", (n,))
+    _typed(n, int, "blowup_point parameter {!r} is not an int")
     if n < 2:
         raise ModelFormatError("blow-up of a point needs ambient dimension >= 2")
     classes = [(1, -1)] * n + [(1, 0), (0, 1)]
@@ -324,6 +318,7 @@ def serialize_model(model: ToricModel) -> str:
     A name that line format cannot carry raises ModelFormatError: an empty
     one, one with `#` or a line break, or one with edge whitespace.
     """
+    _typed(model, ToricModel, NOT_A_MODEL)
     name = model.name
     if "#" in name or name.splitlines() != [name] or name != name.strip():
         raise ModelFormatError(

@@ -81,8 +81,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, _merged_table, _moved_terms, _tuple,
-    _variable_table, as_poly, mul_terms, poly_sum,
+    MultiPoly, ScalarLike, _check_exact, _entries, _merged_table, _moved_terms, _tuple,
+    _typed, _variable_table, as_poly, mul_terms, poly_sum,
 )
 
 if TYPE_CHECKING:
@@ -93,22 +93,6 @@ ScalarExpr = MultiPoly
 
 # A Picard-basis vector with scalar-expression entries.
 ClassExpr = tuple  # length = model rank
-
-
-def _check_integral(what: str, rows) -> None:
-    """The test is on the type: a bool is an int to Python, but True is no
-    weight, class or twist."""
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                raise ValueError(f"{what} {row!r} has a non-integer entry {x!r}")
-
-
-def _rows(rows, refusal: str, what: str) -> tuple[tuple, ...]:
-    """`rows` as a tuple of tuples: `_tuple` with `refusal`, and each row
-    with '<what> <row> is not a sequence of ints'."""
-    row_refusal = what + " {!r} is not a sequence of ints"
-    return tuple(_tuple(row, row_refusal) for row in _tuple(rows, refusal))
 
 
 # tensor key sets whose support index is kept at once
@@ -191,6 +175,10 @@ def _default_coord_names(size: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(size))
 
 
+# the refusal of each exported function that takes a model, given another value
+NOT_A_MODEL = "model must be a ToricModel, got {!r}"
+
+
 @dataclass(frozen=True)
 class ToricModel:
     """Intersection data of a compact toric orbifold.
@@ -208,7 +196,8 @@ class ToricModel:
     must be ints or Fractions; the name and the generator names must be
     strs, the generator names must differ, and smooth must be a bool.  The
     builtins of `catalog` build their models through `_trusted`, which
-    skips these checks.
+    skips these checks.  Each exported function that takes a model refuses
+    any other value before it reads one (`NOT_A_MODEL`).
     """
 
     name: str
@@ -224,39 +213,36 @@ class ToricModel:
 
     def __post_init__(self):
         store = partial(object.__setattr__, self)
-        if type(self.name) is not str:
-            raise ValueError(f"name must be a str, got {self.name!r}")
-        for what, value in (("dim", self.dim), ("rank", self.rank)):
-            if type(value) is not int:  # True is no dimension
-                raise ValueError(f"{what} must be an int, got {value!r}")
+        _typed(self.name, str, "name must be a str, got {!r}")
+        _typed(self.dim, int, "dim must be an int, got {!r}")
+        _typed(self.rank, int, "rank must be an int, got {!r}")
         if self.dim < 1 or self.rank < 1:
             raise ValueError("dim and rank must be positive")
-        if type(self.smooth) is not bool:  # a str such as 'no' is true
-            raise ValueError(f"smooth must be a bool, got {self.smooth!r}")
+        _typed(self.smooth, bool, "smooth must be a bool, got {!r}")
         wrong_gens = f"expected {self.rank} generator names, got {{!r}}"
-        if isinstance(self.gens, str):  # a str is a sequence of strs
+        if isinstance(self.gens, str):  # with this text, not the wrong_gens of `_entries`
             raise ValueError(f"generator names must be a sequence of strs, got {self.gens!r}")
-        gens = _tuple(self.gens, wrong_gens)
-        for name in gens:
-            if type(name) is not str:
-                raise ValueError(f"generator name {name!r} is not a str")
-        store("gens", _variable_table(gens))
+        store("gens", _variable_table(_entries(self.gens, str, wrong_gens,
+                                               "generator name {x!r} is not a str")))
         if len(self.gens) != self.rank:
             raise ValueError(wrong_gens.format(self.gens))
         wrong_classes = f"expected {self.dim + self.rank} divisor classes, got {{!r}}"
-        store("divisor_classes", _rows(self.divisor_classes, wrong_classes, "divisor class"))
+        wrong_row = "divisor class {!r} is not a sequence of ints"
+        store("divisor_classes", tuple(_tuple(row, wrong_row) for row in
+                                       _tuple(self.divisor_classes, wrong_classes)))
         if len(self.divisor_classes) != self.dim + self.rank:
             raise ValueError(wrong_classes.format(len(self.divisor_classes)))
         for v in self.divisor_classes:
             if len(v) != self.rank:
                 raise ValueError(f"divisor class {v!r} has wrong rank")
-        _check_integral("divisor class", self.divisor_classes)
+        for v in self.divisor_classes:
+            _entries(v, int, wrong_row, "divisor class {values!r} has a non-integer entry {x!r}")
         if not isinstance(self.tensor, Mapping):
             raise ValueError(f"tensor must map keys to weights, got {self.tensor!r}")
         tensor = {}
         for key, v in self.tensor.items():
-            key = _tuple(key, "tensor key {!r} is not a sequence of ints")
-            _check_integral("tensor key", (key,))
+            key = _entries(key, int, "tensor key {!r} is not a sequence of ints",
+                           "tensor key {values!r} has a non-integer entry {x!r}")
             if not isinstance(v, (int, Fraction)):
                 raise ValueError(f"tensor weight {v!r} at key {key!r} is not an int "
                                  "or a Fraction")
@@ -269,13 +255,9 @@ class ToricModel:
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
-        wrong_names = "coordinate names must be a sequence of strs, got {!r}"
-        if isinstance(self.coord_names, str):  # a str is a sequence of strs
-            raise ValueError(wrong_names.format(self.coord_names))
-        names = _tuple(self.coord_names, wrong_names)
-        for name in names:
-            if type(name) is not str:
-                raise ValueError(f"coordinate name {name!r} is not a str")
+        names = _entries(self.coord_names, str,
+                         "coordinate names must be a sequence of strs, got {!r}",
+                         "coordinate name {x!r} is not a str")
         if not names:
             names = _default_coord_names(self.dim + self.rank)
         elif len(names) != self.dim + self.rank:
@@ -406,6 +388,7 @@ def class_of_divisor_coeffs(model: ToricModel,
     """Map divisor coefficients (one per invariant divisor) to the Picard
     vector of the class they sum to.  Coefficients that are no sequence
     raise ValueError naming them."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     coeffs = _tuple(coeffs, "divisor coefficients must be a sequence of scalar expressions, "
                     "got {!r}")
     if len(coeffs) != model.dim + model.rank:
@@ -833,7 +816,7 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
 
 _RING_NAMES = frozenset((
     "ChowElement", "unit_element", "class_element", "elementary_series",
-    "complete_series", "_series", "_wrap", "_check_degree"))
+    "complete_series", "_series", "_wrap"))
 
 
 def __getattr__(name: str):

@@ -8,9 +8,9 @@ One subcommand per formula keeps the mapping legible:
     toricsing residue --vars z1,z2 --components "3*z1^2,3*z2^2" --group 3
 
 Plain output prints `result = <canonical value>` plus sorted detail lines;
-`--json` prints one object {operation, inputs, result, details}.  Identical
-invocations produce byte-identical output.  Exit status: 0 success,
-1 domain error, 2 usage error.
+`--json` prints one object {operation, inputs, result, details}, and only
+then is `json` imported.  Identical invocations produce byte-identical
+output.  Exit status: 0 success, 1 domain error, 2 usage error.
 
 An invocation imports only the modules its command uses, and argparse builds
 only that command's parser, with the parsers of the groups above it:
@@ -23,7 +23,6 @@ as module attributes (`formulas.foliation_sing_count(...)`).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -49,6 +48,7 @@ def run(argv) -> int:
 
 def _emit(args, result: str, details: dict) -> None:
     if getattr(args, "json", False):
+        import json  # only --json output needs it
         payload = {
             "operation": args.operation,
             "inputs": {k: v for k, v in sorted(vars(args).items())

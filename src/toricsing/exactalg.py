@@ -18,6 +18,12 @@ by the one merge (`_merged_table`) and move (`_moved_terms`) `chow` uses too.
 `parse_polynomial` reads signed-term syntax such as `3*x^2*y - 1/2*y`
 onto a given variable table; model files, the CLI and round trips share it.
 Text it cannot read raises ModelFormatError naming the fault.
+
+Every module checks its arguments by one rule, kept here (`_typed`,
+`_entries`, `_tuple`): a type test is on the exact type, so a bool is no
+int, and a float or a `Fraction` is refused, never truncated; a str is no
+sequence of strs, though Python iterates it as one; and the ValueError
+names the argument, and the entry at fault.
 """
 
 from __future__ import annotations
@@ -53,6 +59,29 @@ def _tuple(value, refusal: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise ValueError(refusal.format(value)) from None
+
+
+def _typed(value, kind: type, refusal: str) -> None:
+    """A ValueError with the text refusal.format(value) unless the type of
+    the value is `kind` itself."""
+    if type(value) is not kind:
+        raise ValueError(refusal.format(value))
+
+
+def _entries(values, kind: type | None, refusal: str, entry: str = "") -> tuple:
+    """The values as a tuple, `_tuple` with `refusal`, each of the type
+    `kind` itself, or of any type when kind is None.  A str is refused
+    with `refusal` too when its characters would pass as entries (kind str
+    or None).  The first entry x of another type raises a ValueError with
+    the text entry.format(values=<the tuple>, x=x)."""
+    if (kind is str or kind is None) and isinstance(values, str):
+        raise ValueError(refusal.format(values))
+    values = _tuple(values, refusal)
+    if kind is not None:
+        for x in values:
+            if type(x) is not kind:
+                raise ValueError(entry.format(values=values, x=x))
+    return values
 
 
 def _check_exact(value) -> None:

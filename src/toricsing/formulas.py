@@ -30,11 +30,11 @@ from math import comb, gcd, prod
 from typing import TYPE_CHECKING, Sequence
 
 from . import catalog, chow
-from .chow import ScalarExpr, ToricModel
+from .chow import NOT_A_MODEL, ScalarExpr, ToricModel
 from .errors import OrbifoldHypothesisWarning, ToricError
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, _check_symbol, _variable_table,
-    aligned, as_poly,
+    MultiPoly, ScalarLike, _check_exact, _check_symbol, _entries, _typed,
+    _variable_table, aligned, as_poly,
 )
 
 if TYPE_CHECKING:
@@ -49,15 +49,6 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _integers(what: str, values: Sequence[int]) -> tuple[int, ...]:
-    """The values as a tuple; a ValueError names the argument when they are
-    no sequence, and the entry when one is not an int, so non-integer data
-    is never truncated."""
-    values = chow._tuple(values, what + " must be a sequence of ints, got {!r}")
-    chow._check_integral(what, (values,))
-    return values
-
-
 def symbolic_degree(model: ToricModel,
                     names: Sequence[str] | None = None) -> tuple[MultiPoly, ...]:
     """A fully symbolic Picard vector; defaults to d1..dr in generator order.
@@ -66,12 +57,11 @@ def symbolic_degree(model: ToricModel,
     sequence is refused, as for a model's generator names.  The vector is
     immutable, so one is kept per generator table and names
     (`_symbol_vector`)."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     if names is None:
         return _symbol_vector(model.gens, None)
-    wrong = "symbol names must be a sequence of strs, got {!r}"
-    if isinstance(names, str):  # a str is a sequence of strs
-        raise ValueError(wrong.format(names))
-    return _symbol_vector(model.gens, tuple(map(_check_symbol, chow._tuple(names, wrong))))
+    names = _entries(names, None, "symbol names must be a sequence of strs, got {!r}")
+    return _symbol_vector(model.gens, tuple(map(_check_symbol, names)))
 
 
 @lru_cache(maxsize=256)
@@ -138,6 +128,7 @@ def picard_vector(model: ToricModel, degree) -> tuple:
 def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     """Number of singular points, with multiplicity, of a generic
     one-dimensional foliation of the given degree."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     return chow.integrate_count(model, twist=_degree_vector(model, degree))
 
 
@@ -147,12 +138,15 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     When the gcd of the divisor coefficients does not divide the Euler
     number, every foliation of that degree is singular.
     """
+    _typed(model, ToricModel, NOT_A_MODEL)
     from .verdicts import GcdVerdict
     if not model.smooth:
         raise ToricError(
             "gcd obstruction applies to smooth models only; "
             f"{model.name} is an orbifold")
-    coeffs = _integers("divisor coefficients", divisor_coeffs)
+    coeffs = _entries(divisor_coeffs, int,
+                      "divisor coefficients must be a sequence of ints, got {!r}",
+                      "divisor coefficients {values!r} has a non-integer entry {x!r}")
     if len(coeffs) != model.dim + model.rank:
         raise ValueError(
             f"expected {model.dim + model.rank} divisor coefficients")
@@ -184,6 +178,7 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
                           kind: str = "foliation") -> ScalarExpr:
     """Singularity count of the restriction to an invariant quasi-smooth
     hypersurface of class `hyp`."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     _check_kind(kind)
     d = _degree_vector(model, degree)
     return _ci_count(model, [_degree_vector(model, hyp)], d, kind)
@@ -191,6 +186,7 @@ def restricted_sing_count(model: ToricModel, degree, hyp,
 
 def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Orbifold Euler characteristic of a quasi-smooth hypersurface."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     a = _degree_vector(model, hyp)
     return chow.integrate_count(model, (a,), (a,))
 
@@ -198,6 +194,7 @@ def hypersurface_euler(model: ToricModel, hyp) -> ScalarExpr:
 def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
     """Singularities lying off an invariant hypersurface (nondegenerate
     case): the ambient count minus the restricted count."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     d = _degree_vector(model, degree)
     a = _degree_vector(model, hyp)
     return chow.integrate_count(model, (), (a,), d)
@@ -205,6 +202,7 @@ def complement_sing_count(model: ToricModel, degree, hyp) -> ScalarExpr:
 
 def complement_euler(model: ToricModel, hyp) -> ScalarExpr:
     """Euler characteristic of the hypersurface complement (smooth case)."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     return chow.integrate_count(model, over=(_degree_vector(model, hyp),))
 
 
@@ -218,10 +216,12 @@ def _weighted(weights: Sequence[int], classes: Sequence[int]
     multidegrees positive: the hypothesis of every weighted entry point.
     `catalog.weighted` refuses a common factor and warns, once, on factors
     shared by some of the weights."""
-    w = _integers("weights", weights)
+    w = _entries(weights, int, "weights must be a sequence of ints, got {!r}",
+                 "weights {values!r} has a non-integer entry {x!r}")
     if len(w) < 2 or any(x < 1 for x in w):
         raise ValueError("weights must be at least two positive integers")
-    a = _integers("classes", classes)
+    a = _entries(classes, int, "classes must be a sequence of ints, got {!r}",
+                 "classes {values!r} has a non-integer entry {x!r}")
     if any(x < 1 for x in a):
         raise ValueError("complete-intersection multidegrees must be positive")
     return catalog.weighted(*w), w, a
@@ -321,13 +321,9 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
 
 
 def _class_list(model: ToricModel, classes) -> list[tuple]:
-    """The Picard vectors of a sequence of degree inputs; a str, whose
-    characters are no classes, or a value that is no sequence raises a
-    ValueError naming the argument."""
-    wrong = "classes must be a sequence of classes, got {!r}"
-    if isinstance(classes, str):
-        raise ValueError(wrong.format(classes))
-    return [_degree_vector(model, c) for c in chow._tuple(classes, wrong)]
+    """The Picard vectors of a sequence of degree inputs."""
+    classes = _entries(classes, None, "classes must be a sequence of classes, got {!r}")
+    return [_degree_vector(model, c) for c in classes]
 
 
 def _ci_classes(model: ToricModel, classes) -> list[tuple]:
@@ -342,6 +338,7 @@ def ci_sing_count(model: ToricModel, classes, degree,
                   kind: str = "foliation") -> ScalarExpr:
     """Singularity count on a smooth complete intersection, computed as an
     ambient integral against the Poincare dual of the intersection."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     _check_kind(kind)
     if not model.smooth:
         warnings.warn(
@@ -365,6 +362,7 @@ def _aligned_vectors(*vectors: tuple) -> list[tuple]:
 
 def ci_euler(model: ToricModel, classes) -> ScalarExpr:
     """Euler characteristic of a smooth complete intersection."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     a = _ci_classes(model, classes)
     return chow.integrate_count(model, a, a)
 
@@ -374,10 +372,9 @@ def multidegree(model: ToricModel, classes, k: int,
     """The k-degree of the intersection: the k-th divisor class (or, with
     `generator`, the k-th generator) raised to its dimension, integrated
     over it."""
-    if type(k) is not int:
-        raise ValueError(f"index {k!r} is not an int")
-    if type(generator) is not bool:  # a str such as 'no' is true
-        raise ValueError(f"generator must be a bool, got {generator!r}")
+    _typed(model, ToricModel, NOT_A_MODEL)
+    _typed(k, int, "index {!r} is not an int")
+    _typed(generator, bool, "generator must be a bool, got {!r}")
     a = _class_list(model, classes)
     m = len(a)
     n = model.dim
@@ -420,8 +417,7 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     tightens the bound by one unit of curve degree, the sharpening valid on
     projective space, and the wci variants refuse it.
     """
-    if type(strict) is not bool:  # a str such as 'no' is true
-        raise ValueError(f"strict must be a bool, got {strict!r}")
+    _typed(strict, bool, "strict must be a bool, got {!r}")
     if variant in ("wci-curve", "wci-general"):
         if strict:
             raise ValueError(f"{variant} has no strict form; only toric-curve has")
@@ -441,6 +437,7 @@ def poincare_check(variant: str, *, weights: Sequence[int] | None = None,
     if variant == "toric-curve":
         if model is None or classes is None or degree is None:
             raise ValueError("toric-curve needs a model, classes, and degree")
+        _typed(model, ToricModel, NOT_A_MODEL)
         if model.dim < 2:
             raise ValueError(
                 f"toric-curve needs a model of dimension at least 2, got {model.dim}")
@@ -497,11 +494,11 @@ def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
     `scroll_closed_form(n, a, d1, d2) ==
     (-1)**n * foliation_sing_count(catalog.scroll(*a), (d1, d2))`.
     """
-    if type(n) is not int:  # True is no dimension
-        raise ValueError(f"n must be an int, got {n!r}")
+    _typed(n, int, "n must be an int, got {!r}")
     if n <= 2:
         raise ValueError("closed form applies in dimension > 2")
-    a = _integers("twists", a)
+    a = _entries(a, int, "twists must be a sequence of ints, got {!r}",
+                 "twists {values!r} has a non-integer entry {x!r}")
     if len(a) != n:
         raise ValueError(f"need {n} twists, got {len(a)}")
     d1p, d2p = aligned(as_poly(d1), as_poly(d2))
@@ -756,7 +753,7 @@ def regular_search(family: str, bound: int,
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
-        try:  # inline, not `chow._tuple`: that call adds about 4 % to a scroll op
+        try:  # inline, not `_tuple`: that call adds about 4 % to a scroll op
             scroll_a = tuple(scroll_a)
         except TypeError:
             raise ValueError(f"scroll twist list {scroll_a!r} is not a sequence "

@@ -14,8 +14,8 @@ the principal ideal it generates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .chow import ToricModel
-from .exactalg import MultiPoly, grlex_key
+from .chow import NOT_A_MODEL, ToricModel
+from .exactalg import MultiPoly, _typed, grlex_key
 
 
 class _AnyDegree:
@@ -41,6 +41,7 @@ class GradedPoly:
     poly: MultiPoly
 
     def __post_init__(self):
+        _typed(self.model, ToricModel, NOT_A_MODEL)
         if self.poly.vars != self.model.coord_names:
             raise ValueError(
                 f"polynomial table {self.poly.vars!r} must equal the model "
@@ -58,6 +59,7 @@ class VectorFieldExpr:
     components: tuple[MultiPoly, ...]
 
     def __post_init__(self):
+        _typed(self.model, ToricModel, NOT_A_MODEL)
         object.__setattr__(self, "components", tuple(self.components))
         _check_components(self.model, self.components)
 
@@ -71,6 +73,7 @@ class OneFormExpr:
     components: tuple[MultiPoly, ...]
 
     def __post_init__(self):
+        _typed(self.model, ToricModel, NOT_A_MODEL)
         object.__setattr__(self, "components", tuple(self.components))
         _check_components(self.model, self.components)
 
@@ -92,6 +95,7 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
     A raw polynomial must be on the model's coordinates, as in `GradedPoly`,
     and a `GradedPoly` must belong to the model.
     """
+    _typed(model, ToricModel, NOT_A_MODEL)
     if not isinstance(poly, GradedPoly):
         poly = GradedPoly(model, poly)
     elif poly.model != model:
@@ -115,6 +119,7 @@ def radial_fields(model: ToricModel) -> list[VectorFieldExpr]:
     """The radial vector fields spanning the quotient group's Lie algebra,
     one per column of the divisor classes: the k-th is sum_i (D_i)_k z_i d_i,
     so every model has them."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     coords = model.coord_names
     z = [MultiPoly.variable(name, coords) for name in coords]
     return [VectorFieldExpr(model, tuple(c * zi for c, zi in zip(column, z)))
@@ -124,6 +129,7 @@ def radial_fields(model: ToricModel) -> list[VectorFieldExpr]:
 def check_descends(model: ToricModel, form: OneFormExpr) -> bool:
     """True when every radial contraction of the form vanishes identically,
     i.e. the form comes from the quotient."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     coords = model.coord_names
     for field in radial_fields(model):
         contraction = MultiPoly.zero(coords)
@@ -191,6 +197,7 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
 def frobenius_integrable(model: ToricModel, form: OneFormExpr) -> bool:
     """Frobenius integrability by direct expansion of the wedge ω ∧ dω:
     its C(N, 3) coefficients on N coordinates are tested for zero."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     coords = model.coord_names
     P = form.components
     for i in range(len(coords)):

@@ -74,20 +74,11 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from .errors import NonIsolatedZeroError
-from .exactalg import MultiPoly, _tuple
+from .exactalg import MultiPoly, _tuple, _typed
 
 DEFAULT_DEGREE_CAP = 64
 # (variable count, field width, degree) keys whose shift lists are kept at once
 SHIFT_CACHE_SIZE = 128
-
-
-def _require_ints(**fields) -> None:
-    """A ValueError naming the first field whose value is not an int, so a
-    fractional or float group order or cap is never used as a number.  The
-    test is on the type: a bool is an int to Python, but True is no order."""
-    for field, value in fields.items():
-        if type(value) is not int:
-            raise ValueError(f"{field} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +110,8 @@ class IndexQuery:
                 raise ValueError(
                     "components must vanish at the origin; found constant term "
                     f"in {comp.canonical_string()}")
-        _require_ints(group_order=self.group_order, degree_cap=self.degree_cap)
+        _typed(self.group_order, int, "group_order must be an int, got {!r}")
+        _typed(self.degree_cap, int, "degree_cap must be an int, got {!r}")
         if self.group_order < 1:
             raise ValueError("group order must be a positive integer")
         if self.degree_cap < 2:
@@ -210,7 +202,8 @@ def local_multiplicity(query: IndexQuery) -> LocalIndexReport:
 
 def orbifold_index(multiplicity: int, group_order: int) -> Fraction:
     """Local multiplicity divided by the isotropy order, exactly."""
-    _require_ints(multiplicity=multiplicity, group_order=group_order)
+    _typed(multiplicity, int, "multiplicity must be an int, got {!r}")
+    _typed(group_order, int, "group_order must be an int, got {!r}")
     if group_order < 1:
         raise ValueError("group order must be a positive integer")
     if multiplicity < 0:

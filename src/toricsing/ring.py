@@ -28,9 +28,12 @@ from typing import Sequence
 
 from . import chow
 from .chow import (
-    ScalarExpr, ToricModel, _check_symbols, _exact_scalar, _pair, _Terms, _vector_symbols,
+    NOT_A_MODEL, ScalarExpr, ToricModel, _check_symbols, _exact_scalar, _pair, _Terms,
+    _vector_symbols,
 )
-from .exactalg import MultiPoly, ScalarLike, _merged_table, _moved_terms, aligned, as_poly
+from .exactalg import (
+    MultiPoly, ScalarLike, _merged_table, _moved_terms, _typed, aligned, as_poly,
+)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     with the refusals of `_vector_symbols`: the entries' terms on one symbol
     table, which follows the generators, the k-th entry's terms with the
     k-th unit exponent."""
+    _typed(model, ToricModel, NOT_A_MODEL)
     symbols = _vector_symbols(model, vec)
     terms, zero = {}, (0,) * len(symbols)
     for u, x in zip(model._units, vec):
@@ -145,13 +149,6 @@ def class_element(model: ToricModel, vec: Sequence[ScalarLike]) -> ChowElement:
     return ChowElement(model.gens, MultiPoly._trusted(model.gens + symbols, terms))
 
 
-def _check_degree(j) -> None:
-    """A series degree or index must be an int: a bool is an int to Python
-    but no degree, and a float would fail only at a tuple index."""
-    if type(j) is not int:
-        raise ValueError(f"degree {j!r} is not an int")
-
-
 def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     """The j-th elementary symmetric polynomial in the divisor classes.
 
@@ -159,7 +156,8 @@ def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
     the truncated product of (1 + D_i t); later calls return the same
     element.
     """
-    _check_degree(j)
+    _typed(model, ToricModel, NOT_A_MODEL)
+    _typed(j, int, "degree {!r} is not an int")
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     return model._divisor_esym[j]
@@ -168,7 +166,8 @@ def elementary_symmetric_classes(model: ToricModel, j: int) -> ChowElement:
 def chern_class(model: ToricModel, j: int) -> ChowElement:
     """Chern class of the tangent sheaf in degree j: the elementary
     symmetric function of the divisor classes."""
-    _check_degree(j)
+    _typed(model, ToricModel, NOT_A_MODEL)
+    _typed(j, int, "degree {!r} is not an int")
     if not 0 <= j <= model.dim:
         raise ValueError(f"degree {j} out of range 0..{model.dim}")
     if j == 0:
@@ -202,7 +201,7 @@ def complete_series(items: Sequence, k: int) -> list:
 def _series(items: Sequence, k: int, divide: bool) -> list:
     """Both series, as vectors on the chain t^k, ..., t, 1 of the items' bare
     term tables on one merged variable table, wrapped once at the end."""
-    _check_degree(k)
+    _typed(k, int, "degree {!r} is not an int")
     if k < 0:
         raise ValueError("degree must be nonnegative")
     first = items[0] if items and isinstance(items[0], ChowElement) else None
@@ -235,6 +234,7 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
     are no generators) has no degree-n part and integrates to 0; any other
     value raises ValueError naming it.
     """
+    _typed(model, ToricModel, NOT_A_MODEL)
     if not isinstance(elem, ChowElement):
         if isinstance(elem, MultiPoly):
             _check_symbols(model.gens, (elem,))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .exactalg import _typed
+
 if TYPE_CHECKING:
     from .chow import ScalarExpr
 
@@ -29,9 +31,7 @@ class AlphaInvariant:
     chi: Fraction
 
     def divides(self, d: int) -> bool:
-        # a bool is an int to Python, and a float divides by float modulo
-        if type(d) is not int:
-            raise ValueError(f"divisor {d!r} is not an int")
+        _typed(d, int, "divisor {!r} is not an int")
         if d == 0:
             return self.alpha == 0
         return self.alpha % d == 0

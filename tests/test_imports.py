@@ -46,13 +46,15 @@ EXPORTS = {
 }
 
 # runs one command with its stdout discarded, then prints its exit status
-# and the toricsing submodules loaded
+# and the toricsing submodules loaded, with json if the command loaded it
 COMMAND_LOADS = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from toricsing.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     status = run(sys.argv[1:])
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("toricsing."))]))
+modules = sorted(m for m in sys.modules if m.startswith("toricsing.") or m == "json")
+import json
+print(json.dumps([status, modules]))
 """
 
 BARE_IMPORT = """
@@ -102,11 +104,16 @@ OFF_THE_COUNT_PATH = {"ring", "verdicts"}
      {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
     (["gcd-obstruction", "--model", "projective:2", "--degree-div", "2,2,2"],
      {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+    # only --json output imports json
+    (["count", "foliation", "--model", "projective:2", "--degree", "1"],
+     {"formulas"}, {"json"}),
+    (["count", "foliation", "--model", "projective:2", "--degree", "1", "--json"],
+     {"formulas", "json"}, set()),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None)
 def test_a_command_loads_only_its_modules(argv, loaded, absent):
     done = _python("-c", COMMAND_LOADS, *argv)
     status, modules = json.loads(done.stdout)
-    names = {m.split(".", 1)[1] for m in modules}
+    names = {m.removeprefix("toricsing.") for m in modules}
     assert status == 0, done.stderr
     assert loaded <= names
     assert not absent & names
@@ -254,3 +261,58 @@ def test_the_package_imports_only_the_standard_library_and_runs_no_strings():
     assert len(files) >= 9
     for path in files:
         assert _outside_uses(path.read_text()) == [], path.name
+
+
+# the argument rule: outside `exactalg`, no type test that raises ValueError
+# by hand, and no name of that module read through `chow`
+RULE_TYPES = {"int", "bool", "str"}
+
+
+def _bare_type_test(test) -> bool:
+    """Whether the test is `type(x) is not T` alone, T one of RULE_TYPES."""
+    return (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.IsNot) and isinstance(test.left, ast.Call)
+            and getattr(test.left.func, "id", None) == "type"
+            and getattr(test.comparators[0], "id", None) in RULE_TYPES)
+
+
+def _rule_breaks(source: str, rule: set[str]) -> list[str]:
+    """Each `if` whose whole test is a bare type test and whose body raises
+    ValueError, and each name in `rule` read through `chow`, as 'line: what'
+    entries."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If) and _bare_type_test(node.test) and any(
+                isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                and getattr(n.exc.func, "id", None) == "ValueError"
+                for stmt in node.body for n in ast.walk(stmt)):
+            found.append(f"{node.lineno}: type test")
+        elif (isinstance(node, ast.Attribute) and node.attr in rule
+              and getattr(node.value, "id", None) == "chow"):
+            found.append(f"{node.lineno}: chow.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("chow", "toricsing.chow"):
+            found += [f"{node.lineno}: from chow import {alias.name}"
+                      for alias in node.names if alias.name in rule]
+    return found
+
+
+def test_the_walk_finds_type_tests_outside_the_rule():
+    source = ("from .chow import _tuple, ToricModel\n"
+              "if type(n) is not int:\n    raise ValueError(n)\n"
+              "if type(s) is not str:\n    if s:\n        raise ValueError(s)\n"
+              "if type(b) is not int or b < 1:\n    raise ValueError(b)\n"
+              "if type(p) is not int:\n    raise TypeError(p)\n"
+              "if type(x) is not Fraction:\n    raise ValueError(x)\n"
+              "w = chow._tuple(w, '')\nv = chow._vector_symbols(m, v)\n")
+    assert _rule_breaks(source, {"_tuple", "_typed"}) == [
+        "1: from chow import _tuple", "2: type test", "4: type test", "13: chow._tuple"]
+
+
+def test_every_module_checks_types_by_the_rule_of_exactalg():
+    tree = ast.parse((SRC / "toricsing" / "exactalg.py").read_text())
+    rule = {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    assert {"_entries", "_tuple", "_typed"} <= rule
+    for path in sorted((SRC / "toricsing").glob("*.py")):
+        if path.name != "exactalg.py":
+            assert _rule_breaks(path.read_text(), rule) == [], path.name

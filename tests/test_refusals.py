@@ -1,12 +1,15 @@
 """Domain errors no other test reaches: each input, its exception type and
 its exact text, in one table."""
 
+from functools import partial
+
 import pytest
 
 from toricsing import catalog, formulas, polyfield, residue
 from toricsing.catalog import parse_model, parse_polynomial, serialize_model
 from toricsing.chow import (
-    ChowElement, ToricModel, chern_class, class_of_divisor_coeffs, elementary_series, integrate,
+    ChowElement, ToricModel, chern_class, class_element, class_of_divisor_coeffs,
+    elementary_series, elementary_symmetric_classes, integrate,
 )
 from toricsing.errors import AlignmentError, ModelFormatError
 from toricsing.exactalg import MultiPoly
@@ -355,6 +358,49 @@ REFUSALS = {
     "negative series degree": (lambda: elementary_series([1], -1), ValueError,
                                "degree must be nonnegative"),
 }
+
+# Each entry point that takes a model, with valid other arguments: any value
+# but a model is refused before it is read.  These calls ended in a bare
+# AttributeError or TypeError, and integrate(None, 1) returned 0.
+Z0 = MultiPoly.variable("z0", P2.coord_names)
+FORM = polyfield.OneFormExpr(P2, ZP2)
+MODEL_CALLS = {
+    "foliation_sing_count": lambda m: formulas.foliation_sing_count(m, 1),
+    "restricted_sing_count": lambda m: formulas.restricted_sing_count(m, 1, 1),
+    "complement_sing_count": lambda m: formulas.complement_sing_count(m, 1, 1),
+    "hypersurface_euler": lambda m: formulas.hypersurface_euler(m, 1),
+    "complement_euler": lambda m: formulas.complement_euler(m, 1),
+    "ci_sing_count": lambda m: formulas.ci_sing_count(m, [1], 1),
+    "ci_euler": lambda m: formulas.ci_euler(m, [1]),
+    "multidegree": lambda m: formulas.multidegree(m, [1], 0),
+    "gcd_obstruction": lambda m: formulas.gcd_obstruction(m, (1, 1, 1)),
+    "symbolic_degree": lambda m: formulas.symbolic_degree(m),
+    "poincare_check": lambda m: formulas.poincare_check(
+        "toric-curve", model=m, classes=[1], degree=1),
+    "chern_class": lambda m: chern_class(m, 1),
+    "elementary_symmetric_classes": lambda m: elementary_symmetric_classes(m, 1),
+    "class_element": lambda m: class_element(m, (1,)),
+    "integrate": lambda m: integrate(m, chern_class(P2, 2)),
+    "class_of_divisor_coeffs": lambda m: class_of_divisor_coeffs(m, (1, 0, 0)),
+    "serialize_model": serialize_model,
+    "radial_fields": polyfield.radial_fields,
+    "check_descends": lambda m: polyfield.check_descends(m, FORM),
+    "check_quasi_homogeneous": lambda m: polyfield.check_quasi_homogeneous(m, Z0),
+    "frobenius_integrable": lambda m: polyfield.frobenius_integrable(m, FORM),
+    "GradedPoly": lambda m: polyfield.GradedPoly(m, Z0),
+    "VectorFieldExpr": lambda m: polyfield.VectorFieldExpr(m, ZP2),
+    "OneFormExpr": lambda m: polyfield.OneFormExpr(m, ZP2),
+}
+NOT_MODELS = {"None": None, "5": 5, "'ab'": "ab", "1.5": 1.5, "True": True, "-3": -3,
+              "()": (), "object()": THING}
+REFUSALS.update(
+    (f"{name} model {label}",
+     (partial(call, bad), ValueError, f"model must be a ToricModel, got {bad!r}"))
+    for name, call in MODEL_CALLS.items() for label, bad in NOT_MODELS.items()
+    # with no model, toric-curve says that it needs one, as it always did
+    if (name, label) != ("poincare_check", "None"))
+REFUSALS["integrate(None, 1)"] = (lambda: integrate(None, 1), ValueError,
+                                  "model must be a ToricModel, got None")
 
 
 @pytest.mark.parametrize("call, error, text", REFUSALS.values(), ids=REFUSALS)
