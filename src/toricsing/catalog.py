@@ -19,7 +19,8 @@ constructor:
     tensor 2 = 1/6
 
 `#` starts a comment.  `divisor` lines give one Picard vector per invariant
-divisor (all n+r of them); `tensor` lines map an exponent vector to a
+divisor (all n+r of them), line i, counted from 0, the class of the
+coordinate z_i; `tensor` lines map an exponent vector to a
 rational (omitted keys are zero, duplicates are an error); optional
 `chern j : ...` lines state Chern classes as signed-term polynomials in the
 generators, checked against the divisor classes and not stored; so are
@@ -64,7 +65,10 @@ FAMILIES = {
 
 
 def builtin(spec: ModelSpec) -> ToricModel:
-    """Construct the builtin model a spec names."""
+    """Construct the builtin model a spec names; a value that is not a
+    `ModelSpec` raises ModelFormatError naming it."""
+    if type(spec) is not ModelSpec:
+        raise ModelFormatError(f"model spec must be a ModelSpec, got {spec!r}")
     fam, params = spec.family, spec.params
     if fam not in FAMILIES:
         raise ModelFormatError(f"unknown model family {fam!r}")
@@ -185,7 +189,6 @@ def multiprojective(*ns: int) -> ToricModel:
         divisor_classes=classes,
         tensor={ns: Fraction(1)},
         smooth=True,
-        coord_names=tuple(f"z{i + 1}_{j}" for i, ni in enumerate(ns) for j in range(ni + 1)),
     )
 
 
@@ -212,7 +215,6 @@ def scroll(*a: int) -> ToricModel:
         divisor_classes=tuple(classes),
         tensor=tensor,
         smooth=True,
-        coord_names=("z1_1", "z1_2") + tuple(f"z2_{i + 1}" for i in range(n)),
     )
 
 

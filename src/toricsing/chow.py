@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
@@ -171,7 +171,7 @@ def _index_support(keys: frozenset[tuple[int, ...]]) -> SupportIndex:
 
 @lru_cache(maxsize=64)
 def _default_coord_names(size: int) -> tuple[str, ...]:
-    """z0, ..., z(size - 1): the coordinate names of a model that gives none."""
+    """z0, ..., z(size - 1): the coordinate names of every model of n + r = size."""
     return tuple(f"z{i}" for i in range(size))
 
 
@@ -207,7 +207,6 @@ class ToricModel:
     divisor_classes: tuple[tuple[int, ...], ...]
     tensor: Mapping[tuple[int, ...], Fraction]
     smooth: bool = True
-    coord_names: tuple[str, ...] = field(default=(), compare=False)
 
     __hash__ = None  # the tensor mapping is not hashable
 
@@ -255,33 +254,28 @@ class ToricModel:
             if sum(key) != self.dim:
                 raise ValueError(
                     f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
-        names = _entries(self.coord_names, str,
-                         "coordinate names must be a sequence of strs, got {!r}",
-                         "coordinate name {x!r} is not a str")
-        if not names:
-            names = _default_coord_names(self.dim + self.rank)
-        elif len(names) != self.dim + self.rank:
-            raise ValueError("coordinate table must have n+r names")
-        store("coord_names", names)
 
     @classmethod
     def _trusted(cls, *, name: str, dim: int, rank: int, gens: tuple[str, ...],
                  divisor_classes: tuple[tuple[int, ...], ...],
                  tensor: dict[tuple[int, ...], Fraction],
-                 smooth: bool = True,
-                 coord_names: tuple[str, ...] = ()) -> ToricModel:
+                 smooth: bool = True) -> ToricModel:
         """Store the fields of a model this package builds itself, already
         canonical: tuples of ints and `Fraction` weights.  Only what
-        validation would change is done: zero weights are dropped, the
-        tensor made read-only, and the default coordinate names filled in."""
+        validation would change is done: zero weights are dropped and the
+        tensor made read-only."""
         model = object.__new__(cls)
         model.__dict__.update(
             name=name, dim=dim, rank=rank, gens=gens,
             divisor_classes=divisor_classes,
             tensor=MappingProxyType({k: v for k, v in tensor.items() if v}),
-            smooth=smooth,
-            coord_names=coord_names or _default_coord_names(dim + rank))
+            smooth=smooth)
         return model
+
+    @property
+    def coord_names(self) -> tuple[str, ...]:
+        """z0, ..., z(n + r - 1): z_i is the coordinate of the i-th divisor class."""
+        return _default_coord_names(self.dim + self.rank)
 
     @_lazy
     def _divisor_esym(self) -> tuple[ChowElement, ...]:

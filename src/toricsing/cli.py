@@ -178,13 +178,8 @@ def _add_json_flag(sub):
     sub.add_argument("--json", action="store_true", help="emit one JSON object")
 
 
-def _parse_components(text: str, variables, synonyms=None):
-    return tuple(parse_polynomial(chunk, variables, synonyms)
-                 for chunk in text.split(","))
-
-
-def _coordinate_synonyms(model):
-    return {f"z{i}": name for i, name in enumerate(model.coord_names)}
+def _parse_components(text: str, variables):
+    return tuple(parse_polynomial(chunk, variables) for chunk in text.split(","))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +356,7 @@ def _handle_residue(args):
 def _handle_check_homogeneous(args):
     from . import catalog, polyfield
     model = _model_from_args(args)
-    poly = catalog.parse_polynomial(args.poly, model.coord_names,
-                                    _coordinate_synonyms(model))
+    poly = catalog.parse_polynomial(args.poly, model.coord_names)
     degree = polyfield.check_quasi_homogeneous(model, poly)
     if degree is polyfield.ANY_DEGREE:
         return "any degree", {}
@@ -376,8 +370,7 @@ def _handle_check_homogeneous(args):
 def _handle_check_descends(args):
     from . import polyfield
     model = _model_from_args(args)
-    comps = _parse_components(args.form, model.coord_names,
-                              _coordinate_synonyms(model))
+    comps = _parse_components(args.form, model.coord_names)
     form = polyfield.OneFormExpr(model, comps)
     return _canonical(polyfield.check_descends(model, form)), {}
 
@@ -385,10 +378,9 @@ def _handle_check_descends(args):
 def _handle_check_invariant(args):
     from . import catalog, polyfield
     model = _model_from_args(args)
-    synonyms = _coordinate_synonyms(model)
-    comps = _parse_components(args.field, model.coord_names, synonyms)
+    comps = _parse_components(args.field, model.coord_names)
     field = polyfield.VectorFieldExpr(model, comps)
-    hyp = catalog.parse_polynomial(args.poly, model.coord_names, synonyms)
+    hyp = catalog.parse_polynomial(args.poly, model.coord_names)
     verdict = polyfield.check_invariant_hypersurface(field, hyp)
     details = {}
     if verdict.invariant:

@@ -29,10 +29,11 @@ names the argument, and the entry at fault.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .errors import AlignmentError, ModelFormatError
 
@@ -84,6 +85,10 @@ def _entries(values, kind: type | None, refusal: str, entry: str = "") -> tuple:
     return values
 
 
+# the refusals of a variable table that is a str or no sequence of strs
+_NOT_A_TABLE = ("variables must be a sequence of strs, got {!r}", "variable {x!r} is not a str")
+
+
 def _check_exact(value) -> None:
     """A float is not exact data (0.1 would become its binary expansion),
     and a bool is no number, though Python takes True for 1: either raises
@@ -107,10 +112,14 @@ class MultiPoly:
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponent, int | Fraction] | None = None):
-        variables = _variable_table(variables)
+        variables = _variable_table(_entries(variables, str, *_NOT_A_TABLE))
+        if terms is None:
+            terms = {}
+        elif not isinstance(terms, Mapping):
+            raise ValueError(f"terms must map exponents to coefficients, got {terms!r}")
         clean: dict[Exponent, Fraction] = {}
-        for exp, coeff in (terms or {}).items():
-            exp = tuple(exp)
+        for exp, coeff in terms.items():
+            exp = _tuple(exp, "exponents must be nonnegative integers: {!r}")
             if len(exp) != len(variables):
                 raise ValueError(
                     f"exponent {exp!r} does not match variables {variables!r}")
@@ -405,7 +414,10 @@ def mul_terms(a: Mapping[Exponent, ScalarLike], b: Mapping[Exponent, ScalarLike]
 
 def aligned(*polys: MultiPoly) -> tuple[MultiPoly, ...]:
     """Re-embed polynomials on their tables merged by `_merged_table`: the
-    first operand's order, then unseen names as later operands declare them."""
+    first operand's order, then unseen names as later operands declare them.
+    An operand that is not a MultiPoly raises a ValueError naming it."""
+    for p in polys:
+        _typed(p, MultiPoly, "operand {!r} is not a MultiPoly")
     if all(p.vars == polys[0].vars for p in polys[1:]):
         return polys
     table = _merged_table(p.vars for p in polys)
@@ -445,7 +457,8 @@ def as_poly(value: ScalarLike, variables: Sequence[str] = ()) -> MultiPoly:
 
 def poly_sum(items: Iterable[ScalarLike]) -> MultiPoly:
     """Sum over possibly differently-tabled values, aligning as needed."""
-    polys = [as_poly(v) for v in items]
+    polys = [as_poly(v) for v in _entries(
+        items, None, "items must be a sequence of MultiPolys or exact numbers, got {!r}")]
     if not polys:
         return MultiPoly.zero()
     polys = aligned(*polys)
@@ -472,19 +485,16 @@ def _check_symbol(name: str) -> str:
     return name
 
 
-def parse_polynomial(text: str, variables: Sequence[str],
-                     synonyms: dict[str, str] | None = None) -> MultiPoly:
+def parse_polynomial(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse signed-term polynomial syntax onto the given variable table.
 
     Terms look like `c*G1^e1*G2^e2` with the coefficient omitted when 1 and
-    rationals written `p/q`.  `synonyms` maps alternative spellings onto
-    table names.
+    rationals written `p/q`.  Text that is not a str, or a table that is a
+    str or no sequence of strs, raises a ValueError naming it.
     """
-    variables = tuple(variables)
+    _typed(text, str, "polynomial text must be a str, got {!r}")
+    variables = _entries(variables, str, *_NOT_A_TABLE)
     index = {v: i for i, v in enumerate(variables)}
-    for alias, target in (synonyms or {}).items():
-        if target in index:
-            index.setdefault(alias, index[target])
     tokens = []
     for m in _TOKEN.finditer(text):
         if m[2]:

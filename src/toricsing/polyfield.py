@@ -1,8 +1,10 @@
 """Quasi-homogeneous polynomials, vector fields, and one-forms in
 homogeneous coordinates.
 
-Coordinates are graded by the model's class group: the i-th coordinate has
-the degree of the i-th invariant divisor.  A polynomial is
+Coordinates are graded by the model's class group: the i-th coordinate, z_i
+on every model (`ToricModel.coord_names`), has the degree of the i-th
+invariant divisor, and one rule (`_on_coordinates`) holds every polynomial,
+field and form to the model's coordinates.  A polynomial is
 quasi-homogeneous when all of its monomials share one class-group degree.
 A one-form descends to the quotient exactly when its contraction with
 every radial field vanishes, the k-th field being sum_i (D_i)_k z_i d_i
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .chow import NOT_A_MODEL, ToricModel
-from .exactalg import MultiPoly, _typed, grlex_key
+from .exactalg import MultiPoly, _entries, _typed, grlex_key
 
 
 class _AnyDegree:
@@ -42,10 +44,7 @@ class GradedPoly:
 
     def __post_init__(self):
         _typed(self.model, ToricModel, NOT_A_MODEL)
-        if self.poly.vars != self.model.coord_names:
-            raise ValueError(
-                f"polynomial table {self.poly.vars!r} must equal the model "
-                f"coordinates {self.model.coord_names!r}")
+        object.__setattr__(self, "poly", _on_coordinates(self.model, self.poly, "polynomial"))
 
     def degree(self):
         return check_quasi_homogeneous(self.model, self.poly)
@@ -60,8 +59,7 @@ class VectorFieldExpr:
 
     def __post_init__(self):
         _typed(self.model, ToricModel, NOT_A_MODEL)
-        object.__setattr__(self, "components", tuple(self.components))
-        _check_components(self.model, self.components)
+        object.__setattr__(self, "components", _components(self.model, self.components))
 
 
 @dataclass(frozen=True)
@@ -74,17 +72,42 @@ class OneFormExpr:
 
     def __post_init__(self):
         _typed(self.model, ToricModel, NOT_A_MODEL)
-        object.__setattr__(self, "components", tuple(self.components))
-        _check_components(self.model, self.components)
+        object.__setattr__(self, "components", _components(self.model, self.components))
 
 
-def _check_components(model: ToricModel, components) -> None:
+_WRONG_TABLE = "polynomial table {vars!r} must equal the model coordinates {coords!r}"
+
+
+def _on_coordinates(model: ToricModel, value, argument: str, kind: type = MultiPoly,
+                    wrong_table: str = _WRONG_TABLE):
+    """The one coordinate rule, for the argument named `argument`: a
+    polynomial is a `MultiPoly` on the model's coordinates (else the text
+    wrong_table), or a `GradedPoly` of an equal model, and its `MultiPoly`
+    is returned; a value of another kind must be of that kind and of an
+    equal model.  Every other value is refused with a ValueError naming it."""
+    if kind is MultiPoly:
+        if type(value) is GradedPoly:
+            return _on_coordinates(model, value, argument, GradedPoly).poly
+        _typed(value, MultiPoly, f"{argument} {{!r}} is not a MultiPoly or a GradedPoly")
+        if value.vars != model.coord_names:
+            raise ValueError(wrong_table.format(vars=value.vars, coords=model.coord_names))
+        return value
+    _typed(value, kind, f"{argument} {{!r}} is not a {kind.__name__}")
+    if value.model != model:
+        raise ValueError(f"{argument} of model {value.model.name} given for "
+                         f"model {model.name}")
+    return value
+
+
+def _components(model: ToricModel, components) -> tuple[MultiPoly, ...]:
+    components = _entries(components, None,
+                          "components must be a sequence of MultiPolys, got {!r}")
     expected = model.dim + model.rank
     if len(components) != expected:
         raise ValueError(f"expected {expected} components, got {len(components)}")
-    for p in components:
-        if p.vars != model.coord_names:
-            raise ValueError("components must live on the model's coordinates")
+    return tuple(_on_coordinates(model, p, "component",
+                                 wrong_table="components must live on the model's coordinates")
+                 for p in components)
 
 
 def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
@@ -92,16 +115,10 @@ def check_quasi_homogeneous(model: ToricModel, poly: MultiPoly | GradedPoly):
 
     Returns the degree vector (a tuple of length rank), `None` when the
     monomial degrees disagree, and `ANY_DEGREE` for the zero polynomial.
-    A raw polynomial must be on the model's coordinates, as in `GradedPoly`,
-    and a `GradedPoly` must belong to the model.
+    The polynomial passes the coordinate rule (`_on_coordinates`).
     """
     _typed(model, ToricModel, NOT_A_MODEL)
-    if not isinstance(poly, GradedPoly):
-        poly = GradedPoly(model, poly)
-    elif poly.model != model:
-        raise ValueError(f"polynomial of model {poly.model.name} given for "
-                         f"model {model.name}")
-    poly = poly.poly
+    poly = _on_coordinates(model, poly, "polynomial")
     if poly.is_zero:
         return ANY_DEGREE
     degrees = set()
@@ -130,6 +147,7 @@ def check_descends(model: ToricModel, form: OneFormExpr) -> bool:
     """True when every radial contraction of the form vanishes identically,
     i.e. the form comes from the quotient."""
     _typed(model, ToricModel, NOT_A_MODEL)
+    form = _on_coordinates(model, form, "form", OneFormExpr)
     coords = model.coord_names
     for field in radial_fields(model):
         contraction = MultiPoly.zero(coords)
@@ -154,11 +172,11 @@ def check_invariant_hypersurface(field: VectorFieldExpr,
     divides by the polynomial itself; invariance means the division is
     exact, and the quotient is the cofactor.
     """
-    if isinstance(hypersurface, GradedPoly):
-        hypersurface = hypersurface.poly
+    _typed(field, VectorFieldExpr, "field {!r} is not a VectorFieldExpr")
+    model = field.model
+    hypersurface = _on_coordinates(model, hypersurface, "hypersurface")
     if hypersurface.is_zero:
         raise ValueError("hypersurface polynomial must be nonzero")
-    model = field.model
     coords = model.coord_names
     derivative = MultiPoly.zero(coords)
     for name, comp in zip(coords, field.components):
@@ -198,8 +216,8 @@ def frobenius_integrable(model: ToricModel, form: OneFormExpr) -> bool:
     """Frobenius integrability by direct expansion of the wedge ω ∧ dω:
     its C(N, 3) coefficients on N coordinates are tested for zero."""
     _typed(model, ToricModel, NOT_A_MODEL)
+    P = _on_coordinates(model, form, "form", OneFormExpr).components
     coords = model.coord_names
-    P = form.components
     for i in range(len(coords)):
         for j in range(i + 1, len(coords)):
             for k in range(j + 1, len(coords)):

@@ -367,11 +367,6 @@ def test_parse_polynomial_basics():
     assert r.terms == {(1,): -1, (0,): Fraction(5, 2)}
 
 
-def test_parse_polynomial_synonyms():
-    p = parse_polynomial("z0^2 + z1_1", ("z1_0", "z1_1"), {"z0": "z1_0"})
-    assert p.terms == {(2, 0): 1, (0, 1): 1}
-
-
 def test_parse_polynomial_rejects_unknown_symbols():
     with pytest.raises(ModelFormatError, match="unknown symbol"):
         parse_polynomial("x + q", ("x",))

@@ -270,6 +270,29 @@ def test_check_subcommands(capsys):
     assert "cofactor = 2" in lines
 
 
+# z_i is the coordinate of the i-th divisor line on every model: a builtin
+# and its model file read and print the same names (multiprojective and
+# scroll once printed z1_1 where their files printed z1)
+@pytest.mark.parametrize("spec, argv, stdout, stderr", [
+    ("multiprojective:1,1", ("check", "invariant", "--field", "z0*z1,0,0,0", "--poly", "z0"),
+     "result = true\ncofactor = z1\n", ""),
+    ("scroll:1,2", ("check", "homogeneous", "--poly", "z0*z2 + z1*z2 + z0^2*z3"),
+     "result = degree (0, 1)\n", ""),
+    ("scroll:1,2", ("check", "homogeneous", "--poly", "z1_1*z2_1"),
+     "", "error: unknown symbol 'z1_1' in polynomial\n"),
+], ids=["invariant on multiprojective:1,1", "homogeneous on scroll:1,2",
+        "z1_1 on scroll:1,2"])
+def test_a_builtin_and_its_model_file_check_alike(tmp_path, capsys, spec, argv, stdout,
+                                                  stderr):
+    _, text, _ = _run(capsys, "catalog", "show", "--model", spec)
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    builtin = _run(capsys, *argv, "--model", spec)
+    from_file = _run(capsys, *argv, "--model-file", str(path))
+    assert builtin == from_file
+    assert builtin[1:] == (stdout, stderr)
+
+
 @pytest.mark.parametrize("argv, first", [
     (("euler", "complement", "--model", "projective:2", "--hyp", "1"), "result = 1"),
     # 2 (1 + 4 - 2)^2 on the quadric surface

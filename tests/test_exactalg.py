@@ -258,3 +258,15 @@ def test_scalars_subtract_polynomials_from_the_left():
     assert 3 - p == -(p - 3)
     assert Fraction(1, 2) - p == parse_polynomial("-u^2 + 3*v + 1/2", ("u", "v"))
     assert (Fraction(1, 2) - p).canonical_string() == "-u^2 + 3*v + 1/2"
+
+
+def test_operators_leave_other_operands_to_python():
+    # the argument rule refuses a bad constructor argument, but an operator
+    # given a value that is no scalar returns NotImplemented, so Python
+    # raises its own TypeError or tries the other operand
+    x = MultiPoly.variable("x", ("x",))
+    for other in (None, "a", 1.5, object()):
+        for op in (x.__add__, x.__sub__, x.__rsub__, x.__mul__):
+            assert op(other) is NotImplemented
+    with pytest.raises(TypeError):
+        x + None

@@ -1,12 +1,15 @@
 """Quasi-homogeneity, descent, and invariance checks in homogeneous coordinates."""
 
+import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from test_catalog import ALL_BUILTINS
 
 from toricsing import catalog
-from toricsing.catalog import parse_polynomial
+from toricsing.catalog import parse_model, parse_polynomial, serialize_model
 from toricsing.exactalg import MultiPoly
 from toricsing.polyfield import (
     ANY_DEGREE, GradedPoly, OneFormExpr, VectorFieldExpr,
@@ -16,8 +19,7 @@ from toricsing.polyfield import (
 
 
 def _poly(model, text):
-    synonyms = {f"z{i}": n for i, n in enumerate(model.coord_names)}
-    return parse_polynomial(text, model.coord_names, synonyms)
+    return parse_polynomial(text, model.coord_names)
 
 
 def _components(model, *texts):
@@ -33,7 +35,7 @@ def test_quasi_homogeneous_weighted_hypersurface():
 
 def test_quasi_homogeneous_bidegree():
     m = catalog.multiprojective(1, 1)
-    f = _poly(m, "z1_0*z2_0 + z1_1*z2_1")
+    f = _poly(m, "z0*z2 + z1*z3")
     assert check_quasi_homogeneous(m, f) == (1, 1)
 
 
@@ -193,7 +195,7 @@ def test_integrability_on_seven_and_eight_coordinates():
     m = catalog.projective(6)
     assert frobenius_integrable(m, OneFormExpr(m, (MultiPoly.zero(m.coord_names),) * 7))
     m = catalog.multiprojective(1, 1, 1, 1)
-    # d(z1_0*z2_0), z1_0 and z2_0 at positions 0 and 2
+    # d(z0*z2), the first coordinates of the first two factors
     exact = _components(m, "z2", "0", "z0", "0", "0", "0", "0", "0")
     assert frobenius_integrable(m, OneFormExpr(m, exact))
     rotation = _components(m, *(t for i in range(0, 8, 2) for t in (f"-z{i + 1}", f"z{i}")))
@@ -277,3 +279,48 @@ def test_degree_bookkeeping_of_descending_form():
     for i, comp in enumerate(comps):
         deg = check_quasi_homogeneous(m, comp)
         assert deg == (d[0] - w[i],)
+
+
+def _outcome(call):
+    """What a call gives: its value, or the type and text of its refusal."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _seeded_poly(rng, coords, terms=3):
+    exps = [tuple(rng.randint(0, 2) for _ in coords) for _ in range(terms)]
+    return MultiPoly(coords, {e: rng.randint(-3, 3) for e in exps})
+
+
+@pytest.mark.parametrize("m", ALL_BUILTINS, ids=lambda m: m.name)
+def test_equal_models_check_polynomials_alike(m):
+    # a model file and a replaced copy are the model: they have its
+    # coordinates, answer as it does and refuse with its texts
+    twins = (parse_model(serialize_model(m)), replace(m))
+    coords = m.coord_names
+    z = [MultiPoly.variable(v, coords) for v in coords]
+    form_of_p1 = OneFormExpr(catalog.projective(1), (MultiPoly.zero(("z0", "z1")),) * 2)
+    rng = random.Random(len(coords))
+    refusals = [lambda t: check_quasi_homogeneous(t, MultiPoly(("x",), {(1,): 1})),
+                lambda t: check_descends(t, form_of_p1),
+                lambda t: frobenius_integrable(t, None)]
+    calls = refusals + [lambda t: [f.components for f in radial_fields(t)]]
+    for _ in range(4):
+        g, f = _seeded_poly(rng, coords), _seeded_poly(rng, coords)
+        # g (z1 dz0 - z0 dz1) descends and is integrable: z0 and z1 share a class
+        rotation = (g * z[1], -g * z[0]) + (MultiPoly.zero(coords),) * (len(coords) - 2)
+        seeded = tuple(_seeded_poly(rng, coords, 2) for _ in coords)
+        for form in (OneFormExpr(m, rotation), OneFormExpr(m, seeded)):
+            calls += [lambda t, form=form: check_descends(t, form),
+                      lambda t, form=form: frobenius_integrable(t, form)]
+        calls += [lambda t, f=f: check_quasi_homogeneous(t, f),
+                  lambda t, f=f: check_quasi_homogeneous(t, GradedPoly(m, f)),
+                  lambda t, g=g: check_quasi_homogeneous(t, g * z[0] + g * z[1])]
+    expected = [_outcome(lambda: call(m)) for call in calls]
+    assert all(expected[i][0] == "ValueError" for i in range(len(refusals)))
+    assert True in expected and False in expected
+    for twin in twins:
+        assert twin == m and twin.coord_names == coords
+        assert [_outcome(lambda: call(twin)) for call in calls] == expected

@@ -238,7 +238,7 @@ def test_equal_models_take_the_route_alike(routed):
     # a model file and a replaced copy are products by their fields, so
     # they answer as the builtin does, past the support bound too
     m = catalog.multiprojective(*[1] * 17)
-    twins = (catalog.parse_model(serialize_model(m)), replace(m), replace(m, coord_names=()))
+    twins = (catalog.parse_model(serialize_model(m)), replace(m))
     d = tuple(range(1, 18))
     expected = formulas.foliation_sing_count(m, d)
     for twin in twins:

@@ -12,7 +12,7 @@ from toricsing.chow import (
     elementary_series, elementary_symmetric_classes, integrate,
 )
 from toricsing.errors import AlignmentError, ModelFormatError
-from toricsing.exactalg import MultiPoly
+from toricsing.exactalg import MultiPoly, aligned, poly_sum
 
 P2_LINES = ["name P2", "dim 2", "rank 1", "gens H", "smooth true", "divisor 1",
             "divisor 1", "divisor 1", "tensor 2 = 1"]
@@ -45,6 +45,11 @@ X, Y = (MultiPoly.variable(v, ("x", "y")) for v in ("x", "y"))
 U = MultiPoly.variable("u", ("u",))
 ZP2 = [MultiPoly.zero(P2.coord_names)] * 3
 THING = object()
+# P(1,1,2) has the coordinates of P^2, z0, z1, z2, but is another model
+P112 = catalog.weighted(1, 1, 2)
+Z0_P112 = MultiPoly.variable("z0", P112.coord_names)
+FORM_P112 = polyfield.OneFormExpr(P112, ZP2)
+(EULER,) = polyfield.radial_fields(P2)
 
 REFUSALS = {
     # the model file
@@ -112,20 +117,12 @@ REFUSALS = {
     "negative tensor key": (lambda: model(dim=2, divisor_classes=((1,),) * 3,
                                           tensor={(-1,): 1}),
                             ValueError, "bad tensor key (-1,)"),
-    "coordinate count": (lambda: model(coord_names=("x",)), ValueError,
-                         "coordinate table must have n+r names"),
     "dim '1'": (lambda: model(dim="1"), ValueError, "dim must be an int, got '1'"),
     "dim 1.0": (lambda: model(dim=1.0), ValueError, "dim must be an int, got 1.0"),
     "dim None": (lambda: model(dim=None), ValueError, "dim must be an int, got None"),
     "dim True": (lambda: model(dim=True), ValueError, "dim must be an int, got True"),
     "rank '1'": (lambda: model(rank="1"), ValueError, "rank must be an int, got '1'"),
     "rank True": (lambda: model(rank=True), ValueError, "rank must be an int, got True"),
-    "coordinate names 5": (lambda: model(coord_names=5), ValueError,
-                           "coordinate names must be a sequence of strs, got 5"),
-    "coordinate names 'ab'": (lambda: model(coord_names="ab"), ValueError,
-                              "coordinate names must be a sequence of strs, got 'ab'"),
-    "coordinate name 3": (lambda: model(coord_names=("a", 3)), ValueError,
-                          "coordinate name 3 is not a str"),
     "name 5": (lambda: model(name=5), ValueError, "name must be a str, got 5"),
     # a str such as 'no' is true, so the model would pass as smooth
     "smooth 'no'": (lambda: model(smooth="no"), ValueError, "smooth must be a bool, got 'no'"),
@@ -147,6 +144,11 @@ REFUSALS = {
                           "factor dimensions must be positive"),
     "blowup_point(1)": (lambda: catalog.blowup_point(1), ModelFormatError,
                         "blow-up of a point needs ambient dimension >= 2"),
+    # a spec string once ended in an AttributeError on its family
+    "builtin 'projective:2'": (lambda: catalog.builtin("projective:2"), ModelFormatError,
+                               "model spec must be a ModelSpec, got 'projective:2'"),
+    "builtin None": (lambda: catalog.builtin(None), ModelFormatError,
+                     "model spec must be a ModelSpec, got None"),
     # the residue layer
     "no components": (lambda: residue.IndexQuery(()), ValueError,
                       "need at least one component"),
@@ -342,6 +344,48 @@ REFUSALS = {
                      ZeroDivisionError, "division by the zero polynomial"),
     "division tables": (lambda: polyfield.exact_divide(X, U), ValueError,
                         "divide requires a shared variable table"),
+    # one coordinate rule: a MultiPoly on the model's coordinates or a
+    # GradedPoly of an equal model; a form of P(1,1,2) once answered for
+    # P^2, a GradedPoly of it was read on P^2, a foreign table ended in
+    # "tuple.index(x): x not in tuple", and the rest in AttributeErrors
+    "form of another model": (lambda: polyfield.check_descends(P2, FORM_P112), ValueError,
+                              "form of model P(1,1,2) given for model P2"),
+    "integrable form of another model": (
+        lambda: polyfield.frobenius_integrable(P2, FORM_P112), ValueError,
+        "form of model P(1,1,2) given for model P2"),
+    "descends form None": (lambda: polyfield.check_descends(P2, None), ValueError,
+                           "form None is not a OneFormExpr"),
+    "integrable form of components": (lambda: polyfield.frobenius_integrable(P2, ZP2),
+                                      ValueError, f"form {ZP2!r} is not a OneFormExpr"),
+    "hypersurface of another model": (
+        lambda: polyfield.check_invariant_hypersurface(
+            EULER, polyfield.GradedPoly(P112, Z0_P112)),
+        ValueError, "hypersurface of model P(1,1,2) given for model P2"),
+    "hypersurface table": (lambda: polyfield.check_invariant_hypersurface(EULER, X), ValueError,
+                           "polynomial table ('x', 'y') must equal the model coordinates "
+                           "('z0', 'z1', 'z2')"),
+    "hypersurface 'z0'": (lambda: polyfield.check_invariant_hypersurface(EULER, "z0"),
+                          ValueError, "hypersurface 'z0' is not a MultiPoly or a GradedPoly"),
+    "field None": (lambda: polyfield.check_invariant_hypersurface(None, X), ValueError,
+                   "field None is not a VectorFieldExpr"),
+    "field of components": (lambda: polyfield.check_invariant_hypersurface(ZP2, X), ValueError,
+                            f"field {ZP2!r} is not a VectorFieldExpr"),
+    "polynomial None": (lambda: polyfield.check_quasi_homogeneous(P2, None), ValueError,
+                        "polynomial None is not a MultiPoly or a GradedPoly"),
+    "graded polynomial 5": (lambda: polyfield.GradedPoly(P2, 5), ValueError,
+                            "polynomial 5 is not a MultiPoly or a GradedPoly"),
+    "graded polynomial of another model": (
+        lambda: polyfield.GradedPoly(P2, polyfield.GradedPoly(P112, Z0_P112)), ValueError,
+        "polynomial of model P(1,1,2) given for model P2"),
+    "components None": (lambda: polyfield.VectorFieldExpr(P2, None), ValueError,
+                        "components must be a sequence of MultiPolys, got None"),
+    "components 'abc'": (lambda: polyfield.OneFormExpr(P2, "abc"), ValueError,
+                         "components must be a sequence of MultiPolys, got 'abc'"),
+    "component 0": (lambda: polyfield.OneFormExpr(P2, (0, 0, 0)), ValueError,
+                    "component 0 is not a MultiPoly or a GradedPoly"),
+    "component of another model": (
+        lambda: polyfield.VectorFieldExpr(P2, [polyfield.GradedPoly(P112, Z0_P112)] * 3),
+        ValueError, "component of model P(1,1,2) given for model P2"),
     # polynomials and series
     "exponent length": (lambda: MultiPoly(("x",), {(1, 2): 1}), ValueError,
                         "exponent (1, 2) does not match variables ('x',)"),
@@ -351,6 +395,36 @@ REFUSALS = {
                         "exponents must be nonnegative integers: ('a',)"),
     "bool exponent": (lambda: MultiPoly(("x",), {(True,): 1}), ValueError,
                       "exponents must be nonnegative integers: (True,)"),
+    # these ended in a bare TypeError or AttributeError
+    "int exponent": (lambda: MultiPoly(("x",), {5: 1}), ValueError,
+                     "exponents must be nonnegative integers: 5"),
+    "variables None": (lambda: MultiPoly(None), ValueError,
+                       "variables must be a sequence of strs, got None"),
+    "variables 'xy'": (lambda: MultiPoly("xy"), ValueError,
+                       "variables must be a sequence of strs, got 'xy'"),
+    "variable 3": (lambda: MultiPoly(("x", 3)), ValueError, "variable 3 is not a str"),
+    "terms list": (lambda: MultiPoly(("x",), [((1,), 1)]), ValueError,
+                   "terms must map exponents to coefficients, got [((1,), 1)]"),
+    "terms 5": (lambda: MultiPoly(("x",), 5), ValueError,
+                "terms must map exponents to coefficients, got 5"),
+    "polynomial text None": (lambda: parse_polynomial(None, ("x",)), ValueError,
+                             "polynomial text must be a str, got None"),
+    "polynomial text bytes": (lambda: parse_polynomial(b"x", ("x",)), ValueError,
+                              "polynomial text must be a str, got b'x'"),
+    "parse table 'x'": (lambda: parse_polynomial("x", "x"), ValueError,
+                        "variables must be a sequence of strs, got 'x'"),
+    "parse table 5": (lambda: parse_polynomial("x", 5), ValueError,
+                      "variables must be a sequence of strs, got 5"),
+    "parse variable 3": (lambda: parse_polynomial("x", ("x", 3)), ValueError,
+                         "variable 3 is not a str"),
+    "aligned None": (lambda: aligned(None, X), ValueError, "operand None is not a MultiPoly"),
+    "aligned 5": (lambda: aligned(X, 5), ValueError, "operand 5 is not a MultiPoly"),
+    "poly_sum 5": (lambda: poly_sum(5), ValueError,
+                   "items must be a sequence of MultiPolys or exact numbers, got 5"),
+    "poly_sum 'ab'": (lambda: poly_sum("ab"), ValueError,
+                      "items must be a sequence of MultiPolys or exact numbers, got 'ab'"),
+    "poly_sum None item": (lambda: poly_sum([X, None]), ValueError,
+                           "coefficient None is not an int, a Fraction or a MultiPoly"),
     "constant_value": (lambda: (X + 1).constant_value(), ValueError,
                        "not a constant polynomial: x + 1"),
     "extended": (lambda: X.extended(("x", "z")), AlignmentError,
