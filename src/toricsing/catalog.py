@@ -34,7 +34,6 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
@@ -42,15 +41,22 @@ from typing import Sequence
 
 from .chow import NOT_A_MODEL, ToricModel, integrate_count
 from .errors import ModelFormatError, NotWellFormedWarning
-from .exactalg import MultiPoly, _entries, _typed, _variable_table, parse_polynomial
+from .exactalg import MultiPoly, _entries, _Frozen, _typed, _variable_table, parse_polynomial
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A builtin family name plus its integer parameters."""
+class ModelSpec(_Frozen):
+    """A builtin family name plus its integer parameters.  A family that is
+    not a str, or parameters that are a str or no sequence, raise
+    ModelFormatError naming the field; `builtin` checks the parameters
+    against the family."""
 
-    family: str
-    params: tuple[int, ...] = ()
+    _fields = ("family", "params")
+
+    def __init__(self, family: str, params: tuple[int, ...] = ()):
+        _typed(family, str, "model family must be a str, got {!r}", ModelFormatError)
+        self.__dict__.update(family=family, params=_entries(
+            params, None, "model parameters must be a sequence of ints, got {!r}",
+            error=ModelFormatError))
 
 
 FAMILIES = {

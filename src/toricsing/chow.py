@@ -71,9 +71,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
@@ -81,8 +80,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exactalg import (
-    MultiPoly, ScalarLike, _check_exact, _entries, _merged_table, _moved_terms, _tuple,
-    _typed, _variable_table, as_poly, mul_terms, poly_sum,
+    MultiPoly, ScalarLike, _check_exact, _entries, _Frozen, _merged_table, _moved_terms,
+    _tuple, _typed, _variable_table, as_poly, mul_terms, poly_sum,
 )
 
 if TYPE_CHECKING:
@@ -179,8 +178,7 @@ def _default_coord_names(size: int) -> tuple[str, ...]:
 NOT_A_MODEL = "model must be a ToricModel, got {!r}"
 
 
-@dataclass(frozen=True)
-class ToricModel:
+class ToricModel(_Frozen):
     """Intersection data of a compact toric orbifold.
 
     divisor_classes holds the n+r classes [D_i] in the Picard basis, as
@@ -200,60 +198,57 @@ class ToricModel:
     any other value before it reads one (`NOT_A_MODEL`).
     """
 
-    name: str
-    dim: int
-    rank: int
-    gens: tuple[str, ...]
-    divisor_classes: tuple[tuple[int, ...], ...]
-    tensor: Mapping[tuple[int, ...], Fraction]
-    smooth: bool = True
+    _fields = ("name", "dim", "rank", "gens", "divisor_classes", "tensor", "smooth")
 
     __hash__ = None  # the tensor mapping is not hashable
 
-    def __post_init__(self):
-        store = partial(object.__setattr__, self)
-        _typed(self.name, str, "name must be a str, got {!r}")
-        _typed(self.dim, int, "dim must be an int, got {!r}")
-        _typed(self.rank, int, "rank must be an int, got {!r}")
-        if self.dim < 1 or self.rank < 1:
+    def __init__(self, name: str, dim: int, rank: int, gens: tuple[str, ...],
+                 divisor_classes: tuple[tuple[int, ...], ...],
+                 tensor: Mapping[tuple[int, ...], Fraction], smooth: bool = True):
+        _typed(name, str, "name must be a str, got {!r}")
+        _typed(dim, int, "dim must be an int, got {!r}")
+        _typed(rank, int, "rank must be an int, got {!r}")
+        if dim < 1 or rank < 1:
             raise ValueError("dim and rank must be positive")
-        _typed(self.smooth, bool, "smooth must be a bool, got {!r}")
-        wrong_gens = f"expected {self.rank} generator names, got {{!r}}"
-        if isinstance(self.gens, str):  # with this text, not the wrong_gens of `_entries`
-            raise ValueError(f"generator names must be a sequence of strs, got {self.gens!r}")
-        store("gens", _variable_table(_entries(self.gens, str, wrong_gens,
-                                               "generator name {x!r} is not a str")))
-        if len(self.gens) != self.rank:
-            raise ValueError(wrong_gens.format(self.gens))
-        wrong_classes = f"expected {self.dim + self.rank} divisor classes, got {{!r}}"
+        _typed(smooth, bool, "smooth must be a bool, got {!r}")
+        wrong_gens = f"expected {rank} generator names, got {{!r}}"
+        if isinstance(gens, str):  # with this text, not the wrong_gens of `_entries`
+            raise ValueError(f"generator names must be a sequence of strs, got {gens!r}")
+        gens = _variable_table(_entries(gens, str, wrong_gens,
+                                        "generator name {x!r} is not a str"))
+        if len(gens) != rank:
+            raise ValueError(wrong_gens.format(gens))
+        wrong_classes = f"expected {dim + rank} divisor classes, got {{!r}}"
         wrong_row = "divisor class {!r} is not a sequence of ints"
-        store("divisor_classes", tuple(_tuple(row, wrong_row) for row in
-                                       _tuple(self.divisor_classes, wrong_classes)))
-        if len(self.divisor_classes) != self.dim + self.rank:
-            raise ValueError(wrong_classes.format(len(self.divisor_classes)))
-        for v in self.divisor_classes:
-            if len(v) != self.rank:
+        divisor_classes = tuple(_tuple(row, wrong_row) for row in
+                                _tuple(divisor_classes, wrong_classes))
+        if len(divisor_classes) != dim + rank:
+            raise ValueError(wrong_classes.format(len(divisor_classes)))
+        for v in divisor_classes:
+            if len(v) != rank:
                 raise ValueError(f"divisor class {v!r} has wrong rank")
-        for v in self.divisor_classes:
+        for v in divisor_classes:
             _entries(v, int, wrong_row, "divisor class {values!r} has a non-integer entry {x!r}")
-        if not isinstance(self.tensor, Mapping):
-            raise ValueError(f"tensor must map keys to weights, got {self.tensor!r}")
-        tensor = {}
-        for key, v in self.tensor.items():
+        if not isinstance(tensor, Mapping):
+            raise ValueError(f"tensor must map keys to weights, got {tensor!r}")
+        weights = {}
+        for key, v in tensor.items():
             key = _entries(key, int, "tensor key {!r} is not a sequence of ints",
                            "tensor key {values!r} has a non-integer entry {x!r}")
             if not isinstance(v, (int, Fraction)):
                 raise ValueError(f"tensor weight {v!r} at key {key!r} is not an int "
                                  "or a Fraction")
             if v:
-                tensor[key] = v if isinstance(v, Fraction) else Fraction(v)
-        store("tensor", MappingProxyType(tensor))
-        for key in self.tensor:
-            if len(key) != self.rank or any(e < 0 for e in key):
+                weights[key] = v if isinstance(v, Fraction) else Fraction(v)
+        for key in weights:
+            if len(key) != rank or any(e < 0 for e in key):
                 raise ValueError(f"bad tensor key {key!r}")
-            if sum(key) != self.dim:
+            if sum(key) != dim:
                 raise ValueError(
-                    f"tensor key {key!r} has total degree {sum(key)}, expected {self.dim}")
+                    f"tensor key {key!r} has total degree {sum(key)}, expected {dim}")
+        self.__dict__.update(name=name, dim=dim, rank=rank, gens=gens,
+                             divisor_classes=divisor_classes,
+                             tensor=MappingProxyType(weights), smooth=smooth)
 
     @classmethod
     def _trusted(cls, *, name: str, dim: int, rank: int, gens: tuple[str, ...],

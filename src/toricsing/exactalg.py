@@ -23,7 +23,13 @@ Every module checks its arguments by one rule, kept here (`_typed`,
 `_entries`, `_tuple`): a type test is on the exact type, so a bool is no
 int, and a float or a `Fraction` is refused, never truncated; a str is no
 sequence of strs, though Python iterates it as one; and the ValueError
+(or the error a caller names, such as ModelFormatError for model data)
 names the argument, and the entry at fault.
+
+The package's frozen value types outside `residue` share one base here
+(`_Frozen`), with the equality, hash, repr and refusals of
+`dataclasses.dataclass(frozen=True)` over a class tuple of field names, so
+that no command but `residue` imports `dataclasses`.
 """
 
 from __future__ import annotations
@@ -53,35 +59,38 @@ def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
     return variables
 
 
-def _tuple(value, refusal: str) -> tuple:
-    """The value as a tuple; when it is not iterable (an int, say), a
-    ValueError with the text refusal.format(value), which names the field."""
+def _tuple(value, refusal: str, error: type[Exception] = ValueError) -> tuple:
+    """The value as a tuple; when it is not iterable (an int, say), an
+    `error`, a ValueError unless named, with the text refusal.format(value),
+    which names the field."""
     try:
         return tuple(value)
     except TypeError:
-        raise ValueError(refusal.format(value)) from None
+        raise error(refusal.format(value)) from None
 
 
-def _typed(value, kind: type, refusal: str) -> None:
-    """A ValueError with the text refusal.format(value) unless the type of
-    the value is `kind` itself."""
+def _typed(value, kind: type, refusal: str, error: type[Exception] = ValueError) -> None:
+    """An `error`, a ValueError unless named, with the text
+    refusal.format(value) unless the type of the value is `kind` itself."""
     if type(value) is not kind:
-        raise ValueError(refusal.format(value))
+        raise error(refusal.format(value))
 
 
-def _entries(values, kind: type | None, refusal: str, entry: str = "") -> tuple:
+def _entries(values, kind: type | None, refusal: str, entry: str = "",
+             error: type[Exception] = ValueError) -> tuple:
     """The values as a tuple, `_tuple` with `refusal`, each of the type
     `kind` itself, or of any type when kind is None.  A str is refused
     with `refusal` too when its characters would pass as entries (kind str
-    or None).  The first entry x of another type raises a ValueError with
-    the text entry.format(values=<the tuple>, x=x)."""
+    or None).  The first entry x of another type raises an `error` with
+    the text entry.format(values=<the tuple>, x=x); `error` is a ValueError
+    unless named."""
     if (kind is str or kind is None) and isinstance(values, str):
-        raise ValueError(refusal.format(values))
-    values = _tuple(values, refusal)
+        raise error(refusal.format(values))
+    values = _tuple(values, refusal, error)
     if kind is not None:
         for x in values:
             if type(x) is not kind:
-                raise ValueError(entry.format(values=values, x=x))
+                raise error(entry.format(values=values, x=x))
     return values
 
 
@@ -100,9 +109,58 @@ def _check_exact(value) -> None:
 
 
 def _exact_coefficient(value) -> Fraction:
-    """The value as a Fraction, once `_check_exact` passes it."""
+    """The value, an int or a Fraction, as a Fraction.  Anything else raises
+    ValueError naming it, as `as_poly` does: a float or a bool as
+    `_check_exact` does, and a str, None or a Decimal, which `Fraction`
+    would read or refuse without naming the coefficient."""
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     _check_exact(value)
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"coefficient {value!r} is not an int or a Fraction")
     return Fraction(value)
+
+
+class _Frozen:
+    """A frozen value of the fields named in the class tuple `_fields`.
+
+    Equality, hash and repr are those `dataclasses.dataclass(frozen=True)`
+    generates: two values are equal when they are of the same class and
+    their field tuples are equal, the hash is that of the field tuple, and
+    the repr is `Name(field=value, ...)`.  Assigning or deleting any
+    attribute raises `dataclasses.FrozenInstanceError` with the dataclass's
+    text; `dataclasses` is imported on that path only.  Each subclass
+    writes its own `__init__`, which stores its fields through `__dict__`
+    (or `object.__setattr__` when it has slots)."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class MultiPoly:

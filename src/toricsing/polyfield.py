@@ -15,9 +15,8 @@ the principal ideal it generates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .chow import NOT_A_MODEL, ToricModel
-from .exactalg import MultiPoly, _entries, _typed, grlex_key
+from .exactalg import MultiPoly, _entries, _Frozen, _typed, grlex_key
 
 
 class _AnyDegree:
@@ -35,44 +34,38 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-@dataclass(frozen=True)
-class GradedPoly:
+class GradedPoly(_Frozen):
     """A polynomial in the model's homogeneous coordinates."""
 
-    model: ToricModel
-    poly: MultiPoly
+    _fields = ("model", "poly")
 
-    def __post_init__(self):
-        _typed(self.model, ToricModel, NOT_A_MODEL)
-        object.__setattr__(self, "poly", _on_coordinates(self.model, self.poly, "polynomial"))
+    def __init__(self, model: ToricModel, poly: MultiPoly):
+        _typed(model, ToricModel, NOT_A_MODEL)
+        self.__dict__.update(model=model, poly=_on_coordinates(model, poly, "polynomial"))
 
     def degree(self):
         return check_quasi_homogeneous(self.model, self.poly)
 
 
-@dataclass(frozen=True)
-class VectorFieldExpr:
+class VectorFieldExpr(_Frozen):
     """A polynomial vector field, one component per coordinate."""
 
-    model: ToricModel
-    components: tuple[MultiPoly, ...]
+    _fields = ("model", "components")
 
-    def __post_init__(self):
-        _typed(self.model, ToricModel, NOT_A_MODEL)
-        object.__setattr__(self, "components", _components(self.model, self.components))
+    def __init__(self, model: ToricModel, components: tuple[MultiPoly, ...]):
+        _typed(model, ToricModel, NOT_A_MODEL)
+        self.__dict__.update(model=model, components=_components(model, components))
 
 
-@dataclass(frozen=True)
-class OneFormExpr:
+class OneFormExpr(_Frozen):
     """A polynomial one-form; components are the coordinate differentials'
     coefficients."""
 
-    model: ToricModel
-    components: tuple[MultiPoly, ...]
+    _fields = ("model", "components")
 
-    def __post_init__(self):
-        _typed(self.model, ToricModel, NOT_A_MODEL)
-        object.__setattr__(self, "components", _components(self.model, self.components))
+    def __init__(self, model: ToricModel, components: tuple[MultiPoly, ...]):
+        _typed(model, ToricModel, NOT_A_MODEL)
+        self.__dict__.update(model=model, components=_components(model, components))
 
 
 _WRONG_TABLE = "polynomial table {vars!r} must equal the model coordinates {coords!r}"
@@ -158,10 +151,11 @@ def check_descends(model: ToricModel, form: OneFormExpr) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InvariantVerdict:
-    invariant: bool
-    cofactor: MultiPoly | None
+class InvariantVerdict(_Frozen):
+    _fields = ("invariant", "cofactor")
+
+    def __init__(self, invariant: bool, cofactor: MultiPoly | None):
+        self.__dict__.update(invariant=invariant, cofactor=cofactor)
 
 
 def check_invariant_hypersurface(field: VectorFieldExpr,
@@ -189,8 +183,11 @@ def exact_divide(numerator: MultiPoly, divisor: MultiPoly) -> MultiPoly | None:
     """Quotient of an exact polynomial division, or None.
 
     Single-divisor reduction in graded-lex order; sufficient because the
-    test is membership in a principal ideal.
+    test is membership in a principal ideal.  Either argument that is not
+    a MultiPoly raises a ValueError naming it.
     """
+    _typed(numerator, MultiPoly, "numerator {!r} is not a MultiPoly")
+    _typed(divisor, MultiPoly, "divisor {!r} is not a MultiPoly")
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if numerator.is_zero:

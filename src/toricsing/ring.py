@@ -22,7 +22,6 @@ elements, with the same refusals (`chow._vector_symbols`).  The old
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,12 +31,11 @@ from .chow import (
     _vector_symbols,
 )
 from .exactalg import (
-    MultiPoly, ScalarLike, _merged_table, _moved_terms, _typed, aligned, as_poly,
+    MultiPoly, ScalarLike, _Frozen, _merged_table, _moved_terms, _typed, aligned, as_poly,
 )
 
 
-@dataclass(frozen=True)
-class ChowElement:
+class ChowElement(_Frozen):
     """Polynomial in Picard generators with scalar-expression coefficients.
 
     The generator symbols form a prefix of the underlying variable table;
@@ -45,14 +43,13 @@ class ChowElement:
     grading.  Elements are frozen, so they may be shared between callers.
     """
 
-    gens: tuple[str, ...]
-    poly: MultiPoly
+    _fields = ("gens", "poly")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        if self.poly.vars[:len(self.gens)] != self.gens:
-            raise ValueError(
-                f"generators {self.gens!r} must prefix the table {self.poly.vars!r}")
+    def __init__(self, gens: tuple[str, ...], poly: MultiPoly):
+        gens = tuple(gens)
+        if poly.vars[:len(gens)] != gens:
+            raise ValueError(f"generators {gens!r} must prefix the table {poly.vars!r}")
+        self.__dict__.update(gens=gens, poly=poly)
 
     # -- ring structure ----------------------------------------------------
 

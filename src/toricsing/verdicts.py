@@ -8,27 +8,27 @@ on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactalg import _typed
+from .exactalg import _Frozen, _typed
 
 if TYPE_CHECKING:
     from .chow import ScalarExpr
 
 
-@dataclass(frozen=True)
-class GcdVerdict:
-    chi: Fraction
-    gcd: int
-    forces_singular: bool
+class GcdVerdict(_Frozen):
+    _fields = ("chi", "gcd", "forces_singular")
+
+    def __init__(self, chi: Fraction, gcd: int, forces_singular: bool):
+        self.__dict__.update(chi=chi, gcd=gcd, forces_singular=forces_singular)
 
 
-@dataclass(frozen=True)
-class AlphaInvariant:
-    alpha: Fraction
-    chi: Fraction
+class AlphaInvariant(_Frozen):
+    _fields = ("alpha", "chi")
+
+    def __init__(self, alpha: Fraction, chi: Fraction):
+        self.__dict__.update(alpha=alpha, chi=chi)
 
     def divides(self, d: int) -> bool:
         _typed(d, int, "divisor {!r} is not an int")
@@ -37,9 +37,10 @@ class AlphaInvariant:
         return self.alpha % d == 0
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
-    lhs: ScalarExpr
-    rhs: ScalarExpr
-    holds: bool | None  # None when either side stays symbolic
-    slack: ScalarExpr
+class InequalityVerdict(_Frozen):
+    _fields = ("lhs", "rhs", "holds", "slack")
+
+    def __init__(self, lhs: ScalarExpr, rhs: ScalarExpr, holds: bool | None,
+                 slack: ScalarExpr):
+        # holds is None when either side stays symbolic
+        self.__dict__.update(lhs=lhs, rhs=rhs, holds=holds, slack=slack)

@@ -14,7 +14,6 @@ Write the file again, from the source tree, with
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 import warnings
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from toricsing import catalog, chow, formulas
 from toricsing.chow import ChowElement
-from toricsing.exactalg import MultiPoly
+from toricsing.exactalg import MultiPoly, _Frozen
 
 PATH = Path(__file__).parent / "data" / "chow_goldens.json"
 
@@ -53,9 +52,8 @@ def record(value):
                 "types": sorted({type(c).__name__ for c in value.terms.values()})}
     if isinstance(value, (list, tuple)):
         return [record(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {f.name: record(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    if isinstance(value, _Frozen):
+        return {name: record(getattr(value, name)) for name in value._fields}
     return {"string": str(value), "type": type(value).__name__}
 
 

@@ -525,17 +525,17 @@ def _every_count(m, degree, hyp, classes):
 def test_count_routes_build_no_chow_element(monkeypatch):
     models = {spec: catalog.from_spec_string(spec) for spec in SPY_MODELS}
     calls = []
-    post_init, class_element = ChowElement.__post_init__, chow.class_element
+    init, class_element = ChowElement.__init__, chow.class_element
 
-    def spied_post_init(self):
+    def spied_init(self, *args):
         calls.append("ChowElement")
-        post_init(self)
+        init(self, *args)
 
     def spied_class_element(*args):
         calls.append("class_element")
         return class_element(*args)
 
-    monkeypatch.setattr(ChowElement, "__post_init__", spied_post_init)
+    monkeypatch.setattr(ChowElement, "__init__", spied_init)
     monkeypatch.setattr(chow, "class_element", spied_class_element)
     formulas.degree_class(models["projective:3"], (1,))
     assert calls == ["class_element", "ChowElement"]  # the spies see calls

@@ -194,10 +194,12 @@ def test_const_coerces_with_fraction():
     assert c.vars == ("a", "b")
     assert type(c.terms[(0, 0)]) is Fraction
     assert c == MultiPoly(("a", "b"), {(0, 0): 2})
-    assert MultiPoly.const("3/4").constant_value() == Fraction(3, 4)
+    assert MultiPoly.const(Fraction(3, 4)).constant_value() == Fraction(3, 4)
     assert MultiPoly.const(0, ("a",)).is_zero
-    with pytest.raises(TypeError):
-        MultiPoly.const(None, ("a",))
+    # a str is no coefficient, though Fraction reads "3/4"; None is none either
+    for value in ("3/4", None):
+        with pytest.raises(ValueError, match="is not an int or a Fraction$"):
+            MultiPoly.const(value, ("a",))
 
 
 @pytest.mark.parametrize("build, value", [

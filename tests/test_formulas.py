@@ -922,8 +922,10 @@ def _same_solutions(built, made, stride=1):
     # the field copies and round trips run on every stride-th solution,
     # the excluded point (2, 1, 1), second in p1111k, among them
     built, made = built[1::stride] + built[:1], made[1::stride] + made[:1]
-    assert list(map(dataclasses.astuple, built)) == list(map(dataclasses.astuple, made))
-    assert list(map(dataclasses.asdict, built)) == list(map(dataclasses.asdict, made))
+    assert [tuple(getattr(b, name) for name in b._fields) for b in built] \
+        == [tuple(getattr(m, name) for name in m._fields) for m in made]
+    assert [{name: getattr(b, name) for name in b._fields} for b in built] \
+        == [{name: getattr(m, name) for name in m._fields} for m in made]
     for round_trip in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
         assert round_trip == made
         assert list(map(repr, round_trip)) == list(map(repr, made))
@@ -944,8 +946,8 @@ def test_built_solutions_are_constructed_solutions():
 
 
 def test_solutions_pickle_through_their_constructor(monkeypatch):
-    # the generated __setstate__ sets each field through object.__setattr__,
-    # at twice the cost of the constructor that __reduce__ names
+    # no __setstate__: a slotted state would be set through the frozen
+    # __setattr__, which refuses it, so __reduce__ names the constructor
     def refuse(self, state):
         raise AssertionError("__setstate__ called")
 

@@ -46,13 +46,15 @@ EXPORTS = {
 }
 
 # runs one command with its stdout discarded, then prints its exit status
-# and the toricsing submodules loaded, with json if the command loaded it
+# and the toricsing submodules loaded, with json, dataclasses and inspect if
+# the command loaded them
 COMMAND_LOADS = """
 import contextlib, io, sys
 from toricsing.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     status = run(sys.argv[1:])
-modules = sorted(m for m in sys.modules if m.startswith("toricsing.") or m == "json")
+modules = sorted(m for m in sys.modules if m.startswith("toricsing.")
+                 or m in ("json", "dataclasses", "inspect"))
 import json
 print(json.dumps([status, modules]))
 """
@@ -117,6 +119,25 @@ def test_a_command_loads_only_its_modules(argv, loaded, absent):
     assert status == 0, done.stderr
     assert loaded <= names
     assert not absent & names
+
+
+# the value types outside `residue` are hand-written frozen classes
+# (`exactalg._Frozen`), so these commands import neither `dataclasses` nor
+# the `inspect` it imports; `residue` keeps its two dataclasses
+@pytest.mark.parametrize("argv", [
+    ["count", "foliation", "--model", "blowup_point:2", "--symbolic"],
+    ["catalog", "list"],
+    ["search", "--family", "p1111k", "--bound", "3"],
+    ["check", "invariant", "--model", "multiprojective:1,1", "--field", "z0*z1,0,0,0",
+     "--poly", "z0"],
+    ["poincare", "--variant", "toric-curve", "--model", "projective:3",
+     "--class", "1", "--class", "2", "--degree", "1"],
+], ids=lambda v: " ".join(v[:2]))
+def test_a_command_loads_no_dataclasses(argv):
+    done = _python("-c", COMMAND_LOADS, *argv)
+    status, modules = json.loads(done.stdout)
+    assert status == 0, done.stderr
+    assert not {"dataclasses", "inspect"} & set(modules)
 
 
 # counts every ArgumentParser a fresh interpreter constructs while its CLI

@@ -2,11 +2,11 @@
 
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from test_catalog import ALL_BUILTINS
+from test_model_build import replace
 
 from toricsing import catalog
 from toricsing.catalog import parse_model, parse_polynomial, serialize_model

@@ -6,12 +6,12 @@ the model's fields."""
 
 import random
 import time
-from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from test_model_build import replace
 
 from toricsing import catalog, chow, formulas
 from toricsing.catalog import serialize_model
@@ -47,8 +47,8 @@ def routed(monkeypatch):
 def test_the_record_is_derived_from_the_fields():
     m = catalog.multiprojective(1, 2, 3)
     assert "_factor_dims" not in m.__dict__  # the builder writes nothing
-    assert "_factor_dims" not in {f.name for f in fields(m)}
-    rebuilt = ToricModel(**{f.name: getattr(m, f.name) for f in fields(m)})
+    assert "_factor_dims" not in m._fields
+    rebuilt = ToricModel(**{name: getattr(m, name) for name in m._fields})
     parsed = catalog.parse_model(serialize_model(m))
     for twin in (m, rebuilt, parsed):
         assert twin == m and twin._factor_dims == (1, 2, 3)

@@ -1,6 +1,7 @@
 """Domain errors no other test reaches: each input, its exception type and
 its exact text, in one table."""
 
+from decimal import Decimal
 from functools import partial
 
 import pytest
@@ -149,6 +150,14 @@ REFUSALS = {
                                "model spec must be a ModelSpec, got 'projective:2'"),
     "builtin None": (lambda: catalog.builtin(None), ModelFormatError,
                      "model spec must be a ModelSpec, got None"),
+    # a spec's fields: a list family ended in "unhashable type: 'list'", and
+    # an int parameter list in "object of type 'int' has no len()"
+    "spec family list": (lambda: catalog.builtin(catalog.ModelSpec(["projective"], (2,))),
+                         ModelFormatError, "model family must be a str, got ['projective']"),
+    "spec params 2": (lambda: catalog.builtin(catalog.ModelSpec("projective", 2)),
+                      ModelFormatError, "model parameters must be a sequence of ints, got 2"),
+    "spec params '2'": (lambda: catalog.ModelSpec("projective", "2"), ModelFormatError,
+                        "model parameters must be a sequence of ints, got '2'"),
     # the residue layer
     "no components": (lambda: residue.IndexQuery(()), ValueError,
                       "need at least one component"),
@@ -344,6 +353,11 @@ REFUSALS = {
                      ZeroDivisionError, "division by the zero polynomial"),
     "division tables": (lambda: polyfield.exact_divide(X, U), ValueError,
                         "divide requires a shared variable table"),
+    # both once ended in "AttributeError: ... 'is_zero'"
+    "divide None": (lambda: polyfield.exact_divide(None, X), ValueError,
+                    "numerator None is not a MultiPoly"),
+    "divide by 5": (lambda: polyfield.exact_divide(X, 5), ValueError,
+                    "divisor 5 is not a MultiPoly"),
     # one coordinate rule: a MultiPoly on the model's coordinates or a
     # GradedPoly of an equal model; a form of P(1,1,2) once answered for
     # P^2, a GradedPoly of it was read on P^2, a foreign table ended in
@@ -407,6 +421,16 @@ REFUSALS = {
                    "terms must map exponents to coefficients, got [((1,), 1)]"),
     "terms 5": (lambda: MultiPoly(("x",), 5), ValueError,
                 "terms must map exponents to coefficients, got 5"),
+    # a str coefficient was read as the Fraction it spells, and None ended
+    # in a bare TypeError from Fraction
+    "coefficient '1/2'": (lambda: MultiPoly(("x",), {(1,): "1/2"}), ValueError,
+                          "coefficient '1/2' is not an int or a Fraction"),
+    "coefficient None": (lambda: MultiPoly(("x",), {(1,): None}), ValueError,
+                         "coefficient None is not an int or a Fraction"),
+    "coefficient Decimal": (lambda: MultiPoly(("x",), {(1,): Decimal("0.5")}), ValueError,
+                            "coefficient Decimal('0.5') is not an int or a Fraction"),
+    "const '3/4'": (lambda: MultiPoly.const("3/4"), ValueError,
+                    "coefficient '3/4' is not an int or a Fraction"),
     "polynomial text None": (lambda: parse_polynomial(None, ("x",)), ValueError,
                              "polynomial text must be a str, got None"),
     "polynomial text bytes": (lambda: parse_polynomial(b"x", ("x",)), ValueError,
