@@ -17,8 +17,9 @@ _EXPORTS = {
     "catalog": """ModelSpec blowup_line_p3 blowup_point blowup_two_points_p3
         builtin from_spec_string multiprojective parse_model parse_polynomial
         projective scroll serialize_model weighted""",
-    "formulas": """SearchSolution alpha_invariant baum_bott_sum ci_euler ci_sing_count
-        complement_euler complement_sing_count foliation_sing_count gcd_obstruction
+    "formulas": """AlphaInvariant GcdVerdict InequalityVerdict SearchSolution
+        alpha_invariant baum_bott_sum ci_euler ci_sing_count complement_euler
+        complement_sing_count foliation_sing_count gcd_obstruction
         general_type_index hypersurface_euler multidegree poincare_check
         regular_search restricted_sing_count scroll_closed_form symbolic_degree
         wci_sing_count wci_sing_count_parts""",
@@ -26,13 +27,12 @@ _EXPORTS = {
         check_descends check_invariant_hypersurface check_quasi_homogeneous
         frobenius_integrable radial_fields""",
     "residue": "IndexQuery LocalIndexReport index_sum local_multiplicity orbifold_index",
-    "verdicts": "AlphaInvariant GcdVerdict InequalityVerdict",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}
 _SUBMODULES = frozenset(
     ("catalog", "chow", "cli", "errors", "exactalg", "formulas", "polyfield", "residue",
-     "ring", "verdicts"))
+     "ring"))
 
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"

@@ -805,7 +805,7 @@ def integrate(model: ToricModel, elem: ChowElement | ScalarLike) -> ScalarExpr:
 
 _RING_NAMES = frozenset((
     "ChowElement", "unit_element", "class_element", "elementary_series",
-    "complete_series", "_series", "_wrap"))
+    "complete_series"))
 
 
 def __getattr__(name: str):

@@ -15,8 +15,8 @@ output.  Exit status: 0 success, 1 domain error, 2 usage error.
 An invocation imports only the modules its command uses, and argparse builds
 only that command's parser, with the parsers of the groups above it:
 `residue` never loads `formulas` or `polyfield`, and `catalog list` loads
-none of `formulas`, `polyfield` or `residue`.  No count loads `ring` or
-`verdicts`.  Handlers import their modules inside the function and call them
+none of `formulas`, `polyfield` or `residue`.  No count loads `ring`.
+Handlers import their modules inside the function and call them
 as module attributes (`formulas.foliation_sing_count(...)`).
 """
 

@@ -53,7 +53,9 @@ def grlex_key(exponent: Exponent) -> tuple[int, Exponent]:
 
 
 def _variable_table(variables: Sequence[str]) -> tuple[str, ...]:
-    variables = tuple(variables)
+    """The table as a tuple: a str or no sequence of strs, or a name twice,
+    raises ValueError naming it."""
+    variables = _entries(variables, str, *_NOT_A_TABLE)
     if len(set(variables)) != len(variables):
         raise ValueError(f"duplicate variable names in {variables!r}")
     return variables
@@ -96,6 +98,15 @@ def _entries(values, kind: type | None, refusal: str, entry: str = "",
 
 # the refusals of a variable table that is a str or no sequence of strs
 _NOT_A_TABLE = ("variables must be a sequence of strs, got {!r}", "variable {x!r} is not a str")
+
+
+def _position(name, variables: tuple[str, ...]) -> int:
+    """The index of `name` in the table; a ValueError naming both if it is
+    not there."""
+    try:
+        return variables.index(name)
+    except ValueError:
+        raise ValueError(f"variable {name!r} is not in the table {variables!r}") from None
 
 
 def _check_exact(value) -> None:
@@ -170,7 +181,7 @@ class MultiPoly:
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponent, int | Fraction] | None = None):
-        variables = _variable_table(_entries(variables, str, *_NOT_A_TABLE))
+        variables = _variable_table(variables)
         if terms is None:
             terms = {}
         elif not isinstance(terms, Mapping):
@@ -215,9 +226,11 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str]) -> MultiPoly:
+        """The variable `name` on the table; a name not in it raises
+        ValueError naming both."""
         variables = _variable_table(variables)
         exp = [0] * len(variables)
-        exp[variables.index(name)] = 1
+        exp[_position(name, variables)] = 1
         return cls._trusted(variables, {tuple(exp): Fraction(1)})
 
     @classmethod
@@ -259,15 +272,16 @@ class MultiPoly:
     # -- table management --------------------------------------------------
 
     def extended(self, variables: Sequence[str]) -> MultiPoly:
-        """Re-embed into a table containing all current variables."""
-        variables = tuple(variables)
+        """Re-embed into a table containing all current variables; a table
+        that is a str or no sequence of strs raises ValueError naming it."""
+        variables = _variable_table(variables)
         if variables == self.vars:
             return self
         if not set(self.vars).issubset(variables):
             raise AlignmentError(
                 f"cannot embed table {self.vars!r} into {variables!r}")
         terms = dict(_moved_terms(self.terms.items(), self.vars, variables))
-        return MultiPoly._trusted(_variable_table(variables), terms)
+        return MultiPoly._trusted(variables, terms)
 
     def _check_table(self, other: MultiPoly) -> None:
         if self.vars != other.vars:
@@ -347,7 +361,9 @@ class MultiPoly:
     # -- calculus and substitution ------------------------------------------
 
     def derivative(self, name: str) -> MultiPoly:
-        i = self.vars.index(name)
+        """The partial derivative in `name`; a name not in the table raises
+        ValueError naming both."""
+        i = _position(name, self.vars)
         terms: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
             if exp[i] == 0:
@@ -363,7 +379,11 @@ class MultiPoly:
 
         The result lives on the table made of the untouched variables
         followed by any new variables the replacement values introduce.
+        Values that are not a mapping raise ValueError naming them.
         """
+        if not isinstance(values, Mapping):
+            raise ValueError(
+                f"values must map variables to polynomials or scalars, got {values!r}")
         kept = tuple(v for v in self.vars if v not in values)
         table = list(kept)
         images: dict[str, MultiPoly] = {}
@@ -394,7 +414,10 @@ class MultiPoly:
     def evaluate(self, values: Mapping[str, int | Fraction]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned an
         int or a Fraction (a bool is an int to Python, but True is no
-        point)."""
+        point).  Values that are not a mapping raise ValueError naming
+        them."""
+        if not isinstance(values, Mapping):
+            raise ValueError(f"values must map variables to ints or Fractions, got {values!r}")
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"unassigned variables: {missing}")

@@ -5,8 +5,7 @@ Every count is the paper's formula, the integral of prod a_i * [c /
 to `chow.integrate_count` as Picard vectors (`_degree_vector`), which it
 runs as passes over the tensor's support vector; no count, and no
 verdict, builds a `ChowElement`, and only `degree_class` and
-`elementary_symmetric_scalars` reach the ring (`ring`).  The verdict types
-live in `verdicts`, which the function that builds each imports.
+`elementary_symmetric_scalars` reach the ring (`ring`).
 Degrees may be numbers or formal symbols; both run through one code path,
 so the symbolic specializations print the displayed count polynomials and
 the numeric ones produce exact rationals.
@@ -38,7 +37,6 @@ from .exactalg import (
 
 if TYPE_CHECKING:
     from .ring import ChowElement
-    from .verdicts import AlphaInvariant, GcdVerdict, InequalityVerdict
 
 KINDS = ("foliation", "distribution")
 
@@ -131,6 +129,35 @@ def foliation_sing_count(model: ToricModel, degree) -> ScalarExpr:
     return chow.integrate_count(model, twist=_degree_vector(model, degree))
 
 
+class GcdVerdict(_Frozen):
+    _fields = ("chi", "gcd", "forces_singular")
+
+    def __init__(self, chi: Fraction, gcd: int, forces_singular: bool):
+        self.__dict__.update(chi=chi, gcd=gcd, forces_singular=forces_singular)
+
+
+class AlphaInvariant(_Frozen):
+    _fields = ("alpha", "chi")
+
+    def __init__(self, alpha: Fraction, chi: Fraction):
+        self.__dict__.update(alpha=alpha, chi=chi)
+
+    def divides(self, d: int) -> bool:
+        _typed(d, int, "divisor {!r} is not an int")
+        if d == 0:
+            return self.alpha == 0
+        return self.alpha % d == 0
+
+
+class InequalityVerdict(_Frozen):
+    _fields = ("lhs", "rhs", "holds", "slack")
+
+    def __init__(self, lhs: ScalarExpr, rhs: ScalarExpr, holds: bool | None,
+                 slack: ScalarExpr):
+        # holds is None when either side stays symbolic
+        self.__dict__.update(lhs=lhs, rhs=rhs, holds=holds, slack=slack)
+
+
 def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerdict:
     """Divisibility obstruction to regularity on smooth models.
 
@@ -138,7 +165,6 @@ def gcd_obstruction(model: ToricModel, divisor_coeffs: Sequence[int]) -> GcdVerd
     number, every foliation of that degree is singular.
     """
     _typed(model, ToricModel, NOT_A_MODEL)
-    from .verdicts import GcdVerdict
     if not model.smooth:
         raise ToricError(
             "gcd obstruction applies to smooth models only; "
@@ -311,7 +337,6 @@ def alpha_invariant(weights: Sequence[int], classes: Sequence[int]) -> AlphaInva
     alpha = prod(w) * chow.integrate_count(
         model, [model._units[0]] * m, _class_list(model, a)).constant_value()
     chi = Fraction(prod(a), prod(w)) * alpha
-    from .verdicts import AlphaInvariant
     return AlphaInvariant(alpha=alpha, chi=chi)
 
 
@@ -396,7 +421,6 @@ def multidegree(model: ToricModel, classes, k: int,
 
 
 def _verdict(lhs: ScalarExpr, rhs: ScalarExpr) -> InequalityVerdict:
-    from .verdicts import InequalityVerdict
     lhs, rhs = aligned(as_poly(lhs), as_poly(rhs))
     slack = rhs - lhs
     holds = slack.constant_value() >= 0 if slack.is_constant() else None
@@ -830,15 +854,3 @@ def _solutions(family: str, found: list[tuple[int, ...]],
         solutions.append(solution)
     return solutions
 
-
-
-_VERDICTS = frozenset(("AlphaInvariant", "GcdVerdict", "InequalityVerdict"))
-
-
-def __getattr__(name: str):
-    """The verdict types, which live in `verdicts`, on first use."""
-    if name not in _VERDICTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import verdicts
-    value = globals()[name] = getattr(verdicts, name)
-    return value

@@ -31,7 +31,8 @@ from .chow import (
     _vector_symbols,
 )
 from .exactalg import (
-    MultiPoly, ScalarLike, _Frozen, _merged_table, _moved_terms, _typed, aligned, as_poly,
+    MultiPoly, ScalarLike, _entries, _Frozen, _merged_table, _moved_terms, _typed, aligned,
+    as_poly,
 )
 
 
@@ -41,12 +42,16 @@ class ChowElement(_Frozen):
     The generator symbols form a prefix of the underlying variable table;
     any further variables are formal degree symbols and take no part in the
     grading.  Elements are frozen, so they may be shared between callers.
+    Generators that are a str or no sequence of strs, or a polynomial that
+    is no MultiPoly, raise ValueError naming them.
     """
 
     _fields = ("gens", "poly")
 
     def __init__(self, gens: tuple[str, ...], poly: MultiPoly):
-        gens = tuple(gens)
+        gens = _entries(gens, str, "generators must be a sequence of strs, got {!r}",
+                        "generator {x!r} is not a str")
+        _typed(poly, MultiPoly, "polynomial {!r} is not a MultiPoly")
         if poly.vars[:len(gens)] != gens:
             raise ValueError(f"generators {gens!r} must prefix the table {poly.vars!r}")
         self.__dict__.update(gens=gens, poly=poly)
@@ -197,7 +202,10 @@ def complete_series(items: Sequence, k: int) -> list:
 
 def _series(items: Sequence, k: int, divide: bool) -> list:
     """Both series, as vectors on the chain t^k, ..., t, 1 of the items' bare
-    term tables on one merged variable table, wrapped once at the end."""
+    term tables on one merged variable table, wrapped once at the end.
+    Items that are a str or no sequence raise ValueError naming them."""
+    items = _entries(items, None, "items must be a sequence of Chow elements or scalar "
+                     "expressions, got {!r}")
     _typed(k, int, "degree {!r} is not an int")
     if k < 0:
         raise ValueError("degree must be nonnegative")

@@ -26,12 +26,13 @@ from toricsing import catalog, formulas
 from toricsing.catalog import ModelSpec
 from toricsing.chow import ToricModel
 from toricsing.exactalg import MultiPoly, _Frozen
-from toricsing.formulas import SearchSolution
+from toricsing.formulas import (
+    AlphaInvariant, GcdVerdict, InequalityVerdict, SearchSolution,
+)
 from toricsing.polyfield import (
     GradedPoly, InvariantVerdict, OneFormExpr, VectorFieldExpr, radial_fields,
 )
 from toricsing.ring import ChowElement, class_element
-from toricsing.verdicts import AlphaInvariant, GcdVerdict, InequalityVerdict
 
 # each type's fields in the dataclass's order, with the defaults it had
 FIELDS = {

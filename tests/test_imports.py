@@ -29,7 +29,8 @@ EXPORTS = {
                 "blowup_two_points_p3", "builtin", "from_spec_string",
                 "multiprojective", "parse_model", "parse_polynomial",
                 "projective", "scroll", "serialize_model", "weighted"),
-    "formulas": ("SearchSolution", "alpha_invariant", "baum_bott_sum",
+    "formulas": ("AlphaInvariant", "GcdVerdict", "InequalityVerdict",
+                 "SearchSolution", "alpha_invariant", "baum_bott_sum",
                  "ci_euler", "ci_sing_count", "complement_euler",
                  "complement_sing_count", "foliation_sing_count",
                  "gcd_obstruction", "general_type_index", "hypersurface_euler",
@@ -42,7 +43,6 @@ EXPORTS = {
                   "radial_fields"),
     "residue": ("IndexQuery", "LocalIndexReport", "index_sum",
                 "local_multiplicity", "orbifold_index"),
-    "verdicts": ("AlphaInvariant", "GcdVerdict", "InequalityVerdict"),
 }
 
 # runs one command with its stdout discarded, then prints its exit status
@@ -80,8 +80,8 @@ def _python(*args):
                           text=True, timeout=60)
 
 
-# neither the ring nor the verdict types is on a count's path
-OFF_THE_COUNT_PATH = {"ring", "verdicts"}
+# the ring is not on a count's path
+OFF_THE_COUNT_PATH = {"ring"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
@@ -98,14 +98,14 @@ OFF_THE_COUNT_PATH = {"ring", "verdicts"}
     (["euler", "ambient", "--model", "weighted:1,1,2"],
      {"catalog", "chow"}, {"formulas", "polyfield", "residue"} | OFF_THE_COUNT_PATH),
     (["alpha", "--weights", "1,1,1,1", "--ci", "2"],
-     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+     {"formulas"}, {"ring", "polyfield", "residue"}),
     (["poincare", "--variant", "wci-curve", "--weights", "1,1,1", "--ci", "2",
-      "--degree", "1"], {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+      "--degree", "1"], {"formulas"}, {"ring", "polyfield", "residue"}),
     (["poincare", "--variant", "toric-curve", "--model", "projective:3",
       "--class", "1", "--class", "2", "--degree", "1"],
-     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+     {"formulas"}, {"ring", "polyfield", "residue"}),
     (["gcd-obstruction", "--model", "projective:2", "--degree-div", "2,2,2"],
-     {"formulas", "verdicts"}, {"ring", "polyfield", "residue"}),
+     {"formulas"}, {"ring", "polyfield", "residue"}),
     # only --json output imports json
     (["count", "foliation", "--model", "projective:2", "--degree", "1"],
      {"formulas"}, {"json"}),
@@ -175,7 +175,7 @@ def test_a_command_constructs_only_its_parsers(argv, parsers):
 
 
 def test_old_ring_and_verdict_paths_resolve():
-    from toricsing import chow, formulas, ring, verdicts
+    from toricsing import chow, formulas, ring
     for name in ("ChowElement", "unit_element", "class_element", "elementary_series",
                  "complete_series"):
         assert getattr(chow, name) is getattr(ring, name), name
@@ -185,8 +185,13 @@ def test_old_ring_and_verdict_paths_resolve():
     h = ring.class_element(m, (1,))
     assert chow.wronski_classes([h, h], 2) == ring.wronski_classes([h, h], 2)
     assert chow.integrate(m, h ** 2) == ring.integrate(m, h ** 2) == 1
+    # the verdict types are defined in `formulas`, which reads no name lazily
+    assert "__getattr__" not in vars(formulas)
     for name in ("AlphaInvariant", "GcdVerdict", "InequalityVerdict"):
-        assert getattr(formulas, name) is getattr(verdicts, name), name
+        assert vars(formulas)[name].__module__ == "toricsing.formulas", name
+        assert getattr(toricsing, name) is getattr(formulas, name), name
+    with pytest.raises(ModuleNotFoundError, match="toricsing.verdicts"):
+        importlib.import_module("toricsing.verdicts")
     for module in (chow, formulas):
         with pytest.raises(AttributeError, match="'no_such_name'"):
             module.no_such_name

@@ -1,19 +1,26 @@
 """Domain errors no other test reaches: each input, its exception type and
 its exact text, in one table."""
 
+import signal
+import warnings
 from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
+import toricsing
 from toricsing import catalog, formulas, polyfield, residue
 from toricsing.catalog import parse_model, parse_polynomial, serialize_model
 from toricsing.chow import (
     ChowElement, ToricModel, chern_class, class_element, class_of_divisor_coeffs,
     elementary_series, elementary_symmetric_classes, integrate,
 )
-from toricsing.errors import AlignmentError, ModelFormatError
+from toricsing.errors import (
+    AlignmentError, ModelFormatError, OrbifoldHypothesisWarning, ToricError,
+)
 from toricsing.exactalg import MultiPoly, aligned, poly_sum
+from toricsing.ring import complete_series, wronski_classes
 
 P2_LINES = ["name P2", "dim 2", "rank 1", "gens H", "smooth true", "divisor 1",
             "divisor 1", "divisor 1", "tensor 2 = 1"]
@@ -134,6 +141,18 @@ REFUSALS = {
                   "generator names must be a sequence of strs, got 'HE'"),
     "element table": (lambda: ChowElement(("H",), MultiPoly(("E", "H"))), ValueError,
                       "generators ('H',) must prefix the table ('E', 'H')"),
+    # these ended in "'NoneType' object is not iterable" and in an
+    # AttributeError on `vars`; a str was read as its characters
+    "element gens None": (lambda: ChowElement(None, MultiPoly(("H",))), ValueError,
+                          "generators must be a sequence of strs, got None"),
+    "element gens 'H'": (lambda: ChowElement("H", MultiPoly(("H",))), ValueError,
+                         "generators must be a sequence of strs, got 'H'"),
+    "element generator 5": (lambda: ChowElement((5,), MultiPoly(("H",))), ValueError,
+                            "generator 5 is not a str"),
+    "element polynomial None": (lambda: ChowElement(("H",), None), ValueError,
+                                "polynomial None is not a MultiPoly"),
+    "element polynomial 5": (lambda: ChowElement((), 5), ValueError,
+                             "polynomial 5 is not a MultiPoly"),
     # the builtin families
     "projective(0)": (lambda: catalog.projective(0), ModelFormatError,
                       "projective space needs positive dimension"),
@@ -455,6 +474,45 @@ REFUSALS = {
                  "cannot embed table ('x', 'y') into ('x', 'z')"),
     "negative series degree": (lambda: elementary_series([1], -1), ValueError,
                                "degree must be nonnegative"),
+    # wronski_classes(5, 2) ended in "'int' object is not subscriptable"
+    "wronski classes 5": (lambda: wronski_classes(5, 2), ValueError,
+                          "items must be a sequence of Chow elements or scalar expressions, "
+                          "got 5"),
+    "series items 'ab'": (lambda: elementary_series("ab", 1), ValueError,
+                          "items must be a sequence of Chow elements or scalar expressions, "
+                          "got 'ab'"),
+    "series items None": (lambda: complete_series(None, 1), ValueError,
+                          "items must be a sequence of Chow elements or scalar expressions, "
+                          "got None"),
+    # a name off the table ended in "tuple.index(x): x not in tuple"
+    "variable off the table": (lambda: MultiPoly.variable("w", ("x", "y")), ValueError,
+                               "variable 'w' is not in the table ('x', 'y')"),
+    "derivative off the table": (lambda: X.derivative("z"), ValueError,
+                                 "variable 'z' is not in the table ('x', 'y')"),
+    # values that are no mapping ended in "argument of type 'int' is not
+    # iterable" or in a str's TypeError, and a list of pairs substituted
+    # nothing
+    "substitute 5": (lambda: X.substitute(5), ValueError,
+                     "values must map variables to polynomials or scalars, got 5"),
+    "substitute pairs": (lambda: X.substitute([("x", 1)]), ValueError,
+                         "values must map variables to polynomials or scalars, "
+                         "got [('x', 1)]"),
+    "evaluate None": (lambda: X.evaluate(None), ValueError,
+                      "values must map variables to ints or Fractions, got None"),
+    "evaluate 'xy'": (lambda: X.evaluate("xy"), ValueError,
+                      "values must map variables to ints or Fractions, got 'xy'"),
+    # a table that is no sequence ended in "'int' object is not iterable",
+    # and a str was read as its characters
+    "as_poly table None": (lambda: toricsing.as_poly(1, None), ValueError,
+                           "variables must be a sequence of strs, got None"),
+    "const table 'xy'": (lambda: MultiPoly.const(1, "xy"), ValueError,
+                         "variables must be a sequence of strs, got 'xy'"),
+    "zero table 5": (lambda: MultiPoly.zero(5), ValueError,
+                     "variables must be a sequence of strs, got 5"),
+    "extended 5": (lambda: X.extended(5), ValueError,
+                   "variables must be a sequence of strs, got 5"),
+    "extended 'xyz'": (lambda: X.extended("xyz"), ValueError,
+                       "variables must be a sequence of strs, got 'xyz'"),
 }
 
 # Each entry point that takes a model, with valid other arguments: any value
@@ -507,3 +565,133 @@ def test_refusal(call, error, text):
         call()
     assert type(caught.value) is error
     assert str(caught.value) == text
+
+
+# The export sweep: one valid call per callable export, its positional
+# arguments in SWEEP and its keyword arguments in SWEEP_KEYWORDS.  Each
+# argument in turn is swapped for each value of NOT_MODELS, and the call
+# must return or raise ValueError or a ToricError within 2 s; a bare
+# TypeError or AttributeError is a refusal that names nothing.  The one
+# TypeError allowed is class_element's, whose docstring promises it for a
+# vector with no length or a bad entry.
+P3 = catalog.projective(3)
+GERM = residue.IndexQuery((X * X, Y * Y))
+SWEEP = {
+    "MultiPoly": (("x", "y"), {(1, 0): 1}),
+    "aligned": (X, U),
+    "as_poly": (1, ("x",)),
+    "poly_sum": ([X, 1],),
+    "ToricModel": ("P1", 1, 1, ("H",), ((1,), (1,)), {(1,): 1}, True),
+    "class_of_divisor_coeffs": (P2, (1, 0, 0)),
+    "ChowElement": (("H",), MultiPoly(("H",), {(1,): 1})),
+    "chern_class": (P2, 1),
+    "class_element": (P2, (1,)),
+    "elementary_symmetric_classes": (P2, 1),
+    "integrate": (P2, chern_class(P2, 2)),
+    "wronski_classes": ([1, 2], 2),
+    "ModelSpec": ("projective", (2,)),
+    "blowup_line_p3": (),
+    "blowup_point": (2,),
+    "blowup_two_points_p3": (),
+    "builtin": (catalog.ModelSpec("projective", (2,)),),
+    "from_spec_string": ("projective:2",),
+    "multiprojective": (1, 1),
+    "parse_model": (p2_file(),),
+    "parse_polynomial": ("x - 1/2*y", ("x", "y")),
+    "projective": (2,),
+    "scroll": (1, 1, 1),
+    "serialize_model": (P2,),
+    "weighted": (1, 1, 2),
+    "AlphaInvariant": (Fraction(8), Fraction(-16)),
+    "GcdVerdict": (Fraction(3), 2, True),
+    "InequalityVerdict": (1, 2, True, 1),
+    "SearchSolution": ("p111k", (1, 2, 3), "accepted"),
+    "alpha_invariant": ((1, 1, 1, 1, 1), (2, 3)),
+    "baum_bott_sum": ((1, 1, 1, 1), (2,), 1),
+    "ci_euler": (P3, [1]),
+    "ci_sing_count": (P3, [1], 1, "distribution"),
+    "complement_euler": (P2, 1),
+    "complement_sing_count": (P2, 1, 1),
+    "foliation_sing_count": (P2, 2),
+    "gcd_obstruction": (P2, (1, 1, 1)),
+    "general_type_index": ((1, 1, 1, 1), (5,)),
+    "hypersurface_euler": (P2, 3),
+    "multidegree": (catalog.blowup_point(2), [(1, 0)], 1, True),
+    "poincare_check": ("toric-curve",),
+    "regular_search": ("scroll", 3, (1, 1, 1)),
+    "restricted_sing_count": (P2, 1, 1, "distribution"),
+    "scroll_closed_form": (3, (1, 1, 1), 1, 1),
+    "symbolic_degree": (catalog.blowup_point(2), ("a", "b")),
+    "wci_sing_count": ((1, 1, 1, 1), (2,), 1, "distribution"),
+    "wci_sing_count_parts": ((1, 1, 1, 1), (2,), 1),
+    "GradedPoly": (P2, Z0),
+    "OneFormExpr": (P2, ZP2),
+    "VectorFieldExpr": (P2, ZP2),
+    "check_descends": (P2, FORM),
+    "check_invariant_hypersurface": (EULER, Z0),
+    "check_quasi_homogeneous": (P2, Z0),
+    "frobenius_integrable": (P2, FORM),
+    "radial_fields": (P2,),
+    "IndexQuery": ((X * X, Y * Y), 3, 8),
+    "LocalIndexReport": (4, 3, Fraction(4, 3), 3),
+    "index_sum": ([Fraction(4, 3), 1],),
+    "local_multiplicity": (GERM,),
+    "orbifold_index": (4, 3),
+}
+SWEEP_KEYWORDS = {
+    "poincare_check": {"model": P3, "classes": [(1,), (1,)], "degree": 2, "strict": True},
+}
+PROMISED_TYPE_ERRORS = {("class_element", 1)}
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+def _escape(call, args, kwargs):
+    """How the call ends if not as the sweep allows: a timeout or the
+    exception's type and text; None if it returns or refuses."""
+    handler = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(2)
+    try:
+        with warnings.catch_warnings():
+            # a swapped model may be an orbifold, where some counts warn
+            warnings.simplefilter("ignore", OrbifoldHypothesisWarning)
+            call(*args, **kwargs)
+    except _Timeout:
+        return "no answer in 2 s"
+    except (ValueError, ToricError):
+        return None
+    except Exception as caught:
+        return f"{type(caught).__name__}: {caught}"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    return None
+
+
+def test_the_sweep_lists_every_callable_export():
+    exports = {name for name in toricsing.__all__ if callable(getattr(toricsing, name))}
+    assert len(exports) == 60
+    assert set(SWEEP) == exports
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_a_swapped_argument_is_returned_or_refused(name):
+    call, args, kwargs = getattr(toricsing, name), SWEEP[name], SWEEP_KEYWORDS.get(name, {})
+    call(*args, **kwargs)  # the listed call is valid
+    escapes = []
+    for key in [*range(len(args)), *kwargs]:
+        for label, bad in NOT_MODELS.items():
+            if isinstance(key, int):
+                ended = _escape(call, [*args[:key], bad, *args[key + 1:]], kwargs)
+            else:
+                ended = _escape(call, args, {**kwargs, key: bad})
+            if ended and not ((name, key) in PROMISED_TYPE_ERRORS
+                              and ended.startswith("TypeError: ")):
+                escapes.append(f"{name} argument {key} = {label}: {ended}")
+    assert escapes == []
