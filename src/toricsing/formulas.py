@@ -22,6 +22,7 @@ of its defining classes.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, gcd, prod
@@ -701,7 +702,9 @@ def _p_family_solution_set(family: str):
     rows m = 2, 3, 4 of `p1111k` (M = 5).  Each certificate screens its
     candidate cutoffs by the polynomials' values at the corner and shifts
     once, at the cutoff it proves: 18 Taylor shifts for `p111k` and 32 for
-    `p1111k`.  Each distinct polynomial is solved once."""
+    `p1111k`.  Each distinct polynomial is solved once.  The solutions that
+    `regular_search` holds are keyed by this set's value, so a search
+    reads no held solution built from another set."""
     if family not in _P_FAMILIES:
         raise ValueError(f"unknown search family {family!r}")
     terms = _p_coefficients(_P_FAMILIES[family][0])
@@ -731,6 +734,14 @@ def _p_family_solution_set(family: str):
 _MAX_SOLUTIONS = 2 * 10 ** 6
 
 
+# the most solutions of a p-family search that is held for the searches at
+# lower bounds after it, about 0.8 MB of `SearchSolution`s
+_HELD_SOLUTIONS = 4096
+# per p-family: (its solution set, the `SearchSolution` class, the bound,
+# the solutions at that bound, sorted, their params, and their largest d)
+_held = {}
+
+
 def _check_count(family: str, bound: int, count: int) -> None:
     if count > _MAX_SOLUTIONS:
         raise ValueError(f"{family} search at bound {bound} has {count} solutions, "
@@ -743,7 +754,9 @@ def regular_search(family: str, bound: int,
 
     Every family answers from a solution set certified for every bound,
     which the bound only filters, so a search costs its output, not its
-    bound.  `p111k` and `p1111k` range over weight k and hypersurface
+    bound; a p-family search at or below a bound already answered costs
+    less, a slice of the solutions held from that answer (see below).
+    `p111k` and `p1111k` range over weight k and hypersurface
     degree a with k dividing a (the divisibility every smooth weighted
     hypersurface satisfies), and find the distribution degrees d in [1, B]
     for each pair; `_P_FAMILIES` gives each family's first k and its point
@@ -782,6 +795,20 @@ def regular_search(family: str, bound: int,
     annotation)`, but is filled through the slotted class's descriptors
     (`_solutions`), at about three fifths of the cost of its frozen
     `__init__`.
+    A p-family search of at most `_HELD_SOLUTIONS` solutions is held in
+    `_held`: one tuple of its sorted solutions and its bound, per family,
+    for the solution set and the `SearchSolution` class it was built
+    from.  A later search at a bound B no larger, on the same set and
+    class, returns a new list of the held solutions with a <= B and
+    d <= B: cut by `bisect` on (a,), then by d when B is below the largest
+    held d (p1111k's is 2).  That filter is the build's own: on
+    every row k <= B // m is a = m k <= B, and a row whose roots are None
+    keeps its d <= B through it.  The solutions are frozen, so one is
+    shared by every list that holds it; no list is shared.  A search at
+    a larger bound, or on another set or class, builds and replaces the
+    entry in one assignment, so a reader sees one whole entry, and two
+    threads building at one bound store equal values.  The
+    bound, family and twist refusals and the count check come first.
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -790,7 +817,8 @@ def regular_search(family: str, bound: int,
             raise ValueError("twists apply to the scroll family only")
         _, k0, excluded = _P_FAMILIES[family]
         rows, count = [], 0
-        for m, first, last, roots in _p_family_solution_set(family):
+        solution_set = _p_family_solution_set(family)
+        for m, first, last, roots in solution_set:
             ks = range(max(first, k0), 1 + (bound // m if last is None
                                             else min(last, bound // m)))
             ds = range(1, bound + 1) if roots is None \
@@ -799,7 +827,22 @@ def regular_search(family: str, bound: int,
             # len(ks) stops at sys.maxsize
             count += max(0, ks.stop - ks.start) * (bound if roots is None else len(ds))
         _check_count(family, bound, count)
-        found = [(m * k, d, k) for m, ks, ds in rows for d in ds for k in ks]
+        cls = SearchSolution
+        held = _held.get(family)
+        if held is not None and bound <= held[2] and held[1] is cls \
+                and held[0] == solution_set:
+            # a <= B is k <= B // m on every row; d <= B cuts only below
+            # the held solutions' largest d
+            solutions = held[3][:bisect_left(held[4], (bound + 1,))]
+            if bound < held[5]:
+                return [s for s in solutions if s.params[1] <= bound]
+            return list(solutions)
+        found = sorted((m * k, d, k) for m, ks, ds in rows for d in ds for k in ks)
+        solutions = _solutions(family, found, excluded)
+        if count <= _HELD_SOLUTIONS:  # one assignment: a reader sees one entry
+            _held[family] = (solution_set, cls, bound, tuple(solutions), tuple(found),
+                             max((max(ds) for _, ks, ds in rows if ks and ds), default=0))
+        return solutions
     elif family == "scroll":
         if scroll_a is None:
             raise ValueError("scroll search needs the twist list")
@@ -839,7 +882,8 @@ def _solutions(family: str, found: list[tuple[int, ...]],
     makes one `object.__setattr__` call per field, which costs about 1.7
     times as much (0.56 against 0.32 us a solution, Python 3.11.7).  The
     class is read from the module at each call, so a replaced
-    `SearchSolution` is the one used."""
+    `SearchSolution` is the one used.  A p-family search calls it only
+    when it has no held solutions to slice (`regular_search`)."""
     cls = SearchSolution
     new = object.__new__
     set_family, set_params, set_annotation = (

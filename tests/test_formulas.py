@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -933,8 +934,10 @@ def _same_solutions(built, made, stride=1):
 
 def test_built_solutions_are_constructed_solutions():
     # results filled through the slot descriptors against the public
-    # constructor: equality, repr, hash, order, fields, pickle and deepcopy
-    for family, bound, a in _searches():
+    # constructor: equality, repr, hash, order, fields, pickle and deepcopy;
+    # the p-families last at a lower bound, sliced from the held solutions
+    held = [(family, 37, None) for family in formulas._P_FAMILIES]
+    for family, bound, a in [*_searches(), *held]:
         built = regular_search(family, bound, scroll_a=a)
         made = [SearchSolution(family, s.params, s.annotation) for s in built]
         _same_solutions(built, made)
@@ -952,9 +955,140 @@ def test_solutions_pickle_through_their_constructor(monkeypatch):
         raise AssertionError("__setstate__ called")
 
     monkeypatch.setattr(SearchSolution, "__setstate__", refuse, raising=False)
-    built = regular_search("p1111k", 10)
-    assert pickle.loads(pickle.dumps(built)) == built
-    assert copy.deepcopy(built) == built
+    monkeypatch.setattr(formulas, "_held", {})
+    # built at bound 10, then sliced from the solutions held at 10
+    for bound in (10, 6):
+        built = regular_search("p1111k", bound)
+        assert pickle.loads(pickle.dumps(built)) == built
+        assert copy.deepcopy(built) == built
+    assert formulas._held["p1111k"][2] == 10
+
+
+def _fields(solutions):
+    return [(type(s), s.family, s.params, s.annotation) for s in solutions]
+
+
+def _fresh_search(family, bound):
+    """The search with the held solutions emptied, and the store put back."""
+    store, formulas._held = formulas._held, {}
+    try:
+        return _fields(regular_search(family, bound))
+    finally:
+        formulas._held = store
+
+
+def _held_orders(rng):
+    bounds = list(range(1, 301))
+    shuffled = bounds[:]
+    rng.shuffle(shuffled)
+    return bounds, bounds[::-1], shuffled
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_held_searches_equal_fresh_ones(monkeypatch, family):
+    # every order of bounds: ascending builds each time, descending slices
+    # the solutions held at 300, a shuffle mixes both; each answer is a new
+    # list, so changing one leaves the next call's unchanged
+    fresh = {bound: _fresh_search(family, bound) for bound in (*range(1, 301), 1000, 10 ** 5)}
+    for order in _held_orders(random.Random(5081)):
+        monkeypatch.setattr(formulas, "_held", {})
+        for bound in (*order, 1000, 10 ** 5):
+            first = regular_search(family, bound)
+            assert _fields(first) == fresh[bound]
+            first.append(None)
+            second = regular_search(family, bound)
+            assert second is not first and _fields(second) == fresh[bound]
+            if second:
+                second.pop()
+            assert _fields(regular_search(family, bound)) == fresh[bound]
+        # p1111k at bound 10^5 has 100001 solutions, past the retention
+        # constant, so its solutions held at 1000 stay; p111k has none
+        assert formulas._held[family][2] == (1000 if fresh[10 ** 5] else 10 ** 5)
+
+
+@pytest.mark.parametrize("family", ["p111k", "p1111k"])
+def test_held_searches_agree_across_threads(monkeypatch, family):
+    fresh = {bound: _fresh_search(family, bound) for bound in range(1, 301)}
+    monkeypatch.setattr(formulas, "_held", {})
+    failures = []
+
+    def search(seed):
+        try:
+            for bound in _held_orders(random.Random(seed))[2]:
+                assert _fields(regular_search(family, bound)) == fresh[bound], bound
+        except AssertionError as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=search, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between a read and a store
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+@pytest.fixture
+def holding_p1111k(monkeypatch):
+    monkeypatch.setattr(formulas, "_held", {})
+    regular_search("p1111k", 300)
+    assert formulas._held["p1111k"][2] == 300
+
+
+def test_held_searches_keep_their_refusals(monkeypatch, holding_p1111k):
+    for bound in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="^bound must be a positive integer$"):
+            regular_search("p1111k", bound)
+    with pytest.raises(ValueError, match="^twists apply to the scroll family only$"):
+        regular_search("p1111k", 20, scroll_a=(1, 1, 1))
+    monkeypatch.setattr(formulas, "_MAX_SOLUTIONS", 21)
+    assert len(regular_search("p1111k", 20)) == 21
+    with pytest.raises(ValueError, match="^p1111k search at bound 21 has 22 solutions, "
+                       "more than the 21 a search returns$"):
+        regular_search("p1111k", 21)
+
+
+@pytest.mark.parametrize("solutions, expected", [
+    # the line (k, 3, k) alone
+    (((1, 1, None, (3,)),), lambda b: [(k, 3, k) for k in range(1, b + 1)] if b >= 3 else []),
+    # every d at every k on the m = 1 row: d <= B holds through the filter
+    (((1, 1, None, None),), lambda b: [(k, d, k) for k in range(1, b + 1) for d in range(1, b + 1)]),
+])
+def test_held_searches_read_the_solution_set_in_use(monkeypatch, holding_p1111k,
+                                                    solutions, expected):
+    monkeypatch.setattr(formulas, "_p_family_solution_set", lambda family: solutions)
+    for bound in (12, 12, 7, 3, 2, 1):  # the first builds, the rest slice
+        assert [s.params for s in regular_search("p1111k", bound)] == expected(bound)
+    assert formulas._held["p1111k"][0] == solutions
+
+
+def test_held_searches_build_with_the_class_in_use(monkeypatch, holding_p1111k):
+    class Marked(SearchSolution):
+        __slots__ = ()
+
+    monkeypatch.setattr(formulas, "SearchSolution", Marked)
+    for bound in (20, 10):
+        assert {type(s) for s in regular_search("p1111k", bound)} == {Marked}
+    monkeypatch.setattr(formulas, "SearchSolution", SearchSolution)
+    assert {type(s) for s in regular_search("p1111k", 10)} == {SearchSolution}
+
+
+def test_searches_past_the_retention_constant_hold_nothing(monkeypatch, holding_p1111k):
+    # p1111k at bound B has B + 1 solutions
+    limit = formulas._HELD_SOLUTIONS
+    held = formulas._held["p1111k"]
+    assert len(regular_search("p1111k", limit)) == limit + 1
+    assert formulas._held["p1111k"] is held
+    monkeypatch.setattr(formulas, "_held", {})
+    regular_search("p1111k", limit)
+    assert formulas._held == {}
+    regular_search("p1111k", limit - 1)
+    assert formulas._held["p1111k"][2] == limit - 1
 
 
 def test_search_results_are_sorted():
