@@ -509,6 +509,23 @@ def _scroll_coefficients(n: int, s: ScalarLike,
     return s * d2 * top + 2 * geometric, n * top
 
 
+def _scroll_candidates(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """`((d2, alpha, beta, gamma), ...)` for the four d2 = -3, -2, 0, 1 that
+    can solve a scroll search with n >= 2 twists (`regular_search`): at
+    each, `_scroll_coefficients(n, s, d2)` is (s alpha + beta, gamma) for
+    every twist sum s.  With u = d2 + 1 and q = u^(n-1), alpha = d2 q,
+    gamma = n q and beta = 2 sum_(k<n) u^k, in closed form:
+    2 (1 + 2 q) / 3 at u = -2, 2 (n mod 2) at u = -1, 2 n at u = 1 (so
+    d1 = -2 there) and 4 q - 2 at u = 2."""
+    sign = 1 if n & 1 else -1  # (-1)^(n-1)
+    two = 1 << (n - 1)  # 2^(n-1)
+    minus_two = sign * two  # (-2)^(n-1)
+    return ((-3, -3 * minus_two, 2 * (1 + 2 * minus_two) // 3, n * minus_two),
+            (-2, -2 * sign, 2 * (n & 1), n * sign),
+            (0, 0, 2 * n, n),
+            (1, two, 4 * two - 2, n * two))
+
+
 def scroll_closed_form(n: int, a: Sequence[int], d1: ScalarLike,
                        d2: ScalarLike) -> ScalarExpr:
     """Closed-form vanishing expression for regular foliations on a scroll.
@@ -738,7 +755,8 @@ _MAX_SOLUTIONS = 2 * 10 ** 6
 # lower bounds after it, about 0.8 MB of `SearchSolution`s
 _HELD_SOLUTIONS = 4096
 # per p-family: (its solution set, the `SearchSolution` class, the bound,
-# the solutions at that bound, sorted, their params, and their largest d)
+# the solutions at that bound, sorted, their params, their largest d, and
+# their count)
 _held = {}
 
 
@@ -755,7 +773,8 @@ def regular_search(family: str, bound: int,
     Every family answers from a solution set certified for every bound,
     which the bound only filters, so a search costs its output, not its
     bound; a p-family search at or below a bound already answered costs
-    less, a slice of the solutions held from that answer (see below).
+    less, a slice of the solutions held from that answer, and one above it
+    builds only the solutions past that answer's bound (see below).
     `p111k` and `p1111k` range over weight k and hypersurface
     degree a with k dividing a (the divisibility every smooth weighted
     hypersurface satisfies), and find the distribution degrees d in [1, B]
@@ -779,7 +798,8 @@ def regular_search(family: str, bound: int,
     n twists summing to s.  For n >= 2 only four d2 can solve it.  At
     u = 0, c1 = 0 and c0 = 2, so no d1 does.  Otherwise an integer d1 needs
     c1 | c0, hence u^(n-1) | c0, and c0 = 2 mod u since n - 1 >= 1, so
-    u | 2: d2 is one of -3, -2, 0, 1, each one `divmod`.  For n = 1,
+    u | 2: d2 is one of -3, -2, 0, 1, each one `divmod`, with c0 and c1
+    read from their closed forms in n (`_scroll_candidates`).  For n = 1,
     c1 = 1, so every d2 gives d1 = -(s d2 + 2): a line, whose d2 range
     within the bound is found by division.  The twists meet the scroll
     builder's own argument checks (`catalog._check_scroll_twists`), with
@@ -796,19 +816,26 @@ def regular_search(family: str, bound: int,
     (`_solutions`), at about three fifths of the cost of its frozen
     `__init__`.
     A p-family search of at most `_HELD_SOLUTIONS` solutions is held in
-    `_held`: one tuple of its sorted solutions and its bound, per family,
-    for the solution set and the `SearchSolution` class it was built
-    from.  A later search at a bound B no larger, on the same set and
-    class, returns a new list of the held solutions with a <= B and
-    d <= B: cut by `bisect` on (a,), then by d when B is below the largest
-    held d (p1111k's is 2).  That filter is the build's own: on
-    every row k <= B // m is a = m k <= B, and a row whose roots are None
-    keeps its d <= B through it.  The solutions are frozen, so one is
-    shared by every list that holds it; no list is shared.  A search at
-    a larger bound, or on another set or class, builds and replaces the
-    entry in one assignment, so a reader sees one whole entry, and two
-    threads building at one bound store equal values.  The
-    bound, family and twist refusals and the count check come first.
+    `_held`: one tuple of its sorted solutions, their count and its bound
+    H, per family, for the solution set and the `SearchSolution` class it
+    was built from.  A later search on the same set and class reads the
+    entry once, before the count.  At a bound B <= H it returns a new list
+    of the held solutions with a <= B and d <= B: cut by `bisect` on (a,),
+    then by d when B is below the largest held d (p1111k's is 2).  That
+    filter is the build's own: on every row k <= B // m is a = m k <= B,
+    and a row whose roots are None keeps its d <= B through it.  The count
+    only grows with the bound, so such a search counts its solutions only
+    when `_MAX_SOLUTIONS` is below the held count.  At a bound B > H, when
+    every row's roots are finite and at most H, every solution has d <= H,
+    so the held ones are the solutions with a <= H: the search keeps them
+    as its first results and builds only the pairs with a = m k > H, that
+    is k > H // m, which sort after them.  Every other search builds in
+    full.  The solutions are frozen, so one is shared by every list that
+    holds it; no list is shared.  A search past H, or on another set or
+    class, replaces the entry in one assignment, so a reader sees one
+    whole entry, and two threads searching at one bound store equal
+    values.  The bound, family and twist refusals come first, and the
+    count check before any solution is built.
     """
     if type(bound) is not int or bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -816,32 +843,46 @@ def regular_search(family: str, bound: int,
         if scroll_a is not None:
             raise ValueError("twists apply to the scroll family only")
         _, k0, excluded = _P_FAMILIES[family]
-        rows, count = [], 0
         solution_set = _p_family_solution_set(family)
-        for m, first, last, roots in solution_set:
-            ks = range(max(first, k0), 1 + (bound // m if last is None
-                                            else min(last, bound // m)))
-            ds = range(1, bound + 1) if roots is None \
-                else [d for d in roots if d <= bound]
-            rows.append((m, ks, ds))
-            # len(ks) stops at sys.maxsize
-            count += max(0, ks.stop - ks.start) * (bound if roots is None else len(ds))
-        _check_count(family, bound, count)
         cls = SearchSolution
-        held = _held.get(family)
-        if held is not None and bound <= held[2] and held[1] is cls \
-                and held[0] == solution_set:
+        held = _held.get(family)  # one read: a reader sees one whole entry
+        if held is not None and (held[1] is not cls or held[0] != solution_set):
+            held = None
+        hit = held is not None and bound <= held[2]
+        # the count only grows with the bound, so a hit refuses only when
+        # `_MAX_SOLUTIONS` fell below the held count
+        if not hit or held[6] > _MAX_SOLUTIONS:
+            rows, count = [], 0
+            for m, first, last, roots in solution_set:
+                ks = range(max(first, k0), 1 + (bound // m if last is None
+                                                else min(last, bound // m)))
+                ds = range(1, bound + 1) if roots is None \
+                    else [d for d in roots if d <= bound]
+                rows.append((m, ks, ds))
+                # len(ks) stops at sys.maxsize
+                count += max(0, ks.stop - ks.start) * (bound if roots is None else len(ds))
+            _check_count(family, bound, count)
+        if hit:
             # a <= B is k <= B // m on every row; d <= B cuts only below
             # the held solutions' largest d
             solutions = held[3][:bisect_left(held[4], (bound + 1,))]
             if bound < held[5]:
                 return [s for s in solutions if s.params[1] <= bound]
             return list(solutions)
-        found = sorted((m * k, d, k) for m, ks, ds in rows for d in ds for k in ks)
+        if held is not None and all(roots is not None and max(roots) <= held[2]
+                                    for *_, roots in solution_set):
+            # every d is at most the held bound, so the held solutions are
+            # those with a <= held bound, and the rest have a = m k past it
+            after, prefix, held_found = held[2], held[3], held[4]
+        else:
+            after, prefix, held_found = 0, (), ()
+        found = sorted((m * k, d, k) for m, ks, ds in rows for d in ds
+                       for k in range(max(ks.start, after // m + 1), ks.stop))
         solutions = _solutions(family, found, excluded)
+        solutions[:0] = prefix
         if count <= _HELD_SOLUTIONS:  # one assignment: a reader sees one entry
-            _held[family] = (solution_set, cls, bound, tuple(solutions), tuple(found),
-                             max((max(ds) for _, ks, ds in rows if ks and ds), default=0))
+            _held[family] = (solution_set, cls, bound, tuple(solutions), held_found + tuple(found),
+                             max((max(ds) for _, ks, ds in rows if ks and ds), default=0), count)
         return solutions
     elif family == "scroll":
         if scroll_a is None:
@@ -865,9 +906,8 @@ def regular_search(family: str, bound: int,
             found = [(-(t * v + 2), sign * v) for v in range(lo, hi + 1)]
         else:
             found = []
-            for d2 in (-3, -2, 0, 1):
-                c0, c1 = _scroll_coefficients(n, s, d2)
-                d1, r = divmod(-c0, c1)
+            for d2, alpha, beta, gamma in _scroll_candidates(n):
+                d1, r = divmod(-(s * alpha + beta), gamma)
                 if not r and max(abs(d1), abs(d2)) <= bound:
                     found.append((d1, d2))
     else:
@@ -883,7 +923,8 @@ def _solutions(family: str, found: list[tuple[int, ...]],
     times as much (0.56 against 0.32 us a solution, Python 3.11.7).  The
     class is read from the module at each call, so a replaced
     `SearchSolution` is the one used.  A p-family search calls it only
-    when it has no held solutions to slice (`regular_search`)."""
+    when it has no held solutions to slice, and then only for the
+    solutions past those it holds (`regular_search`)."""
     cls = SearchSolution
     new = object.__new__
     set_family, set_params, set_annotation = (

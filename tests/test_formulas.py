@@ -1013,8 +1013,11 @@ def test_held_searches_agree_across_threads(monkeypatch, family):
     failures = []
 
     def search(seed):
+        # ascending, the threads race to extend the held solutions; then
+        # shuffled, they slice them or extend an entry another stored lower
+        ascending, _, shuffled = _held_orders(random.Random(seed))
         try:
-            for bound in _held_orders(random.Random(seed))[2]:
+            for bound in (*ascending, *shuffled):
                 assert _fields(regular_search(family, bound)) == fresh[bound], bound
         except AssertionError as exc:
             failures.append(exc)
@@ -1065,6 +1068,89 @@ def test_held_searches_read_the_solution_set_in_use(monkeypatch, holding_p1111k,
     for bound in (12, 12, 7, 3, 2, 1):  # the first builds, the rest slice
         assert [s.params for s in regular_search("p1111k", bound)] == expected(bound)
     assert formulas._held["p1111k"][0] == solutions
+
+
+def _spy_solutions(monkeypatch):
+    """The params lists that searches pass to `_solutions`, in call order."""
+    seen = []
+
+    def spy(family, found, excluded, build=formulas._solutions):
+        seen.append(list(found))
+        return build(family, found, excluded)
+
+    monkeypatch.setattr(formulas, "_solutions", spy)
+    return seen
+
+
+@pytest.mark.parametrize("solutions, full_below", [
+    # the line (k, 2, k) with a second root past the first held bounds, the
+    # point (2, 1, 1) and a sporadic row of two roots: held bounds below 40
+    # build in full, the others extend
+    (((1, 1, None, (2, 40)), (2, 1, 1, (1,)), (3, 2, 2, (5, 7))), 40),
+    # every d on the m = 1 row: every search builds in full
+    (((1, 1, None, None),), None),
+    # sporadic rows alone, one k each, roots at most 6
+    (((2, 3, 3, (4,)), (5, 1, 1, (1, 6)), (3, 2, 2, (2,))), 6),
+])
+def test_held_searches_extend_only_past_finite_roots(monkeypatch, solutions, full_below):
+    monkeypatch.setattr(formulas, "_p_family_solution_set", lambda family: solutions)
+    bounds = range(1, 61)
+    fresh = {bound: _fresh_search("p1111k", bound) for bound in bounds}
+    seen = _spy_solutions(monkeypatch)
+    shuffled = list(bounds)
+    random.Random(613).shuffle(shuffled)
+    for order in (bounds, bounds[::-1], shuffled):
+        monkeypatch.setattr(formulas, "_held", {})
+        for bound in order:
+            held = formulas._held.get("p1111k")
+            seen.clear()
+            assert _fields(regular_search("p1111k", bound)) == fresh[bound], bound
+            if held is None or bound <= held[2]:
+                continue  # built fresh, or sliced
+            # an extension passes only the params past the held bound
+            full = full_below is None or held[2] < full_below
+            assert seen == [[p for _, _, p, _ in fresh[bound] if full or p[0] > held[2]]], bound
+
+
+def test_searches_above_the_held_bound_build_only_the_new_solutions(monkeypatch):
+    monkeypatch.setattr(formulas, "_held", {})
+    seen = _spy_solutions(monkeypatch)
+    regular_search("p1111k", 2)
+    for held, bound in ((2, 50), (50, 95), (95, 95), (95, 300)):
+        fresh = _fresh_search("p1111k", bound)
+        seen.clear()
+        assert _fields(regular_search("p1111k", bound)) == fresh
+        new = [(k, 2, k) for k in range(held + 1, bound + 1)]
+        assert seen == ([new] if new else [])
+        assert formulas._held["p1111k"][2] == bound
+    # the line's root 2 is past the held bound 1: a search at 2 builds in full
+    monkeypatch.setattr(formulas, "_held", {})
+    regular_search("p1111k", 1)
+    seen.clear()
+    regular_search("p1111k", 2)
+    assert seen == [[(1, 2, 1), (2, 1, 1), (2, 2, 2)]]
+
+
+def test_held_hits_count_only_below_the_held_count(monkeypatch, holding_p1111k):
+    # held at 300, 301 solutions; the count at 20 is 21
+    calls, limit0 = [], formulas._MAX_SOLUTIONS
+
+    def spy(family, bound, count, check=formulas._check_count):
+        calls.append((family, bound, count))
+        check(family, bound, count)
+
+    monkeypatch.setattr(formulas, "_check_count", spy)
+    for limit, expected in ((limit0, []), (301, []),
+                            (300, [("p1111k", 20, 21)]), (21, [("p1111k", 20, 21)])):
+        monkeypatch.setattr(formulas, "_MAX_SOLUTIONS", limit)
+        calls.clear()
+        assert len(regular_search("p1111k", 20)) == 21
+        assert calls == expected, limit
+    # above the held bound the count always runs
+    monkeypatch.setattr(formulas, "_MAX_SOLUTIONS", limit0)
+    calls.clear()
+    regular_search("p1111k", 301)
+    assert calls == [("p1111k", 301, 302)]
 
 
 def test_held_searches_build_with_the_class_in_use(monkeypatch, holding_p1111k):
@@ -1619,6 +1705,8 @@ def _scroll_grid(a, bound):
     ((0, 0), 4), ((1, 1), 4), ((2, -1), 3), ((-2, 3), 3),
     ((1, 1, 1), 4), ((2, 1, 3), 3), ((0, 0, 0), 3), ((-2, 3, -1), 3),
     ((1, 1, 1, 1), 2), ((1, 2, 1, 4), 3), ((-1, 0, 2, 3), 2),
+    ((0, 0, 0, 0, 0), 3), ((2, -1, 0, 3, 2), 3), ((4, 0, -1, 2, 0, -3), 3),
+    ((-2, -2, 0, -1, -1, 0), 2),
 ])
 def test_scroll_search_matches_the_grid(a, bound):
     sols = regular_search("scroll", bound, scroll_a=a)
@@ -1634,6 +1722,15 @@ def test_scroll_search_matches_the_grid_beyond_the_certificate():
         a = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
         assert [s.params for s in regular_search("scroll", 6, scroll_a=a)] \
             == _scroll_grid(a, 6), a
+
+
+def test_scroll_candidates_are_the_coefficients_in_closed_form():
+    for n in range(2, 41):
+        candidates = formulas._scroll_candidates(n)
+        assert [d2 for d2, *_ in candidates] == [-3, -2, 0, 1]
+        for s in range(-50, 51):
+            assert [(s * alpha + beta, gamma) for _, alpha, beta, gamma in candidates] \
+                == [formulas._scroll_coefficients(n, s, d2) for d2, *_ in candidates], (n, s)
 
 
 @settings(max_examples=60, deadline=None)
